@@ -4,7 +4,17 @@ Everything here shells out to the ``codeql`` binary, resolved in a fixed
 order: explicit path, then the QLFORGE_CODEQL environment variable, then
 PATH lookup. A missing binary raises BackendUnavailable (extraction) or
 CompilerUnavailable (compilation) instead of a raw OSError, so callers can
-tell a broken environment from a broken rule.
+tell a broken environment from a broken rule. Extraction and scanning raise
+the same errors when a ``codeql`` call runs past its timeout; compilation
+reports that as a Timeout result.
+
+Scanning runs every compiled rule in one ``codeql database analyze`` call,
+so the CLI starts once per scan rather than once per rule. Each rule is
+written as ``<pair_id>.ql`` into one workspace, with its query ``@id``
+stamped as ``qlforge/<pair_id>`` (rules built from the skeleton all carry
+the same ``@id``), and the SARIF results are split back to their pairs by
+``ruleId``, or by ``rule.id`` when ``ruleId`` is absent. A result that maps
+to no rule in the call is logged and dropped.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ logger = logging.getLogger(__name__)
 
 ENV_CODEQL = "QLFORGE_CODEQL"
 DEFAULT_TIMEOUT_S = 600.0
+SCAN_ID_PREFIX = "qlforge/"
 
 _QLPACK_YML = """\
 name: qlforge/generated-rule
@@ -41,6 +52,15 @@ _DIAG_RE = re.compile(
     r"(?:(?P<sev>error|warning)[: ]\s*)?(?P<msg>.+)$",
     re.IGNORECASE,
 )
+
+# The leading QLDoc block; blank lines and plain comments may precede it.
+# Each comment form matches in one way only, so a failed match cannot
+# backtrack exponentially.
+_COMMENT_BODY = r"(?:[^*]|\*(?!/))*\*/"
+_LEADING_QLDOC_RE = re.compile(
+    rf"\A(?:\s|//[^\n]*(?=\n|\Z)|/\*(?!\*){_COMMENT_BODY})*(/\*\*{_COMMENT_BODY})"
+)
+_ID_TAG_RE = re.compile(r"@id(?![\w-])[ \t]*\S*?(?=\*/|\s|$)")
 
 
 def resolve_binary(explicit: str | None = None) -> str | None:
@@ -62,6 +82,23 @@ def _run(cmd: list[str], timeout_s: float | None, unavailable_exc) -> subprocess
         )
     except FileNotFoundError as exc:
         raise unavailable_exc(f"codeql binary not found: {cmd[0]}") from exc
+
+
+def stamp_rule_id(rule_text: str, rule_id: str) -> str:
+    """Set the query ``@id`` of a rule in its leading QLDoc block.
+
+    An ``@id`` already in that block is replaced, a block without one gets
+    one, and a rule with no leading block gets a block holding only the id.
+    """
+    tag = f"@id {rule_id}"
+    match = _LEADING_QLDOC_RE.match(rule_text)
+    if match is None:
+        return f"/**\n * {tag}\n */\n{rule_text}"
+    block, replaced = _ID_TAG_RE.subn(lambda _: tag, match.group(1))
+    if not replaced:
+        block = f"/**\n * {tag}\n *{block[3:]}"
+    start, end = match.span(1)
+    return rule_text[:start] + block + rule_text[end:]
 
 
 def parse_compile_diagnostics(stderr: str) -> tuple[Diagnostic, ...]:
@@ -99,8 +136,18 @@ class CodeQLBackend:
             )
         return self.binary
 
+    def _codeql(self, *args: str) -> subprocess.CompletedProcess:
+        """Run one codeql subcommand; a failure or a timeout is BackendUnavailable."""
+        command = " ".join(args[:2])
+        try:
+            proc = _run([self._require_binary(), *args], self.timeout_s, BackendUnavailable)
+        except subprocess.TimeoutExpired as exc:
+            raise BackendUnavailable(f"codeql {command} exceeded {exc.timeout}s") from exc
+        if proc.returncode != 0:
+            raise BackendUnavailable(f"codeql {command} failed: {proc.stderr.strip()[:500]}")
+        return proc
+
     def enumerate_calls(self, project_root: str | Path) -> list[ApiRecord]:
-        binary = self._require_binary()
         project_root = Path(project_root)
         from .prompts import load_template
 
@@ -112,41 +159,12 @@ class CodeQLBackend:
             (tmp_path / "qlpack.yml").write_text(_QLPACK_YML, encoding="utf-8")
             bqrs = tmp_path / "calls.bqrs"
 
-            create = _run(
-                [
-                    binary,
-                    "database",
-                    "create",
-                    str(db_dir),
-                    "--language=java",
-                    f"--source-root={project_root}",
-                    "--overwrite",
-                ],
-                self.timeout_s,
-                BackendUnavailable,
+            self._codeql(
+                "database", "create", str(db_dir), "--language=java",
+                f"--source-root={project_root}", "--overwrite",
             )
-            if create.returncode != 0:
-                raise BackendUnavailable(
-                    f"codeql database create failed: {create.stderr.strip()[:500]}"
-                )
-            run = _run(
-                [binary, "query", "run", str(query), f"--database={db_dir}", f"--output={bqrs}"],
-                self.timeout_s,
-                BackendUnavailable,
-            )
-            if run.returncode != 0:
-                raise BackendUnavailable(
-                    f"codeql query run failed: {run.stderr.strip()[:500]}"
-                )
-            decode = _run(
-                [binary, "bqrs", "decode", "--format=json", str(bqrs)],
-                self.timeout_s,
-                BackendUnavailable,
-            )
-            if decode.returncode != 0:
-                raise BackendUnavailable(
-                    f"codeql bqrs decode failed: {decode.stderr.strip()[:500]}"
-                )
+            self._codeql("query", "run", str(query), f"--database={db_dir}", f"--output={bqrs}")
+            decode = self._codeql("bqrs", "decode", "--format=json", str(bqrs))
             return self._rows_to_records(decode.stdout, project_root)
 
     def _rows_to_records(self, decoded: str, project_root: Path) -> list[ApiRecord]:
@@ -199,17 +217,22 @@ class CodeQLCompiler:
             )
         return self.binary
 
-    def _rule_workspace(self, tmp: Path, rule_text: str) -> Path:
+    @staticmethod
+    def _workspace(tmp: Path, rules: dict[str, str]) -> list[Path]:
+        """Write one query pack holding ``<name>.ql`` for each named rule."""
         (tmp / "qlpack.yml").write_text(_QLPACK_YML, encoding="utf-8")
-        rule = tmp / "rule.ql"
-        rule.write_text(rule_text, encoding="utf-8")
-        return rule
+        paths = []
+        for name, rule_text in rules.items():
+            path = tmp / f"{name}.ql"
+            path.write_text(rule_text, encoding="utf-8")
+            paths.append(path)
+        return paths
 
     def compile(self, pair_id: str, rule_text: str) -> CompileResult:
         binary = self._require_binary()
         started = time.monotonic()
         with tempfile.TemporaryDirectory(prefix="qlforge-compile-") as tmp:
-            rule = self._rule_workspace(Path(tmp), rule_text)
+            (rule,) = self._workspace(Path(tmp), {"rule": rule_text})
             try:
                 proc = _run(
                     [binary, "query", "compile", str(rule)],
@@ -232,50 +255,89 @@ class CodeQLCompiler:
             diagnostics = (Diagnostic(message=message[:2000]),)
         return CompileResult(CompileStatus.ERROR, diagnostics, elapsed)
 
-    def execute(self, pair_id: str, rule_text: str, database: str) -> list[dict]:
+    def execute(self, rules: dict[str, str], database: str) -> dict[str, list[dict]]:
+        """Run every rule (pair id -> rule text) in one ``database analyze``.
+
+        Returns the findings of each pair. The timeout grows with the number
+        of rules, so each rule has as long as it would have alone.
+        """
+        if not rules:
+            return {}
         binary = self._require_binary()
+        per_rule_s = self.timeout_s if self.timeout_s is not None else DEFAULT_TIMEOUT_S
+        timeout_s = per_rule_s * len(rules)
         with tempfile.TemporaryDirectory(prefix="qlforge-scan-") as tmp:
             tmp_path = Path(tmp)
-            rule = self._rule_workspace(tmp_path, rule_text)
-            sarif_path = tmp_path / "out.sarif"
-            proc = _run(
-                [
-                    binary,
-                    "database",
-                    "analyze",
-                    database,
-                    str(rule),
-                    "--format=sarif-latest",
-                    f"--output={sarif_path}",
-                    "--rerun",
-                ],
-                self.timeout_s,
-                CompilerUnavailable,
+            queries = self._workspace(
+                tmp_path,
+                {pid: stamp_rule_id(text, SCAN_ID_PREFIX + pid) for pid, text in rules.items()},
             )
+            sarif_path = tmp_path / "out.sarif"
+            try:
+                proc = _run(
+                    [
+                        binary,
+                        "database",
+                        "analyze",
+                        database,
+                        *map(str, queries),
+                        "--format=sarif-latest",
+                        f"--output={sarif_path}",
+                        "--rerun",
+                    ],
+                    timeout_s,
+                    CompilerUnavailable,
+                )
+            except subprocess.TimeoutExpired as exc:
+                raise CompilerUnavailable(
+                    f"codeql database analyze exceeded {timeout_s}s"
+                ) from exc
             if proc.returncode != 0:
                 raise CompilerUnavailable(
                     f"codeql database analyze failed: {proc.stderr.strip()[:500]}"
                 )
-            sarif = json.loads(sarif_path.read_text(encoding="utf-8"))
-        return _sarif_to_findings(sarif)
+            try:
+                sarif = json.loads(sarif_path.read_text(encoding="utf-8"))
+            except (OSError, ValueError) as exc:
+                raise CompilerUnavailable(
+                    f"codeql database analyze wrote no readable SARIF: {exc}"
+                ) from exc
+        return _split_sarif(sarif, {SCAN_ID_PREFIX + pid: pid for pid in rules})
 
 
-def _sarif_to_findings(sarif: dict) -> list[dict]:
-    findings = []
+def _split_sarif(sarif: dict, pair_by_rule_id: dict[str, str]) -> dict[str, list[dict]]:
+    """Assign each SARIF finding to the pair whose rule reported it."""
+    findings: dict[str, list[dict]] = {pid: [] for pid in pair_by_rule_id.values()}
+    for rule_id, finding in _sarif_results(sarif):
+        pair_id = pair_by_rule_id.get(rule_id)
+        if pair_id is None:
+            logger.warning("scan: dropping a result of rule %r, which is not in the batch", rule_id)
+            continue
+        findings[pair_id].append(finding)
+    return findings
+
+
+def _sarif_results(sarif: dict):
+    """Yield (rule id, finding) for each located SARIF 2.1.0 result.
+
+    The rule id is the result's ``ruleId``, or else its ``rule.id``.
+    """
     for run in sarif.get("runs", []):
         for result in run.get("results", []):
+            rule_id = result.get("ruleId") or result.get("rule", {}).get("id")
             for location in result.get("locations", []):
                 physical = location.get("physicalLocation", {})
                 region = physical.get("region", {})
                 start = region.get("startLine")
                 if start is None:
                     continue
-                findings.append(
-                    {
-                        "file": physical.get("artifactLocation", {}).get("uri", ""),
-                        "start_line": int(start),
-                        "end_line": int(region.get("endLine", start)),
-                        "message": result.get("message", {}).get("text", ""),
-                    }
-                )
-    return findings
+                yield rule_id, {
+                    "file": physical.get("artifactLocation", {}).get("uri", ""),
+                    "start_line": int(start),
+                    "end_line": int(region.get("endLine", start)),
+                    "message": result.get("message", {}).get("text", ""),
+                }
+
+
+def _sarif_to_findings(sarif: dict) -> list[dict]:
+    return [finding for _, finding in _sarif_results(sarif)]

@@ -69,6 +69,10 @@ class FixtureDrift(QlforgeError):
     """The shipped fixture corpus no longer matches its manifest or mock scripts."""
 
 
+class ArtifactCorrupt(QlforgeError, ValueError):
+    """A run artifact on disk has an unsupported version or an unknown value."""
+
+
 class UnwritableOutput(QlforgeError):
     """A report or artifact file could not be written."""
 

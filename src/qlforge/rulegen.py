@@ -26,7 +26,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Protocol
 
-from .errors import CompilerUnavailable, ConfigError, EmptyDraft, UnknownApiId
+from .errors import ArtifactCorrupt, CompilerUnavailable, ConfigError, EmptyDraft, UnknownApiId
 from .gateway import LlmClient, LlmGateway, TranscriptStore, simple_request
 from .pairing import SourceSinkPair
 from .prompts import load_template, render_template
@@ -165,7 +165,9 @@ class RuleCompiler(Protocol):
 
     def compile(self, pair_id: str, rule_text: str) -> CompileResult: ...
 
-    def execute(self, pair_id: str, rule_text: str, database: str) -> list[dict]: ...
+    def execute(self, rules: dict[str, str], database: str) -> dict[str, list[dict]]:
+        """Run the rules (pair id -> rule text); return each pair's findings."""
+        ...
 
 
 # ---------------------------------------------------------------------------
@@ -214,8 +216,8 @@ class MockCompiler:
             return CompileResult(CompileStatus.ERROR, diagnostics, elapsed)
         return CompileResult(CompileStatus.OK, (), elapsed)
 
-    def execute(self, pair_id: str, rule_text: str, database: str) -> list[dict]:
-        return list(self._entry(pair_id).get("findings", []))
+    def execute(self, rules: dict[str, str], database: str) -> dict[str, list[dict]]:
+        return {pid: list(self._entry(pid).get("findings", [])) for pid in rules}
 
     def compile_calls(self, pair_id: str) -> int:
         with self._lock:
@@ -451,17 +453,25 @@ def load_rule_artifacts(rules_dir: str | Path) -> list[RuleArtifact]:
         raise FileNotFoundError(f"no rule index at {index_path}")
     doc = json.loads(index_path.read_text(encoding="utf-8"))
     if doc.get("version") != RULE_INDEX_VERSION:
-        raise ValueError(f"unsupported rule index version: {doc.get('version')!r}")
+        raise ArtifactCorrupt(
+            f"{index_path}: unsupported rule index version: {doc.get('version')!r}"
+        )
     artifacts = []
     for entry in doc["rules"]:
         pair_dir = rules_dir / entry["pair_id"]
         status = json.loads((pair_dir / STATUS_FILENAME).read_text(encoding="utf-8"))
         rule_text = (pair_dir / RULE_FILENAME).read_text(encoding="utf-8")
+        try:
+            outcome = ArtifactStatus(status["status"])
+        except ValueError:
+            raise ArtifactCorrupt(
+                f"{pair_dir / STATUS_FILENAME}: unknown rule status {status['status']!r}"
+            ) from None
         artifacts.append(
             RuleArtifact(
                 pair_id=status["pair_id"],
                 vuln_class=status.get("vuln_class", ""),
-                status=ArtifactStatus(status["status"]),
+                status=outcome,
                 attempts=status["attempts"],
                 rule_text=rule_text,
                 diagnostics=tuple(Diagnostic.from_dict(d) for d in status.get("diagnostics", ())),
@@ -516,23 +526,28 @@ def scan(
 ) -> list[Finding]:
     """Execute every compiled rule and merge findings.
 
+    All compiled rules go to the compiler in one ``execute`` call; with
+    CodeQL that is one ``database analyze``, whose results are split back by
+    rule id. If that call fails, each rule is run again on its own, so a
+    failing rule is logged and skipped while the remaining rules continue.
+    Rules that did not compile are skipped.
+
     Findings are deduplicated on (pair_id, file, start_line, end_line):
     two distinct rules hitting the same location stay distinct findings.
-    Rules that did not compile are skipped; a rule whose execution fails is
-    logged and skipped while the remaining rules continue.
     """
+    compiled = {
+        a.pair_id: a
+        for a in sorted(artifacts, key=lambda a: a.pair_id)
+        if a.status is ArtifactStatus.COMPILED
+    }
+    rows_by_pair = _execute_isolating_failures(
+        {pid: a.rule_text for pid, a in compiled.items()}, database, compiler
+    )
     merged: dict[tuple, Finding] = {}
-    for artifact in sorted(artifacts, key=lambda a: a.pair_id):
-        if artifact.status is not ArtifactStatus.COMPILED:
-            continue
-        try:
-            rows = compiler.execute(artifact.pair_id, artifact.rule_text, database)
-        except CompilerUnavailable as exc:
-            logger.warning("pair %s: execution failed, skipping: %s", artifact.pair_id, exc)
-            continue
-        for raw in rows:
+    for pair_id, artifact in compiled.items():
+        for raw in rows_by_pair.get(pair_id, ()):
             finding = Finding(
-                pair_id=artifact.pair_id,
+                pair_id=pair_id,
                 vuln_class=artifact.vuln_class,
                 file=raw["file"],
                 start_line=int(raw["start_line"]),
@@ -542,6 +557,25 @@ def scan(
             key = (finding.pair_id, finding.file, finding.start_line, finding.end_line)
             merged.setdefault(key, finding)
     return sorted(merged.values(), key=lambda f: (f.file, f.start_line, f.end_line, f.pair_id))
+
+
+def _execute_isolating_failures(
+    rules: dict[str, str], database: str, compiler: RuleCompiler
+) -> dict[str, list[dict]]:
+    """Execute the rules in one call, or each on its own if that call fails."""
+    try:
+        return compiler.execute(rules, database)
+    except CompilerUnavailable as exc:
+        if len(rules) == 1:
+            logger.warning("pair %s: execution failed, skipping: %s", next(iter(rules)), exc)
+            return {}
+        logger.warning(
+            "scan: executing %d rules together failed, running each alone: %s", len(rules), exc
+        )
+    rows: dict[str, list[dict]] = {}
+    for pair_id, rule_text in rules.items():
+        rows.update(_execute_isolating_failures({pair_id: rule_text}, database, compiler))
+    return rows
 
 
 # ---------------------------------------------------------------------------

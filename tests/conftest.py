@@ -1,6 +1,7 @@
 import json
 import random
 import string
+import sys
 from pathlib import Path
 
 import pytest
@@ -120,3 +121,63 @@ class StaticClient:
     def send(self, request):
         self.calls += 1
         return LlmResponse(text=self.text, finish_reason="stop", usage={}, latency_s=0.0)
+
+
+_FAKE_ANALYZE = """\
+import json, re, sys
+from pathlib import Path
+
+config = json.loads(Path(__file__).with_name("codeql.json").read_text())
+queries = [Path(a) for a in sys.argv[4:] if not a.startswith("--")]
+texts = {q.stem: q.read_text() for q in queries}
+ids = {stem: (re.findall(r"@id[ \\t]+(\\S+)", text) or [None])[0] for stem, text in texts.items()}
+with open(config["calls"], "a") as log:
+    log.write(json.dumps({"command": " ".join(sys.argv[1:3]), "ids": ids}) + "\\n")
+if sys.argv[1:3] != ["database", "analyze"]:
+    sys.exit(2)
+if any(config["fail_marker"] in text for text in texts.values()):
+    sys.stderr.write("analysis crashed\\n")
+    sys.exit(1)
+results = [
+    {
+        "ruleId": ids[stem],
+        "message": {"text": row["message"]},
+        "locations": [
+            {
+                "physicalLocation": {
+                    "artifactLocation": {"uri": row["file"]},
+                    "region": {"startLine": row["line"]},
+                }
+            }
+        ],
+    }
+    for stem in texts
+    for row in config["rows"].get(stem, [])
+]
+output = next(a.split("=", 1)[1] for a in sys.argv if a.startswith("--output="))
+Path(output).write_text(json.dumps({"version": "2.1.0", "runs": [{"results": results}]}))
+"""
+
+
+class FakeAnalyzeCodeql:
+    """A ``codeql`` executable that only implements ``database analyze``.
+
+    ``rows`` maps a query file's stem (the pair id in a scan workspace) to
+    the locations that query reports; each reported result carries the
+    first ``@id`` in the query text as its ``ruleId``. A call whose queries
+    contain ``fail_marker`` exits 1. Every invocation is logged with the
+    ``@id`` it saw per query, read back through :meth:`calls`.
+    """
+
+    def __init__(self, directory: Path, rows: dict, fail_marker: str = "CRASH"):
+        self.binary = directory / "codeql"
+        self._log = directory / "codeql-calls.jsonl"
+        config = {"calls": str(self._log), "rows": rows, "fail_marker": fail_marker}
+        (directory / "codeql.json").write_text(json.dumps(config))
+        self.binary.write_text(f"#!{sys.executable}\n" + _FAKE_ANALYZE)
+        self.binary.chmod(0o755)
+
+    def calls(self) -> list[dict]:
+        if not self._log.is_file():
+            return []
+        return [json.loads(line) for line in self._log.read_text().splitlines()]

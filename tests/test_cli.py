@@ -144,6 +144,27 @@ def test_run_resume_exit_codes(runner, tmp_path):
     assert "nothing to do" in result.output
 
 
+@pytest.mark.parametrize(
+    "document, key, value",
+    [("rules/*/status.json", "status", "Invalid"), ("rules/index.json", "version", 0)],
+)
+def test_run_resume_on_corrupt_rule_artifact_is_stage_error(
+    runner, tmp_path, document, key, value
+):
+    config = _write_config(tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == EXIT_OK
+    run_dir = tmp_path / "run"
+    path = sorted(run_dir.glob(document))[0]
+    doc = json.loads(path.read_text())
+    doc[key] = value
+    path.write_text(json.dumps(doc))
+    # Without findings the resumed run starts at scan, which loads the rules.
+    (run_dir / "findings.json").unlink()
+    result = runner.invoke(main, ["run", "--config", str(config), "--resume"])
+    assert result.exit_code == EXIT_STAGE
+    assert f"{value!r}" in result.output
+
+
 def test_run_config_error_exit_code(runner, tmp_path):
     config = _write_config(tmp_path, backend="telepathy")
     result = runner.invoke(main, ["run", "--config", str(config)])

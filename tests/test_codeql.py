@@ -9,11 +9,15 @@ from qlforge.codeql import (
     CodeQLBackend,
     CodeQLCompiler,
     _sarif_to_findings,
+    _split_sarif,
     parse_compile_diagnostics,
     resolve_binary,
+    stamp_rule_id,
 )
 from qlforge.errors import BackendUnavailable, CompilerUnavailable
+from qlforge.prompts import load_template
 from qlforge.rulegen import CompileStatus
+from tests.conftest import FakeAnalyzeCodeql
 
 
 def _fake_codeql(tmp_path, body):
@@ -144,6 +148,7 @@ def test_execute_parses_sarif(tmp_path):
             {
                 "results": [
                     {
+                        "ruleId": "qlforge/p",
                         "message": {"text": "tainted flow"},
                         "locations": [
                             {
@@ -170,7 +175,7 @@ def test_execute_parses_sarif(tmp_path):
         exit 1
         """,
     )
-    findings = CodeQLCompiler(binary=binary).execute("p", "select 1", "somedb")
+    findings = CodeQLCompiler(binary=binary).execute({"p": "select 1"}, "somedb")["p"]
     assert findings == [
         {"file": "src/App.java", "start_line": 9, "end_line": 10, "message": "tainted flow"}
     ]
@@ -179,7 +184,129 @@ def test_execute_parses_sarif(tmp_path):
 def test_execute_failure_raises(tmp_path):
     binary = _fake_codeql(tmp_path, "echo 'no such database' >&2\nexit 1\n")
     with pytest.raises(CompilerUnavailable):
-        CodeQLCompiler(binary=binary).execute("p", "select 1", "missing-db")
+        CodeQLCompiler(binary=binary).execute({"p": "select 1"}, "missing-db")
+
+
+def test_execute_timeout_raises_unavailable(tmp_path):
+    binary = _fake_codeql(tmp_path, "exec sleep 5\n")
+    with pytest.raises(CompilerUnavailable, match="exceeded"):
+        CodeQLCompiler(binary=binary, timeout_s=0.2).execute({"p": "select 1"}, "db")
+
+
+def test_execute_runs_all_rules_in_one_analyze_call(tmp_path):
+    skeleton = load_template("rule_skeleton.ql")
+    rows = {
+        "a__x": [{"file": "A.java", "line": 3, "message": "from a"}],
+        "b__y": [{"file": "B.java", "line": 7, "message": "from b"}],
+        "c__z": [{"file": "C.java", "line": 1, "message": "from c"}],
+    }
+    fake = FakeAnalyzeCodeql(tmp_path, rows)
+    rules = {
+        # Both carry the skeleton's constant @id; the third has none at all.
+        "a__x": skeleton,
+        "b__y": skeleton,
+        "c__z": "import java\nfrom Expr e\nselect e\n",
+    }
+    findings = CodeQLCompiler(binary=str(fake.binary)).execute(rules, "db")
+    calls = fake.calls()
+    assert [c["command"] for c in calls] == ["database analyze"]
+    assert calls[0]["ids"] == {pid: f"qlforge/{pid}" for pid in rules}
+    assert findings == {
+        "a__x": [{"file": "A.java", "start_line": 3, "end_line": 3, "message": "from a"}],
+        "b__y": [{"file": "B.java", "start_line": 7, "end_line": 7, "message": "from b"}],
+        "c__z": [{"file": "C.java", "start_line": 1, "end_line": 1, "message": "from c"}],
+    }
+
+
+def test_execute_without_rules_runs_nothing(tmp_path):
+    fake = FakeAnalyzeCodeql(tmp_path, {})
+    assert CodeQLCompiler(binary=str(fake.binary)).execute({}, "db") == {}
+    assert fake.calls() == []
+
+
+# ---------------------------------------------------------------------------
+# Rule ids in the scan workspace
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "rule, stamped",
+    [
+        (
+            "/**\n * @name n\n * @id qlforge/generated-taint-rule\n */\nselect 1\n",
+            "/**\n * @name n\n * @id qlforge/p__q\n */\nselect 1\n",
+        ),
+        (
+            "/**\n * @name n\n * @kind problem\n */\nselect 1\n",
+            "/**\n * @id qlforge/p__q\n *\n * @name n\n * @kind problem\n */\nselect 1\n",
+        ),
+        (
+            "/** @name n @id old */\nselect 1\n",
+            "/** @name n @id qlforge/p__q */\nselect 1\n",
+        ),
+        (
+            "/** @name n */\nselect 1\n",
+            "/**\n * @id qlforge/p__q\n * @name n */\nselect 1\n",
+        ),
+        (
+            "// generated\n/* licence */\n/**\n * @id x/y\n */\nselect 1\n",
+            "// generated\n/* licence */\n/**\n * @id qlforge/p__q\n */\nselect 1\n",
+        ),
+        (
+            "import java\n/** @id later */\nselect 1\n",
+            "/**\n * @id qlforge/p__q\n */\nimport java\n/** @id later */\nselect 1\n",
+        ),
+        # Many comment markers and no QLDoc block: must not backtrack for ages.
+        (
+            "// " * 40 + "/* */ " * 40 + "\n",
+            "/**\n * @id qlforge/p__q\n */\n" + "// " * 40 + "/* */ " * 40 + "\n",
+        ),
+    ],
+)
+def test_stamp_rule_id(rule, stamped):
+    assert stamp_rule_id(rule, "qlforge/p__q") == stamped
+
+
+def test_stamp_rule_id_leaves_other_tags_alone():
+    rule = "/**\n * @identifier keep\n * @id\n * @kind problem\n */\nselect 1\n"
+    assert stamp_rule_id(rule, "qlforge/p") == (
+        "/**\n * @identifier keep\n * @id qlforge/p\n * @kind problem\n */\nselect 1\n"
+    )
+
+
+def test_split_sarif_by_rule_id(caplog):
+    def result(location, **rule):
+        return {
+            **rule,
+            "locations": [
+                {
+                    "physicalLocation": {
+                        "artifactLocation": {"uri": location},
+                        "region": {"startLine": 1},
+                    }
+                }
+            ],
+        }
+
+    sarif = {
+        "runs": [
+            {
+                "results": [
+                    result("A.java", ruleId="qlforge/a"),
+                    result("B.java", rule={"id": "qlforge/b"}),
+                    result("Z.java", ruleId="someone/else"),
+                ]
+            }
+        ]
+    }
+    with caplog.at_level("WARNING", logger="qlforge.codeql"):
+        split = _split_sarif(sarif, {"qlforge/a": "a", "qlforge/b": "b", "qlforge/c": "c"})
+    assert {pid: [f["file"] for f in rows] for pid, rows in split.items()} == {
+        "a": ["A.java"],
+        "b": ["B.java"],
+        "c": [],
+    }
+    assert "someone/else" in caplog.text
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +358,12 @@ def test_enumerate_calls_via_stub(tmp_path):
     assert record.first_seen.file == "App.java"
     assert record.first_seen.line == 3
     assert "getParameter" in record.snippet  # pulled from the real source file
+
+
+def test_enumerate_calls_timeout_raises_unavailable(tmp_path):
+    binary = _fake_codeql(tmp_path, "exec sleep 5\n")
+    with pytest.raises(BackendUnavailable, match="database create exceeded"):
+        CodeQLBackend(binary=binary, timeout_s=0.2).enumerate_calls(tmp_path)
 
 
 def test_enumerate_calls_database_failure(tmp_path):

@@ -3,9 +3,11 @@ import random
 
 import pytest
 
+from qlforge.codeql import CodeQLCompiler
 from qlforge.errors import CompilerUnavailable, ConfigError, EmptyDraft
 from qlforge.gateway import LlmGateway
 from qlforge.pairing import SourceSinkPair, make_pair_id
+from qlforge.prompts import load_template
 from qlforge.rulegen import (
     ArtifactStatus,
     CompileResult,
@@ -26,7 +28,13 @@ from qlforge.rulegen import (
     write_rule_index,
 )
 from qlforge.records import record_lookup
-from tests.conftest import CountingClient, StaticClient, scripted_client, synthetic_records
+from tests.conftest import (
+    CountingClient,
+    FakeAnalyzeCodeql,
+    StaticClient,
+    scripted_client,
+    synthetic_records,
+)
 
 RULE_TEXT = "import java\n\nfrom Expr e\nselect e"
 
@@ -160,7 +168,7 @@ def test_missing_compiler_aborts_pair():
         def compile(self, pair_id, rule_text):
             raise CompilerUnavailable("no compiler on PATH")
 
-        def execute(self, pair_id, rule_text, database):
+        def execute(self, rules, database):
             raise CompilerUnavailable("no compiler on PATH")
 
     pair, lookup = _pair_and_lookup()
@@ -330,16 +338,61 @@ def test_scan_skips_aborted_rules():
 
 def test_scan_continues_past_failing_rule(caplog):
     class FlakyCompiler(MockCompiler):
-        def execute(self, pair_id, rule_text, database):
-            if pair_id == "a__x":
+        def execute(self, rules, database):
+            if "a__x" in rules:
                 raise CompilerUnavailable("analysis crashed")
-            return super().execute(pair_id, rule_text, database)
+            return super().execute(rules, database)
 
     script = {"version": 1, "default": {"findings": [{"file": "H.java", "start_line": 4}]}}
     with caplog.at_level("WARNING", logger="qlforge.rulegen"):
         findings = scan([_artifact("a__x"), _artifact("b__y")], "db", FlakyCompiler(script))
     assert [f.pair_id for f in findings] == ["b__y"]
     assert "execution failed" in caplog.text
+
+
+def _codeql_scan(tmp_path, rule_texts):
+    rows = {
+        pid: [{"file": "F.java", "line": line, "message": pid}]
+        for line, pid in enumerate(sorted(rule_texts), 1)
+    }
+    fake = FakeAnalyzeCodeql(tmp_path, rows)
+    artifacts = [
+        RuleArtifact(pid, "xss", ArtifactStatus.COMPILED, 1, text)
+        for pid, text in rule_texts.items()
+    ]
+    artifacts.append(RuleArtifact("z__aborted", "xss", ArtifactStatus.ABORTED, 5, "x\n"))
+    findings = scan(artifacts, "db", CodeQLCompiler(binary=str(fake.binary)))
+    return findings, fake.calls()
+
+
+def test_scan_runs_all_compiled_rules_in_one_codeql_call(tmp_path):
+    skeleton = load_template("rule_skeleton.ql")
+    # a__x and b__y share the skeleton's constant @id; c__z has none.
+    rules = {"a__x": skeleton, "b__y": skeleton, "c__z": RULE_TEXT + "\n"}
+    findings, calls = _codeql_scan(tmp_path, rules)
+    assert len(calls) == 1
+    assert calls[0]["command"] == "database analyze"
+    assert sorted(calls[0]["ids"]) == ["a__x", "b__y", "c__z"]
+    assert [(f.pair_id, f.start_line, f.message) for f in findings] == [
+        ("a__x", 1, "a__x"),
+        ("b__y", 2, "b__y"),
+        ("c__z", 3, "c__z"),
+    ]
+
+
+def test_scan_isolates_a_rule_that_breaks_the_batch(tmp_path, caplog):
+    rules = {"a__x": RULE_TEXT + "\n", "b__y": "CRASH\n" + RULE_TEXT, "c__z": RULE_TEXT + "\n"}
+    with caplog.at_level("WARNING", logger="qlforge.rulegen"):
+        findings, calls = _codeql_scan(tmp_path, rules)
+    # One batch call, then one call per rule.
+    assert [sorted(c["ids"]) for c in calls] == [
+        ["a__x", "b__y", "c__z"],
+        ["a__x"],
+        ["b__y"],
+        ["c__z"],
+    ]
+    assert [f.pair_id for f in findings] == ["a__x", "c__z"]
+    assert "pair b__y: execution failed" in caplog.text
 
 
 def test_scan_output_sorted_by_location():
