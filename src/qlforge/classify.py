@@ -8,6 +8,15 @@ rendered prompt stays within the token budget. Rounds after the first pick,
 among a fixed set of candidate permutations, the one whose co-membership
 overlaps the previous rounds least, so a record meets different neighbors in
 every round whenever the population allows it.
+
+Overlap is scored by counting. Against each earlier round, a candidate's
+records fall into cells keyed by (group now, group then). A cell of n records
+adds n·(n−1), which is the number of (record, neighbor) pairs that meet again.
+A cell that fills both its groups, n records in a group of n now and a group
+of n then, is an identical context and adds a further
+``_IDENTICAL_CONTEXT_PENALTY`` per record; that includes a record that sits
+alone in both rounds, unless it is the only record there is. Scoring a
+candidate is therefore linear in the number of records.
 """
 
 from __future__ import annotations
@@ -19,6 +28,7 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import BallotCountMismatch, RecordTooLarge, UnknownApiId, WhollyMalformed
@@ -118,6 +128,7 @@ Print exactly one line per API id, in this exact format and nothing else:
 Label every one of these ids: """
 
 
+@lru_cache(maxsize=None)
 def _steps_text() -> str:
     catalog = load_catalog()
 
@@ -139,7 +150,7 @@ def _steps_text() -> str:
 
 
 def _member_block(record: ApiRecord) -> str:
-    return json.dumps(record.to_dict(), ensure_ascii=False) + "\n"
+    return record.json_text + "\n"
 
 
 def _render_prompt(members: list[ApiRecord]) -> str:
@@ -198,25 +209,29 @@ def _greedy_fill(
     return groups
 
 
-def _co_members(groups: list[ContextGroup]) -> dict[str, frozenset[str]]:
-    out: dict[str, frozenset[str]] = {}
-    for group in groups:
-        members = set(group.member_ids)
-        for rid in group.member_ids:
-            out[rid] = frozenset(members - {rid})
-    return out
+def _group_index(groups: list[ContextGroup]) -> dict[str, int]:
+    return {rid: index for index, group in enumerate(groups) for rid in group.member_ids}
 
 
 def _overlap_penalty(
-    groups: list[ContextGroup], history: list[dict[str, frozenset[str]]], population: int
+    groups: list[ContextGroup], history: list[dict[str, int]], population: int
 ) -> int:
-    co_now = _co_members(groups)
+    """Score how much ``groups`` repeats the rounds in ``history``.
+
+    Equals, summed over earlier rounds and records, the number of neighbors a
+    record meets again, plus ``_IDENTICAL_CONTEXT_PENALTY`` for each record
+    whose whole group repeats (see the module docstring).
+    """
     penalty = 0
     for prev in history:
-        for rid, co in co_now.items():
-            penalty += len(co & prev[rid])
-            if population > 1 and co == prev[rid]:
-                penalty += _IDENTICAL_CONTEXT_PENALTY
+        prev_sizes = Counter(prev.values())
+        for group in groups:
+            size = len(group.member_ids)
+            cells = Counter(prev[rid] for rid in group.member_ids)
+            for prev_index, n in cells.items():
+                penalty += n * (n - 1)
+                if population > 1 and n == size == prev_sizes[prev_index]:
+                    penalty += _IDENTICAL_CONTEXT_PENALTY * n
     return penalty
 
 
@@ -243,7 +258,7 @@ def plan_groups(records: list[ApiRecord], budget: int, seed: int) -> list[Contex
         )
 
     base_order = sorted(costs)
-    history: list[dict[str, frozenset[str]]] = []
+    history: list[dict[str, int]] = []
     plan: list[ContextGroup] = []
     for round_index in range(ROUNDS):
         candidates = 1 if round_index == 0 else _RESHUFFLE_CANDIDATES
@@ -257,7 +272,7 @@ def plan_groups(records: list[ApiRecord], budget: int, seed: int) -> list[Contex
             if best_penalty is None or penalty < best_penalty:
                 best, best_penalty = groups, penalty
         assert best is not None
-        history.append(_co_members(best))
+        history.append(_group_index(best))
         plan.extend(best)
     return plan
 

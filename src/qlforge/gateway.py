@@ -12,6 +12,7 @@ never from config files.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 import time
@@ -22,7 +23,9 @@ from typing import Callable, Protocol
 
 import requests
 
-from .errors import AuthFailure, ConfigError, ProviderError, RateLimited
+from .errors import ArtifactCorrupt, AuthFailure, ConfigError, ProviderError, RateLimited
+
+logger = logging.getLogger(__name__)
 
 STAGES = ("classify", "pair", "write", "repair")
 
@@ -262,6 +265,11 @@ class TranscriptStore:
     When constructed with a path, each append writes one JSON line
     ``{seq, stage, request, response, ts}``. Appends are serialized
     internally, so many workers may log concurrently.
+
+    An existing file is continued: numbering resumes after its highest
+    ``seq``. A final line with no newline is an append cut short by a killed
+    run; it is dropped from the file with a warning. Any other line that is
+    not a transcript entry raises :class:`ArtifactCorrupt`.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -274,9 +282,27 @@ class TranscriptStore:
             if self.path.is_file():
                 # Continue numbering after a resumed run instead of
                 # restarting at 1 and clashing with recorded entries.
-                for line in self.path.read_text(encoding="utf-8").splitlines():
-                    if line.strip():
-                        self._seq = max(self._seq, json.loads(line).get("seq", 0))
+                self._seq = self._last_seq()
+
+    def _last_seq(self) -> int:
+        data = self.path.read_bytes()
+        torn = data.rpartition(b"\n")[2]
+        if torn:
+            logger.warning("%s: dropping torn final line (%d bytes)", self.path, len(torn))
+            data = data[: len(data) - len(torn)]
+            with self.path.open("r+b") as fh:
+                fh.truncate(len(data))
+        seq = 0
+        for number, line in enumerate(data.splitlines(), 1):
+            if not line.strip():
+                continue
+            try:
+                seq = max(seq, json.loads(line).get("seq", 0))
+            except (ValueError, AttributeError, TypeError):
+                raise ArtifactCorrupt(
+                    f"{self.path}: line {number} is not a transcript entry"
+                ) from None
+        return seq
 
     def append(self, request: LlmRequest, response: LlmResponse) -> int:
         with self._lock:

@@ -105,7 +105,7 @@ def _candidate_block(ids: list[str], records_by_id: dict[str, ApiRecord]) -> str
     for rid in ids:
         if rid not in records_by_id:
             raise UnknownApiId(f"pairing references unknown api id {rid}")
-        lines.append(json.dumps(records_by_id[rid].to_dict(), ensure_ascii=False))
+        lines.append(records_by_id[rid].json_text)
     return "\n".join(lines) + "\n"
 
 

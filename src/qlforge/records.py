@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 logger = logging.getLogger(__name__)
@@ -85,6 +86,17 @@ class ApiRecord:
             first_seen=SourceLocation(data["first_seen"]["file"], data["first_seen"]["line"]),
         )
 
+    @cached_property
+    def json_text(self) -> str:
+        """The record as one line of JSON, the form every prompt embeds.
+
+        Serialized on first use and kept on the instance, so classification
+        (cost estimate and rendered prompt), pairing and rule writing all
+        reuse one string. The text is not ASCII-escaped; a record holding a
+        lone surrogate yields a string that cannot be encoded as UTF-8.
+        """
+        return json.dumps(self.to_dict(), ensure_ascii=False)
+
 
 def signature_hash(
     package: str,
@@ -139,7 +151,7 @@ def make_record(
 
 def _encodable(record: ApiRecord) -> bool:
     try:
-        json.dumps(record.to_dict(), ensure_ascii=False).encode("utf-8")
+        record.json_text.encode("utf-8")
     except UnicodeEncodeError:
         return False
     return True

@@ -246,8 +246,8 @@ def _pair_info(pair: SourceSinkPair, records_by_id: dict[str, ApiRecord]) -> str
             raise UnknownApiId(f"pair {pair.pair_id} references unknown api id {rid}")
     return (
         f"pair: {json.dumps(pair.to_dict(), ensure_ascii=False)}\n"
-        f"source record: {json.dumps(records_by_id[pair.source_id].to_dict(), ensure_ascii=False)}\n"
-        f"sink record: {json.dumps(records_by_id[pair.sink_id].to_dict(), ensure_ascii=False)}\n"
+        f"source record: {records_by_id[pair.source_id].json_text}\n"
+        f"sink record: {records_by_id[pair.sink_id].json_text}\n"
     )
 
 
@@ -446,12 +446,22 @@ def write_rule_index(artifacts: list[RuleArtifact], rules_dir: str | Path) -> No
     )
 
 
+def _read_json(path: Path) -> dict:
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise ArtifactCorrupt(f"{path}: not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ArtifactCorrupt(f"{path}: expected a JSON object")
+    return doc
+
+
 def load_rule_artifacts(rules_dir: str | Path) -> list[RuleArtifact]:
     rules_dir = Path(rules_dir)
     index_path = rules_dir / INDEX_FILENAME
     if not index_path.is_file():
         raise FileNotFoundError(f"no rule index at {index_path}")
-    doc = json.loads(index_path.read_text(encoding="utf-8"))
+    doc = _read_json(index_path)
     if doc.get("version") != RULE_INDEX_VERSION:
         raise ArtifactCorrupt(
             f"{index_path}: unsupported rule index version: {doc.get('version')!r}"
@@ -459,7 +469,7 @@ def load_rule_artifacts(rules_dir: str | Path) -> list[RuleArtifact]:
     artifacts = []
     for entry in doc["rules"]:
         pair_dir = rules_dir / entry["pair_id"]
-        status = json.loads((pair_dir / STATUS_FILENAME).read_text(encoding="utf-8"))
+        status = _read_json(pair_dir / STATUS_FILENAME)
         rule_text = (pair_dir / RULE_FILENAME).read_text(encoding="utf-8")
         try:
             outcome = ArtifactStatus(status["status"])

@@ -4,7 +4,10 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qlforge import classify, prompts
 from qlforge.classify import (
     Ballot,
     ContextGroup,
@@ -22,6 +25,7 @@ from qlforge.classify import (
 from qlforge.errors import (
     BallotCountMismatch,
     RecordTooLarge,
+    TemplateError,
     UnknownApiId,
     WhollyMalformed,
 )
@@ -95,6 +99,120 @@ def test_plan_record_too_large():
     with pytest.raises(RecordTooLarge) as err:
         plan_groups(records, 10, seed=0)
     assert err.value.record_ids == tuple(sorted(r.id for r in records))
+
+
+# The overlap penalty as first written: intersect every record's co-member
+# sets. Kept as the oracle for the counting penalty in classify.py.
+def _reference_co_members(groups):
+    out = {}
+    for group in groups:
+        members = set(group.member_ids)
+        for rid in group.member_ids:
+            out[rid] = frozenset(members - {rid})
+    return out
+
+
+def _reference_penalty(groups, history, population):
+    co_now = _reference_co_members(groups)
+    penalty = 0
+    for prev in history:
+        for rid, co in co_now.items():
+            penalty += len(co & prev[rid])
+            if population > 1 and co == prev[rid]:
+                penalty += classify._IDENTICAL_CONTEXT_PENALTY
+    return penalty
+
+
+def _as_groups(partition):
+    return [ContextGroup(0, f"g{i}", tuple(members), 0) for i, members in enumerate(partition)]
+
+
+@st.composite
+def _groupings(draw):
+    """A population, a candidate grouping and up to two earlier rounds."""
+    ids = [f"api{i}" for i in range(draw(st.integers(1, 12)))]
+
+    def partition():
+        order = draw(st.permutations(ids))
+        cuts = sorted(draw(st.sets(st.integers(1, len(ids) - 1)))) if len(ids) > 1 else []
+        bounds = [0, *cuts, len(ids)]
+        return [order[a:b] for a, b in zip(bounds, bounds[1:])]
+
+    history = [partition() for _ in range(draw(st.integers(0, 2)))]
+    now = partition()
+    if history and draw(st.booleans()):
+        now = list(history[draw(st.integers(0, len(history) - 1))])
+    return now, history
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_groupings())
+@example(([["a"]], [[["a"]], [["a"]]]))  # one-record population
+@example(([["a"], ["b"], ["c"]], [[["a"], ["b"], ["c"]]]))  # singletons, repeated
+@example(([["a", "b"], ["c"]], [[["b", "a"], ["c"]], [["a"], ["b", "c"]]]))  # repeated
+def test_counting_penalty_matches_reference(case):
+    now, history = case
+    groups = _as_groups(now)
+    population = sum(len(members) for members in now)
+    counted = classify._overlap_penalty(
+        groups, [classify._group_index(_as_groups(p)) for p in history], population
+    )
+    reference = _reference_penalty(
+        groups, [_reference_co_members(_as_groups(p)) for p in history], population
+    )
+    assert counted == reference
+
+
+@pytest.mark.parametrize("count, budget", [(50, 2500), (50, BUDGET), (300, BUDGET), (300, 6000)])
+def test_plan_matches_reference_penalty_planner(monkeypatch, count, budget):
+    records = synthetic_records(count, random.Random(count))
+    plan = plan_groups(records, budget, seed=7)
+
+    def reference(groups, history, population):
+        co_history = []
+        for index in history:
+            members = {}
+            for rid, group_index in index.items():
+                members.setdefault(group_index, []).append(rid)
+            co_history.append(_reference_co_members(_as_groups(members.values())))
+        return _reference_penalty(groups, co_history, population)
+
+    monkeypatch.setattr(classify, "_overlap_penalty", reference)
+    assert plan_groups(records, budget, seed=7) == plan
+    assert len({g.member_ids for g in plan}) > ROUNDS
+
+
+def test_steps_text_reads_catalog_once(monkeypatch):
+    loads = []
+    real = classify.load_catalog
+    monkeypatch.setattr(classify, "load_catalog", lambda: loads.append(1) or real())
+    classify._steps_text.cache_clear()
+    records = synthetic_records(4, random.Random(4))
+    lookup = record_lookup(records)
+    try:
+        for group in plan_groups(records, BUDGET, seed=0):
+            build_classification_prompt(group, lookup)
+    finally:
+        classify._steps_text.cache_clear()
+    assert len(loads) == 1
+
+
+def test_malformed_catalog_fails_every_render(monkeypatch):
+    real = prompts.load_template
+
+    def template(name):
+        return '{"sink_characteristics": []}' if name == "classify_catalog.json" else real(name)
+
+    records = synthetic_records(2, random.Random(4))
+    group = ContextGroup(0, "r0g0", tuple(r.id for r in records), 0)
+    monkeypatch.setattr(prompts, "load_template", template)
+    classify._steps_text.cache_clear()
+    try:
+        for _ in range(2):
+            with pytest.raises(TemplateError, match="sink_characteristics"):
+                build_classification_prompt(group, record_lookup(records))
+    finally:
+        classify._steps_text.cache_clear()
 
 
 def test_prompt_section_order():

@@ -165,6 +165,58 @@ def test_run_resume_on_corrupt_rule_artifact_is_stage_error(
     assert f"{value!r}" in result.output
 
 
+@pytest.mark.parametrize("document", ["rules/*/status.json", "rules/index.json"])
+def test_run_resume_on_truncated_rule_artifact_is_stage_error(runner, tmp_path, document):
+    config = _write_config(tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == EXIT_OK
+    run_dir = tmp_path / "run"
+    path = sorted(run_dir.glob(document))[0]
+    path.write_bytes(path.read_bytes()[:40])
+    (run_dir / "findings.json").unlink()
+    result = runner.invoke(main, ["run", "--config", str(config), "--resume"])
+    assert result.exit_code == EXIT_STAGE
+    assert str(path) in result.output
+    assert "not valid JSON" in result.output
+
+
+def _cut_transcript(run_dir, keep_lines):
+    # Keep ``keep_lines`` whole lines and half of the next one, as a run
+    # killed during an append leaves the file.
+    path = run_dir / "transcript.jsonl"
+    lines = path.read_bytes().splitlines(keepends=True)
+    path.write_bytes(b"".join(lines[:keep_lines]) + lines[keep_lines][: len(lines[keep_lines]) // 2])
+    return path
+
+
+def test_run_resume_drops_torn_final_transcript_line(runner, tmp_path, caplog):
+    config = _write_config(tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == EXIT_OK
+    run_dir = tmp_path / "run"
+    path = _cut_transcript(run_dir, keep_lines=9)
+    (run_dir / "votes.json").unlink()
+    with caplog.at_level("WARNING"):
+        result = runner.invoke(main, ["run", "--config", str(config), "--resume"])
+    assert result.exit_code == EXIT_OK, result.output
+    assert "dropping torn final line" in caplog.text
+    # Numbering continues after the last whole line: 9 kept, then the
+    # resumed run's 9 classify calls and 1 pair call.
+    seqs = [json.loads(line)["seq"] for line in path.read_text(encoding="utf-8").splitlines()]
+    assert seqs == list(range(1, 20))
+
+
+def test_run_resume_on_corrupt_transcript_line_is_stage_error(runner, tmp_path):
+    config = _write_config(tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == EXIT_OK
+    run_dir = tmp_path / "run"
+    path = _cut_transcript(run_dir, keep_lines=3)
+    with path.open("ab") as fh:
+        fh.write(b"\n" + json.dumps({"seq": 4}).encode() + b"\n")
+    (run_dir / "votes.json").unlink()
+    result = runner.invoke(main, ["run", "--config", str(config), "--resume"])
+    assert result.exit_code == EXIT_STAGE
+    assert f"{path}: line 4 is not a transcript entry" in result.output
+
+
 def test_run_config_error_exit_code(runner, tmp_path):
     config = _write_config(tmp_path, backend="telepathy")
     result = runner.invoke(main, ["run", "--config", str(config)])

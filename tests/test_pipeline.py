@@ -1,8 +1,10 @@
 import json
+from collections import Counter
 
 import pytest
 
 from qlforge.errors import ConfigError, NothingToDo, StageFailure
+from qlforge.gateway import estimate_tokens
 from qlforge.pipeline import (
     PipelineConfig,
     STAGE_ORDER,
@@ -210,6 +212,28 @@ def test_full_run_counts_and_metrics(run_config):
     assert report.warnings == ()
     assert [s.name for s in report.stages] == list(STAGE_ORDER)
     assert all(s.status == "ok" for s in report.stages)
+
+
+# Model calls and estimated prompt tokens per stage on the fixture, summed over
+# every transcript. The mock compiler fails one pair once, hence 4 writes and
+# 1 repair for 3 pairs. A change that adds calls or prompt text fails here.
+EXPECTED_CALLS = {"classify": 9, "pair": 1, "write": 4, "repair": 1}
+EXPECTED_PROMPT_TOKENS = {"classify": 16203, "pair": 2073, "write": 3597, "repair": 362}
+
+
+def test_full_run_model_calls_and_prompt_tokens(run_config):
+    config = run_config()
+    run_pipeline(config)
+    calls, tokens = Counter(), Counter()
+    for transcript in config.out_dir.rglob("transcript.jsonl"):
+        for line in transcript.read_text(encoding="utf-8").splitlines():
+            entry = json.loads(line)
+            calls[entry["stage"]] += 1
+            tokens[entry["stage"]] += sum(
+                estimate_tokens(m["content"]) for m in entry["request"]["messages"]
+            )
+    assert calls == EXPECTED_CALLS
+    assert tokens == EXPECTED_PROMPT_TOKENS
 
 
 def test_full_run_writes_every_artifact(run_config):

@@ -108,6 +108,19 @@ def test_dump_drops_unencodable_record_with_warning(caplog):
     assert any("deadbeefdeadbeef" in message for message in caplog.messages)
 
 
+def test_json_text_is_the_record_serialized_once():
+    record = make_record(
+        "p", "T", "m", [("a", "String")], "void", snippet='naïve "quoted"\nnext line',
+        first_seen=SourceLocation("src/T.java", 3),
+    )
+    text = record.json_text
+    assert text == json.dumps(record.to_dict(), ensure_ascii=False)
+    assert "naïve" in text and "\n" not in text
+    assert record.json_text is text
+    # The cached string is not part of the record's value.
+    assert ApiRecord.from_dict(json.loads(text)) == record
+
+
 def test_parse_rejects_unknown_version():
     with pytest.raises(ValueError):
         parse_spec_document(json.dumps({"version": 2, "apis": []}))
