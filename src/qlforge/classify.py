@@ -31,6 +31,7 @@ from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 
+from .artifacts import parse_entries
 from .errors import BallotCountMismatch, RecordTooLarge, UnknownApiId, WhollyMalformed
 from .gateway import LlmGateway, estimate_tokens, simple_request
 from .prompts import load_catalog, load_template, render_template
@@ -440,11 +441,8 @@ def dump_votes(votes: list[VoteRecord]) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def parse_votes(text: str) -> list[VoteRecord]:
-    doc = json.loads(text)
-    if doc.get("version") != VOTES_DOC_VERSION:
-        raise ValueError(f"unsupported votes document version: {doc.get('version')!r}")
-    return [VoteRecord.from_dict(entry) for entry in doc["votes"]]
+def parse_votes(text: str, source: str | Path = "votes document") -> list[VoteRecord]:
+    return parse_entries(text, source, VOTES_DOC_VERSION, "votes", VoteRecord.from_dict)
 
 
 def save_votes(votes: list[VoteRecord], path: str | Path) -> None:
@@ -452,4 +450,4 @@ def save_votes(votes: list[VoteRecord], path: str | Path) -> None:
 
 
 def load_votes(path: str | Path) -> list[VoteRecord]:
-    return parse_votes(Path(path).read_text(encoding="utf-8"))
+    return parse_votes(Path(path).read_text(encoding="utf-8"), path)

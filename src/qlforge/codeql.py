@@ -338,6 +338,3 @@ def _sarif_results(sarif: dict):
                     "message": result.get("message", {}).get("text", ""),
                 }
 
-
-def _sarif_to_findings(sarif: dict) -> list[dict]:
-    return [finding for _, finding in _sarif_results(sarif)]

@@ -17,6 +17,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .artifacts import parse_entries
 from .errors import NothingToPair, UnknownApiId, WhollyMalformed
 from .gateway import LlmGateway, simple_request
 from .prompts import load_template, render_template
@@ -274,11 +275,8 @@ def dump_pairs(pairs: list[SourceSinkPair]) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def parse_pairs_document(text: str) -> list[SourceSinkPair]:
-    doc = json.loads(text)
-    if doc.get("version") != PAIRS_DOC_VERSION:
-        raise ValueError(f"unsupported pairs document version: {doc.get('version')!r}")
-    return [SourceSinkPair.from_dict(entry) for entry in doc["pairs"]]
+def parse_pairs_document(text: str, source: str | Path = "pairs document") -> list[SourceSinkPair]:
+    return parse_entries(text, source, PAIRS_DOC_VERSION, "pairs", SourceSinkPair.from_dict)
 
 
 def save_pairs(pairs: list[SourceSinkPair], path: str | Path) -> None:
@@ -286,4 +284,4 @@ def save_pairs(pairs: list[SourceSinkPair], path: str | Path) -> None:
 
 
 def load_pairs(path: str | Path) -> list[SourceSinkPair]:
-    return parse_pairs_document(Path(path).read_text(encoding="utf-8"))
+    return parse_pairs_document(Path(path).read_text(encoding="utf-8"), path)

@@ -20,6 +20,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from .artifacts import read_json
 from .classify import TaintLabel, classify_records, load_votes, save_votes
 from .errors import ConfigError, NothingToDo, NothingToPair, QlforgeError, StageFailure
 from .extract import FilterConfig, FixtureBackend, dedupe, extract_apis, filter_risky
@@ -431,7 +432,7 @@ def run_pipeline(
         records = load_spec_document(out_dir / SPECS_FILENAME)
         stats_path = out_dir / EXTRACT_STATS_FILENAME
         if stats_path.is_file():
-            raw_count = json.loads(stats_path.read_text(encoding="utf-8"))["call_sites"]
+            raw_count = read_json(stats_path)["call_sites"]
         else:
             raw_count = len(records)
         timings.record("extract", 0.0, resumed=True)

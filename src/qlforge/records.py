@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
+from .artifacts import parse_entries
+
 logger = logging.getLogger(__name__)
 
 SPEC_DOC_VERSION = 1
@@ -174,11 +176,8 @@ def dump_spec_document(records: list[ApiRecord]) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def parse_spec_document(text: str) -> list[ApiRecord]:
-    doc = json.loads(text)
-    if doc.get("version") != SPEC_DOC_VERSION:
-        raise ValueError(f"unsupported spec document version: {doc.get('version')!r}")
-    return [ApiRecord.from_dict(entry) for entry in doc["apis"]]
+def parse_spec_document(text: str, source: str | Path = "spec document") -> list[ApiRecord]:
+    return parse_entries(text, source, SPEC_DOC_VERSION, "apis", ApiRecord.from_dict)
 
 
 def save_spec_document(records: list[ApiRecord], path: str | Path) -> None:
@@ -186,7 +185,7 @@ def save_spec_document(records: list[ApiRecord], path: str | Path) -> None:
 
 
 def load_spec_document(path: str | Path) -> list[ApiRecord]:
-    return parse_spec_document(Path(path).read_text(encoding="utf-8"))
+    return parse_spec_document(Path(path).read_text(encoding="utf-8"), path)
 
 
 def record_lookup(records: list[ApiRecord]) -> dict[str, ApiRecord]:

@@ -8,6 +8,14 @@ with its last diagnostics, never silently dropped, and stays in the
 denominator of the correctness rate. A missing compiler aborts the pair the
 same way.
 
+Pairs run side by side, and model calls and compiles are bounded as two
+separate lanes, each ``workers`` wide: at most ``workers`` model requests in
+flight and at most ``workers`` compiles running at once. While one pair
+compiles, another can be writing, so neither resource waits on the other.
+Each pair's own steps stay strictly in order and each pair keeps its own
+transcript, so a pair's prompts and outcome depend on the answers to its own
+calls, not on how the pairs interleave.
+
 The compiler behind the loop is pluggable. The mock compiler replays a
 scripted outcome per pair (fail the first k compiles, then succeed, then
 return canned findings on execution), which makes the loop's control flow
@@ -26,6 +34,7 @@ from enum import Enum
 from pathlib import Path
 from typing import Protocol
 
+from .artifacts import check_version, parse_entries, read_json
 from .errors import ArtifactCorrupt, CompilerUnavailable, ConfigError, EmptyDraft, UnknownApiId
 from .gateway import LlmClient, LlmGateway, TranscriptStore, simple_request
 from .pairing import SourceSinkPair
@@ -446,30 +455,17 @@ def write_rule_index(artifacts: list[RuleArtifact], rules_dir: str | Path) -> No
     )
 
 
-def _read_json(path: Path) -> dict:
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise ArtifactCorrupt(f"{path}: not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ArtifactCorrupt(f"{path}: expected a JSON object")
-    return doc
-
-
 def load_rule_artifacts(rules_dir: str | Path) -> list[RuleArtifact]:
     rules_dir = Path(rules_dir)
     index_path = rules_dir / INDEX_FILENAME
     if not index_path.is_file():
         raise FileNotFoundError(f"no rule index at {index_path}")
-    doc = _read_json(index_path)
-    if doc.get("version") != RULE_INDEX_VERSION:
-        raise ArtifactCorrupt(
-            f"{index_path}: unsupported rule index version: {doc.get('version')!r}"
-        )
+    doc = read_json(index_path)
+    check_version(doc, index_path, RULE_INDEX_VERSION)
     artifacts = []
     for entry in doc["rules"]:
         pair_dir = rules_dir / entry["pair_id"]
-        status = _read_json(pair_dir / STATUS_FILENAME)
+        status = read_json(pair_dir / STATUS_FILENAME)
         rule_text = (pair_dir / RULE_FILENAME).read_text(encoding="utf-8")
         try:
             outcome = ArtifactStatus(status["status"])
@@ -490,6 +486,30 @@ def load_rule_artifacts(rules_dir: str | Path) -> list[RuleArtifact]:
     return sorted(artifacts, key=lambda a: a.pair_id)
 
 
+class _Lane:
+    """Proxy for ``target`` that lets at most ``width`` calls of one method run at once.
+
+    Every other attribute passes straight through. The slot is taken around
+    the call, so time spent queueing for it is not part of the call itself.
+    """
+
+    def __init__(self, target, method: str, width: int):
+        self._target = target
+        self._method = method
+        self._slots = threading.BoundedSemaphore(width)
+
+    def __getattr__(self, name: str):
+        attr = getattr(self._target, name)
+        if name != self._method:
+            return attr
+
+        def bounded(*args, **kwargs):
+            with self._slots:
+                return attr(*args, **kwargs)
+
+        return bounded
+
+
 def generate_all(
     pairs: list[SourceSinkPair],
     records_by_id: dict[str, ApiRecord],
@@ -502,10 +522,19 @@ def generate_all(
     timeout_s: float | None = None,
     workers: int = 4,
 ) -> list[RuleArtifact]:
-    """Generate one rule per pair, each with its own transcript, and index them."""
+    """Generate one rule per pair, each with its own transcript, and index them.
+
+    ``workers`` is the width of two lanes: at most ``workers`` model requests
+    are in flight (the client's ``send``, so a retry's backoff holds no slot)
+    and at most ``workers`` compiles run at once. The pair loops run on twice
+    as many threads, enough to keep both lanes full.
+    """
     rules_dir = Path(rules_dir)
     rules_dir.mkdir(parents=True, exist_ok=True)
     ordered = sorted(pairs, key=lambda p: p.pair_id)
+    width = max(1, workers)
+    client = _Lane(client, "send", width)
+    compiler = _Lane(compiler, "compile", width)
 
     def run_pair(pair: SourceSinkPair) -> RuleArtifact:
         pair_dir = rules_dir / pair.pair_id
@@ -518,7 +547,7 @@ def generate_all(
         save_rule_artifact(artifact, rules_dir)
         return artifact
 
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+    with ThreadPoolExecutor(max_workers=2 * width) as pool:
         artifacts = list(pool.map(run_pair, ordered))
     write_rule_index(artifacts, rules_dir)
     return artifacts
@@ -599,11 +628,8 @@ def dump_findings(findings: list[Finding]) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
-def parse_findings(text: str) -> list[Finding]:
-    doc = json.loads(text)
-    if doc.get("version") != FINDINGS_DOC_VERSION:
-        raise ValueError(f"unsupported findings document version: {doc.get('version')!r}")
-    return [Finding.from_dict(entry) for entry in doc["findings"]]
+def parse_findings(text: str, source: str | Path = "findings document") -> list[Finding]:
+    return parse_entries(text, source, FINDINGS_DOC_VERSION, "findings", Finding.from_dict)
 
 
 def save_findings(findings: list[Finding], path: str | Path) -> None:
@@ -611,4 +637,4 @@ def save_findings(findings: list[Finding], path: str | Path) -> None:
 
 
 def load_findings(path: str | Path) -> list[Finding]:
-    return parse_findings(Path(path).read_text(encoding="utf-8"))
+    return parse_findings(Path(path).read_text(encoding="utf-8"), path)

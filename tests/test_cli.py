@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 from click.testing import CliRunner
@@ -177,6 +178,34 @@ def test_run_resume_on_truncated_rule_artifact_is_stage_error(runner, tmp_path, 
     assert result.exit_code == EXIT_STAGE
     assert str(path) in result.output
     assert "not valid JSON" in result.output
+
+
+@pytest.mark.parametrize(
+    "document, next_artifact",
+    [
+        ("specs.json", "votes.json"),
+        ("votes.json", "pairs.json"),
+        ("pairs.json", "rules"),
+        ("findings.json", "report.json"),
+    ],
+)
+def test_run_resume_on_truncated_stage_document_is_stage_error(
+    runner, tmp_path, document, next_artifact
+):
+    config = _write_config(tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == EXIT_OK
+    run_dir = tmp_path / "run"
+    path = run_dir / document
+    path.write_bytes(path.read_bytes()[:40])
+    # Resuming starts at the stage whose artifact is missing, which loads
+    # the truncated document of the stage before it.
+    if next_artifact == "rules":
+        shutil.rmtree(run_dir / next_artifact)
+    else:
+        (run_dir / next_artifact).unlink()
+    result = runner.invoke(main, ["run", "--config", str(config), "--resume"])
+    assert result.exit_code == EXIT_STAGE
+    assert f"{path}: not valid JSON" in result.output
 
 
 def _cut_transcript(run_dir, keep_lines):

@@ -8,7 +8,7 @@ import pytest
 from qlforge.codeql import (
     CodeQLBackend,
     CodeQLCompiler,
-    _sarif_to_findings,
+    _sarif_results,
     _split_sarif,
     parse_compile_diagnostics,
     resolve_binary,
@@ -372,7 +372,7 @@ def test_enumerate_calls_database_failure(tmp_path):
         CodeQLBackend(binary=binary).enumerate_calls(tmp_path)
 
 
-def test_sarif_to_findings_edge_cases():
+def test_sarif_results_edge_cases():
     sarif = {
         "runs": [
             {
@@ -392,7 +392,7 @@ def test_sarif_to_findings_edge_cases():
             }
         ]
     }
-    findings = _sarif_to_findings(sarif)
+    results = list(_sarif_results(sarif))
     # No startLine means no finding; endLine defaults to startLine.
-    assert findings == [{"file": "F.java", "start_line": 4, "end_line": 4, "message": ""}]
-    assert _sarif_to_findings({}) == []
+    assert results == [(None, {"file": "F.java", "start_line": 4, "end_line": 4, "message": ""})]
+    assert list(_sarif_results({})) == []

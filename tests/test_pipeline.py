@@ -15,6 +15,7 @@ from qlforge.pipeline import (
     run_pipeline,
 )
 from qlforge.report import load_report
+from qlforge.rulegen import MockCompiler
 from tests.conftest import FIXTURES
 
 ARTIFACTS = (
@@ -215,15 +216,25 @@ def test_full_run_counts_and_metrics(run_config):
 
 
 # Model calls and estimated prompt tokens per stage on the fixture, summed over
-# every transcript. The mock compiler fails one pair once, hence 4 writes and
-# 1 repair for 3 pairs. A change that adds calls or prompt text fails here.
+# every transcript, and compile calls per pair. The mock compiler fails one
+# pair once, hence 4 writes, 1 repair and 1 + 1 + 2 compiles for 3 pairs. A
+# change that adds calls or prompt text fails here.
 EXPECTED_CALLS = {"classify": 9, "pair": 1, "write": 4, "repair": 1}
 EXPECTED_PROMPT_TOKENS = {"classify": 16203, "pair": 2073, "write": 3597, "repair": 362}
 
 
-def test_full_run_model_calls_and_prompt_tokens(run_config):
+def test_full_run_model_calls_and_prompt_tokens(run_config, monkeypatch):
+    compiles = Counter()
+    original = MockCompiler.compile
+
+    def counting_compile(self, pair_id, rule_text):
+        compiles[pair_id] += 1
+        return original(self, pair_id, rule_text)
+
+    monkeypatch.setattr(MockCompiler, "compile", counting_compile)
     config = run_config()
     run_pipeline(config)
+    assert sorted(compiles.values()) == [1, 1, 2]  # 4 compiles in total
     calls, tokens = Counter(), Counter()
     for transcript in config.out_dir.rglob("transcript.jsonl"):
         for line in transcript.read_text(encoding="utf-8").splitlines():
@@ -279,6 +290,45 @@ def test_two_runs_byte_identical(run_config):
         a = (first.out_dir / name).read_bytes()
         b = (second.out_dir / name).read_bytes()
         assert a == b, f"{name} differs between identical runs"
+
+
+def _transcript_entries(path):
+    entries = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        entry = json.loads(line)
+        del entry["ts"], entry["response"]["latency_s"]
+        entries.append(entry)
+    return entries
+
+
+def test_results_do_not_depend_on_workers(run_config):
+    narrow = run_config("narrow", workers=1)
+    wide = run_config("wide", workers=4)
+    run_pipeline(narrow)
+    run_pipeline(wide)
+
+    def files(out_dir, transcripts):
+        return sorted(
+            str(p.relative_to(out_dir))
+            for p in out_dir.rglob("*")
+            if p.is_file() and (p.name == "transcript.jsonl") == transcripts
+        )
+
+    # Every artifact but the wall-clock timings is byte-identical.
+    artifacts = files(narrow.out_dir, transcripts=False)
+    assert artifacts == files(wide.out_dir, transcripts=False)
+    artifacts.remove("timings.json")
+    assert {"specs.json", "votes.json", "pairs.json", "rules/index.json"} <= set(artifacts)
+    assert {"findings.json", "report.json"} <= set(artifacts)
+    for name in artifacts:
+        assert (narrow.out_dir / name).read_bytes() == (wide.out_dir / name).read_bytes(), name
+    # Transcripts differ only in their timestamps and latencies.
+    transcripts = files(narrow.out_dir, transcripts=True)
+    assert transcripts == files(wide.out_dir, transcripts=True)
+    assert len(transcripts) == 4  # the shared one and one per pair
+    for name in transcripts:
+        narrow_entries = _transcript_entries(narrow.out_dir / name)
+        assert narrow_entries == _transcript_entries(wide.out_dir / name), name
 
 
 def test_fresh_run_clears_stale_artifacts(run_config):

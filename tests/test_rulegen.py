@@ -1,11 +1,13 @@
 import json
 import random
+import sys
+import threading
 
 import pytest
 
 from qlforge.codeql import CodeQLCompiler
 from qlforge.errors import CompilerUnavailable, ConfigError, EmptyDraft
-from qlforge.gateway import LlmGateway
+from qlforge.gateway import LlmGateway, LlmResponse
 from qlforge.pairing import SourceSinkPair, make_pair_id
 from qlforge.prompts import load_template
 from qlforge.rulegen import (
@@ -295,6 +297,115 @@ def test_generate_all_layout_and_transcripts(tmp_path):
     stages = [json.loads(l)["stage"] for l in retried.read_text().splitlines()]
     assert stages == ["write", "repair", "write"]
     assert load_rule_artifacts(tmp_path) == artifacts
+
+
+def _pairs(count, seed=90):
+    records = synthetic_records(count + 1, random.Random(seed))
+    source, *sinks = sorted(r.id for r in records)
+    pairs = [SourceSinkPair(make_pair_id(source, sink), source, sink, "xss") for sink in sinks]
+    return pairs, record_lookup(records)
+
+
+# How long a fake waits for a call that should come. Tests that pass never
+# wait this long; a broken lane makes them fail after it.
+_RENDEZVOUS_S = 5.0
+# How long a call stays in flight so that a call past the lane's width, if
+# the lane lets one through, is there to be seen.
+_LINGER_S = 0.1
+
+
+class _OverlapProbe:
+    """Client and compiler in one. Every send after the first waits for a
+    compile to start; the compile waits for a send while it runs."""
+
+    def __init__(self):
+        self.sends = 0
+        self.compiling = threading.Event()
+        self.sent_while_compiling = threading.Event()
+        self.overlapped = []
+        self._lock = threading.Lock()
+
+    def send(self, request):
+        with self._lock:
+            self.sends += 1
+            first = self.sends == 1
+        if not first and self.compiling.wait(_RENDEZVOUS_S):
+            self.sent_while_compiling.set()
+        return LlmResponse(text=RULE_TEXT)
+
+    def compile(self, pair_id, rule_text):
+        self.compiling.set()
+        self.overlapped.append(self.sent_while_compiling.wait(_RENDEZVOUS_S))
+        return CompileResult(CompileStatus.OK)
+
+
+def test_generate_overlaps_compile_with_model_call(tmp_path):
+    pairs, lookup = _pairs(2)
+    probe = _OverlapProbe()
+    artifacts = generate_all(pairs, lookup, probe, probe, tmp_path, "m", workers=1)
+    assert all(a.status is ArtifactStatus.COMPILED for a in artifacts)
+    # Even one worker wide, a model call runs while the first compile does.
+    assert probe.overlapped == [True, True]
+
+
+class _Gauge:
+    """Counts calls in flight and keeps the peak.
+
+    The first ``width`` calls wait for one another, so a full lane is always
+    seen. Every call then lingers until more than ``width`` are in flight or
+    a short wait passes.
+    """
+
+    def __init__(self, width):
+        self.width = width
+        self.now = self.peak = 0
+        self.full = threading.Event()
+        self.over = threading.Event()
+        self._lock = threading.Lock()
+
+    def __enter__(self):
+        with self._lock:
+            self.now += 1
+            self.peak = max(self.peak, self.now)
+            if self.now >= self.width:
+                self.full.set()
+            if self.now > self.width:
+                self.over.set()
+        self.full.wait(_RENDEZVOUS_S)
+        self.over.wait(_LINGER_S)
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self.now -= 1
+
+
+class _GaugedFakes:
+    def __init__(self, width):
+        self.sends = _Gauge(width)
+        self.compiles = _Gauge(width)
+
+    def send(self, request):
+        with self.sends:
+            return LlmResponse(text=RULE_TEXT)
+
+    def compile(self, pair_id, rule_text):
+        with self.compiles:
+            return CompileResult(CompileStatus.OK)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 4])
+def test_generate_lanes_never_exceed_workers(tmp_path, workers):
+    pairs, lookup = _pairs(3 * workers)
+    fakes = _GaugedFakes(workers)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        artifacts = generate_all(pairs, lookup, fakes, fakes, tmp_path, "m", workers=workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(a.status is ArtifactStatus.COMPILED for a in artifacts)
+    assert fakes.sends.peak == workers
+    assert fakes.compiles.peak == workers
 
 
 def _artifact(pair_id, status=ArtifactStatus.COMPILED):
