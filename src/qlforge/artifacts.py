@@ -9,8 +9,9 @@ the documented code instead of a traceback.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 from .errors import ArtifactCorrupt
 
@@ -42,7 +43,18 @@ def parse_entries(
     """The entries under ``key`` of a ``{"version": version, key: [...]}`` document."""
     doc = parse_json_object(text, source)
     check_version(doc, source, version)
-    try:
+    with shape_checked(source, key):
         return [from_dict(entry) for entry in doc[key]]
+
+
+@contextmanager
+def shape_checked(source: str | Path, key: str) -> Iterator[None]:
+    """Turn the errors of reading a document of the wrong shape into :class:`ArtifactCorrupt`.
+
+    Wrap only code that reads an already parsed document: an
+    ``ArtifactCorrupt`` raised inside would be reported again as a shape error.
+    """
+    try:
+        yield
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ArtifactCorrupt(f"{source}: malformed {key!r} entry: {exc!r}") from None

@@ -34,7 +34,7 @@ from pathlib import Path
 from .artifacts import parse_entries
 from .errors import BallotCountMismatch, RecordTooLarge, UnknownApiId, WhollyMalformed
 from .gateway import LlmGateway, estimate_tokens, simple_request
-from .prompts import load_catalog, load_template, render_template
+from .prompts import load_catalog, load_template, pack_greedy, render_template
 from .records import ApiRecord, record_lookup
 
 logger = logging.getLogger(__name__)
@@ -191,23 +191,15 @@ def _sub_rng(seed: int, round_index: int, candidate: int) -> random.Random:
 def _greedy_fill(
     order: list[str], costs: dict[str, int], frame: int, budget: int, round_index: int
 ) -> list[ContextGroup]:
-    groups: list[ContextGroup] = []
-    current: list[str] = []
-    current_cost = frame
-    for rid in order:
-        if current and current_cost + costs[rid] > budget:
-            groups.append(
-                ContextGroup(round_index, f"r{round_index}g{len(groups)}", tuple(current), current_cost)
-            )
-            current = []
-            current_cost = frame
-        current.append(rid)
-        current_cost += costs[rid]
-    if current:
-        groups.append(
-            ContextGroup(round_index, f"r{round_index}g{len(groups)}", tuple(current), current_cost)
+    return [
+        ContextGroup(
+            round_index,
+            f"r{round_index}g{index}",
+            tuple(members),
+            frame + sum(costs[rid] for rid in members),
         )
-    return groups
+        for index, members in enumerate(pack_greedy(order, costs, budget - frame))
+    ]
 
 
 def _group_index(groups: list[ContextGroup]) -> dict[str, int]:

@@ -20,7 +20,7 @@ from .classify import classify_records, load_votes, save_votes
 from .errors import ConfigError, NothingToDo, NothingToPair, QlforgeError, StageFailure
 from .extract import FixtureBackend, dedupe, extract_apis, filter_risky
 from .gateway import LiveLlmClient, LlmGateway, MockLlmClient, MockScript, TranscriptStore
-from .pairing import load_pairs, pair_all, save_pairs
+from .pairing import DEFAULT_BUDGET as DEFAULT_PAIRING_BUDGET, load_pairs, pair_all, save_pairs
 from .pipeline import (
     FINDINGS_FILENAME,
     REPORT_FILENAME,
@@ -232,7 +232,13 @@ def classify(
     type=click.Path(exists=True, path_type=Path),
     help="Spec document from the extract step.",
 )
-@click.option("--chunk-size", type=int, default=10, show_default=True, help="Sinks per prompt.")
+@click.option(
+    "--budget",
+    type=click.IntRange(min=1),
+    default=DEFAULT_PAIRING_BUDGET,
+    show_default=True,
+    help="Prompt token budget per (source group × sink group) tile.",
+)
 @click.option(
     "--drop-sanitized",
     is_flag=True,
@@ -246,7 +252,7 @@ def classify(
 def pair(
     votes: Path,
     specs: Path,
-    chunk_size: int,
+    budget: int,
     drop_sanitized: bool,
     llm_mode: str,
     mock_script: Path | None,
@@ -266,7 +272,7 @@ def pair(
         records,
         gateway,
         model,
-        chunk_size=chunk_size,
+        budget=budget,
         drop_sanitized=drop_sanitized,
         temperature=temperature,
     )

@@ -346,8 +346,7 @@ class LlmGateway:
     def complete(self, request: LlmRequest) -> tuple[LlmResponse, int]:
         """Send a request; returns (response, transcript sequence id)."""
         response = self._complete_raw(request)
-        seq = self.transcripts.append(request, response)
-        return response, seq
+        return response, self._record(request, response)
 
     def complete_batch(
         self, requests: list[LlmRequest], workers: int = 4
@@ -363,9 +362,21 @@ class LlmGateway:
         with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
             responses = list(pool.map(self._complete_raw, requests))
         return [
-            (response, self.transcripts.append(request, response))
+            (response, self._record(request, response))
             for request, response in zip(requests, responses)
         ]
+
+    def _record(self, request: LlmRequest, response: LlmResponse) -> int:
+        """Log the call to the transcript; warn when the reply hit ``max_tokens``."""
+        seq = self.transcripts.append(request, response)
+        if response.finish_reason == "length":
+            logger.warning(
+                "%s response (transcript seq %d) stopped at max_tokens=%d; its text is cut short",
+                request.stage,
+                seq,
+                request.max_tokens,
+            )
+        return seq
 
     def _complete_raw(self, request: LlmRequest) -> LlmResponse:
         last: _RetryableTransport | None = None

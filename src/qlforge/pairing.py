@@ -1,12 +1,29 @@
 """Pairing of classified sources with sinks into candidate exploit chains.
 
-Sinks are split into fixed-size chunks and every chunk is presented to the
-model together with the full source list and the sanitizer list, so each
-call stays bounded while no (source, sink) combination is ever out of
-reach. Responses are line-oriented; chatter around recognizable pair lines
-is ignored, and pairs naming ids outside the candidate lists are dropped
+Sources and sinks are split into groups and the model sees one prompt per
+(source group × sink group) tile, each carrying every sanitizer. The tile
+plan depends only on (sources, sinks, sanitizers, budget): every
+combination lands in exactly one tile, and every tile's prompt estimate
+stays within the token budget.
+
+With ``frame`` the estimate of a prompt with no candidates and
+``room = budget − frame``, the plan is the first of these that applies:
+
+1. both sides fit ``room`` together: one tile, which is the prompt of all
+   sources against all sinks;
+2. one side fits ``room // 2``: that side stays whole and the other is
+   packed into what is left;
+3. each side is packed into half of ``room``.
+
+Packing is greedy in sorted-id order (see :func:`prompts.pack_greedy`) and
+tiles run sink-group-major. With S source groups and K sink groups the run
+sends about K·Σsources + S·Σsinks + S·K·frame tokens, which for a fixed
+room is least at the even split, so no tuning constant is needed.
+
+Responses are line-oriented; chatter around recognizable pair lines is
+ignored, and pairs naming ids outside the tile's candidate lists are dropped
 with a warning. A response with no recognizable structure at all is retried
-once, after which that chunk contributes nothing.
+once, after which that tile contributes nothing.
 """
 
 from __future__ import annotations
@@ -18,15 +35,15 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .artifacts import parse_entries
-from .errors import NothingToPair, UnknownApiId, WhollyMalformed
-from .gateway import LlmGateway, simple_request
-from .prompts import load_template, render_template
+from .errors import NothingToPair, RecordTooLarge, UnknownApiId, WhollyMalformed
+from .gateway import LlmGateway, estimate_tokens, simple_request
+from .prompts import load_template, pack_greedy, render_template
 from .records import ApiRecord, record_lookup
 
 logger = logging.getLogger(__name__)
 
 PAIRS_DOC_VERSION = 1
-DEFAULT_CHUNK_SIZE = 10
+DEFAULT_BUDGET = 16000
 
 _NO_PAIRS_SENTINEL = "NO_PAIRS"
 
@@ -79,14 +96,6 @@ def make_pair_id(source_id: str, sink_id: str) -> str:
     return f"{source_id}__{sink_id}"
 
 
-def plan_sink_chunks(sink_ids: list[str], chunk_size: int = DEFAULT_CHUNK_SIZE) -> list[list[str]]:
-    """Split the sorted sink list into consecutive chunks of at most chunk_size."""
-    if chunk_size < 1:
-        raise ValueError("chunk_size must be at least 1")
-    ordered = sorted(sink_ids)
-    return [ordered[i : i + chunk_size] for i in range(0, len(ordered), chunk_size)]
-
-
 # ---------------------------------------------------------------------------
 # Prompt assembly
 # ---------------------------------------------------------------------------
@@ -125,6 +134,61 @@ def build_pairing_prompt(
             "OUTPUT_SCHEMA": _PAIR_SCHEMA,
         },
     )
+
+
+# ---------------------------------------------------------------------------
+# Tile planning
+# ---------------------------------------------------------------------------
+
+
+def plan_tiles(
+    source_ids: list[str],
+    sink_ids: list[str],
+    sanitizer_ids: list[str],
+    records_by_id: dict[str, ApiRecord],
+    budget: int = DEFAULT_BUDGET,
+) -> list[tuple[list[str], list[str]]]:
+    """Split the (source × sink) grid into tiles of (source group, sink group).
+
+    See the module docstring for the plan. Raises :class:`RecordTooLarge`
+    when the largest source and the largest sink together cannot fit one
+    prompt, and :class:`UnknownApiId` for an id missing from the lookup.
+    """
+    sources, sinks = sorted(source_ids), sorted(sink_ids)
+    if not sources or not sinks:
+        return []
+    frame = estimate_tokens(build_pairing_prompt([], [], sanitizer_ids, records_by_id))
+    costs = {}
+    for rid in sources + sinks:
+        if rid not in records_by_id:
+            raise UnknownApiId(f"pairing references unknown api id {rid}")
+        costs[rid] = estimate_tokens(records_by_id[rid].json_text + "\n")
+    room = budget - frame
+    # max() returns the first largest, which is the smallest such id.
+    biggest_src = max(sources, key=costs.__getitem__)
+    biggest_snk = max(sinks, key=costs.__getitem__)
+    if costs[biggest_src] + costs[biggest_snk] > room:
+        raise RecordTooLarge(
+            f"pairing budget {budget} cannot fit source {biggest_src} with sink "
+            f"{biggest_snk} and the sanitizers in one prompt",
+            record_ids=(biggest_src, biggest_snk),
+        )
+
+    src_total = sum(costs[rid] for rid in sources)
+    snk_total = sum(costs[rid] for rid in sinks)
+    if src_total + snk_total <= room or src_total <= room // 2:
+        src_room = src_total  # one tile, or sources whole
+    elif snk_total <= room // 2:
+        src_room = room - snk_total  # sinks whole
+    else:
+        src_room = room // 2
+    # A member larger than its side's share borrows room from the other side.
+    src_room = max(costs[biggest_src], min(src_room, room - costs[biggest_snk]))
+    source_groups = pack_greedy(sources, costs, src_room)
+    sink_groups = pack_greedy(sinks, costs, room - src_room)
+    return [
+        (source_group, sink_group) for sink_group in sink_groups for source_group in source_groups
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +260,7 @@ def pair_all(
     records: list[ApiRecord],
     gateway: LlmGateway,
     model: str,
-    chunk_size: int = DEFAULT_CHUNK_SIZE,
+    budget: int = DEFAULT_BUDGET,
     drop_sanitized: bool = False,
     temperature: float | None = None,
     workers: int = 4,
@@ -218,41 +282,44 @@ def pair_all(
             f"cannot pair with {len(sources)} source(s) and {len(sinks)} sink(s)"
         )
     lookup = record_lookup(records)
-    chunks = plan_sink_chunks(sinks, chunk_size)
+    tiles = plan_tiles(sources, sinks, sanitizers, lookup, budget)
     requests = [
         simple_request(
             "pair",
             model,
-            build_pairing_prompt(sources, chunk, sanitizers, lookup),
+            build_pairing_prompt(tile_sources, tile_sinks, sanitizers, lookup),
             temperature=temperature,
         )
-        for chunk in chunks
+        for tile_sources, tile_sinks in tiles
     ]
     results = gateway.complete_batch(requests, workers)
 
-    def parse_chunk(chunk: list[str], text: str) -> list[SourceSinkPair]:
-        return parse_pair_lines(text, set(sources), set(chunk), set(sanitizers))
+    def parse_tile(
+        tile_sources: list[str], tile_sinks: list[str], text: str
+    ) -> list[SourceSinkPair]:
+        return parse_pair_lines(text, set(tile_sources), set(tile_sinks), set(sanitizers))
 
-    # Wholly malformed chunks get exactly one retry, sequentially and in
-    # chunk order so transcript sequence ids stay reproducible.
-    per_chunk: list[list[SourceSinkPair]] = []
-    for chunk, request, (response, _seq) in zip(chunks, requests, results):
+    # Wholly malformed tiles get exactly one retry, sequentially and in
+    # tile order so transcript sequence ids stay reproducible.
+    per_tile: list[list[SourceSinkPair]] = []
+    for (tile_sources, tile_sinks), request, (response, _seq) in zip(tiles, requests, results):
         try:
-            per_chunk.append(parse_chunk(chunk, response.text))
+            per_tile.append(parse_tile(tile_sources, tile_sinks, response.text))
         except WhollyMalformed:
             retry_response, _ = gateway.complete(request)
             try:
-                per_chunk.append(parse_chunk(chunk, retry_response.text))
+                per_tile.append(parse_tile(tile_sources, tile_sinks, retry_response.text))
             except WhollyMalformed:
                 logger.warning(
-                    "pair chunk with sink %s: still malformed after retry, dropped",
-                    chunk[0],
+                    "pair tile with source %s and sink %s: still malformed after retry, dropped",
+                    tile_sources[0],
+                    tile_sinks[0],
                 )
-                per_chunk.append([])
+                per_tile.append([])
 
     merged: dict[tuple[str, str], SourceSinkPair] = {}
-    for chunk_pairs in per_chunk:
-        for pair in chunk_pairs:
+    for tile_pairs in per_tile:
+        for pair in tile_pairs:
             merged.setdefault((pair.source_id, pair.sink_id), pair)
     result = [merged[key] for key in sorted(merged)]
     if drop_sanitized:

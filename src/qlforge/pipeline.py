@@ -22,11 +22,18 @@ from pathlib import Path
 
 from .artifacts import read_json
 from .classify import TaintLabel, classify_records, load_votes, save_votes
-from .errors import ConfigError, NothingToDo, NothingToPair, QlforgeError, StageFailure
+from .errors import (
+    ArtifactCorrupt,
+    ConfigError,
+    NothingToDo,
+    NothingToPair,
+    QlforgeError,
+    StageFailure,
+)
 from .extract import FilterConfig, FixtureBackend, dedupe, extract_apis, filter_risky
 from .gateway import LlmGateway, MockLlmClient, MockScript, LiveLlmClient, TranscriptStore
 from .metrics import compute_metrics, load_manifest
-from .pairing import load_pairs, pair_all, save_pairs
+from .pairing import DEFAULT_BUDGET as DEFAULT_PAIRING_BUDGET, load_pairs, pair_all, save_pairs
 from .records import load_spec_document, record_lookup, save_spec_document
 from .report import PipelineReport, StageSummary, dump_report, write_output
 from .rulegen import (
@@ -62,21 +69,30 @@ _STAGE_ARTIFACT = {
     "report": REPORT_FILENAME,
 }
 
-_TOP_LEVEL_KEYS = {
-    "project",
-    "backend",
-    "out_dir",
-    "llm",
-    "mock_script",
-    "compiler",
-    "codeql",
-    "classify",
-    "pairing",
-    "rulegen",
-    "scan",
-    "filters",
-    "workers",
+# The keys each config table accepts; any other key is rejected.
+_TABLE_KEYS = {
+    "llm": {"mode", "model", "endpoint", "temperature"},
+    "compiler": {"kind", "script"},
+    "codeql": {"path"},
+    "classify": {"budget", "seed"},
+    "pairing": {"budget", "drop_sanitized"},
+    "rulegen": {"max_iters", "timeout_s"},
+    "scan": {"database", "manifest"},
+    "filters": {"deny", "allow"},
 }
+_TOP_LEVEL_KEYS = {"project", "backend", "out_dir", "mock_script", "workers", *_TABLE_KEYS}
+
+
+def _table(data: dict, name: str) -> dict:
+    table = data.get(name, {})
+    if not isinstance(table, dict):
+        raise ConfigError(f"config key {name} must be a table, got {table!r}")
+    unknown = sorted(set(table) - _TABLE_KEYS[name])
+    if unknown:
+        raise ConfigError(
+            "unknown config key(s): " + ", ".join(f"{name}.{key}" for key in unknown)
+        )
+    return table
 
 
 def apply_overrides(data: dict, assignments: tuple[str, ...]) -> dict:
@@ -123,7 +139,7 @@ class PipelineConfig:
     codeql_path: str | None = None
     budget: int = 4000
     seed: int = 0
-    chunk_size: int = 10
+    pairing_budget: int = DEFAULT_PAIRING_BUDGET
     drop_sanitized: bool = False
     max_iters: int = 5
     timeout_s: float | None = None
@@ -172,7 +188,7 @@ class PipelineConfig:
         if backend not in ("fixture", "codeql"):
             raise ConfigError(f"backend must be 'fixture' or 'codeql', got {backend!r}")
 
-        llm = data.get("llm", {})
+        llm = _table(data, "llm")
         llm_mode = llm.get("mode", "mock")
         if llm_mode not in ("mock", "live"):
             raise ConfigError(f"llm.mode must be 'mock' or 'live', got {llm_mode!r}")
@@ -195,7 +211,7 @@ class PipelineConfig:
         if llm_mode == "mock" and mock_script is None:
             raise ConfigError("mock llm mode requires mock_script")
 
-        compiler = data.get("compiler", {})
+        compiler = _table(data, "compiler")
         compiler_kind = compiler.get("kind", "mock")
         if compiler_kind not in ("mock", "codeql"):
             raise ConfigError(f"compiler.kind must be 'mock' or 'codeql', got {compiler_kind!r}")
@@ -207,7 +223,7 @@ class PipelineConfig:
         if compiler_kind == "mock" and compiler_script is None:
             raise ConfigError("mock compiler requires compiler.script")
 
-        classify = data.get("classify", {})
+        classify = _table(data, "classify")
         budget = classify.get("budget", 4000)
         if not isinstance(budget, int) or budget < 1:
             raise ConfigError(f"classify.budget must be a positive integer, got {budget!r}")
@@ -215,15 +231,17 @@ class PipelineConfig:
         if not isinstance(seed, int):
             raise ConfigError(f"classify.seed must be an integer, got {seed!r}")
 
-        pairing = data.get("pairing", {})
-        chunk_size = pairing.get("chunk_size", 10)
-        if not isinstance(chunk_size, int) or chunk_size < 1:
-            raise ConfigError(f"pairing.chunk_size must be a positive integer, got {chunk_size!r}")
+        pairing = _table(data, "pairing")
+        pairing_budget = pairing.get("budget", DEFAULT_PAIRING_BUDGET)
+        if not isinstance(pairing_budget, int) or pairing_budget < 1:
+            raise ConfigError(
+                f"pairing.budget must be a positive integer, got {pairing_budget!r}"
+            )
         drop_sanitized = pairing.get("drop_sanitized", False)
         if not isinstance(drop_sanitized, bool):
             raise ConfigError("pairing.drop_sanitized must be a boolean")
 
-        rulegen_cfg = data.get("rulegen", {})
+        rulegen_cfg = _table(data, "rulegen")
         max_iters = rulegen_cfg.get("max_iters", 5)
         if not isinstance(max_iters, int) or max_iters < 1:
             raise ConfigError(f"rulegen.max_iters must be a positive integer, got {max_iters!r}")
@@ -231,7 +249,7 @@ class PipelineConfig:
         if timeout_s is not None and (not isinstance(timeout_s, (int, float)) or timeout_s <= 0):
             raise ConfigError(f"rulegen.timeout_s must be a positive number, got {timeout_s!r}")
 
-        scan_cfg = data.get("scan", {})
+        scan_cfg = _table(data, "scan")
         manifest_path = None
         if "manifest" in scan_cfg:
             manifest_path = resolve(scan_cfg["manifest"])
@@ -241,7 +259,7 @@ class PipelineConfig:
         filters = None
         if "filters" in data:
             try:
-                filters = FilterConfig.from_dict(data["filters"])
+                filters = FilterConfig.from_dict(_table(data, "filters"))
             except QlforgeError as exc:
                 raise ConfigError(f"bad filters config: {exc}") from exc
 
@@ -260,10 +278,10 @@ class PipelineConfig:
             mock_script=mock_script,
             compiler_kind=compiler_kind,
             compiler_script=compiler_script,
-            codeql_path=data.get("codeql", {}).get("path"),
+            codeql_path=_table(data, "codeql").get("path"),
             budget=budget,
             seed=seed,
-            chunk_size=chunk_size,
+            pairing_budget=pairing_budget,
             drop_sanitized=drop_sanitized,
             max_iters=max_iters,
             timeout_s=None if timeout_s is None else float(timeout_s),
@@ -432,7 +450,11 @@ def run_pipeline(
         records = load_spec_document(out_dir / SPECS_FILENAME)
         stats_path = out_dir / EXTRACT_STATS_FILENAME
         if stats_path.is_file():
-            raw_count = read_json(stats_path)["call_sites"]
+            raw_count = read_json(stats_path).get("call_sites")
+            if isinstance(raw_count, bool) or not isinstance(raw_count, int):
+                raise ArtifactCorrupt(
+                    f"{stats_path}: expected an integer 'call_sites', got {raw_count!r}"
+                )
         else:
             raw_count = len(records)
         timings.record("extract", 0.0, resumed=True)
@@ -480,7 +502,7 @@ def run_pipeline(
                     records,
                     gateway,
                     config.model,
-                    config.chunk_size,
+                    config.pairing_budget,
                     config.drop_sanitized,
                     config.temperature,
                     config.workers,

@@ -6,6 +6,7 @@ import json
 import re
 from functools import lru_cache
 from importlib import resources
+from typing import Iterable
 
 from .errors import TemplateError
 
@@ -31,6 +32,28 @@ def render_template(template: str, values: dict[str, str]) -> str:
         return values[match.group(1)]
 
     return _PLACEHOLDER_RE.sub(_sub, template)
+
+
+def pack_greedy(order: Iterable[str], costs: dict[str, int], room: int) -> list[list[str]]:
+    """Split ``order`` into consecutive groups whose summed costs fit ``room``.
+
+    A group closes as soon as the next member would overflow it, so a member
+    that alone costs more than ``room`` still gets a group of its own; the
+    callers reject such members before packing.
+    """
+    groups: list[list[str]] = []
+    current: list[str] = []
+    used = 0
+    for rid in order:
+        if current and used + costs[rid] > room:
+            groups.append(current)
+            current = []
+            used = 0
+        current.append(rid)
+        used += costs[rid]
+    if current:
+        groups.append(current)
+    return groups
 
 
 def load_catalog() -> dict:

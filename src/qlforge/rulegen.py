@@ -34,8 +34,8 @@ from enum import Enum
 from pathlib import Path
 from typing import Protocol
 
-from .artifacts import check_version, parse_entries, read_json
-from .errors import ArtifactCorrupt, CompilerUnavailable, ConfigError, EmptyDraft, UnknownApiId
+from .artifacts import check_version, parse_entries, read_json, shape_checked
+from .errors import CompilerUnavailable, ConfigError, EmptyDraft, UnknownApiId
 from .gateway import LlmClient, LlmGateway, TranscriptStore, simple_request
 from .pairing import SourceSinkPair
 from .prompts import load_template, render_template
@@ -462,27 +462,26 @@ def load_rule_artifacts(rules_dir: str | Path) -> list[RuleArtifact]:
         raise FileNotFoundError(f"no rule index at {index_path}")
     doc = read_json(index_path)
     check_version(doc, index_path, RULE_INDEX_VERSION)
+    with shape_checked(index_path, "rules"):
+        pair_dirs = [rules_dir / entry["pair_id"] for entry in doc["rules"]]
     artifacts = []
-    for entry in doc["rules"]:
-        pair_dir = rules_dir / entry["pair_id"]
-        status = read_json(pair_dir / STATUS_FILENAME)
+    for pair_dir in pair_dirs:
+        status_path = pair_dir / STATUS_FILENAME
+        status = read_json(status_path)
         rule_text = (pair_dir / RULE_FILENAME).read_text(encoding="utf-8")
-        try:
-            outcome = ArtifactStatus(status["status"])
-        except ValueError:
-            raise ArtifactCorrupt(
-                f"{pair_dir / STATUS_FILENAME}: unknown rule status {status['status']!r}"
-            ) from None
-        artifacts.append(
-            RuleArtifact(
-                pair_id=status["pair_id"],
-                vuln_class=status.get("vuln_class", ""),
-                status=outcome,
-                attempts=status["attempts"],
-                rule_text=rule_text,
-                diagnostics=tuple(Diagnostic.from_dict(d) for d in status.get("diagnostics", ())),
+        with shape_checked(status_path, "status"):
+            artifacts.append(
+                RuleArtifact(
+                    pair_id=status["pair_id"],
+                    vuln_class=status.get("vuln_class", ""),
+                    status=ArtifactStatus(status["status"]),
+                    attempts=status["attempts"],
+                    rule_text=rule_text,
+                    diagnostics=tuple(
+                        Diagnostic.from_dict(d) for d in status.get("diagnostics", ())
+                    ),
+                )
             )
-        )
     return sorted(artifacts, key=lambda a: a.pair_id)
 
 

@@ -181,6 +181,44 @@ def test_run_resume_on_truncated_rule_artifact_is_stage_error(runner, tmp_path, 
 
 
 @pytest.mark.parametrize(
+    "document, shape",
+    [("rules/*/status.json", {}), ("rules/index.json", {"version": 1})],
+)
+def test_run_resume_on_mis_shaped_rule_artifact_is_stage_error(
+    runner, tmp_path, document, shape
+):
+    config = _write_config(tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == EXIT_OK
+    run_dir = tmp_path / "run"
+    path = sorted(run_dir.glob(document))[0]
+    path.write_text(json.dumps(shape))
+    (run_dir / "findings.json").unlink()
+    result = runner.invoke(main, ["run", "--config", str(config), "--resume"])
+    assert result.exit_code == EXIT_STAGE
+    assert f"{path}: malformed" in result.output
+
+
+@pytest.mark.parametrize("stats", [{}, {"call_sites": "22"}])
+def test_run_resume_on_bad_extract_stats_is_stage_error(runner, tmp_path, stats):
+    config = _write_config(tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == EXIT_OK
+    run_dir = tmp_path / "run"
+    path = run_dir / "extract_stats.json"
+    path.write_text(json.dumps(stats))
+    (run_dir / "votes.json").unlink()
+    result = runner.invoke(main, ["run", "--config", str(config), "--resume"])
+    assert result.exit_code == EXIT_STAGE
+    assert f"{path}: expected an integer 'call_sites'" in result.output
+
+
+def test_run_rejects_a_retired_config_key(runner, tmp_path):
+    config = _write_config(tmp_path, pairing={"chunk_size": 10})
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == EXIT_CONFIG
+    assert "unknown config key(s): pairing.chunk_size" in result.output
+
+
+@pytest.mark.parametrize(
     "document, next_artifact",
     [
         ("specs.json", "votes.json"),

@@ -177,6 +177,33 @@ def test_complete_batch_sequences_follow_request_order(tmp_path):
     ]
 
 
+class TruncatingClient:
+    """Reports ``finish_reason="length"`` for prompts that contain "long"."""
+
+    def send(self, request):
+        cut = "long" in request.joined_content()
+        return LlmResponse(text="PAIR: (a", finish_reason="length" if cut else "stop")
+
+
+def test_gateway_warns_once_per_truncated_response(caplog):
+    gateway = LlmGateway(TruncatingClient())
+    requests = [simple_request("pair", "m", p) for p in ("short", "long one", "long two")]
+    with caplog.at_level("WARNING", logger="qlforge.gateway"):
+        results = gateway.complete_batch(requests, workers=2)
+        gateway.complete(simple_request("write", "m", "long three", max_tokens=64))
+    warnings = [r.getMessage() for r in caplog.records]
+    assert warnings == [
+        "pair response (transcript seq 2) stopped at max_tokens=2048; its text is cut short",
+        "pair response (transcript seq 3) stopped at max_tokens=2048; its text is cut short",
+        "write response (transcript seq 4) stopped at max_tokens=64; its text is cut short",
+    ]
+    # The responses and the transcript are passed on unchanged.
+    assert [response.text for response, _ in results] == ["PAIR: (a"] * 3
+    assert [e["response"]["finish_reason"] for e in gateway.transcripts.entries] == [
+        "stop", "length", "length", "length",
+    ]
+
+
 def test_live_client_requires_key(monkeypatch):
     from qlforge.gateway import LiveLlmClient
 

@@ -2,10 +2,12 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qlforge.classify import Ballot, TaintLabel, VoteRecord
-from qlforge.errors import NothingToPair, UnknownApiId, WhollyMalformed
-from qlforge.gateway import LlmGateway
+from qlforge.errors import NothingToPair, RecordTooLarge, UnknownApiId, WhollyMalformed
+from qlforge.gateway import LlmGateway, LlmResponse, estimate_tokens
 from qlforge.pairing import (
     SourceSinkPair,
     build_pairing_prompt,
@@ -14,9 +16,9 @@ from qlforge.pairing import (
     pair_all,
     parse_pair_lines,
     parse_pairs_document,
-    plan_sink_chunks,
+    plan_tiles,
 )
-from qlforge.records import record_lookup
+from qlforge.records import make_record, record_lookup
 from tests.conftest import CountingClient, StaticClient, scripted_client, synthetic_records
 
 SRC = {"src1", "src2"}
@@ -24,23 +26,115 @@ SNK = {"snk1", "snk2"}
 SAN = {"san1"}
 
 
-def test_chunk_plan_matches_hand_oracle():
-    ids = [f"s{i:02d}" for i in range(40)]
-    shuffled = list(ids)
-    random.Random(0).shuffle(shuffled)
-    chunks = plan_sink_chunks(shuffled, 10)
-    assert len(chunks) == 4
-    assert [len(c) for c in chunks] == [10, 10, 10, 10]
-    # Sorted order is restored before chunking, so the split is deterministic.
-    assert [c[0] for c in chunks] == ["s00", "s10", "s20", "s30"]
-    assert sorted(x for c in chunks for x in c) == ids
+def _sized_records(kind: str, snippet_chars: list[int]):
+    """One record per entry, its snippet that many characters long, so costs vary."""
+    return [
+        make_record(
+            package="com.tiles",
+            type_name=kind.title(),
+            method=f"{kind}{i:03d}",
+            params=[],
+            return_type="void",
+            snippet="x" * chars,
+        )
+        for i, chars in enumerate(snippet_chars)
+    ]
 
 
-def test_chunk_plan_remainder_and_bounds():
-    assert plan_sink_chunks(["b", "a", "c"], 2) == [["a", "b"], ["c"]]
-    assert plan_sink_chunks([], 5) == []
-    with pytest.raises(ValueError):
-        plan_sink_chunks(["a"], 0)
+_SNIPPET_CHARS = st.lists(st.integers(0, 1200), min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    source_chars=_SNIPPET_CHARS,
+    sink_chars=_SNIPPET_CHARS,
+    sanitizer_chars=st.lists(st.integers(0, 1200), max_size=3),
+    room=st.integers(0, 2500),
+)
+# One source larger than half the room: it must borrow room from the sinks.
+@example(source_chars=[1200] + [0] * 10, sink_chars=[0] * 12, sanitizer_chars=[], room=500)
+def test_tile_plan_covers_each_combination_once_within_budget(
+    source_chars, sink_chars, sanitizer_chars, room
+):
+    sources = _sized_records("source", source_chars)
+    sinks = _sized_records("sink", sink_chars)
+    sanitizers = _sized_records("sanitizer", sanitizer_chars)
+    lookup = record_lookup(sources + sinks + sanitizers)
+    source_ids = [r.id for r in sources]
+    sink_ids = [r.id for r in sinks]
+    sanitizer_ids = [r.id for r in sanitizers]
+    frame = estimate_tokens(build_pairing_prompt([], [], sanitizer_ids, lookup))
+    budget = frame + room
+
+    def cost(rid):
+        return estimate_tokens(lookup[rid].json_text + "\n")
+
+    if frame + max(map(cost, source_ids)) + max(map(cost, sink_ids)) > budget:
+        with pytest.raises(RecordTooLarge):
+            plan_tiles(source_ids, sink_ids, sanitizer_ids, lookup, budget)
+        return
+    tiles = plan_tiles(source_ids, sink_ids, sanitizer_ids, lookup, budget)
+    covered = [(src, snk) for srcs, snks in tiles for src in srcs for snk in snks]
+    assert sorted(covered) == sorted((src, snk) for src in source_ids for snk in sink_ids)
+    for tile_sources, tile_sinks in tiles:
+        prompt = build_pairing_prompt(tile_sources, tile_sinks, sanitizer_ids, lookup)
+        assert estimate_tokens(prompt) <= budget
+    # The same inputs, in any order, give the same tiles.
+    again = plan_tiles(source_ids[::-1], sink_ids[::-1], sanitizer_ids[::-1], lookup, budget)
+    assert again == tiles
+
+
+def test_tile_plan_rejects_a_budget_too_small_for_one_source_and_one_sink():
+    records = synthetic_records(3, random.Random(70))
+    lookup = record_lookup(records)
+    ids = sorted(r.id for r in records)
+    frame = estimate_tokens(build_pairing_prompt([], [], [ids[2]], lookup))
+    need = frame + sum(estimate_tokens(lookup[rid].json_text + "\n") for rid in ids[:2])
+    assert plan_tiles([ids[0]], [ids[1]], [ids[2]], lookup, need) == [([ids[0]], [ids[1]])]
+    with pytest.raises(RecordTooLarge, match=f"source {ids[0]} with sink {ids[1]}") as err:
+        plan_tiles([ids[0]], [ids[1]], [ids[2]], lookup, need - 1)
+    assert err.value.record_ids == (ids[0], ids[1])
+
+
+def test_tile_plan_keeps_a_side_that_fits_half_the_room_whole():
+    sources = _sized_records("source", [40, 60])
+    sinks = _sized_records("sink", [200] * 8)
+    lookup = record_lookup(sources + sinks)
+    source_ids = sorted(r.id for r in sources)
+    sink_ids = sorted(r.id for r in sinks)
+    frame = estimate_tokens(build_pairing_prompt([], [], [], lookup))
+    sink_cost = estimate_tokens(lookup[sink_ids[0]].json_text + "\n")
+    source_total = sum(estimate_tokens(lookup[rid].json_text + "\n") for rid in source_ids)
+    # Room for every source plus three sinks: the sources stay whole and the
+    # eight sinks go three, three and two, in sorted order.
+    budget = frame + source_total + 3 * sink_cost
+    tiles = plan_tiles(source_ids, sink_ids, [], lookup, budget)
+    assert tiles == [(source_ids, sink_ids[i : i + 3]) for i in (0, 3, 6)]
+
+
+class _PromptLog:
+    """Answers each prompt from ``replies``, else NO_PAIRS, and keeps every prompt."""
+
+    def __init__(self, replies=None):
+        self.replies = replies or {}
+        self.prompts = []
+
+    def send(self, request):
+        prompt = request.joined_content()
+        self.prompts.append(prompt)
+        return LlmResponse(text=self.replies.get(prompt, "NO_PAIRS"))
+
+
+def test_pair_all_sends_one_untiled_prompt_when_candidates_fit():
+    records = synthetic_records(9, random.Random(71))
+    ids = sorted(r.id for r in records)
+    sources, sinks, sanitizers = ids[:3], ids[3:7], ids[7:]
+    client = _PromptLog()
+    votes = _votes(sources=sources, sinks=sinks, sanitizers=sanitizers)
+    pair_all(votes, records, LlmGateway(client), "m")
+    assert client.prompts == [
+        build_pairing_prompt(sources, sinks, sanitizers, record_lookup(records))
+    ]
 
 
 def test_pair_line_full_form():
@@ -153,28 +247,35 @@ def test_pair_all_requires_both_sides():
         pair_all(_votes(sinks=[records[0].id]), records, gateway, "m")
 
 
-def test_pair_all_chunks_and_merges_sorted():
+def test_pair_all_tiles_and_merges_sorted():
     records = synthetic_records(7, random.Random(40))
     ids = sorted(r.id for r in records)
     sources, sinks = ids[:2], ids[2:7]
+    lookup = record_lookup(records)
     votes = _votes(sources=sources, sinks=sinks)
-    # Every chunk call claims one pair: the first source with the chunk's
-    # first sink. chunk_size=2 over 5 sinks means 3 calls.
-    responses = [
-        {
-            "stage": "pair",
-            "contains": chunk[0],
-            "response": f"PAIR: ({sources[0]}, {chunk[0]}) | CLASS: xss | RATIONALE: x | CONFIDENCE: low",
-        }
-        for chunk in plan_sink_chunks(sinks, 2)
-    ]
-    client = CountingClient(scripted_client(responses, default="NO_PAIRS"))
-    pairs = pair_all(votes, records, LlmGateway(client), "m", chunk_size=2)
-    assert client.count("pair") == 3
-    assert [p.sink_id for p in pairs] == [sinks[0], sinks[2], sinks[4]]
-    assert [(p.source_id, p.sink_id) for p in pairs] == sorted(
-        (p.source_id, p.sink_id) for p in pairs
-    )
+    budget = estimate_tokens(build_pairing_prompt(sources, sinks[:2], [], lookup))
+    tiles = plan_tiles(sources, sinks, [], lookup, budget)
+    assert len(tiles) > 1
+    # Sink-group-major: the sink groups come in sorted order.
+    sink_order = [tile_sinks[0] for _, tile_sinks in tiles]
+    assert sink_order == sorted(sink_order)
+    # Every tile call claims its first source with its first sink, and also
+    # a sink of the last tile, which only that tile may pair.
+    last_sink = tiles[-1][1][-1]
+    replies = {
+        build_pairing_prompt(tile_sources, tile_sinks, [], lookup): "".join(
+            f"PAIR: ({tile_sources[0]}, {snk}) | CLASS: xss | RATIONALE: x | CONFIDENCE: low\n"
+            for snk in (tile_sinks[0], last_sink)
+        )
+        for tile_sources, tile_sinks in tiles
+    }
+    gateway = LlmGateway(_PromptLog(replies))
+    pairs = pair_all(votes, records, gateway, "m", budget=budget)
+    sent = [entry["request"]["messages"][0]["content"] for entry in gateway.transcripts.entries]
+    assert sent == list(replies)
+    expected = {(tile_sources[0], tile_sinks[0]) for tile_sources, tile_sinks in tiles}
+    expected |= {(src, last_sink) for src in tiles[-1][0]}
+    assert [(p.source_id, p.sink_id) for p in pairs] == sorted(expected)
 
 
 def test_pair_all_drop_sanitized_toggle():
@@ -238,3 +339,36 @@ def test_pairs_round_trip():
 def test_pairs_version_guard():
     with pytest.raises(ValueError):
         parse_pairs_document(json.dumps({"version": 0, "pairs": []}))
+
+
+_ANY_ID = st.sampled_from(["src1", "src2", "snk1", "snk2", "san1", "ghost", ""])
+_PAIR_LINE = st.builds(
+    "PAIR: ({}, {}) | CLASS: {} | RATIONALE: {} | CONFIDENCE: {} | SANITIZED_BY: {}".format,
+    _ANY_ID,
+    _ANY_ID,
+    st.one_of(st.sampled_from(["xss", "Path Traversal"]), st.text(max_size=8)),
+    st.text(max_size=8),
+    st.text(max_size=5),
+    st.lists(_ANY_ID, max_size=3).map(", ".join),
+)
+_RESPONSE = st.one_of(
+    st.text(),
+    st.lists(st.one_of(_PAIR_LINE, st.just("NO_PAIRS"), st.text(max_size=20)), max_size=6).map(
+        "\n".join
+    ),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=_RESPONSE)
+def test_parse_pair_lines_keeps_only_known_ids_for_any_text(text):
+    try:
+        pairs = parse_pair_lines(text, SRC, SNK, SAN)
+    except WhollyMalformed:
+        return
+    keys = [(p.source_id, p.sink_id) for p in pairs]
+    assert len(keys) == len(set(keys))
+    for p in pairs:
+        assert p.source_id in SRC and p.sink_id in SNK
+        assert set(p.sanitizers) <= SAN
+        assert p.pair_id == make_pair_id(p.source_id, p.sink_id)

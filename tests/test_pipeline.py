@@ -132,6 +132,9 @@ def test_config_rejects_unknown_keys(tmp_path):
         ({"rulegen": {"timeout_s": -3}}, "timeout_s"),
         ({"scan": {"manifest": "gone.json"}}, "manifest does not exist"),
         ({"workers": 0}, "workers"),
+        ({"pairing": {"budget": 0}}, "pairing.budget must be a positive integer"),
+        ({"classify": {"budjet": 4000}}, "unknown config key\\(s\\): classify.budjet"),
+        ({"llm": "mock"}, "llm must be a table"),
     ],
 )
 def test_config_validation_failures(tmp_path, mutation, match):
@@ -245,6 +248,23 @@ def test_full_run_model_calls_and_prompt_tokens(run_config, monkeypatch):
             )
     assert calls == EXPECTED_CALLS
     assert tokens == EXPECTED_PROMPT_TOKENS
+
+
+def test_pairing_budget_tiles_the_prompts_without_changing_the_pairs(run_config):
+    whole = run_config("whole")
+    run_pipeline(whole)
+    tiled = run_config("tiled", pairing={"budget": 1400, "drop_sanitized": True})
+    run_pipeline(tiled)
+    prompts = [
+        estimate_tokens(entry["request"]["messages"][0]["content"])
+        for entry in map(json.loads, (tiled.out_dir / "transcript.jsonl").read_text().splitlines())
+        if entry["stage"] == "pair"
+    ]
+    # 4 sources and 3 sinks fall into 6 tiles, every one within the budget.
+    assert len(prompts) == 6
+    assert max(prompts) <= 1400
+    pairs = (tiled.out_dir / "pairs.json").read_bytes()
+    assert pairs == (whole.out_dir / "pairs.json").read_bytes()
 
 
 def test_full_run_writes_every_artifact(run_config):
