@@ -11,9 +11,8 @@ With ``frame`` the estimate of a prompt with no candidates and
 
 1. both sides fit ``room`` together: one tile, which is the prompt of all
    sources against all sinks;
-2. one side fits ``room // 2``: that side stays whole and the other is
-   packed into what is left;
-3. each side is packed into half of ``room``.
+2. otherwise each side is packed into half of ``room``, so a side that fits
+   its half stays whole.
 
 Packing is greedy in sorted-id order (see :func:`prompts.pack_greedy`) and
 tiles run sink-group-major. With S source groups and K sink groups the run
@@ -176,12 +175,7 @@ def plan_tiles(
 
     src_total = sum(costs[rid] for rid in sources)
     snk_total = sum(costs[rid] for rid in sinks)
-    if src_total + snk_total <= room or src_total <= room // 2:
-        src_room = src_total  # one tile, or sources whole
-    elif snk_total <= room // 2:
-        src_room = room - snk_total  # sinks whole
-    else:
-        src_room = room // 2
+    src_room = src_total if src_total + snk_total <= room else room // 2
     # A member larger than its side's share borrows room from the other side.
     src_room = max(costs[biggest_src], min(src_room, room - costs[biggest_snk]))
     source_groups = pack_greedy(sources, costs, src_room)

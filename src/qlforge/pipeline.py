@@ -69,25 +69,36 @@ _STAGE_ARTIFACT = {
     "report": REPORT_FILENAME,
 }
 
-# The keys each config table accepts; any other key is rejected.
-_TABLE_KEYS = {
-    "llm": {"mode", "model", "endpoint", "temperature"},
-    "compiler": {"kind", "script"},
-    "codeql": {"path"},
-    "classify": {"budget", "seed"},
-    "pairing": {"budget", "drop_sanitized"},
-    "rulegen": {"max_iters", "timeout_s"},
-    "scan": {"database", "manifest"},
-    "filters": {"deny", "allow"},
+_TOP_LEVEL_KEYS = {
+    "project",
+    "backend",
+    "out_dir",
+    "llm",
+    "mock_script",
+    "compiler",
+    "codeql",
+    "classify",
+    "pairing",
+    "rulegen",
+    "scan",
+    "filters",
+    "workers",
 }
-_TOP_LEVEL_KEYS = {"project", "backend", "out_dir", "mock_script", "workers", *_TABLE_KEYS}
 
 
-def _table(data: dict, name: str) -> dict:
+def _positive_int(value, key: str) -> int:
+    """Return ``value`` if it is an integer of at least 1; a boolean is not."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ConfigError(f"{key} must be a positive integer, got {value!r}")
+    return value
+
+
+def _table(data: dict, name: str, keys: tuple[str, ...]) -> dict:
+    """Return config table ``name``; a key outside ``keys`` is rejected."""
     table = data.get(name, {})
     if not isinstance(table, dict):
         raise ConfigError(f"config key {name} must be a table, got {table!r}")
-    unknown = sorted(set(table) - _TABLE_KEYS[name])
+    unknown = sorted(set(table) - set(keys))
     if unknown:
         raise ConfigError(
             "unknown config key(s): " + ", ".join(f"{name}.{key}" for key in unknown)
@@ -188,7 +199,7 @@ class PipelineConfig:
         if backend not in ("fixture", "codeql"):
             raise ConfigError(f"backend must be 'fixture' or 'codeql', got {backend!r}")
 
-        llm = _table(data, "llm")
+        llm = _table(data, "llm", ("mode", "model", "endpoint", "temperature"))
         llm_mode = llm.get("mode", "mock")
         if llm_mode not in ("mock", "live"):
             raise ConfigError(f"llm.mode must be 'mock' or 'live', got {llm_mode!r}")
@@ -211,7 +222,7 @@ class PipelineConfig:
         if llm_mode == "mock" and mock_script is None:
             raise ConfigError("mock llm mode requires mock_script")
 
-        compiler = _table(data, "compiler")
+        compiler = _table(data, "compiler", ("kind", "script"))
         compiler_kind = compiler.get("kind", "mock")
         if compiler_kind not in ("mock", "codeql"):
             raise ConfigError(f"compiler.kind must be 'mock' or 'codeql', got {compiler_kind!r}")
@@ -223,33 +234,27 @@ class PipelineConfig:
         if compiler_kind == "mock" and compiler_script is None:
             raise ConfigError("mock compiler requires compiler.script")
 
-        classify = _table(data, "classify")
-        budget = classify.get("budget", 4000)
-        if not isinstance(budget, int) or budget < 1:
-            raise ConfigError(f"classify.budget must be a positive integer, got {budget!r}")
+        classify = _table(data, "classify", ("budget", "seed"))
+        budget = _positive_int(classify.get("budget", 4000), "classify.budget")
         seed = classify.get("seed", 0)
         if not isinstance(seed, int):
             raise ConfigError(f"classify.seed must be an integer, got {seed!r}")
 
-        pairing = _table(data, "pairing")
-        pairing_budget = pairing.get("budget", DEFAULT_PAIRING_BUDGET)
-        if not isinstance(pairing_budget, int) or pairing_budget < 1:
-            raise ConfigError(
-                f"pairing.budget must be a positive integer, got {pairing_budget!r}"
-            )
+        pairing = _table(data, "pairing", ("budget", "drop_sanitized"))
+        pairing_budget = _positive_int(
+            pairing.get("budget", DEFAULT_PAIRING_BUDGET), "pairing.budget"
+        )
         drop_sanitized = pairing.get("drop_sanitized", False)
         if not isinstance(drop_sanitized, bool):
             raise ConfigError("pairing.drop_sanitized must be a boolean")
 
-        rulegen_cfg = _table(data, "rulegen")
-        max_iters = rulegen_cfg.get("max_iters", 5)
-        if not isinstance(max_iters, int) or max_iters < 1:
-            raise ConfigError(f"rulegen.max_iters must be a positive integer, got {max_iters!r}")
+        rulegen_cfg = _table(data, "rulegen", ("max_iters", "timeout_s"))
+        max_iters = _positive_int(rulegen_cfg.get("max_iters", 5), "rulegen.max_iters")
         timeout_s = rulegen_cfg.get("timeout_s")
         if timeout_s is not None and (not isinstance(timeout_s, (int, float)) or timeout_s <= 0):
             raise ConfigError(f"rulegen.timeout_s must be a positive number, got {timeout_s!r}")
 
-        scan_cfg = _table(data, "scan")
+        scan_cfg = _table(data, "scan", ("database", "manifest"))
         manifest_path = None
         if "manifest" in scan_cfg:
             manifest_path = resolve(scan_cfg["manifest"])
@@ -259,13 +264,11 @@ class PipelineConfig:
         filters = None
         if "filters" in data:
             try:
-                filters = FilterConfig.from_dict(_table(data, "filters"))
+                filters = FilterConfig.from_dict(_table(data, "filters", ("deny", "allow")))
             except QlforgeError as exc:
                 raise ConfigError(f"bad filters config: {exc}") from exc
 
-        workers = data.get("workers", 4)
-        if not isinstance(workers, int) or workers < 1:
-            raise ConfigError(f"workers must be a positive integer, got {workers!r}")
+        workers = _positive_int(data.get("workers", 4), "workers")
 
         return cls(
             project=project,
@@ -278,7 +281,7 @@ class PipelineConfig:
             mock_script=mock_script,
             compiler_kind=compiler_kind,
             compiler_script=compiler_script,
-            codeql_path=_table(data, "codeql").get("path"),
+            codeql_path=_table(data, "codeql", ("path",)).get("path"),
             budget=budget,
             seed=seed,
             pairing_budget=pairing_budget,

@@ -96,7 +96,7 @@ def test_tile_plan_rejects_a_budget_too_small_for_one_source_and_one_sink():
     assert err.value.record_ids == (ids[0], ids[1])
 
 
-def test_tile_plan_keeps_a_side_that_fits_half_the_room_whole():
+def test_tile_plan_splits_the_room_evenly_between_the_sides():
     sources = _sized_records("source", [40, 60])
     sinks = _sized_records("sink", [200] * 8)
     lookup = record_lookup(sources + sinks)
@@ -105,9 +105,11 @@ def test_tile_plan_keeps_a_side_that_fits_half_the_room_whole():
     frame = estimate_tokens(build_pairing_prompt([], [], [], lookup))
     sink_cost = estimate_tokens(lookup[sink_ids[0]].json_text + "\n")
     source_total = sum(estimate_tokens(lookup[rid].json_text + "\n") for rid in source_ids)
-    # Room for every source plus three sinks: the sources stay whole and the
-    # eight sinks go three, three and two, in sorted order.
-    budget = frame + source_total + 3 * sink_cost
+    # Each half of the room holds three sinks. The two sources fit their
+    # half and stay whole; the eight sinks go three, three and two, in
+    # sorted order, even though the sources leave part of their half unused.
+    budget = frame + 6 * sink_cost
+    assert source_total + sink_cost <= 3 * sink_cost
     tiles = plan_tiles(source_ids, sink_ids, [], lookup, budget)
     assert tiles == [(source_ids, sink_ids[i : i + 3]) for i in (0, 3, 6)]
 

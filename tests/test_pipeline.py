@@ -135,6 +135,10 @@ def test_config_rejects_unknown_keys(tmp_path):
         ({"pairing": {"budget": 0}}, "pairing.budget must be a positive integer"),
         ({"classify": {"budjet": 4000}}, "unknown config key\\(s\\): classify.budjet"),
         ({"llm": "mock"}, "llm must be a table"),
+        ({"pairing": {"budget": True}}, "pairing.budget must be a positive integer"),
+        ({"classify": {"budget": True}}, "classify.budget must be a positive integer"),
+        ({"rulegen": {"max_iters": True}}, "rulegen.max_iters must be a positive integer"),
+        ({"workers": True}, "workers must be a positive integer"),
     ],
 )
 def test_config_validation_failures(tmp_path, mutation, match):
