@@ -21,7 +21,6 @@ candidate is therefore linear in the number of records.
 
 from __future__ import annotations
 
-import json
 import logging
 import random
 import re
@@ -31,7 +30,7 @@ from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 
-from .artifacts import parse_entries
+from .artifacts import dump_json, parse_entries, read_text, write_text
 from .errors import BallotCountMismatch, RecordTooLarge, UnknownApiId, WhollyMalformed
 from .gateway import LlmGateway, estimate_tokens, simple_request
 from .prompts import load_catalog, load_template, pack_greedy, render_template
@@ -430,7 +429,7 @@ def classify_records(
 def dump_votes(votes: list[VoteRecord]) -> str:
     ordered = sorted(votes, key=lambda v: v.api_id)
     doc = {"version": VOTES_DOC_VERSION, "votes": [v.to_dict() for v in ordered]}
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return dump_json(doc)
 
 
 def parse_votes(text: str, source: str | Path = "votes document") -> list[VoteRecord]:
@@ -438,8 +437,8 @@ def parse_votes(text: str, source: str | Path = "votes document") -> list[VoteRe
 
 
 def save_votes(votes: list[VoteRecord], path: str | Path) -> None:
-    Path(path).write_text(dump_votes(votes), encoding="utf-8")
+    write_text(path, dump_votes(votes))
 
 
 def load_votes(path: str | Path) -> list[VoteRecord]:
-    return parse_votes(Path(path).read_text(encoding="utf-8"), path)
+    return parse_votes(read_text(path), path)

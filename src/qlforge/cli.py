@@ -16,22 +16,25 @@ from pathlib import Path
 import click
 
 from . import __version__
+from .artifacts import write_text
 from .classify import classify_records, load_votes, save_votes
 from .errors import ConfigError, NothingToDo, NothingToPair, QlforgeError, StageFailure
-from .extract import FixtureBackend, dedupe, extract_apis, filter_risky
-from .gateway import LiveLlmClient, LlmGateway, MockLlmClient, MockScript, TranscriptStore
+from .extract import dedupe, extract_apis, filter_risky
+from .gateway import LlmGateway, TranscriptStore
 from .pairing import DEFAULT_BUDGET as DEFAULT_PAIRING_BUDGET, load_pairs, pair_all, save_pairs
 from .pipeline import (
     FINDINGS_FILENAME,
     REPORT_FILENAME,
     PipelineConfig,
+    build_backend,
+    build_compiler,
+    build_llm_client,
     run_pipeline,
 )
 from .records import load_spec_document, record_lookup, save_spec_document
-from .report import REPORT_FORMATS, emit_report, load_report, write_output
+from .report import REPORT_FORMATS, emit_report, load_report
 from .rulegen import (
     ArtifactStatus,
-    MockCompiler,
     generate_all,
     load_findings,
     load_rule_artifacts,
@@ -121,26 +124,6 @@ def compiler_options(fn):
     return fn
 
 
-def _build_client(llm_mode: str, mock_script: Path | None, endpoint: str):
-    if llm_mode == "mock":
-        if mock_script is None:
-            raise ConfigError("--mock-script is required with --llm mock")
-        return MockLlmClient(MockScript.from_jsonl(mock_script))
-    if not endpoint:
-        raise ConfigError("--endpoint is required with --llm live")
-    return LiveLlmClient(endpoint=endpoint)
-
-
-def _build_compiler(compiler_kind: str, compiler_script: Path | None, codeql_path: str | None):
-    if compiler_kind == "mock":
-        if compiler_script is None:
-            raise ConfigError("--compiler-script is required with --compiler mock")
-        return MockCompiler.from_file(compiler_script)
-    from .codeql import CodeQLCompiler
-
-    return CodeQLCompiler(binary=codeql_path)
-
-
 @click.group()
 @click.version_option(version=__version__)
 @click.option("-v", "--verbose", count=True, help="Increase log verbosity (-v, -vv).")
@@ -171,13 +154,7 @@ def main(verbose: int) -> None:
 @cli_errors
 def extract(project: Path, backend: str, codeql_path: str | None, out: Path) -> None:
     """Enumerate API call sites and write the filtered spec document."""
-    if backend == "fixture":
-        backend_obj = FixtureBackend()
-    else:
-        from .codeql import CodeQLBackend
-
-        backend_obj = CodeQLBackend(binary=codeql_path)
-    raw = extract_apis(project, backend_obj)
+    raw = extract_apis(project, build_backend(backend, codeql_path))
     kept = dedupe(filter_risky(raw))
     save_spec_document(kept, out)
     click.echo(f"extracted {len(raw)} call site(s), kept {len(kept)} distinct API(s) -> {out}")
@@ -211,7 +188,7 @@ def classify(
 ) -> None:
     """Label each API as Source, Sink, Sanitizer or None by triple voting."""
     records = load_spec_document(specs)
-    client = _build_client(llm_mode, mock_script, endpoint)
+    client = build_llm_client(llm_mode, mock_script, endpoint)
     gateway = LlmGateway(client, transcripts=TranscriptStore(transcript))
     votes = classify_records(records, gateway, model, budget, seed, temperature)
     save_votes(votes, out)
@@ -265,7 +242,7 @@ def pair(
     """Pair classified sources with sinks into candidate chains."""
     vote_records = load_votes(votes)
     records = load_spec_document(specs)
-    client = _build_client(llm_mode, mock_script, endpoint)
+    client = build_llm_client(llm_mode, mock_script, endpoint)
     gateway = LlmGateway(client, transcripts=TranscriptStore(transcript))
     pairs = pair_all(
         vote_records,
@@ -321,8 +298,8 @@ def generate(
     """Write, compile and repair one rule per pair."""
     pair_list = load_pairs(pairs)
     records = load_spec_document(specs)
-    client = _build_client(llm_mode, mock_script, endpoint)
-    compiler = _build_compiler(compiler_kind, compiler_script, codeql_path)
+    client = build_llm_client(llm_mode, mock_script, endpoint)
+    compiler = build_compiler(compiler_kind, compiler_script, codeql_path)
     artifacts = generate_all(
         pair_list,
         record_lookup(records),
@@ -363,7 +340,7 @@ def scan_cmd(
 ) -> None:
     """Execute every compiled rule against a database and merge the findings."""
     artifacts = load_rule_artifacts(rules)
-    compiler = _build_compiler(compiler_kind, compiler_script, codeql_path)
+    compiler = build_compiler(compiler_kind, compiler_script, codeql_path)
     findings = scan(artifacts, database, compiler)
     save_findings(findings, out)
     click.echo(f"scan produced {len(findings)} finding(s) -> {out}")
@@ -429,16 +406,13 @@ def report(run_dir: Path, fmt: str, out: Path | None) -> None:
     report_path = run_dir / REPORT_FILENAME
     if not report_path.is_file():
         raise NothingToDo(f"no report in {run_dir}; run the pipeline first")
-    loaded = load_report(report_path)
-    findings = []
     findings_path = run_dir / FINDINGS_FILENAME
-    if findings_path.is_file():
-        findings = load_findings(findings_path)
-    text = emit_report(loaded, fmt, findings)
+    findings = load_findings(findings_path) if findings_path.is_file() else []
+    text = emit_report(load_report(report_path), fmt, findings)
     if out is None:
         click.echo(text, nl=False)
     else:
-        write_output(text, out)
+        write_text(out, text)
         click.echo(f"report written -> {out}")
 
 

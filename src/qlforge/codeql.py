@@ -87,16 +87,20 @@ def _run(cmd: list[str], timeout_s: float | None, unavailable_exc) -> subprocess
 def stamp_rule_id(rule_text: str, rule_id: str) -> str:
     """Set the query ``@id`` of a rule in its leading QLDoc block.
 
-    An ``@id`` already in that block is replaced, a block without one gets
-    one, and a rule with no leading block gets a block holding only the id.
+    The first ``@id`` already in that block is replaced and any later one
+    removed, a block without one gets one, and a rule with no leading block
+    gets a block holding only the id.
     """
     tag = f"@id {rule_id}"
     match = _LEADING_QLDOC_RE.match(rule_text)
     if match is None:
         return f"/**\n * {tag}\n */\n{rule_text}"
-    block, replaced = _ID_TAG_RE.subn(lambda _: tag, match.group(1))
-    if not replaced:
+    block = match.group(1)
+    first = _ID_TAG_RE.search(block)
+    if first is None:
         block = f"/**\n * {tag}\n *{block[3:]}"
+    else:
+        block = block[: first.start()] + tag + _ID_TAG_RE.sub("", block[first.end() :])
     start, end = match.span(1)
     return rule_text[:start] + block + rule_text[end:]
 

@@ -9,11 +9,11 @@ raises :class:`FixtureDrift` with every mismatch it found.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from pathlib import Path
 
+from .artifacts import read_json
 from .errors import FixtureDrift, QlforgeError
 from .extract import FixtureBackend, dedupe, extract_apis, filter_risky
 from .gateway import MockScript
@@ -55,7 +55,7 @@ def validate_fixture(fixture_dir: str | Path) -> dict:
         rel = java.relative_to(demo).as_posix()
         file_lines[rel] = len(java.read_text(encoding="utf-8").splitlines())
 
-    manifest_raw = json.loads((fixture_dir / MANIFEST_FILENAME).read_text(encoding="utf-8"))
+    manifest_raw = read_json(fixture_dir / MANIFEST_FILENAME)
     if manifest_raw.get("version") != 1:
         problems.append(f"manifest version is {manifest_raw.get('version')!r}, expected 1")
     entries = manifest_raw.get("vulns", [])
@@ -112,10 +112,8 @@ def validate_fixture(fixture_dir: str | Path) -> dict:
                 )
 
     try:
-        compiler_raw = json.loads(
-            (fixture_dir / MOCK_COMPILER_FILENAME).read_text(encoding="utf-8")
-        )
-    except json.JSONDecodeError as exc:
+        compiler_raw = read_json(fixture_dir / MOCK_COMPILER_FILENAME)
+    except QlforgeError as exc:
         problems.append(f"mock compiler script does not parse: {exc}")
         compiler_raw = None
     if compiler_raw is not None:

@@ -17,12 +17,13 @@ import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
 
 import requests
 
+from .artifacts import config_input, read_text
 from .errors import ArtifactCorrupt, AuthFailure, ConfigError, ProviderError, RateLimited
 
 logger = logging.getLogger(__name__)
@@ -148,6 +149,9 @@ class MockEntry:
         return True
 
 
+_MOCK_TEXT_KEYS = ("default", "stage", "contains", "response")
+
+
 class MockScript:
     """Ordered canned responses: first matching entry wins.
 
@@ -172,16 +176,23 @@ class MockScript:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "MockScript":
+        """Load a script; an unreadable file or line is a ConfigError naming it."""
+        with config_input():
+            text = read_text(path)
         entries: list[MockEntry] = []
         default = ""
-        for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line:
                 continue
             try:
                 data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad mock script line: {exc}") from exc
+                if not isinstance(data, dict) or not all(
+                    isinstance(data.get(key, ""), str) for key in _MOCK_TEXT_KEYS
+                ):
+                    raise ValueError("not an object of strings")
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: bad mock script line: {exc}") from None
             if "default" in data:
                 default = data["default"]
                 continue

@@ -11,11 +11,11 @@ zero".
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
+from .artifacts import check_version, config_input, read_json, shape_checked
 from .rulegen import ArtifactStatus, Finding, RuleArtifact
 
 MANIFEST_VERSION = 1
@@ -70,7 +70,11 @@ class KnownVulnManifest:
 
 
 def load_manifest(path: str | Path) -> KnownVulnManifest:
-    return KnownVulnManifest.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    with config_input():
+        doc = read_json(path)
+        check_version(doc, path, MANIFEST_VERSION)
+        with shape_checked(path, "vulns"):
+            return KnownVulnManifest.from_dict(doc)
 
 
 def finding_hits_entry(finding: Finding, entry: ManifestEntry) -> bool:

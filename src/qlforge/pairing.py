@@ -27,13 +27,12 @@ once, after which that tile contributes nothing.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .artifacts import parse_entries
+from .artifacts import dump_json, parse_entries, read_text, write_text
 from .errors import NothingToPair, RecordTooLarge, UnknownApiId, WhollyMalformed
 from .gateway import LlmGateway, estimate_tokens, simple_request
 from .prompts import load_template, pack_greedy, render_template
@@ -333,7 +332,7 @@ def pair_all(
 def dump_pairs(pairs: list[SourceSinkPair]) -> str:
     ordered = sorted(pairs, key=lambda p: (p.source_id, p.sink_id))
     doc = {"version": PAIRS_DOC_VERSION, "pairs": [p.to_dict() for p in ordered]}
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return dump_json(doc)
 
 
 def parse_pairs_document(text: str, source: str | Path = "pairs document") -> list[SourceSinkPair]:
@@ -341,8 +340,8 @@ def parse_pairs_document(text: str, source: str | Path = "pairs document") -> li
 
 
 def save_pairs(pairs: list[SourceSinkPair], path: str | Path) -> None:
-    Path(path).write_text(dump_pairs(pairs), encoding="utf-8")
+    write_text(path, dump_pairs(pairs))
 
 
 def load_pairs(path: str | Path) -> list[SourceSinkPair]:
-    return parse_pairs_document(Path(path).read_text(encoding="utf-8"), path)
+    return parse_pairs_document(read_text(path), path)

@@ -1,14 +1,17 @@
 """End-to-end pipeline driver and its configuration.
 
-A run walks six stages (extract, classify, pair, generate, scan, report)
-and persists one artifact per stage under the run directory:
+A run walks the stage table :data:`STAGES` (extract, classify, pair,
+generate, scan, report). Each stage has an artifact under the run directory,
+a ``run`` step that computes the stage and writes the artifact, and a
+``load`` step that reads it back:
 
-    specs.json  votes.json  pairs.json  rules/  findings.json  report.json
+    specs.json  votes.json  pairs.json  rules/index.json  findings.json  report.json
 
-plus transcript.jsonl for the classify and pair model calls (generation
-transcripts live next to each rule) and timings.json with sub-second stage
-timings. Resuming starts at the first stage whose artifact is missing and
-reloads everything before it; a completed run resumes to nothing-to-do.
+Sidecars: extract_stats.json (raw call-site count), timings.json (sub-second
+stage timings) and transcript.jsonl (classify and pair model calls; each
+rule keeps its own transcript). A resumed run loads every stage before the
+first missing artifact and runs the rest; a completed run resumes to
+nothing-to-do.
 """
 
 from __future__ import annotations
@@ -17,10 +20,12 @@ import json
 import logging
 import shutil
 import time
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Callable
 
-from .artifacts import read_json
+from .artifacts import config_input, dump_json, read_json, write_text
 from .classify import TaintLabel, classify_records, load_votes, save_votes
 from .errors import (
     ArtifactCorrupt,
@@ -35,9 +40,8 @@ from .gateway import LlmGateway, MockLlmClient, MockScript, LiveLlmClient, Trans
 from .metrics import compute_metrics, load_manifest
 from .pairing import DEFAULT_BUDGET as DEFAULT_PAIRING_BUDGET, load_pairs, pair_all, save_pairs
 from .records import load_spec_document, record_lookup, save_spec_document
-from .report import PipelineReport, StageSummary, dump_report, write_output
+from .report import PipelineReport, StageSummary, dump_report
 from .rulegen import (
-    ArtifactStatus,
     MockCompiler,
     generate_all,
     load_findings,
@@ -48,8 +52,6 @@ from .rulegen import (
 
 logger = logging.getLogger(__name__)
 
-STAGE_ORDER = ("extract", "classify", "pair", "generate", "scan", "report")
-
 SPECS_FILENAME = "specs.json"
 EXTRACT_STATS_FILENAME = "extract_stats.json"
 VOTES_FILENAME = "votes.json"
@@ -59,15 +61,6 @@ FINDINGS_FILENAME = "findings.json"
 REPORT_FILENAME = "report.json"
 TIMINGS_FILENAME = "timings.json"
 TRANSCRIPT_FILENAME = "transcript.jsonl"
-
-_STAGE_ARTIFACT = {
-    "extract": SPECS_FILENAME,
-    "classify": VOTES_FILENAME,
-    "pair": PAIRS_FILENAME,
-    "generate": f"{RULES_DIRNAME}/index.json",
-    "scan": FINDINGS_FILENAME,
-    "report": REPORT_FILENAME,
-}
 
 _TOP_LEVEL_KEYS = {
     "project",
@@ -164,13 +157,9 @@ class PipelineConfig:
         cls, path: str | Path, overrides: tuple[str, ...] = ()
     ) -> "PipelineConfig":
         path = Path(path)
-        try:
-            data = json.loads(path.read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-        if overrides and isinstance(data, dict):
+        with config_input():
+            data = read_json(path)
+        if overrides:
             apply_overrides(data, overrides)
         return cls.from_dict(data, base_dir=path.parent)
 
@@ -186,6 +175,14 @@ class PipelineConfig:
         def resolve(value: str) -> Path:
             p = Path(value)
             return p if p.is_absolute() else (base / p)
+
+        def input_file(table: dict, key: str, name: str) -> Path | None:
+            if key not in table:
+                return None
+            path = resolve(table[key])
+            if not path.is_file():
+                raise ConfigError(f"{name} does not exist: {path}")
+            return path
 
         if "project" not in data:
             raise ConfigError("config is missing required key: project")
@@ -214,11 +211,7 @@ class PipelineConfig:
         if llm_mode == "live" and not endpoint:
             raise ConfigError("llm.endpoint is required in live mode")
 
-        mock_script = None
-        if "mock_script" in data:
-            mock_script = resolve(data["mock_script"])
-            if not mock_script.is_file():
-                raise ConfigError(f"mock_script does not exist: {mock_script}")
+        mock_script = input_file(data, "mock_script", "mock_script")
         if llm_mode == "mock" and mock_script is None:
             raise ConfigError("mock llm mode requires mock_script")
 
@@ -226,11 +219,7 @@ class PipelineConfig:
         compiler_kind = compiler.get("kind", "mock")
         if compiler_kind not in ("mock", "codeql"):
             raise ConfigError(f"compiler.kind must be 'mock' or 'codeql', got {compiler_kind!r}")
-        compiler_script = None
-        if "script" in compiler:
-            compiler_script = resolve(compiler["script"])
-            if not compiler_script.is_file():
-                raise ConfigError(f"compiler.script does not exist: {compiler_script}")
+        compiler_script = input_file(compiler, "script", "compiler.script")
         if compiler_kind == "mock" and compiler_script is None:
             raise ConfigError("mock compiler requires compiler.script")
 
@@ -255,11 +244,7 @@ class PipelineConfig:
             raise ConfigError(f"rulegen.timeout_s must be a positive number, got {timeout_s!r}")
 
         scan_cfg = _table(data, "scan", ("database", "manifest"))
-        manifest_path = None
-        if "manifest" in scan_cfg:
-            manifest_path = resolve(scan_cfg["manifest"])
-            if not manifest_path.is_file():
-                raise ConfigError(f"scan.manifest does not exist: {manifest_path}")
+        manifest_path = input_file(scan_cfg, "manifest", "scan.manifest")
 
         filters = None
         if "filters" in data:
@@ -299,29 +284,215 @@ class PipelineConfig:
 # Component wiring
 # ---------------------------------------------------------------------------
 
-
-def build_llm_client(config: PipelineConfig):
-    if config.llm_mode == "mock":
-        assert config.mock_script is not None
-        return MockLlmClient(MockScript.from_jsonl(config.mock_script))
-    return LiveLlmClient(endpoint=config.endpoint)
+# PipelineConfig.from_dict rejects a config without the script a builder
+# needs, so only the stepwise CLI commands reach these errors: they name flags.
 
 
-def build_backend(config: PipelineConfig):
-    if config.backend == "fixture":
+def build_llm_client(llm_mode: str, mock_script: Path | None, endpoint: str):
+    if llm_mode == "mock":
+        if mock_script is None:
+            raise ConfigError("--mock-script is required with --llm mock")
+        return MockLlmClient(MockScript.from_jsonl(mock_script))
+    if not endpoint:
+        raise ConfigError("--endpoint is required with --llm live")
+    return LiveLlmClient(endpoint=endpoint)
+
+
+def build_backend(backend: str, codeql_path: str | None):
+    if backend == "fixture":
         return FixtureBackend()
     from .codeql import CodeQLBackend
 
-    return CodeQLBackend(binary=config.codeql_path)
+    return CodeQLBackend(binary=codeql_path)
 
 
-def build_compiler(config: PipelineConfig):
-    if config.compiler_kind == "mock":
-        assert config.compiler_script is not None
-        return MockCompiler.from_file(config.compiler_script)
+def build_compiler(
+    compiler_kind: str,
+    compiler_script: Path | None,
+    codeql_path: str | None,
+    timeout_s: float | None = None,
+):
+    if compiler_kind == "mock":
+        if compiler_script is None:
+            raise ConfigError("--compiler-script is required with --compiler mock")
+        return MockCompiler.from_file(compiler_script)
     from .codeql import CodeQLCompiler
 
-    return CodeQLCompiler(binary=config.codeql_path, timeout_s=config.timeout_s)
+    return CodeQLCompiler(binary=codeql_path, timeout_s=timeout_s)
+
+
+# ---------------------------------------------------------------------------
+# Stages
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class _Run:
+    """One run's components and what its stages have computed or loaded so far."""
+
+    config: PipelineConfig
+    gateway: LlmGateway | None = None
+    compiler: object = None
+    raw_count: int = 0
+    records: list = field(default_factory=list)
+    votes: list = field(default_factory=list)
+    pairs: list = field(default_factory=list)
+    rules: list = field(default_factory=list)
+    findings: list = field(default_factory=list)
+    report: PipelineReport | None = None
+    seconds: dict[str, float] = field(default_factory=dict)
+
+    def path(self, name: str) -> Path:
+        return self.config.out_dir / name
+
+    def compiler_once(self):
+        """The compiler, built on first use: only generate and scan need one."""
+        if self.compiler is None:
+            c = self.config
+            self.compiler = build_compiler(
+                c.compiler_kind, c.compiler_script, c.codeql_path, c.timeout_s
+            )
+        return self.compiler
+
+
+# The steps below call qlforge's functions through this module's globals at
+# call time, so a wrapper installed on the module (as the benchmark's tracer
+# does) sees every call.
+
+
+def _run_extract(run: _Run) -> None:
+    config = run.config
+    raw = extract_apis(config.project, build_backend(config.backend, config.codeql_path))
+    run.raw_count = len(raw)
+    run.records = dedupe(filter_risky(raw, config.filters))
+    # The spec document holds only the filtered records; keep the raw
+    # call-site count next to it so a resumed run reports the same numbers
+    # as an uninterrupted one. It is written first: the spec document marks
+    # the stage done, so a run killed in between reruns extract.
+    write_text(run.path(EXTRACT_STATS_FILENAME), json.dumps({"call_sites": len(raw)}) + "\n")
+    save_spec_document(run.records, run.path(SPECS_FILENAME))
+
+
+def _load_extract(run: _Run) -> None:
+    run.records = load_spec_document(run.path(SPECS_FILENAME))
+    stats_path = run.path(EXTRACT_STATS_FILENAME)
+    run.raw_count = read_json(stats_path).get("call_sites")
+    if isinstance(run.raw_count, bool) or not isinstance(run.raw_count, int):
+        raise ArtifactCorrupt(
+            f"{stats_path}: expected an integer 'call_sites', got {run.raw_count!r}"
+        )
+
+
+def _run_classify(run: _Run) -> None:
+    c = run.config
+    run.votes = classify_records(
+        run.records, run.gateway, c.model, c.budget, c.seed, c.temperature, c.workers
+    )
+    save_votes(run.votes, run.path(VOTES_FILENAME))
+
+
+def _load_classify(run: _Run) -> None:
+    run.votes = load_votes(run.path(VOTES_FILENAME))
+
+
+def _run_pair(run: _Run) -> None:
+    c = run.config
+    run.pairs = pair_all(
+        run.votes, run.records, run.gateway, c.model,
+        c.pairing_budget, c.drop_sanitized, c.temperature, c.workers,
+    )
+    save_pairs(run.pairs, run.path(PAIRS_FILENAME))
+
+
+def _load_pair(run: _Run) -> None:
+    run.pairs = load_pairs(run.path(PAIRS_FILENAME))
+
+
+def _run_generate(run: _Run) -> None:
+    c = run.config
+    run.rules = generate_all(
+        run.pairs, record_lookup(run.records), run.gateway.client, run.compiler_once(),
+        run.path(RULES_DIRNAME), c.model, c.max_iters, c.temperature, c.timeout_s, c.workers,
+    )
+
+
+def _load_generate(run: _Run) -> None:
+    run.rules = load_rule_artifacts(run.path(RULES_DIRNAME))
+
+
+def _run_scan(run: _Run) -> None:
+    run.findings = scan(run.rules, run.config.database, run.compiler_once())
+    save_findings(run.findings, run.path(FINDINGS_FILENAME))
+
+
+def _load_scan(run: _Run) -> None:
+    run.findings = load_findings(run.path(FINDINGS_FILENAME))
+
+
+def _run_report(run: _Run) -> None:
+    c = run.config
+    manifest = load_manifest(c.manifest_path) if c.manifest_path else None
+    metrics = compute_metrics(run.rules, run.findings, manifest)
+    labels = Counter(v.resolved for v in run.votes)
+    defaulted = sum(1 for v in run.votes for b in v.ballots if b.parse_warning)
+    warnings = (
+        (sum(1 for v in run.votes if v.tie), "classify: {} vote(s) resolved to None by tie"),
+        (defaulted, "classify: {} ballot(s) defaulted on a parse warning"),
+        (metrics.aborted, "generate: {} rule(s) aborted without compiling"),
+    )
+    run.report = PipelineReport(
+        project=c.project.name,
+        backend=c.backend,
+        llm_mode=c.llm_mode,
+        # Whole seconds only, so identical inputs give byte-identical reports
+        # even when wall time jitters below 1s. The report cannot time itself
+        # before writing itself; its row is pinned to 0s.
+        stages=tuple(
+            StageSummary(name, "ok", int(run.seconds.get(name, 0))) for name in STAGE_ORDER
+        ),
+        counts={
+            "apis_extracted": run.raw_count,
+            "apis_kept": len(run.records),
+            "votes": len(run.votes),
+            "sources": labels[TaintLabel.SOURCE],
+            "sinks": labels[TaintLabel.SINK],
+            "sanitizers": labels[TaintLabel.SANITIZER],
+            "pairs": len(run.pairs),
+            "rules_compiled": metrics.compiled,
+            "rules_aborted": metrics.aborted,
+            "findings": len(run.findings),
+        },
+        metrics=metrics,
+        warnings=tuple(text.format(count) for count, text in warnings if count),
+    )
+    write_text(run.path(REPORT_FILENAME), dump_report(run.report))
+    seconds = {name: round(s, 6) for name, s in run.seconds.items()}
+    write_text(run.path(TIMINGS_FILENAME), dump_json({"stage_seconds": seconds}))
+
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage: the artifact that marks it done, and how to make or read it."""
+
+    name: str
+    artifact: str  # relative to the run directory
+    run: Callable[[_Run], None]
+    load: Callable[[_Run], None] | None  # None: a run with this artifact is complete
+    uses_model: bool = False
+
+
+STAGES = (
+    Stage("extract", SPECS_FILENAME, _run_extract, _load_extract),
+    Stage("classify", VOTES_FILENAME, _run_classify, _load_classify, uses_model=True),
+    Stage("pair", PAIRS_FILENAME, _run_pair, _load_pair, uses_model=True),
+    Stage(
+        "generate", f"{RULES_DIRNAME}/index.json", _run_generate, _load_generate, uses_model=True
+    ),
+    Stage("scan", FINDINGS_FILENAME, _run_scan, _load_scan),
+    Stage("report", REPORT_FILENAME, _run_report, None),
+)
+STAGE_ORDER = tuple(stage.name for stage in STAGES)
+_SIDECARS = (EXTRACT_STATS_FILENAME, TIMINGS_FILENAME, TRANSCRIPT_FILENAME)
 
 
 # ---------------------------------------------------------------------------
@@ -330,43 +501,16 @@ def build_compiler(config: PipelineConfig):
 
 
 def _clear_run_dir(out_dir: Path) -> None:
-    for name in (
-        SPECS_FILENAME,
-        EXTRACT_STATS_FILENAME,
-        VOTES_FILENAME,
-        PAIRS_FILENAME,
-        FINDINGS_FILENAME,
-        REPORT_FILENAME,
-        TIMINGS_FILENAME,
-        TRANSCRIPT_FILENAME,
-    ):
+    for name in (*(Path(stage.artifact).parts[0] for stage in STAGES), *_SIDECARS):
         path = out_dir / name
-        if path.is_file():
+        if path.is_dir():
+            shutil.rmtree(path)
+        elif path.is_file():
             path.unlink()
-    rules = out_dir / RULES_DIRNAME
-    if rules.is_dir():
-        shutil.rmtree(rules)
 
 
 def _first_missing_stage(out_dir: Path) -> str | None:
-    for stage in STAGE_ORDER:
-        if not (out_dir / _STAGE_ARTIFACT[stage]).is_file():
-            return stage
-    return None
-
-
-class _Timings:
-    def __init__(self):
-        self.precise: dict[str, float] = {}
-        self.summaries: list[StageSummary] = []
-
-    def record(self, stage: str, elapsed: float, resumed: bool = False) -> None:
-        self.precise[stage] = round(elapsed, 6)
-        # Whole seconds only in the report proper, so identical inputs give
-        # byte-identical reports even when wall time jitters below 1s.
-        self.summaries.append(StageSummary(stage, "ok", int(elapsed)))
-        if resumed:
-            self.precise[stage] = 0.0
+    return next((s.name for s in STAGES if not (out_dir / s.artifact).is_file()), None)
 
 
 def run_pipeline(
@@ -385,231 +529,35 @@ def run_pipeline(
         raise ValueError(f"unknown stage: {stop_after!r}")
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
-
     if resume:
         start = _first_missing_stage(out_dir)
         if start is None:
             raise NothingToDo(f"run in {out_dir} is already complete")
     else:
         _clear_run_dir(out_dir)
-        start = "extract"
-    start_index = STAGE_ORDER.index(start)
+        start = STAGE_ORDER[0]
     logger.info("starting pipeline at stage %r (out_dir=%s)", start, out_dir)
+    first = STAGE_ORDER.index(start)
+    end = STAGE_ORDER.index(stop_after) + 1 if stop_after else len(STAGES)
 
-    timings = _Timings()
-    warnings: list[str] = []
-    needs_llm = any(
-        STAGE_ORDER.index(s) >= start_index
-        for s in ("classify", "pair", "generate")
-        if stop_after is None or STAGE_ORDER.index(s) <= STAGE_ORDER.index(stop_after)
-    )
-    client = build_llm_client(config) if needs_llm else None
-    compiler = None
-
-    records = None
-    raw_count = None
-    votes = None
-    pairs = None
-    artifacts = None
-    findings = None
-
-    def run_stage(stage: str, fn):
-        nonlocal compiler
+    run = _Run(config)
+    if any(stage.uses_model for stage in STAGES[first:end]):
+        # Built before the first stage runs, so a bad mock script is a
+        # config error rather than a stage failure.
+        client = build_llm_client(config.llm_mode, config.mock_script, config.endpoint)
+        run.gateway = LlmGateway(client, transcripts=TranscriptStore(out_dir / TRANSCRIPT_FILENAME))
+    for stage in STAGES[:first]:
+        stage.load(run)
+        run.seconds[stage.name] = 0.0
+    for stage in STAGES[first:end]:
         begun = time.monotonic()
         try:
-            result = fn()
-        except (NothingToDo, NothingToPair):
-            raise
+            stage.run(run)
+        except NothingToPair as exc:
+            raise NothingToDo(str(exc)) from exc
         except QlforgeError as exc:
-            raise StageFailure(stage, str(exc)) from exc
-        timings.record(stage, time.monotonic() - begun)
-        return result
-
-    # --- extract ---
-    if start_index <= STAGE_ORDER.index("extract"):
-
-        def do_extract():
-            nonlocal raw_count
-            backend = build_backend(config)
-            raw = extract_apis(config.project, backend)
-            raw_count = len(raw)
-            if not raw:
-                warnings.append("extract: no call sites found under project")
-            kept = dedupe(filter_risky(raw, config.filters))
-            save_spec_document(kept, out_dir / SPECS_FILENAME)
-            # The spec document holds only the filtered records; keep the
-            # raw call-site count next to it so a resumed run reports the
-            # same numbers as an uninterrupted one.
-            write_output(
-                json.dumps({"call_sites": raw_count}) + "\n",
-                out_dir / EXTRACT_STATS_FILENAME,
-            )
-            return kept
-
-        records = run_stage("extract", do_extract)
-        if stop_after == "extract":
-            return None
-    else:
-        records = load_spec_document(out_dir / SPECS_FILENAME)
-        stats_path = out_dir / EXTRACT_STATS_FILENAME
-        if stats_path.is_file():
-            raw_count = read_json(stats_path).get("call_sites")
-            if isinstance(raw_count, bool) or not isinstance(raw_count, int):
-                raise ArtifactCorrupt(
-                    f"{stats_path}: expected an integer 'call_sites', got {raw_count!r}"
-                )
-        else:
-            raw_count = len(records)
-        timings.record("extract", 0.0, resumed=True)
-
-    shared_transcript = TranscriptStore(out_dir / TRANSCRIPT_FILENAME)
-    gateway = LlmGateway(client, transcripts=shared_transcript) if client is not None else None
-
-    # --- classify ---
-    if start_index <= STAGE_ORDER.index("classify"):
-
-        def do_classify():
-            result = classify_records(
-                records,
-                gateway,
-                config.model,
-                config.budget,
-                config.seed,
-                config.temperature,
-                config.workers,
-            )
-            save_votes(result, out_dir / VOTES_FILENAME)
-            return result
-
-        votes = run_stage("classify", do_classify)
-        if stop_after == "classify":
-            return None
-    else:
-        votes = load_votes(out_dir / VOTES_FILENAME)
-        timings.record("classify", 0.0, resumed=True)
-
-    ties = sum(1 for v in votes if v.tie)
-    if ties:
-        warnings.append(f"classify: {ties} vote(s) resolved to None by tie")
-    parse_warnings = sum(1 for v in votes for b in v.ballots if b.parse_warning)
-    if parse_warnings:
-        warnings.append(f"classify: {parse_warnings} ballot(s) defaulted on a parse warning")
-
-    # --- pair ---
-    if start_index <= STAGE_ORDER.index("pair"):
-
-        def do_pair():
-            try:
-                result = pair_all(
-                    votes,
-                    records,
-                    gateway,
-                    config.model,
-                    config.pairing_budget,
-                    config.drop_sanitized,
-                    config.temperature,
-                    config.workers,
-                )
-            except NothingToPair as exc:
-                raise NothingToDo(str(exc)) from exc
-            save_pairs(result, out_dir / PAIRS_FILENAME)
-            return result
-
-        pairs = run_stage("pair", do_pair)
-        if stop_after == "pair":
-            return None
-    else:
-        pairs = load_pairs(out_dir / PAIRS_FILENAME)
-        timings.record("pair", 0.0, resumed=True)
-
-    # --- generate ---
-    if start_index <= STAGE_ORDER.index("generate"):
-
-        def do_generate():
-            nonlocal compiler
-            compiler = build_compiler(config)
-            return generate_all(
-                pairs,
-                record_lookup(records),
-                client,
-                compiler,
-                out_dir / RULES_DIRNAME,
-                config.model,
-                config.max_iters,
-                config.temperature,
-                config.timeout_s,
-                config.workers,
-            )
-
-        artifacts = run_stage("generate", do_generate)
-        if stop_after == "generate":
-            return None
-    else:
-        artifacts = load_rule_artifacts(out_dir / RULES_DIRNAME)
-        timings.record("generate", 0.0, resumed=True)
-
-    aborted = sum(1 for a in artifacts if a.status is ArtifactStatus.ABORTED)
-    if aborted:
-        warnings.append(f"generate: {aborted} rule(s) aborted without compiling")
-
-    # --- scan ---
-    if start_index <= STAGE_ORDER.index("scan"):
-
-        def do_scan():
-            nonlocal compiler
-            if compiler is None:
-                compiler = build_compiler(config)
-            result = scan(artifacts, config.database, compiler)
-            save_findings(result, out_dir / FINDINGS_FILENAME)
-            return result
-
-        findings = run_stage("scan", do_scan)
-        if stop_after == "scan":
-            return None
-    else:
-        findings = load_findings(out_dir / FINDINGS_FILENAME)
-        timings.record("scan", 0.0, resumed=True)
-
-    # --- report ---
-    def do_report():
-        manifest = load_manifest(config.manifest_path) if config.manifest_path else None
-        metrics = compute_metrics(artifacts, findings, manifest)
-        label_counts = {
-            label: sum(1 for v in votes if v.resolved is label) for label in TaintLabel
-        }
-        counts = {
-            "apis_extracted": raw_count,
-            "apis_kept": len(records),
-            "votes": len(votes),
-            "sources": label_counts[TaintLabel.SOURCE],
-            "sinks": label_counts[TaintLabel.SINK],
-            "sanitizers": label_counts[TaintLabel.SANITIZER],
-            "pairs": len(pairs),
-            "rules_compiled": metrics.compiled,
-            "rules_aborted": metrics.aborted,
-            "findings": len(findings),
-        }
-        stage_rows = {s.name: s for s in timings.summaries}
-        # The report cannot time itself before writing itself; its row is
-        # pinned to 0s, matching every other stage under mock inputs.
-        stage_rows["report"] = StageSummary("report", "ok", 0)
-        summaries = tuple(stage_rows[name] for name in STAGE_ORDER if name in stage_rows)
-        report = PipelineReport(
-            project=config.project.name,
-            backend=config.backend,
-            llm_mode=config.llm_mode,
-            stages=summaries,
-            counts=counts,
-            metrics=metrics,
-            warnings=tuple(warnings),
-        )
-        write_output(dump_report(report), out_dir / REPORT_FILENAME)
-        write_output(
-            json.dumps({"stage_seconds": timings.precise}, indent=2) + "\n",
-            out_dir / TIMINGS_FILENAME,
-        )
-        return report
-
-    report = run_stage("report", do_report)
-    logger.info("pipeline complete: %s", out_dir / REPORT_FILENAME)
-    return report
+            raise StageFailure(stage.name, str(exc)) from exc
+        run.seconds[stage.name] = time.monotonic() - begun
+    if run.report is not None:
+        logger.info("pipeline complete: %s", out_dir / REPORT_FILENAME)
+    return run.report

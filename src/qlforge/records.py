@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .artifacts import parse_entries
+from .artifacts import dump_json, parse_entries, read_text, write_text
 
 logger = logging.getLogger(__name__)
 
@@ -173,7 +173,7 @@ def dump_spec_document(records: list[ApiRecord]) -> str:
         else:
             logger.warning("dropping record %s: snippet not encodable as UTF-8", record.id)
     doc = {"version": SPEC_DOC_VERSION, "apis": [r.to_dict() for r in kept]}
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return dump_json(doc)
 
 
 def parse_spec_document(text: str, source: str | Path = "spec document") -> list[ApiRecord]:
@@ -181,11 +181,11 @@ def parse_spec_document(text: str, source: str | Path = "spec document") -> list
 
 
 def save_spec_document(records: list[ApiRecord], path: str | Path) -> None:
-    Path(path).write_text(dump_spec_document(records), encoding="utf-8")
+    write_text(path, dump_spec_document(records))
 
 
 def load_spec_document(path: str | Path) -> list[ApiRecord]:
-    return parse_spec_document(Path(path).read_text(encoding="utf-8"), path)
+    return parse_spec_document(read_text(path), path)
 
 
 def record_lookup(records: list[ApiRecord]) -> dict[str, ApiRecord]:

@@ -8,12 +8,11 @@ Sub-second timing detail goes to a sidecar next to the report instead.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .errors import UnwritableOutput
+from .artifacts import check_version, dump_json, read_json, shape_checked
 from .metrics import Metrics, format_rate
 from .rulegen import Finding
 
@@ -76,11 +75,14 @@ class PipelineReport:
 
 
 def dump_report(report: PipelineReport) -> str:
-    return json.dumps(report.to_dict(), indent=2, ensure_ascii=False) + "\n"
+    return dump_json(report.to_dict())
 
 
 def load_report(path: str | Path) -> PipelineReport:
-    return PipelineReport.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+    doc = read_json(path)
+    check_version(doc, path, REPORT_VERSION)
+    with shape_checked(path, "report"):
+        return PipelineReport.from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -171,7 +173,7 @@ def render_sarif(report: PipelineReport, findings: list[Finding]) -> str:
             }
         ],
     }
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return dump_json(doc)
 
 
 def emit_report(
@@ -190,11 +192,3 @@ def emit_report(
     if fmt == "sarif":
         return render_sarif(report, findings or [])
     raise ValueError(f"unknown report format: {fmt!r}")
-
-
-def write_output(text: str, path: str | Path) -> None:
-    """Write an artifact, wrapping filesystem failures in UnwritableOutput."""
-    try:
-        Path(path).write_text(text, encoding="utf-8")
-    except OSError as exc:
-        raise UnwritableOutput(f"cannot write {path}: {exc}") from exc

@@ -34,7 +34,16 @@ from enum import Enum
 from pathlib import Path
 from typing import Protocol
 
-from .artifacts import check_version, parse_entries, read_json, shape_checked
+from .artifacts import (
+    check_version,
+    config_input,
+    dump_json,
+    parse_entries,
+    read_json,
+    read_text,
+    shape_checked,
+    write_text,
+)
 from .errors import CompilerUnavailable, ConfigError, EmptyDraft, UnknownApiId
 from .gateway import LlmClient, LlmGateway, TranscriptStore, simple_request
 from .pairing import SourceSinkPair
@@ -204,7 +213,8 @@ class MockCompiler:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockCompiler":
-        return cls(json.loads(Path(path).read_text(encoding="utf-8")))
+        with config_input():
+            return cls(read_json(path))
 
     def _entry(self, pair_id: str) -> dict:
         return self._pairs.get(pair_id, self._default)
@@ -425,11 +435,8 @@ def generate_rule(
 def save_rule_artifact(artifact: RuleArtifact, rules_dir: str | Path) -> Path:
     pair_dir = Path(rules_dir) / artifact.pair_id
     pair_dir.mkdir(parents=True, exist_ok=True)
-    (pair_dir / RULE_FILENAME).write_text(artifact.rule_text, encoding="utf-8")
-    (pair_dir / STATUS_FILENAME).write_text(
-        json.dumps(artifact.status_dict(), indent=2, ensure_ascii=False) + "\n",
-        encoding="utf-8",
-    )
+    write_text(pair_dir / RULE_FILENAME, artifact.rule_text)
+    write_text(pair_dir / STATUS_FILENAME, dump_json(artifact.status_dict()))
     return pair_dir
 
 
@@ -450,9 +457,7 @@ def write_rule_index(artifacts: list[RuleArtifact], rules_dir: str | Path) -> No
         ],
     }
     Path(rules_dir).mkdir(parents=True, exist_ok=True)
-    (Path(rules_dir) / INDEX_FILENAME).write_text(
-        json.dumps(doc, indent=2, ensure_ascii=False) + "\n", encoding="utf-8"
-    )
+    write_text(Path(rules_dir) / INDEX_FILENAME, dump_json(doc))
 
 
 def load_rule_artifacts(rules_dir: str | Path) -> list[RuleArtifact]:
@@ -468,7 +473,7 @@ def load_rule_artifacts(rules_dir: str | Path) -> list[RuleArtifact]:
     for pair_dir in pair_dirs:
         status_path = pair_dir / STATUS_FILENAME
         status = read_json(status_path)
-        rule_text = (pair_dir / RULE_FILENAME).read_text(encoding="utf-8")
+        rule_text = read_text(pair_dir / RULE_FILENAME)
         with shape_checked(status_path, "status"):
             artifacts.append(
                 RuleArtifact(
@@ -624,7 +629,7 @@ def _execute_isolating_failures(
 def dump_findings(findings: list[Finding]) -> str:
     ordered = sorted(findings, key=lambda f: (f.file, f.start_line, f.end_line, f.pair_id))
     doc = {"version": FINDINGS_DOC_VERSION, "findings": [f.to_dict() for f in ordered]}
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return dump_json(doc)
 
 
 def parse_findings(text: str, source: str | Path = "findings document") -> list[Finding]:
@@ -632,8 +637,8 @@ def parse_findings(text: str, source: str | Path = "findings document") -> list[
 
 
 def save_findings(findings: list[Finding], path: str | Path) -> None:
-    Path(path).write_text(dump_findings(findings), encoding="utf-8")
+    write_text(path, dump_findings(findings))
 
 
 def load_findings(path: str | Path) -> list[Finding]:
-    return parse_findings(Path(path).read_text(encoding="utf-8"), path)
+    return parse_findings(read_text(path), path)

@@ -402,3 +402,32 @@ def test_vote_record_dict_shape():
     assert set(data) == {"api_id", "ballots", "resolved", "tie"}
     assert set(data["ballots"][0]) == {"round", "group_id", "label", "response_ref", "parse_warning"}
     assert VoteRecord.from_dict(data) == vote
+
+
+_LABEL_RESPONSE = st.one_of(
+    st.text(),
+    st.lists(
+        st.one_of(
+            st.builds(
+                "{}{}: {}".format,
+                st.sampled_from(["", "- ", "* `"]),
+                st.sampled_from([*GROUP.member_ids, "cccc000011112222", ""]),
+                st.sampled_from(["Source", "sink", "SANITIZER", "None", "maybe", ""]),
+            ),
+            st.text(max_size=20),
+        ),
+        max_size=6,
+    ).map("\n".join),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=_LABEL_RESPONSE)
+def test_parse_gives_one_ballot_per_member_for_any_text(text):
+    try:
+        ballots = parse_classification_response(text, GROUP)
+    except WhollyMalformed:
+        return
+    assert len(ballots) == len(GROUP.member_ids)
+    assert all(b.round_index == GROUP.round_index and b.group_id == GROUP.group_id for b in ballots)
+    assert all(isinstance(b.label, TaintLabel) for b in ballots)

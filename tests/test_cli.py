@@ -198,6 +198,32 @@ def test_run_resume_on_mis_shaped_rule_artifact_is_stage_error(
     assert f"{path}: malformed" in result.output
 
 
+@pytest.mark.parametrize("name", ["rule.ql", "status.json"])
+def test_run_resume_on_missing_rule_file_is_stage_error(runner, tmp_path, name):
+    config = _write_config(tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == EXIT_OK
+    run_dir = tmp_path / "run"
+    path = sorted(run_dir.glob(f"rules/*/{name}"))[0]
+    path.unlink()
+    (run_dir / "findings.json").unlink()
+    (run_dir / "report.json").unlink()
+    result = runner.invoke(main, ["run", "--config", str(config), "--resume"])
+    assert result.exit_code == EXIT_STAGE
+    assert f"{path}: cannot read: No such file or directory" in result.output
+
+
+def test_run_resume_without_extract_stats_is_stage_error(runner, tmp_path):
+    config = _write_config(tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == EXIT_OK
+    run_dir = tmp_path / "run"
+    path = run_dir / "extract_stats.json"
+    path.unlink()
+    (run_dir / "votes.json").unlink()
+    result = runner.invoke(main, ["run", "--config", str(config), "--resume"])
+    assert result.exit_code == EXIT_STAGE
+    assert f"{path}: cannot read" in result.output
+
+
 @pytest.mark.parametrize("stats", [{}, {"call_sites": "22"}])
 def test_run_resume_on_bad_extract_stats_is_stage_error(runner, tmp_path, stats):
     config = _write_config(tmp_path)
@@ -332,6 +358,40 @@ def test_report_formats(runner, tmp_path):
     assert sarif.exit_code == EXIT_OK
     doc = json.loads(out_path.read_text())
     assert len(doc["runs"][0]["results"]) == 3
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        pytest.param(lambda text: text[:40], "not valid JSON", id="truncated"),
+        pytest.param(
+            lambda text: text.replace('"version": 1', '"version": 2'),
+            "unsupported document version: 2",
+            id="version-2",
+        ),
+        pytest.param(lambda text: '{"version": 1}', "malformed 'report' entry", id="no-project"),
+    ],
+)
+def test_report_on_unreadable_report_is_stage_error(runner, tmp_path, corrupt, message):
+    config = _write_config(tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == EXIT_OK
+    path = tmp_path / "run" / "report.json"
+    path.write_text(corrupt(path.read_text(encoding="utf-8")), encoding="utf-8")
+    result = runner.invoke(main, ["report", "--run", str(tmp_path / "run")])
+    assert result.exit_code == EXIT_STAGE
+    assert f"{path}: {message}" in result.output
+
+
+@pytest.mark.parametrize("line", ["7", "[1]", '{"response": 5}'])
+def test_run_with_a_malformed_mock_script_line_is_config_error(runner, tmp_path, line):
+    script = tmp_path / "mock.jsonl"
+    script.write_text((FIXTURES / "mock_llm.jsonl").read_text(encoding="utf-8") + line + "\n")
+    lineno = len(script.read_text(encoding="utf-8").splitlines())
+    config = _write_config(tmp_path, mock_script=str(script))
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == EXIT_CONFIG
+    assert f"{script}:{lineno}: bad mock script line" in result.output
+    assert not (tmp_path / "run" / "specs.json").exists()
 
 
 def test_report_before_run_is_nothing_to_do(runner, tmp_path):

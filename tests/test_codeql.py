@@ -1,10 +1,14 @@
 import json
 import os
+import re
 import stat
 import textwrap
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from qlforge import codeql
 from qlforge.codeql import (
     CodeQLBackend,
     CodeQLCompiler,
@@ -396,3 +400,27 @@ def test_sarif_results_edge_cases():
     # No startLine means no finding; endLine defaults to startLine.
     assert results == [(None, {"file": "F.java", "start_line": 4, "end_line": 4, "message": ""})]
     assert list(_sarif_results({})) == []
+
+
+_RULE_PIECES = st.sampled_from(
+    ["/**", "*/", "/*", "//", "@id", "@id x", "@id-y", "@identifier", " ", "\n", "*", "select 1"]
+)
+_RULE_TEXT = st.one_of(st.text(), st.lists(_RULE_PIECES, max_size=12).map("".join))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(rule=_RULE_TEXT)
+@example(rule="/**\n * @id a\n * @id b\n */\nselect 1\n")
+def test_stamp_rule_id_leaves_exactly_one_id_for_any_text(rule):
+    stamped = stamp_rule_id(rule, "qlforge/p__q")
+    block = codeql._LEADING_QLDOC_RE.match(stamped).group(1)
+    assert re.findall(r"@id(?![\w-])[ \t]*(\S*?)(?=\*/|\s|$)", block) == ["qlforge/p__q"]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(stderr=st.one_of(st.text(), st.lists(st.sampled_from(
+    ["rule.ql", ":", "12", "3", " error", " warning", " msg", "\n", "x:1:2:3:4:"]
+), max_size=12).map("".join)))
+def test_parse_compile_diagnostics_never_raises(stderr):
+    for diagnostic in parse_compile_diagnostics(stderr):
+        assert diagnostic.line >= 0 and diagnostic.column >= 0

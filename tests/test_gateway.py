@@ -3,8 +3,10 @@ import random
 import string
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qlforge.errors import AuthFailure, ProviderError, RateLimited
+from qlforge.errors import AuthFailure, ConfigError, ProviderError, RateLimited
 from qlforge.gateway import (
     LlmGateway,
     LlmRequest,
@@ -283,3 +285,31 @@ def test_live_client_retryable_status_then_ok():
     response, _ = gateway.complete(simple_request("classify", "m", "x"))
     assert response.text == "fine"
     assert len(session.posts) == 2
+
+
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(
+        st.sampled_from(["stage", "contains", "response", "default", "once"]), inner, max_size=4
+    ),
+    max_leaves=6,
+)
+_SCRIPT_LINE = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=30),
+    _JSON_VALUE.map(json.dumps),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lines=st.lists(_SCRIPT_LINE, max_size=5))
+def test_mock_script_loads_or_is_config_error_for_any_lines(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "any_script.jsonl"
+    path.write_text("\n".join(lines), encoding="utf-8")
+    try:
+        script = MockScript.from_jsonl(path)
+    except ConfigError as exc:
+        assert str(exc).startswith(f"{path}")
+        return
+    for stage in ("classify", "write"):
+        assert isinstance(script.respond(simple_request(stage, "m", "prompt")), str)

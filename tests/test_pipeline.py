@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -183,7 +184,7 @@ def test_live_client_built_from_env(monkeypatch, tmp_path):
     data.pop("mock_script")
     data["llm"] = {"mode": "live", "endpoint": "https://example.invalid/v1"}
     config = PipelineConfig.from_dict(data, base_dir=FIXTURES)
-    client = build_llm_client(config)
+    client = build_llm_client(config.llm_mode, config.mock_script, config.endpoint)
     assert client.api_key == "sekrit"
 
 
@@ -283,6 +284,44 @@ def test_full_run_writes_every_artifact(run_config):
     assert stages == {"classify", "pair"}
     timings = json.loads((config.out_dir / "timings.json").read_text())
     assert set(timings["stage_seconds"]) == set(STAGE_ORDER) - {"report"}
+
+
+# sha256 of every artifact of the fixture run but the transcripts and the
+# wall-clock timings. These pin the behaviour contract: a change that alters
+# any byte of what the pipeline writes fails here, not only a change that
+# makes two runs of the same code disagree.
+GOLDEN_DIGESTS = {
+    "specs.json": "07d3371b4a78f85ed5766a150d64051713894dc66d9757557c474bbe4f8a8aaa",
+    "extract_stats.json": "7432343b5f2d89fb463b333dfdd155daea5d1aed6a673c25b691a0e66ee091ff",
+    "votes.json": "5d06edbbbf287315a449609a4e4943b16d12832ad42ea65a65d968d89ec1c8cc",
+    "pairs.json": "7329a184faf6450a9269f446ce13a70c890e7c685f58199b8de48058ba1dfe7f",
+    "rules/index.json": "655a3af6de922d7c7fe3502753a5c55236dd69ddd7431810a3bc9c7d0fc91c34",
+    "rules/35ae7cb3a1e82ec0__bc5caa3125faa3d4/rule.ql":
+        "593607556ffaa97eb44e5afca3e2800b40add68e84f294ccde4356b3e901d765",
+    "rules/35ae7cb3a1e82ec0__bc5caa3125faa3d4/status.json":
+        "f3d72f9b82eae7c762973fe8524d4524930db79a758310afac5c6a4208bd4954",
+    "rules/36fdcc4350f3c45c__0465103141b4b803/rule.ql":
+        "e950e4b90af3903668d355b479d39dceb46a53a21cd720b2f4398b501f2b4947",
+    "rules/36fdcc4350f3c45c__0465103141b4b803/status.json":
+        "a1a70ee1209c0842cfff989aea94d6478c71be8b50d07bf2d8adec53ca531b46",
+    "rules/36fdcc4350f3c45c__10fc72d39a64e0f0/rule.ql":
+        "eaf74369e1453412c09e7891fe80f508d1aadc84441457cda460927621acceaf",
+    "rules/36fdcc4350f3c45c__10fc72d39a64e0f0/status.json":
+        "0501686a5818b23381895493cbe3aee710883cd20212db6a919df50d7bdf715a",
+    "findings.json": "c1a79c59f0bb81a96790ded5b7b127ac5bd5cd09689abbdfa609033e420f77ee",
+    "report.json": "b6edce1468d552d84046b5a9c4c335a03e33f4f4636e084c1af6eb000add7873",
+}
+
+
+def test_fixture_run_matches_golden_digests(run_config):
+    config = run_config()
+    run_pipeline(config)
+    digests = {
+        str(path.relative_to(config.out_dir)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in config.out_dir.rglob("*")
+        if path.is_file() and path.name not in ("transcript.jsonl", "timings.json")
+    }
+    assert digests == GOLDEN_DIGESTS
 
 
 def test_unset_temperature_uses_stage_defaults(run_config):
@@ -423,6 +462,37 @@ def test_stage_failure_names_the_stage(run_config, tmp_path):
     assert "generate" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "text",
+    [pytest.param('{"version": 1, "pai', id="truncated"), pytest.param("[1]", id="array")],
+)
+def test_unreadable_compiler_script_fails_generate(run_config, tmp_path, text):
+    bad_script = tmp_path / "bad_compiler.json"
+    bad_script.write_text(text)
+    config = run_config(compiler={"kind": "mock", "script": str(bad_script)})
+    with pytest.raises(StageFailure, match=f"{bad_script}: ") as err:
+        run_pipeline(config)
+    assert err.value.stage == "generate"
+    assert isinstance(err.value.__cause__, ConfigError)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda text: text[:40], id="truncated"),
+        pytest.param(lambda text: '{"version": 1, "vulns": [{}]}', id="empty-entry"),
+    ],
+)
+def test_unreadable_manifest_fails_report(run_config, tmp_path, corrupt):
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(corrupt((FIXTURES / "manifest.json").read_text(encoding="utf-8")))
+    config = run_config(scan={"database": "demo_project", "manifest": str(manifest)})
+    with pytest.raises(StageFailure, match=f"{manifest}: ") as err:
+        run_pipeline(config)
+    assert err.value.stage == "report"
+    assert isinstance(err.value.__cause__, ConfigError)
+
+
 def test_empty_project_raises_nothing_to_do(run_config, tmp_path):
     empty = tmp_path / "empty_project"
     empty.mkdir()
@@ -433,5 +503,6 @@ def test_empty_project_raises_nothing_to_do(run_config, tmp_path):
 
 
 def test_build_compiler_mock(run_config):
-    compiler = build_compiler(run_config())
+    config = run_config()
+    compiler = build_compiler(config.compiler_kind, config.compiler_script, config.codeql_path)
     assert compiler.name == "mock"

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from qlforge import __version__
-from qlforge.errors import UnwritableOutput
 from qlforge.metrics import Metrics
 from qlforge.report import (
     PipelineReport,
@@ -13,7 +12,6 @@ from qlforge.report import (
     load_report,
     render_sarif,
     render_text,
-    write_output,
 )
 from qlforge.rulegen import Finding
 
@@ -118,12 +116,3 @@ def test_emit_report_dispatch():
     assert json.loads(emit_report(report, "sarif", _findings()))["runs"]
     with pytest.raises(ValueError):
         emit_report(report, "yaml")
-
-
-def test_write_output_wraps_oserror(tmp_path):
-    target = tmp_path / "missing" / "deeper" / "out.json"
-    with pytest.raises(UnwritableOutput):
-        write_output("{}", target)
-    ok = tmp_path / "out.json"
-    write_output("hello", ok)
-    assert ok.read_text() == "hello"

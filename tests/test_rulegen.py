@@ -4,6 +4,8 @@ import sys
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlforge.codeql import CodeQLCompiler
 from qlforge.errors import CompilerUnavailable, ConfigError, EmptyDraft
@@ -11,6 +13,7 @@ from qlforge.gateway import LlmGateway, LlmResponse
 from qlforge.pairing import SourceSinkPair, make_pair_id
 from qlforge.prompts import load_template
 from qlforge.rulegen import (
+    _strip_fences,
     ArtifactStatus,
     CompileResult,
     CompileStatus,
@@ -541,3 +544,10 @@ def test_compile_result_defaults():
     result = CompileResult(CompileStatus.OK)
     assert result.diagnostics == ()
     assert result.elapsed_s == 0.0
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(text=st.one_of(st.text(), st.lists(st.sampled_from(["```", "```ql", "\n", " ", "x"]), max_size=10).map("".join)))
+def test_strip_fences_never_raises(text):
+    stripped = _strip_fences(text)
+    assert stripped == stripped.strip()
