@@ -1,9 +1,9 @@
 """Writing and reading the files a run leaves on disk.
 
-Every write goes through :func:`write_text`, which writes a temporary file
-next to the target and renames it into place, so a killed run leaves either
-the previous file or the new one, never half of one. A write that fails
-raises :class:`UnwritableOutput` naming the file.
+Every write goes through :func:`write_text` or :func:`write_json`, which
+write a temporary file next to the target and rename it into place, so a
+killed run leaves either the previous file or the new one, never half of
+one. A write that fails raises :class:`UnwritableOutput` naming the file.
 
 Every way a document can be unreadable (a missing file, bytes that are not
 UTF-8, text that is not JSON, a JSON value that is not an object, a foreign
@@ -19,7 +19,7 @@ import os
 import threading
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Callable, Iterator, TypeVar
+from typing import Callable, Iterator, TextIO, TypeVar
 
 from .errors import ArtifactCorrupt, ConfigError, UnwritableOutput
 
@@ -33,16 +33,43 @@ def dump_json(doc) -> str:
 
 def write_text(path: str | Path, text: str) -> None:
     """Replace ``path`` with ``text`` (UTF-8) in one rename."""
+    with _replaced(path) as fh:
+        fh.write(text)
+
+
+def write_json(path: str | Path, doc) -> None:
+    """Replace ``path`` with :func:`dump_json`'s text for ``doc``, streamed.
+
+    The encoder writes the document piece by piece into the temporary file,
+    so the whole text is never held in memory at once.
+    """
+    with _replaced(path) as fh:
+        json.dump(doc, fh, indent=2, ensure_ascii=False)
+        fh.write("\n")
+
+
+@contextmanager
+def _replaced(path: str | Path) -> Iterator[TextIO]:
+    """A text file to write that replaces ``path`` in one rename on success.
+
+    On any failure the temporary file is removed and ``path`` keeps its old
+    content; an ``OSError`` or ``UnicodeError`` is raised as
+    :class:`UnwritableOutput` naming the file.
+    """
     path = Path(path)
     # One name per writing thread, so two writers never share a temporary file.
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
-    except (OSError, UnicodeError) as exc:
+    except BaseException as exc:
+        # The stream may fail partway (say, a lone surrogate deep in a
+        # document), so the temporary file goes whatever the error.
         tmp.unlink(missing_ok=True)
-        raise UnwritableOutput(f"cannot write {path}: {exc}") from exc
+        if isinstance(exc, (OSError, UnicodeError)):
+            raise UnwritableOutput(f"cannot write {path}: {exc}") from exc
+        raise
 
 
 def read_text(path: str | Path) -> str:

@@ -30,7 +30,7 @@ from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 
-from .artifacts import dump_json, parse_entries, read_text, write_text
+from .artifacts import dump_json, parse_entries, read_text, write_json
 from .errors import BallotCountMismatch, RecordTooLarge, UnknownApiId, WhollyMalformed
 from .gateway import LlmGateway, estimate_tokens, simple_request
 from .prompts import load_catalog, load_template, pack_greedy, render_template
@@ -426,10 +426,13 @@ def classify_records(
 # ---------------------------------------------------------------------------
 
 
-def dump_votes(votes: list[VoteRecord]) -> str:
+def _votes_document(votes: list[VoteRecord]) -> dict:
     ordered = sorted(votes, key=lambda v: v.api_id)
-    doc = {"version": VOTES_DOC_VERSION, "votes": [v.to_dict() for v in ordered]}
-    return dump_json(doc)
+    return {"version": VOTES_DOC_VERSION, "votes": [v.to_dict() for v in ordered]}
+
+
+def dump_votes(votes: list[VoteRecord]) -> str:
+    return dump_json(_votes_document(votes))
 
 
 def parse_votes(text: str, source: str | Path = "votes document") -> list[VoteRecord]:
@@ -437,7 +440,7 @@ def parse_votes(text: str, source: str | Path = "votes document") -> list[VoteRe
 
 
 def save_votes(votes: list[VoteRecord], path: str | Path) -> None:
-    write_text(path, dump_votes(votes))
+    write_json(path, _votes_document(votes))
 
 
 def load_votes(path: str | Path) -> list[VoteRecord]:

@@ -175,8 +175,11 @@ class CodeQLBackend:
         doc = json.loads(decoded)
         tuples = doc.get("#select", {}).get("tuples", [])
         records = []
+        lines_by_file: dict[str, list[str]] = {}
         for row in tuples:
             package, type_name, method, params_string, return_type, rel_file, line = row
+            if rel_file not in lines_by_file:
+                lines_by_file[rel_file] = _source_lines(project_root / rel_file)
             param_types = [
                 t.strip() for t in params_string.strip("()").split(",") if t.strip()
             ]
@@ -188,21 +191,26 @@ class CodeQLBackend:
                     params=[(f"arg{i}", t) for i, t in enumerate(param_types)],
                     return_type=return_type,
                     annotations=[],
-                    snippet=self._snippet(project_root / rel_file, int(line)),
+                    snippet=_snippet(lines_by_file[rel_file], int(line)),
                     first_seen=SourceLocation(file=rel_file, line=int(line)),
                 )
             )
         return sorted(records, key=lambda r: (r.id, r.first_seen.file, r.first_seen.line))
 
-    @staticmethod
-    def _snippet(path: Path, line: int) -> str:
-        try:
-            lines = path.read_text(encoding="utf-8", errors="replace").splitlines()
-        except OSError:
-            return ""
-        lo = max(0, line - 1 - 10)
-        hi = min(len(lines), line + 10)
-        return clamp_snippet("\n".join(lines[lo:hi]))
+
+def _source_lines(path: Path) -> list[str]:
+    """The lines of a source file, or none when it cannot be read."""
+    try:
+        return path.read_text(encoding="utf-8", errors="replace").splitlines()
+    except OSError:
+        return []
+
+
+def _snippet(lines: list[str], line: int) -> str:
+    """Up to ten lines either side of line ``line`` (1-based)."""
+    lo = max(0, line - 1 - 10)
+    hi = min(len(lines), line + 10)
+    return clamp_snippet("\n".join(lines[lo:hi]))
 
 
 class CodeQLCompiler:

@@ -11,18 +11,22 @@ never from config files.
 
 from __future__ import annotations
 
+import base64
+import http.client
 import json
 import logging
 import os
+import ssl
 import threading
 import time
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Protocol
+from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
-import requests
-
+from . import __version__
 from .artifacts import config_input, read_text
 from .errors import ArtifactCorrupt, AuthFailure, ConfigError, ProviderError, RateLimited
 
@@ -221,19 +225,85 @@ class MockLlmClient:
         return LlmResponse(text=self.script.respond(request), latency_s=0.0)
 
 
-class LiveLlmClient:
-    """OpenAI-style chat-completion client over HTTP."""
+# Errors of a pooled connection that the server closed while it sat idle.
+_STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError)
 
-    def __init__(self, endpoint: str, api_key: str | None = None,
-                 session: requests.Session | None = None, timeout_s: float = 120.0):
+
+def parse_endpoint(endpoint: str, what: str = "llm.endpoint") -> SplitResult:
+    """The parts of an ``http://`` or ``https://`` URL with a host; else a ConfigError."""
+    url = urlsplit(endpoint)
+    try:
+        url.port  # raises ValueError for a port that is not a number in range
+    except ValueError as exc:
+        raise ConfigError(f"{what} {endpoint!r}: {exc}") from None
+    if url.scheme not in ("http", "https") or not url.hostname:
+        raise ConfigError(
+            f"{what} must be an http:// or https:// URL with a host, got {endpoint!r}"
+        )
+    return url
+
+
+def _proxy_for(url: SplitResult) -> SplitResult | None:
+    """The proxy the environment names for ``url``, or None to connect directly."""
+    proxies = urllib.request.getproxies()
+    proxy = proxies.get(url.scheme) or proxies.get("all")
+    if not proxy or urllib.request.proxy_bypass(url.netloc.rpartition("@")[2]):
+        return None
+    parsed = parse_endpoint(proxy if "://" in proxy else f"http://{proxy}", "proxy")
+    if parsed.scheme != "http":
+        raise ConfigError(f"proxy {proxy!r}: only http:// proxies are supported")
+    return parsed
+
+
+def _proxy_authorization(proxy: SplitResult) -> dict[str, str]:
+    if proxy.username is None:
+        return {}
+    credentials = f"{unquote(proxy.username)}:{unquote(proxy.password or '')}"
+    return {"Proxy-Authorization": "Basic " + base64.b64encode(credentials.encode()).decode()}
+
+
+class LiveLlmClient:
+    """OpenAI-style chat-completion client over keep-alive HTTP/1.1 connections.
+
+    Idle connections wait in a pool. A send takes one or opens one, and puts
+    it back once the response body is read, unless the server said
+    ``Connection: close``. The pool never holds more connections than sends
+    ran at once, so its size follows the gateway's ``workers``.
+
+    The ``https_proxy``, ``http_proxy`` and ``no_proxy`` environment
+    variables choose a proxy. HTTPS verifies against the system trust store,
+    or the bundle ``SSL_CERT_FILE`` names.
+    """
+
+    def __init__(self, endpoint: str, api_key: str | None = None, timeout_s: float = 120.0):
         if api_key is None:
             api_key = os.environ.get(ENV_API_KEY, "")
         if not api_key:
             raise AuthFailure(f"no API key: set {ENV_API_KEY}")
+        url = parse_endpoint(endpoint)
         self.endpoint = endpoint
         self.api_key = api_key
-        self.session = session or requests.Session()
         self.timeout_s = timeout_s
+        self._tls = ssl.create_default_context() if url.scheme == "https" else None
+        self._address = (url.hostname, url.port)
+        self._target = urlunsplit(("", "", url.path or "/", url.query, ""))
+        self._headers = {
+            "Authorization": f"Bearer {api_key}",
+            "Content-Type": "application/json",
+            "User-Agent": f"qlforge/{__version__}",
+        }
+        self._proxy = _proxy_for(url)
+        self._tunnel_headers: dict[str, str] = {}
+        if self._proxy is not None:
+            auth = _proxy_authorization(self._proxy)
+            if self._tls is not None:
+                self._tunnel_headers = auth
+            else:
+                # A plain-HTTP proxy is sent the absolute URI of the target.
+                self._target = urlunsplit(url._replace(fragment=""))
+                self._headers.update(auth)
+        self._idle: list[http.client.HTTPConnection] = []
+        self._lock = threading.Lock()
 
     def send(self, request: LlmRequest) -> LlmResponse:
         payload = {
@@ -242,40 +312,90 @@ class LiveLlmClient:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
+        try:
+            encoded = json.dumps(payload, allow_nan=False).encode("utf-8")
+        except ValueError as exc:  # a NaN or infinite temperature
+            raise ProviderError(f"request cannot be sent as JSON: {exc}") from exc
         started = time.monotonic()
-        try:
-            resp = self.session.post(
-                self.endpoint,
-                json=payload,
-                headers={"Authorization": f"Bearer {self.api_key}"},
-                timeout=self.timeout_s,
-            )
-        except requests.RequestException as exc:
-            raise _RetryableTransport(f"transport failure: {exc}") from exc
+        status, data = self._post(encoded)
         latency = time.monotonic() - started
-        if resp.status_code in (401, 403):
-            raise AuthFailure(f"provider rejected credentials (HTTP {resp.status_code})")
-        if resp.status_code in _RETRYABLE_STATUS:
-            raise _RetryableTransport(f"HTTP {resp.status_code}", status=resp.status_code)
-        if resp.status_code != 200:
-            raise ProviderError(f"HTTP {resp.status_code}: {resp.text[:500]}")
+        if status in (401, 403):
+            raise AuthFailure(f"provider rejected credentials (HTTP {status})")
+        if status in _RETRYABLE_STATUS:
+            raise _RetryableTransport(f"HTTP {status}", status=status)
+        if status != 200:
+            raise ProviderError(f"HTTP {status}: {data.decode('utf-8', 'replace')[:500]}")
         try:
-            body = resp.json()
+            body = json.loads(data)
             choice = body["choices"][0]
-            text = choice["message"]["content"] or ""
+            text = choice["message"]["content"]
             finish = choice.get("finish_reason", "stop")
             usage = body.get("usage")
-        except (KeyError, IndexError, ValueError) as exc:
-            raise ProviderError(f"malformed provider response: {exc}") from exc
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise ProviderError(f"malformed provider response: {exc!r}") from exc
+        if text is None:
+            text = ""
+        elif not isinstance(text, str):
+            raise ProviderError(f"malformed provider response: content is {type(text).__name__}")
         return LlmResponse(text=text, finish_reason=finish, usage=usage, latency_s=latency)
+
+    def close(self) -> None:
+        """Close the idle connections."""
+        with self._lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def _post(self, body: bytes) -> tuple[int, bytes]:
+        """POST ``body`` to the endpoint; returns the status and the response body."""
+        with self._lock:
+            conn = self._idle.pop() if self._idle else None
+        try:
+            if conn is not None:
+                try:
+                    return self._exchange(conn, body)
+                except _STALE_CONNECTION:
+                    # The server closed the connection while it sat idle (say,
+                    # at its keep-alive timeout): resend once, on a fresh one.
+                    pass
+            return self._exchange(self._connect(), body)
+        except (OSError, http.client.HTTPException) as exc:
+            raise _RetryableTransport(f"transport failure: {exc!r}") from exc
+
+    def _exchange(self, conn: http.client.HTTPConnection, body: bytes) -> tuple[int, bytes]:
+        try:
+            conn.request("POST", self._target, body, self._headers)
+            response = conn.getresponse()
+            data = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if response.will_close:
+            conn.close()
+        else:
+            with self._lock:
+                self._idle.append(conn)
+        return response.status, data
+
+    def _connect(self) -> http.client.HTTPConnection:
+        host, port = self._address
+        if self._proxy is not None:
+            host, port = self._proxy.hostname, self._proxy.port
+        if self._tls is None:
+            return http.client.HTTPConnection(host, port, timeout=self.timeout_s)
+        conn = http.client.HTTPSConnection(host, port, timeout=self.timeout_s, context=self._tls)
+        if self._proxy is not None:
+            conn.set_tunnel(*self._address, headers=self._tunnel_headers)
+        return conn
 
 
 class TranscriptStore:
     """Append-only transcript with globally unique sequence ids.
 
     When constructed with a path, each append writes one JSON line
-    ``{seq, stage, request, response, ts}``. Appends are serialized
-    internally, so many workers may log concurrently.
+    ``{seq, stage, request, response, ts}`` and keeps nothing in memory.
+    Without a path, the entries are kept in :attr:`entries`. Appends are
+    serialized internally, so many workers may log concurrently.
 
     An existing file is continued: numbering resumes after its highest
     ``seq``. A final line with no newline is an append cut short by a killed
@@ -325,8 +445,9 @@ class TranscriptStore:
                 "response": response.to_dict(),
                 "ts": time.time(),
             }
-            self.entries.append(entry)
-            if self.path is not None:
+            if self.path is None:
+                self.entries.append(entry)
+            else:
                 with self.path.open("a", encoding="utf-8") as fh:
                     fh.write(json.dumps(entry, ensure_ascii=False) + "\n")
             return self._seq

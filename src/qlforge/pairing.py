@@ -32,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .artifacts import dump_json, parse_entries, read_text, write_text
+from .artifacts import dump_json, parse_entries, read_text, write_json
 from .errors import NothingToPair, RecordTooLarge, UnknownApiId, WhollyMalformed
 from .gateway import LlmGateway, estimate_tokens, simple_request
 from .prompts import load_template, pack_greedy, render_template
@@ -329,10 +329,13 @@ def pair_all(
 # ---------------------------------------------------------------------------
 
 
-def dump_pairs(pairs: list[SourceSinkPair]) -> str:
+def _pairs_document(pairs: list[SourceSinkPair]) -> dict:
     ordered = sorted(pairs, key=lambda p: (p.source_id, p.sink_id))
-    doc = {"version": PAIRS_DOC_VERSION, "pairs": [p.to_dict() for p in ordered]}
-    return dump_json(doc)
+    return {"version": PAIRS_DOC_VERSION, "pairs": [p.to_dict() for p in ordered]}
+
+
+def dump_pairs(pairs: list[SourceSinkPair]) -> str:
+    return dump_json(_pairs_document(pairs))
 
 
 def parse_pairs_document(text: str, source: str | Path = "pairs document") -> list[SourceSinkPair]:
@@ -340,7 +343,7 @@ def parse_pairs_document(text: str, source: str | Path = "pairs document") -> li
 
 
 def save_pairs(pairs: list[SourceSinkPair], path: str | Path) -> None:
-    write_text(path, dump_pairs(pairs))
+    write_json(path, _pairs_document(pairs))
 
 
 def load_pairs(path: str | Path) -> list[SourceSinkPair]:

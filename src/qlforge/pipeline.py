@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import shutil
 import time
 from collections import Counter
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-from .artifacts import config_input, dump_json, read_json, write_text
+from .artifacts import config_input, read_json, write_json, write_text
 from .classify import TaintLabel, classify_records, load_votes, save_votes
 from .errors import (
     ArtifactCorrupt,
@@ -36,11 +37,18 @@ from .errors import (
     StageFailure,
 )
 from .extract import FilterConfig, FixtureBackend, dedupe, extract_apis, filter_risky
-from .gateway import LlmGateway, MockLlmClient, MockScript, LiveLlmClient, TranscriptStore
+from .gateway import (
+    LiveLlmClient,
+    LlmGateway,
+    MockLlmClient,
+    MockScript,
+    TranscriptStore,
+    parse_endpoint,
+)
 from .metrics import compute_metrics, load_manifest
 from .pairing import DEFAULT_BUDGET as DEFAULT_PAIRING_BUDGET, load_pairs, pair_all, save_pairs
 from .records import load_spec_document, record_lookup, save_spec_document
-from .report import PipelineReport, StageSummary, dump_report
+from .report import PipelineReport, StageSummary
 from .rulegen import (
     MockCompiler,
     generate_all,
@@ -202,14 +210,16 @@ class PipelineConfig:
             raise ConfigError(f"llm.mode must be 'mock' or 'live', got {llm_mode!r}")
         temperature = llm.get("temperature")
         if temperature is not None:
-            if not isinstance(temperature, (int, float)) or temperature < 0:
+            if not isinstance(temperature, (int, float)) or not 0 <= temperature < math.inf:
                 raise ConfigError(
                     f"llm.temperature must be a non-negative number, got {temperature!r}"
                 )
             temperature = float(temperature)
         endpoint = llm.get("endpoint", "")
-        if llm_mode == "live" and not endpoint:
-            raise ConfigError("llm.endpoint is required in live mode")
+        if llm_mode == "live":
+            if not endpoint:
+                raise ConfigError("llm.endpoint is required in live mode")
+            parse_endpoint(endpoint)
 
         mock_script = input_file(data, "mock_script", "mock_script")
         if llm_mode == "mock" and mock_script is None:
@@ -465,9 +475,9 @@ def _run_report(run: _Run) -> None:
         metrics=metrics,
         warnings=tuple(text.format(count) for count, text in warnings if count),
     )
-    write_text(run.path(REPORT_FILENAME), dump_report(run.report))
+    write_json(run.path(REPORT_FILENAME), run.report.to_dict())
     seconds = {name: round(s, 6) for name, s in run.seconds.items()}
-    write_text(run.path(TIMINGS_FILENAME), dump_json({"stage_seconds": seconds}))
+    write_json(run.path(TIMINGS_FILENAME), {"stage_seconds": seconds})
 
 
 @dataclass(frozen=True)

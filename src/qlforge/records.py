@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .artifacts import dump_json, parse_entries, read_text, write_text
+from .artifacts import dump_json, parse_entries, read_text, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -159,8 +159,8 @@ def _encodable(record: ApiRecord) -> bool:
     return True
 
 
-def dump_spec_document(records: list[ApiRecord]) -> str:
-    """Serialize records to the spec-document JSON text.
+def _spec_document(records: list[ApiRecord]) -> dict:
+    """The spec document of ``records``.
 
     Records whose text cannot be encoded as UTF-8 (e.g. a snippet holding a
     lone surrogate) are dropped with a warning rather than poisoning the
@@ -172,8 +172,11 @@ def dump_spec_document(records: list[ApiRecord]) -> str:
             kept.append(record)
         else:
             logger.warning("dropping record %s: snippet not encodable as UTF-8", record.id)
-    doc = {"version": SPEC_DOC_VERSION, "apis": [r.to_dict() for r in kept]}
-    return dump_json(doc)
+    return {"version": SPEC_DOC_VERSION, "apis": [r.to_dict() for r in kept]}
+
+
+def dump_spec_document(records: list[ApiRecord]) -> str:
+    return dump_json(_spec_document(records))
 
 
 def parse_spec_document(text: str, source: str | Path = "spec document") -> list[ApiRecord]:
@@ -181,7 +184,7 @@ def parse_spec_document(text: str, source: str | Path = "spec document") -> list
 
 
 def save_spec_document(records: list[ApiRecord], path: str | Path) -> None:
-    write_text(path, dump_spec_document(records))
+    write_json(path, _spec_document(records))
 
 
 def load_spec_document(path: str | Path) -> list[ApiRecord]:

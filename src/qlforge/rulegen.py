@@ -42,6 +42,7 @@ from .artifacts import (
     read_json,
     read_text,
     shape_checked,
+    write_json,
     write_text,
 )
 from .errors import CompilerUnavailable, ConfigError, EmptyDraft, UnknownApiId
@@ -193,6 +194,25 @@ class RuleCompiler(Protocol):
 # ---------------------------------------------------------------------------
 
 
+def _check_compiler_entry(entry, where: str) -> None:
+    """Raise a ConfigError unless ``entry`` is a well-formed compiler script entry."""
+    if not isinstance(entry, dict):
+        raise ConfigError(f"{where} must be an object")
+    for key, kinds, kind_name in (
+        ("fail_count", int, "an integer"),
+        ("delay_s", (int, float), "a number"),
+    ):
+        value = entry.get(key, 0)
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise ConfigError(f"{where}: {key} must be {kind_name}, got {value!r}")
+    for key, required in (("diagnostics", {"message"}), ("findings", {"file", "start_line"})):
+        items = entry.get(key) or []
+        if not isinstance(items, list) or not all(
+            isinstance(item, dict) and required <= item.keys() for item in items
+        ):
+            raise ConfigError(f"{where}: {key} must be a list of objects with {sorted(required)}")
+
+
 class MockCompiler:
     """Scripted compiler: per pair, fail the first ``fail_count`` compiles.
 
@@ -203,18 +223,25 @@ class MockCompiler:
 
     name = "mock"
 
-    def __init__(self, script: dict):
+    def __init__(self, script: dict, source: str | Path = "compiler script"):
         if script.get("version") != 1:
-            raise ConfigError(f"unsupported compiler script version: {script.get('version')!r}")
+            raise ConfigError(
+                f"{source}: unsupported compiler script version: {script.get('version')!r}"
+            )
         self._default = script.get("default", {})
         self._pairs = script.get("pairs", {})
+        if not isinstance(self._pairs, dict):
+            raise ConfigError(f"{source}: 'pairs' must be an object keyed by pair id")
+        for name, entry in [("default", self._default), *self._pairs.items()]:
+            _check_compiler_entry(entry, f"{source}: entry {name!r}")
         self._calls: dict[str, int] = {}
         self._lock = threading.Lock()
 
     @classmethod
     def from_file(cls, path: str | Path) -> "MockCompiler":
         with config_input():
-            return cls(read_json(path))
+            script = read_json(path)
+        return cls(script, path)
 
     def _entry(self, pair_id: str) -> dict:
         return self._pairs.get(pair_id, self._default)
@@ -236,7 +263,7 @@ class MockCompiler:
         return CompileResult(CompileStatus.OK, (), elapsed)
 
     def execute(self, rules: dict[str, str], database: str) -> dict[str, list[dict]]:
-        return {pid: list(self._entry(pid).get("findings", [])) for pid in rules}
+        return {pid: list(self._entry(pid).get("findings") or []) for pid in rules}
 
     def compile_calls(self, pair_id: str) -> int:
         with self._lock:
@@ -436,7 +463,7 @@ def save_rule_artifact(artifact: RuleArtifact, rules_dir: str | Path) -> Path:
     pair_dir = Path(rules_dir) / artifact.pair_id
     pair_dir.mkdir(parents=True, exist_ok=True)
     write_text(pair_dir / RULE_FILENAME, artifact.rule_text)
-    write_text(pair_dir / STATUS_FILENAME, dump_json(artifact.status_dict()))
+    write_json(pair_dir / STATUS_FILENAME, artifact.status_dict())
     return pair_dir
 
 
@@ -457,7 +484,7 @@ def write_rule_index(artifacts: list[RuleArtifact], rules_dir: str | Path) -> No
         ],
     }
     Path(rules_dir).mkdir(parents=True, exist_ok=True)
-    write_text(Path(rules_dir) / INDEX_FILENAME, dump_json(doc))
+    write_json(Path(rules_dir) / INDEX_FILENAME, doc)
 
 
 def load_rule_artifacts(rules_dir: str | Path) -> list[RuleArtifact]:
@@ -626,10 +653,13 @@ def _execute_isolating_failures(
 # ---------------------------------------------------------------------------
 
 
-def dump_findings(findings: list[Finding]) -> str:
+def _findings_document(findings: list[Finding]) -> dict:
     ordered = sorted(findings, key=lambda f: (f.file, f.start_line, f.end_line, f.pair_id))
-    doc = {"version": FINDINGS_DOC_VERSION, "findings": [f.to_dict() for f in ordered]}
-    return dump_json(doc)
+    return {"version": FINDINGS_DOC_VERSION, "findings": [f.to_dict() for f in ordered]}
+
+
+def dump_findings(findings: list[Finding]) -> str:
+    return dump_json(_findings_document(findings))
 
 
 def parse_findings(text: str, source: str | Path = "findings document") -> list[Finding]:
@@ -637,7 +667,7 @@ def parse_findings(text: str, source: str | Path = "findings document") -> list[
 
 
 def save_findings(findings: list[Finding], path: str | Path) -> None:
-    write_text(path, dump_findings(findings))
+    write_json(path, _findings_document(findings))
 
 
 def load_findings(path: str | Path) -> list[Finding]:

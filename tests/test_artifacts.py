@@ -2,11 +2,13 @@ import json
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qlforge.artifacts import read_text, write_text
+from qlforge.artifacts import dump_json, read_text, write_json, write_text
 from qlforge.classify import load_votes
 from qlforge.errors import ArtifactCorrupt, UnwritableOutput
-from qlforge.pairing import load_pairs
+from qlforge.pairing import SourceSinkPair, load_pairs, save_pairs
 from qlforge.records import load_spec_document
 from qlforge.rulegen import load_findings
 
@@ -64,6 +66,36 @@ def test_write_text_keeps_the_old_file_when_the_rename_fails(tmp_path, monkeypat
         write_text(target, "new text")
     assert target.read_bytes() == b'{"version": 1, "votes": []}\n'
     assert [p.name for p in tmp_path.iterdir()] == ["votes.json"]
+
+
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=10)
+_DOCUMENT = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(doc=_DOCUMENT)
+def test_write_json_writes_exactly_dump_json_bytes(tmp_path_factory, doc):
+    path = tmp_path_factory.getbasetemp() / "doc.json"
+    write_json(path, doc)
+    assert path.read_bytes() == dump_json(doc).encode("utf-8")
+
+
+def test_write_json_failing_midstream_keeps_the_old_file(tmp_path):
+    path = tmp_path / "pairs.json"
+    path.write_bytes(b'{"version": 1, "pairs": []}\n')
+    pairs = [
+        SourceSinkPair(f"p{i}", f"src{i}", f"snk{i}", "xss", rationale="fine " * 50)
+        for i in range(200)
+    ]
+    pairs[150] = SourceSinkPair("p150", "src150", "snk150", "xss", rationale="lone \ud800")
+    with pytest.raises(UnwritableOutput, match=f"cannot write {path}: .*surrogate"):
+        save_pairs(pairs, path)
+    assert path.read_bytes() == b'{"version": 1, "pairs": []}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["pairs.json"]
 
 
 def test_read_text_names_a_missing_or_undecodable_file(tmp_path):

@@ -317,6 +317,15 @@ def test_run_config_error_exit_code(runner, tmp_path):
     assert "config error" in result.output
 
 
+def test_run_with_a_malformed_endpoint_exits_before_any_stage(runner, tmp_path, monkeypatch):
+    monkeypatch.setenv("QLFORGE_LLM_KEY", "k")
+    config = _write_config(tmp_path, llm={"mode": "live", "endpoint": "localhost:9/v1"})
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == EXIT_CONFIG
+    assert "llm.endpoint must be an http:// or https:// URL" in result.output
+    assert not (tmp_path / "run" / "specs.json").exists()
+
+
 def test_run_stage_failure_exit_code(runner, tmp_path):
     bad = tmp_path / "bad_compiler.json"
     bad.write_text(json.dumps({"version": 41}))

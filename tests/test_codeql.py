@@ -3,6 +3,7 @@ import os
 import re
 import stat
 import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -20,6 +21,7 @@ from qlforge.codeql import (
 )
 from qlforge.errors import BackendUnavailable, CompilerUnavailable
 from qlforge.prompts import load_template
+from qlforge.records import SourceLocation, clamp_snippet, make_record
 from qlforge.rulegen import CompileStatus
 from tests.conftest import FakeAnalyzeCodeql
 
@@ -362,6 +364,42 @@ def test_enumerate_calls_via_stub(tmp_path):
     assert record.first_seen.file == "App.java"
     assert record.first_seen.line == 3
     assert "getParameter" in record.snippet  # pulled from the real source file
+
+
+def test_rows_to_records_reads_each_source_file_once(tmp_path, monkeypatch):
+    source = [f"line {n}" for n in range(1, 41)]
+    (tmp_path / "App.java").write_text("\n".join(source) + "\n")
+    lines = (1, 5, 20, 33, 40)
+    rows = [["p", "T", f"m{i}", "(String)", "void", "App.java", n] for i, n in enumerate(lines)]
+    rows.append(["p", "T", "gone", "()", "void", "Gone.java", 3])
+    reads = []
+    real_read_text = Path.read_text
+
+    def counting_read_text(self, *args, **kwargs):
+        reads.append(self.name)
+        return real_read_text(self, *args, **kwargs)
+
+    monkeypatch.setattr(Path, "read_text", counting_read_text)
+    decoded = json.dumps({"#select": {"tuples": rows}})
+    records = CodeQLBackend(binary=None)._rows_to_records(decoded, tmp_path)
+    assert sorted(reads) == ["App.java", "Gone.java"]
+    # Reference: each snippet is the ten lines either side of its call site.
+    expected = [
+        make_record(
+            package="p", type_name="T", method=f"m{i}", params=[("arg0", "String")],
+            return_type="void", annotations=[],
+            snippet=clamp_snippet("\n".join(source[max(0, n - 11): n + 10])),
+            first_seen=SourceLocation("App.java", n),
+        )
+        for i, n in enumerate(lines)
+    ]
+    expected.append(
+        make_record(
+            package="p", type_name="T", method="gone", params=[], return_type="void",
+            annotations=[], snippet="", first_seen=SourceLocation("Gone.java", 3),
+        )
+    )
+    assert records == sorted(expected, key=lambda r: (r.id, r.first_seen.file, r.first_seen.line))
 
 
 def test_enumerate_calls_timeout_raises_unavailable(tmp_path):

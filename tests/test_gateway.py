@@ -1,10 +1,19 @@
 import json
+import os
 import random
+import socket
 import string
+import subprocess
+import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+
+import qlforge
 
 from qlforge.errors import AuthFailure, ConfigError, ProviderError, RateLimited
 from qlforge.gateway import (
@@ -214,77 +223,319 @@ def test_live_client_requires_key(monkeypatch):
         LiveLlmClient(endpoint="https://example.invalid/v1/chat")
 
 
-class _FakeHttpResponse:
-    def __init__(self, status_code, body=None, text=""):
-        self.status_code = status_code
-        self._body = body
-        self.text = text
+class _LoopbackProvider:
+    """A chat-completion server on 127.0.0.1 that records what it is sent.
 
-    def json(self):
-        if self._body is None:
-            raise ValueError("no body")
-        return self._body
+    Each POST takes the next scripted reply ``(status, body, headers)``, or
+    ``default`` when the script is empty. A body is bytes or a JSON value.
+    """
+
+    def __init__(self):
+        self.replies: list[tuple[int, object, dict]] = []
+        self.default = (200, _completion("hello"), {})
+        self.requests: list[dict] = []
+        self.connects: list[dict] = []
+        self.connections = 0
+        self.delay_s = 0.0
+        self.close_after_reply = False
+        self.released = threading.Event()
+        self._lock = threading.Lock()
+        provider = self
+
+        class Handler(BaseHTTPRequestHandler):
+            protocol_version = "HTTP/1.1"
+
+            def setup(self):
+                super().setup()
+                # Headers and body go out in two writes; without this the
+                # body waits for the client's delayed ACK.
+                self.connection.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                with provider._lock:
+                    provider.connections += 1
+
+            def log_message(self, format, *args):  # noqa: A002 - stdlib signature
+                pass
+
+            def do_CONNECT(self):
+                provider.connects.append({"target": self.path, "headers": dict(self.headers)})
+                self.send_response(403)
+                self.send_header("Content-Length", "0")
+                self.end_headers()
+
+            def do_POST(self):
+                body = self.rfile.read(int(self.headers["Content-Length"]))
+                with provider._lock:
+                    provider.requests.append(
+                        {"path": self.path, "headers": dict(self.headers), "json": json.loads(body)}
+                    )
+                    status, payload, headers = (
+                        provider.replies.pop(0) if provider.replies else provider.default
+                    )
+                if provider.delay_s:
+                    provider.released.wait(provider.delay_s)
+                data = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+                self.send_response(status)
+                self.send_header("Content-Length", str(len(data)))
+                for name, value in headers.items():
+                    self.send_header(name, value)
+                self.end_headers()
+                self.wfile.write(data)
+                if provider.close_after_reply:
+                    self.close_connection = True
+
+        class Server(ThreadingHTTPServer):
+            daemon_threads = True
+
+            def handle_error(self, request, client_address):
+                pass  # a client that gave up on a slow reply
+
+        self.server = Server(("127.0.0.1", 0), Handler)
+        self.origin = f"127.0.0.1:{self.server.server_address[1]}"
+        self.url = f"http://{self.origin}/v1/chat"
+        self._thread = threading.Thread(
+            target=self.server.serve_forever, kwargs={"poll_interval": 0.02}, daemon=True
+        )
+        self._thread.start()
+
+    def stop(self):
+        self.released.set()
+        self.server.shutdown()
+        self.server.server_close()
+        self._thread.join(timeout=5)
+        assert not self._thread.is_alive()
 
 
-class _FakeSession:
-    def __init__(self, responses):
-        self.responses = list(responses)
-        self.posts = []
-
-    def post(self, url, json=None, headers=None, timeout=None):
-        self.posts.append({"url": url, "json": json, "headers": headers})
-        return self.responses.pop(0)
+def _completion(text, **extra):
+    return {"choices": [{"message": {"content": text}, "finish_reason": "stop"}], **extra}
 
 
-def test_live_client_parses_chat_completion(monkeypatch):
+_PROXY_VARIABLES = ("http_proxy", "https_proxy", "no_proxy", "all_proxy")
+
+
+@pytest.fixture
+def no_proxy_env(monkeypatch):
+    """Connect directly, whatever proxy the environment running the tests names."""
+    for name in _PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
+
+
+@pytest.fixture
+def provider(no_proxy_env):
+    provider = _LoopbackProvider()
+    yield provider
+    provider.stop()
+
+
+@pytest.fixture
+def live_client(provider):
     from qlforge.gateway import LiveLlmClient
 
-    session = _FakeSession(
-        [
-            _FakeHttpResponse(
-                200,
-                body={
-                    "choices": [{"message": {"content": "hello"}, "finish_reason": "stop"}],
-                    "usage": {"total_tokens": 5},
-                },
-            )
-        ]
-    )
-    client = LiveLlmClient("https://example.invalid/v1", api_key="k", session=session)
-    response = client.send(simple_request("classify", "model-x", "prompt"))
+    client = LiveLlmClient(provider.url, api_key="k", timeout_s=5.0)
+    yield client
+    client.close()
+
+
+def test_live_client_parses_chat_completion(provider, live_client):
+    provider.replies.append((200, _completion("hello", usage={"total_tokens": 5}), {}))
+    response = live_client.send(simple_request("classify", "model-x", "prompt"))
     assert response.text == "hello"
     assert response.usage == {"total_tokens": 5}
-    assert session.posts[0]["headers"]["Authorization"] == "Bearer k"
-    assert session.posts[0]["json"]["model"] == "model-x"
+    sent = provider.requests[0]
+    assert sent["path"] == "/v1/chat"
+    assert sent["headers"]["Authorization"] == "Bearer k"
+    assert sent["headers"]["User-Agent"] == f"qlforge/{qlforge.__version__}"
+    assert sent["json"]["model"] == "model-x"
 
 
-def test_live_client_auth_failure_is_not_retried():
-    from qlforge.gateway import LiveLlmClient
-
-    session = _FakeSession([_FakeHttpResponse(401, text="denied")])
-    client = LiveLlmClient("https://example.invalid/v1", api_key="k", session=session)
-    gateway = LlmGateway(client, sleep=lambda s: None)
+def test_live_client_auth_failure_is_not_retried(provider, live_client):
+    provider.replies.append((401, b"denied", {}))
+    gateway = LlmGateway(live_client, sleep=lambda s: None)
     with pytest.raises(AuthFailure):
         gateway.complete(simple_request("classify", "m", "x"))
-    assert len(session.posts) == 1
+    assert len(provider.requests) == 1
 
 
-def test_live_client_retryable_status_then_ok():
-    from qlforge.gateway import LiveLlmClient
-
-    session = _FakeSession(
-        [
-            _FakeHttpResponse(503, text="busy"),
-            _FakeHttpResponse(
-                200, body={"choices": [{"message": {"content": "fine"}}]}
-            ),
-        ]
-    )
-    client = LiveLlmClient("https://example.invalid/v1", api_key="k", session=session)
-    gateway = LlmGateway(client, sleep=lambda s: None)
+def test_live_client_retryable_status_then_ok(provider, live_client):
+    provider.replies.append((503, b"busy", {}))
+    provider.replies.append((200, _completion("fine"), {}))
+    gateway = LlmGateway(live_client, sleep=lambda s: None)
     response, _ = gateway.complete(simple_request("classify", "m", "x"))
     assert response.text == "fine"
-    assert len(session.posts) == 2
+    assert len(provider.requests) == 2
+
+
+def test_live_client_other_status_is_provider_error(provider, live_client):
+    provider.replies.append((400, b"bad request body", {}))
+    with pytest.raises(ProviderError, match="HTTP 400: bad request body"):
+        live_client.send(simple_request("classify", "m", "x"))
+
+
+def test_live_client_request_that_is_not_json_is_provider_error(provider, live_client):
+    with pytest.raises(ProviderError, match="cannot be sent as JSON"):
+        live_client.send(simple_request("classify", "m", "x", temperature=float("nan")))
+    assert provider.requests == []
+
+
+def test_live_client_reuses_one_connection_for_serial_sends(provider, live_client):
+    for i in range(5):
+        assert live_client.send(simple_request("classify", "m", f"p{i}")).text == "hello"
+    assert len(provider.requests) == 5
+    assert provider.connections == 1
+
+
+def test_live_client_pool_follows_batch_width(provider, live_client):
+    provider.delay_s = 0.01
+    gateway = LlmGateway(live_client)
+    for batch in range(2):
+        requests = [simple_request("classify", "m", f"{batch}:{i}") for i in range(12)]
+        assert len(gateway.complete_batch(requests, workers=4)) == 12
+    assert len(provider.requests) == 24
+    assert 1 <= provider.connections <= 4
+
+
+def test_live_client_resends_on_a_connection_the_server_closed(provider, live_client):
+    provider.close_after_reply = True
+    sleeps = []
+    gateway = LlmGateway(live_client, sleep=sleeps.append)
+    for prompt in ("first", "second"):
+        response, _ = gateway.complete(simple_request("classify", "m", prompt))
+        assert response.text == "hello"
+    assert sleeps == []
+    assert provider.connections == 2
+    assert [r["json"]["messages"][0]["content"] for r in provider.requests] == ["first", "second"]
+
+
+def test_live_client_honours_connection_close(provider, live_client):
+    provider.default = (200, _completion("bye"), {"Connection": "close"})
+    for i in range(3):
+        assert live_client.send(simple_request("classify", "m", f"p{i}")).text == "bye"
+        assert live_client._idle == []  # a closed connection is not pooled
+    assert provider.connections == 3
+
+
+def test_live_client_read_timeout_is_provider_error_after_retries(provider):
+    from qlforge.gateway import LiveLlmClient
+
+    provider.delay_s = 5.0
+    client = LiveLlmClient(provider.url, api_key="k", timeout_s=0.1)
+    sleeps = []
+    gateway = LlmGateway(client, retries=3, sleep=sleeps.append)
+    with pytest.raises(ProviderError, match="transport failed after 3 attempts"):
+        gateway.complete(simple_request("classify", "m", "x"))
+    assert len(provider.requests) == 3
+    assert len(sleeps) == 2
+    client.close()
+
+
+@pytest.fixture
+def two_providers(provider):
+    second = _LoopbackProvider()
+    yield provider, second
+    second.stop()
+
+
+def test_live_client_sends_absolute_uri_to_http_proxy(two_providers, no_proxy_env):
+    from qlforge.gateway import LiveLlmClient
+
+    proxy, _ = two_providers
+    no_proxy_env.setenv("http_proxy", f"http://{proxy.origin}")
+    client = LiveLlmClient("http://qlforge.invalid:8080/v1/chat?x=1", api_key="k")
+    assert client.send(simple_request("classify", "m", "x")).text == "hello"
+    client.close()
+    assert proxy.requests[0]["path"] == "http://qlforge.invalid:8080/v1/chat?x=1"
+    assert proxy.requests[0]["headers"]["Host"] == "qlforge.invalid:8080"
+
+
+def test_live_client_no_proxy_bypasses_the_proxy(two_providers, no_proxy_env):
+    from qlforge.gateway import LiveLlmClient
+
+    proxy, target = two_providers
+    no_proxy_env.setenv("http_proxy", f"http://{proxy.origin}")
+    no_proxy_env.setenv("no_proxy", "127.0.0.1")
+    client = LiveLlmClient(target.url, api_key="k")
+    assert client.send(simple_request("classify", "m", "x")).text == "hello"
+    client.close()
+    assert proxy.requests == []
+    assert target.requests[0]["path"] == "/v1/chat"
+
+
+def test_live_client_tunnels_https_through_the_proxy(provider, no_proxy_env):
+    from qlforge.gateway import LiveLlmClient
+
+    no_proxy_env.setenv("https_proxy", f"http://u:p@{provider.origin}")
+    client = LiveLlmClient("https://qlforge.invalid/v1/chat", api_key="k")
+    gateway = LlmGateway(client, retries=1)
+    with pytest.raises(ProviderError, match="Tunnel connection failed: 403"):
+        gateway.complete(simple_request("classify", "m", "x"))
+    assert provider.connects[0]["target"] == "qlforge.invalid:443"
+    assert provider.connects[0]["headers"]["Proxy-Authorization"] == "Basic dTpw"
+    assert provider.requests == []
+
+
+@pytest.mark.parametrize(
+    "body",
+    [
+        b"[]",
+        b'{"choices": "x"}',
+        b'{"choices": [null]}',
+        b'{"choices": [{"message": null}]}',
+        b'{"choices": [{"message": {"content": 5}}]}',
+        b'{"choices": []}',
+        b"not json",
+    ],
+)
+def test_live_client_malformed_body_is_provider_error(provider, live_client, body):
+    provider.replies.append((200, body, {}))
+    with pytest.raises(ProviderError, match="malformed provider response"):
+        live_client.send(simple_request("classify", "m", "x"))
+
+
+_BODY_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(
+        st.sampled_from(["choices", "message", "content", "finish_reason", "usage"]),
+        inner,
+        max_size=3,
+    ),
+    max_leaves=8,
+)
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(value=_BODY_VALUE)
+def test_live_client_any_json_body_is_text_or_provider_error(provider, live_client, value):
+    provider.replies.append((200, value, {}))
+    try:
+        response = live_client.send(simple_request("classify", "m", "x"))
+    except ProviderError:
+        return
+    assert isinstance(response.text, str)
+
+
+def test_file_backed_transcript_keeps_no_entries(tmp_path):
+    store = TranscriptStore(tmp_path / "t.jsonl")
+    gateway = LlmGateway(MockLlmClient(MockScript([], "hi")), transcripts=store)
+    gateway.complete_batch([simple_request("classify", "m", f"p{i}") for i in range(3)])
+    assert store.entries == []
+    assert len((tmp_path / "t.jsonl").read_text().splitlines()) == 3
+
+
+def test_importing_the_pipeline_leaves_requests_unloaded():
+    code = "import sys, qlforge.pipeline; print('requests' in sys.modules)"
+    src = str(Path(qlforge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "False"
 
 
 _JSON_VALUE = st.recursive(

@@ -140,6 +140,12 @@ def test_config_rejects_unknown_keys(tmp_path):
         ({"classify": {"budget": True}}, "classify.budget must be a positive integer"),
         ({"rulegen": {"max_iters": True}}, "rulegen.max_iters must be a positive integer"),
         ({"workers": True}, "workers must be a positive integer"),
+        ({"llm": {"mode": "live", "endpoint": "localhost:9/v1"}}, "llm.endpoint must be an http"),
+        ({"llm": {"mode": "live", "endpoint": "ftp://x/v1"}}, "llm.endpoint must be an http"),
+        ({"llm": {"mode": "live", "endpoint": "http://"}}, "llm.endpoint must be an http"),
+        ({"llm": {"mode": "live", "endpoint": "http://h:port/v1"}}, "llm.endpoint 'http://h:port"),
+        ({"llm": {"mode": "mock", "temperature": float("nan")}}, "temperature"),
+        ({"llm": {"mode": "mock", "temperature": float("inf")}}, "temperature"),
     ],
 )
 def test_config_validation_failures(tmp_path, mutation, match):
@@ -464,7 +470,12 @@ def test_stage_failure_names_the_stage(run_config, tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    [pytest.param('{"version": 1, "pai', id="truncated"), pytest.param("[1]", id="array")],
+    [
+        pytest.param('{"version": 1, "pai', id="truncated"),
+        pytest.param("[1]", id="array"),
+        pytest.param('{"version": 1, "pairs": [1]}', id="pairs-list"),
+        pytest.param('{"version": 1, "default": {"fail_count": "x"}}', id="fail-count-text"),
+    ],
 )
 def test_unreadable_compiler_script_fails_generate(run_config, tmp_path, text):
     bad_script = tmp_path / "bad_compiler.json"

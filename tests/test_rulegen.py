@@ -233,6 +233,25 @@ def test_mock_compiler_script_validation():
         MockCompiler({})
 
 
+@pytest.mark.parametrize(
+    "script, match",
+    [
+        ({"version": 1, "pairs": [1]}, "'pairs' must be an object"),
+        ({"version": 1, "pairs": {"p": 1}}, "entry 'p' must be an object"),
+        ({"version": 1, "default": {"fail_count": "x"}}, "fail_count must be an integer"),
+        ({"version": 1, "default": {"delay_s": True}}, "delay_s must be a number"),
+        ({"version": 1, "default": {"diagnostics": [{"line": 1}]}}, "diagnostics must be"),
+        ({"version": 1, "pairs": {"p": {"findings": [{"file": "A.java"}]}}}, "findings must be"),
+    ],
+)
+def test_mock_compiler_script_shape_is_config_error_naming_the_file(tmp_path, script, match):
+    path = tmp_path / "compiler.json"
+    path.write_text(json.dumps(script))
+    with pytest.raises(ConfigError, match=match) as err:
+        MockCompiler.from_file(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
 def test_mock_compiler_default_entry():
     compiler = MockCompiler({"version": 1, "default": {"fail_count": 1}})
     first = compiler.compile("anything", "text")
