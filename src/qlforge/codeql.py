@@ -317,15 +317,26 @@ class CodeQLCompiler:
         return _split_sarif(sarif, {SCAN_ID_PREFIX + pid: pid for pid in rules})
 
 
-def _split_sarif(sarif: dict, pair_by_rule_id: dict[str, str]) -> dict[str, list[dict]]:
-    """Assign each SARIF finding to the pair whose rule reported it."""
+def _split_sarif(sarif, pair_by_rule_id: dict[str, str]) -> dict[str, list[dict]]:
+    """Assign each SARIF finding to the pair whose rule reported it.
+
+    SARIF of the wrong shape raises CompilerUnavailable, as unreadable SARIF
+    does, so scan's fallback runs the batch's rules one at a time.
+    """
     findings: dict[str, list[dict]] = {pid: [] for pid in pair_by_rule_id.values()}
-    for rule_id, finding in _sarif_results(sarif):
-        pair_id = pair_by_rule_id.get(rule_id)
-        if pair_id is None:
-            logger.warning("scan: dropping a result of rule %r, which is not in the batch", rule_id)
-            continue
-        findings[pair_id].append(finding)
+    try:
+        for rule_id, finding in _sarif_results(sarif):
+            pair_id = pair_by_rule_id.get(rule_id)
+            if pair_id is None:
+                logger.warning(
+                    "scan: dropping a result of rule %r, which is not in the batch", rule_id
+                )
+                continue
+            findings[pair_id].append(finding)
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise CompilerUnavailable(
+            f"codeql database analyze wrote no readable SARIF: {type(exc).__name__}: {exc}"
+        ) from exc
     return findings
 
 
@@ -343,10 +354,13 @@ def _sarif_results(sarif: dict):
                 start = region.get("startLine")
                 if start is None:
                     continue
-                yield rule_id, {
+                finding = {
                     "file": physical.get("artifactLocation", {}).get("uri", ""),
                     "start_line": int(start),
                     "end_line": int(region.get("endLine", start)),
                     "message": result.get("message", {}).get("text", ""),
                 }
+                if not isinstance(finding["file"], str) or not isinstance(finding["message"], str):
+                    raise TypeError(f"result with a non-string uri or message: {finding!r}")
+                yield rule_id, finding
 

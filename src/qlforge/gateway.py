@@ -458,7 +458,8 @@ class LlmGateway:
 
     Transient transport failures (connection errors, HTTP 429/5xx) retry up
     to ``retries`` attempts with exponential backoff starting at
-    ``backoff_s``; auth and other provider errors raise immediately.
+    ``backoff_s``, each retry logged at WARNING; auth and other provider
+    errors raise immediately.
     """
 
     def __init__(
@@ -518,6 +519,13 @@ class LlmGateway:
             except _RetryableTransport as exc:
                 last = exc
                 if attempt + 1 < self.retries:
+                    logger.warning(
+                        "%s: attempt %d/%d failed, retrying: %s",
+                        request.stage,
+                        attempt + 1,
+                        self.retries,
+                        exc,
+                    )
                     self._sleep(self.backoff_s * (2**attempt))
         assert last is not None
         if last.status == 429:

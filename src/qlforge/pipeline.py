@@ -10,8 +10,8 @@ a ``run`` step that computes the stage and writes the artifact, and a
 Sidecars: extract_stats.json (raw call-site count), timings.json (sub-second
 stage timings) and transcript.jsonl (classify and pair model calls; each
 rule keeps its own transcript). A resumed run loads every stage before the
-first missing artifact and runs the rest; a completed run resumes to
-nothing-to-do.
+first missing artifact and runs the rest; a run with no artifact missing up
+to its stop stage resumes to nothing-to-do.
 """
 
 from __future__ import annotations
@@ -294,41 +294,27 @@ class PipelineConfig:
 # Component wiring
 # ---------------------------------------------------------------------------
 
-# PipelineConfig.from_dict rejects a config without the script a builder
-# needs, so only the stepwise CLI commands reach these errors: they name flags.
+
+def build_llm_client(config: PipelineConfig):
+    if config.llm_mode == "mock":
+        return MockLlmClient(MockScript.from_jsonl(config.mock_script))
+    return LiveLlmClient(endpoint=config.endpoint)
 
 
-def build_llm_client(llm_mode: str, mock_script: Path | None, endpoint: str):
-    if llm_mode == "mock":
-        if mock_script is None:
-            raise ConfigError("--mock-script is required with --llm mock")
-        return MockLlmClient(MockScript.from_jsonl(mock_script))
-    if not endpoint:
-        raise ConfigError("--endpoint is required with --llm live")
-    return LiveLlmClient(endpoint=endpoint)
-
-
-def build_backend(backend: str, codeql_path: str | None):
-    if backend == "fixture":
+def build_backend(config: PipelineConfig):
+    if config.backend == "fixture":
         return FixtureBackend()
     from .codeql import CodeQLBackend
 
-    return CodeQLBackend(binary=codeql_path)
+    return CodeQLBackend(binary=config.codeql_path)
 
 
-def build_compiler(
-    compiler_kind: str,
-    compiler_script: Path | None,
-    codeql_path: str | None,
-    timeout_s: float | None = None,
-):
-    if compiler_kind == "mock":
-        if compiler_script is None:
-            raise ConfigError("--compiler-script is required with --compiler mock")
-        return MockCompiler.from_file(compiler_script)
+def build_compiler(config: PipelineConfig):
+    if config.compiler_kind == "mock":
+        return MockCompiler.from_file(config.compiler_script)
     from .codeql import CodeQLCompiler
 
-    return CodeQLCompiler(binary=codeql_path, timeout_s=timeout_s)
+    return CodeQLCompiler(binary=config.codeql_path, timeout_s=config.timeout_s)
 
 
 # ---------------------------------------------------------------------------
@@ -358,10 +344,7 @@ class _Run:
     def compiler_once(self):
         """The compiler, built on first use: only generate and scan need one."""
         if self.compiler is None:
-            c = self.config
-            self.compiler = build_compiler(
-                c.compiler_kind, c.compiler_script, c.codeql_path, c.timeout_s
-            )
+            self.compiler = build_compiler(self.config)
         return self.compiler
 
 
@@ -372,7 +355,7 @@ class _Run:
 
 def _run_extract(run: _Run) -> None:
     config = run.config
-    raw = extract_apis(config.project, build_backend(config.backend, config.codeql_path))
+    raw = extract_apis(config.project, build_backend(config))
     run.raw_count = len(raw)
     run.records = dedupe(filter_risky(raw, config.filters))
     # The spec document holds only the filtered records; keep the raw
@@ -531,30 +514,33 @@ def run_pipeline(
     """Run the pipeline, persisting one artifact per stage under out_dir.
 
     Returns the report, or None when ``stop_after`` cut the run short of the
-    report stage. Raises :class:`NothingToDo` when resuming a completed run
-    or when classification leaves nothing to pair, and :class:`StageFailure`
-    when a stage errors out.
+    report stage. Raises :class:`NothingToDo` when a resumed run has no
+    missing artifact up to ``stop_after`` (it then changes no file) or when
+    classification leaves nothing to pair, and :class:`StageFailure` when a
+    stage errors out.
     """
     if stop_after is not None and stop_after not in STAGE_ORDER:
         raise ValueError(f"unknown stage: {stop_after!r}")
     out_dir = config.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
+    end = STAGE_ORDER.index(stop_after) + 1 if stop_after else len(STAGES)
     if resume:
         start = _first_missing_stage(out_dir)
-        if start is None:
-            raise NothingToDo(f"run in {out_dir} is already complete")
+        first = len(STAGES) if start is None else STAGE_ORDER.index(start)
+        if first >= end:
+            raise NothingToDo(
+                f"run in {out_dir} is already complete through {STAGE_ORDER[end - 1]}"
+            )
     else:
         _clear_run_dir(out_dir)
-        start = STAGE_ORDER[0]
-    logger.info("starting pipeline at stage %r (out_dir=%s)", start, out_dir)
-    first = STAGE_ORDER.index(start)
-    end = STAGE_ORDER.index(stop_after) + 1 if stop_after else len(STAGES)
+        first = 0
+    logger.info("starting pipeline at stage %r (out_dir=%s)", STAGE_ORDER[first], out_dir)
 
     run = _Run(config)
     if any(stage.uses_model for stage in STAGES[first:end]):
         # Built before the first stage runs, so a bad mock script is a
         # config error rather than a stage failure.
-        client = build_llm_client(config.llm_mode, config.mock_script, config.endpoint)
+        client = build_llm_client(config)
         run.gateway = LlmGateway(client, transcripts=TranscriptStore(out_dir / TRANSCRIPT_FILENAME))
     for stage in STAGES[:first]:
         stage.load(run)

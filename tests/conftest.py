@@ -14,6 +14,38 @@ from qlforge.records import SourceLocation, make_record
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
+def _transcript_entries(path: Path) -> list[dict]:
+    entries = []
+    for line in path.read_text(encoding="utf-8").splitlines():
+        entry = json.loads(line)
+        del entry["ts"], entry["response"]["latency_s"]
+        entries.append(entry)
+    return entries
+
+
+def assert_same_run(a: Path, b: Path) -> list[str]:
+    """Assert that two run directories hold the same files with the same content.
+
+    ``timings.json`` holds wall-clock times and is not compared; transcripts
+    are compared apart from their timestamps and latencies. Returns the
+    files' paths relative to the run directory.
+    """
+
+    def files(out_dir):
+        return sorted(str(p.relative_to(out_dir)) for p in out_dir.rglob("*") if p.is_file())
+
+    names = files(a)
+    assert names == files(b)
+    for name in names:
+        if name == "timings.json":
+            continue
+        if Path(name).name == "transcript.jsonl":
+            assert _transcript_entries(a / name) == _transcript_entries(b / name), name
+        else:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+    return names
+
+
 @pytest.fixture(scope="session")
 def fixture_dir() -> Path:
     return FIXTURES

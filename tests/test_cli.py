@@ -5,7 +5,8 @@ import pytest
 from click.testing import CliRunner
 
 from qlforge.cli import EXIT_CONFIG, EXIT_NOTHING, EXIT_OK, EXIT_STAGE, main
-from tests.conftest import FIXTURES
+from qlforge.pipeline import STAGE_ORDER
+from tests.conftest import FIXTURES, assert_same_run
 
 
 @pytest.fixture
@@ -35,76 +36,47 @@ def test_version(runner):
 def test_help_lists_commands(runner):
     result = runner.invoke(main, ["--help"])
     assert result.exit_code == EXIT_OK
-    for command in ("extract", "classify", "pair", "generate", "scan", "run", "report"):
-        assert command in result.output
+    listed = result.output.split("Commands:\n", 1)[1].splitlines()
+    assert [line.split()[0] for line in listed] == ["report", "run"]
 
 
 def test_stepwise_chain_matches_run(runner, tmp_path):
-    specs = tmp_path / "specs.json"
-    votes = tmp_path / "votes.json"
-    pairs = tmp_path / "pairs.json"
-    rules = tmp_path / "rules"
-    findings = tmp_path / "findings.json"
-    mock = str(FIXTURES / "mock_llm.jsonl")
-
-    result = runner.invoke(
-        main,
-        ["extract", "--project", str(FIXTURES / "demo_project"), "--out", str(specs)],
-    )
-    assert result.exit_code == EXIT_OK, result.output
-    assert "extracted 22 call site(s), kept 16" in result.output
-
-    result = runner.invoke(
-        main,
-        [
-            "classify", "--specs", str(specs), "--budget", "2000", "--seed", "7",
-            "--mock-script", mock, "--out", str(votes),
-        ],
-    )
-    assert result.exit_code == EXIT_OK, result.output
-    assert "classified 16 API(s) (0 tie(s))" in result.output
-
-    result = runner.invoke(
-        main,
-        [
-            "pair", "--votes", str(votes), "--specs", str(specs),
-            "--mock-script", mock, "--drop-sanitized", "--out", str(pairs),
-        ],
-    )
-    assert result.exit_code == EXIT_OK, result.output
-    assert "paired 3 source/sink chain(s)" in result.output
-
-    result = runner.invoke(
-        main,
-        [
-            "generate", "--pairs", str(pairs), "--specs", str(specs),
-            "--mock-script", mock,
-            "--compiler-script", str(FIXTURES / "mock_compiler.json"),
-            "--out", str(rules),
-        ],
-    )
-    assert result.exit_code == EXIT_OK, result.output
-    assert "3 compiled, 0 aborted" in result.output
-
-    result = runner.invoke(
-        main,
-        [
-            "scan", "--rules", str(rules), "--database", "demo",
-            "--compiler-script", str(FIXTURES / "mock_compiler.json"),
-            "--out", str(findings),
-        ],
-    )
-    assert result.exit_code == EXIT_OK, result.output
-    assert "3 finding(s)" in result.output
-
-    # The step artifacts agree with what one `run` invocation produces.
+    # One stage per invocation: --until the first stage, then --resume
+    # --until each later one.
     config = _write_config(tmp_path)
+    chain = ["run", "--config", str(config), "--set", "out_dir=chain"]
+    result = runner.invoke(main, [*chain, "--until", STAGE_ORDER[0]])
+    assert result.exit_code == EXIT_OK, result.output
+    assert result.output == f"stopped after extract -> {tmp_path / 'chain'}\n"
+    for stage in STAGE_ORDER[1:-1]:
+        result = runner.invoke(main, [*chain, "--resume", "--until", stage])
+        assert result.exit_code == EXIT_OK, result.output
+        assert result.output == f"stopped after {stage} -> {tmp_path / 'chain'}\n"
+    result = runner.invoke(main, [*chain, "--resume", "--until", "report"])
+    assert result.exit_code == EXIT_OK, result.output
+    assert f"run complete -> {tmp_path / 'chain' / 'report.json'}" in result.output
+
+    # The chain's run directory agrees with what one `run` invocation produces.
     result = runner.invoke(main, ["run", "--config", str(config)])
     assert result.exit_code == EXIT_OK, result.output
+    names = assert_same_run(tmp_path / "chain", tmp_path / "run")
+    assert {"extract_stats.json", "specs.json", "votes.json", "pairs.json"} <= set(names)
+    assert {"rules/index.json", "findings.json", "report.json", "transcript.jsonl"} <= set(names)
+
+
+def test_run_resume_already_past_until_is_nothing_to_do(runner, tmp_path):
+    config = _write_config(tmp_path)
+    result = runner.invoke(main, ["run", "--config", str(config), "--until", "classify"])
+    assert result.exit_code == EXIT_OK, result.output
     run_dir = tmp_path / "run"
-    assert votes.read_bytes() == (run_dir / "votes.json").read_bytes()
-    assert pairs.read_bytes() == (run_dir / "pairs.json").read_bytes()
-    assert findings.read_bytes() == (run_dir / "findings.json").read_bytes()
+    before = {name: (run_dir / name).read_bytes() for name in ("votes.json", "transcript.jsonl")}
+    result = runner.invoke(
+        main, ["run", "--config", str(config), "--resume", "--until", "extract"]
+    )
+    assert result.exit_code == EXIT_NOTHING
+    assert "already complete through extract" in result.output
+    assert {name: (run_dir / name).read_bytes() for name in before} == before
+    assert not (run_dir / "pairs.json").exists()
 
 
 def test_run_prints_rates(runner, tmp_path):
@@ -335,18 +307,6 @@ def test_run_stage_failure_exit_code(runner, tmp_path):
     assert "stage failure" in result.output
 
 
-def test_classify_requires_mock_script(runner, tmp_path):
-    specs = tmp_path / "specs.json"
-    runner.invoke(
-        main, ["extract", "--project", str(FIXTURES / "demo_project"), "--out", str(specs)]
-    )
-    result = runner.invoke(
-        main, ["classify", "--specs", str(specs), "--out", str(tmp_path / "v.json")]
-    )
-    assert result.exit_code == EXIT_CONFIG
-    assert "--mock-script is required" in result.output
-
-
 def test_report_formats(runner, tmp_path):
     config = _write_config(tmp_path)
     runner.invoke(main, ["run", "--config", str(config)])
@@ -410,9 +370,3 @@ def test_report_before_run_is_nothing_to_do(runner, tmp_path):
     assert result.exit_code == EXIT_NOTHING
     assert "no report" in result.output
 
-
-def test_extract_missing_project_is_usage_error(runner, tmp_path):
-    result = runner.invoke(
-        main, ["extract", "--project", str(tmp_path / "nope"), "--out", "x.json"]
-    )
-    assert result.exit_code != EXIT_OK

@@ -440,6 +440,59 @@ def test_sarif_results_edge_cases():
     assert list(_sarif_results({})) == []
 
 
+_SARIF_KEYS = st.sampled_from(
+    ["runs", "results", "ruleId", "rule", "id", "locations", "physicalLocation", "region",
+     "startLine", "endLine", "artifactLocation", "uri", "message", "text"]
+)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.sampled_from(["qlforge/a", "7"]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(_SARIF_KEYS, children, max_size=4),
+    max_leaves=16,
+)
+# SARIF's own nesting, where each field holds either a value of its type or a leaf
+# of any type: arbitrary JSON seldom nests deep enough to reach a location.
+_LEAF = st.none() | st.integers() | st.floats() | st.text(max_size=3)
+
+
+def _field(valid):
+    return st.one_of(valid, _LEAF)
+
+
+_SARIF = st.fixed_dictionaries({"runs": st.lists(st.fixed_dictionaries({"results": st.lists(
+    st.fixed_dictionaries({
+        "ruleId": _field(st.just("qlforge/a")),
+        "message": st.fixed_dictionaries({"text": _field(st.text(max_size=3))}),
+        "locations": st.lists(st.fixed_dictionaries({"physicalLocation": st.fixed_dictionaries({
+            "artifactLocation": st.fixed_dictionaries({"uri": _field(st.text(max_size=5))}),
+            "region": st.fixed_dictionaries({
+                "startLine": _field(st.integers(0, 99)), "endLine": _field(st.integers(0, 99))
+            }),
+        })}), max_size=2),
+    }), max_size=3)}), max_size=2)})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(sarif=_JSON | _SARIF)
+@example(sarif=[])
+@example(sarif={"runs": "x"})
+@example(sarif={"runs": [None]})
+@example(sarif={"runs": [{"results": [None]}]})
+@example(sarif={"runs": [{"results": [{"locations": [
+    {"physicalLocation": {"region": {"startLine": "x"}}}
+]}]}]})
+def test_split_sarif_returns_findings_or_raises_unavailable(sarif):
+    try:
+        split = _split_sarif(sarif, {"qlforge/a": "a"})
+    except CompilerUnavailable as exc:
+        assert "no readable SARIF" in str(exc)
+        return
+    assert list(split) == ["a"]
+    for finding in split["a"]:
+        assert isinstance(finding["file"], str) and isinstance(finding["message"], str)
+        assert isinstance(finding["start_line"], int) and isinstance(finding["end_line"], int)
+
+
 _RULE_PIECES = st.sampled_from(
     ["/**", "*/", "/*", "//", "@id", "@id x", "@id-y", "@identifier", " ", "\n", "*", "select 1"]
 )

@@ -123,15 +123,20 @@ class FlakyClient:
         return LlmResponse(text="ok")
 
 
-def test_gateway_retries_then_succeeds():
+def test_gateway_retries_then_succeeds(caplog):
     sleeps = []
     client = FlakyClient(2)
     gateway = LlmGateway(client, retries=3, backoff_s=1.0, sleep=sleeps.append)
-    response, seq = gateway.complete(simple_request("classify", "m", "x"))
+    with caplog.at_level("WARNING", logger="qlforge.gateway"):
+        response, seq = gateway.complete(simple_request("classify", "m", "x"))
     assert response.text == "ok"
     assert client.calls == 3
     assert sleeps == [1.0, 2.0]  # exponential: 1, 2
     assert seq == 1
+    assert [(r.levelname, r.getMessage()) for r in caplog.records] == [
+        ("WARNING", "classify: attempt 1/3 failed, retrying: HTTP 503"),
+        ("WARNING", "classify: attempt 2/3 failed, retrying: HTTP 503"),
+    ]
 
 
 def test_gateway_exhausted_429_raises_rate_limited():

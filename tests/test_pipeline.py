@@ -17,7 +17,7 @@ from qlforge.pipeline import (
 )
 from qlforge.report import load_report
 from qlforge.rulegen import MockCompiler
-from tests.conftest import FIXTURES
+from tests.conftest import FIXTURES, assert_same_run
 
 ARTIFACTS = (
     "specs.json",
@@ -190,7 +190,7 @@ def test_live_client_built_from_env(monkeypatch, tmp_path):
     data.pop("mock_script")
     data["llm"] = {"mode": "live", "endpoint": "https://example.invalid/v1"}
     config = PipelineConfig.from_dict(data, base_dir=FIXTURES)
-    client = build_llm_client(config.llm_mode, config.mock_script, config.endpoint)
+    client = build_llm_client(config)
     assert client.api_key == "sekrit"
 
 
@@ -361,43 +361,19 @@ def test_two_runs_byte_identical(run_config):
         assert a == b, f"{name} differs between identical runs"
 
 
-def _transcript_entries(path):
-    entries = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        entry = json.loads(line)
-        del entry["ts"], entry["response"]["latency_s"]
-        entries.append(entry)
-    return entries
-
-
 def test_results_do_not_depend_on_workers(run_config):
     narrow = run_config("narrow", workers=1)
     wide = run_config("wide", workers=4)
     run_pipeline(narrow)
     run_pipeline(wide)
 
-    def files(out_dir, transcripts):
-        return sorted(
-            str(p.relative_to(out_dir))
-            for p in out_dir.rglob("*")
-            if p.is_file() and (p.name == "transcript.jsonl") == transcripts
-        )
-
-    # Every artifact but the wall-clock timings is byte-identical.
-    artifacts = files(narrow.out_dir, transcripts=False)
-    assert artifacts == files(wide.out_dir, transcripts=False)
-    artifacts.remove("timings.json")
-    assert {"specs.json", "votes.json", "pairs.json", "rules/index.json"} <= set(artifacts)
-    assert {"findings.json", "report.json"} <= set(artifacts)
-    for name in artifacts:
-        assert (narrow.out_dir / name).read_bytes() == (wide.out_dir / name).read_bytes(), name
-    # Transcripts differ only in their timestamps and latencies.
-    transcripts = files(narrow.out_dir, transcripts=True)
-    assert transcripts == files(wide.out_dir, transcripts=True)
-    assert len(transcripts) == 4  # the shared one and one per pair
-    for name in transcripts:
-        narrow_entries = _transcript_entries(narrow.out_dir / name)
-        assert narrow_entries == _transcript_entries(wide.out_dir / name), name
+    # Every artifact but the wall-clock timings is byte-identical, and
+    # transcripts differ only in their timestamps and latencies.
+    names = assert_same_run(narrow.out_dir, wide.out_dir)
+    assert {"specs.json", "votes.json", "pairs.json", "rules/index.json"} <= set(names)
+    assert {"findings.json", "report.json", "timings.json"} <= set(names)
+    # The shared transcript and one per pair.
+    assert sum(1 for name in names if name.endswith("transcript.jsonl")) == 4
 
 
 def test_fresh_run_clears_stale_artifacts(run_config):
@@ -515,5 +491,5 @@ def test_empty_project_raises_nothing_to_do(run_config, tmp_path):
 
 def test_build_compiler_mock(run_config):
     config = run_config()
-    compiler = build_compiler(config.compiler_kind, config.compiler_script, config.codeql_path)
+    compiler = build_compiler(config)
     assert compiler.name == "mock"

@@ -483,11 +483,9 @@ def test_scan_continues_past_failing_rule(caplog):
     assert "execution failed" in caplog.text
 
 
-def _codeql_scan(tmp_path, rule_texts):
-    rows = {
-        pid: [{"file": "F.java", "line": line, "message": pid}]
-        for line, pid in enumerate(sorted(rule_texts), 1)
-    }
+def _codeql_scan(tmp_path, rule_texts, lines=None):
+    lines = lines or dict(zip(sorted(rule_texts), range(1, len(rule_texts) + 1)))
+    rows = {pid: [{"file": "F.java", "line": line, "message": pid}] for pid, line in lines.items()}
     fake = FakeAnalyzeCodeql(tmp_path, rows)
     artifacts = [
         RuleArtifact(pid, "xss", ArtifactStatus.COMPILED, 1, text)
@@ -526,6 +524,16 @@ def test_scan_isolates_a_rule_that_breaks_the_batch(tmp_path, caplog):
     ]
     assert [f.pair_id for f in findings] == ["a__x", "c__z"]
     assert "pair b__y: execution failed" in caplog.text
+
+
+def test_scan_isolates_a_rule_whose_sarif_is_mis_shaped(tmp_path, caplog):
+    rules = {pid: RULE_TEXT + "\n" for pid in ("a__x", "b__y", "c__z")}
+    with caplog.at_level("WARNING", logger="qlforge.rulegen"):
+        findings, calls = _codeql_scan(tmp_path, rules, {"a__x": 1, "b__y": "x", "c__z": 3})
+    assert len(calls) == 4
+    assert [f.pair_id for f in findings] == ["a__x", "c__z"]
+    assert "pair b__y: execution failed" in caplog.text
+    assert "no readable SARIF: ValueError" in caplog.text
 
 
 def test_scan_output_sorted_by_location():
