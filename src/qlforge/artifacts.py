@@ -83,7 +83,7 @@ def read_text(path: str | Path) -> str:
 def parse_json_object(text: str, source: str | Path) -> dict:
     try:
         doc = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ArtifactCorrupt(f"{source}: not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise ArtifactCorrupt(f"{source}: expected a JSON object")

@@ -33,13 +33,22 @@ from pathlib import Path
 from .artifacts import dump_json, parse_entries, read_text, write_json
 from .errors import BallotCountMismatch, RecordTooLarge, UnknownApiId, WhollyMalformed
 from .gateway import LlmGateway, estimate_tokens, simple_request
-from .prompts import load_catalog, load_template, pack_greedy, render_template
+from .prompts import (
+    handle_names,
+    handles,
+    load_catalog,
+    load_template,
+    pack_greedy,
+    render_template,
+    with_handle,
+)
 from .records import ApiRecord, record_lookup
 
 logger = logging.getLogger(__name__)
 
 ROUNDS = 3  # triple voting: fixed, not configurable
 _RESHUFFLE_CANDIDATES = 8
+_HANDLE_PREFIX = "a"  # a prompt names its members a1..aN
 _IDENTICAL_CONTEXT_PENALTY = 1000
 
 VOTES_DOC_VERSION = 1
@@ -149,20 +158,16 @@ def _steps_text() -> str:
     )
 
 
-def _member_block(record: ApiRecord) -> str:
-    return record.json_text + "\n"
-
-
 def _render_prompt(members: list[ApiRecord]) -> str:
-    api_info = "".join(_member_block(r) for r in members)
-    id_list = ", ".join(r.id for r in members)
+    names = handles(_HANDLE_PREFIX, len(members))
+    api_info = "".join(with_handle(r, name) + "\n" for r, name in zip(members, names))
     return render_template(
         load_template("classify_prompt.txt"),
         {
             "DEFINITIONS": _DEFINITIONS,
             "API_INFORMATION": api_info,
             "STEPS": _steps_text(),
-            "OUTPUT_SCHEMA": _SCHEMA_HEADER + id_list,
+            "OUTPUT_SCHEMA": _SCHEMA_HEADER + ", ".join(names),
         },
     )
 
@@ -174,8 +179,10 @@ def _frame_cost() -> int:
 def _member_cost(record: ApiRecord) -> int:
     # Covers the record's data block plus its entry in the id list
     # (id + ", " separator), so summed member costs plus the frame cost
-    # upper-bound the rendered prompt estimate.
-    return estimate_tokens(_member_block(record)) + estimate_tokens(record.id + ", ")
+    # upper-bound the rendered prompt estimate. The prompt names the record
+    # by a handle, which is shorter than a 16-hex id, so costing the full id
+    # keeps the bound and leaves plans independent of handle numbering.
+    return estimate_tokens(record.json_text + "\n") + estimate_tokens(record.id + ", ")
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +281,8 @@ def build_classification_prompt(group: ContextGroup, records_by_id: dict[str, Ap
 
     The rendered text carries, in order: the objective, the concept
     definitions, the serialized member records, the six-step analysis
-    framework, and the strict output schema naming every member id.
+    framework, and the strict output schema naming every member. Members
+    appear under their handles a1..aN, in group order, in place of their ids.
     """
     members = []
     for rid in group.member_ids:
@@ -304,12 +312,13 @@ _LABELS = {
 def parse_classification_response(text: str, group: ContextGroup) -> list[Ballot]:
     """Turn a model response into one ballot per group member.
 
-    A member missing from the response, or labeled with something
-    unrecognized, ballots ``None`` with a parse warning; ids outside the
-    group are ignored. A response with no labeled line at all is
-    :class:`WhollyMalformed` (the caller retries once).
+    A member is named by its prompt handle or by its full id; a handle wins
+    where the two collide. A member missing from the response, or labeled
+    with something unrecognized, ballots ``None`` with a parse warning;
+    names outside the group are ignored. A response with no labeled line at
+    all is :class:`WhollyMalformed` (the caller retries once).
     """
-    members = set(group.member_ids)
+    names = handle_names(group.member_ids, _HANDLE_PREFIX)
     found: dict[str, TaintLabel] = {}
     any_labeled_line = False
     for line in text.splitlines():
@@ -317,10 +326,10 @@ def parse_classification_response(text: str, group: ContextGroup) -> list[Ballot
         if not m:
             continue
         any_labeled_line = True
-        token = m.group(1)
-        if token in members and token not in found:
-            found[token] = _LABELS[m.group(2).lower()]
-    if members and not any_labeled_line:
+        rid = names.get(m.group(1))
+        if rid is not None and rid not in found:
+            found[rid] = _LABELS[m.group(2).lower()]
+    if group.member_ids and not any_labeled_line:
         raise WhollyMalformed("no labeled line recoverable from response")
     ballots = []
     for rid in group.member_ids:

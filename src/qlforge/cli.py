@@ -31,10 +31,11 @@ from .pipeline import (
     FINDINGS_FILENAME,
     REPORT_FILENAME,
     STAGE_ORDER,
+    TIMINGS_FILENAME,
     PipelineConfig,
     run_pipeline,
 )
-from .report import REPORT_FORMATS, emit_report, load_report
+from .report import REPORT_FORMATS, emit_report, load_report, load_stage_seconds
 from .rulegen import load_findings
 
 EXIT_OK = 0
@@ -143,7 +144,9 @@ def report(run_dir: Path, fmt: str, out: Path | None) -> None:
         raise NothingToDo(f"no report in {run_dir}; run the pipeline first")
     findings_path = run_dir / FINDINGS_FILENAME
     findings = load_findings(findings_path) if findings_path.is_file() else []
-    text = emit_report(load_report(report_path), fmt, findings)
+    timings_path = run_dir / TIMINGS_FILENAME
+    seconds = load_stage_seconds(timings_path) if timings_path.is_file() else None
+    text = emit_report(load_report(report_path), fmt, findings, seconds)
     if out is None:
         click.echo(text, nl=False)
     else:

@@ -3,10 +3,12 @@
 Everything here shells out to the ``codeql`` binary, resolved in a fixed
 order: explicit path, then the QLFORGE_CODEQL environment variable, then
 PATH lookup. A missing binary raises BackendUnavailable (extraction) or
-CompilerUnavailable (compilation) instead of a raw OSError, so callers can
-tell a broken environment from a broken rule. Extraction and scanning raise
-the same errors when a ``codeql`` call runs past its timeout; compilation
-reports that as a Timeout result.
+CompilerUnavailable (compilation and scanning) instead of a raw OSError.
+Extraction and scanning raise the same errors when a ``codeql`` call runs
+past its timeout; compilation reports that as a Timeout result. A
+``database analyze`` that runs and fails, or writes SARIF that cannot be
+read, raises ExecutionFailed instead, so callers can tell a broken
+environment from a broken rule.
 
 Scanning runs every compiled rule in one ``codeql database analyze`` call,
 so the CLI starts once per scan rather than once per rule. Each rule is
@@ -29,7 +31,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from .errors import BackendUnavailable, CompilerUnavailable
+from .errors import BackendUnavailable, CompilerUnavailable, ExecutionFailed
 from .records import ApiRecord, SourceLocation, clamp_snippet, make_record
 from .rulegen import CompileResult, CompileStatus, Diagnostic
 
@@ -305,13 +307,13 @@ class CodeQLCompiler:
                     f"codeql database analyze exceeded {timeout_s}s"
                 ) from exc
             if proc.returncode != 0:
-                raise CompilerUnavailable(
+                raise ExecutionFailed(
                     f"codeql database analyze failed: {proc.stderr.strip()[:500]}"
                 )
             try:
                 sarif = json.loads(sarif_path.read_text(encoding="utf-8"))
-            except (OSError, ValueError) as exc:
-                raise CompilerUnavailable(
+            except (OSError, ValueError, RecursionError) as exc:
+                raise ExecutionFailed(
                     f"codeql database analyze wrote no readable SARIF: {exc}"
                 ) from exc
         return _split_sarif(sarif, {SCAN_ID_PREFIX + pid: pid for pid in rules})
@@ -320,7 +322,7 @@ class CodeQLCompiler:
 def _split_sarif(sarif, pair_by_rule_id: dict[str, str]) -> dict[str, list[dict]]:
     """Assign each SARIF finding to the pair whose rule reported it.
 
-    SARIF of the wrong shape raises CompilerUnavailable, as unreadable SARIF
+    SARIF of the wrong shape raises ExecutionFailed, as unreadable SARIF
     does, so scan's fallback runs the batch's rules one at a time.
     """
     findings: dict[str, list[dict]] = {pid: [] for pid in pair_by_rule_id.values()}
@@ -334,7 +336,7 @@ def _split_sarif(sarif, pair_by_rule_id: dict[str, str]) -> dict[str, list[dict]
                 continue
             findings[pair_id].append(finding)
     except (AttributeError, TypeError, ValueError, OverflowError) as exc:
-        raise CompilerUnavailable(
+        raise ExecutionFailed(
             f"codeql database analyze wrote no readable SARIF: {type(exc).__name__}: {exc}"
         ) from exc
     return findings

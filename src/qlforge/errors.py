@@ -50,7 +50,11 @@ class EmptyDraft(QlforgeError):
 
 
 class CompilerUnavailable(QlforgeError):
-    """The requested rule compiler cannot run."""
+    """The requested rule compiler cannot run: its binary is missing or hung."""
+
+
+class ExecutionFailed(QlforgeError):
+    """Executing rules ran and failed, or left results that cannot be read."""
 
 
 class AuthFailure(QlforgeError):

@@ -195,7 +195,7 @@ class MockScript:
                     isinstance(data.get(key, ""), str) for key in _MOCK_TEXT_KEYS
                 ):
                     raise ValueError("not an object of strings")
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad mock script line: {exc}") from None
             if "default" in data:
                 default = data["default"]
@@ -331,7 +331,7 @@ class LiveLlmClient:
             text = choice["message"]["content"]
             finish = choice.get("finish_reason", "stop")
             usage = body.get("usage")
-        except (KeyError, IndexError, TypeError, ValueError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, RecursionError) as exc:
             raise ProviderError(f"malformed provider response: {exc!r}") from exc
         if text is None:
             text = ""
@@ -428,11 +428,14 @@ class TranscriptStore:
             if not line.strip():
                 continue
             try:
-                seq = max(seq, json.loads(line).get("seq", 0))
-            except (ValueError, AttributeError, TypeError):
+                line_seq = json.loads(line).get("seq", 0)
+                if isinstance(line_seq, bool) or not isinstance(line_seq, int):
+                    raise TypeError(f"seq {line_seq!r}")
+            except (ValueError, AttributeError, TypeError, RecursionError):
                 raise ArtifactCorrupt(
                     f"{self.path}: line {number} is not a transcript entry"
                 ) from None
+            seq = max(seq, line_seq)
         return seq
 
     def append(self, request: LlmRequest, response: LlmResponse) -> int:

@@ -19,9 +19,12 @@ tiles run sink-group-major. With S source groups and K sink groups the run
 sends about K·Σsources + S·Σsinks + S·K·frame tokens, which for a fixed
 room is least at the even split, so no tuning constant is needed.
 
+A prompt lists each candidate under a short handle in place of its id:
+sources s1.., sinks k1.. and sanitizers z1.., numbered in sorted-id order.
 Responses are line-oriented; chatter around recognizable pair lines is
-ignored, and pairs naming ids outside the tile's candidate lists are dropped
-with a warning. A response with no recognizable structure at all is retried
+ignored, a candidate may be named by its handle or its full id, and pairs
+naming anything outside the tile's candidate lists are dropped with a
+warning. A response with no recognizable structure at all is retried
 once, after which that tile contributes nothing.
 """
 
@@ -31,11 +34,12 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Collection
 
 from .artifacts import dump_json, parse_entries, read_text, write_json
 from .errors import NothingToPair, RecordTooLarge, UnknownApiId, WhollyMalformed
 from .gateway import LlmGateway, estimate_tokens, simple_request
-from .prompts import load_template, pack_greedy, render_template
+from .prompts import handle_names, handles, load_template, pack_greedy, render_template, with_handle
 from .records import ApiRecord, record_lookup
 
 logger = logging.getLogger(__name__)
@@ -44,6 +48,8 @@ PAIRS_DOC_VERSION = 1
 DEFAULT_BUDGET = 16000
 
 _NO_PAIRS_SENTINEL = "NO_PAIRS"
+# Handle prefixes of the sources (s1..), sinks (k1..) and sanitizers (z1..).
+_HANDLE_PREFIXES = ("s", "k", "z")
 
 _PAIR_LINE_RE = re.compile(
     r"""^\s*PAIR:\s*\(\s*([\w.\-]+)\s*,\s*([\w.\-]+)\s*\)
@@ -106,14 +112,14 @@ If no pairing is plausible print exactly:
 NO_PAIRS"""
 
 
-def _candidate_block(ids: list[str], records_by_id: dict[str, ApiRecord]) -> str:
+def _candidate_block(ids: list[str], prefix: str, records_by_id: dict[str, ApiRecord]) -> str:
     if not ids:
         return "(none)\n"
     lines = []
-    for rid in ids:
+    for rid, handle in zip(ids, handles(prefix, len(ids))):
         if rid not in records_by_id:
             raise UnknownApiId(f"pairing references unknown api id {rid}")
-        lines.append(records_by_id[rid].json_text)
+        lines.append(with_handle(records_by_id[rid], handle))
     return "\n".join(lines) + "\n"
 
 
@@ -123,12 +129,18 @@ def build_pairing_prompt(
     sanitizer_ids: list[str],
     records_by_id: dict[str, ApiRecord],
 ) -> str:
+    """Render the pairing prompt of one tile.
+
+    Each list is sorted, and its records appear under handles numbered in
+    that order (see :data:`_HANDLE_PREFIXES`) in place of their ids.
+    """
+    src, snk, san = _HANDLE_PREFIXES
     return render_template(
         load_template("pair_prompt.txt"),
         {
-            "SOURCE_CANDIDATES": _candidate_block(sorted(source_ids), records_by_id),
-            "SINK_CANDIDATES": _candidate_block(sorted(sink_ids), records_by_id),
-            "SANITIZER_CANDIDATES": _candidate_block(sorted(sanitizer_ids), records_by_id),
+            "SOURCE_CANDIDATES": _candidate_block(sorted(source_ids), src, records_by_id),
+            "SINK_CANDIDATES": _candidate_block(sorted(sink_ids), snk, records_by_id),
+            "SANITIZER_CANDIDATES": _candidate_block(sorted(sanitizer_ids), san, records_by_id),
             "OUTPUT_SCHEMA": _PAIR_SCHEMA,
         },
     )
@@ -195,15 +207,22 @@ def _normalize_class(raw: str) -> str:
 
 def parse_pair_lines(
     text: str,
-    valid_sources: set[str],
-    valid_sinks: set[str],
-    valid_sanitizers: set[str],
+    valid_sources: Collection[str],
+    valid_sinks: Collection[str],
+    valid_sanitizers: Collection[str],
 ) -> list[SourceSinkPair]:
     """Extract pairs from one response; unknown ids are dropped with a warning.
 
-    Raises :class:`WhollyMalformed` when neither a pair line nor the
-    NO_PAIRS sentinel appears anywhere (the caller retries once).
+    A candidate is named by its handle in the prompt of these candidate
+    lists (see :func:`build_pairing_prompt`) or by its full id; a handle
+    wins where the two collide. Raises :class:`WhollyMalformed` when neither
+    a pair line nor the NO_PAIRS sentinel appears anywhere (the caller
+    retries once).
     """
+    source_names, sink_names, sanitizer_names = (
+        handle_names(sorted(ids), prefix)
+        for ids, prefix in zip((valid_sources, valid_sinks, valid_sanitizers), _HANDLE_PREFIXES)
+    )
     pairs: list[SourceSinkPair] = []
     seen: set[tuple[str, str]] = set()
     recognized = False
@@ -215,17 +234,18 @@ def parse_pair_lines(
         if not m:
             continue
         recognized = True
-        src, snk, raw_class, rationale, confidence, sanitized_by = m.groups()
-        if src not in valid_sources or snk not in valid_sinks:
-            logger.warning("dropping pair with unknown id(s): (%s, %s)", src, snk)
+        src_name, snk_name, raw_class, rationale, confidence, sanitized_by = m.groups()
+        src, snk = source_names.get(src_name), sink_names.get(snk_name)
+        if src is None or snk is None:
+            logger.warning("dropping pair with unknown id(s): (%s, %s)", src_name, snk_name)
             continue
         if (src, snk) in seen:
             continue
         seen.add((src, snk))
         sanitizers = tuple(
-            tok
+            sanitizer_names[tok]
             for tok in re.split(r"[,\s]+", (sanitized_by or "").strip())
-            if tok and tok in valid_sanitizers
+            if tok and tok in sanitizer_names
         )
         pairs.append(
             SourceSinkPair(
@@ -290,7 +310,7 @@ def pair_all(
     def parse_tile(
         tile_sources: list[str], tile_sinks: list[str], text: str
     ) -> list[SourceSinkPair]:
-        return parse_pair_lines(text, set(tile_sources), set(tile_sinks), set(sanitizers))
+        return parse_pair_lines(text, tile_sources, tile_sinks, sanitizers)
 
     # Wholly malformed tiles get exactly one retry, sequentially and in
     # tile order so transcript sequence ids stay reproducible.

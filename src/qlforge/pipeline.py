@@ -437,12 +437,9 @@ def _run_report(run: _Run) -> None:
         project=c.project.name,
         backend=c.backend,
         llm_mode=c.llm_mode,
-        # Whole seconds only, so identical inputs give byte-identical reports
-        # even when wall time jitters below 1s. The report cannot time itself
-        # before writing itself; its row is pinned to 0s.
-        stages=tuple(
-            StageSummary(name, "ok", int(run.seconds.get(name, 0))) for name in STAGE_ORDER
-        ),
+        # No wall times here, so identical inputs give byte-identical
+        # reports; they go to the timings sidecar below.
+        stages=tuple(StageSummary(name, "ok") for name in STAGE_ORDER),
         counts={
             "apis_extracted": run.raw_count,
             "apis_kept": len(run.records),

@@ -6,9 +6,11 @@ import json
 import re
 from functools import lru_cache
 from importlib import resources
-from typing import Iterable
+from json.encoder import encode_basestring
+from typing import Iterable, Sequence
 
 from .errors import TemplateError
+from .records import ApiRecord
 
 _PLACEHOLDER_RE = re.compile(r"\{([A-Z][A-Z0-9_]*)\}")
 
@@ -32,6 +34,45 @@ def render_template(template: str, values: dict[str, str]) -> str:
         return values[match.group(1)]
 
     return _PLACEHOLDER_RE.sub(_sub, template)
+
+
+# Every ``ApiRecord.json_text`` begins with this, then the id as JSON.
+_ID_KEY = '{"id": '
+
+
+def handles(prefix: str, count: int) -> list[str]:
+    """The short names of ``count`` records listed in one prompt: ``prefix`` + 1..count.
+
+    Prompts that list records for the model to name back (classify and
+    pairing) show each record under its handle instead of its 16-hex id, so
+    every answer line costs a few completion tokens instead of about a dozen.
+    """
+    return [f"{prefix}{number}" for number in range(1, count + 1)]
+
+
+def with_handle(record: ApiRecord, handle: str) -> str:
+    """``record.json_text`` with its ``"id"`` value replaced by ``handle``.
+
+    The line is spliced from the cached text rather than serialized again;
+    the id is skipped by its JSON-encoded length, so an id that needs
+    escaping splices correctly too.
+    """
+    # encode_basestring is the string encoder of json.dumps(ensure_ascii=False),
+    # which wrote json_text, without the cost of building an encoder per call.
+    skip = len(_ID_KEY) + len(encode_basestring(record.id))
+    return f"{_ID_KEY}{encode_basestring(handle)}{record.json_text[skip:]}"
+
+
+def handle_names(ids: Sequence[str], prefix: str) -> dict[str, str]:
+    """Map every name a response may give ``ids[i]`` back to that id.
+
+    A record is named by its handle (see :func:`handles`) or by its full id.
+    Handles are entered last, so a handle that equals another record's full
+    id names the handle's record.
+    """
+    names = {rid: rid for rid in ids}
+    names.update(zip(handles(prefix, len(ids)), ids))
+    return names
 
 
 def pack_greedy(order: Iterable[str], costs: dict[str, int], room: int) -> list[list[str]]:

@@ -1,9 +1,10 @@
 """Run reports in JSON, text and SARIF form.
 
-The report body is fully determined by pipeline inputs: stage durations are
-stored as whole seconds (rounded down) and no wall-clock timestamps appear,
-so two runs over identical inputs produce byte-identical report files.
-Sub-second timing detail goes to a sidecar next to the report instead.
+The report body is fully determined by pipeline inputs: no stage duration
+or wall-clock timestamp appears in it, so two runs over identical inputs
+produce byte-identical report files. Stage wall times go to the
+``timings.json`` sidecar next to the report, which the text form shows when
+it is given them.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from .artifacts import check_version, dump_json, read_json, shape_checked
+from .errors import ArtifactCorrupt
 from .metrics import Metrics, format_rate
 from .rulegen import Finding
 
@@ -27,14 +29,15 @@ REPORT_FORMATS = ("json", "text", "sarif")
 class StageSummary:
     name: str
     status: str  # ok | failed | skipped
-    duration_s: int = 0
 
     def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status, "duration_s": self.duration_s}
+        return {"name": self.name, "status": self.status}
 
     @classmethod
     def from_dict(cls, data: dict) -> "StageSummary":
-        return cls(name=data["name"], status=data["status"], duration_s=data["duration_s"])
+        # Reports written before stage times moved to the sidecar also
+        # carry "duration_s"; it is ignored.
+        return cls(name=data["name"], status=data["status"])
 
 
 @dataclass(frozen=True)
@@ -85,12 +88,25 @@ def load_report(path: str | Path) -> PipelineReport:
         return PipelineReport.from_dict(doc)
 
 
+def load_stage_seconds(path: str | Path) -> dict[str, float]:
+    """The per-stage wall times of a ``timings.json`` sidecar."""
+    doc = read_json(path)
+    seconds = doc.get("stage_seconds")
+    if not isinstance(seconds, dict) or not all(
+        isinstance(s, (int, float)) and not isinstance(s, bool) for s in seconds.values()
+    ):
+        raise ArtifactCorrupt(f"{path}: expected 'stage_seconds' to map stages to seconds")
+    return seconds
+
+
 # ---------------------------------------------------------------------------
 # Renderers
 # ---------------------------------------------------------------------------
 
 
-def render_text(report: PipelineReport) -> str:
+def render_text(report: PipelineReport, stage_seconds: dict[str, float] | None = None) -> str:
+    """The report as text; ``stage_seconds`` adds each timed stage's wall time."""
+    seconds = stage_seconds or {}
     lines = [
         "qlforge run report",
         "==================",
@@ -101,7 +117,8 @@ def render_text(report: PipelineReport) -> str:
         "stages:",
     ]
     for stage in report.stages:
-        lines.append(f"  {stage.name:<10} {stage.status:<8} {stage.duration_s}s")
+        timed = f" {seconds[stage.name]:.3f}s" if stage.name in seconds else ""
+        lines.append(f"  {stage.name:<10} {stage.status:<8}{timed}".rstrip())
     lines.append("")
     lines.append("counts:")
     for key, value in report.counts.items():
@@ -180,15 +197,17 @@ def emit_report(
     report: PipelineReport,
     fmt: str,
     findings: list[Finding] | None = None,
+    stage_seconds: dict[str, float] | None = None,
 ) -> str:
     """Render the report in one of the supported formats.
 
-    SARIF output needs the findings list; the other formats ignore it.
+    SARIF output needs the findings list and text output shows the stage
+    times; each format ignores what it does not show.
     """
     if fmt == "json":
         return dump_report(report)
     if fmt == "text":
-        return render_text(report)
+        return render_text(report, stage_seconds)
     if fmt == "sarif":
         return render_sarif(report, findings or [])
     raise ValueError(f"unknown report format: {fmt!r}")

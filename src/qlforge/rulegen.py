@@ -45,7 +45,7 @@ from .artifacts import (
     write_json,
     write_text,
 )
-from .errors import CompilerUnavailable, ConfigError, EmptyDraft, UnknownApiId
+from .errors import CompilerUnavailable, ConfigError, EmptyDraft, ExecutionFailed, UnknownApiId
 from .gateway import LlmClient, LlmGateway, TranscriptStore, simple_request
 from .pairing import SourceSinkPair
 from .prompts import load_template, render_template
@@ -185,7 +185,11 @@ class RuleCompiler(Protocol):
     def compile(self, pair_id: str, rule_text: str) -> CompileResult: ...
 
     def execute(self, rules: dict[str, str], database: str) -> dict[str, list[dict]]:
-        """Run the rules (pair id -> rule text); return each pair's findings."""
+        """Run the rules (pair id -> rule text); return each pair's findings.
+
+        Raises :class:`ExecutionFailed` when the run fails and
+        :class:`CompilerUnavailable` when the compiler cannot run.
+        """
         ...
 
 
@@ -598,9 +602,11 @@ def scan(
 
     All compiled rules go to the compiler in one ``execute`` call; with
     CodeQL that is one ``database analyze``, whose results are split back by
-    rule id. If that call fails, each rule is run again on its own, so a
-    failing rule is logged and skipped while the remaining rules continue.
-    Rules that did not compile are skipped.
+    rule id. If that call fails (:class:`ExecutionFailed`), each rule is run
+    again on its own, so a failing rule is logged and skipped while the
+    remaining rules continue. A compiler that cannot run at all raises
+    :class:`CompilerUnavailable`, which fails the scan. Rules that did not
+    compile are skipped.
 
     Findings are deduplicated on (pair_id, file, start_line, end_line):
     two distinct rules hitting the same location stay distinct findings.
@@ -632,10 +638,14 @@ def scan(
 def _execute_isolating_failures(
     rules: dict[str, str], database: str, compiler: RuleCompiler
 ) -> dict[str, list[dict]]:
-    """Execute the rules in one call, or each on its own if that call fails."""
+    """Execute the rules in one call, or each on its own if that call fails.
+
+    Only a failed execution falls back; a compiler that cannot run at all
+    (:class:`CompilerUnavailable`) fails the scan.
+    """
     try:
         return compiler.execute(rules, database)
-    except CompilerUnavailable as exc:
+    except ExecutionFailed as exc:
         if len(rules) == 1:
             logger.warning("pair %s: execution failed, skipping: %s", next(iter(rules)), exc)
             return {}

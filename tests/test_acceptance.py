@@ -333,7 +333,7 @@ def test_criterion_7_round_trips():
             backend=rng.choice(["fixture", "codeql"]),
             llm_mode=rng.choice(["mock", "live"]),
             stages=tuple(
-                StageSummary(name, rng.choice(["ok", "skipped"]), rng.randint(0, 30))
+                StageSummary(name, rng.choice(["ok", "skipped"]))
                 for name in ("extract", "classify", "pair")
             ),
             counts={"apis_extracted": rng.randint(0, 500), "pairs": rng.randint(0, 50)},

@@ -1,16 +1,21 @@
+import copy
 import json
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qlforge.artifacts import dump_json, read_text, write_json, write_text
-from qlforge.classify import load_votes
-from qlforge.errors import ArtifactCorrupt, UnwritableOutput
-from qlforge.pairing import SourceSinkPair, load_pairs, save_pairs
-from qlforge.records import load_spec_document
-from qlforge.rulegen import load_findings
+from qlforge.classify import Ballot, TaintLabel, VoteRecord, dump_votes, load_votes
+from qlforge.errors import ArtifactCorrupt, ConfigError, UnwritableOutput
+from qlforge.gateway import LlmResponse, TranscriptStore, simple_request
+from qlforge.metrics import Metrics, load_manifest
+from qlforge.pairing import SourceSinkPair, dump_pairs, load_pairs, save_pairs
+from qlforge.records import dump_spec_document, load_spec_document, make_record
+from qlforge.report import PipelineReport, StageSummary, dump_report, load_report
+from qlforge.rulegen import Finding, dump_findings, load_findings
+from tests.conftest import FIXTURES
 
 LOADERS = [
     (load_spec_document, "apis"),
@@ -105,3 +110,140 @@ def test_read_text_names_a_missing_or_undecodable_file(tmp_path):
     path.write_bytes(b"\xff\xfe select")
     with pytest.raises(ArtifactCorrupt, match=f"{path}: cannot read: 'utf-8' codec"):
         read_text(path)
+
+
+# One valid document per loader: each example reads a document as every
+# loader, so each loader also meets the others' documents.
+_VALID_DOCUMENTS = [
+    json.loads(text)
+    for text in (
+        dump_spec_document(
+            [make_record("com.x", "T", "m", [("p", "String")], "void", ["A"], "s();")]
+        ),
+        dump_votes(
+            [VoteRecord("a", (Ballot(0, "r0g0", TaintLabel.SINK, 1),), TaintLabel.SINK, False)]
+        ),
+        dump_pairs([SourceSinkPair("a__b", "a", "b", "xss", "r", "high", ("c",))]),
+        dump_findings([Finding("a__b", "xss", "A.java", 3, 4, "m")]),
+        dump_report(
+            PipelineReport(
+                "p", "fixture", "mock", (StageSummary("extract", "ok"),), {"pairs": 1},
+                Metrics(1, 1, 0, 100.0, 1, 1, 100.0, ("v",), ()), ("w",),
+            )
+        ),
+        (FIXTURES / "manifest.json").read_text(encoding="utf-8"),
+    )
+]
+_ARTIFACT_LOADERS = (
+    load_spec_document, load_votes, load_pairs, load_findings, load_report, load_manifest
+)
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _paths(child, (*prefix, key))
+
+
+def _replaced(doc, path, value):
+    """``doc`` with the value at ``path`` replaced, or removed when ``value`` is ``_DROP``."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DROP:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+_DROP = object()
+_MUTATED_DOCUMENT = st.sampled_from(_VALID_DOCUMENTS).flatmap(
+    lambda doc: st.builds(
+        _replaced,
+        st.just(doc),
+        st.sampled_from(list(_paths(doc))[1:]),
+        _JSON_VALUE | st.just(_DROP),
+    )
+).map(lambda doc: json.dumps(doc).encode())
+_ARTIFACT_BYTES = st.one_of(
+    st.binary(max_size=64),
+    _MUTATED_DOCUMENT,
+    st.builds(lambda data, cut: data[:cut], _MUTATED_DOCUMENT, st.integers(0, 400)),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(data=_ARTIFACT_BYTES)
+@example(data=b"[" * 100_000)
+@example(data=b'{"version": 1, "apis": ' + b"[" * 100_000)
+@example(data=b'\xef\xbb\xbf{"version": 1}')
+def test_artifact_loaders_raise_only_typed_errors_for_any_bytes(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "artifact.json"
+    path.write_bytes(data)
+    for loader in _ARTIFACT_LOADERS:
+        try:
+            loader(path)
+        except (ConfigError, ArtifactCorrupt) as exc:
+            assert str(path) in str(exc)
+
+
+def _transcript_bytes(path) -> bytes:
+    store = TranscriptStore(path)
+    for stage, text in (("classify", "a1: Sink"), ("pair", "NO_PAIRS — é"), ("pair", "∅")):
+        store.append(simple_request(stage, "m", f"prompt for {stage} ✓"), LlmResponse(text=text))
+    return path.read_bytes()
+
+
+def test_transcript_cut_at_every_offset_continues_numbering(tmp_path):
+    data = _transcript_bytes(tmp_path / "whole.jsonl")
+    path = tmp_path / "cut.jsonl"
+    for offset in range(len(data) + 1):
+        path.write_bytes(data[:offset])
+        complete = data[:offset].count(b"\n")
+        next_seq = TranscriptStore(path).append(
+            simple_request("pair", "m", "again"), LlmResponse(text="NO_PAIRS")
+        )
+        assert next_seq == complete + 1, offset
+        lines = path.read_bytes().splitlines()
+        assert [json.loads(line)["seq"] for line in lines] == list(range(1, complete + 2))
+
+
+_TRANSCRIPT_LINE = st.one_of(
+    _JSON_VALUE.map(json.dumps),
+    _JSON_VALUE.map(lambda seq: json.dumps({"seq": seq})),
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(data=st.one_of(
+    st.binary(max_size=64),
+    st.lists(_TRANSCRIPT_LINE, max_size=3).map(lambda lines: "\n".join(lines).encode()),
+))
+@example(data=b"[" * 100_000 + b"\n")
+@example(data=b'{"seq": true}\n{"seq": 1.5}\n')
+def test_transcript_of_any_bytes_continues_numbering_or_is_corrupt(tmp_path_factory, data):
+    path = tmp_path_factory.getbasetemp() / "transcript.jsonl"
+    path.write_bytes(data)
+    try:
+        store = TranscriptStore(path)
+    except ArtifactCorrupt as exc:
+        assert str(path) in str(exc)
+        return
+    seq = store.append(simple_request("pair", "m", "p"), LlmResponse(text="NO_PAIRS"))
+    assert isinstance(seq, int) and not isinstance(seq, bool) and seq >= 1

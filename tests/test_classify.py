@@ -229,9 +229,17 @@ def test_prompt_section_order():
     ]
     positions = [text.index(m) for m in markers]
     assert positions == sorted(positions)
-    for record in records:
-        assert record.id in text
-        assert record.method in text
+    members = plan[0].member_ids
+    assert len(members) == 2
+    assert text.endswith("Label every one of these ids: a1, a2\n")
+    # Each member's JSON line appears whole, in group order, with only its
+    # "id" value replaced by its handle; no record id is left in the prompt.
+    lookup = record_lookup(records)
+    lines = text.split("API_INFORMATION:\n", 1)[1].splitlines()[: len(members)]
+    for number, (line, rid) in enumerate(zip(lines, members), 1):
+        assert json.loads(line) == {**lookup[rid].to_dict(), "id": f"a{number}"}
+        assert line.split(", ", 1)[1] == lookup[rid].json_text.split(", ", 1)[1]
+        assert rid not in text
 
 
 def test_prompt_unknown_member_id():
@@ -283,6 +291,27 @@ def test_parse_nonmember_line_is_ignored_but_counts_as_labeled():
     ballots = parse_classification_response("cccc000011112222: Source\n", GROUP)
     assert [b.label for b in ballots] == [TaintLabel.NONE, TaintLabel.NONE]
     assert all(b.parse_warning for b in ballots)
+
+
+def test_parse_names_members_by_handle_or_full_id():
+    text = "a2: Sink\naaaa000011112222: Source\n"
+    ballots = parse_classification_response(text, GROUP)
+    assert [b.label for b in ballots] == [TaintLabel.SOURCE, TaintLabel.SINK]
+    assert not any(b.parse_warning for b in ballots)
+
+
+def test_parse_handle_wins_over_an_equal_full_id():
+    # The first member's id is the second member's handle: "a2" names the
+    # second member, and the first is still reachable by its own handle.
+    group = ContextGroup(0, "r0g0", ("a2", "zz"), 0)
+    ballots = parse_classification_response("a1: Sink\na2: Source\n", group)
+    assert [b.label for b in ballots] == [TaintLabel.SINK, TaintLabel.SOURCE]
+    assert not any(b.parse_warning for b in ballots)
+    ballots = parse_classification_response("a2: Source\n", group)
+    assert [(b.label, b.parse_warning) for b in ballots] == [
+        (TaintLabel.NONE, True),
+        (TaintLabel.SOURCE, False),
+    ]
 
 
 def test_parse_wholly_malformed():
@@ -411,7 +440,7 @@ _LABEL_RESPONSE = st.one_of(
             st.builds(
                 "{}{}: {}".format,
                 st.sampled_from(["", "- ", "* `"]),
-                st.sampled_from([*GROUP.member_ids, "cccc000011112222", ""]),
+                st.sampled_from([*GROUP.member_ids, "a1", "a2", "a3", "cccc000011112222", ""]),
                 st.sampled_from(["Source", "sink", "SANITIZER", "None", "maybe", ""]),
             ),
             st.text(max_size=20),
@@ -431,3 +460,37 @@ def test_parse_gives_one_ballot_per_member_for_any_text(text):
     assert len(ballots) == len(GROUP.member_ids)
     assert all(b.round_index == GROUP.round_index and b.group_id == GROUP.group_id for b in ballots)
     assert all(isinstance(b.label, TaintLabel) for b in ballots)
+
+
+# A response line: decoration, a member's index (None: a name outside the
+# group) and a label word, or free text.
+_NAMED_LINE = st.one_of(
+    st.tuples(
+        st.sampled_from(["", "- ", "* `"]),
+        st.sampled_from([0, 1, None]),
+        st.sampled_from(["Source", "sink", "SANITIZER", "None", "maybe"]),
+    ),
+    st.text(max_size=20),
+)
+
+
+def _ballots_or_malformed(text):
+    try:
+        return parse_classification_response(text, GROUP)
+    except WhollyMalformed:
+        return "malformed"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(lines=st.lists(_NAMED_LINE, max_size=6))
+def test_parse_by_handle_equals_parse_by_full_id(lines):
+    def render(name_of):
+        return "\n".join(
+            line if isinstance(line, str)
+            else f"{line[0]}{'a9' if line[1] is None else name_of(line[1])}: {line[2]}"
+            for line in lines
+        )
+
+    by_handle = render(lambda index: f"a{index + 1}")
+    by_id = render(lambda index: GROUP.member_ids[index])
+    assert _ballots_or_malformed(by_handle) == _ballots_or_malformed(by_id)

@@ -315,6 +315,14 @@ def test_report_formats(runner, tmp_path):
     text = runner.invoke(main, ["report", "--run", run_dir])
     assert text.exit_code == EXIT_OK
     assert "qlforge run report" in text.output
+    # Stage times come from the timings sidecar; the report stage has none.
+    timings = json.loads((tmp_path / "run" / "timings.json").read_text())["stage_seconds"]
+    assert f"  classify   ok       {timings['classify']:.3f}s\n" in text.output
+    assert "  report     ok\n" in text.output
+    (tmp_path / "run" / "timings.json").unlink()
+    untimed = runner.invoke(main, ["report", "--run", run_dir])
+    assert untimed.exit_code == EXIT_OK
+    assert "  classify   ok\n" in untimed.output
 
     as_json = runner.invoke(main, ["report", "--run", run_dir, "--format", "json"])
     assert as_json.exit_code == EXIT_OK

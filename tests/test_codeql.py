@@ -19,7 +19,7 @@ from qlforge.codeql import (
     resolve_binary,
     stamp_rule_id,
 )
-from qlforge.errors import BackendUnavailable, CompilerUnavailable
+from qlforge.errors import BackendUnavailable, CompilerUnavailable, ExecutionFailed
 from qlforge.prompts import load_template
 from qlforge.records import SourceLocation, clamp_snippet, make_record
 from qlforge.rulegen import CompileStatus
@@ -189,8 +189,23 @@ def test_execute_parses_sarif(tmp_path):
 
 def test_execute_failure_raises(tmp_path):
     binary = _fake_codeql(tmp_path, "echo 'no such database' >&2\nexit 1\n")
-    with pytest.raises(CompilerUnavailable):
+    with pytest.raises(ExecutionFailed, match="no such database"):
         CodeQLCompiler(binary=binary).execute({"p": "select 1"}, "missing-db")
+
+
+def test_execute_of_a_crashing_rule_is_execution_failed(tmp_path):
+    fake = FakeAnalyzeCodeql(tmp_path, {})
+    compiler = CodeQLCompiler(binary=str(fake.binary))
+    with pytest.raises(ExecutionFailed, match="analysis crashed"):
+        compiler.execute({"a__x": "CRASH\nselect 1"}, "db")
+    assert [c["command"] for c in fake.calls()] == ["database analyze"]
+
+
+def test_execute_without_a_binary_is_unavailable_not_a_failed_execution(tmp_path):
+    compiler = CodeQLCompiler(binary=str(tmp_path / "no-codeql"))
+    with pytest.raises(CompilerUnavailable, match="not found") as err:
+        compiler.execute({"a__x": "select 1"}, "db")
+    assert not isinstance(err.value, ExecutionFailed)
 
 
 def test_execute_timeout_raises_unavailable(tmp_path):
@@ -481,10 +496,10 @@ _SARIF = st.fixed_dictionaries({"runs": st.lists(st.fixed_dictionaries({"results
 @example(sarif={"runs": [{"results": [{"locations": [
     {"physicalLocation": {"region": {"startLine": "x"}}}
 ]}]}]})
-def test_split_sarif_returns_findings_or_raises_unavailable(sarif):
+def test_split_sarif_returns_findings_or_raises_execution_failed(sarif):
     try:
         split = _split_sarif(sarif, {"qlforge/a": "a"})
-    except CompilerUnavailable as exc:
+    except ExecutionFailed as exc:
         assert "no readable SARIF" in str(exc)
         return
     assert list(split) == ["a"]

@@ -10,7 +10,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import qlforge
@@ -489,6 +489,7 @@ def test_live_client_tunnels_https_through_the_proxy(provider, no_proxy_env):
         b'{"choices": [{"message": {"content": 5}}]}',
         b'{"choices": []}',
         b"not json",
+        pytest.param(b"[" * 100_000, id="nested-too-deep"),
     ],
 )
 def test_live_client_malformed_body_is_provider_error(provider, live_client, body):
@@ -559,6 +560,7 @@ _SCRIPT_LINE = st.one_of(
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(lines=st.lists(_SCRIPT_LINE, max_size=5))
+@example(lines=["[" * 100_000])
 def test_mock_script_loads_or_is_config_error_for_any_lines(tmp_path_factory, lines):
     path = tmp_path_factory.getbasetemp() / "any_script.jsonl"
     path.write_text("\n".join(lines), encoding="utf-8")

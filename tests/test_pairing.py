@@ -1,5 +1,6 @@
 import json
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -173,6 +174,25 @@ def test_pair_line_sanitizer_filtered_to_known_ids():
     assert pairs[0].sanitizers == ("san1",)
 
 
+def test_pair_line_names_candidates_by_handle():
+    line = "PAIR: (s2, k1) | CLASS: xss | RATIONALE: r | CONFIDENCE: low | SANITIZED_BY: z1, z2"
+    pairs = parse_pair_lines(line, SRC, SNK, SAN)
+    assert [(p.source_id, p.sink_id, p.sanitizers) for p in pairs] == [
+        ("src2", "snk1", ("san1",))
+    ]
+    # A handle is numbered within its own list: k1 is no source.
+    assert parse_pair_lines("PAIR: (k1, s1) | CLASS: xss", SRC, SNK, SAN) == []
+
+
+def test_pair_handle_wins_over_an_equal_full_id():
+    # The first source's id is the second source's handle.
+    sources = {"s2", "x"}
+    pairs = parse_pair_lines(
+        "PAIR: (s2, k1) | CLASS: xss\nPAIR: (s1, k1) | CLASS: sqli", sources, SNK, SAN
+    )
+    assert [(p.source_id, p.vuln_class) for p in pairs] == [("x", "xss"), ("s2", "sqli")]
+
+
 def test_pair_unknown_ids_dropped_with_warning(caplog):
     text = "PAIR: (nobody, snk1) | CLASS: xss\nPAIR: (src1, stranger) | CLASS: xss\n"
     with caplog.at_level("WARNING"):
@@ -229,10 +249,24 @@ def test_prompt_contains_all_three_candidate_lists():
     records = synthetic_records(4, random.Random(31))
     lookup = record_lookup(records)
     ids = [r.id for r in records]
-    text = build_pairing_prompt([ids[0]], [ids[1], ids[2]], [ids[3]], lookup)
-    for rid in ids:
-        assert rid in text
-    assert text.index("NO_PAIRS") > text.index(ids[0])
+    text = build_pairing_prompt([ids[0]], [ids[2], ids[1]], [ids[3]], lookup)
+    # Each list names its records by handle, in sorted-id order, and no
+    # record id is left in the prompt.
+    sections = {
+        name: text.split(f"{name} CANDIDATES:\n", 1)[1].split("\n\n", 1)[0].splitlines()
+        for name in ("SOURCE", "SINK", "SANITIZER")
+    }
+    expected = {
+        "SOURCE": [("s1", ids[0])],
+        "SINK": list(zip(("k1", "k2"), sorted(ids[1:3]))),
+        "SANITIZER": [("z1", ids[3])],
+    }
+    for name, members in expected.items():
+        assert [json.loads(line) for line in sections[name]] == [
+            {**lookup[rid].to_dict(), "id": handle} for handle, rid in members
+        ]
+    assert not any(rid in text for rid in ids)
+    assert text.index("NO_PAIRS") > text.index('"id": "s1"')
 
 
 def test_prompt_unknown_candidate():
@@ -343,7 +377,9 @@ def test_pairs_version_guard():
         parse_pairs_document(json.dumps({"version": 0, "pairs": []}))
 
 
-_ANY_ID = st.sampled_from(["src1", "src2", "snk1", "snk2", "san1", "ghost", ""])
+_ANY_ID = st.sampled_from(
+    ["src1", "src2", "snk1", "snk2", "san1", "s1", "s2", "k2", "z1", "s3", "ghost", ""]
+)
 _PAIR_LINE = st.builds(
     "PAIR: ({}, {}) | CLASS: {} | RATIONALE: {} | CONFIDENCE: {} | SANITIZED_BY: {}".format,
     _ANY_ID,
@@ -374,3 +410,36 @@ def test_parse_pair_lines_keeps_only_known_ids_for_any_text(text):
         assert p.source_id in SRC and p.sink_id in SNK
         assert set(p.sanitizers) <= SAN
         assert p.pair_id == make_pair_id(p.source_id, p.sink_id)
+
+
+# Handle and full id of every candidate, and names that fit no list.
+_NAMES = {"s1": "src1", "s2": "src2", "k1": "snk1", "k2": "snk2", "z1": "san1", "s3": "s3"}
+_HANDLE = st.sampled_from(sorted(_NAMES))
+_HANDLE_LINE = st.builds(
+    "PAIR: ({}, {}) | CLASS: {} | RATIONALE: r | CONFIDENCE: high | SANITIZED_BY: {}".format,
+    _HANDLE,
+    _HANDLE,
+    st.sampled_from(["xss", "Path Traversal"]),
+    st.lists(_HANDLE, max_size=3).map(", ".join),
+)
+
+
+def _pairs_or_malformed(text):
+    try:
+        return parse_pair_lines(text, SRC, SNK, SAN)
+    except WhollyMalformed:
+        return "malformed"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    lines=st.lists(st.one_of(_HANDLE_LINE, st.just("NO_PAIRS"), st.text(max_size=20)), max_size=6)
+)
+def test_parse_pair_lines_by_handle_equals_by_full_id(lines):
+    by_handle = "\n".join(lines)
+    by_id = "\n".join(
+        re.sub(r"\b[skz]\d\b", lambda m: _NAMES.get(m.group(), m.group()), line)
+        if line.startswith("PAIR:") else line
+        for line in lines
+    )
+    assert _pairs_or_malformed(by_handle) == _pairs_or_malformed(by_id)

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import time
 from collections import Counter
 
 import pytest
 
+from qlforge import pipeline
 from qlforge.errors import ConfigError, NothingToDo, StageFailure
 from qlforge.gateway import estimate_tokens
 from qlforge.pipeline import (
@@ -234,7 +236,7 @@ def test_full_run_counts_and_metrics(run_config):
 # pair once, hence 4 writes, 1 repair and 1 + 1 + 2 compiles for 3 pairs. A
 # change that adds calls or prompt text fails here.
 EXPECTED_CALLS = {"classify": 9, "pair": 1, "write": 4, "repair": 1}
-EXPECTED_PROMPT_TOKENS = {"classify": 16203, "pair": 2073, "write": 3597, "repair": 362}
+EXPECTED_PROMPT_TOKENS = {"classify": 15867, "pair": 2045, "write": 3597, "repair": 362}
 
 
 def test_full_run_model_calls_and_prompt_tokens(run_config, monkeypatch):
@@ -259,6 +261,28 @@ def test_full_run_model_calls_and_prompt_tokens(run_config, monkeypatch):
             )
     assert calls == EXPECTED_CALLS
     assert tokens == EXPECTED_PROMPT_TOKENS
+
+
+def test_label_prompts_name_records_by_handle_and_write_prompts_by_pair_id(run_config):
+    config = run_config()
+    run_pipeline(config)
+    ids = [api["id"] for api in json.loads((config.out_dir / "specs.json").read_text())["apis"]]
+    entries = [
+        json.loads(line)
+        for line in (config.out_dir / "transcript.jsonl").read_text().splitlines()
+    ]
+    assert {entry["stage"] for entry in entries} == {"classify", "pair"}
+    for entry in entries:
+        prompt = "".join(m["content"] for m in entry["request"]["messages"])
+        assert '"id": "' in prompt
+        assert not [rid for rid in ids if rid in prompt], entry["seq"]
+    rule_dirs = sorted(p for p in (config.out_dir / "rules").iterdir() if p.is_dir())
+    assert len(rule_dirs) == 3
+    for rule_dir in rule_dirs:
+        for line in (rule_dir / "transcript.jsonl").read_text().splitlines():
+            entry = json.loads(line)
+            if entry["stage"] == "write":
+                assert rule_dir.name in "".join(m["content"] for m in entry["request"]["messages"])
 
 
 def test_pairing_budget_tiles_the_prompts_without_changing_the_pairs(run_config):
@@ -315,7 +339,7 @@ GOLDEN_DIGESTS = {
     "rules/36fdcc4350f3c45c__10fc72d39a64e0f0/status.json":
         "0501686a5818b23381895493cbe3aee710883cd20212db6a919df50d7bdf715a",
     "findings.json": "c1a79c59f0bb81a96790ded5b7b127ac5bd5cd09689abbdfa609033e420f77ee",
-    "report.json": "b6edce1468d552d84046b5a9c4c335a03e33f4f4636e084c1af6eb000add7873",
+    "report.json": "5465a0cd565dfca24ed14426997e87088ddbbb268635e0d01d64d41e02f39964",
 }
 
 
@@ -346,6 +370,28 @@ def test_unset_temperature_uses_stage_defaults(run_config):
         for line in rule_transcript.read_text().splitlines()
     }
     assert write_temps == {0.7}
+
+
+def test_report_does_not_depend_on_stage_wall_times(run_config, monkeypatch):
+    # Classify takes 0.4 s on one run and 1.6 s on the other, by the clock.
+    real_monotonic = time.monotonic
+    offset = [0.0]
+    monkeypatch.setattr(time, "monotonic", lambda: real_monotonic() + offset[0])
+    original = pipeline.classify_records
+    reports = []
+    for seconds in (0.4, 1.6):
+
+        def slow_classify(*args, seconds=seconds, **kwargs):
+            offset[0] += seconds
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "classify_records", slow_classify)
+        config = run_config(f"classify_{seconds}s")
+        run_pipeline(config)
+        took = json.loads((config.out_dir / "timings.json").read_text())["stage_seconds"]
+        assert seconds <= took["classify"] < seconds + 0.4
+        reports.append((config.out_dir / "report.json").read_bytes())
+    assert reports[0] == reports[1]
 
 
 def test_two_runs_byte_identical(run_config):

@@ -1,7 +1,20 @@
+import json
+from dataclasses import replace
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qlforge.errors import TemplateError
-from qlforge.prompts import load_catalog, load_template, render_template
+from qlforge.prompts import (
+    handle_names,
+    handles,
+    load_catalog,
+    load_template,
+    render_template,
+    with_handle,
+)
+from qlforge.records import make_record
 
 
 def test_render_fills_placeholders():
@@ -46,3 +59,26 @@ def test_templates_ship_with_package():
 def test_repair_template_is_advice_only():
     text = load_template("repair_prompt.txt")
     assert "Do not output a corrected file" in text
+
+
+def test_handles_number_from_one():
+    assert handles("a", 3) == ["a1", "a2", "a3"]
+    assert handles("s", 0) == []
+
+
+def test_handle_names_map_handles_and_full_ids_and_handles_win():
+    assert handle_names(["x", "y"], "a") == {"x": "x", "y": "y", "a1": "x", "a2": "y"}
+    assert handle_names(["a2", "y"], "a") == {"a2": "y", "y": "y", "a1": "a2"}
+
+
+_RECORD = make_record("com.x", "T", "m", [("p", "String")], "void", ["A"], 'say "hi"\n')
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(rid=st.text(), handle=st.sampled_from(["a1", "s12", "z300"]))
+@example(rid='"\\\u2028\x00é', handle="a1")
+def test_with_handle_replaces_only_the_id_for_any_id(rid, handle):
+    record = replace(_RECORD, id=rid)
+    line = with_handle(record, handle)
+    assert json.loads(line) == {**record.to_dict(), "id": handle}
+    assert line.endswith(record.json_text[record.json_text.index(', "package"'):])

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from qlforge import __version__
+from qlforge.errors import ArtifactCorrupt
 from qlforge.metrics import Metrics
 from qlforge.report import (
     PipelineReport,
@@ -10,6 +11,7 @@ from qlforge.report import (
     dump_report,
     emit_report,
     load_report,
+    load_stage_seconds,
     render_sarif,
     render_text,
 )
@@ -36,8 +38,8 @@ def _report(metrics=True, warnings=()):
         backend="fixture",
         llm_mode="mock",
         stages=(
-            StageSummary("extract", "ok", 0),
-            StageSummary("classify", "ok", 2),
+            StageSummary("extract", "ok"),
+            StageSummary("classify", "ok"),
         ),
         counts={"apis_extracted": 22, "pairs": 4},
         metrics=_metrics() if metrics else None,
@@ -59,6 +61,34 @@ def test_report_round_trip(tmp_path):
     assert load_report(path) == report
 
 
+def test_report_stages_carry_no_duration():
+    doc = json.loads(dump_report(_report()))
+    assert doc["stages"] == [
+        {"name": "extract", "status": "ok"},
+        {"name": "classify", "status": "ok"},
+    ]
+
+
+def test_load_report_reads_an_older_report_with_stage_durations(tmp_path):
+    doc = json.loads(dump_report(_report()))
+    for stage, seconds in zip(doc["stages"], (0, 2)):
+        stage["duration_s"] = seconds
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    assert load_report(path) == _report()
+
+
+def test_load_stage_seconds(tmp_path):
+    path = tmp_path / "timings.json"
+    path.write_text('{"stage_seconds": {"extract": 0.25, "classify": 1}}')
+    assert load_stage_seconds(path) == {"extract": 0.25, "classify": 1}
+    for bad in ("{}", '{"stage_seconds": [1]}', '{"stage_seconds": {"x": "1"}}',
+                '{"stage_seconds": {"x": true}}'):
+        path.write_text(bad)
+        with pytest.raises(ArtifactCorrupt, match=f"{path}: expected 'stage_seconds'"):
+            load_stage_seconds(path)
+
+
 def test_report_version_guard():
     with pytest.raises(ValueError):
         PipelineReport.from_dict({"version": 5})
@@ -74,6 +104,14 @@ def test_text_rendering_contents():
     assert "correctness_rate: 75.00 (3/4 rules compiled)" in text
     assert "detection_rate: 50.00 (1/2 known vulnerabilities)" in text
     assert "- something odd" in text
+
+
+def test_text_rendering_shows_the_stage_times_it_is_given():
+    lines = render_text(_report(), {"classify": 1.23456, "scan": 4.0}).splitlines()
+    assert "  extract    ok" in lines
+    assert "  classify   ok       1.235s" in lines
+    assert not any("scan" in line for line in lines)
+    assert "  classify   ok" in render_text(_report()).splitlines()
 
 
 def test_text_rendering_without_metrics_or_warnings():
@@ -113,6 +151,9 @@ def test_emit_report_dispatch():
     report = _report()
     assert emit_report(report, "json") == dump_report(report)
     assert emit_report(report, "text") == render_text(report)
+    assert emit_report(report, "text", stage_seconds={"extract": 2.0}) == render_text(
+        report, {"extract": 2.0}
+    )
     assert json.loads(emit_report(report, "sarif", _findings()))["runs"]
     with pytest.raises(ValueError):
         emit_report(report, "yaml")

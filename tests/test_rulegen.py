@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlforge.codeql import CodeQLCompiler
-from qlforge.errors import CompilerUnavailable, ConfigError, EmptyDraft
+from qlforge.errors import CompilerUnavailable, ConfigError, EmptyDraft, ExecutionFailed
 from qlforge.gateway import LlmGateway, LlmResponse
 from qlforge.pairing import SourceSinkPair, make_pair_id
 from qlforge.prompts import load_template
@@ -473,7 +473,7 @@ def test_scan_continues_past_failing_rule(caplog):
     class FlakyCompiler(MockCompiler):
         def execute(self, rules, database):
             if "a__x" in rules:
-                raise CompilerUnavailable("analysis crashed")
+                raise ExecutionFailed("analysis crashed")
             return super().execute(rules, database)
 
     script = {"version": 1, "default": {"findings": [{"file": "H.java", "start_line": 4}]}}
@@ -481,6 +481,14 @@ def test_scan_continues_past_failing_rule(caplog):
         findings = scan([_artifact("a__x"), _artifact("b__y")], "db", FlakyCompiler(script))
     assert [f.pair_id for f in findings] == ["b__y"]
     assert "execution failed" in caplog.text
+
+
+def test_scan_fails_when_the_compiler_cannot_run(tmp_path):
+    # A missing toolchain is not a broken rule: no per-rule fallback, and
+    # the error reaches the caller instead of an empty list of findings.
+    compiler = CodeQLCompiler(binary=str(tmp_path / "no-codeql"))
+    with pytest.raises(CompilerUnavailable, match="not found"):
+        scan([_artifact("a__x"), _artifact("b__y")], "db", compiler)
 
 
 def _codeql_scan(tmp_path, rule_texts, lines=None):
