@@ -109,6 +109,18 @@ def parse_entries(
         return [from_dict(entry) for entry in doc[key]]
 
 
+def typed(value: T, kind: type, name: str) -> T:
+    """``value`` if it is a ``kind``, else a ``TypeError`` naming the field ``name``.
+
+    A boolean is no integer here, though Python's ``bool`` subclasses
+    ``int``. Inside :func:`shape_checked` the error becomes
+    :class:`ArtifactCorrupt` naming the file.
+    """
+    if not isinstance(value, kind) or (isinstance(value, bool) and kind is not bool):
+        raise TypeError(f"{name} must be {kind.__name__}, not {type(value).__name__}")
+    return value
+
+
 @contextmanager
 def shape_checked(source: str | Path, key: str) -> Iterator[None]:
     """Turn the errors of reading a document of the wrong shape into :class:`ArtifactCorrupt`.

@@ -30,7 +30,7 @@ from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 
-from .artifacts import dump_json, parse_entries, read_text, write_json
+from .artifacts import dump_json, parse_entries, read_text, typed, write_json
 from .errors import BallotCountMismatch, RecordTooLarge, UnknownApiId, WhollyMalformed
 from .gateway import LlmGateway, estimate_tokens, simple_request
 from .prompts import (
@@ -104,20 +104,24 @@ class VoteRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "VoteRecord":
+        """The record of one votes-document entry; a field of the wrong type is a ``TypeError``."""
         return cls(
-            api_id=data["api_id"],
+            api_id=typed(data["api_id"], str, "api_id"),
             ballots=tuple(
                 Ballot(
-                    round_index=b["round"],
-                    group_id=b["group_id"],
-                    label=TaintLabel(b["label"]),
-                    response_ref=b["response_ref"],
-                    parse_warning=b["parse_warning"],
+                    round_index=typed(b["round"], int, "round"),
+                    group_id=typed(b["group_id"], str, "group_id"),
+                    label=TaintLabel(typed(b["label"], str, "label")),
+                    response_ref=(
+                        None if b["response_ref"] is None
+                        else typed(b["response_ref"], int, "response_ref")
+                    ),
+                    parse_warning=typed(b["parse_warning"], bool, "parse_warning"),
                 )
-                for b in data["ballots"]
+                for b in typed(data["ballots"], list, "ballots")
             ),
-            resolved=TaintLabel(data["resolved"]),
-            tie=data["tie"],
+            resolved=TaintLabel(typed(data["resolved"], str, "resolved")),
+            tie=typed(data["tie"], bool, "tie"),
         )
 
 

@@ -174,11 +174,9 @@ class CodeQLBackend:
             return self._rows_to_records(decode.stdout, project_root)
 
     def _rows_to_records(self, decoded: str, project_root: Path) -> list[ApiRecord]:
-        doc = json.loads(decoded)
-        tuples = doc.get("#select", {}).get("tuples", [])
         records = []
         lines_by_file: dict[str, list[str]] = {}
-        for row in tuples:
+        for row in _call_rows(decoded):
             package, type_name, method, params_string, return_type, rel_file, line = row
             if rel_file not in lines_by_file:
                 lines_by_file[rel_file] = _source_lines(project_root / rel_file)
@@ -193,18 +191,46 @@ class CodeQLBackend:
                     params=[(f"arg{i}", t) for i, t in enumerate(param_types)],
                     return_type=return_type,
                     annotations=[],
-                    snippet=_snippet(lines_by_file[rel_file], int(line)),
-                    first_seen=SourceLocation(file=rel_file, line=int(line)),
+                    snippet=_snippet(lines_by_file[rel_file], line),
+                    first_seen=SourceLocation(file=rel_file, line=line),
                 )
             )
         return sorted(records, key=lambda r: (r.id, r.first_seen.file, r.first_seen.line))
+
+
+def _call_rows(decoded: str) -> list[list]:
+    """The rows of the extraction query's ``bqrs decode --format=json`` output.
+
+    Each row is six strings (package, type, method, parameter list, return
+    type, file), the method not empty, and an integer line. Output of any
+    other shape raises BackendUnavailable.
+    """
+    try:
+        doc = json.loads(decoded)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep
+        raise BackendUnavailable(f"codeql bqrs decode wrote no readable JSON: {exc}") from None
+    select = doc.get("#select", {}) if isinstance(doc, dict) else None
+    rows = select.get("tuples", []) if isinstance(select, dict) else None
+    if not isinstance(rows, list):
+        raise BackendUnavailable("codeql bqrs decode wrote no '#select' tuples list")
+    for row in rows:
+        if not (
+            isinstance(row, list)
+            and len(row) == 7
+            and all(isinstance(value, str) for value in row[:6])
+            and row[2]
+            and isinstance(row[6], int)
+            and not isinstance(row[6], bool)
+        ):
+            raise BackendUnavailable(f"codeql bqrs decode wrote a mis-shaped row: {row!r:.200}")
+    return rows
 
 
 def _source_lines(path: Path) -> list[str]:
     """The lines of a source file, or none when it cannot be read."""
     try:
         return path.read_text(encoding="utf-8", errors="replace").splitlines()
-    except OSError:
+    except (OSError, ValueError):  # ValueError: a NUL byte in the path
         return []
 
 

@@ -461,8 +461,9 @@ class LlmGateway:
 
     Transient transport failures (connection errors, HTTP 429/5xx) retry up
     to ``retries`` attempts with exponential backoff starting at
-    ``backoff_s``, each retry logged at WARNING; auth and other provider
-    errors raise immediately.
+    ``backoff_s``, each retry logged at WARNING with the stage, and with
+    ``pair_id`` when the gateway serves one pair's rule generation; auth and
+    other provider errors raise immediately.
     """
 
     def __init__(
@@ -472,8 +473,10 @@ class LlmGateway:
         retries: int = RETRY_ATTEMPTS,
         backoff_s: float = RETRY_BACKOFF_S,
         sleep: Callable[[float], None] = time.sleep,
+        pair_id: str | None = None,
     ):
         self.client = client
+        self.pair_id = pair_id
         self.transcripts = transcripts if transcripts is not None else TranscriptStore()
         self.retries = retries
         self.backoff_s = backoff_s
@@ -524,7 +527,8 @@ class LlmGateway:
                 if attempt + 1 < self.retries:
                     logger.warning(
                         "%s: attempt %d/%d failed, retrying: %s",
-                        request.stage,
+                        request.stage if self.pair_id is None
+                        else f"{request.stage} pair {self.pair_id}",
                         attempt + 1,
                         self.retries,
                         exc,

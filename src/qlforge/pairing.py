@@ -7,17 +7,18 @@ combination lands in exactly one tile, and every tile's prompt estimate
 stays within the token budget.
 
 With ``frame`` the estimate of a prompt with no candidates and
-``room = budget − frame``, the plan is the first of these that applies:
-
-1. both sides fit ``room`` together: one tile, which is the prompt of all
-   sources against all sinks;
-2. otherwise each side is packed into half of ``room``, so a side that fits
-   its half stays whole.
-
-Packing is greedy in sorted-id order (see :func:`prompts.pack_greedy`) and
-tiles run sink-group-major. With S source groups and K sink groups the run
-sends about K·Σsources + S·Σsinks + S·K·frame tokens, which for a fixed
-room is least at the even split, so no tuning constant is needed.
+``room = budget − frame``, a plan of S source groups and K sink groups
+sends about K·Σsources + S·Σsinks + S·K·frame tokens, its score. Groups
+are contiguous runs of the sorted ids, and the plan is the one of least
+score. For each S the sources are balanced into S groups, so the largest
+is as small as it can be; the sinks get the room that group leaves, K is
+the fewest sink groups that fit it, and the sinks are balanced into K
+groups. Any plan with S source groups has a largest source group no
+smaller than the balanced one's, so the search finds the least score of
+all contiguous plans; it stops once S·Σsinks alone reaches the best score
+found. A tie goes to fewer tiles, then to fewer source groups. When both
+sides fit ``room`` together this is one tile, the prompt of all sources
+against all sinks. Tiles run sink-group-major.
 
 A prompt lists each candidate under a short handle in place of its id:
 sources s1.., sinks k1.. and sanitizers z1.., numbered in sorted-id order.
@@ -151,6 +152,23 @@ def build_pairing_prompt(
 # ---------------------------------------------------------------------------
 
 
+def _balanced(ids: list[str], costs: dict[str, int], count: int) -> list[list[str]]:
+    """``ids`` in at most ``count`` contiguous groups whose largest costs the least.
+
+    That is :func:`prompts.pack_greedy` at the smallest room for which it
+    makes no more than ``count`` groups, found by bisection.
+    """
+    total = sum(costs[rid] for rid in ids)
+    low, high = max(max(costs[rid] for rid in ids), -(-total // count)), total
+    while low < high:
+        mid = (low + high) // 2
+        if len(pack_greedy(ids, costs, mid)) <= count:
+            high = mid
+        else:
+            low = mid + 1
+    return pack_greedy(ids, costs, low)
+
+
 def plan_tiles(
     source_ids: list[str],
     sink_ids: list[str],
@@ -186,11 +204,24 @@ def plan_tiles(
 
     src_total = sum(costs[rid] for rid in sources)
     snk_total = sum(costs[rid] for rid in sinks)
-    src_room = src_total if src_total + snk_total <= room else room // 2
-    # A member larger than its side's share borrows room from the other side.
-    src_room = max(costs[biggest_src], min(src_room, room - costs[biggest_snk]))
-    source_groups = pack_greedy(sources, costs, src_room)
-    sink_groups = pack_greedy(sinks, costs, room - src_room)
+    # best is ((score, tiles, source groups), source groups, sink group count).
+    best: tuple[tuple[int, int, int], list[list[str]], int] | None = None
+    for count in range(1, len(sources) + 1):
+        # The score grows with S·Σsinks, so no larger count can win.
+        if best is not None and count * snk_total >= best[0][0]:
+            break
+        source_groups = _balanced(sources, costs, count)
+        sink_room = room - max(sum(costs[rid] for rid in group) for group in source_groups)
+        # Fewer source groups leave too little room for the largest sink.
+        if sink_room < costs[biggest_snk]:
+            continue
+        s, k = len(source_groups), len(pack_greedy(sinks, costs, sink_room))
+        key = (k * src_total + s * snk_total + s * k * frame, s * k, s)
+        if best is None or key < best[0]:
+            best = (key, source_groups, k)
+    assert best is not None  # one source per group always leaves room for the largest sink
+    _, source_groups, k = best
+    sink_groups = _balanced(sinks, costs, k)
     return [
         (source_group, sink_group) for sink_group in sink_groups for source_group in source_groups
     ]

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .artifacts import dump_json, parse_entries, read_text, write_json
+from .artifacts import dump_json, parse_entries, read_text, typed, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -76,16 +76,26 @@ class ApiRecord:
 
     @classmethod
     def from_dict(cls, data: dict) -> "ApiRecord":
+        """The record of one spec-document entry; a field of the wrong type is a ``TypeError``."""
+        first_seen = data["first_seen"]
         return cls(
-            id=data["id"],
-            package=data["package"],
-            type_name=data["type_name"],
-            method=data["method"],
-            params=tuple(ApiParam(p["name"], p["type"]) for p in data["params"]),
-            return_type=data["return_type"],
-            annotations=tuple(data["annotations"]),
-            snippet=data["snippet"],
-            first_seen=SourceLocation(data["first_seen"]["file"], data["first_seen"]["line"]),
+            id=typed(data["id"], str, "id"),
+            package=typed(data["package"], str, "package"),
+            type_name=typed(data["type_name"], str, "type_name"),
+            method=typed(data["method"], str, "method"),
+            params=tuple(
+                ApiParam(typed(p["name"], str, "param name"), typed(p["type"], str, "param type"))
+                for p in typed(data["params"], list, "params")
+            ),
+            return_type=typed(data["return_type"], str, "return_type"),
+            annotations=tuple(
+                typed(a, str, "annotation") for a in typed(data["annotations"], list, "annotations")
+            ),
+            snippet=typed(data["snippet"], str, "snippet"),
+            first_seen=SourceLocation(
+                typed(first_seen["file"], str, "first_seen file"),
+                typed(first_seen["line"], int, "first_seen line"),
+            ),
         )
 
     @cached_property

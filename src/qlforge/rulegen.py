@@ -575,7 +575,7 @@ def generate_all(
         pair_dir = rules_dir / pair.pair_id
         pair_dir.mkdir(parents=True, exist_ok=True)
         transcript = TranscriptStore(pair_dir / TRANSCRIPT_FILENAME)
-        gateway = LlmGateway(client, transcripts=transcript)
+        gateway = LlmGateway(client, transcripts=transcript, pair_id=pair.pair_id)
         artifact = generate_rule(
             pair, records_by_id, gateway, compiler, model, max_iters, temperature, timeout_s
         )

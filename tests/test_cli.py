@@ -244,6 +244,55 @@ def test_run_resume_on_truncated_stage_document_is_stage_error(
     assert f"{path}: not valid JSON" in result.output
 
 
+def _resume_after_setting(runner, tmp_path, stage, document, key, entry_field, value):
+    """Stop a run after ``stage``, set one field of the first entry, resume."""
+    config = _write_config(tmp_path)
+    result = runner.invoke(main, ["run", "--config", str(config), "--until", stage])
+    assert result.exit_code == EXIT_OK
+    path = tmp_path / "run" / document
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    *parents, name = entry_field
+    target = doc[key][0]
+    for parent in parents:
+        target = target[parent]
+    target[name] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path, runner.invoke(main, ["run", "--config", str(config), "--resume"])
+
+
+@pytest.mark.parametrize(
+    "entry_field, value",
+    [(("id",), 5), (("first_seen", "line"), "7"), (("first_seen", "line"), True)],
+)
+def test_run_resume_on_a_mis_typed_specs_field_is_stage_error(
+    runner, tmp_path, entry_field, value
+):
+    path, result = _resume_after_setting(
+        runner, tmp_path, "extract", "specs.json", "apis", entry_field, value
+    )
+    assert result.exit_code == EXIT_STAGE
+    assert f"{path}: malformed 'apis' entry" in result.output
+
+
+@pytest.mark.parametrize(
+    "entry_field, value",
+    [
+        (("api_id",), 5),
+        (("ballots", 0, "label"), 5),
+        (("ballots", 0, "round"), "0"),
+        (("tie",), 0),
+    ],
+)
+def test_run_resume_on_a_mis_typed_votes_field_is_stage_error(
+    runner, tmp_path, entry_field, value
+):
+    path, result = _resume_after_setting(
+        runner, tmp_path, "classify", "votes.json", "votes", entry_field, value
+    )
+    assert result.exit_code == EXIT_STAGE
+    assert f"{path}: malformed 'votes' entry" in result.output
+
+
 def _cut_transcript(run_dir, keep_lines):
     # Keep ``keep_lines`` whole lines and half of the next one, as a run
     # killed during an append leaves the file.

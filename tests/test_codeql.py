@@ -417,6 +417,24 @@ def test_rows_to_records_reads_each_source_file_once(tmp_path, monkeypatch):
     assert records == sorted(expected, key=lambda r: (r.id, r.first_seen.file, r.first_seen.line))
 
 
+_ROW = ["p", "T", "m", "(String)", "void", "App.java", 3]
+
+
+@pytest.mark.parametrize(
+    "decoded, message",
+    [
+        ("not json {", "no readable JSON"),
+        (json.dumps([_ROW]), "no '#select' tuples list"),
+        (json.dumps({"#select": {"tuples": [_ROW[:6]]}}), "mis-shaped row"),
+        (json.dumps({"#select": {"tuples": [_ROW[:6] + ["x"]]}}), "mis-shaped row"),
+    ],
+    ids=["not-json", "json-list", "short-row", "non-integer-line"],
+)
+def test_rows_to_records_of_mis_shaped_output_is_unavailable(tmp_path, decoded, message):
+    with pytest.raises(BackendUnavailable, match=message):
+        CodeQLBackend(binary=None)._rows_to_records(decoded, tmp_path)
+
+
 def test_enumerate_calls_timeout_raises_unavailable(tmp_path):
     binary = _fake_codeql(tmp_path, "exec sleep 5\n")
     with pytest.raises(BackendUnavailable, match="database create exceeded"):

@@ -19,6 +19,7 @@ from qlforge.pairing import (
     parse_pairs_document,
     plan_tiles,
 )
+from qlforge.prompts import pack_greedy
 from qlforge.records import make_record, record_lookup
 from tests.conftest import CountingClient, StaticClient, scripted_client, synthetic_records
 
@@ -45,6 +46,56 @@ def _sized_records(kind: str, snippet_chars: list[int]):
 _SNIPPET_CHARS = st.lists(st.integers(0, 1200), min_size=1, max_size=12)
 
 
+def _cost(lookup, rid):
+    return estimate_tokens(lookup[rid].json_text + "\n")
+
+
+def _score(tiles, lookup, frame):
+    """K·Σsources + S·Σsinks + S·K·frame: the tokens a plan of S × K tiles sends."""
+    return sum(frame + sum(_cost(lookup, rid) for rid in srcs + snks) for srcs, snks in tiles)
+
+
+def _even_split_tiles(source_ids, sink_ids, lookup, room):
+    """The plan the cost search replaced: each side packed into half of the room.
+
+    A side that fits its half stays whole, and a member larger than its
+    side's share borrows room from the other side.
+    """
+    sources, sinks = sorted(source_ids), sorted(sink_ids)
+    costs = {rid: _cost(lookup, rid) for rid in sources + sinks}
+    src_total = sum(costs[rid] for rid in sources)
+    snk_total = sum(costs[rid] for rid in sinks)
+    src_room = src_total if src_total + snk_total <= room else room // 2
+    src_room = max(max(map(costs.get, sources)), min(src_room, room - max(map(costs.get, sinks))))
+    return [
+        (srcs, snks)
+        for snks in pack_greedy(sinks, costs, room - src_room)
+        for srcs in pack_greedy(sources, costs, src_room)
+    ]
+
+
+def _contiguous_partitions(ids):
+    """Every split of ``ids`` into non-empty runs, in order."""
+    for cuts in range(2 ** (len(ids) - 1)):
+        groups, start = [], 0
+        for i in range(1, len(ids)):
+            if cuts >> (i - 1) & 1:
+                groups.append(ids[start:i])
+                start = i
+        yield groups + [ids[start:]]
+
+
+def _planned(source_chars, sink_chars, sanitizer_chars):
+    """The ids of sized sources, sinks and sanitizers, their lookup and the frame."""
+    sources = _sized_records("source", source_chars)
+    sinks = _sized_records("sink", sink_chars)
+    sanitizers = _sized_records("sanitizer", sanitizer_chars)
+    lookup = record_lookup(sources + sinks + sanitizers)
+    ids = [[r.id for r in side] for side in (sources, sinks, sanitizers)]
+    frame = estimate_tokens(build_pairing_prompt([], [], ids[2], lookup))
+    return ids, lookup, frame
+
+
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
     source_chars=_SNIPPET_CHARS,
@@ -52,23 +103,19 @@ _SNIPPET_CHARS = st.lists(st.integers(0, 1200), min_size=1, max_size=12)
     sanitizer_chars=st.lists(st.integers(0, 1200), max_size=3),
     room=st.integers(0, 2500),
 )
-# One source larger than half the room: it must borrow room from the sinks.
+# One source larger than half the room, which the even split made borrow
+# room from the sinks.
 @example(source_chars=[1200] + [0] * 10, sink_chars=[0] * 12, sanitizer_chars=[], room=500)
 def test_tile_plan_covers_each_combination_once_within_budget(
     source_chars, sink_chars, sanitizer_chars, room
 ):
-    sources = _sized_records("source", source_chars)
-    sinks = _sized_records("sink", sink_chars)
-    sanitizers = _sized_records("sanitizer", sanitizer_chars)
-    lookup = record_lookup(sources + sinks + sanitizers)
-    source_ids = [r.id for r in sources]
-    sink_ids = [r.id for r in sinks]
-    sanitizer_ids = [r.id for r in sanitizers]
-    frame = estimate_tokens(build_pairing_prompt([], [], sanitizer_ids, lookup))
+    (source_ids, sink_ids, sanitizer_ids), lookup, frame = _planned(
+        source_chars, sink_chars, sanitizer_chars
+    )
     budget = frame + room
 
     def cost(rid):
-        return estimate_tokens(lookup[rid].json_text + "\n")
+        return _cost(lookup, rid)
 
     if frame + max(map(cost, source_ids)) + max(map(cost, sink_ids)) > budget:
         with pytest.raises(RecordTooLarge):
@@ -83,6 +130,34 @@ def test_tile_plan_covers_each_combination_once_within_budget(
     # The same inputs, in any order, give the same tiles.
     again = plan_tiles(source_ids[::-1], sink_ids[::-1], sanitizer_ids[::-1], lookup, budget)
     assert again == tiles
+    even_split = _even_split_tiles(source_ids, sink_ids, lookup, room)
+    assert _score(tiles, lookup, frame) <= _score(even_split, lookup, frame)
+
+
+_FEW_SNIPPET_CHARS = st.lists(st.integers(0, 1200), min_size=1, max_size=6)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(source_chars=_FEW_SNIPPET_CHARS, sink_chars=_FEW_SNIPPET_CHARS, room=st.integers(200, 1500))
+def test_tile_plan_score_is_the_least_of_all_contiguous_plans(source_chars, sink_chars, room):
+    (source_ids, sink_ids, _), lookup, frame = _planned(source_chars, sink_chars, [])
+    sources, sinks = sorted(source_ids), sorted(sink_ids)
+
+    def largest(groups):
+        return max(sum(_cost(lookup, rid) for rid in group) for group in groups)
+
+    scores = [
+        _score([(srcs, snks) for snks in sink_groups for srcs in source_groups], lookup, frame)
+        for source_groups in _contiguous_partitions(sources)
+        for sink_groups in _contiguous_partitions(sinks)
+        if largest(source_groups) + largest(sink_groups) <= room
+    ]
+    if not scores:
+        with pytest.raises(RecordTooLarge):
+            plan_tiles(source_ids, sink_ids, [], lookup, frame + room)
+        return
+    tiles = plan_tiles(source_ids, sink_ids, [], lookup, frame + room)
+    assert _score(tiles, lookup, frame) == min(scores)
 
 
 def test_tile_plan_rejects_a_budget_too_small_for_one_source_and_one_sink():
@@ -97,22 +172,48 @@ def test_tile_plan_rejects_a_budget_too_small_for_one_source_and_one_sink():
     assert err.value.record_ids == (ids[0], ids[1])
 
 
-def test_tile_plan_splits_the_room_evenly_between_the_sides():
+def test_tile_plan_gives_the_sinks_the_room_the_sources_leave():
     sources = _sized_records("source", [40, 60])
     sinks = _sized_records("sink", [200] * 8)
     lookup = record_lookup(sources + sinks)
     source_ids = sorted(r.id for r in sources)
     sink_ids = sorted(r.id for r in sinks)
     frame = estimate_tokens(build_pairing_prompt([], [], [], lookup))
-    sink_cost = estimate_tokens(lookup[sink_ids[0]].json_text + "\n")
-    source_total = sum(estimate_tokens(lookup[rid].json_text + "\n") for rid in source_ids)
-    # Each half of the room holds three sinks. The two sources fit their
-    # half and stay whole; the eight sinks go three, three and two, in
-    # sorted order, even though the sources leave part of their half unused.
+    sink_cost = _cost(lookup, sink_ids[0])
+    source_total = sum(_cost(lookup, rid) for rid in source_ids)
+    # The room holds six sinks. The two sources stay whole and leave room
+    # for at least four sinks, so the eight sinks take two tiles of four;
+    # the even split packed them into three, three and two.
     budget = frame + 6 * sink_cost
-    assert source_total + sink_cost <= 3 * sink_cost
+    assert source_total <= 2 * sink_cost
     tiles = plan_tiles(source_ids, sink_ids, [], lookup, budget)
-    assert tiles == [(source_ids, sink_ids[i : i + 3]) for i in (0, 3, 6)]
+    assert tiles == [(source_ids, sink_ids[:4]), (source_ids, sink_ids[4:])]
+    assert len(_even_split_tiles(source_ids, sink_ids, lookup, 6 * sink_cost)) == 3
+
+
+def test_tile_plan_balances_the_groups_instead_of_leaving_a_small_last_one():
+    sources = _sized_records("source", [200] * 7)
+    # "Sink"/"sink000" are four characters shorter than "Source"/"source000".
+    sinks = _sized_records("sink", [204] * 7)
+    lookup = record_lookup(sources + sinks)
+    source_ids = sorted(r.id for r in sources)
+    sink_ids = sorted(r.id for r in sinks)
+    frame = estimate_tokens(build_pairing_prompt([], [], [], lookup))
+    cost = _cost(lookup, source_ids[0])
+    assert {_cost(lookup, rid) for rid in source_ids + sink_ids} == {cost}
+    # The room holds six records. The even split packs each side into
+    # three, three and one: 9 tiles. Two source groups of four and three
+    # leave room for sink groups of two: 8 tiles, each side sent as often
+    # as before. Four source groups by two sinks send the same tokens in
+    # as many tiles; the tie goes to fewer source groups.
+    budget = frame + 6 * cost
+    tiles = plan_tiles(source_ids, sink_ids, [], lookup, budget)
+    source_groups = [source_ids[:4], source_ids[4:]]
+    sink_groups = [sink_ids[i : i + 2] for i in (0, 2, 4, 6)]
+    assert tiles == [(srcs, snks) for snks in sink_groups for srcs in source_groups]
+    even_split = _even_split_tiles(source_ids, sink_ids, lookup, 6 * cost)
+    assert len(even_split) == 9
+    assert _score(tiles, lookup, frame) == _score(even_split, lookup, frame) - frame
 
 
 class _PromptLog:
@@ -310,7 +411,7 @@ def test_pair_all_tiles_and_merges_sorted():
     sent = [entry["request"]["messages"][0]["content"] for entry in gateway.transcripts.entries]
     assert sent == list(replies)
     expected = {(tile_sources[0], tile_sinks[0]) for tile_sources, tile_sinks in tiles}
-    expected |= {(src, last_sink) for src in tiles[-1][0]}
+    expected |= {(srcs[0], last_sink) for srcs, snks in tiles if last_sink in snks}
     assert [(p.source_id, p.sink_id) for p in pairs] == sorted(expected)
 
 

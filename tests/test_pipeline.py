@@ -295,8 +295,8 @@ def test_pairing_budget_tiles_the_prompts_without_changing_the_pairs(run_config)
         for entry in map(json.loads, (tiled.out_dir / "transcript.jsonl").read_text().splitlines())
         if entry["stage"] == "pair"
     ]
-    # 4 sources and 3 sinks fall into 6 tiles, every one within the budget.
-    assert len(prompts) == 6
+    # 4 sources and 3 sinks fall into 4 tiles, every one within the budget.
+    assert len(prompts) == 4
     assert max(prompts) <= 1400
     pairs = (tiled.out_dir / "pairs.json").read_bytes()
     assert pairs == (whole.out_dir / "pairs.json").read_bytes()

@@ -1,3 +1,4 @@
+import functools
 import json
 import random
 import sys
@@ -9,7 +10,8 @@ from hypothesis import strategies as st
 
 from qlforge.codeql import CodeQLCompiler
 from qlforge.errors import CompilerUnavailable, ConfigError, EmptyDraft, ExecutionFailed
-from qlforge.gateway import LlmGateway, LlmResponse
+from qlforge import rulegen
+from qlforge.gateway import LlmGateway, LlmResponse, _RetryableTransport
 from qlforge.pairing import SourceSinkPair, make_pair_id
 from qlforge.prompts import load_template
 from qlforge.rulegen import (
@@ -319,6 +321,38 @@ def test_generate_all_layout_and_transcripts(tmp_path):
     stages = [json.loads(l)["stage"] for l in retried.read_text().splitlines()]
     assert stages == ["write", "repair", "write"]
     assert load_rule_artifacts(tmp_path) == artifacts
+
+
+class _FailsFirstCallOfEachStage:
+    """Fails the first request of each stage with a retryable HTTP 503."""
+
+    def __init__(self):
+        self.failed = set()
+
+    def send(self, request):
+        if request.stage not in self.failed:
+            self.failed.add(request.stage)
+            raise _RetryableTransport("HTTP 503", status=503)
+        return LlmResponse(text=RULE_TEXT)
+
+
+def test_generate_retries_are_logged_with_the_pair_id(tmp_path, monkeypatch, caplog):
+    pairs, lookup = _pairs(1)
+    pair_id = pairs[0].pair_id
+    compiler = MockCompiler({"version": 1, "pairs": {pair_id: {"fail_count": 1}}, "default": {}})
+    sleeps = []
+    monkeypatch.setattr(rulegen, "LlmGateway", functools.partial(LlmGateway, sleep=sleeps.append))
+    with caplog.at_level("WARNING", logger="qlforge.gateway"):
+        artifacts = generate_all(
+            pairs, lookup, _FailsFirstCallOfEachStage(), compiler, tmp_path, "m", workers=1
+        )
+    assert [a.status for a in artifacts] == [ArtifactStatus.COMPILED]
+    assert sleeps == [1.0, 1.0]
+    retries = [(r.levelname, r.getMessage()) for r in caplog.records if r.name == "qlforge.gateway"]
+    assert retries == [
+        ("WARNING", f"write pair {pair_id}: attempt 1/3 failed, retrying: HTTP 503"),
+        ("WARNING", f"repair pair {pair_id}: attempt 1/3 failed, retrying: HTTP 503"),
+    ]
 
 
 def _pairs(count, seed=90):
