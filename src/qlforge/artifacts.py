@@ -7,9 +7,14 @@ one. A write that fails raises :class:`UnwritableOutput` naming the file.
 
 Every way a document can be unreadable (a missing file, bytes that are not
 UTF-8, text that is not JSON, a JSON value that is not an object, a foreign
-version, an entry of the wrong shape) raises :class:`ArtifactCorrupt` naming
-the file, so a resumed run exits with the documented code instead of a
-traceback.
+version, an entry of the wrong shape or a field of the wrong type) raises
+:class:`ArtifactCorrupt` naming the file, so a resumed run exits with the
+documented code instead of a traceback.
+
+Every document entry is a dataclass deriving from :class:`JsonDataclass`,
+whose ``to_dict``/``from_dict`` are built once per class from its fields and
+their annotations: the JSON keys follow the field order, and decoding checks
+every value's type.
 """
 
 from __future__ import annotations
@@ -17,9 +22,14 @@ from __future__ import annotations
 import json
 import os
 import threading
+import types
 from contextlib import contextmanager
+from dataclasses import MISSING, fields, is_dataclass
+from enum import Enum
+from functools import cache
+from operator import attrgetter
 from pathlib import Path
-from typing import Callable, Iterator, TextIO, TypeVar
+from typing import Callable, Iterator, TextIO, TypeVar, Union, get_args, get_origin, get_type_hints
 
 from .errors import ArtifactCorrupt, ConfigError, UnwritableOutput
 
@@ -141,3 +151,100 @@ def config_input() -> Iterator[None]:
         yield
     except ArtifactCorrupt as exc:
         raise ConfigError(str(exc)) from None
+
+
+JSON_KEY = "json_key"
+"""Field metadata naming a field's JSON key where it differs from the field name."""
+
+
+class JsonDataclass:
+    """Base of the dataclasses a run writes as JSON.
+
+    ``to_dict`` gives the JSON form: one key per ``init`` field, in field
+    order. A str-valued ``Enum`` becomes its value, a nested dataclass its
+    own dict and a ``tuple[X, ...]`` a list. ``from_dict`` reverses it: a
+    missing key takes the field's default (a ``KeyError`` if it has none), an
+    unknown key is ignored, and a value of the wrong type is a ``TypeError``,
+    which :func:`shape_checked` reports as :class:`ArtifactCorrupt`.
+    """
+
+    __slots__ = ()
+
+    def to_dict(self) -> dict:
+        return _codec(type(self))[0](self)
+
+    @classmethod
+    def from_dict(cls: type[T], data: dict) -> T:
+        return _codec(cls)[1](data)
+
+
+@cache
+def _codec(cls: type) -> tuple[Callable[[object], dict], Callable[[object], object]]:
+    """The (encode, decode) pair of dataclass ``cls``; an annotation it cannot handle raises."""
+    hints = get_type_hints(cls)
+    data_fields = [f for f in fields(cls) if f.init]
+    names = [f.name for f in data_fields]
+    keys = [f.metadata.get(JSON_KEY, f.name) for f in data_fields]
+    encoders, decoders = zip(*(_converters(hints[name], key) for name, key in zip(names, keys)))
+    converted = [(key, enc) for key, enc in zip(keys, encoders) if enc is not None]
+    required = [f.default is MISSING and f.default_factory is MISSING for f in data_fields]
+    plan = list(zip(names, keys, decoders, required))
+    # attrgetter of one name returns the value itself, not a 1-tuple.
+    values = attrgetter(*names) if len(names) > 1 else lambda obj: (getattr(obj, names[0]),)
+
+    def encode(obj) -> dict:
+        doc = dict(zip(keys, values(obj)))
+        for key, enc in converted:
+            doc[key] = enc(doc[key])
+        return doc
+
+    def decode(data):
+        typed(data, dict, cls.__name__)
+        kwargs = {}
+        for name, key, dec, required in plan:
+            if key in data:
+                kwargs[name] = dec(data[key])
+            elif required:
+                raise KeyError(key)
+        return cls(**kwargs)
+
+    return encode, decode
+
+
+def _converters(kind, name: str) -> tuple[Callable | None, Callable]:
+    """The (encode, decode) pair of one annotation; ``encode`` is None where the value is kept."""
+    origin, args = get_origin(kind), get_args(kind)
+    if kind in (str, int, bool):
+        return None, lambda value: typed(value, kind, name)
+    if kind is float:
+
+        def decode_float(value) -> float:
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise TypeError(f"{name} must be float, not {type(value).__name__}")
+            return float(value)
+
+        return None, decode_float
+    if isinstance(kind, type) and issubclass(kind, str) and issubclass(kind, Enum):
+        return attrgetter("value"), lambda value: kind(typed(value, str, name))
+    if is_dataclass(kind):
+        return _codec(kind)
+    if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        enc, dec = _converters(args[0], f"{name} item")
+        return (
+            list if enc is None else lambda items: list(map(enc, items)),
+            lambda items: tuple(dec(item) for item in typed(items, list, name)),
+        )
+    if origin in (Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        enc, dec = _converters(args[0] if args[1] is type(None) else args[1], name)
+        return (
+            None if enc is None else lambda value: None if value is None else enc(value),
+            lambda value: None if value is None else dec(value),
+        )
+    if kind is dict:
+        return dict, lambda value: dict(typed(value, dict, name))
+    if origin is dict and args == (str, int):
+        return dict, lambda value: {
+            typed(k, str, f"{name} key"): typed(v, int, f"{name} value")
+            for k, v in typed(value, dict, name).items()
+        }
+    raise TypeError(f"no JSON codec for field {name!r} of type {kind!r}")

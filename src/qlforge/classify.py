@@ -25,12 +25,12 @@ import logging
 import random
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
 
-from .artifacts import dump_json, parse_entries, read_text, typed, write_json
+from .artifacts import JSON_KEY, JsonDataclass, dump_json, parse_entries, read_text, write_json
 from .errors import BallotCountMismatch, RecordTooLarge, UnknownApiId, WhollyMalformed
 from .gateway import LlmGateway, estimate_tokens, simple_request
 from .prompts import (
@@ -71,7 +71,7 @@ class ContextGroup:
 
 @dataclass(frozen=True)
 class Ballot:
-    round_index: int
+    round_index: int = field(metadata={JSON_KEY: "round"})
     group_id: str
     label: TaintLabel
     response_ref: int | None = None
@@ -79,50 +79,11 @@ class Ballot:
 
 
 @dataclass(frozen=True)
-class VoteRecord:
+class VoteRecord(JsonDataclass):
     api_id: str
     ballots: tuple[Ballot, ...]
     resolved: TaintLabel
     tie: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "api_id": self.api_id,
-            "ballots": [
-                {
-                    "round": b.round_index,
-                    "group_id": b.group_id,
-                    "label": b.label.value,
-                    "response_ref": b.response_ref,
-                    "parse_warning": b.parse_warning,
-                }
-                for b in self.ballots
-            ],
-            "resolved": self.resolved.value,
-            "tie": self.tie,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "VoteRecord":
-        """The record of one votes-document entry; a field of the wrong type is a ``TypeError``."""
-        return cls(
-            api_id=typed(data["api_id"], str, "api_id"),
-            ballots=tuple(
-                Ballot(
-                    round_index=typed(b["round"], int, "round"),
-                    group_id=typed(b["group_id"], str, "group_id"),
-                    label=TaintLabel(typed(b["label"], str, "label")),
-                    response_ref=(
-                        None if b["response_ref"] is None
-                        else typed(b["response_ref"], int, "response_ref")
-                    ),
-                    parse_warning=typed(b["parse_warning"], bool, "parse_warning"),
-                )
-                for b in typed(data["ballots"], list, "ballots")
-            ),
-            resolved=TaintLabel(typed(data["resolved"], str, "resolved")),
-            tie=typed(data["tie"], bool, "tie"),
-        )
 
 
 # ---------------------------------------------------------------------------

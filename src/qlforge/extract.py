@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, runtime_checkable
 
+from .artifacts import JsonDataclass
 from .errors import InvalidFilterConfig
 from .records import (
     ApiParam,
@@ -273,13 +274,13 @@ DEFAULT_ALLOW_PATTERNS = (
 
 
 @dataclass
-class FilterConfig:
+class FilterConfig(JsonDataclass):
     """Deny/allow method-name patterns for the risk filter."""
 
     deny: tuple[str, ...] = DEFAULT_DENY_PATTERNS
     allow: tuple[str, ...] = DEFAULT_ALLOW_PATTERNS
     _compiled: tuple[list[re.Pattern], list[re.Pattern]] | None = field(
-        default=None, repr=False, compare=False
+        default=None, init=False, repr=False, compare=False
     )
 
     def compiled(self) -> tuple[list[re.Pattern], list[re.Pattern]]:
@@ -291,13 +292,6 @@ class FilterConfig:
                 raise InvalidFilterConfig(f"bad filter pattern: {exc}") from exc
             object.__setattr__(self, "_compiled", (deny, allow))
         return self._compiled
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "FilterConfig":
-        return cls(
-            deny=tuple(data.get("deny", DEFAULT_DENY_PATTERNS)),
-            allow=tuple(data.get("allow", DEFAULT_ALLOW_PATTERNS)),
-        )
 
 
 def extract_apis(project_root: str | Path, backend: AnalyzerBackend) -> list[ApiRecord]:

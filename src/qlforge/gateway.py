@@ -27,7 +27,7 @@ from typing import Callable, Protocol
 from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
 from . import __version__
-from .artifacts import config_input, read_text
+from .artifacts import JsonDataclass, config_input, read_text
 from .errors import ArtifactCorrupt, AuthFailure, ConfigError, ProviderError, RateLimited
 
 logger = logging.getLogger(__name__)
@@ -72,7 +72,7 @@ class LlmMessage:
 
 
 @dataclass(frozen=True)
-class LlmRequest:
+class LlmRequest(JsonDataclass):
     stage: str
     model: str
     messages: tuple[LlmMessage, ...]
@@ -90,30 +90,13 @@ class LlmRequest:
     def joined_content(self) -> str:
         return "\n".join(m.content for m in self.messages)
 
-    def to_dict(self) -> dict:
-        return {
-            "stage": self.stage,
-            "model": self.model,
-            "temperature": self.temperature,
-            "max_tokens": self.max_tokens,
-            "messages": [{"role": m.role, "content": m.content} for m in self.messages],
-        }
-
 
 @dataclass
-class LlmResponse:
+class LlmResponse(JsonDataclass):
     text: str
     finish_reason: str = "stop"
     usage: dict | None = None
     latency_s: float = 0.0
-
-    def to_dict(self) -> dict:
-        return {
-            "text": self.text,
-            "finish_reason": self.finish_reason,
-            "usage": self.usage,
-            "latency_s": self.latency_s,
-        }
 
 
 def simple_request(stage: str, model: str, prompt: str, *, system: str | None = None,

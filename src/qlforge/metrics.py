@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
-from .artifacts import check_version, config_input, read_json, shape_checked
+from .artifacts import JsonDataclass, config_input, parse_entries, read_text
 from .rulegen import ArtifactStatus, Finding, RuleArtifact
 
 MANIFEST_VERSION = 1
@@ -40,41 +40,25 @@ def format_rate(rate: float | None) -> str:
 
 
 @dataclass(frozen=True)
-class ManifestEntry:
+class ManifestEntry(JsonDataclass):
     id: str
     file: str
     start_line: int
     end_line: int
     vuln_class: str = ""
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ManifestEntry":
-        return cls(
-            id=data["id"],
-            file=data["file"],
-            start_line=data["start_line"],
-            end_line=data["end_line"],
-            vuln_class=data.get("vuln_class", ""),
-        )
-
 
 @dataclass(frozen=True)
 class KnownVulnManifest:
     entries: tuple[ManifestEntry, ...]
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "KnownVulnManifest":
-        if data.get("version") != MANIFEST_VERSION:
-            raise ValueError(f"unsupported manifest version: {data.get('version')!r}")
-        return cls(entries=tuple(ManifestEntry.from_dict(e) for e in data["vulns"]))
-
 
 def load_manifest(path: str | Path) -> KnownVulnManifest:
     with config_input():
-        doc = read_json(path)
-        check_version(doc, path, MANIFEST_VERSION)
-        with shape_checked(path, "vulns"):
-            return KnownVulnManifest.from_dict(doc)
+        entries = parse_entries(
+            read_text(path), path, MANIFEST_VERSION, "vulns", ManifestEntry.from_dict
+        )
+    return KnownVulnManifest(entries=tuple(entries))
 
 
 def finding_hits_entry(finding: Finding, entry: ManifestEntry) -> bool:
@@ -88,7 +72,7 @@ def finding_hits_entry(finding: Finding, entry: ManifestEntry) -> bool:
 
 
 @dataclass(frozen=True)
-class Metrics:
+class Metrics(JsonDataclass):
     total_pairs: int
     compiled: int
     aborted: int
@@ -98,33 +82,6 @@ class Metrics:
     detection_rate: float | None
     detected_ids: tuple[str, ...] = field(default_factory=tuple)
     missed_ids: tuple[str, ...] = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        return {
-            "total_pairs": self.total_pairs,
-            "compiled": self.compiled,
-            "aborted": self.aborted,
-            "correctness_rate": self.correctness_rate,
-            "known_vulns": self.known_vulns,
-            "detected": self.detected,
-            "detection_rate": self.detection_rate,
-            "detected_ids": list(self.detected_ids),
-            "missed_ids": list(self.missed_ids),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Metrics":
-        return cls(
-            total_pairs=data["total_pairs"],
-            compiled=data["compiled"],
-            aborted=data["aborted"],
-            correctness_rate=data["correctness_rate"],
-            known_vulns=data["known_vulns"],
-            detected=data["detected"],
-            detection_rate=data["detection_rate"],
-            detected_ids=tuple(data.get("detected_ids", ())),
-            missed_ids=tuple(data.get("missed_ids", ())),
-        )
 
 
 def compute_metrics(

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Collection
 
-from .artifacts import dump_json, parse_entries, read_text, write_json
+from .artifacts import JsonDataclass, dump_json, parse_entries, read_text, write_json
 from .errors import NothingToPair, RecordTooLarge, UnknownApiId, WhollyMalformed
 from .gateway import LlmGateway, estimate_tokens, simple_request
 from .prompts import handle_names, handles, load_template, pack_greedy, render_template, with_handle
@@ -64,7 +64,7 @@ _PAIR_LINE_RE = re.compile(
 
 
 @dataclass(frozen=True)
-class SourceSinkPair:
+class SourceSinkPair(JsonDataclass):
     pair_id: str
     source_id: str
     sink_id: str
@@ -72,29 +72,6 @@ class SourceSinkPair:
     rationale: str = ""
     confidence: str = ""
     sanitizers: tuple[str, ...] = field(default_factory=tuple)
-
-    def to_dict(self) -> dict:
-        return {
-            "pair_id": self.pair_id,
-            "source_id": self.source_id,
-            "sink_id": self.sink_id,
-            "vuln_class": self.vuln_class,
-            "rationale": self.rationale,
-            "confidence": self.confidence,
-            "sanitizers": list(self.sanitizers),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SourceSinkPair":
-        return cls(
-            pair_id=data["pair_id"],
-            source_id=data["source_id"],
-            sink_id=data["sink_id"],
-            vuln_class=data["vuln_class"],
-            rationale=data.get("rationale", ""),
-            confidence=data.get("confidence", ""),
-            sanitizers=tuple(data.get("sanitizers", ())),
-        )
 
 
 def make_pair_id(source_id: str, sink_id: str) -> str:

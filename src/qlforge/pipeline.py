@@ -48,7 +48,7 @@ from .gateway import (
 from .metrics import compute_metrics, load_manifest
 from .pairing import DEFAULT_BUDGET as DEFAULT_PAIRING_BUDGET, load_pairs, pair_all, save_pairs
 from .records import load_spec_document, record_lookup, save_spec_document
-from .report import PipelineReport, StageSummary
+from .report import PipelineReport, StageSummary, dump_report
 from .rulegen import (
     MockCompiler,
     generate_all,
@@ -260,8 +260,8 @@ class PipelineConfig:
         if "filters" in data:
             try:
                 filters = FilterConfig.from_dict(_table(data, "filters", ("deny", "allow")))
-            except QlforgeError as exc:
-                raise ConfigError(f"bad filters config: {exc}") from exc
+            except TypeError as exc:
+                raise ConfigError(f"config key filters.{exc}") from None
 
         workers = _positive_int(data.get("workers", 4), "workers")
 
@@ -455,7 +455,7 @@ def _run_report(run: _Run) -> None:
         metrics=metrics,
         warnings=tuple(text.format(count) for count, text in warnings if count),
     )
-    write_json(run.path(REPORT_FILENAME), run.report.to_dict())
+    write_text(run.path(REPORT_FILENAME), dump_report(run.report))
     seconds = {name: round(s, 6) for name, s in run.seconds.items()}
     write_json(run.path(TIMINGS_FILENAME), {"stage_seconds": seconds})
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
-from .artifacts import dump_json, parse_entries, read_text, typed, write_json
+from .artifacts import JsonDataclass, dump_json, parse_entries, read_text, write_json
 
 logger = logging.getLogger(__name__)
 
@@ -44,7 +44,7 @@ class SourceLocation:
 
 
 @dataclass(frozen=True)
-class ApiRecord:
+class ApiRecord(JsonDataclass):
     """One extracted API signature with classification context.
 
     ``id`` is a stable content hash of the qualified signature; see
@@ -60,43 +60,6 @@ class ApiRecord:
     annotations: tuple[str, ...]
     snippet: str
     first_seen: SourceLocation
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "package": self.package,
-            "type_name": self.type_name,
-            "method": self.method,
-            "params": [{"name": p.name, "type": p.type} for p in self.params],
-            "return_type": self.return_type,
-            "annotations": list(self.annotations),
-            "snippet": self.snippet,
-            "first_seen": {"file": self.first_seen.file, "line": self.first_seen.line},
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ApiRecord":
-        """The record of one spec-document entry; a field of the wrong type is a ``TypeError``."""
-        first_seen = data["first_seen"]
-        return cls(
-            id=typed(data["id"], str, "id"),
-            package=typed(data["package"], str, "package"),
-            type_name=typed(data["type_name"], str, "type_name"),
-            method=typed(data["method"], str, "method"),
-            params=tuple(
-                ApiParam(typed(p["name"], str, "param name"), typed(p["type"], str, "param type"))
-                for p in typed(data["params"], list, "params")
-            ),
-            return_type=typed(data["return_type"], str, "return_type"),
-            annotations=tuple(
-                typed(a, str, "annotation") for a in typed(data["annotations"], list, "annotations")
-            ),
-            snippet=typed(data["snippet"], str, "snippet"),
-            first_seen=SourceLocation(
-                typed(first_seen["file"], str, "first_seen file"),
-                typed(first_seen["line"], int, "first_seen line"),
-            ),
-        )
 
     @cached_property
     def json_text(self) -> str:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__
-from .artifacts import check_version, dump_json, read_json, shape_checked
+from .artifacts import JsonDataclass, check_version, dump_json, read_json, shape_checked
 from .errors import ArtifactCorrupt
 from .metrics import Metrics, format_rate
 from .rulegen import Finding
@@ -26,22 +26,13 @@ REPORT_FORMATS = ("json", "text", "sarif")
 
 
 @dataclass(frozen=True)
-class StageSummary:
+class StageSummary(JsonDataclass):
     name: str
     status: str  # ok | failed | skipped
 
-    def to_dict(self) -> dict:
-        return {"name": self.name, "status": self.status}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "StageSummary":
-        # Reports written before stage times moved to the sidecar also
-        # carry "duration_s"; it is ignored.
-        return cls(name=data["name"], status=data["status"])
-
 
 @dataclass(frozen=True)
-class PipelineReport:
+class PipelineReport(JsonDataclass):
     project: str
     backend: str
     llm_mode: str
@@ -50,35 +41,9 @@ class PipelineReport:
     metrics: Metrics | None = None
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
-    def to_dict(self) -> dict:
-        return {
-            "version": REPORT_VERSION,
-            "project": self.project,
-            "backend": self.backend,
-            "llm_mode": self.llm_mode,
-            "stages": [s.to_dict() for s in self.stages],
-            "counts": dict(self.counts),
-            "metrics": None if self.metrics is None else self.metrics.to_dict(),
-            "warnings": list(self.warnings),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PipelineReport":
-        if data.get("version") != REPORT_VERSION:
-            raise ValueError(f"unsupported report version: {data.get('version')!r}")
-        return cls(
-            project=data["project"],
-            backend=data["backend"],
-            llm_mode=data["llm_mode"],
-            stages=tuple(StageSummary.from_dict(s) for s in data["stages"]),
-            counts=dict(data["counts"]),
-            metrics=None if data["metrics"] is None else Metrics.from_dict(data["metrics"]),
-            warnings=tuple(data["warnings"]),
-        )
-
 
 def dump_report(report: PipelineReport) -> str:
-    return dump_json(report.to_dict())
+    return dump_json({"version": REPORT_VERSION, **report.to_dict()})
 
 
 def load_report(path: str | Path) -> PipelineReport:

@@ -31,10 +31,12 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from typing import Protocol
 
 from .artifacts import (
+    JsonDataclass,
     check_version,
     config_input,
     dump_json,
@@ -85,7 +87,7 @@ class ArtifactStatus(str, Enum):
 
 
 @dataclass(frozen=True)
-class Diagnostic:
+class Diagnostic(JsonDataclass):
     message: str
     file: str = RULE_FILENAME
     line: int | None = None
@@ -100,25 +102,6 @@ class Diagnostic:
                 loc += f":{self.column}"
         return f"{loc}: {self.severity}: {self.message}"
 
-    def to_dict(self) -> dict:
-        return {
-            "message": self.message,
-            "file": self.file,
-            "line": self.line,
-            "column": self.column,
-            "severity": self.severity,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Diagnostic":
-        return cls(
-            message=data["message"],
-            file=data.get("file", RULE_FILENAME),
-            line=data.get("line"),
-            column=data.get("column"),
-            severity=data.get("severity", "error"),
-        )
-
 
 @dataclass(frozen=True)
 class CompileResult:
@@ -128,7 +111,7 @@ class CompileResult:
 
 
 @dataclass(frozen=True)
-class Finding:
+class Finding(JsonDataclass):
     pair_id: str
     vuln_class: str
     file: str
@@ -136,45 +119,15 @@ class Finding:
     end_line: int
     message: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "pair_id": self.pair_id,
-            "vuln_class": self.vuln_class,
-            "file": self.file,
-            "start_line": self.start_line,
-            "end_line": self.end_line,
-            "message": self.message,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "Finding":
-        return cls(
-            pair_id=data["pair_id"],
-            vuln_class=data.get("vuln_class", ""),
-            file=data["file"],
-            start_line=data["start_line"],
-            end_line=data["end_line"],
-            message=data.get("message", ""),
-        )
-
 
 @dataclass(frozen=True)
-class RuleArtifact:
+class RuleArtifact(JsonDataclass):
     pair_id: str
     vuln_class: str
     status: ArtifactStatus
     attempts: int
     rule_text: str
     diagnostics: tuple[Diagnostic, ...] = field(default_factory=tuple)
-
-    def status_dict(self) -> dict:
-        return {
-            "pair_id": self.pair_id,
-            "vuln_class": self.vuln_class,
-            "status": self.status.value,
-            "attempts": self.attempts,
-            "diagnostics": [d.to_dict() for d in self.diagnostics],
-        }
 
 
 class RuleCompiler(Protocol):
@@ -215,6 +168,11 @@ def _check_compiler_entry(entry, where: str) -> None:
             isinstance(item, dict) and required <= item.keys() for item in items
         ):
             raise ConfigError(f"{where}: {key} must be a list of objects with {sorted(required)}")
+    try:
+        for item in entry.get("diagnostics") or []:
+            Diagnostic.from_dict(item)
+    except TypeError as exc:
+        raise ConfigError(f"{where}: diagnostics must be well-typed: {exc}") from None
 
 
 class MockCompiler:
@@ -467,7 +425,9 @@ def save_rule_artifact(artifact: RuleArtifact, rules_dir: str | Path) -> Path:
     pair_dir = Path(rules_dir) / artifact.pair_id
     pair_dir.mkdir(parents=True, exist_ok=True)
     write_text(pair_dir / RULE_FILENAME, artifact.rule_text)
-    write_json(pair_dir / STATUS_FILENAME, artifact.status_dict())
+    status = artifact.to_dict()
+    del status["rule_text"]  # rule.ql holds it
+    write_json(pair_dir / STATUS_FILENAME, status)
     return pair_dir
 
 
@@ -477,15 +437,8 @@ def write_rule_index(artifacts: list[RuleArtifact], rules_dir: str | Path) -> No
         "version": RULE_INDEX_VERSION,
         "compiled": sum(1 for a in ordered if a.status is ArtifactStatus.COMPILED),
         "aborted": sum(1 for a in ordered if a.status is ArtifactStatus.ABORTED),
-        "rules": [
-            {
-                "pair_id": a.pair_id,
-                "vuln_class": a.vuln_class,
-                "status": a.status.value,
-                "attempts": a.attempts,
-            }
-            for a in ordered
-        ],
+        # A row is the artifact's first four keys: pair_id, vuln_class, status, attempts.
+        "rules": [dict(islice(a.to_dict().items(), 4)) for a in ordered],
     }
     Path(rules_dir).mkdir(parents=True, exist_ok=True)
     write_json(Path(rules_dir) / INDEX_FILENAME, doc)
@@ -506,18 +459,7 @@ def load_rule_artifacts(rules_dir: str | Path) -> list[RuleArtifact]:
         status = read_json(status_path)
         rule_text = read_text(pair_dir / RULE_FILENAME)
         with shape_checked(status_path, "status"):
-            artifacts.append(
-                RuleArtifact(
-                    pair_id=status["pair_id"],
-                    vuln_class=status.get("vuln_class", ""),
-                    status=ArtifactStatus(status["status"]),
-                    attempts=status["attempts"],
-                    rule_text=rule_text,
-                    diagnostics=tuple(
-                        Diagnostic.from_dict(d) for d in status.get("diagnostics", ())
-                    ),
-                )
-            )
+            artifacts.append(RuleArtifact.from_dict({**status, "rule_text": rule_text}))
     return sorted(artifacts, key=lambda a: a.pair_id)
 
 

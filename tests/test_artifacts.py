@@ -1,20 +1,39 @@
 import copy
+import dataclasses
 import json
 import os
+import types
+from enum import Enum
+from typing import Union, get_args, get_origin, get_type_hints
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlforge.artifacts import dump_json, read_text, write_json, write_text
+import qlforge.pipeline  # noqa: F401  (so JsonDataclass.__subclasses__() lists every class)
+from qlforge.artifacts import JsonDataclass, dump_json, read_text, write_json, write_text
 from qlforge.classify import Ballot, TaintLabel, VoteRecord, dump_votes, load_votes
 from qlforge.errors import ArtifactCorrupt, ConfigError, UnwritableOutput
-from qlforge.gateway import LlmResponse, TranscriptStore, simple_request
-from qlforge.metrics import Metrics, load_manifest
+from qlforge.gateway import (
+    STAGES,
+    LlmMessage,
+    LlmRequest,
+    LlmResponse,
+    TranscriptStore,
+    simple_request,
+)
+from qlforge.metrics import ManifestEntry, Metrics, load_manifest
 from qlforge.pairing import SourceSinkPair, dump_pairs, load_pairs, save_pairs
-from qlforge.records import dump_spec_document, load_spec_document, make_record
+from qlforge.records import ApiRecord, dump_spec_document, load_spec_document, make_record
 from qlforge.report import PipelineReport, StageSummary, dump_report, load_report
-from qlforge.rulegen import Finding, dump_findings, load_findings
+from qlforge.rulegen import (
+    ArtifactStatus,
+    Finding,
+    RuleArtifact,
+    dump_findings,
+    load_findings,
+    load_rule_artifacts,
+)
 from tests.conftest import FIXTURES
 
 LOADERS = [
@@ -41,13 +60,56 @@ def test_loaders_name_the_corrupt_file(tmp_path, loader, key, text, message):
     assert str(err.value).startswith(f"{path}: ")
 
 
+# Per document key: one field of a fully-formed entry and a value of the wrong type.
+_WRONG_TYPED_FIELDS = {
+    "apis": ("id", 5),
+    "votes": ("tie", 0),
+    "pairs": ("pair_id", 5),
+    "findings": ("start_line", "3"),
+}
+
+
 @pytest.mark.parametrize("loader, key", LOADERS)
 def test_loaders_reject_malformed_entries(tmp_path, loader, key):
     path = tmp_path / "doc.json"
-    for entries in ([{}], [7], None):
+    (entry,) = next(doc[key] for doc in _VALID_DOCUMENTS if key in doc)
+    name, value = _WRONG_TYPED_FIELDS[key]
+    for entries in ([{}], [7], None, [{**entry, name: value}]):
         path.write_text(json.dumps({"version": 1, key: entries}))
         with pytest.raises(ArtifactCorrupt, match=f"{path}: malformed '{key}' entry"):
             loader(path)
+
+
+def _rule_store(base, status: dict):
+    """A rules directory holding one pair whose ``status.json`` is ``status``; that file's path."""
+    rules = base / "rules"
+    (rules / "p").mkdir(parents=True, exist_ok=True)
+    (rules / "index.json").write_text(json.dumps({"version": 1, "rules": [{"pair_id": "p"}]}))
+    (rules / "p" / "rule.ql").write_text("select 1")
+    path = rules / "p" / "status.json"
+    path.write_text(json.dumps(status))
+    return path
+
+
+def test_report_status_and_manifest_loaders_reject_a_wrong_typed_field(tmp_path):
+    path = tmp_path / "report.json"
+    report = next(doc for doc in _VALID_DOCUMENTS if "counts" in doc)
+    path.write_text(json.dumps({**report, "counts": {"pairs": "1"}}))
+    with pytest.raises(ArtifactCorrupt, match=f"{path}: malformed 'report' entry"):
+        load_report(path)
+
+    artifact = RuleArtifact("p", "xss", ArtifactStatus.COMPILED, 2, "select 1")
+    status = {**artifact.to_dict(), "attempts": "2"}
+    path = _rule_store(tmp_path, status)
+    with pytest.raises(ArtifactCorrupt, match=f"{path}: malformed 'status' entry"):
+        load_rule_artifacts(tmp_path / "rules")
+
+    manifest = json.loads((FIXTURES / "manifest.json").read_text(encoding="utf-8"))
+    manifest["vulns"][0]["start_line"] = "18"
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match=f"{path}: malformed 'vulns' entry"):
+        load_manifest(path)
 
 
 def test_write_text_wraps_oserror(tmp_path):
@@ -247,3 +309,128 @@ def test_transcript_of_any_bytes_continues_numbering_or_is_corrupt(tmp_path_fact
         return
     seq = store.append(simple_request("pair", "m", "p"), LlmResponse(text="NO_PAIRS"))
     assert isinstance(seq, int) and not isinstance(seq, bool) and seq >= 1
+
+
+# ---------------------------------------------------------------------------
+# The dataclass codec
+# ---------------------------------------------------------------------------
+
+CODEC_CLASSES = sorted(JsonDataclass.__subclasses__(), key=lambda cls: cls.__name__)
+
+
+def _none_or(kind):
+    """The non-None member of ``X | None``, or None when ``kind`` is not that union."""
+    if get_origin(kind) in (Union, types.UnionType):
+        (inner,) = [arg for arg in get_args(kind) if arg is not type(None)]
+        return inner
+    return None
+
+
+def _values(kind):
+    """Values of one field annotation the codec handles."""
+    if _none_or(kind) is not None:
+        return st.none() | _values(_none_or(kind))
+    if get_origin(kind) is tuple:
+        return st.lists(_values(get_args(kind)[0]), max_size=3).map(tuple)
+    if dataclasses.is_dataclass(kind):
+        return _instances(kind)
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        return st.sampled_from(kind)
+    return {
+        str: st.text(max_size=5),
+        int: st.integers(),
+        bool: st.booleans(),
+        float: st.floats(allow_nan=False, allow_infinity=False),
+    }.get(kind, st.dictionaries(st.text(max_size=3), st.integers(), max_size=3))
+
+
+def _instances(cls):
+    hints = get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    return st.builds(cls, **{
+        f.name: _RESTRICTED[cls, f.name] if (cls, f.name) in _RESTRICTED else _values(hints[f.name])
+        for f in fields
+    })
+
+
+# Fields whose values the class itself checks.
+_RESTRICTED = {
+    (LlmRequest, "stage"): st.sampled_from(STAGES),
+    (LlmRequest, "messages"): st.lists(
+        st.builds(LlmMessage, st.text(max_size=5), st.text(max_size=5)), min_size=1, max_size=2
+    ).map(tuple),
+    (LlmRequest, "temperature"): st.floats(min_value=0, max_value=2),
+}
+
+
+@pytest.mark.parametrize("cls", CODEC_CLASSES, ids=lambda cls: cls.__name__)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_codec_round_trips_every_class_through_json(cls, data):
+    value = data.draw(_instances(cls))
+    assert cls.from_dict(json.loads(json.dumps(value.to_dict()))) == value
+
+
+def _json_kinds(kind) -> set:
+    """The JSON value types the codec accepts for a field annotation."""
+    if _none_or(kind) is not None:
+        return {type(None)} | _json_kinds(_none_or(kind))
+    if get_origin(kind) is tuple:
+        return {list}
+    if isinstance(kind, type) and issubclass(kind, Enum):
+        return {str}
+    return {str: {str}, int: {int}, bool: {bool}, float: {int, float}}.get(kind, {dict})
+
+
+_JSON_OF_KIND = {
+    type(None): st.none(),
+    bool: st.booleans(),
+    int: st.integers(),
+    float: st.floats(),
+    str: st.text(max_size=3),
+    list: st.lists(st.integers(), max_size=2),
+    dict: st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+}
+_ENTRY_LOADERS = {
+    ApiRecord: (load_spec_document, "apis"),
+    VoteRecord: (load_votes, "votes"),
+    SourceSinkPair: (load_pairs, "pairs"),
+    Finding: (load_findings, "findings"),
+    ManifestEntry: (load_manifest, "vulns"),
+}
+
+
+def _write_for_loader(base, cls, entry: dict):
+    """Write ``entry`` where the loader of ``cls`` reads it; return that load and the file."""
+    if cls is RuleArtifact:
+        path = _rule_store(base, entry)
+        return lambda: load_rule_artifacts(base / "rules"), path
+    if cls is PipelineReport:
+        path = base / "report.json"
+        path.write_text(json.dumps({"version": 1, **entry}))
+        return lambda: load_report(path), path
+    loader, key = _ENTRY_LOADERS[cls]
+    path = base / "doc.json"
+    path.write_text(json.dumps({"version": 1, key: [entry]}))
+    return lambda: loader(path), path
+
+
+@pytest.mark.parametrize(
+    "cls", [*_ENTRY_LOADERS, PipelineReport, RuleArtifact], ids=lambda cls: cls.__name__
+)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_field_of_another_json_kind_is_corrupt_through_the_loader(tmp_path_factory, cls, data):
+    hints = get_type_hints(cls)
+    # rule.ql, not status.json, holds a rule's text.
+    names = [f.name for f in dataclasses.fields(cls) if f.init and f.name != "rule_text"]
+    name = data.draw(st.sampled_from(names))
+    kinds = sorted(set(_JSON_OF_KIND) - _json_kinds(hints[name]), key=lambda kind: kind.__name__)
+    wrong = data.draw(st.sampled_from(kinds).flatmap(_JSON_OF_KIND.get))
+    base = tmp_path_factory.getbasetemp() / cls.__name__
+    base.mkdir(exist_ok=True)
+    entry = {**data.draw(_instances(cls)).to_dict(), name: wrong}
+    load, path = _write_for_loader(base, cls, entry)
+    with pytest.raises(ConfigError if cls is ManifestEntry else ArtifactCorrupt) as err:
+        load()
+    assert str(err.value).startswith(f"{path}: malformed")

@@ -293,6 +293,14 @@ def test_run_resume_on_a_mis_typed_votes_field_is_stage_error(
     assert f"{path}: malformed 'votes' entry" in result.output
 
 
+def test_run_resume_on_a_mis_typed_pairs_field_is_stage_error(runner, tmp_path):
+    path, result = _resume_after_setting(
+        runner, tmp_path, "pair", "pairs.json", "pairs", ("pair_id",), 5
+    )
+    assert result.exit_code == EXIT_STAGE
+    assert f"{path}: malformed 'pairs' entry" in result.output
+
+
 def _cut_transcript(run_dir, keep_lines):
     # Keep ``keep_lines`` whole lines and half of the next one, as a run
     # killed during an append leaves the file.

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qlforge.errors import ConfigError
 from qlforge.metrics import (
     KnownVulnManifest,
     ManifestEntry,
@@ -157,6 +158,8 @@ def test_manifest_loading(tmp_path):
     assert manifest.entries[0] == ManifestEntry("v1", "A.java", 3, 4, "xss")
 
 
-def test_manifest_version_guard():
-    with pytest.raises(ValueError):
-        KnownVulnManifest.from_dict({"version": 3, "vulns": []})
+def test_manifest_version_guard(tmp_path):
+    path = tmp_path / "manifest.json"
+    path.write_text(json.dumps({"version": 3, "vulns": []}))
+    with pytest.raises(ConfigError, match=f"{path}: unsupported document version: 3"):
+        load_manifest(path)

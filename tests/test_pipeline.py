@@ -148,6 +148,8 @@ def test_config_rejects_unknown_keys(tmp_path):
         ({"llm": {"mode": "live", "endpoint": "http://h:port/v1"}}, "llm.endpoint 'http://h:port"),
         ({"llm": {"mode": "mock", "temperature": float("nan")}}, "temperature"),
         ({"llm": {"mode": "mock", "temperature": float("inf")}}, "temperature"),
+        ({"filters": {"deny": "^exec"}}, "config key filters.deny must be list, not str"),
+        ({"filters": {"deny": [5]}}, "config key filters.deny item must be str, not int"),
     ],
 )
 def test_config_validation_failures(tmp_path, mutation, match):
@@ -514,6 +516,8 @@ def test_unreadable_compiler_script_fails_generate(run_config, tmp_path, text):
     [
         pytest.param(lambda text: text[:40], id="truncated"),
         pytest.param(lambda text: '{"version": 1, "vulns": [{}]}', id="empty-entry"),
+        pytest.param(lambda text: text.replace('"start_line": 18', '"start_line": "18"', 1),
+                     id="mis-typed-field"),
     ],
 )
 def test_unreadable_manifest_fails_report(run_config, tmp_path, corrupt):

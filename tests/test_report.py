@@ -89,9 +89,11 @@ def test_load_stage_seconds(tmp_path):
             load_stage_seconds(path)
 
 
-def test_report_version_guard():
-    with pytest.raises(ValueError):
-        PipelineReport.from_dict({"version": 5})
+def test_report_version_guard(tmp_path):
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps({**json.loads(dump_report(_report())), "version": 5}))
+    with pytest.raises(ArtifactCorrupt, match=f"{path}: unsupported document version: 5"):
+        load_report(path)
 
 
 def test_text_rendering_contents():

@@ -244,6 +244,10 @@ def test_mock_compiler_script_validation():
         ({"version": 1, "default": {"delay_s": True}}, "delay_s must be a number"),
         ({"version": 1, "default": {"diagnostics": [{"line": 1}]}}, "diagnostics must be"),
         ({"version": 1, "pairs": {"p": {"findings": [{"file": "A.java"}]}}}, "findings must be"),
+        (
+            {"version": 1, "default": {"diagnostics": [{"message": "m", "line": "1"}]}},
+            "diagnostics must be well-typed",
+        ),
     ],
 )
 def test_mock_compiler_script_shape_is_config_error_naming_the_file(tmp_path, script, match):
