@@ -1,13 +1,19 @@
 """Taint-label classification by triple voting.
 
-Each API record is evaluated in three distinct contextual groups, one per
-round, and the final label is the majority of the three ballots. Grouping is
-a pure function of (records, budget, seed): per round the records are
-shuffled with a seeded permutation and greedily packed into groups whose
+Each API record is evaluated in up to three distinct contextual groups, one
+per round, and the final label is the majority of its ballots. Rounds 1 and 2
+go out as one batch. A record whose two ballots agree, neither with a parse
+warning, is decided: a third ballot could neither change its label nor make a
+tie. Round 3 is a second batch over the undecided records only, and is not
+sent when there are none.
+
+Grouping is a pure function of (records, budget, seed): per round the records
+are shuffled with a seeded permutation and greedily packed into groups whose
 rendered prompt stays within the token budget. Rounds after the first pick,
 among a fixed set of candidate permutations, the one whose co-membership
-overlaps the previous rounds least, so a record meets different neighbors in
-every round whenever the population allows it.
+overlaps the earlier rounds least, so a record meets different neighbors in
+every round whenever the population allows it. Round 3 is planned over the
+undecided records alone and scored against the full groups of rounds 1 and 2.
 
 Overlap is scored by counting. Against each earlier round, a candidate's
 records fall into cells keyed by (group now, group then). A cell of n records
@@ -29,10 +35,11 @@ from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
+from typing import Iterable
 
 from .artifacts import JSON_KEY, JsonDataclass, dump_json, parse_entries, read_text, write_json
 from .errors import BallotCountMismatch, RecordTooLarge, UnknownApiId, WhollyMalformed
-from .gateway import LlmGateway, estimate_tokens, simple_request
+from .gateway import LlmGateway, LlmResponse, estimate_tokens, simple_request
 from .prompts import (
     handle_names,
     handles,
@@ -199,12 +206,20 @@ def _overlap_penalty(
     return penalty
 
 
-def plan_groups(records: list[ApiRecord], budget: int, seed: int) -> list[ContextGroup]:
-    """Plan three rounds of classification groups under a token budget.
+def plan_groups(
+    records: list[ApiRecord],
+    budget: int,
+    seed: int,
+    rounds: Iterable[int] = range(ROUNDS),
+    earlier: list[ContextGroup] = (),
+) -> list[ContextGroup]:
+    """Plan classification groups for ``rounds`` under a token budget.
 
     Every record id lands in exactly one group per round; each group's
-    conservative token estimate stays within ``budget``. Deterministic for
-    fixed (records, budget, seed).
+    conservative token estimate stays within ``budget``. A round is scored
+    for overlap against the rounds of ``earlier`` (groups already planned,
+    possibly over more records) and the rounds planned before it here.
+    Deterministic for fixed (records, budget, seed, rounds, earlier).
 
     Raises :class:`RecordTooLarge` if any single record cannot fit a group
     even alone.
@@ -222,9 +237,12 @@ def plan_groups(records: list[ApiRecord], budget: int, seed: int) -> list[Contex
         )
 
     base_order = sorted(costs)
-    history: list[dict[str, int]] = []
+    history = [
+        _group_index([g for g in earlier if g.round_index == r])
+        for r in sorted({g.round_index for g in earlier})
+    ]
     plan: list[ContextGroup] = []
-    for round_index in range(ROUNDS):
+    for round_index in rounds:
         candidates = 1 if round_index == 0 else _RESHUFFLE_CANDIDATES
         best: list[ContextGroup] | None = None
         best_penalty = None
@@ -306,19 +324,35 @@ def parse_classification_response(text: str, group: ContextGroup) -> list[Ballot
     return ballots
 
 
-def tally_votes(ballots_by_api: dict[str, list[Ballot]]) -> list[VoteRecord]:
-    """Resolve each API's three ballots by majority.
+def is_decided(ballots: list[Ballot]) -> bool:
+    """True for two ballots that agree, neither with a parse warning.
 
-    A label held by at least two ballots wins; three distinct labels resolve
+    A third ballot could then neither change the majority nor make a tie.
+    """
+    return (
+        len(ballots) == 2
+        and ballots[0].label == ballots[1].label
+        and not any(b.parse_warning for b in ballots)
+    )
+
+
+def tally_votes(ballots_by_api: dict[str, list[Ballot]]) -> list[VoteRecord]:
+    """Resolve each API's ballots by majority.
+
+    An API holds three ballots, or two that agree when its first two rounds
+    decided it; any other count is :class:`BallotCountMismatch`. A label
+    held by at least two ballots wins; three distinct labels resolve
     ``None`` with the tie flag set.
     """
     votes = []
     for api_id in sorted(ballots_by_api):
         ballots = sorted(ballots_by_api[api_id], key=lambda b: b.round_index)
-        if len(ballots) != ROUNDS:
-            raise BallotCountMismatch(f"{api_id}: expected {ROUNDS} ballots, got {len(ballots)}")
-        counts = Counter(b.label for b in ballots)
-        label, count = counts.most_common(1)[0]
+        agreeing_pair = len(ballots) == 2 and ballots[0].label == ballots[1].label
+        if len(ballots) != ROUNDS and not agreeing_pair:
+            raise BallotCountMismatch(
+                f"{api_id}: expected {ROUNDS} ballots or 2 that agree, got {len(ballots)}"
+            )
+        label, count = Counter(b.label for b in ballots).most_common(1)[0]
         if count >= 2:
             votes.append(VoteRecord(api_id, tuple(ballots), label, tie=False))
         else:
@@ -329,6 +363,65 @@ def tally_votes(ballots_by_api: dict[str, list[Ballot]]) -> list[VoteRecord]:
 # ---------------------------------------------------------------------------
 # Stage driver
 # ---------------------------------------------------------------------------
+
+
+def _parse_or_none(
+    group: ContextGroup, response: LlmResponse, seq: int, retry_left: bool
+) -> list[Ballot] | None:
+    """The group's ballots; None for a wholly malformed response with a retry left."""
+    try:
+        parsed = parse_classification_response(response.text, group)
+    except WhollyMalformed:
+        if retry_left:
+            return None
+        logger.warning(
+            "group %s: still malformed after retry, all members ballot None", group.group_id
+        )
+        return [
+            Ballot(group.round_index, group.group_id, TaintLabel.NONE, seq, True)
+            for _ in group.member_ids
+        ]
+    return [replace(b, response_ref=seq) for b in parsed]
+
+
+def _cast_ballots(
+    groups: list[ContextGroup],
+    lookup: dict[str, ApiRecord],
+    gateway: LlmGateway,
+    model: str,
+    temperature: float | None,
+    workers: int,
+    ballots_by_api: dict[str, list[Ballot]],
+) -> None:
+    """Send one batch of group prompts and add each member's ballot.
+
+    Group calls run concurrently; the transcript is written in group order,
+    so the sequence ids embedded in ballots are reproducible. Wholly
+    malformed responses are retried one group at a time afterwards.
+    """
+    requests = [
+        simple_request(
+            "classify", model, build_classification_prompt(group, lookup), temperature=temperature
+        )
+        for group in groups
+    ]
+    results = gateway.complete_batch(requests, workers)
+    per_group = [
+        _parse_or_none(group, response, seq, retry_left=True)
+        for group, (response, seq) in zip(groups, results)
+    ]
+    for index, ballots in enumerate(per_group):
+        if ballots is not None:
+            continue
+        group = groups[index]
+        logger.warning("group %s: wholly malformed response, retrying once", group.group_id)
+        response, seq = gateway.complete(requests[index])
+        per_group[index] = _parse_or_none(group, response, seq, retry_left=False)
+
+    for group, ballots in zip(groups, per_group):
+        assert ballots is not None
+        for rid, ballot in zip(group.member_ids, ballots):
+            ballots_by_api[rid].append(ballot)
 
 
 def classify_records(
@@ -342,56 +435,30 @@ def classify_records(
 ) -> list[VoteRecord]:
     """Classify every record: plan groups, call the model per group, tally.
 
-    Group calls run concurrently; the merge is keyed by api id and therefore
-    order-independent. A wholly malformed response is retried once, after
-    which every member of the group ballots ``None``.
+    Rounds 1 and 2 go out as one batch, round 3 as a second batch over the
+    records they left undecided (see :func:`is_decided`). Within a batch the
+    merge is keyed by api id and therefore order-independent. A wholly
+    malformed response is retried once, after which every member of the
+    group ballots ``None`` with a parse warning.
     """
     if not records:
         return []
-    plan = plan_groups(records, budget, seed)
     lookup = record_lookup(records)
-    requests = [
-        simple_request(
-            "classify", model, build_classification_prompt(group, lookup), temperature=temperature
-        )
-        for group in plan
-    ]
-    # Group calls run concurrently; the transcript is written in plan order,
-    # so the sequence ids embedded in ballots are reproducible. Wholly
-    # malformed responses are retried one group at a time afterwards.
-    results = gateway.complete_batch(requests, workers)
-
-    def parse_or_none(group: ContextGroup, response, seq: int, retry_left: bool) -> list[Ballot] | None:
-        try:
-            parsed = parse_classification_response(response.text, group)
-        except WhollyMalformed:
-            if retry_left:
-                return None
-            logger.warning(
-                "group %s: still malformed after retry, all members ballot None", group.group_id
-            )
-            return [
-                Ballot(group.round_index, group.group_id, TaintLabel.NONE, seq, True)
-                for _ in group.member_ids
-            ]
-        return [replace(b, response_ref=seq) for b in parsed]
-
-    per_group: list[list[Ballot] | None] = []
-    for group, (response, seq) in zip(plan, results):
-        per_group.append(parse_or_none(group, response, seq, retry_left=True))
-    for index, ballots in enumerate(per_group):
-        if ballots is not None:
-            continue
-        group = plan[index]
-        logger.warning("group %s: wholly malformed response, retrying once", group.group_id)
-        response, seq = gateway.complete(requests[index])
-        per_group[index] = parse_or_none(group, response, seq, retry_left=False)
-
     ballots_by_api: dict[str, list[Ballot]] = defaultdict(list)
-    for group, ballots in zip(plan, per_group):
-        assert ballots is not None
-        for rid, ballot in zip(group.member_ids, ballots):
-            ballots_by_api[rid].append(ballot)
+    first = plan_groups(records, budget, seed, rounds=range(ROUNDS - 1))
+    _cast_ballots(first, lookup, gateway, model, temperature, workers, ballots_by_api)
+
+    undecided = [
+        lookup[rid] for rid in sorted(ballots_by_api) if not is_decided(ballots_by_api[rid])
+    ]
+    last = plan_groups(undecided, budget, seed, rounds=(ROUNDS - 1,), earlier=first)
+    logger.info(
+        "classify: %d of %d records undecided after two rounds; round 3 sends %d groups",
+        len(undecided),
+        len(records),
+        len(last),
+    )
+    _cast_ballots(last, lookup, gateway, model, temperature, workers, ballots_by_api)
     return tally_votes(ballots_by_api)
 
 

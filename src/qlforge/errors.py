@@ -13,10 +13,6 @@ class BackendUnavailable(QlforgeError):
     """The requested analyzer backend cannot run (missing binary, failed database build)."""
 
 
-class InvalidFilterConfig(QlforgeError):
-    """A deny or allow pattern in the filter configuration does not compile."""
-
-
 class RecordTooLarge(QlforgeError):
     """One or more records cannot fit a prompt within the token budget."""
 
@@ -38,7 +34,7 @@ class WhollyMalformed(QlforgeError):
 
 
 class BallotCountMismatch(QlforgeError):
-    """An API id arrived at the tally with a ballot count other than three."""
+    """An API id arrived at the tally with neither three ballots nor two that agree."""
 
 
 class NothingToPair(QlforgeError):

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 from .artifacts import JsonDataclass
-from .errors import InvalidFilterConfig
+from .errors import ConfigError
 from .records import (
     ApiParam,
     ApiRecord,
@@ -273,25 +273,35 @@ DEFAULT_ALLOW_PATTERNS = (
 )
 
 
+def _compile_patterns(key: str, patterns: tuple[str, ...]) -> list[re.Pattern]:
+    compiled = []
+    for pattern in patterns:
+        try:
+            compiled.append(re.compile(pattern))
+        except re.error as exc:
+            raise ConfigError(f"config key filters.{key}: bad pattern {pattern!r}: {exc}") from None
+    return compiled
+
+
 @dataclass
 class FilterConfig(JsonDataclass):
-    """Deny/allow method-name patterns for the risk filter."""
+    """Deny/allow method-name patterns for the risk filter.
+
+    The patterns are compiled when the config is built, so a bad one is a
+    :class:`ConfigError` naming its key before any stage runs.
+    """
 
     deny: tuple[str, ...] = DEFAULT_DENY_PATTERNS
     allow: tuple[str, ...] = DEFAULT_ALLOW_PATTERNS
-    _compiled: tuple[list[re.Pattern], list[re.Pattern]] | None = field(
-        default=None, init=False, repr=False, compare=False
+    compiled: tuple[list[re.Pattern], list[re.Pattern]] = field(
+        init=False, repr=False, compare=False
     )
 
-    def compiled(self) -> tuple[list[re.Pattern], list[re.Pattern]]:
-        if self._compiled is None:
-            try:
-                deny = [re.compile(p) for p in self.deny]
-                allow = [re.compile(p) for p in self.allow]
-            except re.error as exc:
-                raise InvalidFilterConfig(f"bad filter pattern: {exc}") from exc
-            object.__setattr__(self, "_compiled", (deny, allow))
-        return self._compiled
+    def __post_init__(self):
+        self.compiled = (
+            _compile_patterns("deny", self.deny),
+            _compile_patterns("allow", self.allow),
+        )
 
 
 def extract_apis(project_root: str | Path, backend: AnalyzerBackend) -> list[ApiRecord]:
@@ -315,7 +325,7 @@ def filter_risky(records: list[ApiRecord], rules: FilterConfig | None = None) ->
     preserved.
     """
     rules = rules or FilterConfig()
-    deny, allow = rules.compiled()
+    deny, allow = rules.compiled
     kept = []
     for record in records:
         if any(p.search(record.method) for p in allow):

@@ -201,11 +201,31 @@ class LlmClient(Protocol):
 
 
 class MockLlmClient:
+    """Answers from a :class:`MockScript`.
+
+    :meth:`reserve` answers a batch up front, in request order, so that a
+    consume-once entry goes to the earliest request it matches however the
+    batch's threads are scheduled; each ``send`` of a reserved request then
+    returns its reserved answer.
+    """
+
     def __init__(self, script: MockScript):
         self.script = script
+        self._reserved: dict[int, list[str]] = {}
+        self._lock = threading.Lock()
+
+    def reserve(self, requests: list[LlmRequest]) -> None:
+        with self._lock:
+            for request in requests:
+                self._reserved.setdefault(id(request), []).append(self.script.respond(request))
 
     def send(self, request: LlmRequest) -> LlmResponse:
-        return LlmResponse(text=self.script.respond(request), latency_s=0.0)
+        with self._lock:
+            queued = self._reserved.pop(id(request), [])
+            if len(queued) > 1:
+                self._reserved[id(request)] = queued[1:]
+        text = queued[0] if queued else self.script.respond(request)
+        return LlmResponse(text=text, latency_s=0.0)
 
 
 # Errors of a pooled connection that the server closed while it sat idle.
@@ -477,10 +497,15 @@ class LlmGateway:
 
         Sequence ids therefore depend only on the request list, not on
         thread completion order, which keeps artifacts that embed them
-        reproducible across runs.
+        reproducible across runs. A client with a ``reserve`` method (the
+        mock) is handed the whole batch first, so its answers do not depend
+        on thread timing either.
         """
         if not requests:
             return []
+        reserve = getattr(self.client, "reserve", None)
+        if reserve is not None:
+            reserve(requests)
         with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
             responses = list(pool.map(self._complete_raw, requests))
         return [

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import os
+import re
 import types
 from enum import Enum
 from typing import Union, get_args, get_origin, get_type_hints
@@ -14,6 +15,7 @@ import qlforge.pipeline  # noqa: F401  (so JsonDataclass.__subclasses__() lists 
 from qlforge.artifacts import JsonDataclass, dump_json, read_text, write_json, write_text
 from qlforge.classify import Ballot, TaintLabel, VoteRecord, dump_votes, load_votes
 from qlforge.errors import ArtifactCorrupt, ConfigError, UnwritableOutput
+from qlforge.extract import FilterConfig
 from qlforge.gateway import (
     STAGES,
     LlmMessage,
@@ -360,6 +362,8 @@ _RESTRICTED = {
         st.builds(LlmMessage, st.text(max_size=5), st.text(max_size=5)), min_size=1, max_size=2
     ).map(tuple),
     (LlmRequest, "temperature"): st.floats(min_value=0, max_value=2),
+    (FilterConfig, "deny"): st.lists(st.text(max_size=5).map(re.escape), max_size=3).map(tuple),
+    (FilterConfig, "allow"): st.lists(st.text(max_size=5).map(re.escape), max_size=3).map(tuple),
 }
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 import random
@@ -17,6 +18,7 @@ from qlforge.classify import (
     build_classification_prompt,
     classify_records,
     dump_votes,
+    is_decided,
     parse_classification_response,
     parse_votes,
     plan_groups,
@@ -177,9 +179,61 @@ def test_plan_matches_reference_penalty_planner(monkeypatch, count, budget):
             co_history.append(_reference_co_members(_as_groups(members.values())))
         return _reference_penalty(groups, co_history, population)
 
+    # Round 3 over a third of the records, scored against the full groups of
+    # rounds 1 and 2.
+    first = [g for g in plan if g.round_index < 2]
+    last = plan_groups(records[::3], budget, seed=7, rounds=(2,), earlier=first)
+
     monkeypatch.setattr(classify, "_overlap_penalty", reference)
     assert plan_groups(records, budget, seed=7) == plan
+    assert plan_groups(records[::3], budget, seed=7, rounds=(2,), earlier=first) == last
     assert len({g.member_ids for g in plan}) > ROUNDS
+
+
+def _plan_digest(plan):
+    doc = [[g.round_index, g.group_id, list(g.member_ids), g.token_estimate] for g in plan]
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+# Digests of the three-round plan as planned in one pass, before rounds were
+# split into batches.
+@pytest.mark.parametrize(
+    "count, budget, seed, digest",
+    [
+        (50, 2500, 7, "a79dc1d8ec9857e40ab5f42ba214340bc63094396a22ff0c86899eaf0daa8d64"),
+        (300, 6000, 7, "fbb2c6f249736f0b63a4e71d0838e1b57da8744bfbed10b134a9306258643f40"),
+        (120, 4000, 3, "6983ae12ce2d7c57eec41534ef087e5dc4ef8cc05708f49f1c6e634826f52995"),
+    ],
+    ids=["50-2500", "300-6000", "120-4000"],
+)
+def test_round_batches_rebuild_the_one_pass_plan(count, budget, seed, digest):
+    records = synthetic_records(count, random.Random(count))
+    first = plan_groups(records, budget, seed, rounds=range(2))
+    last = plan_groups(records, budget, seed, rounds=(2,), earlier=first)
+    assert _plan_digest(first + last) == _plan_digest(plan_groups(records, budget, seed)) == digest
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    count=st.integers(1, 60),
+    budget=st.integers(2500, 6000),
+    seed=st.integers(0, 10**6),
+    undecided=st.sets(st.integers(0, 59)),
+)
+def test_round_three_plans_the_undecided_records_alone(count, budget, seed, undecided):
+    records = synthetic_records(count, random.Random(count))
+    full = plan_groups(records, budget, seed)
+    first = plan_groups(records, budget, seed, rounds=range(2))
+    # Rounds 1 and 2 are the one-pass plan's; with every record undecided,
+    # so is round 3.
+    assert first == [g for g in full if g.round_index < 2]
+    assert plan_groups(records, budget, seed, rounds=(2,), earlier=first) == full[len(first):]
+
+    subset = [records[i] for i in sorted(undecided) if i < count]
+    last = plan_groups(subset, budget, seed, rounds=(2,), earlier=first)
+    assert sorted(rid for g in last for rid in g.member_ids) == sorted(r.id for r in subset)
+    assert [g.group_id for g in last] == [f"r2g{i}" for i in range(len(last))]
+    assert all(g.round_index == 2 and g.token_estimate <= budget for g in last)
 
 
 def test_steps_text_reads_catalog_once(monkeypatch):
@@ -349,9 +403,37 @@ def test_tally_sorts_by_api_id_and_round():
     assert [b.round_index for b in votes[0].ballots] == [0, 1, 2]
 
 
-def test_tally_ballot_count_mismatch():
-    with pytest.raises(BallotCountMismatch):
-        tally_votes({"api": _ballots([TaintLabel.SOURCE, TaintLabel.SOURCE])})
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(labels=st.lists(st.sampled_from(TaintLabel), max_size=4))
+@example(labels=[TaintLabel.SOURCE])
+@example(labels=[TaintLabel.SOURCE, TaintLabel.SINK])
+def test_tally_ballot_count_mismatch(labels):
+    # Three ballots, or two that agree; any other count is a mismatch.
+    accepted = len(labels) == ROUNDS or len(labels) == 2 and labels[0] == labels[1]
+    if accepted:
+        assert len(tally_votes({"api": _ballots(labels)})[0].ballots) == len(labels)
+    else:
+        with pytest.raises(BallotCountMismatch):
+            tally_votes({"api": _ballots(labels)})
+
+
+def test_two_agreeing_ballots_resolve_as_any_third_would():
+    # Over every ballot triple: where the first two ballots decide the
+    # record, tallying them alone gives the label and tie flag of all three.
+    decided = 0
+    for labels in itertools.product(TaintLabel, repeat=3):
+        for warnings in itertools.product((False, True), repeat=3):
+            triple = [
+                Ballot(i, f"r{i}g0", label, parse_warning=warned)
+                for i, (label, warned) in enumerate(zip(labels, warnings))
+            ]
+            if not is_decided(triple[:2]):
+                continue
+            decided += 1
+            (two,) = tally_votes({"api": triple[:2]})
+            (three,) = tally_votes({"api": triple})
+            assert (two.resolved, two.tie) == (three.resolved, three.tie), triple
+    assert decided == len(TaintLabel) ** 2 * 2  # agreeing, unwarned pairs x any third
 
 
 def _label_everything(records, label_by_method):
@@ -367,10 +449,11 @@ def test_classify_records_end_to_end():
     by_id = {v.api_id: v for v in votes}
     assert by_id[records[0].id].resolved == TaintLabel.SOURCE
     assert by_id[records[1].id].resolved == TaintLabel.SINK
-    assert all(len(v.ballots) == 3 for v in votes)
+    # Rounds 1 and 2 agree on every record, so round 3 is never sent: one
+    # group per round at this budget, two classify calls, no retries.
+    assert all(len(v.ballots) == 2 for v in votes)
     assert all(not v.tie for v in votes)
-    # One group per round at this budget: three classify calls, no retries.
-    assert client.count("classify") == 3
+    assert client.count("classify") == 2
 
 
 def test_classify_records_retries_malformed_group_once():
@@ -383,12 +466,13 @@ def test_classify_records_retries_malformed_group_once():
         )
     )
     votes = classify_records(records, LlmGateway(client), "m", budget=BUDGET, seed=0)
-    # 3 group calls, exactly one of which was malformed and retried.
-    assert client.count("classify") == 4
+    # 2 group calls, exactly one of which was malformed and retried; the
+    # retry's good ballots then agree with the other round's.
+    assert client.count("classify") == 3
     by_id = {v.api_id: v for v in votes}
     assert by_id[records[0].id].resolved == TaintLabel.SANITIZER
     refs = sorted(b.response_ref for v in votes for b in v.ballots)
-    assert refs[-1] == 4  # the retry logged after the three batch calls
+    assert refs[-1] == 3  # the retry logged after the two batch calls
 
 
 def test_classify_records_gives_up_after_second_malformed(caplog):
@@ -396,7 +480,9 @@ def test_classify_records_gives_up_after_second_malformed(caplog):
     client = CountingClient(StaticClient("no labels here at all"))
     with caplog.at_level("WARNING"):
         votes = classify_records(records, LlmGateway(client), "m", budget=BUDGET, seed=0)
-    assert client.count("classify") == 6  # 3 groups + 3 retries
+    # Every ballot is warned, so round 3 is sent: 3 groups + 3 retries.
+    assert client.count("classify") == 6
+    assert all(len(v.ballots) == 3 for v in votes)
     assert all(v.resolved == TaintLabel.NONE for v in votes)
     assert all(b.parse_warning for v in votes for b in v.ballots)
     assert "still malformed" in caplog.text

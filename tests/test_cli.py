@@ -314,16 +314,16 @@ def test_run_resume_drops_torn_final_transcript_line(runner, tmp_path, caplog):
     config = _write_config(tmp_path)
     assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == EXIT_OK
     run_dir = tmp_path / "run"
-    path = _cut_transcript(run_dir, keep_lines=9)
+    path = _cut_transcript(run_dir, keep_lines=6)
     (run_dir / "votes.json").unlink()
     with caplog.at_level("WARNING"):
         result = runner.invoke(main, ["run", "--config", str(config), "--resume"])
     assert result.exit_code == EXIT_OK, result.output
     assert "dropping torn final line" in caplog.text
-    # Numbering continues after the last whole line: 9 kept, then the
-    # resumed run's 9 classify calls and 1 pair call.
+    # Numbering continues after the last whole line: 6 kept, then the
+    # resumed run's 6 classify calls and 1 pair call.
     seqs = [json.loads(line)["seq"] for line in path.read_text(encoding="utf-8").splitlines()]
-    assert seqs == list(range(1, 20))
+    assert seqs == list(range(1, 14))
 
 
 def test_run_resume_on_corrupt_transcript_line_is_stage_error(runner, tmp_path):
@@ -344,6 +344,20 @@ def test_run_config_error_exit_code(runner, tmp_path):
     result = runner.invoke(main, ["run", "--config", str(config)])
     assert result.exit_code == EXIT_CONFIG
     assert "config error" in result.output
+
+
+@pytest.mark.parametrize(
+    "filters, key", [({"deny": ["("]}, "filters.deny"), ({"allow": ["^ok", "[a-"]}, "filters.allow")]
+)
+def test_run_with_a_bad_filter_pattern_keeps_the_previous_run(runner, tmp_path, filters, key):
+    config = _write_config(tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == EXIT_OK
+    run_dir = tmp_path / "run"
+    before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    result = runner.invoke(main, ["run", "--config", str(_write_config(tmp_path, filters=filters))])
+    assert result.exit_code == EXIT_CONFIG
+    assert f"config key {key}: bad pattern" in result.output
+    assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
 
 
 def test_run_with_a_malformed_endpoint_exits_before_any_stage(runner, tmp_path, monkeypatch):

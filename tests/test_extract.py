@@ -1,6 +1,6 @@
 import pytest
 
-from qlforge.errors import InvalidFilterConfig
+from qlforge.errors import ConfigError
 from qlforge.extract import (
     FilterConfig,
     FixtureBackend,
@@ -112,9 +112,10 @@ def test_filter_preserves_input_order(raw_records):
 
 
 def test_invalid_filter_pattern_raises():
-    config = FilterConfig(deny=(r"**bad(",), allow=())
-    with pytest.raises(InvalidFilterConfig):
-        filter_risky([], config)
+    with pytest.raises(ConfigError, match=r"filters\.deny: bad pattern '\*\*bad\('"):
+        FilterConfig(deny=(r"**bad(",), allow=())
+    with pytest.raises(ConfigError, match=r"filters\.allow: bad pattern '\['"):
+        FilterConfig(allow=("[",))
 
 
 def test_split_args_handles_nesting_and_strings():

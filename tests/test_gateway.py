@@ -95,6 +95,37 @@ def test_mock_script_consume_once():
     assert client.send(req).text == "after"
 
 
+def test_mock_once_entries_answer_a_batch_in_request_order(monkeypatch):
+    # The first request is held back until another has been answered (or
+    # for 0.5 s), so threads reach the script out of request order; the
+    # once entries still go to the first requests, at any ``workers``.
+    client = scripted_client(
+        [
+            {"stage": "pair", "response": "first", "once": True},
+            {"stage": "pair", "response": "second", "once": True},
+        ],
+        default="rest",
+    )
+    respond = client.script.respond
+    released = threading.Event()
+
+    def slow_for_the_first(request):
+        if request.joined_content() == "p0":
+            released.wait(timeout=0.5)
+            return respond(request)
+        text = respond(request)
+        released.set()
+        return text
+
+    monkeypatch.setattr(client.script, "respond", slow_for_the_first)
+    requests = [simple_request("pair", "m", f"p{i}") for i in range(4)]
+    for workers in (4, 1):
+        for entry in client.script.entries:
+            entry.used = False
+        results = LlmGateway(client).complete_batch(requests, workers)
+        assert [response.text for response, _ in results] == ["first", "second", "rest", "rest"]
+
+
 def test_mock_script_from_jsonl(tmp_path):
     path = tmp_path / "script.jsonl"
     path.write_text(

@@ -6,7 +6,9 @@ from collections import Counter
 import pytest
 
 from qlforge import pipeline
+from qlforge.classify import build_classification_prompt, plan_groups
 from qlforge.errors import ConfigError, NothingToDo, StageFailure
+from qlforge.extract import FixtureBackend, dedupe, extract_apis, filter_risky
 from qlforge.gateway import estimate_tokens
 from qlforge.pipeline import (
     PipelineConfig,
@@ -17,6 +19,7 @@ from qlforge.pipeline import (
     build_llm_client,
     run_pipeline,
 )
+from qlforge.records import record_lookup
 from qlforge.report import load_report
 from qlforge.rulegen import MockCompiler
 from tests.conftest import FIXTURES, assert_same_run
@@ -235,10 +238,11 @@ def test_full_run_counts_and_metrics(run_config):
 
 # Model calls and estimated prompt tokens per stage on the fixture, summed over
 # every transcript, and compile calls per pair. The mock compiler fails one
-# pair once, hence 4 writes, 1 repair and 1 + 1 + 2 compiles for 3 pairs. A
-# change that adds calls or prompt text fails here.
-EXPECTED_CALLS = {"classify": 9, "pair": 1, "write": 4, "repair": 1}
-EXPECTED_PROMPT_TOKENS = {"classify": 15867, "pair": 2045, "write": 3597, "repair": 362}
+# pair once, hence 4 writes, 1 repair and 1 + 1 + 2 compiles for 3 pairs.
+# Classify sends 3 groups in each of rounds 1 and 2, which agree on every
+# record, so no round 3. A change that adds calls or prompt text fails here.
+EXPECTED_CALLS = {"classify": 6, "pair": 1, "write": 4, "repair": 1}
+EXPECTED_PROMPT_TOKENS = {"classify": 10578, "pair": 2045, "write": 3597, "repair": 362}
 
 
 def test_full_run_model_calls_and_prompt_tokens(run_config, monkeypatch):
@@ -325,7 +329,7 @@ def test_full_run_writes_every_artifact(run_config):
 GOLDEN_DIGESTS = {
     "specs.json": "07d3371b4a78f85ed5766a150d64051713894dc66d9757557c474bbe4f8a8aaa",
     "extract_stats.json": "7432343b5f2d89fb463b333dfdd155daea5d1aed6a673c25b691a0e66ee091ff",
-    "votes.json": "5d06edbbbf287315a449609a4e4943b16d12832ad42ea65a65d968d89ec1c8cc",
+    "votes.json": "ceb2b4eaddaf981800c5c4e876d6fe513af65b35532c15996e4b5e0e22768395",
     "pairs.json": "7329a184faf6450a9269f446ce13a70c890e7c685f58199b8de48058ba1dfe7f",
     "rules/index.json": "655a3af6de922d7c7fe3502753a5c55236dd69ddd7431810a3bc9c7d0fc91c34",
     "rules/35ae7cb3a1e82ec0__bc5caa3125faa3d4/rule.ql":
@@ -409,7 +413,37 @@ def test_two_runs_byte_identical(run_config):
         assert a == b, f"{name} differs between identical runs"
 
 
-def test_results_do_not_depend_on_workers(run_config):
+def _script(path, entries):
+    path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+    return path
+
+
+def _synthetic_project(root, classes):
+    """A corpus of ``classes`` services, each with a source, sanitizer, sink and neutral call."""
+    for k in range(classes):
+        path = root / "src" / "com" / "synth" / f"Service{k}.java"
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(
+            "package com.synth;\n\n"
+            f"public class Service{k} {{\n\n"
+            f"    public void handle{k}(Gateway gateway, Store store) {{\n"
+            f'        String value = gateway.fetchParam{k}("q");\n'
+            f"        String clean = gateway.escapeText{k}(value);\n"
+            f"        store.execSql{k}(value);\n"
+            f"        store.compute{k}(clean);\n"
+            "    }\n}\n"
+        )
+    return root
+
+
+_SYNTHETIC_LABELS = {"fetchParam": "Source", "escapeText": "Sanitizer", "execSql": "Sink"}
+
+
+def _synthetic_label(method):
+    return next((v for k, v in _SYNTHETIC_LABELS.items() if method.startswith(k)), "None")
+
+
+def test_results_do_not_depend_on_workers(run_config, tmp_path):
     narrow = run_config("narrow", workers=1)
     wide = run_config("wide", workers=4)
     run_pipeline(narrow)
@@ -422,6 +456,117 @@ def test_results_do_not_depend_on_workers(run_config):
     assert {"findings.json", "report.json", "timings.json"} <= set(names)
     # The shared transcript and one per pair.
     assert sum(1 for name in names if name.endswith("transcript.jsonl")) == 4
+
+    # A synthetic corpus whose script has consume-once entries for classify
+    # and pair, each of which a whole batch of requests matches: the first
+    # in request order takes it, whatever the thread timing.
+    project = _synthetic_project(tmp_path / "synth", classes=6)
+    records = dedupe(filter_risky(extract_apis(project, FixtureBackend())))
+    labels = {r.id: _synthetic_label(r.method) for r in records}
+    flipped = {rid: "Sink" if label == "Source" else "Source" for rid, label in labels.items()}
+    by_method = {r.method: r.id for r in records}
+    pair_lines = "".join(
+        f"PAIR: ({by_method[f'fetchParam{k}']}, {by_method[f'execSql{k}']}) | CLASS: sql-injection"
+        " | RATIONALE: parameter reaches the query | CONFIDENCE: high\n"
+        for k in range(6)
+    )
+    script = _script(
+        tmp_path / "synth.jsonl",
+        [
+            {"stage": "classify", "response": "".join(
+                f"{rid}: {label}\n" for rid, label in flipped.items()), "once": True},
+            {"stage": "classify", "response": "nothing to label", "once": True},
+            {"stage": "pair", "response": "hmm, unclear", "once": True},
+            {"stage": "pair", "response": "NO_PAIRS", "once": True},
+            {"stage": "pair", "response": pair_lines},
+            {"stage": "write", "response": "import java\nselect 1"},
+            {"default": "".join(f"{rid}: {label}\n" for rid, label in labels.items())},
+        ],
+    )
+    runs = [
+        run_config(
+            f"synth{workers}",
+            project=str(project),
+            mock_script=str(script),
+            pairing={"budget": 1500, "drop_sanitized": True},
+            workers=workers,
+        )
+        for workers in (1, 4)
+    ]
+    for config in runs:
+        run_pipeline(config)
+    names = assert_same_run(runs[0].out_dir, runs[1].out_dir)
+    assert {"votes.json", "pairs.json", "report.json"} <= set(names)
+    stages = Counter(
+        json.loads(line)["stage"]
+        for line in (runs[0].out_dir / "transcript.jsonl").read_text().splitlines()
+    )
+    assert stages["pair"] > 2  # several tiles, so the pair entries had a choice
+    votes = json.loads((runs[0].out_dir / "votes.json").read_text())["votes"]
+    assert any(len(v["ballots"]) == 3 for v in votes)
+
+
+def test_round_three_goes_to_split_and_malformed_records_only(run_config, corpus_records, tmp_path):
+    config = run_config()
+    fixture_lines = (FIXTURES / "mock_llm.jsonl").read_text(encoding="utf-8").splitlines()
+    labels = dict(
+        line.split(": ")
+        for line in json.loads(fixture_lines[0])["response"].splitlines()
+    )
+    first = plan_groups(corpus_records, config.budget, config.seed, rounds=range(2))
+    r0g0, broken = first[0], [g for g in first if g.round_index == 0][-1]
+    lookup = record_lookup(corpus_records)
+    # Two members of r0g0 ballot another label in round 1 than in round 2;
+    # the last round-1 group answers garbage to its request and its retry.
+    split = r0g0.member_ids[:2]
+    flipped = {**labels, **{rid: "Sink" if labels[rid] == "Source" else "Source" for rid in split}}
+    garbage = {
+        "stage": "classify",
+        "contains": build_classification_prompt(broken, lookup),
+        "response": "no labels here",
+        "once": True,
+    }
+    script = _script(
+        tmp_path / "split.jsonl",
+        [
+            garbage,
+            garbage,
+            {"stage": "classify", "response": "".join(
+                f"{rid}: {label}\n" for rid, label in flipped.items()), "once": True},
+            *map(json.loads, fixture_lines),
+        ],
+    )
+    config = run_config("split", mock_script=str(script), workers=4)
+    run_pipeline(config)
+
+    undecided = sorted({*split, *broken.member_ids})
+    votes = json.loads((config.out_dir / "votes.json").read_text())["votes"]
+    assert sorted(v["api_id"] for v in votes if len(v["ballots"]) == 3) == undecided
+    assert all(len(v["ballots"]) == 2 for v in votes if v["api_id"] not in undecided)
+    assert {v["api_id"]: v["resolved"] for v in votes} == labels  # round 3 restores them
+    warned = {v["api_id"] for v in votes for b in v["ballots"] if b["parse_warning"]}
+    assert warned == set(broken.member_ids)
+
+    # The transcript: rounds 1 and 2, the broken group's retry, then round 3
+    # over the undecided records alone, then pairing.
+    transcript = (config.out_dir / "transcript.jsonl").read_text()
+    entries = [json.loads(line) for line in transcript.splitlines()]
+    prompts = [e["request"]["messages"][0]["content"] for e in entries if e["stage"] == "classify"]
+    last = plan_groups([lookup[rid] for rid in undecided], config.budget, config.seed, (2,), first)
+    assert prompts == [
+        *(build_classification_prompt(g, lookup) for g in first),
+        build_classification_prompt(broken, lookup),
+        *(build_classification_prompt(g, lookup) for g in last),
+    ]
+    assert [e["stage"] for e in entries[len(prompts):]] == ["pair"]
+    # Every resolved label is the fixture's, so every later artifact is too;
+    # the report adds a warning for the broken group's ballots.
+    for name in ("pairs.json", "findings.json", "rules/index.json"):
+        digest = hashlib.sha256((config.out_dir / name).read_bytes()).hexdigest()
+        assert digest == GOLDEN_DIGESTS[name], name
+    assert load_report(config.out_dir / "report.json").warnings == (
+        f"classify: {len(broken.member_ids)} ballot(s) defaulted on a parse warning",
+    )
 
 
 def test_fresh_run_clears_stale_artifacts(run_config):
