@@ -154,7 +154,7 @@ def _member_cost(record: ApiRecord) -> int:
     # upper-bound the rendered prompt estimate. The prompt names the record
     # by a handle, which is shorter than a 16-hex id, so costing the full id
     # keeps the bound and leaves plans independent of handle numbering.
-    return estimate_tokens(record.json_text + "\n") + estimate_tokens(record.id + ", ")
+    return estimate_tokens(record.prompt_text + "\n") + estimate_tokens(record.id + ", ")
 
 
 # ---------------------------------------------------------------------------

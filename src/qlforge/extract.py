@@ -148,7 +148,16 @@ class FixtureBackend:
         return records
 
     def _scan_file(self, path: Path, rel: str) -> list[ApiRecord]:
-        lines = path.read_text(encoding="utf-8").splitlines()
+        try:
+            text = path.read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            # One legacy-encoded file should not stop a whole-project run.
+            logger.warning(
+                "%s is not UTF-8 (byte 0x%02x at offset %d); reading it with "
+                "undecodable bytes replaced", rel, exc.object[exc.start], exc.start,
+            )
+            text = path.read_text(encoding="utf-8", errors="replace")
+        lines = text.splitlines()
         package = ""
         imports: dict[str, str] = {}
         var_types: dict[str, str] = {}

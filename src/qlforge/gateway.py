@@ -137,6 +137,9 @@ class MockEntry:
 
 
 _MOCK_TEXT_KEYS = ("default", "stage", "contains", "response")
+# Stages whose requests are sent one by one from per-pair threads, not in a
+# reserved batch; None is an entry that matches every stage.
+_PER_PAIR_STAGES = ("write", "repair", None)
 
 
 class MockScript:
@@ -183,14 +186,19 @@ class MockScript:
             if "default" in data:
                 default = data["default"]
                 continue
-            entries.append(
-                MockEntry(
-                    stage=data.get("stage"),
-                    contains=data.get("contains"),
-                    response=data.get("response", ""),
-                    once=bool(data.get("once", False)),
-                )
+            entry = MockEntry(
+                stage=data.get("stage"),
+                contains=data.get("contains"),
+                response=data.get("response", ""),
+                once=bool(data.get("once", False)),
             )
+            if entry.once and entry.contains is None and entry.stage in _PER_PAIR_STAGES:
+                raise ConfigError(
+                    f"{path}:{lineno}: a once entry for {entry.stage or 'any'} stage needs "
+                    '"contains": write and repair requests come from concurrent per-pair '
+                    "threads, so it would answer whichever pair asks first"
+                )
+            entries.append(entry)
         return cls(entries, default)
 
 

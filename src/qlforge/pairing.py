@@ -167,7 +167,7 @@ def plan_tiles(
     for rid in sources + sinks:
         if rid not in records_by_id:
             raise UnknownApiId(f"pairing references unknown api id {rid}")
-        costs[rid] = estimate_tokens(records_by_id[rid].json_text + "\n")
+        costs[rid] = estimate_tokens(records_by_id[rid].prompt_text + "\n")
     room = budget - frame
     # max() returns the first largest, which is the smallest such id.
     biggest_src = max(sources, key=costs.__getitem__)

@@ -36,7 +36,7 @@ def render_template(template: str, values: dict[str, str]) -> str:
     return _PLACEHOLDER_RE.sub(_sub, template)
 
 
-# Every ``ApiRecord.json_text`` begins with this, then the id as JSON.
+# Every ``ApiRecord.prompt_text`` begins with this, then the id as JSON.
 _ID_KEY = '{"id": '
 
 
@@ -51,16 +51,16 @@ def handles(prefix: str, count: int) -> list[str]:
 
 
 def with_handle(record: ApiRecord, handle: str) -> str:
-    """``record.json_text`` with its ``"id"`` value replaced by ``handle``.
+    """``record.prompt_text`` with its ``"id"`` value replaced by ``handle``.
 
     The line is spliced from the cached text rather than serialized again;
     the id is skipped by its JSON-encoded length, so an id that needs
     escaping splices correctly too.
     """
     # encode_basestring is the string encoder of json.dumps(ensure_ascii=False),
-    # which wrote json_text, without the cost of building an encoder per call.
+    # which wrote prompt_text, without the cost of building an encoder per call.
     skip = len(_ID_KEY) + len(encode_basestring(record.id))
-    return f"{_ID_KEY}{encode_basestring(handle)}{record.json_text[skip:]}"
+    return f"{_ID_KEY}{encode_basestring(handle)}{record.prompt_text[skip:]}"
 
 
 def handle_names(ids: Sequence[str], prefix: str) -> dict[str, str]:

@@ -62,15 +62,35 @@ class ApiRecord(JsonDataclass):
     first_seen: SourceLocation
 
     @cached_property
-    def json_text(self) -> str:
+    def prompt_text(self) -> str:
         """The record as one line of JSON, the form every prompt embeds.
 
-        Serialized on first use and kept on the instance, so classification
-        (cost estimate and rendered prompt), pairing and rule writing all
-        reuse one string. The text is not ASCII-escaped; a record holding a
-        lone surrogate yields a string that cannot be encoded as UTF-8.
+        Keys, in order: ``id`` (first, so a prompt can splice in a handle),
+        ``package``, ``type``, ``method``, ``params`` (each ``"<type> <name>"``),
+        ``returns``, ``annotations`` (only when there are any), ``at``
+        (``"<file>:<line>"``) and ``snippet``. Every field can be read back:
+        a parameter splits on its last space (a name is a Java identifier, so
+        it holds none), ``at`` on its last colon, and ``package`` and ``type``
+        stay apart because a nested type name holds dots.
+
+        Built on first use and kept on the instance, so classification (cost
+        estimate and rendered prompt), pairing and rule writing all reuse one
+        string. The text is not ASCII-escaped; a record holding a lone
+        surrogate yields a string that cannot be encoded as UTF-8.
         """
-        return json.dumps(self.to_dict(), ensure_ascii=False)
+        line = {
+            "id": self.id,
+            "package": self.package,
+            "type": self.type_name,
+            "method": self.method,
+            "params": [f"{p.type} {p.name}" for p in self.params],
+            "returns": self.return_type,
+        }
+        if self.annotations:
+            line["annotations"] = self.annotations
+        line["at"] = f"{self.first_seen.file}:{self.first_seen.line}"
+        line["snippet"] = self.snippet
+        return json.dumps(line, ensure_ascii=False)
 
 
 def signature_hash(
@@ -126,7 +146,7 @@ def make_record(
 
 def _encodable(record: ApiRecord) -> bool:
     try:
-        record.json_text.encode("utf-8")
+        record.prompt_text.encode("utf-8")
     except UnicodeEncodeError:
         return False
     return True

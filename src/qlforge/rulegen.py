@@ -254,8 +254,8 @@ def _pair_info(pair: SourceSinkPair, records_by_id: dict[str, ApiRecord]) -> str
             raise UnknownApiId(f"pair {pair.pair_id} references unknown api id {rid}")
     return (
         f"pair: {json.dumps(pair.to_dict(), ensure_ascii=False)}\n"
-        f"source record: {records_by_id[pair.source_id].json_text}\n"
-        f"sink record: {records_by_id[pair.sink_id].json_text}\n"
+        f"source record: {records_by_id[pair.source_id].prompt_text}\n"
+        f"sink record: {records_by_id[pair.sink_id].prompt_text}\n"
     )
 
 

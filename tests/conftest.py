@@ -9,7 +9,7 @@ import pytest
 from qlforge.extract import FixtureBackend, dedupe, extract_apis, filter_risky
 from qlforge.gateway import LlmResponse, MockLlmClient, MockScript
 from qlforge.pipeline import PipelineConfig
-from qlforge.records import SourceLocation, make_record
+from qlforge.records import ApiParam, ApiRecord, SourceLocation, make_record
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
@@ -106,6 +106,34 @@ def synthetic_records(count: int, rng: random.Random):
             )
         )
     return records
+
+
+_PROMPT_KEYS = ["id", "package", "type", "method", "params", "returns", "annotations", "at", "snippet"]
+
+
+def record_from_prompt_line(line: str) -> ApiRecord:
+    """Read a record back from its prompt line (``ApiRecord.prompt_text``).
+
+    Checks the key order too: ``id`` first, ``annotations`` only when there
+    are any.
+    """
+    data = json.loads(line)
+    assert list(data) == [k for k in _PROMPT_KEYS if k != "annotations" or k in data]
+    assert "annotations" not in data or data["annotations"]
+    file, _, lineno = data["at"].rpartition(":")
+    return ApiRecord(
+        id=data["id"],
+        package=data["package"],
+        type_name=data["type"],
+        method=data["method"],
+        params=tuple(
+            ApiParam(name=name, type=type_) for type_, name in (p.rsplit(" ", 1) for p in data["params"])
+        ),
+        return_type=data["returns"],
+        annotations=tuple(data.get("annotations", ())),
+        snippet=data["snippet"],
+        first_seen=SourceLocation(file, int(lineno)),
+    )
 
 
 class CountingClient:

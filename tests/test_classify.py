@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -33,7 +34,13 @@ from qlforge.errors import (
 )
 from qlforge.gateway import LlmGateway, estimate_tokens
 from qlforge.records import record_lookup
-from tests.conftest import CountingClient, StaticClient, scripted_client, synthetic_records
+from tests.conftest import (
+    CountingClient,
+    StaticClient,
+    record_from_prompt_line,
+    scripted_client,
+    synthetic_records,
+)
 
 BUDGET = 4000
 
@@ -195,14 +202,15 @@ def _plan_digest(plan):
     return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
 
 
-# Digests of the three-round plan as planned in one pass, before rounds were
-# split into batches.
+# Digests of the three-round plan as planned in one pass, with each member
+# costed by its record's prompt line. Rounds 1-2 then round 3, planned as two
+# batches, must rebuild it.
 @pytest.mark.parametrize(
     "count, budget, seed, digest",
     [
-        (50, 2500, 7, "a79dc1d8ec9857e40ab5f42ba214340bc63094396a22ff0c86899eaf0daa8d64"),
-        (300, 6000, 7, "fbb2c6f249736f0b63a4e71d0838e1b57da8744bfbed10b134a9306258643f40"),
-        (120, 4000, 3, "6983ae12ce2d7c57eec41534ef087e5dc4ef8cc05708f49f1c6e634826f52995"),
+        (50, 2500, 7, "531201414943b1f8e71301818f21190bdde968471ad179b6d4b93c8d408551de"),
+        (300, 6000, 7, "76c2a3fa43757092203ffdba90c67e56bca5b591c53227501bbfbe64485c0993"),
+        (120, 4000, 3, "952e37f63a0354c64caa5690c788529c3c5e9b03bc4fc64f194b7a9adae5ef39"),
     ],
     ids=["50-2500", "300-6000", "120-4000"],
 )
@@ -286,13 +294,13 @@ def test_prompt_section_order():
     members = plan[0].member_ids
     assert len(members) == 2
     assert text.endswith("Label every one of these ids: a1, a2\n")
-    # Each member's JSON line appears whole, in group order, with only its
+    # Each member's prompt line appears whole, in group order, with only its
     # "id" value replaced by its handle; no record id is left in the prompt.
     lookup = record_lookup(records)
     lines = text.split("API_INFORMATION:\n", 1)[1].splitlines()[: len(members)]
     for number, (line, rid) in enumerate(zip(lines, members), 1):
-        assert json.loads(line) == {**lookup[rid].to_dict(), "id": f"a{number}"}
-        assert line.split(", ", 1)[1] == lookup[rid].json_text.split(", ", 1)[1]
+        assert record_from_prompt_line(line) == replace(lookup[rid], id=f"a{number}")
+        assert line.split(", ", 1)[1] == lookup[rid].prompt_text.split(", ", 1)[1]
         assert rid not in text
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import shutil
 
@@ -7,6 +8,7 @@ from click.testing import CliRunner
 from qlforge.cli import EXIT_CONFIG, EXIT_NOTHING, EXIT_OK, EXIT_STAGE, main
 from qlforge.pipeline import STAGE_ORDER
 from tests.conftest import FIXTURES, assert_same_run
+from tests.test_pipeline import GOLDEN_DIGESTS
 
 
 @pytest.fixture
@@ -440,6 +442,25 @@ def test_run_with_a_malformed_mock_script_line_is_config_error(runner, tmp_path,
     assert result.exit_code == EXIT_CONFIG
     assert f"{script}:{lineno}: bad mock script line" in result.output
     assert not (tmp_path / "run" / "specs.json").exists()
+
+
+def test_run_reads_a_source_file_that_is_not_utf8(runner, tmp_path, caplog):
+    project = tmp_path / "project"
+    shutil.copytree(FIXTURES / "demo_project", project)
+    legacy = project / "src" / "com" / "example" / "Legacy.java"
+    legacy.write_bytes("// Auteur : José\nclass Legacy {}\n".encode("latin-1"))
+    config = _write_config(tmp_path, project=str(project))
+    with caplog.at_level("WARNING"):
+        result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == EXIT_OK, result.output
+    assert "correctness_rate=100.00" in result.output
+    assert [m for m in caplog.messages if "Legacy.java" in m] == [
+        "src/com/example/Legacy.java is not UTF-8 (byte 0xe9 at offset 15); "
+        "reading it with undecodable bytes replaced"
+    ]
+    # The file holds no call, so the fixture's APIs are extracted unchanged.
+    specs = hashlib.sha256((tmp_path / "run" / "specs.json").read_bytes()).hexdigest()
+    assert specs == GOLDEN_DIGESTS["specs.json"]
 
 
 def test_report_before_run_is_nothing_to_do(runner, tmp_path):

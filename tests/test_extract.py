@@ -71,6 +71,20 @@ def test_empty_project_warns_and_returns_empty(tmp_path, caplog):
     assert any("no API invocations" in m for m in caplog.messages)
 
 
+def test_a_file_that_is_not_utf8_is_read_with_replacement_and_one_warning(tmp_path, caplog):
+    legacy = tmp_path / "src" / "Legacy.java"
+    legacy.parent.mkdir()
+    legacy.write_bytes('class Legacy {\n  void f() {\n    out.println("café");\n  }\n}\n'.encode("latin-1"))
+    with caplog.at_level("WARNING"):
+        records = extract_apis(tmp_path, FixtureBackend())
+    assert [r.method for r in records] == ["println"]
+    assert 'out.println("caf\ufffd");' in records[0].snippet
+    assert [m for m in caplog.messages if "Legacy.java" in m] == [
+        "src/Legacy.java is not UTF-8 (byte 0xe9 at offset 48); "
+        "reading it with undecodable bytes replaced"
+    ]
+
+
 def test_receiver_and_package_resolution(corpus_records):
     by_method = {(r.type_name, r.method): r for r in corpus_records}
     exec_rec = by_method[("Runtime", "exec")]

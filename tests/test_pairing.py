@@ -1,6 +1,7 @@
 import json
 import random
 import re
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +22,13 @@ from qlforge.pairing import (
 )
 from qlforge.prompts import pack_greedy
 from qlforge.records import make_record, record_lookup
-from tests.conftest import CountingClient, StaticClient, scripted_client, synthetic_records
+from tests.conftest import (
+    CountingClient,
+    StaticClient,
+    record_from_prompt_line,
+    scripted_client,
+    synthetic_records,
+)
 
 SRC = {"src1", "src2"}
 SNK = {"snk1", "snk2"}
@@ -47,7 +54,7 @@ _SNIPPET_CHARS = st.lists(st.integers(0, 1200), min_size=1, max_size=12)
 
 
 def _cost(lookup, rid):
-    return estimate_tokens(lookup[rid].json_text + "\n")
+    return estimate_tokens(lookup[rid].prompt_text + "\n")
 
 
 def _score(tiles, lookup, frame):
@@ -165,7 +172,7 @@ def test_tile_plan_rejects_a_budget_too_small_for_one_source_and_one_sink():
     lookup = record_lookup(records)
     ids = sorted(r.id for r in records)
     frame = estimate_tokens(build_pairing_prompt([], [], [ids[2]], lookup))
-    need = frame + sum(estimate_tokens(lookup[rid].json_text + "\n") for rid in ids[:2])
+    need = frame + sum(estimate_tokens(lookup[rid].prompt_text + "\n") for rid in ids[:2])
     assert plan_tiles([ids[0]], [ids[1]], [ids[2]], lookup, need) == [([ids[0]], [ids[1]])]
     with pytest.raises(RecordTooLarge, match=f"source {ids[0]} with sink {ids[1]}") as err:
         plan_tiles([ids[0]], [ids[1]], [ids[2]], lookup, need - 1)
@@ -363,8 +370,8 @@ def test_prompt_contains_all_three_candidate_lists():
         "SANITIZER": [("z1", ids[3])],
     }
     for name, members in expected.items():
-        assert [json.loads(line) for line in sections[name]] == [
-            {**lookup[rid].to_dict(), "id": handle} for handle, rid in members
+        assert [record_from_prompt_line(line) for line in sections[name]] == [
+            replace(lookup[rid], id=handle) for handle, rid in members
         ]
     assert not any(rid in text for rid in ids)
     assert text.index("NO_PAIRS") > text.index('"id": "s1"')

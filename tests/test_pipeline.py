@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import time
 from collections import Counter
 
@@ -242,7 +243,7 @@ def test_full_run_counts_and_metrics(run_config):
 # Classify sends 3 groups in each of rounds 1 and 2, which agree on every
 # record, so no round 3. A change that adds calls or prompt text fails here.
 EXPECTED_CALLS = {"classify": 6, "pair": 1, "write": 4, "repair": 1}
-EXPECTED_PROMPT_TOKENS = {"classify": 10578, "pair": 2045, "write": 3597, "repair": 362}
+EXPECTED_PROMPT_TOKENS = {"classify": 10022, "pair": 1898, "write": 3439, "repair": 362}
 
 
 def test_full_run_model_calls_and_prompt_tokens(run_config, monkeypatch):
@@ -329,7 +330,7 @@ def test_full_run_writes_every_artifact(run_config):
 GOLDEN_DIGESTS = {
     "specs.json": "07d3371b4a78f85ed5766a150d64051713894dc66d9757557c474bbe4f8a8aaa",
     "extract_stats.json": "7432343b5f2d89fb463b333dfdd155daea5d1aed6a673c25b691a0e66ee091ff",
-    "votes.json": "ceb2b4eaddaf981800c5c4e876d6fe513af65b35532c15996e4b5e0e22768395",
+    "votes.json": "a84e799e30b5126cf6aed2be1d6c273b4d958c2bb5dc42222378fc68e00f8107",
     "pairs.json": "7329a184faf6450a9269f446ce13a70c890e7c685f58199b8de48058ba1dfe7f",
     "rules/index.json": "655a3af6de922d7c7fe3502753a5c55236dd69ddd7431810a3bc9c7d0fc91c34",
     "rules/35ae7cb3a1e82ec0__bc5caa3125faa3d4/rule.ql":
@@ -567,6 +568,42 @@ def test_round_three_goes_to_split_and_malformed_records_only(run_config, corpus
     assert load_report(config.out_dir / "report.json").warnings == (
         f"classify: {len(broken.member_ids)} ballot(s) defaulted on a parse warning",
     )
+
+
+_ONCE_RULE = {"response": "import java\nselect 2", "once": True}
+
+
+def _fixture_script_after(path, entry):
+    fixture_lines = (FIXTURES / "mock_llm.jsonl").read_text(encoding="utf-8").splitlines()
+    return _script(path, [entry, *map(json.loads, fixture_lines)])
+
+
+@pytest.mark.parametrize("stage", ["write", "repair", None])
+def test_a_once_entry_for_a_per_pair_stage_without_contains_is_refused(run_config, tmp_path, stage):
+    entry = {**_ONCE_RULE, "stage": stage} if stage else _ONCE_RULE
+    script = _fixture_script_after(tmp_path / "once.jsonl", entry)
+    config = run_config(mock_script=str(script))
+    with pytest.raises(ConfigError, match=f'^{re.escape(str(script))}:1: a once entry .* needs "contains"'):
+        run_pipeline(config)
+    assert not (config.out_dir / "specs.json").exists()
+
+
+def test_a_once_entry_naming_a_pair_gives_the_same_rules_at_any_timing(run_config, tmp_path):
+    pair_id = "36fdcc4350f3c45c__0465103141b4b803"
+    entry = {**_ONCE_RULE, "stage": "write", "contains": pair_id}
+    script = _fixture_script_after(tmp_path / "once.jsonl", entry)
+    rules = set()
+    for run in range(12):
+        config = run_config(f"once{run}", mock_script=str(script), workers=4)
+        run_pipeline(config)
+        rule_dir = config.out_dir / "rules"
+        rules.add(tuple(
+            (str(path.relative_to(rule_dir)), path.read_bytes())
+            for path in sorted(rule_dir.rglob("*"))
+            if path.is_file() and path.name != "transcript.jsonl"
+        ))
+    [only] = rules
+    assert dict(only)[f"{pair_id}/rule.ql"] == b"import java\nselect 2\n"
 
 
 def test_fresh_run_clears_stale_artifacts(run_config):

@@ -1,4 +1,3 @@
-import json
 from dataclasses import replace
 
 import pytest
@@ -15,6 +14,7 @@ from qlforge.prompts import (
     with_handle,
 )
 from qlforge.records import make_record
+from tests.conftest import record_from_prompt_line
 
 
 def test_render_fills_placeholders():
@@ -80,5 +80,5 @@ _RECORD = make_record("com.x", "T", "m", [("p", "String")], "void", ["A"], 'say 
 def test_with_handle_replaces_only_the_id_for_any_id(rid, handle):
     record = replace(_RECORD, id=rid)
     line = with_handle(record, handle)
-    assert json.loads(line) == {**record.to_dict(), "id": handle}
-    assert line.endswith(record.json_text[record.json_text.index(', "package"'):])
+    assert record_from_prompt_line(line) == replace(record, id=handle)
+    assert line.endswith(record.prompt_text[record.prompt_text.index(', "package"'):])

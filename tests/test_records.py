@@ -3,6 +3,8 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qlforge.records import (
     ApiParam,
@@ -15,7 +17,7 @@ from qlforge.records import (
     record_lookup,
     signature_hash,
 )
-from tests.conftest import synthetic_records
+from tests.conftest import record_from_prompt_line, synthetic_records
 
 
 def test_signature_hash_matches_reference_construction():
@@ -108,17 +110,46 @@ def test_dump_drops_unencodable_record_with_warning(caplog):
     assert any("deadbeefdeadbeef" in message for message in caplog.messages)
 
 
-def test_json_text_is_the_record_serialized_once():
-    record = make_record(
-        "p", "T", "m", [("a", "String")], "void", snippet='naïve "quoted"\nnext line',
-        first_seen=SourceLocation("src/T.java", 3),
+_TEXT = st.text(max_size=20)
+_PARAM = st.builds(
+    ApiParam,
+    # A parameter name is a Java identifier: it never holds a space.
+    name=st.text(st.characters(blacklist_characters=" "), max_size=8),
+    type=st.text(max_size=20) | st.sampled_from(["Map<String, Integer>", "int[]", "a b, c"]),
+)
+_RECORD = st.builds(
+    ApiRecord,
+    id=_TEXT,
+    package=_TEXT,
+    type_name=_TEXT | st.just("Outer.Inner"),
+    method=_TEXT,
+    params=st.lists(_PARAM, max_size=4).map(tuple),
+    return_type=_TEXT,
+    annotations=st.lists(_TEXT, max_size=3).map(tuple),
+    snippet=st.text(max_size=80),
+    first_seen=st.builds(
+        SourceLocation,
+        file=_TEXT | st.sampled_from(["C:\\src\\A.java", "a:1:b.java", ":"]),
+        line=st.integers(-5, 10**6),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(record=_RECORD)
+@example(
+    record=make_record(
+        "java.util", "Map.Entry", "put", [("arg0", "Map<String, Integer>"), ("arg1", "int")], "V",
+        annotations=["Audited", "Deprecated"], snippet='naïve — 日本 "quoted"\n\tnext',
+        first_seen=SourceLocation("C:\\work\\src:odd/A.java", 12),
     )
-    text = record.json_text
-    assert text == json.dumps(record.to_dict(), ensure_ascii=False)
-    assert "naïve" in text and "\n" not in text
-    assert record.json_text is text
-    # The cached string is not part of the record's value.
-    assert ApiRecord.from_dict(json.loads(text)) == record
+)
+@example(record=make_record("p", "T", "m", [], "void"))
+def test_prompt_text_reads_back_every_field(record):
+    line = record.prompt_text
+    assert "\n" not in line
+    assert record_from_prompt_line(line) == record
+    assert record.prompt_text is line  # built once, then cached
 
 
 def test_parse_rejects_unknown_version():
