@@ -10,6 +10,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import logging
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -18,10 +19,10 @@ from typing import Protocol, runtime_checkable
 from .artifacts import JsonDataclass
 from .errors import ConfigError
 from .records import (
+    SNIPPET_MAX_CHARS,
     ApiParam,
     ApiRecord,
     SourceLocation,
-    clamp_snippet,
     make_record,
 )
 
@@ -48,11 +49,16 @@ _VAR_DECL_RE = re.compile(r"(?:^|[(,;]\s*|\s)(?:final\s+)?([A-Z]\w*(?:<[\w<>,\s]
 _CALL_RE = re.compile(r"\b([A-Za-z_]\w*)\s*\.\s*([a-z]\w*)\s*\(")
 _ASSIGN_PREFIX_RE = re.compile(r"([A-Z]\w*(?:<[\w<>,\s]*>)?(?:\[\])?)\s+[a-z]\w*\s*=\s*$")
 
+_GENERICS_RE = re.compile(r"<.*>")
+_INT_RE = re.compile(r"-?\d+")
+_DOUBLE_RE = re.compile(r"-?\d+\.\d+")
+_LEADING_NAME_RE = re.compile(r"([a-z]\w*)\b")
+
 _KEYWORD_RECEIVERS = frozenset({"this", "super", "new", "return", "if", "while", "for", "switch"})
 
 
 def _strip_generics(type_name: str) -> str:
-    return re.sub(r"<.*>", "", type_name).strip()
+    return _GENERICS_RE.sub("", type_name).strip()
 
 
 def _split_args(text: str) -> list[str]:
@@ -99,13 +105,13 @@ def _infer_arg_type(arg: str, var_types: dict[str, str]) -> str:
         return "unknown"
     if arg.startswith('"'):
         return "String"
-    if re.fullmatch(r"-?\d+", arg):
+    if _INT_RE.fullmatch(arg):
         return "int"
-    if re.fullmatch(r"-?\d+\.\d+", arg):
+    if _DOUBLE_RE.fullmatch(arg):
         return "double"
     if arg in ("true", "false"):
         return "boolean"
-    m = re.match(r"^([a-z]\w*)\b", arg)
+    m = _LEADING_NAME_RE.match(arg)
     if m and m.group(1) in var_types:
         return var_types[m.group(1)]
     return "unknown"
@@ -140,23 +146,37 @@ class FixtureBackend:
     version = "1"
 
     def enumerate_calls(self, project_root: Path) -> list[ApiRecord]:
-        project_root = Path(project_root)
+        root = os.fspath(project_root)
+        rels: list[str] = []
+        # Hidden directories are walked, symlinked ones are not entered, and
+        # a directory named *.java is walked, never read as a file.
+        for dirpath, _dirnames, filenames in os.walk(root):
+            sub = dirpath[len(root):].lstrip(os.sep)
+            prefix = sub.replace(os.sep, "/") + "/" if sub else ""
+            rels.extend(prefix + name for name in filenames if name.endswith(".java"))
+        rels.sort()
         records: list[ApiRecord] = []
-        for path in sorted(project_root.rglob("*.java")):
-            rel = path.relative_to(project_root).as_posix()
-            records.extend(self._scan_file(path, rel))
+        for rel in rels:
+            records.extend(self._scan_file(os.path.join(root, rel), rel))
         return records
 
-    def _scan_file(self, path: Path, rel: str) -> list[ApiRecord]:
+    def _scan_file(self, path: str, rel: str) -> list[ApiRecord]:
         try:
-            text = path.read_text(encoding="utf-8")
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            # A dangling link or an unreadable file is skipped, not fatal.
+            logger.warning("%s cannot be read (%s); skipping it", rel, exc.strerror or exc)
+            return []
+        try:
+            text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             # One legacy-encoded file should not stop a whole-project run.
             logger.warning(
                 "%s is not UTF-8 (byte 0x%02x at offset %d); reading it with "
                 "undecodable bytes replaced", rel, exc.object[exc.start], exc.start,
             )
-            text = path.read_text(encoding="utf-8", errors="replace")
+            text = data.decode("utf-8", errors="replace")
         lines = text.splitlines()
         package = ""
         imports: dict[str, str] = {}
@@ -166,47 +186,51 @@ class FixtureBackend:
         records: list[ApiRecord] = []
 
         for lineno, line in enumerate(lines, start=1):
-            m = _PACKAGE_RE.match(line)
-            if m:
+            # Each anchored pattern needs its keyword or symbol on the line,
+            # so a substring test rules most lines out before any match.
+            if "package" in line and (m := _PACKAGE_RE.match(line)):
                 package = m.group(1)
                 continue
-            m = _IMPORT_RE.match(line)
-            if m:
+            if "import" in line and (m := _IMPORT_RE.match(line)):
                 qualified = m.group(1)
                 simple = qualified.rsplit(".", 1)[-1]
                 imports[simple] = qualified.rsplit(".", 1)[0] if "." in qualified else ""
                 continue
-            m = _ANNOTATION_RE.match(line)
-            if m:
+            if "@" in line and (m := _ANNOTATION_RE.match(line)):
                 pending_annotations.append(m.group(1))
                 continue
-            if _METHOD_DECL_RE.match(line) and not _CLASS_RE.match(line):
-                method_annotations = tuple(pending_annotations)
+            has_paren = "(" in line
+            if _CLASS_RE.match(line):
                 pending_annotations = []
-            elif _CLASS_RE.match(line):
+            elif has_paren and _METHOD_DECL_RE.match(line):
+                method_annotations = tuple(pending_annotations)
                 pending_annotations = []
 
             for tm in _VAR_DECL_RE.finditer(line):
                 var_types[tm.group(2)] = _strip_generics(tm.group(1))
 
+            if not has_paren:
+                continue
+            snippet = None
             for cm in _CALL_RE.finditer(line):
                 receiver, method = cm.group(1), cm.group(2)
                 if receiver in _KEYWORD_RECEIVERS:
                     continue
+                if snippet is None:
+                    snippet = self._snippet(lines, lineno)
                 args = _split_args(line[cm.end():])
-                params = tuple(
-                    ApiParam(f"arg{i}", _infer_arg_type(a, var_types))
-                    for i, a in enumerate(args)
-                )
                 records.append(
                     make_record(
                         package=self._callee_package(receiver, var_types, imports, package),
                         type_name=self._receiver_type(receiver, var_types),
                         method=method,
-                        params=list(params),
+                        params=[
+                            ApiParam(f"arg{i}", _infer_arg_type(a, var_types))
+                            for i, a in enumerate(args)
+                        ],
                         return_type=self._return_type(line[: cm.start()]),
                         annotations=list(method_annotations),
-                        snippet=self._snippet(lines, lineno),
+                        snippet=snippet,
                         first_seen=SourceLocation(rel, lineno),
                     )
                 )
@@ -245,10 +269,16 @@ class FixtureBackend:
 
     @staticmethod
     def _snippet(lines: list[str], lineno: int) -> str:
-        half = 10
-        start = max(0, lineno - 1 - half)
-        end = min(len(lines), lineno - 1 + half)
-        return clamp_snippet("\n".join(lines[start:end]))
+        """Lines lineno-10 .. lineno+9, as ``clamp_snippet`` would give them.
+
+        The slice is joined once. ``clamp_snippet`` would split it again and
+        drop a last empty line; here that line is dropped before the join.
+        ``make_record`` then clamps the result as it does every snippet.
+        """
+        window = lines[max(0, lineno - 11) : lineno + 9]
+        if window and not window[-1]:
+            window.pop()
+        return "\n".join(window)[:SNIPPET_MAX_CHARS]
 
 
 # Deny methods that are overwhelmingly plumbing: bean accessors, identity

@@ -529,15 +529,17 @@ def run_pipeline(
                 f"run in {out_dir} is already complete through {STAGE_ORDER[end - 1]}"
             )
     else:
-        _clear_run_dir(out_dir)
         first = 0
+    # Built before the run directory is cleared or any stage runs, so a bad
+    # mock script is a config error that leaves the previous run in place.
+    uses_model = any(stage.uses_model for stage in STAGES[first:end])
+    client = build_llm_client(config) if uses_model else None
+    if not resume:
+        _clear_run_dir(out_dir)
     logger.info("starting pipeline at stage %r (out_dir=%s)", STAGE_ORDER[first], out_dir)
 
     run = _Run(config)
-    if any(stage.uses_model for stage in STAGES[first:end]):
-        # Built before the first stage runs, so a bad mock script is a
-        # config error rather than a stage failure.
-        client = build_llm_client(config)
+    if client is not None:
         run.gateway = LlmGateway(client, transcripts=TranscriptStore(out_dir / TRANSCRIPT_FILENAME))
     for stage in STAGES[:first]:
         stage.load(run)

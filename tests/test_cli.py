@@ -444,6 +444,19 @@ def test_run_with_a_malformed_mock_script_line_is_config_error(runner, tmp_path,
     assert not (tmp_path / "run" / "specs.json").exists()
 
 
+def test_run_with_a_malformed_mock_script_keeps_the_previous_run(runner, tmp_path):
+    config = _write_config(tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == EXIT_OK
+    run_dir = tmp_path / "run"
+    before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("7\n")
+    result = runner.invoke(main, ["run", "--config", str(config), "--set", f"mock_script={bad}"])
+    assert result.exit_code == EXIT_CONFIG
+    assert f"{bad}:1: bad mock script line" in result.output
+    assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+
+
 def test_run_reads_a_source_file_that_is_not_utf8(runner, tmp_path, caplog):
     project = tmp_path / "project"
     shutil.copytree(FIXTURES / "demo_project", project)
@@ -459,6 +472,23 @@ def test_run_reads_a_source_file_that_is_not_utf8(runner, tmp_path, caplog):
         "reading it with undecodable bytes replaced"
     ]
     # The file holds no call, so the fixture's APIs are extracted unchanged.
+    specs = hashlib.sha256((tmp_path / "run" / "specs.json").read_bytes()).hexdigest()
+    assert specs == GOLDEN_DIGESTS["specs.json"]
+
+
+def test_run_skips_java_entries_that_are_not_readable_files(runner, tmp_path, caplog):
+    project = tmp_path / "project"
+    shutil.copytree(FIXTURES / "demo_project", project)
+    (project / "src" / "weird.java").mkdir()
+    (project / "src" / "dangling.java").symlink_to(project / "src" / "gone.java")
+    config = _write_config(tmp_path, project=str(project))
+    with caplog.at_level("WARNING"):
+        result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == EXIT_OK, result.output
+    assert "correctness_rate=100.00" in result.output
+    assert [m for m in caplog.messages if ".java" in m] == [
+        "src/dangling.java cannot be read (No such file or directory); skipping it"
+    ]
     specs = hashlib.sha256((tmp_path / "run" / "specs.json").read_bytes()).hexdigest()
     assert specs == GOLDEN_DIGESTS["specs.json"]
 

@@ -1,4 +1,9 @@
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qlforge.errors import ConfigError
 from qlforge.extract import (
@@ -10,6 +15,9 @@ from qlforge.extract import (
     extract_apis,
     filter_risky,
 )
+from qlforge.records import clamp_snippet
+
+ONE_CALL = "class C {\n  void f() {\n    out.println(1);\n  }\n}\n"
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +91,73 @@ def test_a_file_that_is_not_utf8_is_read_with_replacement_and_one_warning(tmp_pa
         "src/Legacy.java is not UTF-8 (byte 0xe9 at offset 48); "
         "reading it with undecodable bytes replaced"
     ]
+
+
+def test_which_java_entries_are_scanned(tmp_path):
+    for rel in ("a-b/X.java", "a/Y.java", ".gen/Z.java", "real/W.java", "U.JAVA"):
+        path = tmp_path / rel
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(ONE_CALL)
+    (tmp_path / "linked").symlink_to(tmp_path / "real", target_is_directory=True)
+    (tmp_path / "V.java").symlink_to(tmp_path / "real" / "W.java")
+    records = FixtureBackend().enumerate_calls(tmp_path)
+    # "a-b/X.java" sorts before "a/Y.java" as a string but after it by path
+    # component; both are scanned either way.
+    assert {r.first_seen.file for r in records} == {
+        "a-b/X.java", "a/Y.java", ".gen/Z.java", "real/W.java", "V.java",
+    }
+
+
+def test_a_directory_named_like_a_java_file_is_walked_not_read(tmp_path, caplog):
+    weird = tmp_path / "src" / "weird.java"
+    weird.mkdir(parents=True)
+    (weird / "Inner.java").write_text(ONE_CALL)
+    with caplog.at_level("WARNING"):
+        records = extract_apis(tmp_path, FixtureBackend())
+    assert [r.first_seen.file for r in records] == ["src/weird.java/Inner.java"]
+    assert caplog.messages == []
+
+
+def test_a_java_file_that_cannot_be_opened_is_skipped_with_one_warning(tmp_path, caplog):
+    (tmp_path / "A.java").write_text(ONE_CALL)
+    (tmp_path / "dangling.java").symlink_to(tmp_path / "gone.java")
+    with caplog.at_level("WARNING"):
+        records = extract_apis(tmp_path, FixtureBackend())
+    assert [r.first_seen.file for r in records] == ["A.java"]
+    assert [m for m in caplog.messages if "dangling.java" in m] == [
+        "dangling.java cannot be read (No such file or directory); skipping it"
+    ]
+
+
+# Filler lines hold no call and no line break; some are blank, and some are
+# long enough that a 20-line window passes the snippet's character cap.
+_FILLER = st.one_of(st.just(""), st.text(alphabet="abXY ;{}=\t", max_size=150))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    lines=st.lists(_FILLER, min_size=1, max_size=45),
+    call_lines=st.sets(st.integers(min_value=1, max_value=45), min_size=1, max_size=6),
+)
+# The character cap falls just after a line break.
+@example(lines=["a" * 1199, "", "b"], call_lines={3})
+def test_each_snippet_is_the_clamped_window_around_its_call(lines, call_lines):
+    lines = list(lines)
+    calls = sorted(n for n in call_lines if n <= len(lines))
+    if not calls:
+        calls = [len(lines)]
+    for n in calls:
+        lines[n - 1] = f"    x.m{n}(1);"
+    with tempfile.TemporaryDirectory() as root:
+        (Path(root) / "F.java").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        records = FixtureBackend().enumerate_calls(Path(root))
+    assert [r.first_seen.line for r in records] == calls
+    for record in records:
+        n = record.first_seen.line
+        window = "\n".join(lines[max(0, n - 11) : n + 9])
+        # The scanner hands make_record the clamped window and make_record
+        # clamps it again, so a window ending in blank lines loses two.
+        assert record.snippet == clamp_snippet(clamp_snippet(window))
 
 
 def test_receiver_and_package_resolution(corpus_records):
