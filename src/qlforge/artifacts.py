@@ -14,7 +14,8 @@ documented code instead of a traceback.
 Every document entry is a dataclass deriving from :class:`JsonDataclass`,
 whose ``to_dict``/``from_dict`` are built once per class from its fields and
 their annotations: the JSON keys follow the field order, and decoding checks
-every value's type.
+every value's type. A stage document (``{"version": N, "<key>": [...]}``)
+is a :class:`Document`, written entry by entry from the same annotations.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from contextlib import contextmanager
 from dataclasses import MISSING, fields, is_dataclass
 from enum import Enum
 from functools import cache
+from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Iterator, TextIO, TypeVar, Union, get_args, get_origin, get_type_hints
@@ -48,14 +50,8 @@ def write_text(path: str | Path, text: str) -> None:
 
 
 def write_json(path: str | Path, doc) -> None:
-    """Replace ``path`` with :func:`dump_json`'s text for ``doc``, streamed.
-
-    The encoder writes the document piece by piece into the temporary file,
-    so the whole text is never held in memory at once.
-    """
-    with _replaced(path) as fh:
-        json.dump(doc, fh, indent=2, ensure_ascii=False)
-        fh.write("\n")
+    """Replace ``path`` with :func:`dump_json`'s text for a small ``doc``; see :class:`Document`."""
+    write_text(path, dump_json(doc))
 
 
 @contextmanager
@@ -107,16 +103,6 @@ def read_json(path: str | Path) -> dict:
 def check_version(doc: dict, source: str | Path, version: int) -> None:
     if doc.get("version") != version:
         raise ArtifactCorrupt(f"{source}: unsupported document version: {doc.get('version')!r}")
-
-
-def parse_entries(
-    text: str, source: str | Path, version: int, key: str, from_dict: Callable[[dict], T]
-) -> list[T]:
-    """The entries under ``key`` of a ``{"version": version, key: [...]}`` document."""
-    doc = parse_json_object(text, source)
-    check_version(doc, source, version)
-    with shape_checked(source, key):
-        return [from_dict(entry) for entry in doc[key]]
 
 
 def typed(value: T, kind: type, name: str) -> T:
@@ -234,8 +220,8 @@ def _converters(kind, name: str) -> tuple[Callable | None, Callable]:
             list if enc is None else lambda items: list(map(enc, items)),
             lambda items: tuple(dec(item) for item in typed(items, list, name)),
         )
-    if origin in (Union, types.UnionType) and len(args) == 2 and type(None) in args:
-        enc, dec = _converters(args[0] if args[1] is type(None) else args[1], name)
+    if _optional(kind):
+        enc, dec = _converters(_optional(kind), name)
         return (
             None if enc is None else lambda value: None if value is None else enc(value),
             lambda value: None if value is None else dec(value),
@@ -248,3 +234,110 @@ def _converters(kind, name: str) -> tuple[Callable | None, Callable]:
             for k, v in typed(value, dict, name).items()
         }
     raise TypeError(f"no JSON codec for field {name!r} of type {kind!r}")
+
+
+def _optional(kind):
+    """``X`` of an ``X | None`` annotation, else None."""
+    args = get_args(kind)
+    if get_origin(kind) in (Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        return args[0] if args[1] is type(None) else args[1]
+    return None
+
+
+class Document:
+    """A stage document: ``{"version": version, key: [entry, ...]}`` of ``entry_class``.
+
+    ``arrange`` maps the entries given to the list written (a sort, or a
+    filter). The text is ``json.dumps(doc, indent=2, ensure_ascii=False)``
+    plus a newline, but it is built entry by entry by the entry class's
+    writer, so no dict of the document exists and :meth:`save` streams.
+    """
+
+    def __init__(self, version: int, key: str, entry_class: type, arrange: Callable = list):
+        self.version, self.key, self.entry_class, self.arrange = version, key, entry_class, arrange
+
+    def _chunks(self, entries: list) -> Iterator[str]:
+        write = _writer(self.entry_class, 2)
+        yield '{\n  "version": %d,\n  %s: [' % (self.version, encode_basestring(self.key))
+        sep, close = "\n    ", "]\n}\n"
+        for entry in self.arrange(entries):
+            yield sep + write(entry)
+            sep, close = ",\n    ", "\n  ]\n}\n"
+        yield close
+
+    def dump(self, entries: list) -> str:
+        return "".join(self._chunks(entries))
+
+    def save(self, entries: list, path: str | Path) -> None:
+        with _replaced(path) as fh:
+            fh.writelines(self._chunks(entries))
+
+    def parse(self, text: str, source: str | Path = "document") -> list:
+        doc = parse_json_object(text, source)
+        check_version(doc, source, self.version)
+        with shape_checked(source, self.key):
+            return [self.entry_class.from_dict(entry) for entry in doc[self.key]]
+
+    def load(self, path: str | Path) -> list:
+        return self.parse(read_text(path), path)
+
+
+# How each kind of token is spelled; ``json.dumps`` names NaN and the infinities.
+_TOKENS = {int: int.__repr__, bool: {True: "true", False: "false"}.__getitem__, float: json.dumps}
+
+
+def _speller(kind, depth: int) -> Callable[[object], str]:
+    """The ``indent=2`` text of a value of annotation ``kind`` whose line is at ``depth``."""
+    args = get_args(kind)
+    if _optional(kind):
+        spell = _speller(_optional(kind), depth)
+        return lambda value: "null" if value is None else spell(value)
+    if isinstance(kind, type) and issubclass(kind, str):
+        return encode_basestring  # json's C escaper; a str Enum's text is its value
+    if kind in _TOKENS:
+        return _TOKENS[kind]
+    if is_dataclass(kind):
+        return _writer(kind, depth)
+    if get_origin(kind) is tuple and len(args) == 2 and args[1] is Ellipsis:
+        item, pad = _speller(args[0], depth + 1), "\n" + "  " * (depth + 1)
+        sep, close = "," + pad, "\n" + "  " * depth + "]"
+        return lambda items: "[" + pad + sep.join(map(item, items)) + close if items else "[]"
+    indent = "\n" + "  " * depth
+    return lambda value: json.dumps(value, indent=2, ensure_ascii=False).replace("\n", indent)
+
+
+def _template(cls: type, depth: int, prefix: str, slots: list) -> str:
+    """The ``%`` template of a ``cls`` instance at ``depth``; appends each slot's (path, speller).
+
+    A field holding a dataclass (not ``None``) always has the same keys, so
+    its template is inlined and its fields are read by dotted path.
+    """
+    hints = get_type_hints(cls)
+    items = []
+    for f in fields(cls):
+        if not f.init:
+            continue
+        if is_dataclass(hints[f.name]):
+            slot = _template(hints[f.name], depth + 1, f"{prefix}{f.name}.", slots)
+        else:
+            slots.append((prefix + f.name, _speller(hints[f.name], depth + 1)))
+            slot = "%s"
+        items.append(f"{encode_basestring(f.metadata.get(JSON_KEY, f.name))}: {slot}")
+    pad = "\n" + "  " * (depth + 1)
+    return "{" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "}" if items else "{}"
+
+
+@cache
+def _writer(cls: type, depth: int) -> Callable[[object], str]:
+    """The ``indent=2`` text of a dataclass ``cls`` instance whose opening line is at ``depth``.
+
+    Built on first use, once per class and depth: one ``%`` template holds
+    every key and line break, and each slot is filled by the speller of its
+    field's annotation. Nothing goes through ``to_dict``.
+    """
+    slots: list[tuple[str, Callable[[object], str]]] = []
+    template = _template(cls, depth, "", slots)
+    paths, spellers = zip(*slots)
+    # attrgetter of one name returns the value itself, not a 1-tuple.
+    values = attrgetter(*paths) if len(paths) > 1 else lambda obj: (attrgetter(*paths)(obj),)
+    return lambda obj: template % tuple([spell(v) for spell, v in zip(spellers, values(obj))])

@@ -34,10 +34,10 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
-from pathlib import Path
+from operator import attrgetter
 from typing import Iterable
 
-from .artifacts import JSON_KEY, JsonDataclass, dump_json, parse_entries, read_text, write_json
+from .artifacts import JSON_KEY, Document, JsonDataclass
 from .errors import BallotCountMismatch, RecordTooLarge, UnknownApiId, WhollyMalformed
 from .gateway import LlmGateway, LlmResponse, estimate_tokens, simple_request
 from .prompts import (
@@ -57,8 +57,6 @@ ROUNDS = 3  # triple voting: fixed, not configurable
 _RESHUFFLE_CANDIDATES = 8
 _HANDLE_PREFIX = "a"  # a prompt names its members a1..aN
 _IDENTICAL_CONTEXT_PENALTY = 1000
-
-VOTES_DOC_VERSION = 1
 
 
 class TaintLabel(str, Enum):
@@ -91,6 +89,10 @@ class VoteRecord(JsonDataclass):
     ballots: tuple[Ballot, ...]
     resolved: TaintLabel
     tie: bool
+
+
+VOTES = Document(1, "votes", VoteRecord, lambda votes: sorted(votes, key=attrgetter("api_id")))
+save_votes = VOTES.save  # the name the pipeline calls, so a traced run times it
 
 
 # ---------------------------------------------------------------------------
@@ -460,29 +462,3 @@ def classify_records(
     )
     _cast_ballots(last, lookup, gateway, model, temperature, workers, ballots_by_api)
     return tally_votes(ballots_by_api)
-
-
-# ---------------------------------------------------------------------------
-# Votes artifact
-# ---------------------------------------------------------------------------
-
-
-def _votes_document(votes: list[VoteRecord]) -> dict:
-    ordered = sorted(votes, key=lambda v: v.api_id)
-    return {"version": VOTES_DOC_VERSION, "votes": [v.to_dict() for v in ordered]}
-
-
-def dump_votes(votes: list[VoteRecord]) -> str:
-    return dump_json(_votes_document(votes))
-
-
-def parse_votes(text: str, source: str | Path = "votes document") -> list[VoteRecord]:
-    return parse_entries(text, source, VOTES_DOC_VERSION, "votes", VoteRecord.from_dict)
-
-
-def save_votes(votes: list[VoteRecord], path: str | Path) -> None:
-    write_json(path, _votes_document(votes))
-
-
-def load_votes(path: str | Path) -> list[VoteRecord]:
-    return parse_votes(read_text(path), path)

@@ -36,7 +36,7 @@ from .pipeline import (
     run_pipeline,
 )
 from .report import REPORT_FORMATS, emit_report, load_report, load_stage_seconds
-from .rulegen import load_findings
+from .rulegen import FINDINGS
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -143,7 +143,7 @@ def report(run_dir: Path, fmt: str, out: Path | None) -> None:
     if not report_path.is_file():
         raise NothingToDo(f"no report in {run_dir}; run the pipeline first")
     findings_path = run_dir / FINDINGS_FILENAME
-    findings = load_findings(findings_path) if findings_path.is_file() else []
+    findings = FINDINGS.load(findings_path) if findings_path.is_file() else []
     timings_path = run_dir / TIMINGS_FILENAME
     seconds = load_stage_seconds(timings_path) if timings_path.is_file() else None
     text = emit_report(load_report(report_path), fmt, findings, seconds)

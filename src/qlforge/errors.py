@@ -65,10 +65,6 @@ class ProviderError(QlforgeError):
     """The model provider failed in a non-retryable way."""
 
 
-class FixtureDrift(QlforgeError):
-    """The shipped fixture corpus no longer matches its manifest or mock scripts."""
-
-
 class ArtifactCorrupt(QlforgeError, ValueError):
     """A run artifact on disk has an unsupported version or an unknown value."""
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 import os
 import re
+import stat
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Protocol, runtime_checkable
@@ -162,10 +163,13 @@ class FixtureBackend:
 
     def _scan_file(self, path: str, rel: str) -> list[ApiRecord]:
         try:
-            with open(path, "rb") as fh:
+            # O_NONBLOCK: opening a FIFO for reading would wait for a writer.
+            with open(os.open(path, os.O_RDONLY | getattr(os, "O_NONBLOCK", 0)), "rb") as fh:
+                if not stat.S_ISREG(os.fstat(fh.fileno()).st_mode):
+                    raise OSError("not a regular file")
                 data = fh.read()
         except OSError as exc:
-            # A dangling link or an unreadable file is skipped, not fatal.
+            # A dangling link, an unreadable file, a FIFO or a device is skipped, not fatal.
             logger.warning("%s cannot be read (%s); skipping it", rel, exc.strerror or exc)
             return []
         try:

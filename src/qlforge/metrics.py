@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from pathlib import Path
 
-from .artifacts import JsonDataclass, config_input, parse_entries, read_text
+from .artifacts import Document, JsonDataclass, config_input
 from .rulegen import ArtifactStatus, Finding, RuleArtifact
 
-MANIFEST_VERSION = 1
 CORRECTNESS_DECIMALS = 2
 DETECTION_DECIMALS = 1
 
@@ -53,12 +52,12 @@ class KnownVulnManifest:
     entries: tuple[ManifestEntry, ...]
 
 
+MANIFEST = Document(1, "vulns", ManifestEntry)
+
+
 def load_manifest(path: str | Path) -> KnownVulnManifest:
     with config_input():
-        entries = parse_entries(
-            read_text(path), path, MANIFEST_VERSION, "vulns", ManifestEntry.from_dict
-        )
-    return KnownVulnManifest(entries=tuple(entries))
+        return KnownVulnManifest(entries=tuple(MANIFEST.load(path)))
 
 
 def finding_hits_entry(finding: Finding, entry: ManifestEntry) -> bool:

@@ -34,10 +34,10 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass, field
-from pathlib import Path
+from operator import attrgetter
 from typing import Collection
 
-from .artifacts import JsonDataclass, dump_json, parse_entries, read_text, write_json
+from .artifacts import Document, JsonDataclass
 from .errors import NothingToPair, RecordTooLarge, UnknownApiId, WhollyMalformed
 from .gateway import LlmGateway, estimate_tokens, simple_request
 from .prompts import handle_names, handles, load_template, pack_greedy, render_template, with_handle
@@ -45,7 +45,6 @@ from .records import ApiRecord, record_lookup
 
 logger = logging.getLogger(__name__)
 
-PAIRS_DOC_VERSION = 1
 DEFAULT_BUDGET = 16000
 
 _NO_PAIRS_SENTINEL = "NO_PAIRS"
@@ -72,6 +71,11 @@ class SourceSinkPair(JsonDataclass):
     rationale: str = ""
     confidence: str = ""
     sanitizers: tuple[str, ...] = field(default_factory=tuple)
+
+
+PAIRS = Document(
+    1, "pairs", SourceSinkPair, lambda pairs: sorted(pairs, key=attrgetter("source_id", "sink_id"))
+)
 
 
 def make_pair_id(source_id: str, sink_id: str) -> str:
@@ -350,29 +354,3 @@ def pair_all(
             logger.info("dropped %d sanitized pair(s)", dropped)
         result = kept
     return result
-
-
-# ---------------------------------------------------------------------------
-# Pairs artifact
-# ---------------------------------------------------------------------------
-
-
-def _pairs_document(pairs: list[SourceSinkPair]) -> dict:
-    ordered = sorted(pairs, key=lambda p: (p.source_id, p.sink_id))
-    return {"version": PAIRS_DOC_VERSION, "pairs": [p.to_dict() for p in ordered]}
-
-
-def dump_pairs(pairs: list[SourceSinkPair]) -> str:
-    return dump_json(_pairs_document(pairs))
-
-
-def parse_pairs_document(text: str, source: str | Path = "pairs document") -> list[SourceSinkPair]:
-    return parse_entries(text, source, PAIRS_DOC_VERSION, "pairs", SourceSinkPair.from_dict)
-
-
-def save_pairs(pairs: list[SourceSinkPair], path: str | Path) -> None:
-    write_json(path, _pairs_document(pairs))
-
-
-def load_pairs(path: str | Path) -> list[SourceSinkPair]:
-    return parse_pairs_document(read_text(path), path)

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Callable
 
 from .artifacts import config_input, read_json, write_json, write_text
-from .classify import TaintLabel, classify_records, load_votes, save_votes
+from .classify import VOTES, TaintLabel, classify_records, save_votes
 from .errors import (
     ArtifactCorrupt,
     ConfigError,
@@ -46,17 +46,10 @@ from .gateway import (
     parse_endpoint,
 )
 from .metrics import compute_metrics, load_manifest
-from .pairing import DEFAULT_BUDGET as DEFAULT_PAIRING_BUDGET, load_pairs, pair_all, save_pairs
-from .records import load_spec_document, record_lookup, save_spec_document
+from .pairing import DEFAULT_BUDGET as DEFAULT_PAIRING_BUDGET, PAIRS, pair_all
+from .records import SPECS, record_lookup, save_spec_document
 from .report import PipelineReport, StageSummary, dump_report
-from .rulegen import (
-    MockCompiler,
-    generate_all,
-    load_findings,
-    load_rule_artifacts,
-    save_findings,
-    scan,
-)
+from .rulegen import FINDINGS, MockCompiler, generate_all, load_rule_artifacts, scan
 
 logger = logging.getLogger(__name__)
 
@@ -367,7 +360,7 @@ def _run_extract(run: _Run) -> None:
 
 
 def _load_extract(run: _Run) -> None:
-    run.records = load_spec_document(run.path(SPECS_FILENAME))
+    run.records = SPECS.load(run.path(SPECS_FILENAME))
     stats_path = run.path(EXTRACT_STATS_FILENAME)
     run.raw_count = read_json(stats_path).get("call_sites")
     if isinstance(run.raw_count, bool) or not isinstance(run.raw_count, int):
@@ -385,7 +378,7 @@ def _run_classify(run: _Run) -> None:
 
 
 def _load_classify(run: _Run) -> None:
-    run.votes = load_votes(run.path(VOTES_FILENAME))
+    run.votes = VOTES.load(run.path(VOTES_FILENAME))
 
 
 def _run_pair(run: _Run) -> None:
@@ -394,11 +387,11 @@ def _run_pair(run: _Run) -> None:
         run.votes, run.records, run.gateway, c.model,
         c.pairing_budget, c.drop_sanitized, c.temperature, c.workers,
     )
-    save_pairs(run.pairs, run.path(PAIRS_FILENAME))
+    PAIRS.save(run.pairs, run.path(PAIRS_FILENAME))
 
 
 def _load_pair(run: _Run) -> None:
-    run.pairs = load_pairs(run.path(PAIRS_FILENAME))
+    run.pairs = PAIRS.load(run.path(PAIRS_FILENAME))
 
 
 def _run_generate(run: _Run) -> None:
@@ -415,11 +408,11 @@ def _load_generate(run: _Run) -> None:
 
 def _run_scan(run: _Run) -> None:
     run.findings = scan(run.rules, run.config.database, run.compiler_once())
-    save_findings(run.findings, run.path(FINDINGS_FILENAME))
+    FINDINGS.save(run.findings, run.path(FINDINGS_FILENAME))
 
 
 def _load_scan(run: _Run) -> None:
-    run.findings = load_findings(run.path(FINDINGS_FILENAME))
+    run.findings = FINDINGS.load(run.path(FINDINGS_FILENAME))
 
 
 def _run_report(run: _Run) -> None:

@@ -15,13 +15,10 @@ import json
 import logging
 from dataclasses import dataclass
 from functools import cached_property
-from pathlib import Path
 
-from .artifacts import JsonDataclass, dump_json, parse_entries, read_text, write_json
+from .artifacts import Document, JsonDataclass
 
 logger = logging.getLogger(__name__)
-
-SPEC_DOC_VERSION = 1
 
 # Snippet bounds: enough context for classification without blowing the
 # prompt budget.
@@ -144,44 +141,25 @@ def make_record(
     )
 
 
-def _encodable(record: ApiRecord) -> bool:
-    try:
-        record.prompt_text.encode("utf-8")
-    except UnicodeEncodeError:
-        return False
-    return True
+def _encodable_only(records: list[ApiRecord]) -> list[ApiRecord]:
+    """``records`` less those whose text cannot be encoded as UTF-8.
 
-
-def _spec_document(records: list[ApiRecord]) -> dict:
-    """The spec document of ``records``.
-
-    Records whose text cannot be encoded as UTF-8 (e.g. a snippet holding a
-    lone surrogate) are dropped with a warning rather than poisoning the
-    whole document.
+    A record holding, say, a lone surrogate in its snippet is dropped with a
+    warning rather than poisoning the whole spec document.
     """
     kept = []
     for record in records:
-        if _encodable(record):
-            kept.append(record)
-        else:
+        try:
+            record.prompt_text.encode("utf-8")
+        except UnicodeEncodeError:
             logger.warning("dropping record %s: snippet not encodable as UTF-8", record.id)
-    return {"version": SPEC_DOC_VERSION, "apis": [r.to_dict() for r in kept]}
+        else:
+            kept.append(record)
+    return kept
 
 
-def dump_spec_document(records: list[ApiRecord]) -> str:
-    return dump_json(_spec_document(records))
-
-
-def parse_spec_document(text: str, source: str | Path = "spec document") -> list[ApiRecord]:
-    return parse_entries(text, source, SPEC_DOC_VERSION, "apis", ApiRecord.from_dict)
-
-
-def save_spec_document(records: list[ApiRecord], path: str | Path) -> None:
-    write_json(path, _spec_document(records))
-
-
-def load_spec_document(path: str | Path) -> list[ApiRecord]:
-    return parse_spec_document(read_text(path), path)
+SPECS = Document(1, "apis", ApiRecord, _encodable_only)
+save_spec_document = SPECS.save  # the name the pipeline calls, so a traced run times it
 
 
 def record_lookup(records: list[ApiRecord]) -> dict[str, ApiRecord]:

@@ -32,15 +32,15 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
 from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 from typing import Protocol
 
 from .artifacts import (
+    Document,
     JsonDataclass,
     check_version,
     config_input,
-    dump_json,
-    parse_entries,
     read_json,
     read_text,
     shape_checked,
@@ -56,7 +56,6 @@ from .records import ApiRecord
 logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_ITERS = 5
-FINDINGS_DOC_VERSION = 1
 RULE_INDEX_VERSION = 1
 
 _MAX_DIAGNOSTIC_LINES = 40
@@ -118,6 +117,12 @@ class Finding(JsonDataclass):
     start_line: int
     end_line: int
     message: str = ""
+
+
+FINDINGS = Document(
+    1, "findings", Finding,
+    lambda findings: sorted(findings, key=attrgetter("file", "start_line", "end_line", "pair_id")),
+)
 
 
 @dataclass(frozen=True)
@@ -598,29 +603,3 @@ def _execute_isolating_failures(
     for pair_id, rule_text in rules.items():
         rows.update(_execute_isolating_failures({pair_id: rule_text}, database, compiler))
     return rows
-
-
-# ---------------------------------------------------------------------------
-# Findings artifact
-# ---------------------------------------------------------------------------
-
-
-def _findings_document(findings: list[Finding]) -> dict:
-    ordered = sorted(findings, key=lambda f: (f.file, f.start_line, f.end_line, f.pair_id))
-    return {"version": FINDINGS_DOC_VERSION, "findings": [f.to_dict() for f in ordered]}
-
-
-def dump_findings(findings: list[Finding]) -> str:
-    return dump_json(_findings_document(findings))
-
-
-def parse_findings(text: str, source: str | Path = "findings document") -> list[Finding]:
-    return parse_entries(text, source, FINDINGS_DOC_VERSION, "findings", Finding.from_dict)
-
-
-def save_findings(findings: list[Finding], path: str | Path) -> None:
-    write_json(path, _findings_document(findings))
-
-
-def load_findings(path: str | Path) -> list[Finding]:
-    return parse_findings(read_text(path), path)

@@ -13,10 +13,10 @@ import logging
 import re
 from pathlib import Path
 
-from .artifacts import read_json
-from .errors import FixtureDrift, QlforgeError
-from .extract import FixtureBackend, dedupe, extract_apis, filter_risky
-from .gateway import MockScript
+from qlforge.artifacts import read_json
+from qlforge.errors import QlforgeError
+from qlforge.extract import FixtureBackend, dedupe, extract_apis, filter_risky
+from qlforge.gateway import MockScript
 
 logger = logging.getLogger(__name__)
 
@@ -25,6 +25,10 @@ MANIFEST_FILENAME = "manifest.json"
 MOCK_LLM_FILENAME = "mock_llm.jsonl"
 MOCK_COMPILER_FILENAME = "mock_compiler.json"
 CONFIG_FILENAME = "pipeline_config.json"
+
+
+class FixtureDrift(QlforgeError):
+    """The shipped fixture corpus no longer matches its manifest or mock scripts."""
 
 
 def validate_fixture(fixture_dir: str | Path) -> dict:

@@ -13,7 +13,7 @@ import time
 import pytest
 from click.testing import CliRunner
 
-from qlforge.classify import Ballot, TaintLabel, VoteRecord, dump_votes, parse_votes, plan_groups, tally_votes
+from qlforge.classify import VOTES, Ballot, TaintLabel, VoteRecord, plan_groups, tally_votes
 from qlforge.cli import main
 from qlforge.codeql import CodeQLCompiler, resolve_binary
 from qlforge.gateway import LlmGateway
@@ -24,10 +24,10 @@ from qlforge.metrics import (
     format_rate,
     load_manifest,
 )
-from qlforge.pairing import SourceSinkPair, dump_pairs, make_pair_id, parse_pairs_document
+from qlforge.pairing import PAIRS, SourceSinkPair, make_pair_id
 from qlforge.pipeline import run_pipeline
 from qlforge.prompts import load_template
-from qlforge.records import dump_spec_document, parse_spec_document, record_lookup
+from qlforge.records import SPECS, record_lookup
 from qlforge.report import Metrics, PipelineReport, StageSummary, dump_report
 from qlforge.rulegen import (
     ArtifactStatus,
@@ -267,7 +267,7 @@ def test_criterion_7_round_trips():
 
     for case in range(20):
         records = synthetic_records(rng.randint(1, 12), random.Random(rng.randint(0, 10**9)))
-        if parse_spec_document(dump_spec_document(records)) != records:
+        if SPECS.parse(SPECS.dump(records)) != records:
             failures.append(f"spec document case {case}")
 
     labels = list(TaintLabel)
@@ -288,7 +288,7 @@ def test_criterion_7_round_trips():
                 VoteRecord(f"{rng.getrandbits(64):016x}", ballots, rng.choice(labels), rng.random() < 0.1)
             )
         expected = sorted(votes, key=lambda v: v.api_id)
-        if parse_votes(dump_votes(votes)) != expected:
+        if VOTES.parse(VOTES.dump(votes)) != expected:
             failures.append(f"votes case {case}")
 
     for case in range(20):
@@ -307,7 +307,7 @@ def test_criterion_7_round_trips():
                 )
             )
         expected = sorted(pairs, key=lambda p: (p.source_id, p.sink_id))
-        if parse_pairs_document(dump_pairs(pairs)) != expected:
+        if PAIRS.parse(PAIRS.dump(pairs)) != expected:
             failures.append(f"pairs case {case}")
 
     for case in range(20):

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import os
+import random
 import re
 import types
 from enum import Enum
@@ -12,8 +13,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qlforge.pipeline  # noqa: F401  (so JsonDataclass.__subclasses__() lists every class)
-from qlforge.artifacts import JsonDataclass, dump_json, read_text, write_json, write_text
-from qlforge.classify import Ballot, TaintLabel, VoteRecord, dump_votes, load_votes
+from qlforge.artifacts import Document, JsonDataclass, dump_json, read_text, write_json, write_text
+from qlforge.classify import VOTES, Ballot, TaintLabel, VoteRecord, save_votes
 from qlforge.errors import ArtifactCorrupt, ConfigError, UnwritableOutput
 from qlforge.extract import FilterConfig
 from qlforge.gateway import (
@@ -24,25 +25,19 @@ from qlforge.gateway import (
     TranscriptStore,
     simple_request,
 )
-from qlforge.metrics import ManifestEntry, Metrics, load_manifest
-from qlforge.pairing import SourceSinkPair, dump_pairs, load_pairs, save_pairs
-from qlforge.records import ApiRecord, dump_spec_document, load_spec_document, make_record
+from qlforge.metrics import MANIFEST, ManifestEntry, Metrics, load_manifest
+from qlforge.pairing import PAIRS, SourceSinkPair
+from qlforge.records import SPECS, ApiRecord, make_record
 from qlforge.report import PipelineReport, StageSummary, dump_report, load_report
-from qlforge.rulegen import (
-    ArtifactStatus,
-    Finding,
-    RuleArtifact,
-    dump_findings,
-    load_findings,
-    load_rule_artifacts,
-)
-from tests.conftest import FIXTURES
+from qlforge.rulegen import FINDINGS, ArtifactStatus, Finding, RuleArtifact, load_rule_artifacts
+from tests.conftest import FIXTURES, synthetic_records
 
+# Each id names the document's loader as load_<document>.
 LOADERS = [
-    (load_spec_document, "apis"),
-    (load_votes, "votes"),
-    (load_pairs, "pairs"),
-    (load_findings, "findings"),
+    pytest.param(SPECS.load, "apis", id="load_spec_document-apis"),
+    pytest.param(VOTES.load, "votes", id="load_votes-votes"),
+    pytest.param(PAIRS.load, "pairs", id="load_pairs-pairs"),
+    pytest.param(FINDINGS.load, "findings", id="load_findings-findings"),
 ]
 
 CORRUPTIONS = [
@@ -162,9 +157,62 @@ def test_write_json_failing_midstream_keeps_the_old_file(tmp_path):
     ]
     pairs[150] = SourceSinkPair("p150", "src150", "snk150", "xss", rationale="lone \ud800")
     with pytest.raises(UnwritableOutput, match=f"cannot write {path}: .*surrogate"):
-        save_pairs(pairs, path)
+        PAIRS.save(pairs, path)
     assert path.read_bytes() == b'{"version": 1, "pairs": []}\n'
     assert [p.name for p in tmp_path.iterdir()] == ["pairs.json"]
+
+
+def test_a_vote_that_cannot_be_encoded_fails_the_write_and_keeps_the_old_file(tmp_path):
+    path = tmp_path / "votes.json"
+    path.write_bytes(b'{"version": 1, "votes": []}\n')
+    ballot = Ballot(0, "r0g0", TaintLabel.SINK, 1)
+    votes = [VoteRecord(f"a{i:03}", (ballot,), TaintLabel.SINK, False) for i in range(200)]
+    lone = Ballot(0, "lone \udc80", TaintLabel.SINK)
+    votes[150] = VoteRecord("a150", (lone,), TaintLabel.SINK, False)
+    with pytest.raises(UnwritableOutput, match=f"cannot write {path}: .*surrogate"):
+        save_votes(votes, path)
+    assert path.read_bytes() == b'{"version": 1, "votes": []}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["votes.json"]
+
+
+_RECORDS = synthetic_records(25, random.Random(11))
+_VOTES = [
+    VoteRecord(
+        "b", (Ballot(0, "r0g1", TaintLabel.SINK, 3), Ballot(1, "r1g0", TaintLabel.NONE, None, True)),
+        TaintLabel.SINK, False,
+    ),
+    VoteRecord("a", (), TaintLabel.NONE, True),
+]
+_PAIRS = [
+    SourceSinkPair("b__a", "b", "a", "sqli"),
+    SourceSinkPair("a__c", "a", "c", "xss", "why", "high", ("s",)),
+    SourceSinkPair("a__b", "a", "b", "xss"),
+]
+_FINDINGS = [
+    Finding("c__d", "sqli", "G.java", 1, 1),
+    Finding("a__b", "xss", "F.java", 3, 4, "tainted"),
+    Finding("a__b", "xss", "F.java", 3, 3),
+]
+_VULNS = [ManifestEntry("v1", "A.java", 3, 9, "xss"), ManifestEntry("v0", "B.java", 1, 1)]
+# Per document key: the document, the entries given and the entries it writes, in order.
+_ROUND_TRIPS = {
+    "apis": (SPECS, _RECORDS, _RECORDS),
+    "votes": (VOTES, _VOTES, _VOTES[::-1]),
+    "pairs": (PAIRS, _PAIRS, _PAIRS[::-1]),
+    "findings": (FINDINGS, _FINDINGS, _FINDINGS[::-1]),
+    "vulns": (MANIFEST, _VULNS, _VULNS),
+}
+
+
+@pytest.mark.parametrize("key", _ROUND_TRIPS)
+def test_document_round_trip(tmp_path, key):
+    document, entries, written = _ROUND_TRIPS[key]
+    path = tmp_path / f"{key}.json"
+    document.save(entries, path)
+    assert document.load(path) == written
+    text = path.read_text(encoding="utf-8")
+    assert text == document.dump(entries)
+    assert text == dump_json({"version": 1, key: [entry.to_dict() for entry in written]})
 
 
 def test_read_text_names_a_missing_or_undecodable_file(tmp_path):
@@ -181,14 +229,12 @@ def test_read_text_names_a_missing_or_undecodable_file(tmp_path):
 _VALID_DOCUMENTS = [
     json.loads(text)
     for text in (
-        dump_spec_document(
-            [make_record("com.x", "T", "m", [("p", "String")], "void", ["A"], "s();")]
-        ),
-        dump_votes(
+        SPECS.dump([make_record("com.x", "T", "m", [("p", "String")], "void", ["A"], "s();")]),
+        VOTES.dump(
             [VoteRecord("a", (Ballot(0, "r0g0", TaintLabel.SINK, 1),), TaintLabel.SINK, False)]
         ),
-        dump_pairs([SourceSinkPair("a__b", "a", "b", "xss", "r", "high", ("c",))]),
-        dump_findings([Finding("a__b", "xss", "A.java", 3, 4, "m")]),
+        PAIRS.dump([SourceSinkPair("a__b", "a", "b", "xss", "r", "high", ("c",))]),
+        FINDINGS.dump([Finding("a__b", "xss", "A.java", 3, 4, "m")]),
         dump_report(
             PipelineReport(
                 "p", "fixture", "mock", (StageSummary("extract", "ok"),), {"pairs": 1},
@@ -198,9 +244,7 @@ _VALID_DOCUMENTS = [
         (FIXTURES / "manifest.json").read_text(encoding="utf-8"),
     )
 ]
-_ARTIFACT_LOADERS = (
-    load_spec_document, load_votes, load_pairs, load_findings, load_report, load_manifest
-)
+_ARTIFACT_LOADERS = (SPECS.load, VOTES.load, PAIRS.load, FINDINGS.load, load_report, load_manifest)
 _JSON_VALUE = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
     lambda inner: st.lists(inner, max_size=3)
@@ -328,29 +372,35 @@ def _none_or(kind):
     return None
 
 
-def _values(kind):
-    """Values of one field annotation the codec handles."""
+_LEAVES = {
+    str: st.text(max_size=5),
+    int: st.integers(),
+    bool: st.booleans(),
+    float: st.floats(allow_nan=False, allow_infinity=False),
+    dict: st.dictionaries(st.text(max_size=3), st.integers(), max_size=3),
+}
+
+
+def _values(kind, leaves=_LEAVES):
+    """Values of one field annotation the codec handles, with ``leaves`` per scalar kind."""
     if _none_or(kind) is not None:
-        return st.none() | _values(_none_or(kind))
+        return st.none() | _values(_none_or(kind), leaves)
     if get_origin(kind) is tuple:
-        return st.lists(_values(get_args(kind)[0]), max_size=3).map(tuple)
+        return st.lists(_values(get_args(kind)[0], leaves), max_size=3).map(tuple)
     if dataclasses.is_dataclass(kind):
-        return _instances(kind)
+        return _instances(kind, leaves)
     if isinstance(kind, type) and issubclass(kind, Enum):
         return st.sampled_from(kind)
-    return {
-        str: st.text(max_size=5),
-        int: st.integers(),
-        bool: st.booleans(),
-        float: st.floats(allow_nan=False, allow_infinity=False),
-    }.get(kind, st.dictionaries(st.text(max_size=3), st.integers(), max_size=3))
+    return leaves.get(kind, leaves[dict])
 
 
-def _instances(cls):
+def _instances(cls, leaves=_LEAVES):
     hints = get_type_hints(cls)
     fields = [f for f in dataclasses.fields(cls) if f.init]
     return st.builds(cls, **{
-        f.name: _RESTRICTED[cls, f.name] if (cls, f.name) in _RESTRICTED else _values(hints[f.name])
+        f.name: _RESTRICTED[cls, f.name]
+        if (cls, f.name) in _RESTRICTED
+        else _values(hints[f.name], leaves)
         for f in fields
     })
 
@@ -375,6 +425,29 @@ def test_codec_round_trips_every_class_through_json(cls, data):
     assert cls.from_dict(json.loads(json.dumps(value.to_dict()))) == value
 
 
+# Text JSON must escape or may pass through: quotes, backslashes, control
+# characters, U+2028, non-ASCII and lone surrogates.
+_AWKWARD_TEXT = st.text(
+    st.characters() | st.sampled_from('"\\\x00\x1f\x7f\u2028\u2029é日\ud800\udfff'), max_size=8
+)
+_AWKWARD_LEAVES = {
+    **_LEAVES,
+    str: _AWKWARD_TEXT,
+    int: st.integers() | st.sampled_from([-(2**70), 2**64]),
+    float: st.floats() | st.sampled_from([-0.0, 1e300, 5e-324, float("nan"), float("-inf")]),
+    dict: st.dictionaries(_AWKWARD_TEXT, _JSON_VALUE, max_size=3),
+}
+
+
+@pytest.mark.parametrize("cls", CODEC_CLASSES, ids=lambda cls: cls.__name__)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_a_document_is_written_as_json_dumps_writes_its_dicts(cls, data):
+    entries = data.draw(st.lists(_instances(cls, _AWKWARD_LEAVES), max_size=3))
+    expected = {"version": 3, "entries": [entry.to_dict() for entry in entries]}
+    assert Document(3, "entries", cls).dump(entries) == dump_json(expected)
+
+
 def _json_kinds(kind) -> set:
     """The JSON value types the codec accepts for a field annotation."""
     if _none_or(kind) is not None:
@@ -396,10 +469,10 @@ _JSON_OF_KIND = {
     dict: st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
 }
 _ENTRY_LOADERS = {
-    ApiRecord: (load_spec_document, "apis"),
-    VoteRecord: (load_votes, "votes"),
-    SourceSinkPair: (load_pairs, "pairs"),
-    Finding: (load_findings, "findings"),
+    ApiRecord: (SPECS.load, "apis"),
+    VoteRecord: (VOTES.load, "votes"),
+    SourceSinkPair: (PAIRS.load, "pairs"),
+    Finding: (FINDINGS.load, "findings"),
     ManifestEntry: (load_manifest, "vulns"),
 }
 

@@ -16,12 +16,11 @@ from qlforge.classify import (
     ROUNDS,
     TaintLabel,
     VoteRecord,
+    VOTES,
     build_classification_prompt,
     classify_records,
-    dump_votes,
     is_decided,
     parse_classification_response,
-    parse_votes,
     plan_groups,
     tally_votes,
 )
@@ -501,17 +500,9 @@ def test_classify_records_empty_input():
     assert votes == []
 
 
-def test_votes_round_trip():
-    records = synthetic_records(5, random.Random(12))
-    wanted = {records[0].method: "Source", records[2].method: "Sink"}
-    client = StaticClient(_label_everything(records, wanted))
-    votes = classify_records(records, LlmGateway(client), "m", budget=BUDGET, seed=3)
-    assert parse_votes(dump_votes(votes)) == sorted(votes, key=lambda v: v.api_id)
-
-
 def test_votes_version_guard():
     with pytest.raises(ValueError):
-        parse_votes(json.dumps({"version": 99, "votes": []}))
+        VOTES.parse(json.dumps({"version": 99, "votes": []}))
 
 
 def test_vote_record_dict_shape():

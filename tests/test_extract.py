@@ -1,4 +1,6 @@
+import os
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -127,6 +129,27 @@ def test_a_java_file_that_cannot_be_opened_is_skipped_with_one_warning(tmp_path,
     assert [m for m in caplog.messages if "dangling.java" in m] == [
         "dangling.java cannot be read (No such file or directory); skipping it"
     ]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes here")
+def test_a_fifo_named_like_a_java_file_is_skipped_with_one_warning(tmp_path, caplog):
+    (tmp_path / "A.java").write_text(ONE_CALL)
+    without = extract_apis(tmp_path, FixtureBackend())
+    os.mkfifo(tmp_path / "pipe.java")
+    results = []
+    scan = threading.Thread(
+        target=lambda: results.append(extract_apis(tmp_path, FixtureBackend())), daemon=True
+    )
+    with caplog.at_level("WARNING"):
+        scan.start()
+        scan.join(timeout=5)
+        hung = scan.is_alive()
+        if hung:  # a writer lets the blocked open return, so the thread ends
+            os.close(os.open(tmp_path / "pipe.java", os.O_WRONLY | os.O_NONBLOCK))
+            scan.join(timeout=5)
+    assert not hung, "opening the FIFO blocked the scan"
+    assert results == [without] and len(without) == 1
+    assert caplog.messages == ["pipe.java cannot be read (not a regular file); skipping it"]
 
 
 # Filler lines hold no call and no line break; some are blank, and some are

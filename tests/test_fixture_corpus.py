@@ -3,8 +3,7 @@ import shutil
 
 import pytest
 
-from qlforge.errors import FixtureDrift
-from qlforge.fixture_check import validate_fixture
+from tests.fixture_check import FixtureDrift, validate_fixture
 
 
 def test_bundled_fixture_is_consistent(fixture_dir):

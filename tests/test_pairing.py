@@ -11,13 +11,11 @@ from qlforge.classify import Ballot, TaintLabel, VoteRecord
 from qlforge.errors import NothingToPair, RecordTooLarge, UnknownApiId, WhollyMalformed
 from qlforge.gateway import LlmGateway, LlmResponse, estimate_tokens
 from qlforge.pairing import (
-    SourceSinkPair,
+    PAIRS,
     build_pairing_prompt,
-    dump_pairs,
     make_pair_id,
     pair_all,
     parse_pair_lines,
-    parse_pairs_document,
     plan_tiles,
 )
 from qlforge.prompts import pack_greedy
@@ -472,17 +470,9 @@ def test_pair_all_gives_up_after_second_malformed(caplog):
     assert "still malformed" in caplog.text
 
 
-def test_pairs_round_trip():
-    pairs = [
-        SourceSinkPair("a__b", "a", "b", "xss", "why", "high", ("s",)),
-        SourceSinkPair("a__c", "a", "c", "sqli"),
-    ]
-    assert parse_pairs_document(dump_pairs(pairs)) == pairs
-
-
 def test_pairs_version_guard():
     with pytest.raises(ValueError):
-        parse_pairs_document(json.dumps({"version": 0, "pairs": []}))
+        PAIRS.parse(json.dumps({"version": 0, "pairs": []}))
 
 
 _ANY_ID = st.sampled_from(

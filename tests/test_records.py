@@ -10,10 +10,9 @@ from qlforge.records import (
     ApiParam,
     ApiRecord,
     SourceLocation,
+    SPECS,
     clamp_snippet,
-    dump_spec_document,
     make_record,
-    parse_spec_document,
     record_lookup,
     signature_hash,
 )
@@ -70,14 +69,6 @@ def test_make_record_rejects_empty_method():
         make_record("p", "T", "", [], "void")
 
 
-def test_spec_document_round_trip():
-    rng = random.Random(11)
-    records = synthetic_records(25, rng)
-    text = dump_spec_document(records)
-    back = parse_spec_document(text)
-    assert back == records
-
-
 def test_spec_document_field_names():
     record = make_record(
         "javax.servlet.http", "HttpServletRequest", "getParameter",
@@ -85,7 +76,7 @@ def test_spec_document_field_names():
         annotations=["Audited"], snippet="String name = request.getParameter(\"name\");",
         first_seen=SourceLocation("src/A.java", 15),
     )
-    doc = json.loads(dump_spec_document([record]))
+    doc = json.loads(SPECS.dump([record]))
     assert doc["version"] == 1
     entry = doc["apis"][0]
     assert set(entry) == {
@@ -104,8 +95,8 @@ def test_dump_drops_unencodable_record_with_warning(caplog):
         snippet="lone surrogate: \udcff", first_seen=SourceLocation("x.java", 1),
     )
     with caplog.at_level("WARNING"):
-        text = dump_spec_document([good, bad])
-    parsed = parse_spec_document(text)
+        text = SPECS.dump([good, bad])
+    parsed = SPECS.parse(text)
     assert parsed == [good]
     assert any("deadbeefdeadbeef" in message for message in caplog.messages)
 
@@ -154,7 +145,7 @@ def test_prompt_text_reads_back_every_field(record):
 
 def test_parse_rejects_unknown_version():
     with pytest.raises(ValueError):
-        parse_spec_document(json.dumps({"version": 2, "apis": []}))
+        SPECS.parse(json.dumps({"version": 2, "apis": []}))
 
 
 def test_record_lookup():

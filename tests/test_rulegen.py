@@ -20,15 +20,12 @@ from qlforge.rulegen import (
     CompileResult,
     CompileStatus,
     Diagnostic,
-    Finding,
     MockCompiler,
     RuleArtifact,
-    dump_findings,
     format_diagnostics,
     generate_all,
     generate_rule,
     load_rule_artifacts,
-    parse_findings,
     save_rule_artifact,
     scan,
     write_rule,
@@ -601,16 +598,6 @@ def test_scan_output_sorted_by_location():
         ("A.java", 30),
         ("Z.java", 9),
     ]
-
-
-def test_findings_round_trip():
-    findings = [
-        Finding("a__b", "xss", "F.java", 3, 4, "tainted"),
-        Finding("c__d", "sqli", "G.java", 1, 1),
-    ]
-    assert parse_findings(dump_findings(findings)) == findings
-    with pytest.raises(ValueError):
-        parse_findings(json.dumps({"version": 7, "findings": []}))
 
 
 def test_compile_result_defaults():
