@@ -38,8 +38,8 @@ from operator import attrgetter
 from typing import Iterable
 
 from .artifacts import JSON_KEY, Document, JsonDataclass
-from .errors import BallotCountMismatch, RecordTooLarge, UnknownApiId, WhollyMalformed
-from .gateway import LlmGateway, LlmResponse, estimate_tokens, simple_request
+from .errors import BallotCountMismatch, RecordTooLarge, WhollyMalformed
+from .gateway import LlmGateway, estimate_tokens
 from .prompts import (
     handle_names,
     handles,
@@ -49,7 +49,7 @@ from .prompts import (
     render_template,
     with_handle,
 )
-from .records import ApiRecord, record_lookup
+from .records import ApiRecord, record_lookup, records_for
 
 logger = logging.getLogger(__name__)
 
@@ -269,12 +269,7 @@ def build_classification_prompt(group: ContextGroup, records_by_id: dict[str, Ap
     framework, and the strict output schema naming every member. Members
     appear under their handles a1..aN, in group order, in place of their ids.
     """
-    members = []
-    for rid in group.member_ids:
-        if rid not in records_by_id:
-            raise UnknownApiId(f"group {group.group_id} references unknown api id {rid}")
-        members.append(records_by_id[rid])
-    return _render_prompt(members)
+    return _render_prompt(records_for(group.member_ids, records_by_id, f"group {group.group_id}"))
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +296,7 @@ def parse_classification_response(text: str, group: ContextGroup) -> list[Ballot
     where the two collide. A member missing from the response, or labeled
     with something unrecognized, ballots ``None`` with a parse warning;
     names outside the group are ignored. A response with no labeled line at
-    all is :class:`WhollyMalformed` (the caller retries once).
+    all is :class:`WhollyMalformed` (the gateway retries once).
     """
     names = handle_names(group.member_ids, _HANDLE_PREFIX)
     found: dict[str, TaintLabel] = {}
@@ -367,73 +362,42 @@ def tally_votes(ballots_by_api: dict[str, list[Ballot]]) -> list[VoteRecord]:
 # ---------------------------------------------------------------------------
 
 
-def _parse_or_none(
-    group: ContextGroup, response: LlmResponse, seq: int, retry_left: bool
-) -> list[Ballot] | None:
-    """The group's ballots; None for a wholly malformed response with a retry left."""
-    try:
-        parsed = parse_classification_response(response.text, group)
-    except WhollyMalformed:
-        if retry_left:
-            return None
-        logger.warning(
-            "group %s: still malformed after retry, all members ballot None", group.group_id
-        )
-        return [
-            Ballot(group.round_index, group.group_id, TaintLabel.NONE, seq, True)
-            for _ in group.member_ids
-        ]
-    return [replace(b, response_ref=seq) for b in parsed]
-
-
 def _cast_ballots(
     groups: list[ContextGroup],
     lookup: dict[str, ApiRecord],
     gateway: LlmGateway,
-    model: str,
-    temperature: float | None,
-    workers: int,
     ballots_by_api: dict[str, list[Ballot]],
 ) -> None:
     """Send one batch of group prompts and add each member's ballot.
 
     Group calls run concurrently; the transcript is written in group order,
-    so the sequence ids embedded in ballots are reproducible. Wholly
-    malformed responses are retried one group at a time afterwards.
+    so the sequence ids embedded in ballots are reproducible. A group whose
+    answer is still wholly malformed after the gateway's retry ballots
+    ``None`` with a parse warning for every member.
     """
-    requests = [
-        simple_request(
-            "classify", model, build_classification_prompt(group, lookup), temperature=temperature
-        )
-        for group in groups
-    ]
-    results = gateway.complete_batch(requests, workers)
-    per_group = [
-        _parse_or_none(group, response, seq, retry_left=True)
-        for group, (response, seq) in zip(groups, results)
-    ]
-    for index, ballots in enumerate(per_group):
-        if ballots is not None:
-            continue
-        group = groups[index]
-        logger.warning("group %s: wholly malformed response, retrying once", group.group_id)
-        response, seq = gateway.complete(requests[index])
-        per_group[index] = _parse_or_none(group, response, seq, retry_left=False)
-
-    for group, ballots in zip(groups, per_group):
-        assert ballots is not None
-        for rid, ballot in zip(group.member_ids, ballots):
-            ballots_by_api[rid].append(ballot)
+    results = gateway.ask_all(
+        "classify",
+        [build_classification_prompt(group, lookup) for group in groups],
+        lambda index, text: parse_classification_response(text, groups[index]),
+    )
+    for group, (parsed, seq) in zip(groups, results):
+        if parsed is None:
+            logger.warning(
+                "group %s: still malformed after retry, all members ballot None", group.group_id
+            )
+            parsed = [
+                Ballot(group.round_index, group.group_id, TaintLabel.NONE, parse_warning=True)
+                for _ in group.member_ids
+            ]
+        for rid, ballot in zip(group.member_ids, parsed):
+            ballots_by_api[rid].append(replace(ballot, response_ref=seq))
 
 
 def classify_records(
     records: list[ApiRecord],
     gateway: LlmGateway,
-    model: str,
     budget: int,
     seed: int,
-    temperature: float | None = None,
-    workers: int = 4,
 ) -> list[VoteRecord]:
     """Classify every record: plan groups, call the model per group, tally.
 
@@ -448,7 +412,7 @@ def classify_records(
     lookup = record_lookup(records)
     ballots_by_api: dict[str, list[Ballot]] = defaultdict(list)
     first = plan_groups(records, budget, seed, rounds=range(ROUNDS - 1))
-    _cast_ballots(first, lookup, gateway, model, temperature, workers, ballots_by_api)
+    _cast_ballots(first, lookup, gateway, ballots_by_api)
 
     undecided = [
         lookup[rid] for rid in sorted(ballots_by_api) if not is_decided(ballots_by_api[rid])
@@ -460,5 +424,5 @@ def classify_records(
         len(records),
         len(last),
     )
-    _cast_ballots(last, lookup, gateway, model, temperature, workers, ballots_by_api)
+    _cast_ballots(last, lookup, gateway, ballots_by_api)
     return tally_votes(ballots_by_api)

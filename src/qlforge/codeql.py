@@ -28,11 +28,10 @@ import re
 import shutil
 import subprocess
 import tempfile
-import time
 from pathlib import Path
 
 from .errors import BackendUnavailable, CompilerUnavailable, ExecutionFailed
-from .records import ApiRecord, SourceLocation, clamp_snippet, make_record
+from .records import ApiRecord, SourceLocation, make_record, snippet_at
 from .rulegen import CompileResult, CompileStatus, Diagnostic
 
 logger = logging.getLogger(__name__)
@@ -71,6 +70,13 @@ def resolve_binary(explicit: str | None = None) -> str | None:
         if candidate:
             return candidate
     return shutil.which("codeql")
+
+
+def _require_binary(binary: str | None, unavailable_exc) -> str:
+    """``binary``, or raise ``unavailable_exc`` when no codeql binary was found."""
+    if not binary:
+        raise unavailable_exc(f"codeql binary not found; set {ENV_CODEQL} or codeql.path")
+    return binary
 
 
 def _run(cmd: list[str], timeout_s: float | None, unavailable_exc) -> subprocess.CompletedProcess:
@@ -135,18 +141,12 @@ class CodeQLBackend:
         self.binary = resolve_binary(binary)
         self.timeout_s = timeout_s
 
-    def _require_binary(self) -> str:
-        if not self.binary:
-            raise BackendUnavailable(
-                f"codeql binary not found; set {ENV_CODEQL} or codeql.path"
-            )
-        return self.binary
-
     def _codeql(self, *args: str) -> subprocess.CompletedProcess:
         """Run one codeql subcommand; a failure or a timeout is BackendUnavailable."""
         command = " ".join(args[:2])
+        binary = _require_binary(self.binary, BackendUnavailable)
         try:
-            proc = _run([self._require_binary(), *args], self.timeout_s, BackendUnavailable)
+            proc = _run([binary, *args], self.timeout_s, BackendUnavailable)
         except subprocess.TimeoutExpired as exc:
             raise BackendUnavailable(f"codeql {command} exceeded {exc.timeout}s") from exc
         if proc.returncode != 0:
@@ -191,7 +191,7 @@ class CodeQLBackend:
                     params=[(f"arg{i}", t) for i, t in enumerate(param_types)],
                     return_type=return_type,
                     annotations=[],
-                    snippet=_snippet(lines_by_file[rel_file], line),
+                    snippet=snippet_at(lines_by_file[rel_file], line),
                     first_seen=SourceLocation(file=rel_file, line=line),
                 )
             )
@@ -234,13 +234,6 @@ def _source_lines(path: Path) -> list[str]:
         return []
 
 
-def _snippet(lines: list[str], line: int) -> str:
-    """Up to ten lines either side of line ``line`` (1-based)."""
-    lo = max(0, line - 1 - 10)
-    hi = min(len(lines), line + 10)
-    return clamp_snippet("\n".join(lines[lo:hi]))
-
-
 class CodeQLCompiler:
     """Compiles and executes generated rules through the codeql CLI."""
 
@@ -249,13 +242,6 @@ class CodeQLCompiler:
     def __init__(self, binary: str | None = None, timeout_s: float | None = None):
         self.binary = resolve_binary(binary)
         self.timeout_s = timeout_s
-
-    def _require_binary(self) -> str:
-        if not self.binary:
-            raise CompilerUnavailable(
-                f"codeql binary not found; set {ENV_CODEQL} or codeql.path"
-            )
-        return self.binary
 
     @staticmethod
     def _workspace(tmp: Path, rules: dict[str, str]) -> list[Path]:
@@ -269,8 +255,7 @@ class CodeQLCompiler:
         return paths
 
     def compile(self, pair_id: str, rule_text: str) -> CompileResult:
-        binary = self._require_binary()
-        started = time.monotonic()
+        binary = _require_binary(self.binary, CompilerUnavailable)
         with tempfile.TemporaryDirectory(prefix="qlforge-compile-") as tmp:
             (rule,) = self._workspace(Path(tmp), {"rule": rule_text})
             try:
@@ -280,20 +265,17 @@ class CodeQLCompiler:
                     CompilerUnavailable,
                 )
             except subprocess.TimeoutExpired:
-                elapsed = time.monotonic() - started
                 return CompileResult(
                     CompileStatus.TIMEOUT,
                     (Diagnostic(message=f"codeql query compile exceeded {self.timeout_s}s"),),
-                    elapsed,
                 )
-        elapsed = time.monotonic() - started
         if proc.returncode == 0:
-            return CompileResult(CompileStatus.OK, (), elapsed)
+            return CompileResult(CompileStatus.OK)
         diagnostics = parse_compile_diagnostics(proc.stderr)
         if not diagnostics:
             message = proc.stderr.strip() or f"codeql exited {proc.returncode}"
             diagnostics = (Diagnostic(message=message[:2000]),)
-        return CompileResult(CompileStatus.ERROR, diagnostics, elapsed)
+        return CompileResult(CompileStatus.ERROR, diagnostics)
 
     def execute(self, rules: dict[str, str], database: str) -> dict[str, list[dict]]:
         """Run every rule (pair id -> rule text) in one ``database analyze``.
@@ -303,7 +285,7 @@ class CodeQLCompiler:
         """
         if not rules:
             return {}
-        binary = self._require_binary()
+        binary = _require_binary(self.binary, CompilerUnavailable)
         per_rule_s = self.timeout_s if self.timeout_s is not None else DEFAULT_TIMEOUT_S
         timeout_s = per_rule_s * len(rules)
         with tempfile.TemporaryDirectory(prefix="qlforge-scan-") as tmp:

@@ -19,13 +19,7 @@ from typing import Protocol, runtime_checkable
 
 from .artifacts import JsonDataclass
 from .errors import ConfigError
-from .records import (
-    SNIPPET_MAX_CHARS,
-    ApiParam,
-    ApiRecord,
-    SourceLocation,
-    make_record,
-)
+from .records import ApiParam, ApiRecord, SourceLocation, make_record, snippet_at
 
 logger = logging.getLogger(__name__)
 
@@ -221,7 +215,7 @@ class FixtureBackend:
                 if receiver in _KEYWORD_RECEIVERS:
                     continue
                 if snippet is None:
-                    snippet = self._snippet(lines, lineno)
+                    snippet = snippet_at(lines, lineno)
                 args = _split_args(line[cm.end():])
                 records.append(
                     make_record(
@@ -270,19 +264,6 @@ class FixtureBackend:
         if m:
             return _strip_generics(m.group(1))
         return "unknown"
-
-    @staticmethod
-    def _snippet(lines: list[str], lineno: int) -> str:
-        """Lines lineno-10 .. lineno+9, as ``clamp_snippet`` would give them.
-
-        The slice is joined once. ``clamp_snippet`` would split it again and
-        drop a last empty line; here that line is dropped before the join.
-        ``make_record`` then clamps the result as it does every snippet.
-        """
-        window = lines[max(0, lineno - 11) : lineno + 9]
-        if window and not window[-1]:
-            window.pop()
-        return "\n".join(window)[:SNIPPET_MAX_CHARS]
 
 
 # Deny methods that are overwhelmingly plumbing: bean accessors, identity

@@ -1,8 +1,10 @@
 """Uniform access to chat-completion providers, plus a deterministic mock.
 
-Every ``complete()`` call goes through an :class:`LlmGateway`, which retries
-transient transport failures, and appends the (request, response) pair to an
-append-only transcript so any run can be replayed against the mock.
+Every model call goes through an :class:`LlmGateway`. Stages hand it a stage
+name and a prompt; it builds the request from its model and temperature,
+retries transient transport failures and wholly malformed answers, and
+appends each (request, response) pair to an append-only transcript so any
+run can be replayed against the mock.
 
 The live client speaks plain OpenAI-style chat completion over HTTP. The
 credential comes from the ``QLFORGE_LLM_KEY`` environment variable only,
@@ -21,14 +23,21 @@ import threading
 import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Callable, Protocol, TypeVar
 from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
 from . import __version__
 from .artifacts import JsonDataclass, config_input, read_text
-from .errors import ArtifactCorrupt, AuthFailure, ConfigError, ProviderError, RateLimited
+from .errors import (
+    ArtifactCorrupt,
+    AuthFailure,
+    ConfigError,
+    ProviderError,
+    RateLimited,
+    WhollyMalformed,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -41,6 +50,8 @@ ENV_API_KEY = "QLFORGE_LLM_KEY"
 RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_S = 1.0
 _RETRYABLE_STATUS = frozenset({429, 502, 503, 504})
+
+T = TypeVar("T")
 
 
 def stage_temperature(stage: str, override: float | None = None) -> float:
@@ -99,13 +110,9 @@ class LlmResponse(JsonDataclass):
     latency_s: float = 0.0
 
 
-def simple_request(stage: str, model: str, prompt: str, *, system: str | None = None,
+def simple_request(stage: str, model: str, prompt: str, *,
                    temperature: float | None = None, max_tokens: int = 2048) -> LlmRequest:
-    messages = []
-    if system:
-        messages.append(LlmMessage("system", system))
-    messages.append(LlmMessage("user", prompt))
-    return LlmRequest(stage=stage, model=model, messages=tuple(messages),
+    return LlmRequest(stage=stage, model=model, messages=(LlmMessage("user", prompt),),
                       temperature=stage_temperature(stage, temperature),
                       max_tokens=max_tokens)
 
@@ -467,8 +474,13 @@ class TranscriptStore:
             return self._seq
 
 
+@dataclass(eq=False)
 class LlmGateway:
-    """Retrying front door for all model calls.
+    """Front door for all model calls, and the one holder of the request policy.
+
+    Every request goes to ``model`` at the stage's temperature (see
+    :func:`stage_temperature`; ``temperature`` overrides it for every stage),
+    and a batch runs at most ``workers`` requests at once.
 
     Transient transport failures (connection errors, HTTP 429/5xx) retry up
     to ``retries`` attempts with exponential backoff starting at
@@ -477,31 +489,64 @@ class LlmGateway:
     other provider errors raise immediately.
     """
 
-    def __init__(
-        self,
-        client: LlmClient,
-        transcripts: TranscriptStore | None = None,
-        retries: int = RETRY_ATTEMPTS,
-        backoff_s: float = RETRY_BACKOFF_S,
-        sleep: Callable[[float], None] = time.sleep,
-        pair_id: str | None = None,
-    ):
-        self.client = client
-        self.pair_id = pair_id
-        self.transcripts = transcripts if transcripts is not None else TranscriptStore()
-        self.retries = retries
-        self.backoff_s = backoff_s
-        self._sleep = sleep
+    client: LlmClient
+    transcripts: TranscriptStore = field(default_factory=TranscriptStore)
+    retries: int = RETRY_ATTEMPTS
+    backoff_s: float = RETRY_BACKOFF_S
+    sleep: Callable[[float], None] = time.sleep
+    pair_id: str | None = None
+    model: str = "default"
+    temperature: float | None = None
+    workers: int = 4
+
+    def _request(self, stage: str, prompt: str) -> LlmRequest:
+        return simple_request(stage, self.model, prompt, temperature=self.temperature)
+
+    def ask(self, stage: str, prompt: str) -> str:
+        """Send one prompt for ``stage``; returns the answer's text."""
+        response, _ = self.complete(self._request(stage, prompt))
+        return response.text
+
+    def ask_all(
+        self, stage: str, prompts: list[str], parse: Callable[[int, str], T]
+    ) -> list[tuple[T | None, int]]:
+        """Send ``prompts`` as one batch; returns each parsed answer and its transcript seq.
+
+        ``parse(index, text)`` reads the answer to ``prompts[index]``. An
+        answer it finds :class:`WhollyMalformed` is sent again once, after
+        the batch, one prompt at a time in prompt order, so sequence ids stay
+        reproducible. The value is None when the retry is malformed too; the
+        seq is always that of the answer last parsed.
+        """
+        requests = [self._request(stage, prompt) for prompt in prompts]
+        results: list[tuple[T | None, int]] = []
+        malformed = []
+        for index, (response, seq) in enumerate(self.complete_batch(requests)):
+            try:
+                results.append((parse(index, response.text), seq))
+            except WhollyMalformed:
+                results.append((None, seq))
+                malformed.append(index)
+        for index in malformed:
+            logger.warning(
+                "%s response (transcript seq %d) wholly malformed, retrying once",
+                stage,
+                results[index][1],
+            )
+            response, seq = self.complete(requests[index])
+            try:
+                results[index] = (parse(index, response.text), seq)
+            except WhollyMalformed:
+                results[index] = (None, seq)
+        return results
 
     def complete(self, request: LlmRequest) -> tuple[LlmResponse, int]:
         """Send a request; returns (response, transcript sequence id)."""
         response = self._complete_raw(request)
         return response, self._record(request, response)
 
-    def complete_batch(
-        self, requests: list[LlmRequest], workers: int = 4
-    ) -> list[tuple[LlmResponse, int]]:
-        """Send many requests concurrently but log them in request order.
+    def complete_batch(self, requests: list[LlmRequest]) -> list[tuple[LlmResponse, int]]:
+        """Send many requests, ``workers`` at a time, but log them in request order.
 
         Sequence ids therefore depend only on the request list, not on
         thread completion order, which keeps artifacts that embed them
@@ -514,7 +559,7 @@ class LlmGateway:
         reserve = getattr(self.client, "reserve", None)
         if reserve is not None:
             reserve(requests)
-        with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
+        with ThreadPoolExecutor(max_workers=max(1, self.workers)) as pool:
             responses = list(pool.map(self._complete_raw, requests))
         return [
             (response, self._record(request, response))
@@ -549,7 +594,7 @@ class LlmGateway:
                         self.retries,
                         exc,
                     )
-                    self._sleep(self.backoff_s * (2**attempt))
+                    self.sleep(self.backoff_s * (2**attempt))
         assert last is not None
         if last.status == 429:
             raise RateLimited(str(last))

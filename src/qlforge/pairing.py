@@ -38,10 +38,10 @@ from operator import attrgetter
 from typing import Collection
 
 from .artifacts import Document, JsonDataclass
-from .errors import NothingToPair, RecordTooLarge, UnknownApiId, WhollyMalformed
-from .gateway import LlmGateway, estimate_tokens, simple_request
+from .errors import NothingToPair, RecordTooLarge, WhollyMalformed
+from .gateway import LlmGateway, estimate_tokens
 from .prompts import handle_names, handles, load_template, pack_greedy, render_template, with_handle
-from .records import ApiRecord, record_lookup
+from .records import ApiRecord, record_lookup, records_for
 
 logger = logging.getLogger(__name__)
 
@@ -97,12 +97,8 @@ NO_PAIRS"""
 def _candidate_block(ids: list[str], prefix: str, records_by_id: dict[str, ApiRecord]) -> str:
     if not ids:
         return "(none)\n"
-    lines = []
-    for rid, handle in zip(ids, handles(prefix, len(ids))):
-        if rid not in records_by_id:
-            raise UnknownApiId(f"pairing references unknown api id {rid}")
-        lines.append(with_handle(records_by_id[rid], handle))
-    return "\n".join(lines) + "\n"
+    members = records_for(ids, records_by_id, "pairing")
+    return "\n".join(map(with_handle, members, handles(prefix, len(ids)))) + "\n"
 
 
 def build_pairing_prompt(
@@ -167,11 +163,11 @@ def plan_tiles(
     if not sources or not sinks:
         return []
     frame = estimate_tokens(build_pairing_prompt([], [], sanitizer_ids, records_by_id))
-    costs = {}
-    for rid in sources + sinks:
-        if rid not in records_by_id:
-            raise UnknownApiId(f"pairing references unknown api id {rid}")
-        costs[rid] = estimate_tokens(records_by_id[rid].prompt_text + "\n")
+    ids = sources + sinks
+    costs = {
+        rid: estimate_tokens(record.prompt_text + "\n")
+        for rid, record in zip(ids, records_for(ids, records_by_id, "pairing"))
+    }
     room = budget - frame
     # max() returns the first largest, which is the smallest such id.
     biggest_src = max(sources, key=costs.__getitem__)
@@ -228,7 +224,7 @@ def parse_pair_lines(
     A candidate is named by its handle in the prompt of these candidate
     lists (see :func:`build_pairing_prompt`) or by its full id; a handle
     wins where the two collide. Raises :class:`WhollyMalformed` when neither
-    a pair line nor the NO_PAIRS sentinel appears anywhere (the caller
+    a pair line nor the NO_PAIRS sentinel appears anywhere (the gateway
     retries once).
     """
     source_names, sink_names, sanitizer_names = (
@@ -284,18 +280,16 @@ def pair_all(
     votes,
     records: list[ApiRecord],
     gateway: LlmGateway,
-    model: str,
     budget: int = DEFAULT_BUDGET,
     drop_sanitized: bool = False,
-    temperature: float | None = None,
-    workers: int = 4,
 ) -> list[SourceSinkPair]:
     """Pair every classified source against every classified sink.
 
     Raises :class:`NothingToPair` when either side is empty. By default the
     sanitizer ids the model reported are kept on the pair record; with
     ``drop_sanitized`` set, pairs the model marked as broken by a sanitizer
-    are removed from the result instead.
+    are removed from the result instead. A tile whose answer is still wholly
+    malformed after the gateway's retry contributes nothing.
     """
     from .classify import TaintLabel  # local import to avoid a cycle
 
@@ -308,42 +302,20 @@ def pair_all(
         )
     lookup = record_lookup(records)
     tiles = plan_tiles(sources, sinks, sanitizers, lookup, budget)
-    requests = [
-        simple_request(
-            "pair",
-            model,
-            build_pairing_prompt(tile_sources, tile_sinks, sanitizers, lookup),
-            temperature=temperature,
-        )
-        for tile_sources, tile_sinks in tiles
-    ]
-    results = gateway.complete_batch(requests, workers)
-
-    def parse_tile(
-        tile_sources: list[str], tile_sinks: list[str], text: str
-    ) -> list[SourceSinkPair]:
-        return parse_pair_lines(text, tile_sources, tile_sinks, sanitizers)
-
-    # Wholly malformed tiles get exactly one retry, sequentially and in
-    # tile order so transcript sequence ids stay reproducible.
-    per_tile: list[list[SourceSinkPair]] = []
-    for (tile_sources, tile_sinks), request, (response, _seq) in zip(tiles, requests, results):
-        try:
-            per_tile.append(parse_tile(tile_sources, tile_sinks, response.text))
-        except WhollyMalformed:
-            retry_response, _ = gateway.complete(request)
-            try:
-                per_tile.append(parse_tile(tile_sources, tile_sinks, retry_response.text))
-            except WhollyMalformed:
-                logger.warning(
-                    "pair tile with source %s and sink %s: still malformed after retry, dropped",
-                    tile_sources[0],
-                    tile_sinks[0],
-                )
-                per_tile.append([])
-
+    results = gateway.ask_all(
+        "pair",
+        [build_pairing_prompt(*tile, sanitizers, lookup) for tile in tiles],
+        lambda index, text: parse_pair_lines(text, *tiles[index], sanitizers),
+    )
     merged: dict[tuple[str, str], SourceSinkPair] = {}
-    for tile_pairs in per_tile:
+    for (tile_sources, tile_sinks), (tile_pairs, _seq) in zip(tiles, results):
+        if tile_pairs is None:
+            logger.warning(
+                "pair tile with source %s and sink %s: still malformed after retry, dropped",
+                tile_sources[0],
+                tile_sinks[0],
+            )
+            continue
         for pair in tile_pairs:
             merged.setdefault((pair.source_id, pair.sink_id), pair)
     result = [merged[key] for key in sorted(merged)]

@@ -304,7 +304,7 @@ def build_backend(config: PipelineConfig):
 
 def build_compiler(config: PipelineConfig):
     if config.compiler_kind == "mock":
-        return MockCompiler.from_file(config.compiler_script)
+        return MockCompiler.from_file(config.compiler_script, config.timeout_s)
     from .codeql import CodeQLCompiler
 
     return CodeQLCompiler(binary=config.codeql_path, timeout_s=config.timeout_s)
@@ -371,9 +371,7 @@ def _load_extract(run: _Run) -> None:
 
 def _run_classify(run: _Run) -> None:
     c = run.config
-    run.votes = classify_records(
-        run.records, run.gateway, c.model, c.budget, c.seed, c.temperature, c.workers
-    )
+    run.votes = classify_records(run.records, run.gateway, c.budget, c.seed)
     save_votes(run.votes, run.path(VOTES_FILENAME))
 
 
@@ -383,10 +381,7 @@ def _load_classify(run: _Run) -> None:
 
 def _run_pair(run: _Run) -> None:
     c = run.config
-    run.pairs = pair_all(
-        run.votes, run.records, run.gateway, c.model,
-        c.pairing_budget, c.drop_sanitized, c.temperature, c.workers,
-    )
+    run.pairs = pair_all(run.votes, run.records, run.gateway, c.pairing_budget, c.drop_sanitized)
     PAIRS.save(run.pairs, run.path(PAIRS_FILENAME))
 
 
@@ -395,10 +390,9 @@ def _load_pair(run: _Run) -> None:
 
 
 def _run_generate(run: _Run) -> None:
-    c = run.config
     run.rules = generate_all(
-        run.pairs, record_lookup(run.records), run.gateway.client, run.compiler_once(),
-        run.path(RULES_DIRNAME), c.model, c.max_iters, c.temperature, c.timeout_s, c.workers,
+        run.pairs, record_lookup(run.records), run.gateway, run.compiler_once(),
+        run.path(RULES_DIRNAME), run.config.max_iters,
     )
 
 
@@ -533,7 +527,13 @@ def run_pipeline(
 
     run = _Run(config)
     if client is not None:
-        run.gateway = LlmGateway(client, transcripts=TranscriptStore(out_dir / TRANSCRIPT_FILENAME))
+        run.gateway = LlmGateway(
+            client,
+            TranscriptStore(out_dir / TRANSCRIPT_FILENAME),
+            model=config.model,
+            temperature=config.temperature,
+            workers=config.workers,
+        )
     for stage in STAGES[:first]:
         stage.load(run)
         run.seconds[stage.name] = 0.0

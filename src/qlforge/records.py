@@ -15,8 +15,10 @@ import json
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Iterable
 
 from .artifacts import Document, JsonDataclass
+from .errors import UnknownApiId
 
 logger = logging.getLogger(__name__)
 
@@ -114,6 +116,19 @@ def clamp_snippet(text: str, max_lines: int = SNIPPET_MAX_LINES, max_chars: int 
     return out[:max_chars]
 
 
+def snippet_at(lines: list[str], line: int) -> str:
+    """Lines line-10 .. line+9 (1-based) of ``lines``, as ``clamp_snippet`` would give them.
+
+    The slice is joined once. ``clamp_snippet`` would split it again and
+    drop a last empty line; here that line is dropped before the join.
+    ``make_record`` then clamps the result as it does every snippet.
+    """
+    window = lines[max(0, line - 11) : line + 9]
+    if window and not window[-1]:
+        window.pop()
+    return "\n".join(window)[:SNIPPET_MAX_CHARS]
+
+
 def make_record(
     package: str,
     type_name: str,
@@ -164,3 +179,14 @@ save_spec_document = SPECS.save  # the name the pipeline calls, so a traced run 
 
 def record_lookup(records: list[ApiRecord]) -> dict[str, ApiRecord]:
     return {r.id: r for r in records}
+
+
+def records_for(ids: Iterable[str], records_by_id: dict[str, ApiRecord], where: str) -> list[ApiRecord]:
+    """The records of ``ids``, in order.
+
+    An id missing from ``records_by_id`` raises :class:`UnknownApiId`, naming ``where``.
+    """
+    try:
+        return [records_by_id[rid] for rid in ids]
+    except KeyError as exc:
+        raise UnknownApiId(f"{where} references unknown api id {exc.args[0]}") from None

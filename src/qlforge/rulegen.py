@@ -29,7 +29,7 @@ import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import islice
 from operator import attrgetter
@@ -47,11 +47,11 @@ from .artifacts import (
     write_json,
     write_text,
 )
-from .errors import CompilerUnavailable, ConfigError, EmptyDraft, ExecutionFailed, UnknownApiId
-from .gateway import LlmClient, LlmGateway, TranscriptStore, simple_request
+from .errors import CompilerUnavailable, ConfigError, EmptyDraft, ExecutionFailed
+from .gateway import LlmGateway, TranscriptStore
 from .pairing import SourceSinkPair
 from .prompts import load_template, render_template
-from .records import ApiRecord
+from .records import ApiRecord, records_for
 
 logger = logging.getLogger(__name__)
 
@@ -106,7 +106,6 @@ class Diagnostic(JsonDataclass):
 class CompileResult:
     status: CompileStatus
     diagnostics: tuple[Diagnostic, ...] = field(default_factory=tuple)
-    elapsed_s: float = 0.0
 
 
 @dataclass(frozen=True)
@@ -185,12 +184,16 @@ class MockCompiler:
 
     The script is a JSON document with an optional ``default`` entry and a
     ``pairs`` map keyed by pair id. Each entry may carry ``fail_count``,
-    ``diagnostics``, ``findings`` and ``delay_s``.
+    ``diagnostics``, ``findings`` and ``delay_s``. A compile takes
+    ``delay_s``; one that would succeed but whose ``delay_s`` is above
+    ``timeout_s`` stops at the limit and times out, as a real compile would.
     """
 
     name = "mock"
 
-    def __init__(self, script: dict, source: str | Path = "compiler script"):
+    def __init__(
+        self, script: dict, source: str | Path = "compiler script", timeout_s: float | None = None
+    ):
         if script.get("version") != 1:
             raise ConfigError(
                 f"{source}: unsupported compiler script version: {script.get('version')!r}"
@@ -201,14 +204,15 @@ class MockCompiler:
             raise ConfigError(f"{source}: 'pairs' must be an object keyed by pair id")
         for name, entry in [("default", self._default), *self._pairs.items()]:
             _check_compiler_entry(entry, f"{source}: entry {name!r}")
+        self.timeout_s = timeout_s
         self._calls: dict[str, int] = {}
         self._lock = threading.Lock()
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "MockCompiler":
+    def from_file(cls, path: str | Path, timeout_s: float | None = None) -> "MockCompiler":
         with config_input():
             script = read_json(path)
-        return cls(script, path)
+        return cls(script, path, timeout_s)
 
     def _entry(self, pair_id: str) -> dict:
         return self._pairs.get(pair_id, self._default)
@@ -218,16 +222,19 @@ class MockCompiler:
             call_index = self._calls.get(pair_id, 0)
             self._calls[pair_id] = call_index + 1
         entry = self._entry(pair_id)
-        started = time.monotonic()
         delay = float(entry.get("delay_s", 0))
-        if delay > 0:
-            time.sleep(delay)
-        elapsed = time.monotonic() - started
         if call_index < int(entry.get("fail_count", 0)):
+            time.sleep(delay)
             raw = entry.get("diagnostics") or [{"message": "syntax error in rule", "line": 1}]
-            diagnostics = tuple(Diagnostic.from_dict(d) for d in raw)
-            return CompileResult(CompileStatus.ERROR, diagnostics, elapsed)
-        return CompileResult(CompileStatus.OK, (), elapsed)
+            return CompileResult(CompileStatus.ERROR, tuple(map(Diagnostic.from_dict, raw)))
+        if self.timeout_s is not None and delay > self.timeout_s:
+            time.sleep(self.timeout_s)
+            return CompileResult(
+                CompileStatus.TIMEOUT,
+                (Diagnostic(message=f"compilation exceeded {self.timeout_s}s"),),
+            )
+        time.sleep(delay)
+        return CompileResult(CompileStatus.OK)
 
     def execute(self, rules: dict[str, str], database: str) -> dict[str, list[dict]]:
         return {pid: list(self._entry(pid).get("findings") or []) for pid in rules}
@@ -254,13 +261,12 @@ def _strip_fences(text: str) -> str:
 
 
 def _pair_info(pair: SourceSinkPair, records_by_id: dict[str, ApiRecord]) -> str:
-    for rid in (pair.source_id, pair.sink_id):
-        if rid not in records_by_id:
-            raise UnknownApiId(f"pair {pair.pair_id} references unknown api id {rid}")
+    ids = (pair.source_id, pair.sink_id)
+    source, sink = records_for(ids, records_by_id, f"pair {pair.pair_id}")
     return (
         f"pair: {json.dumps(pair.to_dict(), ensure_ascii=False)}\n"
-        f"source record: {records_by_id[pair.source_id].prompt_text}\n"
-        f"sink record: {records_by_id[pair.sink_id].prompt_text}\n"
+        f"source record: {source.prompt_text}\n"
+        f"sink record: {sink.prompt_text}\n"
     )
 
 
@@ -268,9 +274,7 @@ def write_rule(
     pair: SourceSinkPair,
     records_by_id: dict[str, ApiRecord],
     gateway: LlmGateway,
-    model: str,
     revision_context: str = "",
-    temperature: float | None = None,
 ) -> str:
     """Ask the writer role for a complete rule file; raises EmptyDraft if blank."""
     prompt = render_template(
@@ -281,9 +285,7 @@ def write_rule(
             "REVISION_CONTEXT": revision_context or "(first attempt)",
         },
     )
-    request = simple_request("write", model, prompt, temperature=temperature)
-    response, _ = gateway.complete(request)
-    text = _strip_fences(response.text)
+    text = _strip_fences(gateway.ask("write", prompt))
     if not text:
         raise EmptyDraft(f"writer returned empty output for pair {pair.pair_id}")
     return text + "\n"
@@ -301,8 +303,6 @@ def repair_advice(
     rule_text: str,
     diagnostics: tuple[Diagnostic, ...],
     gateway: LlmGateway,
-    model: str,
-    temperature: float | None = None,
 ) -> str:
     """Ask the repairer role for advice on a failed compile. Advice only:
     the repairer never emits a replacement file, the writer does."""
@@ -313,9 +313,7 @@ def repair_advice(
             "DIAGNOSTICS": format_diagnostics(diagnostics),
         },
     )
-    request = simple_request("repair", model, prompt, temperature=temperature)
-    response, _ = gateway.complete(request)
-    advice = response.text.strip()
+    advice = gateway.ask("repair", prompt).strip()
     if not advice:
         # The loop must always make progress, so an empty repairer answer
         # falls back to pointing the writer at the first diagnostic.
@@ -344,10 +342,7 @@ def generate_rule(
     records_by_id: dict[str, ApiRecord],
     gateway: LlmGateway,
     compiler: RuleCompiler,
-    model: str,
     max_iters: int = DEFAULT_MAX_ITERS,
-    temperature: float | None = None,
-    timeout_s: float | None = None,
 ) -> RuleArtifact:
     """Run the bounded generation loop for one pair.
 
@@ -363,7 +358,7 @@ def generate_rule(
     last_result = CompileResult(CompileStatus.ERROR)
     for attempt in range(1, max_iters + 1):
         try:
-            rule_text = write_rule(pair, records_by_id, gateway, model, revision, temperature)
+            rule_text = write_rule(pair, records_by_id, gateway, revision)
         except EmptyDraft:
             logger.warning("pair %s attempt %d: empty draft", pair.pair_id, attempt)
             rule_text = ""
@@ -386,12 +381,6 @@ def generate_rule(
                 rule_text=rule_text,
                 diagnostics=(Diagnostic(message=f"compiler unavailable: {exc}"),),
             )
-        if timeout_s is not None and result.elapsed_s > timeout_s and result.status is CompileStatus.OK:
-            result = CompileResult(
-                CompileStatus.TIMEOUT,
-                (Diagnostic(message=f"compilation exceeded {timeout_s}s"),),
-                result.elapsed_s,
-            )
         last_result = result
         if result.status is CompileStatus.OK:
             return RuleArtifact(
@@ -409,7 +398,7 @@ def generate_rule(
             result.status.value,
         )
         if attempt < max_iters:
-            advice = repair_advice(rule_text, result.diagnostics, gateway, model, temperature)
+            advice = repair_advice(rule_text, result.diagnostics, gateway)
             revision = _revision_context(attempt, rule_text, result, advice)
     return RuleArtifact(
         pair_id=pair.pair_id,
@@ -495,37 +484,34 @@ class _Lane:
 def generate_all(
     pairs: list[SourceSinkPair],
     records_by_id: dict[str, ApiRecord],
-    client: LlmClient,
+    gateway: LlmGateway,
     compiler: RuleCompiler,
     rules_dir: str | Path,
-    model: str,
     max_iters: int = DEFAULT_MAX_ITERS,
-    temperature: float | None = None,
-    timeout_s: float | None = None,
-    workers: int = 4,
 ) -> list[RuleArtifact]:
     """Generate one rule per pair, each with its own transcript, and index them.
 
-    ``workers`` is the width of two lanes: at most ``workers`` model requests
-    are in flight (the client's ``send``, so a retry's backoff holds no slot)
-    and at most ``workers`` compiles run at once. The pair loops run on twice
-    as many threads, enough to keep both lanes full.
+    Each pair gets a gateway of its own, derived from ``gateway``. The
+    gateway's ``workers`` is the width of two lanes: at most ``workers``
+    model requests are in flight (the client's ``send``, so a retry's
+    backoff holds no slot) and at most ``workers`` compiles run at once. The
+    pair loops run on twice as many threads, enough to keep both lanes full.
     """
     rules_dir = Path(rules_dir)
     rules_dir.mkdir(parents=True, exist_ok=True)
     ordered = sorted(pairs, key=lambda p: p.pair_id)
-    width = max(1, workers)
-    client = _Lane(client, "send", width)
+    width = max(1, gateway.workers)
+    client = _Lane(gateway.client, "send", width)
     compiler = _Lane(compiler, "compile", width)
 
     def run_pair(pair: SourceSinkPair) -> RuleArtifact:
         pair_dir = rules_dir / pair.pair_id
         pair_dir.mkdir(parents=True, exist_ok=True)
         transcript = TranscriptStore(pair_dir / TRANSCRIPT_FILENAME)
-        gateway = LlmGateway(client, transcripts=transcript, pair_id=pair.pair_id)
-        artifact = generate_rule(
-            pair, records_by_id, gateway, compiler, model, max_iters, temperature, timeout_s
+        pair_gateway = replace(
+            gateway, client=client, transcripts=transcript, pair_id=pair.pair_id
         )
+        artifact = generate_rule(pair, records_by_id, pair_gateway, compiler, max_iters)
         save_rule_artifact(artifact, rules_dir)
         return artifact
 

@@ -172,7 +172,7 @@ def test_criterion_4_repair_loop_state_machine():
         compiler = MockCompiler({"version": 1, "pairs": {pair.pair_id: {"fail_count": k}}})
         client = CountingClient(StaticClient("import java\nselect 1"))
         artifact = generate_rule(
-            pair, lookup, LlmGateway(client), compiler, "m", max_iters=5
+            pair, lookup, LlmGateway(client, model="m"), compiler, max_iters=5
         )
         checks = [
             ((artifact.status is ArtifactStatus.COMPILED) == (k < 5), "compiled iff k < 5"),

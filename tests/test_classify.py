@@ -451,7 +451,7 @@ def test_classify_records_end_to_end():
     records = synthetic_records(6, random.Random(8))
     wanted = {records[0].method: "Source", records[1].method: "Sink"}
     client = CountingClient(StaticClient(_label_everything(records, wanted)))
-    votes = classify_records(records, LlmGateway(client), "m", budget=BUDGET, seed=0)
+    votes = classify_records(records, LlmGateway(client, model="m"), budget=BUDGET, seed=0)
     assert len(votes) == 6
     by_id = {v.api_id: v for v in votes}
     assert by_id[records[0].id].resolved == TaintLabel.SOURCE
@@ -472,7 +472,7 @@ def test_classify_records_retries_malformed_group_once():
             default=good,
         )
     )
-    votes = classify_records(records, LlmGateway(client), "m", budget=BUDGET, seed=0)
+    votes = classify_records(records, LlmGateway(client, model="m"), budget=BUDGET, seed=0)
     # 2 group calls, exactly one of which was malformed and retried; the
     # retry's good ballots then agree with the other round's.
     assert client.count("classify") == 3
@@ -486,7 +486,7 @@ def test_classify_records_gives_up_after_second_malformed(caplog):
     records = synthetic_records(3, random.Random(10))
     client = CountingClient(StaticClient("no labels here at all"))
     with caplog.at_level("WARNING"):
-        votes = classify_records(records, LlmGateway(client), "m", budget=BUDGET, seed=0)
+        votes = classify_records(records, LlmGateway(client, model="m"), budget=BUDGET, seed=0)
     # Every ballot is warned, so round 3 is sent: 3 groups + 3 retries.
     assert client.count("classify") == 6
     assert all(len(v.ballots) == 3 for v in votes)
@@ -496,7 +496,7 @@ def test_classify_records_gives_up_after_second_malformed(caplog):
 
 
 def test_classify_records_empty_input():
-    votes = classify_records([], LlmGateway(StaticClient("x")), "m", budget=BUDGET, seed=0)
+    votes = classify_records([], LlmGateway(StaticClient("x"), model="m"), budget=BUDGET, seed=0)
     assert votes == []
 
 

@@ -398,12 +398,13 @@ def test_rows_to_records_reads_each_source_file_once(tmp_path, monkeypatch):
     decoded = json.dumps({"#select": {"tuples": rows}})
     records = CodeQLBackend(binary=None)._rows_to_records(decoded, tmp_path)
     assert sorted(reads) == ["App.java", "Gone.java"]
-    # Reference: each snippet is the ten lines either side of its call site.
+    # Reference: each snippet is the ten lines before its call site, the
+    # call's line and the nine after it.
     expected = [
         make_record(
             package="p", type_name="T", method=f"m{i}", params=[("arg0", "String")],
             return_type="void", annotations=[],
-            snippet=clamp_snippet("\n".join(source[max(0, n - 11): n + 10])),
+            snippet=clamp_snippet("\n".join(source[max(0, n - 11): n + 9])),
             first_seen=SourceLocation("App.java", n),
         )
         for i, n in enumerate(lines)
@@ -415,6 +416,17 @@ def test_rows_to_records_reads_each_source_file_once(tmp_path, monkeypatch):
         )
     )
     assert records == sorted(expected, key=lambda r: (r.id, r.first_seen.file, r.first_seen.line))
+
+
+def test_rows_to_records_windows_snippets_as_the_fixture_backend_does(tmp_path):
+    source = [f"line {n}" for n in range(1, 41)]
+    (tmp_path / "App.java").write_text("\n".join(source) + "\n")
+    rows = [["p", "T", f"m{n}", "()", "void", "App.java", n] for n in (3, 15)]
+    records = CodeQLBackend(binary=None)._rows_to_records(
+        json.dumps({"#select": {"tuples": rows}}), tmp_path
+    )
+    windows = {r.first_seen.line: r.snippet.splitlines() for r in records}
+    assert windows == {3: source[0:12], 15: source[4:24]}  # lines 1-12 and 5-24
 
 
 _ROW = ["p", "T", "m", "(String)", "void", "App.java", 3]

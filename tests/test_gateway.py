@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import qlforge
 
-from qlforge.errors import AuthFailure, ConfigError, ProviderError, RateLimited
+from qlforge.errors import AuthFailure, ConfigError, ProviderError, RateLimited, WhollyMalformed
 from qlforge.gateway import (
     LlmGateway,
     LlmRequest,
@@ -122,7 +122,7 @@ def test_mock_once_entries_answer_a_batch_in_request_order(monkeypatch):
     for workers in (4, 1):
         for entry in client.script.entries:
             entry.used = False
-        results = LlmGateway(client).complete_batch(requests, workers)
+        results = LlmGateway(client, workers=workers).complete_batch(requests)
         assert [response.text for response, _ in results] == ["first", "second", "rest", "rest"]
 
 
@@ -214,14 +214,36 @@ def test_transcript_seq_continues_across_instances(tmp_path):
 def test_complete_batch_sequences_follow_request_order(tmp_path):
     # Responses arrive from a pool in arbitrary order; sequence ids must not.
     store = TranscriptStore(tmp_path / "t.jsonl")
-    gateway = LlmGateway(MockLlmClient(MockScript([], "r")), transcripts=store)
+    gateway = LlmGateway(MockLlmClient(MockScript([], "r")), transcripts=store, workers=4)
     requests = [simple_request("classify", "m", f"prompt {i}") for i in range(8)]
-    results = gateway.complete_batch(requests, workers=4)
+    results = gateway.complete_batch(requests)
     assert [seq for _, seq in results] == list(range(1, 9))
     logged = [json.loads(l) for l in (tmp_path / "t.jsonl").read_text().splitlines()]
     assert [e["request"]["messages"][-1]["content"] for e in logged] == [
         f"prompt {i}" for i in range(8)
     ]
+
+
+def test_ask_all_retries_each_wholly_malformed_answer_once_in_prompt_order():
+    client = scripted_client(
+        [
+            {"stage": "pair", "contains": "p0", "response": "bad", "once": True},
+            {"stage": "pair", "contains": "p2", "response": "bad", "once": True},
+            {"stage": "pair", "contains": "p2", "response": "bad", "once": True},
+        ],
+        default="good",
+    )
+    gateway = LlmGateway(client, model="m", workers=3)
+
+    def parse(index, text):
+        if text == "bad":
+            raise WhollyMalformed("no structure")
+        return f"v{index}"
+
+    results = gateway.ask_all("pair", ["p0", "p1", "p2"], parse)
+    assert results == [("v0", 4), ("v1", 2), (None, 5)]
+    sent = [(e["seq"], e["request"]["messages"][0]["content"]) for e in gateway.transcripts.entries]
+    assert sent == [(1, "p0"), (2, "p1"), (3, "p2"), (4, "p0"), (5, "p2")]
 
 
 class TruncatingClient:
@@ -233,10 +255,10 @@ class TruncatingClient:
 
 
 def test_gateway_warns_once_per_truncated_response(caplog):
-    gateway = LlmGateway(TruncatingClient())
+    gateway = LlmGateway(TruncatingClient(), workers=2)
     requests = [simple_request("pair", "m", p) for p in ("short", "long one", "long two")]
     with caplog.at_level("WARNING", logger="qlforge.gateway"):
-        results = gateway.complete_batch(requests, workers=2)
+        results = gateway.complete_batch(requests)
         gateway.complete(simple_request("write", "m", "long three", max_tokens=64))
     warnings = [r.getMessage() for r in caplog.records]
     assert warnings == [
@@ -423,10 +445,10 @@ def test_live_client_reuses_one_connection_for_serial_sends(provider, live_clien
 
 def test_live_client_pool_follows_batch_width(provider, live_client):
     provider.delay_s = 0.01
-    gateway = LlmGateway(live_client)
+    gateway = LlmGateway(live_client, workers=4)
     for batch in range(2):
         requests = [simple_request("classify", "m", f"{batch}:{i}") for i in range(12)]
-        assert len(gateway.complete_batch(requests, workers=4)) == 12
+        assert len(gateway.complete_batch(requests)) == 12
     assert len(provider.requests) == 24
     assert 1 <= provider.connections <= 4
 

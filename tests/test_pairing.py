@@ -240,7 +240,7 @@ def test_pair_all_sends_one_untiled_prompt_when_candidates_fit():
     sources, sinks, sanitizers = ids[:3], ids[3:7], ids[7:]
     client = _PromptLog()
     votes = _votes(sources=sources, sinks=sinks, sanitizers=sanitizers)
-    pair_all(votes, records, LlmGateway(client), "m")
+    pair_all(votes, records, LlmGateway(client, model="m"))
     assert client.prompts == [
         build_pairing_prompt(sources, sinks, sanitizers, record_lookup(records))
     ]
@@ -382,11 +382,11 @@ def test_prompt_unknown_candidate():
 
 def test_pair_all_requires_both_sides():
     records = synthetic_records(2, random.Random(1))
-    gateway = LlmGateway(StaticClient("NO_PAIRS"))
+    gateway = LlmGateway(StaticClient("NO_PAIRS"), model="m")
     with pytest.raises(NothingToPair):
-        pair_all(_votes(sources=[records[0].id]), records, gateway, "m")
+        pair_all(_votes(sources=[records[0].id]), records, gateway)
     with pytest.raises(NothingToPair):
-        pair_all(_votes(sinks=[records[0].id]), records, gateway, "m")
+        pair_all(_votes(sinks=[records[0].id]), records, gateway)
 
 
 def test_pair_all_tiles_and_merges_sorted():
@@ -411,8 +411,8 @@ def test_pair_all_tiles_and_merges_sorted():
         )
         for tile_sources, tile_sinks in tiles
     }
-    gateway = LlmGateway(_PromptLog(replies))
-    pairs = pair_all(votes, records, gateway, "m", budget=budget)
+    gateway = LlmGateway(_PromptLog(replies), model="m")
+    pairs = pair_all(votes, records, gateway, budget=budget)
     sent = [entry["request"]["messages"][0]["content"] for entry in gateway.transcripts.entries]
     assert sent == list(replies)
     expected = {(tile_sources[0], tile_sinks[0]) for tile_sources, tile_sinks in tiles}
@@ -425,11 +425,11 @@ def test_pair_all_drop_sanitized_toggle():
     ids = sorted(r.id for r in records)
     votes = _votes(sources=[ids[0]], sinks=[ids[1]], sanitizers=[ids[2]])
     line = f"PAIR: ({ids[0]}, {ids[1]}) | CLASS: xss | RATIONALE: r | CONFIDENCE: low | SANITIZED_BY: {ids[2]}"
-    kept = pair_all(votes, records, LlmGateway(StaticClient(line)), "m")
+    kept = pair_all(votes, records, LlmGateway(StaticClient(line), model="m"))
     assert len(kept) == 1
     assert kept[0].sanitizers == (ids[2],)
     dropped = pair_all(
-        votes, records, LlmGateway(StaticClient(line)), "m", drop_sanitized=True
+        votes, records, LlmGateway(StaticClient(line), model="m"), drop_sanitized=True
     )
     assert dropped == []
 
@@ -438,7 +438,7 @@ def test_pair_all_no_pairs_response():
     records = synthetic_records(2, random.Random(60))
     ids = sorted(r.id for r in records)
     votes = _votes(sources=[ids[0]], sinks=[ids[1]])
-    pairs = pair_all(votes, records, LlmGateway(StaticClient("NO_PAIRS")), "m")
+    pairs = pair_all(votes, records, LlmGateway(StaticClient("NO_PAIRS"), model="m"))
     assert pairs == []
 
 
@@ -453,7 +453,7 @@ def test_pair_all_retries_malformed_chunk_once():
             default=good,
         )
     )
-    pairs = pair_all(votes, records, LlmGateway(client), "m")
+    pairs = pair_all(votes, records, LlmGateway(client, model="m"))
     assert client.count("pair") == 2
     assert [(p.source_id, p.sink_id) for p in pairs] == [(ids[0], ids[1])]
 
@@ -464,7 +464,7 @@ def test_pair_all_gives_up_after_second_malformed(caplog):
     votes = _votes(sources=[ids[0]], sinks=[ids[1]])
     client = CountingClient(StaticClient("word salad"))
     with caplog.at_level("WARNING", logger="qlforge.pairing"):
-        pairs = pair_all(votes, records, LlmGateway(client), "m")
+        pairs = pair_all(votes, records, LlmGateway(client, model="m"))
     assert pairs == []
     assert client.count("pair") == 2
     assert "still malformed" in caplog.text

@@ -361,22 +361,28 @@ def test_fixture_run_matches_golden_digests(run_config):
     assert digests == GOLDEN_DIGESTS
 
 
-def test_unset_temperature_uses_stage_defaults(run_config):
-    config = run_config("temps", llm={"mode": "mock", "model": "demo"})
-    assert config.temperature is None
+@pytest.mark.parametrize("temperature", [None, 0.3])
+def test_unset_temperature_uses_stage_defaults(run_config, temperature):
+    llm = {"mode": "mock", "model": "demo"}
+    if temperature is not None:
+        llm["temperature"] = temperature
+    config = run_config("temps", llm=llm)
+    assert config.temperature == temperature
     run_pipeline(config)
-    label_temps = {
-        (entry["stage"], entry["request"]["temperature"])
+    label_requests = {
+        (entry["stage"], entry["request"]["model"], entry["request"]["temperature"])
         for line in (config.out_dir / "transcript.jsonl").read_text().splitlines()
         for entry in [json.loads(line)]
     }
-    assert label_temps == {("classify", 0.0), ("pair", 0.0)}
-    write_temps = {
-        json.loads(line)["request"]["temperature"]
+    label_temp = 0.0 if temperature is None else temperature
+    assert label_requests == {("classify", "demo", label_temp), ("pair", "demo", label_temp)}
+    write_requests = {
+        (request["model"], request["temperature"])
         for rule_transcript in (config.out_dir / "rules").glob("*/transcript.jsonl")
         for line in rule_transcript.read_text().splitlines()
+        for request in [json.loads(line)["request"]]
     }
-    assert write_temps == {0.7}
+    assert write_requests == {("demo", 0.7 if temperature is None else temperature)}
 
 
 def test_report_does_not_depend_on_stage_wall_times(run_config, monkeypatch):

@@ -1,4 +1,3 @@
-import functools
 import json
 import random
 import sys
@@ -10,7 +9,6 @@ from hypothesis import strategies as st
 
 from qlforge.codeql import CodeQLCompiler
 from qlforge.errors import CompilerUnavailable, ConfigError, EmptyDraft, ExecutionFailed
-from qlforge import rulegen
 from qlforge.gateway import LlmGateway, LlmResponse, _RetryableTransport
 from qlforge.pairing import SourceSinkPair, make_pair_id
 from qlforge.prompts import load_template
@@ -73,7 +71,7 @@ def test_loop_state_machine(fail_count):
     compiler = _compiler(pair.pair_id, fail_count)
     client = CountingClient(StaticClient(RULE_TEXT))
     artifact = generate_rule(
-        pair, lookup, LlmGateway(client), compiler, "m", max_iters=5
+        pair, lookup, LlmGateway(client, model="m"), compiler, max_iters=5
     )
     should_compile = fail_count < 5
     expected = ArtifactStatus.COMPILED if should_compile else ArtifactStatus.ABORTED
@@ -93,7 +91,7 @@ def test_no_calls_after_success():
     # A clean first compile must not trigger any repair traffic at all.
     pair, lookup = _pair_and_lookup()
     client = CountingClient(StaticClient(RULE_TEXT))
-    generate_rule(pair, lookup, LlmGateway(client), _compiler(pair.pair_id, 0), "m")
+    generate_rule(pair, lookup, LlmGateway(client, model="m"), _compiler(pair.pair_id, 0))
     assert client.calls == ["write"]
 
 
@@ -110,7 +108,7 @@ def test_repair_advice_flows_into_next_write_prompt():
             ]
         )
     )
-    artifact = generate_rule(pair, lookup, LlmGateway(client), compiler, "m")
+    artifact = generate_rule(pair, lookup, LlmGateway(client, model="m"), compiler)
     assert artifact.status is ArtifactStatus.COMPILED
     assert [r.stage for r in client.requests] == ["write", "repair", "write"]
     repair_prompt = client.requests[1].joined_content()
@@ -133,7 +131,7 @@ def test_empty_draft_consumes_attempt_without_repair_call():
             [{"stage": "write", "response": "   \n", "once": True}], default=RULE_TEXT
         )
     )
-    artifact = generate_rule(pair, lookup, LlmGateway(client), compiler, "m", max_iters=5)
+    artifact = generate_rule(pair, lookup, LlmGateway(client, model="m"), compiler, max_iters=5)
     assert artifact.status is ArtifactStatus.COMPILED
     assert artifact.attempts == 2
     assert [r.stage for r in client.requests] == ["write", "write"]
@@ -145,7 +143,7 @@ def test_all_empty_drafts_are_invalid():
     pair, lookup = _pair_and_lookup()
     compiler = _compiler(pair.pair_id, 0)
     client = CountingClient(StaticClient("```\n```"))
-    artifact = generate_rule(pair, lookup, LlmGateway(client), compiler, "m", max_iters=3)
+    artifact = generate_rule(pair, lookup, LlmGateway(client, model="m"), compiler, max_iters=3)
     assert artifact.status is ArtifactStatus.ABORTED
     assert artifact.attempts == 3
     assert client.count("write") == 3
@@ -156,11 +154,10 @@ def test_all_empty_drafts_are_invalid():
 
 def test_timeout_counts_as_failure():
     pair, lookup = _pair_and_lookup()
-    compiler = _compiler(pair.pair_id, 0, delay_s=0.05)
+    script = {"version": 1, "pairs": {pair.pair_id: {"delay_s": 0.05}}}
+    compiler = MockCompiler(script, timeout_s=0.01)
     client = CountingClient(StaticClient(RULE_TEXT))
-    artifact = generate_rule(
-        pair, lookup, LlmGateway(client), compiler, "m", max_iters=1, timeout_s=0.01
-    )
+    artifact = generate_rule(pair, lookup, LlmGateway(client, model="m"), compiler, max_iters=1)
     assert artifact.status is ArtifactStatus.ABORTED
     assert "exceeded" in artifact.diagnostics[0].message
 
@@ -177,7 +174,7 @@ def test_missing_compiler_aborts_pair():
 
     pair, lookup = _pair_and_lookup()
     client = CountingClient(StaticClient(RULE_TEXT))
-    artifact = generate_rule(pair, lookup, LlmGateway(client), UnavailableCompiler(), "m")
+    artifact = generate_rule(pair, lookup, LlmGateway(client, model="m"), UnavailableCompiler())
     assert artifact.status is ArtifactStatus.ABORTED
     assert artifact.attempts == 1
     assert client.count("write") == 1
@@ -190,21 +187,21 @@ def test_max_iters_must_be_positive():
     pair, lookup = _pair_and_lookup()
     with pytest.raises(ValueError):
         generate_rule(
-            pair, lookup, LlmGateway(StaticClient(RULE_TEXT)), _compiler(pair.pair_id, 0), "m", max_iters=0
+            pair, lookup, LlmGateway(StaticClient(RULE_TEXT), model="m"), _compiler(pair.pair_id, 0), max_iters=0
         )
 
 
 def test_write_rule_strips_code_fences():
     pair, lookup = _pair_and_lookup()
     fenced = f"```ql\n{RULE_TEXT}\n```"
-    text = write_rule(pair, lookup, LlmGateway(StaticClient(fenced)), "m")
+    text = write_rule(pair, lookup, LlmGateway(StaticClient(fenced), model="m"))
     assert text == RULE_TEXT + "\n"
 
 
 def test_write_rule_empty_raises():
     pair, lookup = _pair_and_lookup()
     with pytest.raises(EmptyDraft):
-        write_rule(pair, lookup, LlmGateway(StaticClient("")), "m")
+        write_rule(pair, lookup, LlmGateway(StaticClient(""), model="m"))
 
 
 def test_format_diagnostics_truncation():
@@ -307,7 +304,7 @@ def test_generate_all_layout_and_transcripts(tmp_path):
         [{"stage": "repair", "response": "tighten the select"}], default=RULE_TEXT
     )
     artifacts = generate_all(
-        pairs, record_lookup(records), client, compiler, tmp_path, "m", workers=2
+        pairs, record_lookup(records), LlmGateway(client, model="m", workers=2), compiler, tmp_path
     )
     assert [a.pair_id for a in artifacts] == sorted(p.pair_id for p in pairs)
     assert all(a.status is ArtifactStatus.COMPILED for a in artifacts)
@@ -337,16 +334,14 @@ class _FailsFirstCallOfEachStage:
         return LlmResponse(text=RULE_TEXT)
 
 
-def test_generate_retries_are_logged_with_the_pair_id(tmp_path, monkeypatch, caplog):
+def test_generate_retries_are_logged_with_the_pair_id(tmp_path, caplog):
     pairs, lookup = _pairs(1)
     pair_id = pairs[0].pair_id
     compiler = MockCompiler({"version": 1, "pairs": {pair_id: {"fail_count": 1}}, "default": {}})
     sleeps = []
-    monkeypatch.setattr(rulegen, "LlmGateway", functools.partial(LlmGateway, sleep=sleeps.append))
+    gateway = LlmGateway(_FailsFirstCallOfEachStage(), sleep=sleeps.append, model="m", workers=1)
     with caplog.at_level("WARNING", logger="qlforge.gateway"):
-        artifacts = generate_all(
-            pairs, lookup, _FailsFirstCallOfEachStage(), compiler, tmp_path, "m", workers=1
-        )
+        artifacts = generate_all(pairs, lookup, gateway, compiler, tmp_path)
     assert [a.status for a in artifacts] == [ArtifactStatus.COMPILED]
     assert sleeps == [1.0, 1.0]
     retries = [(r.levelname, r.getMessage()) for r in caplog.records if r.name == "qlforge.gateway"]
@@ -399,7 +394,7 @@ class _OverlapProbe:
 def test_generate_overlaps_compile_with_model_call(tmp_path):
     pairs, lookup = _pairs(2)
     probe = _OverlapProbe()
-    artifacts = generate_all(pairs, lookup, probe, probe, tmp_path, "m", workers=1)
+    artifacts = generate_all(pairs, lookup, LlmGateway(probe, model="m", workers=1), probe, tmp_path)
     assert all(a.status is ArtifactStatus.COMPILED for a in artifacts)
     # Even one worker wide, a model call runs while the first compile does.
     assert probe.overlapped == [True, True]
@@ -457,7 +452,8 @@ def test_generate_lanes_never_exceed_workers(tmp_path, workers):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        artifacts = generate_all(pairs, lookup, fakes, fakes, tmp_path, "m", workers=workers)
+        gateway = LlmGateway(fakes, model="m", workers=workers)
+        artifacts = generate_all(pairs, lookup, gateway, fakes, tmp_path)
     finally:
         sys.setswitchinterval(interval)
     assert all(a.status is ArtifactStatus.COMPILED for a in artifacts)
@@ -603,7 +599,6 @@ def test_scan_output_sorted_by_location():
 def test_compile_result_defaults():
     result = CompileResult(CompileStatus.OK)
     assert result.diagnostics == ()
-    assert result.elapsed_s == 0.0
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
