@@ -21,6 +21,7 @@ is a :class:`Document`, written entry by entry from the same annotations.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import threading
 import types
@@ -34,6 +35,8 @@ from pathlib import Path
 from typing import Callable, Iterator, TextIO, TypeVar, Union, get_args, get_origin, get_type_hints
 
 from .errors import ArtifactCorrupt, ConfigError, UnwritableOutput
+
+logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
 
@@ -103,6 +106,29 @@ def read_json(path: str | Path) -> dict:
 def check_version(doc: dict, source: str | Path, version: int) -> None:
     if doc.get("version") != version:
         raise ArtifactCorrupt(f"{source}: unsupported document version: {doc.get('version')!r}")
+
+
+def last_transcript_seq(path: str | Path) -> int:
+    """The highest ``seq`` of the transcript at ``path``, a file of JSON lines.
+
+    A final line with no newline is an append cut short by a killed run; it
+    is cut from the file with a warning. Any other line that is not an object
+    with an integer ``seq`` raises :class:`ArtifactCorrupt`.
+    """
+    data = Path(path).read_bytes()
+    torn = data.rpartition(b"\n")[2]
+    if torn:
+        logger.warning("%s: dropping torn final line (%d bytes)", path, len(torn))
+        data = data[: len(data) - len(torn)]
+        os.truncate(path, len(data))
+    seq = 0
+    for number, line in enumerate(data.splitlines(), 1):
+        if line.strip():
+            try:
+                seq = max(seq, typed(json.loads(line).get("seq", 0), int, "seq"))
+            except (ValueError, AttributeError, TypeError, RecursionError):
+                raise ArtifactCorrupt(f"{path}: line {number} is not a transcript entry") from None
+    return seq
 
 
 def typed(value: T, kind: type, name: str) -> T:

@@ -302,7 +302,7 @@ def _compile_patterns(key: str, patterns: tuple[str, ...]) -> list[re.Pattern]:
     for pattern in patterns:
         try:
             compiled.append(re.compile(pattern))
-        except re.error as exc:
+        except (re.error, OverflowError, RecursionError) as exc:
             raise ConfigError(f"config key filters.{key}: bad pattern {pattern!r}: {exc}") from None
     return compiled
 

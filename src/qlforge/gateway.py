@@ -29,9 +29,8 @@ from typing import Callable, Protocol, TypeVar
 from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
 from . import __version__
-from .artifacts import JsonDataclass, config_input, read_text
+from .artifacts import JsonDataclass, config_input, last_transcript_seq, read_text
 from .errors import (
-    ArtifactCorrupt,
     AuthFailure,
     ConfigError,
     ProviderError,
@@ -249,8 +248,8 @@ _STALE_CONNECTION = (http.client.RemoteDisconnected, ConnectionResetError, Broke
 
 def parse_endpoint(endpoint: str, what: str = "llm.endpoint") -> SplitResult:
     """The parts of an ``http://`` or ``https://`` URL with a host; else a ConfigError."""
-    url = urlsplit(endpoint)
     try:
+        url = urlsplit(endpoint)
         url.port  # raises ValueError for a port that is not a number in range
     except ValueError as exc:
         raise ConfigError(f"{what} {endpoint!r}: {exc}") from None
@@ -416,9 +415,7 @@ class TranscriptStore:
     serialized internally, so many workers may log concurrently.
 
     An existing file is continued: numbering resumes after its highest
-    ``seq``. A final line with no newline is an append cut short by a killed
-    run; it is dropped from the file with a warning. Any other line that is
-    not a transcript entry raises :class:`ArtifactCorrupt`.
+    ``seq``, as read by :func:`~qlforge.artifacts.last_transcript_seq`.
     """
 
     def __init__(self, path: str | Path | None = None):
@@ -431,30 +428,7 @@ class TranscriptStore:
             if self.path.is_file():
                 # Continue numbering after a resumed run instead of
                 # restarting at 1 and clashing with recorded entries.
-                self._seq = self._last_seq()
-
-    def _last_seq(self) -> int:
-        data = self.path.read_bytes()
-        torn = data.rpartition(b"\n")[2]
-        if torn:
-            logger.warning("%s: dropping torn final line (%d bytes)", self.path, len(torn))
-            data = data[: len(data) - len(torn)]
-            with self.path.open("r+b") as fh:
-                fh.truncate(len(data))
-        seq = 0
-        for number, line in enumerate(data.splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                line_seq = json.loads(line).get("seq", 0)
-                if isinstance(line_seq, bool) or not isinstance(line_seq, int):
-                    raise TypeError(f"seq {line_seq!r}")
-            except (ValueError, AttributeError, TypeError, RecursionError):
-                raise ArtifactCorrupt(
-                    f"{self.path}: line {number} is not a transcript entry"
-                ) from None
-            seq = max(seq, line_seq)
-        return seq
+                self._seq = last_transcript_seq(self.path)
 
     def append(self, request: LlmRequest, response: LlmResponse) -> int:
         with self._lock:

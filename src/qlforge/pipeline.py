@@ -18,11 +18,11 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 import shutil
+import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from typing import Callable
 
@@ -63,41 +63,69 @@ REPORT_FILENAME = "report.json"
 TIMINGS_FILENAME = "timings.json"
 TRANSCRIPT_FILENAME = "transcript.jsonl"
 
-_TOP_LEVEL_KEYS = {
-    "project",
-    "backend",
-    "out_dir",
-    "llm",
-    "mock_script",
-    "compiler",
-    "codeql",
-    "classify",
-    "pairing",
-    "rulegen",
-    "scan",
-    "filters",
-    "workers",
-}
+# A check takes a key, its value and the config file's directory, and returns
+# the value to store or raises a ConfigError naming the key.
+Check = Callable[[str, object, Path], object]
+# Numbers must be finite: ``<= _FLOAT_MAX`` also fails NaN and ints too big for a float.
+_FLOAT_MAX = sys.float_info.max
 
 
-def _positive_int(value, key: str) -> int:
-    """Return ``value`` if it is an integer of at least 1; a boolean is not."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ConfigError(f"{key} must be a positive integer, got {value!r}")
-    return value
+def _kind(what: str, ok: Callable[[object], bool], convert: Callable | None = None) -> Check:
+    """The check that a value is ``what``: ``ok(value)`` holds; ``convert`` then applies."""
+
+    def check(key: str, value, base: Path):
+        if not ok(value):
+            raise ConfigError(f"{key} must be {what}, got {value!r}")
+        return value if convert is None else convert(value)
+
+    return check
 
 
-def _table(data: dict, name: str, keys: tuple[str, ...]) -> dict:
-    """Return config table ``name``; a key outside ``keys`` is rejected."""
-    table = data.get(name, {})
-    if not isinstance(table, dict):
-        raise ConfigError(f"config key {name} must be a table, got {table!r}")
-    unknown = sorted(set(table) - set(keys))
-    if unknown:
-        raise ConfigError(
-            "unknown config key(s): " + ", ".join(f"{name}.{key}" for key in unknown)
-        )
-    return table
+def _one_of(*choices: str) -> Check:
+    return _kind(" or ".join(map(repr, choices)), lambda value: value in choices)
+
+
+def _path(noun: str = "", exists: Callable[[Path], bool] | None = None) -> Check:
+    """A string naming a path, resolved against the config file's directory."""
+
+    def check(key: str, value, base: Path) -> Path:
+        path = base / STRING(key, value, base)
+        if exists is not None and not exists(path):
+            raise ConfigError(f"{key}{noun} does not exist: {path}")
+        return path
+
+    return check
+
+
+def _filters(key: str, value, base: Path) -> FilterConfig:
+    try:
+        return FilterConfig.from_dict(value)
+    except TypeError as exc:
+        raise ConfigError(f"config key {key}.{exc}") from None
+
+
+# Exact types: a boolean is no integer and no number, though bool subclasses int.
+STRING = _kind("a string", lambda value: isinstance(value, str))
+INTEGER = _kind("an integer", lambda value: type(value) is int)
+BOOLEAN = _kind("a boolean", lambda value: type(value) is bool)
+POSITIVE_INT = _kind("a positive integer", lambda value: type(value) is int and value >= 1)
+NON_NEGATIVE = _kind(
+    "a non-negative number", lambda v: type(v) in (int, float) and 0 <= v <= _FLOAT_MAX, float
+)
+POSITIVE = _kind(
+    "a positive number", lambda v: type(v) in (int, float) and 0 < v <= _FLOAT_MAX, float
+)
+PATH = _path()
+DIRECTORY = _path(" directory", Path.is_dir)
+INPUT_FILE = _path("", Path.is_file)
+
+CONFIG_KEY = "config_key"
+"""Field metadata of a :class:`PipelineConfig` field: its dotted key and its :data:`Check`."""
+
+
+def _key(key: str, check: Check, default=MISSING):
+    """A config field read from ``key``; a field with no default is a required key."""
+    return field(default=default, metadata={CONFIG_KEY: (key, check)})
 
 
 def apply_overrides(data: dict, assignments: tuple[str, ...]) -> dict:
@@ -131,27 +159,34 @@ def apply_overrides(data: dict, assignments: tuple[str, ...]) -> dict:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    project: Path
-    out_dir: Path
-    backend: str = "fixture"
-    llm_mode: str = "mock"
-    model: str = "default"
-    endpoint: str = ""
-    temperature: float | None = None
-    mock_script: Path | None = None
-    compiler_kind: str = "mock"
-    compiler_script: Path | None = None
-    codeql_path: str | None = None
-    budget: int = 4000
-    seed: int = 0
-    pairing_budget: int = DEFAULT_PAIRING_BUDGET
-    drop_sanitized: bool = False
-    max_iters: int = 5
-    timeout_s: float | None = None
-    database: str = ""
-    manifest_path: Path | None = None
-    filters: FilterConfig | None = None
-    workers: int = 4
+    """A run's configuration: one field per config key, with its check and its default.
+
+    A dotted key names a key in a table (``llm.mode`` is ``mode`` in the
+    ``llm`` table); the ``filters`` table's keys are :class:`FilterConfig`'s
+    fields. A ``null`` at a key whose default is ``None`` leaves it unset.
+    """
+
+    project: Path = _key("project", DIRECTORY)
+    out_dir: Path = _key("out_dir", PATH)
+    backend: str = _key("backend", _one_of("fixture", "codeql"), "fixture")
+    llm_mode: str = _key("llm.mode", _one_of("mock", "live"), "mock")
+    model: str = _key("llm.model", STRING, "default")
+    endpoint: str = _key("llm.endpoint", STRING, "")
+    temperature: float | None = _key("llm.temperature", NON_NEGATIVE, None)
+    mock_script: Path | None = _key("mock_script", INPUT_FILE, None)
+    compiler_kind: str = _key("compiler.kind", _one_of("mock", "codeql"), "mock")
+    compiler_script: Path | None = _key("compiler.script", INPUT_FILE, None)
+    codeql_path: str | None = _key("codeql.path", STRING, None)
+    budget: int = _key("classify.budget", POSITIVE_INT, 4000)
+    seed: int = _key("classify.seed", INTEGER, 0)
+    pairing_budget: int = _key("pairing.budget", POSITIVE_INT, DEFAULT_PAIRING_BUDGET)
+    drop_sanitized: bool = _key("pairing.drop_sanitized", BOOLEAN, False)
+    max_iters: int = _key("rulegen.max_iters", POSITIVE_INT, 5)
+    timeout_s: float | None = _key("rulegen.timeout_s", POSITIVE, None)
+    database: str = _key("scan.database", STRING, "")
+    manifest_path: Path | None = _key("scan.manifest", INPUT_FILE, None)
+    filters: FilterConfig | None = _key("filters", _filters, None)
+    workers: int = _key("workers", POSITIVE_INT, 4)
 
     @classmethod
     def from_file(
@@ -168,119 +203,48 @@ class PipelineConfig:
     def from_dict(cls, data: dict, base_dir: str | Path = ".") -> "PipelineConfig":
         if not isinstance(data, dict):
             raise ConfigError("config root must be a JSON object")
-        base = Path(base_dir)
-        unknown = sorted(set(data) - _TOP_LEVEL_KEYS)
+        top_level, tables = _layout()
+        for name in tables:
+            if not isinstance(data.get(name, {}), dict):
+                raise ConfigError(f"config key {name} must be a table, got {data[name]!r}")
+        unknown = [key for key in data if key not in top_level] + [
+            f"{name}.{key}" for name, keys in tables.items() for key in data.get(name, {})
+            if key not in keys
+        ]
         if unknown:
-            raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
+            raise ConfigError(f"unknown config key(s): {', '.join(sorted(unknown))}")
 
-        def resolve(value: str) -> Path:
-            p = Path(value)
-            return p if p.is_absolute() else (base / p)
+        base = Path(base_dir)
+        values = {}
+        for f in fields(cls):
+            key, check = f.metadata[CONFIG_KEY]
+            table, _, name = key.rpartition(".")
+            source = data.get(table, {}) if table else data
+            if name not in source:
+                if f.default is MISSING:
+                    raise ConfigError(f"config is missing required key: {key}")
+            elif source[name] is not None or f.default is not None:
+                values[f.name] = check(key, source[name], base)
+        config = cls(**values)
 
-        def input_file(table: dict, key: str, name: str) -> Path | None:
-            if key not in table:
-                return None
-            path = resolve(table[key])
-            if not path.is_file():
-                raise ConfigError(f"{name} does not exist: {path}")
-            return path
-
-        if "project" not in data:
-            raise ConfigError("config is missing required key: project")
-        if "out_dir" not in data:
-            raise ConfigError("config is missing required key: out_dir")
-        project = resolve(data["project"])
-        if not project.is_dir():
-            raise ConfigError(f"project directory does not exist: {project}")
-
-        backend = data.get("backend", "fixture")
-        if backend not in ("fixture", "codeql"):
-            raise ConfigError(f"backend must be 'fixture' or 'codeql', got {backend!r}")
-
-        llm = _table(data, "llm", ("mode", "model", "endpoint", "temperature"))
-        llm_mode = llm.get("mode", "mock")
-        if llm_mode not in ("mock", "live"):
-            raise ConfigError(f"llm.mode must be 'mock' or 'live', got {llm_mode!r}")
-        temperature = llm.get("temperature")
-        if temperature is not None:
-            if not isinstance(temperature, (int, float)) or not 0 <= temperature < math.inf:
-                raise ConfigError(
-                    f"llm.temperature must be a non-negative number, got {temperature!r}"
-                )
-            temperature = float(temperature)
-        endpoint = llm.get("endpoint", "")
-        if llm_mode == "live":
-            if not endpoint:
+        if config.llm_mode == "live":
+            if not config.endpoint:
                 raise ConfigError("llm.endpoint is required in live mode")
-            parse_endpoint(endpoint)
-
-        mock_script = input_file(data, "mock_script", "mock_script")
-        if llm_mode == "mock" and mock_script is None:
+            parse_endpoint(config.endpoint)
+        if config.llm_mode == "mock" and config.mock_script is None:
             raise ConfigError("mock llm mode requires mock_script")
-
-        compiler = _table(data, "compiler", ("kind", "script"))
-        compiler_kind = compiler.get("kind", "mock")
-        if compiler_kind not in ("mock", "codeql"):
-            raise ConfigError(f"compiler.kind must be 'mock' or 'codeql', got {compiler_kind!r}")
-        compiler_script = input_file(compiler, "script", "compiler.script")
-        if compiler_kind == "mock" and compiler_script is None:
+        if config.compiler_kind == "mock" and config.compiler_script is None:
             raise ConfigError("mock compiler requires compiler.script")
+        return config
 
-        classify = _table(data, "classify", ("budget", "seed"))
-        budget = _positive_int(classify.get("budget", 4000), "classify.budget")
-        seed = classify.get("seed", 0)
-        if not isinstance(seed, int):
-            raise ConfigError(f"classify.seed must be an integer, got {seed!r}")
 
-        pairing = _table(data, "pairing", ("budget", "drop_sanitized"))
-        pairing_budget = _positive_int(
-            pairing.get("budget", DEFAULT_PAIRING_BUDGET), "pairing.budget"
-        )
-        drop_sanitized = pairing.get("drop_sanitized", False)
-        if not isinstance(drop_sanitized, bool):
-            raise ConfigError("pairing.drop_sanitized must be a boolean")
-
-        rulegen_cfg = _table(data, "rulegen", ("max_iters", "timeout_s"))
-        max_iters = _positive_int(rulegen_cfg.get("max_iters", 5), "rulegen.max_iters")
-        timeout_s = rulegen_cfg.get("timeout_s")
-        if timeout_s is not None and (not isinstance(timeout_s, (int, float)) or timeout_s <= 0):
-            raise ConfigError(f"rulegen.timeout_s must be a positive number, got {timeout_s!r}")
-
-        scan_cfg = _table(data, "scan", ("database", "manifest"))
-        manifest_path = input_file(scan_cfg, "manifest", "scan.manifest")
-
-        filters = None
-        if "filters" in data:
-            try:
-                filters = FilterConfig.from_dict(_table(data, "filters", ("deny", "allow")))
-            except TypeError as exc:
-                raise ConfigError(f"config key filters.{exc}") from None
-
-        workers = _positive_int(data.get("workers", 4), "workers")
-
-        return cls(
-            project=project,
-            out_dir=resolve(data["out_dir"]),
-            backend=backend,
-            llm_mode=llm_mode,
-            model=llm.get("model", "default"),
-            endpoint=endpoint,
-            temperature=temperature,
-            mock_script=mock_script,
-            compiler_kind=compiler_kind,
-            compiler_script=compiler_script,
-            codeql_path=_table(data, "codeql", ("path",)).get("path"),
-            budget=budget,
-            seed=seed,
-            pairing_budget=pairing_budget,
-            drop_sanitized=drop_sanitized,
-            max_iters=max_iters,
-            timeout_s=None if timeout_s is None else float(timeout_s),
-            database=scan_cfg.get("database", ""),
-            manifest_path=manifest_path,
-            filters=filters,
-            workers=workers,
-        )
+def _layout() -> tuple[set[str], dict[str, set[str]]]:
+    """The config's top-level keys, and each table's keys by table name."""
+    keys = [f.metadata[CONFIG_KEY][0] for f in fields(PipelineConfig)]
+    tables = {"filters": {f.name for f in fields(FilterConfig) if f.init}}
+    for table, _, name in (key.rpartition(".") for key in keys if "." in key):
+        tables.setdefault(table, set()).add(name)
+    return {key.partition(".")[0] for key in keys}, tables
 
 
 # ---------------------------------------------------------------------------

@@ -185,8 +185,9 @@ class MockCompiler:
     The script is a JSON document with an optional ``default`` entry and a
     ``pairs`` map keyed by pair id. Each entry may carry ``fail_count``,
     ``diagnostics``, ``findings`` and ``delay_s``. A compile takes
-    ``delay_s``; one that would succeed but whose ``delay_s`` is above
-    ``timeout_s`` stops at the limit and times out, as a real compile would.
+    ``delay_s``; one whose ``delay_s`` is above ``timeout_s`` stops at the
+    limit and times out, whether it would have failed or not, as a real
+    compile would.
     """
 
     name = "mock"
@@ -223,10 +224,6 @@ class MockCompiler:
             self._calls[pair_id] = call_index + 1
         entry = self._entry(pair_id)
         delay = float(entry.get("delay_s", 0))
-        if call_index < int(entry.get("fail_count", 0)):
-            time.sleep(delay)
-            raw = entry.get("diagnostics") or [{"message": "syntax error in rule", "line": 1}]
-            return CompileResult(CompileStatus.ERROR, tuple(map(Diagnostic.from_dict, raw)))
         if self.timeout_s is not None and delay > self.timeout_s:
             time.sleep(self.timeout_s)
             return CompileResult(
@@ -234,6 +231,9 @@ class MockCompiler:
                 (Diagnostic(message=f"compilation exceeded {self.timeout_s}s"),),
             )
         time.sleep(delay)
+        if call_index < int(entry.get("fail_count", 0)):
+            raw = entry.get("diagnostics") or [{"message": "syntax error in rule", "line": 1}]
+            return CompileResult(CompileStatus.ERROR, tuple(map(Diagnostic.from_dict, raw)))
         return CompileResult(CompileStatus.OK)
 
     def execute(self, rules: dict[str, str], database: str) -> dict[str, list[dict]]:

@@ -362,6 +362,20 @@ def test_run_with_a_bad_filter_pattern_keeps_the_previous_run(runner, tmp_path, 
     assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
 
 
+def test_run_with_a_mistyped_codeql_path_keeps_the_previous_run(runner, tmp_path):
+    config = _write_config(tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == EXIT_OK
+    run_dir = tmp_path / "run"
+    before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    result = runner.invoke(
+        main,
+        ["run", "--config", str(config), "--set", "compiler.kind=codeql", "--set", "codeql.path=3"],
+    )
+    assert result.exit_code == EXIT_CONFIG
+    assert "config error: codeql.path must be a string, got 3" in result.output
+    assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+
+
 def test_run_with_a_malformed_endpoint_exits_before_any_stage(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("QLFORGE_LLM_KEY", "k")
     config = _write_config(tmp_path, llm={"mode": "live", "endpoint": "localhost:9/v1"})

@@ -5,6 +5,8 @@ import time
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qlforge import pipeline
 from qlforge.classify import build_classification_prompt, plan_groups
@@ -154,6 +156,19 @@ def test_config_rejects_unknown_keys(tmp_path):
         ({"llm": {"mode": "mock", "temperature": float("inf")}}, "temperature"),
         ({"filters": {"deny": "^exec"}}, "config key filters.deny must be list, not str"),
         ({"filters": {"deny": [5]}}, "config key filters.deny item must be str, not int"),
+        ({"project": 5}, "project must be a string, got 5"),
+        ({"llm": {"model": 5}}, "llm.model must be a string, got 5"),
+        ({"llm": {"mode": "live", "endpoint": 5}}, "llm.endpoint must be a string, got 5"),
+        ({"codeql": {"path": 3}}, "codeql.path must be a string, got 3"),
+        ({"scan": {"database": 7}}, "scan.database must be a string, got 7"),
+        ({"classify": {"seed": True}}, "classify.seed must be an integer, got True"),
+        ({"rulegen": {"timeout_s": True}}, "rulegen.timeout_s must be a positive number, got True"),
+        (
+            {"llm": {"mode": "mock", "temperature": True}},
+            "llm.temperature must be a non-negative number, got True",
+        ),
+        ({"llm": {"mode": "live", "endpoint": "http://[::1/v1"}}, "Invalid IPv6 URL"),
+        ({"filters": {"deny": ["a{4294967296}"]}}, "filters.deny: bad pattern"),
     ],
 )
 def test_config_validation_failures(tmp_path, mutation, match):
@@ -165,6 +180,43 @@ def test_config_validation_failures(tmp_path, mutation, match):
             data[key] = value
     with pytest.raises(ConfigError, match=match):
         PipelineConfig.from_dict(data, base_dir=FIXTURES)
+
+
+_JSON_VALUE = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+# Every config key, and every table, in whose place any value may stand.
+_DECLARED_KEYS = (
+    "project", "out_dir", "backend", "mock_script", "workers",
+    "llm", "llm.mode", "llm.model", "llm.endpoint", "llm.temperature",
+    "compiler", "compiler.kind", "compiler.script", "codeql", "codeql.path",
+    "classify", "classify.budget", "classify.seed",
+    "pairing", "pairing.budget", "pairing.drop_sanitized",
+    "rulegen", "rulegen.max_iters", "rulegen.timeout_s",
+    "scan", "scan.database", "scan.manifest", "filters", "filters.deny", "filters.allow",
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    mode=st.sampled_from(["mock", "live"]),
+    key=st.sampled_from(_DECLARED_KEYS),
+    value=_JSON_VALUE,
+)
+def test_any_json_value_at_any_key_gives_a_config_or_a_config_error(mode, key, value):
+    data = _config_data(out_dir="run")
+    if mode == "live":
+        data["llm"] = {"mode": "live", "endpoint": "http://127.0.0.1:9/v1"}
+    table, _, name = key.rpartition(".")
+    (data.setdefault(table, {}) if table else data)[name] = value
+    try:
+        config = PipelineConfig.from_dict(data, base_dir=FIXTURES)
+    except ConfigError:
+        return
+    assert isinstance(config, PipelineConfig)
 
 
 def test_config_mock_llm_requires_script(tmp_path):

@@ -2,6 +2,7 @@ import json
 import random
 import sys
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -160,6 +161,16 @@ def test_timeout_counts_as_failure():
     artifact = generate_rule(pair, lookup, LlmGateway(client, model="m"), compiler, max_iters=1)
     assert artifact.status is ArtifactStatus.ABORTED
     assert "exceeded" in artifact.diagnostics[0].message
+
+
+def test_a_failing_compile_slower_than_the_timeout_times_out():
+    script = {"version": 1, "default": {"fail_count": 1, "delay_s": 0.3}}
+    compiler = MockCompiler(script, timeout_s=0.1)
+    began = time.monotonic()
+    result = compiler.compile("p1", RULE_TEXT)
+    assert time.monotonic() - began < 0.3
+    assert result.status is CompileStatus.TIMEOUT
+    assert result.diagnostics[0].message == "compilation exceeded 0.1s"
 
 
 def test_missing_compiler_aborts_pair():
