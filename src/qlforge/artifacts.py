@@ -11,11 +11,12 @@ version, an entry of the wrong shape or a field of the wrong type) raises
 :class:`ArtifactCorrupt` naming the file, so a resumed run exits with the
 documented code instead of a traceback.
 
-Every document entry is a dataclass deriving from :class:`JsonDataclass`,
-whose ``to_dict``/``from_dict`` are built once per class from its fields and
-their annotations: the JSON keys follow the field order, and decoding checks
-every value's type. A stage document (``{"version": N, "<key>": [...]}``)
-is a :class:`Document`, written entry by entry from the same annotations.
+Every document entry is a dataclass deriving from :class:`JsonDataclass`.
+Its JSON form is ``dataclasses.asdict`` of it: the keys are the field names
+in field order. ``from_dict`` is built once per class from the fields'
+annotations and checks every value's type. A stage document
+(``{"version": N, "<key>": [...]}``) is a :class:`Document`, written entry
+by entry from the same annotations as ``json.dumps`` would write its dicts.
 """
 
 from __future__ import annotations
@@ -165,69 +166,52 @@ def config_input() -> Iterator[None]:
         raise ConfigError(str(exc)) from None
 
 
-JSON_KEY = "json_key"
-"""Field metadata naming a field's JSON key where it differs from the field name."""
-
-
 class JsonDataclass:
-    """Base of the dataclasses a run writes as JSON.
+    """Base of the dataclasses a run reads back from JSON.
 
-    ``to_dict`` gives the JSON form: one key per ``init`` field, in field
-    order. A str-valued ``Enum`` becomes its value, a nested dataclass its
-    own dict and a ``tuple[X, ...]`` a list. ``from_dict`` reverses it: a
-    missing key takes the field's default (a ``KeyError`` if it has none), an
-    unknown key is ignored, and a value of the wrong type is a ``TypeError``,
-    which :func:`shape_checked` reports as :class:`ArtifactCorrupt`.
+    A run writes an instance as ``dataclasses.asdict`` gives it: one key per
+    field, in field order (``json`` writes a str-valued ``Enum`` as its value
+    and a tuple as a list). ``from_dict`` reverses that: a missing key takes
+    the field's default (a ``KeyError`` if it has none), an unknown key is
+    ignored, and a value of the wrong type is a ``TypeError``, which
+    :func:`shape_checked` reports as :class:`ArtifactCorrupt`.
     """
 
     __slots__ = ()
 
-    def to_dict(self) -> dict:
-        return _codec(type(self))[0](self)
-
     @classmethod
     def from_dict(cls: type[T], data: dict) -> T:
-        return _codec(cls)[1](data)
+        return _decoder(cls)(data)
 
 
 @cache
-def _codec(cls: type) -> tuple[Callable[[object], dict], Callable[[object], object]]:
-    """The (encode, decode) pair of dataclass ``cls``; an annotation it cannot handle raises."""
+def _decoder(cls: type) -> Callable[[object], object]:
+    """The decoder of dataclass ``cls``; an annotation it cannot handle raises."""
     hints = get_type_hints(cls)
-    data_fields = [f for f in fields(cls) if f.init]
-    names = [f.name for f in data_fields]
-    keys = [f.metadata.get(JSON_KEY, f.name) for f in data_fields]
-    encoders, decoders = zip(*(_converters(hints[name], key) for name, key in zip(names, keys)))
-    converted = [(key, enc) for key, enc in zip(keys, encoders) if enc is not None]
-    required = [f.default is MISSING and f.default_factory is MISSING for f in data_fields]
-    plan = list(zip(names, keys, decoders, required))
-    # attrgetter of one name returns the value itself, not a 1-tuple.
-    values = attrgetter(*names) if len(names) > 1 else lambda obj: (getattr(obj, names[0]),)
-
-    def encode(obj) -> dict:
-        doc = dict(zip(keys, values(obj)))
-        for key, enc in converted:
-            doc[key] = enc(doc[key])
-        return doc
+    plan = [
+        (f.name, _decode(hints[f.name], f.name),
+         f.default is MISSING and f.default_factory is MISSING)
+        for f in fields(cls)
+    ]
 
     def decode(data):
         typed(data, dict, cls.__name__)
         kwargs = {}
-        for name, key, dec, required in plan:
-            if key in data:
-                kwargs[name] = dec(data[key])
+        for name, dec, required in plan:
+            if name in data:
+                kwargs[name] = dec(data[name])
             elif required:
-                raise KeyError(key)
+                raise KeyError(name)
         return cls(**kwargs)
 
-    return encode, decode
+    return decode
 
 
-def _converters(kind, name: str) -> tuple[Callable | None, Callable]:
-    """The (encode, decode) pair of one annotation; ``encode`` is None where the value is kept."""
+def _decode(kind, name: str) -> Callable:
+    """The decoder of one field annotation."""
     origin, args = get_origin(kind), get_args(kind)
     if kind in (str, int, bool):
-        return None, lambda value: typed(value, kind, name)
+        return lambda value: typed(value, kind, name)
     if kind is float:
 
         def decode_float(value) -> float:
@@ -235,31 +219,25 @@ def _converters(kind, name: str) -> tuple[Callable | None, Callable]:
                 raise TypeError(f"{name} must be float, not {type(value).__name__}")
             return float(value)
 
-        return None, decode_float
+        return decode_float
     if isinstance(kind, type) and issubclass(kind, str) and issubclass(kind, Enum):
-        return attrgetter("value"), lambda value: kind(typed(value, str, name))
+        return lambda value: kind(typed(value, str, name))
     if is_dataclass(kind):
-        return _codec(kind)
+        return _decoder(kind)
     if origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        enc, dec = _converters(args[0], f"{name} item")
-        return (
-            list if enc is None else lambda items: list(map(enc, items)),
-            lambda items: tuple(dec(item) for item in typed(items, list, name)),
-        )
+        dec = _decode(args[0], f"{name} item")
+        return lambda items: tuple(dec(item) for item in typed(items, list, name))
     if _optional(kind):
-        enc, dec = _converters(_optional(kind), name)
-        return (
-            None if enc is None else lambda value: None if value is None else enc(value),
-            lambda value: None if value is None else dec(value),
-        )
+        dec = _decode(_optional(kind), name)
+        return lambda value: None if value is None else dec(value)
     if kind is dict:
-        return dict, lambda value: dict(typed(value, dict, name))
+        return lambda value: dict(typed(value, dict, name))
     if origin is dict and args == (str, int):
-        return dict, lambda value: {
+        return lambda value: {
             typed(k, str, f"{name} key"): typed(v, int, f"{name} value")
             for k, v in typed(value, dict, name).items()
         }
-    raise TypeError(f"no JSON codec for field {name!r} of type {kind!r}")
+    raise TypeError(f"no JSON decoder for field {name!r} of type {kind!r}")
 
 
 def _optional(kind):
@@ -273,10 +251,11 @@ def _optional(kind):
 class Document:
     """A stage document: ``{"version": version, key: [entry, ...]}`` of ``entry_class``.
 
-    ``arrange`` maps the entries given to the list written (a sort, or a
-    filter). The text is ``json.dumps(doc, indent=2, ensure_ascii=False)``
-    plus a newline, but it is built entry by entry by the entry class's
-    writer, so no dict of the document exists and :meth:`save` streams.
+    ``arrange`` maps the entries given to the list written (a sort). The
+    text is ``json.dumps(doc, indent=2, ensure_ascii=False)`` plus a
+    newline, each entry being ``dataclasses.asdict`` of it, but it is built
+    entry by entry by the entry class's writer, so no dict of the document
+    exists and :meth:`save` streams.
     """
 
     def __init__(self, version: int, key: str, entry_class: type, arrange: Callable = list):
@@ -341,14 +320,12 @@ def _template(cls: type, depth: int, prefix: str, slots: list) -> str:
     hints = get_type_hints(cls)
     items = []
     for f in fields(cls):
-        if not f.init:
-            continue
         if is_dataclass(hints[f.name]):
             slot = _template(hints[f.name], depth + 1, f"{prefix}{f.name}.", slots)
         else:
             slots.append((prefix + f.name, _speller(hints[f.name], depth + 1)))
             slot = "%s"
-        items.append(f"{encode_basestring(f.metadata.get(JSON_KEY, f.name))}: {slot}")
+        items.append(f"{encode_basestring(f.name)}: {slot}")
     pad = "\n" + "  " * (depth + 1)
     return "{" + pad + ("," + pad).join(items) + "\n" + "  " * depth + "}" if items else "{}"
 
@@ -359,7 +336,7 @@ def _writer(cls: type, depth: int) -> Callable[[object], str]:
 
     Built on first use, once per class and depth: one ``%`` template holds
     every key and line break, and each slot is filled by the speller of its
-    field's annotation. Nothing goes through ``to_dict``.
+    field's annotation. No dict of the instance is built.
     """
     slots: list[tuple[str, Callable[[object], str]]] = []
     template = _template(cls, depth, "", slots)

@@ -31,13 +31,13 @@ import logging
 import random
 import re
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable
 
-from .artifacts import JSON_KEY, Document, JsonDataclass
+from .artifacts import Document, JsonDataclass
 from .errors import BallotCountMismatch, RecordTooLarge, WhollyMalformed
 from .gateway import LlmGateway, estimate_tokens
 from .prompts import (
@@ -76,7 +76,7 @@ class ContextGroup:
 
 @dataclass(frozen=True)
 class Ballot:
-    round_index: int = field(metadata={JSON_KEY: "round"})
+    round: int
     group_id: str
     label: TaintLabel
     response_ref: int | None = None
@@ -343,7 +343,7 @@ def tally_votes(ballots_by_api: dict[str, list[Ballot]]) -> list[VoteRecord]:
     """
     votes = []
     for api_id in sorted(ballots_by_api):
-        ballots = sorted(ballots_by_api[api_id], key=lambda b: b.round_index)
+        ballots = sorted(ballots_by_api[api_id], key=lambda b: b.round)
         agreeing_pair = len(ballots) == 2 and ballots[0].label == ballots[1].label
         if len(ballots) != ROUNDS and not agreeing_pair:
             raise BallotCountMismatch(

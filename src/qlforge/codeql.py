@@ -134,9 +134,6 @@ def parse_compile_diagnostics(stderr: str) -> tuple[Diagnostic, ...]:
 class CodeQLBackend:
     """Extraction backend that builds a database and runs the bundled query."""
 
-    name = "codeql"
-    version = "cli"
-
     def __init__(self, binary: str | None = None, timeout_s: float | None = None):
         self.binary = resolve_binary(binary)
         self.timeout_s = timeout_s
@@ -236,8 +233,6 @@ def _source_lines(path: Path) -> list[str]:
 
 class CodeQLCompiler:
     """Compiles and executes generated rules through the codeql CLI."""
-
-    name = "codeql"
 
     def __init__(self, binary: str | None = None, timeout_s: float | None = None):
         self.binary = resolve_binary(binary)

@@ -13,9 +13,9 @@ import logging
 import os
 import re
 import stat
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Protocol
 
 from .artifacts import JsonDataclass
 from .errors import ConfigError
@@ -112,16 +112,12 @@ def _infer_arg_type(arg: str, var_types: dict[str, str]) -> str:
     return "unknown"
 
 
-@runtime_checkable
 class AnalyzerBackend(Protocol):
     """Contract every extraction backend satisfies.
 
     ``enumerate_calls`` returns every API invocation found under the project
     root as raw (possibly duplicated) records, in a deterministic order.
     """
-
-    name: str
-    version: str
 
     def enumerate_calls(self, project_root: Path) -> list[ApiRecord]: ...
 
@@ -136,9 +132,6 @@ class FixtureBackend:
     (with a ``java.lang`` builtin table). Anything unresolvable is recorded
     as ``"unknown"`` rather than guessed.
     """
-
-    name = "fixture"
-    version = "1"
 
     def enumerate_calls(self, project_root: Path) -> list[ApiRecord]:
         root = os.fspath(project_root)
@@ -311,15 +304,13 @@ def _compile_patterns(key: str, patterns: tuple[str, ...]) -> list[re.Pattern]:
 class FilterConfig(JsonDataclass):
     """Deny/allow method-name patterns for the risk filter.
 
-    The patterns are compiled when the config is built, so a bad one is a
-    :class:`ConfigError` naming its key before any stage runs.
+    The patterns are compiled into ``compiled`` (deny, allow) when the
+    config is built, so a bad one is a :class:`ConfigError` naming its key
+    before any stage runs.
     """
 
     deny: tuple[str, ...] = DEFAULT_DENY_PATTERNS
     allow: tuple[str, ...] = DEFAULT_ALLOW_PATTERNS
-    compiled: tuple[list[re.Pattern], list[re.Pattern]] = field(
-        init=False, repr=False, compare=False
-    )
 
     def __post_init__(self):
         self.compiled = (

@@ -18,12 +18,13 @@ import http.client
 import json
 import logging
 import os
+import re
 import ssl
 import threading
 import time
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Protocol, TypeVar
 from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
@@ -49,6 +50,8 @@ ENV_API_KEY = "QLFORGE_LLM_KEY"
 RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_S = 1.0
 _RETRYABLE_STATUS = frozenset({429, 502, 503, 504})
+# The only characters of a str that UTF-8 cannot encode.
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 T = TypeVar("T")
 
@@ -298,7 +301,6 @@ class LiveLlmClient:
         if not api_key:
             raise AuthFailure(f"no API key: set {ENV_API_KEY}")
         url = parse_endpoint(endpoint)
-        self.endpoint = endpoint
         self.api_key = api_key
         self.timeout_s = timeout_s
         self._tls = ssl.create_default_context() if url.scheme == "https" else None
@@ -436,8 +438,8 @@ class TranscriptStore:
             entry = {
                 "seq": self._seq,
                 "stage": request.stage,
-                "request": request.to_dict(),
-                "response": response.to_dict(),
+                "request": asdict(request),
+                "response": asdict(response),
                 "ts": time.time(),
             }
             if self.path is None:
@@ -516,8 +518,7 @@ class LlmGateway:
 
     def complete(self, request: LlmRequest) -> tuple[LlmResponse, int]:
         """Send a request; returns (response, transcript sequence id)."""
-        response = self._complete_raw(request)
-        return response, self._record(request, response)
+        return self._record(request, self._complete_raw(request))
 
     def complete_batch(self, requests: list[LlmRequest]) -> list[tuple[LlmResponse, int]]:
         """Send many requests, ``workers`` at a time, but log them in request order.
@@ -535,14 +536,28 @@ class LlmGateway:
             reserve(requests)
         with ThreadPoolExecutor(max_workers=max(1, self.workers)) as pool:
             responses = list(pool.map(self._complete_raw, requests))
-        return [
-            (response, self._record(request, response))
-            for request, response in zip(requests, responses)
-        ]
+        return [self._record(request, response) for request, response in zip(requests, responses)]
 
-    def _record(self, request: LlmRequest, response: LlmResponse) -> int:
-        """Log the call to the transcript; warn when the reply hit ``max_tokens``."""
+    def _record(self, request: LlmRequest, response: LlmResponse) -> tuple[LlmResponse, int]:
+        """Log the call to the transcript; returns the response as logged and its seq.
+
+        An answer holding a lone surrogate (say, from a ``\\ud800`` JSON
+        escape), which UTF-8 cannot encode, is logged and returned with each
+        one replaced by U+FFFD, with a warning. A warning also marks a reply
+        that hit ``max_tokens``.
+        """
+        text, replaced = _SURROGATE.subn("\ufffd", response.text)
+        if replaced:
+            response = replace(response, text=text)
         seq = self.transcripts.append(request, response)
+        if replaced:
+            logger.warning(
+                "%s response (transcript seq %d) held %d lone surrogate(s), "
+                "replaced with U+FFFD",
+                request.stage,
+                seq,
+                replaced,
+            )
         if response.finish_reason == "length":
             logger.warning(
                 "%s response (transcript seq %d) stopped at max_tokens=%d; its text is cut short",
@@ -550,7 +565,7 @@ class LlmGateway:
                 seq,
                 request.max_tokens,
             )
-        return seq
+        return response, seq
 
     def _complete_raw(self, request: LlmRequest) -> LlmResponse:
         last: _RetryableTransport | None = None

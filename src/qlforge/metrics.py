@@ -47,17 +47,12 @@ class ManifestEntry(JsonDataclass):
     vuln_class: str = ""
 
 
-@dataclass(frozen=True)
-class KnownVulnManifest:
-    entries: tuple[ManifestEntry, ...]
-
-
 MANIFEST = Document(1, "vulns", ManifestEntry)
 
 
-def load_manifest(path: str | Path) -> KnownVulnManifest:
+def load_manifest(path: str | Path) -> list[ManifestEntry]:
     with config_input():
-        return KnownVulnManifest(entries=tuple(MANIFEST.load(path)))
+        return MANIFEST.load(path)
 
 
 def finding_hits_entry(finding: Finding, entry: ManifestEntry) -> bool:
@@ -86,7 +81,7 @@ class Metrics(JsonDataclass):
 def compute_metrics(
     artifacts: list[RuleArtifact],
     findings: list[Finding],
-    manifest: KnownVulnManifest | None,
+    manifest: list[ManifestEntry] | None,
 ) -> Metrics:
     """Fold rule outcomes and scan findings into the two headline rates.
 
@@ -96,7 +91,7 @@ def compute_metrics(
     total = len(artifacts)
     compiled = sum(1 for a in artifacts if a.status is ArtifactStatus.COMPILED)
     aborted = sum(1 for a in artifacts if a.status is ArtifactStatus.ABORTED)
-    entries = manifest.entries if manifest is not None else ()
+    entries = manifest or []
     detected = []
     missed = []
     for entry in entries:

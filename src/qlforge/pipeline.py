@@ -47,7 +47,7 @@ from .gateway import (
 )
 from .metrics import compute_metrics, load_manifest
 from .pairing import DEFAULT_BUDGET as DEFAULT_PAIRING_BUDGET, PAIRS, pair_all
-from .records import SPECS, record_lookup, save_spec_document
+from .records import SPECS, encodable_only, record_lookup, save_spec_document
 from .report import PipelineReport, StageSummary, dump_report
 from .rulegen import FINDINGS, MockCompiler, generate_all, load_rule_artifacts, scan
 
@@ -241,7 +241,7 @@ class PipelineConfig:
 def _layout() -> tuple[set[str], dict[str, set[str]]]:
     """The config's top-level keys, and each table's keys by table name."""
     keys = [f.metadata[CONFIG_KEY][0] for f in fields(PipelineConfig)]
-    tables = {"filters": {f.name for f in fields(FilterConfig) if f.init}}
+    tables = {"filters": {f.name for f in fields(FilterConfig)}}
     for table, _, name in (key.rpartition(".") for key in keys if "." in key):
         tables.setdefault(table, set()).add(name)
     return {key.partition(".")[0] for key in keys}, tables
@@ -314,7 +314,7 @@ def _run_extract(run: _Run) -> None:
     config = run.config
     raw = extract_apis(config.project, build_backend(config))
     run.raw_count = len(raw)
-    run.records = dedupe(filter_risky(raw, config.filters))
+    run.records = encodable_only(dedupe(filter_risky(raw, config.filters)))
     # The spec document holds only the filtered records; keep the raw
     # call-site count next to it so a resumed run reports the same numbers
     # as an uninterrupted one. It is written first: the spec document marks
@@ -470,7 +470,10 @@ def run_pipeline(
     if stop_after is not None and stop_after not in STAGE_ORDER:
         raise ValueError(f"unknown stage: {stop_after!r}")
     out_dir = config.out_dir
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"out_dir is not a directory: {out_dir}") from None
     end = STAGE_ORDER.index(stop_after) + 1 if stop_after else len(STAGES)
     if resume:
         start = _first_missing_stage(out_dir)
@@ -498,18 +501,22 @@ def run_pipeline(
             temperature=config.temperature,
             workers=config.workers,
         )
-    for stage in STAGES[:first]:
-        stage.load(run)
-        run.seconds[stage.name] = 0.0
-    for stage in STAGES[first:end]:
-        begun = time.monotonic()
-        try:
-            stage.run(run)
-        except NothingToPair as exc:
-            raise NothingToDo(str(exc)) from exc
-        except QlforgeError as exc:
-            raise StageFailure(stage.name, str(exc)) from exc
-        run.seconds[stage.name] = time.monotonic() - begun
+    try:
+        for stage in STAGES[:first]:
+            stage.load(run)
+            run.seconds[stage.name] = 0.0
+        for stage in STAGES[first:end]:
+            begun = time.monotonic()
+            try:
+                stage.run(run)
+            except NothingToPair as exc:
+                raise NothingToDo(str(exc)) from exc
+            except QlforgeError as exc:
+                raise StageFailure(stage.name, str(exc)) from exc
+            run.seconds[stage.name] = time.monotonic() - begun
+    finally:
+        if isinstance(client, LiveLlmClient):
+            client.close()  # its pooled keep-alive connections
     if run.report is not None:
         logger.info("pipeline complete: %s", out_dir / REPORT_FILENAME)
     return run.report

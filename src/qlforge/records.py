@@ -156,11 +156,12 @@ def make_record(
     )
 
 
-def _encodable_only(records: list[ApiRecord]) -> list[ApiRecord]:
+def encodable_only(records: list[ApiRecord]) -> list[ApiRecord]:
     """``records`` less those whose text cannot be encoded as UTF-8.
 
-    A record holding, say, a lone surrogate in its snippet is dropped with a
-    warning rather than poisoning the whole spec document.
+    A record holding, say, a lone surrogate in its snippet (from a
+    ``\\ud800`` escape in an analyzer's output) is dropped with a warning
+    rather than poisoning the spec document, the prompts and the transcript.
     """
     kept = []
     for record in records:
@@ -173,7 +174,7 @@ def _encodable_only(records: list[ApiRecord]) -> list[ApiRecord]:
     return kept
 
 
-SPECS = Document(1, "apis", ApiRecord, _encodable_only)
+SPECS = Document(1, "apis", ApiRecord)
 save_spec_document = SPECS.save  # the name the pipeline calls, so a traced run times it
 
 

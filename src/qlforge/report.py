@@ -9,7 +9,7 @@ it is given them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -43,7 +43,7 @@ class PipelineReport(JsonDataclass):
 
 
 def dump_report(report: PipelineReport) -> str:
-    return dump_json({"version": REPORT_VERSION, **report.to_dict()})
+    return dump_json({"version": REPORT_VERSION, **asdict(report)})
 
 
 def load_report(path: str | Path) -> PipelineReport:

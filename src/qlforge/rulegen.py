@@ -29,7 +29,7 @@ import logging
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from itertools import islice
 from operator import attrgetter
@@ -137,8 +137,6 @@ class RuleArtifact(JsonDataclass):
 class RuleCompiler(Protocol):
     """Compiles rule text and executes compiled rules against a database."""
 
-    name: str
-
     def compile(self, pair_id: str, rule_text: str) -> CompileResult: ...
 
     def execute(self, rules: dict[str, str], database: str) -> dict[str, list[dict]]:
@@ -189,8 +187,6 @@ class MockCompiler:
     limit and times out, whether it would have failed or not, as a real
     compile would.
     """
-
-    name = "mock"
 
     def __init__(
         self, script: dict, source: str | Path = "compiler script", timeout_s: float | None = None
@@ -264,7 +260,7 @@ def _pair_info(pair: SourceSinkPair, records_by_id: dict[str, ApiRecord]) -> str
     ids = (pair.source_id, pair.sink_id)
     source, sink = records_for(ids, records_by_id, f"pair {pair.pair_id}")
     return (
-        f"pair: {json.dumps(pair.to_dict(), ensure_ascii=False)}\n"
+        f"pair: {json.dumps(asdict(pair), ensure_ascii=False)}\n"
         f"source record: {source.prompt_text}\n"
         f"sink record: {sink.prompt_text}\n"
     )
@@ -419,7 +415,7 @@ def save_rule_artifact(artifact: RuleArtifact, rules_dir: str | Path) -> Path:
     pair_dir = Path(rules_dir) / artifact.pair_id
     pair_dir.mkdir(parents=True, exist_ok=True)
     write_text(pair_dir / RULE_FILENAME, artifact.rule_text)
-    status = artifact.to_dict()
+    status = asdict(artifact)
     del status["rule_text"]  # rule.ql holds it
     write_json(pair_dir / STATUS_FILENAME, status)
     return pair_dir
@@ -432,7 +428,7 @@ def write_rule_index(artifacts: list[RuleArtifact], rules_dir: str | Path) -> No
         "compiled": sum(1 for a in ordered if a.status is ArtifactStatus.COMPILED),
         "aborted": sum(1 for a in ordered if a.status is ArtifactStatus.ABORTED),
         # A row is the artifact's first four keys: pair_id, vuln_class, status, attempts.
-        "rules": [dict(islice(a.to_dict().items(), 4)) for a in ordered],
+        "rules": [dict(islice(asdict(a).items(), 4)) for a in ordered],
     }
     Path(rules_dir).mkdir(parents=True, exist_ok=True)
     write_json(Path(rules_dir) / INDEX_FILENAME, doc)

@@ -17,13 +17,7 @@ from qlforge.classify import VOTES, Ballot, TaintLabel, VoteRecord, plan_groups,
 from qlforge.cli import main
 from qlforge.codeql import CodeQLCompiler, resolve_binary
 from qlforge.gateway import LlmGateway
-from qlforge.metrics import (
-    KnownVulnManifest,
-    ManifestEntry,
-    compute_metrics,
-    format_rate,
-    load_manifest,
-)
+from qlforge.metrics import ManifestEntry, compute_metrics, format_rate, load_manifest
 from qlforge.pairing import PAIRS, SourceSinkPair, make_pair_id
 from qlforge.pipeline import run_pipeline
 from qlforge.prompts import load_template
@@ -82,15 +76,14 @@ def test_criterion_1_metric_reproduction():
         got = format_rate(metrics.correctness_rate)
         if got != published:
             mismatches.append(f"{compiled}/{total} -> {got} (published {published})")
-    entries = tuple(
+    manifest = [
         ManifestEntry(id=f"v{i:02d}", file=f"F{i:02d}.java", start_line=i + 1, end_line=i + 1)
         for i in range(62)
-    )
-    manifest = KnownVulnManifest(entries=entries)
+    ]
     for detected, total, published in detection_cases:
         findings = [
             Finding("p__s", "xss", e.file, e.start_line, e.end_line)
-            for e in entries[:detected]
+            for e in manifest[:detected]
         ]
         metrics = compute_metrics(_artifacts(1, 1), findings, manifest)
         got = format_rate(metrics.detection_rate)
@@ -220,7 +213,7 @@ def test_criterion_5_end_to_end_mock_run(tmp_path):
     if not failures:
         manifest = load_manifest(FIXTURES / "manifest.json")
         expected_locations = {
-            (e.file, e.start_line, e.end_line) for e in manifest.entries
+            (e.file, e.start_line, e.end_line) for e in manifest
         }
         doc = json.loads((tmp_path / "first" / "findings.json").read_text())
         found_locations = {

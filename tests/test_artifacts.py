@@ -96,7 +96,7 @@ def test_report_status_and_manifest_loaders_reject_a_wrong_typed_field(tmp_path)
         load_report(path)
 
     artifact = RuleArtifact("p", "xss", ArtifactStatus.COMPILED, 2, "select 1")
-    status = {**artifact.to_dict(), "attempts": "2"}
+    status = {**dataclasses.asdict(artifact), "attempts": "2"}
     path = _rule_store(tmp_path, status)
     with pytest.raises(ArtifactCorrupt, match=f"{path}: malformed 'status' entry"):
         load_rule_artifacts(tmp_path / "rules")
@@ -212,7 +212,7 @@ def test_document_round_trip(tmp_path, key):
     assert document.load(path) == written
     text = path.read_text(encoding="utf-8")
     assert text == document.dump(entries)
-    assert text == dump_json({"version": 1, key: [entry.to_dict() for entry in written]})
+    assert text == dump_json({"version": 1, key: [dataclasses.asdict(entry) for entry in written]})
 
 
 def test_read_text_names_a_missing_or_undecodable_file(tmp_path):
@@ -396,12 +396,11 @@ def _values(kind, leaves=_LEAVES):
 
 def _instances(cls, leaves=_LEAVES):
     hints = get_type_hints(cls)
-    fields = [f for f in dataclasses.fields(cls) if f.init]
     return st.builds(cls, **{
         f.name: _RESTRICTED[cls, f.name]
         if (cls, f.name) in _RESTRICTED
         else _values(hints[f.name], leaves)
-        for f in fields
+        for f in dataclasses.fields(cls)
     })
 
 
@@ -422,7 +421,7 @@ _RESTRICTED = {
 @given(data=st.data())
 def test_codec_round_trips_every_class_through_json(cls, data):
     value = data.draw(_instances(cls))
-    assert cls.from_dict(json.loads(json.dumps(value.to_dict()))) == value
+    assert cls.from_dict(json.loads(json.dumps(dataclasses.asdict(value)))) == value
 
 
 # Text JSON must escape or may pass through: quotes, backslashes, control
@@ -444,7 +443,7 @@ _AWKWARD_LEAVES = {
 @given(data=st.data())
 def test_a_document_is_written_as_json_dumps_writes_its_dicts(cls, data):
     entries = data.draw(st.lists(_instances(cls, _AWKWARD_LEAVES), max_size=3))
-    expected = {"version": 3, "entries": [entry.to_dict() for entry in entries]}
+    expected = {"version": 3, "entries": [dataclasses.asdict(entry) for entry in entries]}
     assert Document(3, "entries", cls).dump(entries) == dump_json(expected)
 
 
@@ -500,13 +499,13 @@ def _write_for_loader(base, cls, entry: dict):
 def test_a_field_of_another_json_kind_is_corrupt_through_the_loader(tmp_path_factory, cls, data):
     hints = get_type_hints(cls)
     # rule.ql, not status.json, holds a rule's text.
-    names = [f.name for f in dataclasses.fields(cls) if f.init and f.name != "rule_text"]
+    names = [f.name for f in dataclasses.fields(cls) if f.name != "rule_text"]
     name = data.draw(st.sampled_from(names))
     kinds = sorted(set(_JSON_OF_KIND) - _json_kinds(hints[name]), key=lambda kind: kind.__name__)
     wrong = data.draw(st.sampled_from(kinds).flatmap(_JSON_OF_KIND.get))
     base = tmp_path_factory.getbasetemp() / cls.__name__
     base.mkdir(exist_ok=True)
-    entry = {**data.draw(_instances(cls)).to_dict(), name: wrong}
+    entry = {**dataclasses.asdict(data.draw(_instances(cls))), name: wrong}
     load, path = _write_for_loader(base, cls, entry)
     with pytest.raises(ConfigError if cls is ManifestEntry else ArtifactCorrupt) as err:
         load()

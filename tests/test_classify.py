@@ -3,7 +3,7 @@ import itertools
 import json
 import random
 from collections import Counter
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -318,7 +318,7 @@ def test_parse_plain_lines():
     )
     assert [b.label for b in ballots] == [TaintLabel.SOURCE, TaintLabel.SINK]
     assert all(not b.parse_warning for b in ballots)
-    assert all(b.round_index == 1 and b.group_id == "r1g0" for b in ballots)
+    assert all(b.round == 1 and b.group_id == "r1g0" for b in ballots)
 
 
 def test_parse_tolerates_decoration_and_case():
@@ -407,7 +407,7 @@ def test_tally_sorts_by_api_id_and_round():
     shuffled = list(reversed(_ballots([TaintLabel.SINK] * 3)))
     votes = tally_votes({"b": _ballots([TaintLabel.SOURCE] * 3), "a": shuffled})
     assert [v.api_id for v in votes] == ["a", "b"]
-    assert [b.round_index for b in votes[0].ballots] == [0, 1, 2]
+    assert [b.round for b in votes[0].ballots] == [0, 1, 2]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -512,7 +512,7 @@ def test_vote_record_dict_shape():
         TaintLabel.SOURCE,
         tie=False,
     )
-    data = vote.to_dict()
+    data = json.loads(json.dumps(asdict(vote)))
     assert set(data) == {"api_id", "ballots", "resolved", "tie"}
     assert set(data["ballots"][0]) == {"round", "group_id", "label", "response_ref", "parse_warning"}
     assert VoteRecord.from_dict(data) == vote
@@ -543,7 +543,7 @@ def test_parse_gives_one_ballot_per_member_for_any_text(text):
     except WhollyMalformed:
         return
     assert len(ballots) == len(GROUP.member_ids)
-    assert all(b.round_index == GROUP.round_index and b.group_id == GROUP.group_id for b in ballots)
+    assert all(b.round == GROUP.round_index and b.group_id == GROUP.group_id for b in ballots)
     assert all(isinstance(b.label, TaintLabel) for b in ballots)
 
 

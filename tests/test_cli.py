@@ -376,6 +376,18 @@ def test_run_with_a_mistyped_codeql_path_keeps_the_previous_run(runner, tmp_path
     assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
 
 
+@pytest.mark.parametrize("inside", [False, True])
+def test_run_with_an_out_dir_that_names_a_file_is_config_error(runner, tmp_path, inside):
+    taken = tmp_path / "taken"
+    taken.write_text("keep me")
+    out_dir = taken / "run" if inside else taken
+    config = _write_config(tmp_path)
+    result = runner.invoke(main, ["run", "--config", str(config), "--set", f"out_dir={out_dir}"])
+    assert result.exit_code == EXIT_CONFIG
+    assert f"config error: out_dir is not a directory: {out_dir}" in result.output
+    assert taken.read_text() == "keep me"
+
+
 def test_run_with_a_malformed_endpoint_exits_before_any_stage(runner, tmp_path, monkeypatch):
     monkeypatch.setenv("QLFORGE_LLM_KEY", "k")
     config = _write_config(tmp_path, llm={"mode": "live", "endpoint": "localhost:9/v1"})

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -6,6 +7,7 @@ import string
 import subprocess
 import sys
 import threading
+import warnings
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -15,7 +17,14 @@ from hypothesis import strategies as st
 
 import qlforge
 
-from qlforge.errors import AuthFailure, ConfigError, ProviderError, RateLimited, WhollyMalformed
+from qlforge.errors import (
+    AuthFailure,
+    ConfigError,
+    ProviderError,
+    RateLimited,
+    StageFailure,
+    WhollyMalformed,
+)
 from qlforge.gateway import (
     LlmGateway,
     LlmRequest,
@@ -28,6 +37,7 @@ from qlforge.gateway import (
     simple_request,
     stage_temperature,
 )
+from qlforge.pipeline import run_pipeline
 from tests.conftest import scripted_client
 
 
@@ -487,6 +497,24 @@ def test_live_client_read_timeout_is_provider_error_after_retries(provider):
     client.close()
 
 
+@pytest.mark.parametrize("status", [200, 400], ids=["ok", "failed"])
+def test_a_live_run_closes_its_connections(provider, run_config, monkeypatch, status):
+    monkeypatch.setenv("QLFORGE_LLM_KEY", "k")
+    provider.default = (status, _completion("hello") if status == 200 else b"refused", {})
+    config = run_config(llm={"mode": "live", "endpoint": provider.url}, workers=4)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        try:
+            run_pipeline(config, stop_after="classify")
+        except StageFailure:
+            assert status == 400
+        else:
+            assert status == 200
+        gc.collect()
+    assert provider.requests
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
+
+
 @pytest.fixture
 def two_providers(provider):
     second = _LoopbackProvider()
@@ -585,6 +613,20 @@ def test_file_backed_transcript_keeps_no_entries(tmp_path):
     gateway.complete_batch([simple_request("classify", "m", f"p{i}") for i in range(3)])
     assert store.entries == []
     assert len((tmp_path / "t.jsonl").read_text().splitlines()) == 3
+
+
+def test_an_answer_with_a_lone_surrogate_is_logged_with_a_replacement(tmp_path, caplog):
+    path = tmp_path / "t.jsonl"
+    gateway = LlmGateway(
+        MockLlmClient(MockScript([], "a1: Source \ud800")), transcripts=TranscriptStore(path)
+    )
+    with caplog.at_level("WARNING"):
+        assert gateway.ask("classify", "p") == "a1: Source \ufffd"
+    assert caplog.messages == [
+        "classify response (transcript seq 1) held 1 lone surrogate(s), replaced with U+FFFD"
+    ]
+    (line,) = path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(line)["response"]["text"] == "a1: Source \ufffd"
 
 
 def test_importing_the_pipeline_leaves_requests_unloaded():

@@ -1,10 +1,10 @@
 import json
+from dataclasses import asdict
 
 import pytest
 
 from qlforge.errors import ConfigError
 from qlforge.metrics import (
-    KnownVulnManifest,
     ManifestEntry,
     Metrics,
     compute_metrics,
@@ -87,13 +87,11 @@ def _artifacts(compiled, aborted=0):
 
 
 def test_compute_metrics_counts_and_rates():
-    manifest = KnownVulnManifest(
-        entries=(
-            _entry("v1", "A.java", 10, 12),
-            _entry("v2", "B.java", 5, 5),
-            _entry("v3", "C.java", 1, 2),
-        )
-    )
+    manifest = [
+        _entry("v1", "A.java", 10, 12),
+        _entry("v2", "B.java", 5, 5),
+        _entry("v3", "C.java", 1, 2),
+    ]
     findings = [_finding("A.java", 11, 11), _finding("B.java", 5, 5)]
     metrics = compute_metrics(_artifacts(3, aborted=1), findings, manifest)
     assert metrics.total_pairs == 4
@@ -137,12 +135,8 @@ def test_compute_metrics_empty_everything():
 
 
 def test_metrics_round_trip():
-    metrics = compute_metrics(
-        _artifacts(2, aborted=2),
-        [_finding()],
-        KnownVulnManifest(entries=(_entry(),)),
-    )
-    assert Metrics.from_dict(metrics.to_dict()) == metrics
+    metrics = compute_metrics(_artifacts(2, aborted=2), [_finding()], [_entry()])
+    assert Metrics.from_dict(json.loads(json.dumps(asdict(metrics)))) == metrics
 
 
 def test_manifest_loading(tmp_path):
@@ -155,7 +149,7 @@ def test_manifest_loading(tmp_path):
     path = tmp_path / "manifest.json"
     path.write_text(json.dumps(doc))
     manifest = load_manifest(path)
-    assert manifest.entries[0] == ManifestEntry("v1", "A.java", 3, 4, "xss")
+    assert manifest == [ManifestEntry("v1", "A.java", 3, 4, "xss")]
 
 
 def test_manifest_version_guard(tmp_path):

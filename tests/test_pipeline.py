@@ -22,7 +22,7 @@ from qlforge.pipeline import (
     build_llm_client,
     run_pipeline,
 )
-from qlforge.records import record_lookup
+from qlforge.records import SourceLocation, make_record, record_lookup
 from qlforge.report import load_report
 from qlforge.rulegen import MockCompiler
 from tests.conftest import FIXTURES, assert_same_run
@@ -287,6 +287,27 @@ def test_full_run_counts_and_metrics(run_config):
     assert report.warnings == ()
     assert [s.name for s in report.stages] == list(STAGE_ORDER)
     assert all(s.status == "ok" for s in report.stages)
+
+
+def test_a_record_the_spec_document_cannot_hold_leaves_the_run(run_config, monkeypatch, caplog):
+    # An analyzer can report a lone surrogate (a "\\ud800" escape in its output).
+    odd = make_record(
+        "com.example.odd", "Env", "getenv", [("name", "String")], "String",
+        snippet='String v = System.getenv("\ud800");', first_seen=SourceLocation("Odd.java", 3),
+    )
+
+    class Backend(FixtureBackend):
+        def enumerate_calls(self, project_root):
+            return [*super().enumerate_calls(project_root), odd]
+
+    monkeypatch.setattr(pipeline, "build_backend", lambda config: Backend())
+    config = run_config()
+    with caplog.at_level("WARNING"):
+        report = run_pipeline(config)
+    specs = json.loads((config.out_dir / "specs.json").read_text(encoding="utf-8"))
+    assert report.counts["apis_kept"] == len(specs["apis"]) == EXPECTED_COUNTS["apis_kept"]
+    assert report.counts["apis_extracted"] == EXPECTED_COUNTS["apis_extracted"] + 1
+    assert f"dropping record {odd.id}: snippet not encodable as UTF-8" in caplog.messages
 
 
 # Model calls and estimated prompt tokens per stage on the fixture, summed over
@@ -782,4 +803,4 @@ def test_empty_project_raises_nothing_to_do(run_config, tmp_path):
 def test_build_compiler_mock(run_config):
     config = run_config()
     compiler = build_compiler(config)
-    assert compiler.name == "mock"
+    assert isinstance(compiler, MockCompiler)

@@ -12,6 +12,7 @@ from qlforge.records import (
     SourceLocation,
     SPECS,
     clamp_snippet,
+    encodable_only,
     make_record,
     record_lookup,
     signature_hash,
@@ -87,7 +88,7 @@ def test_spec_document_field_names():
     assert entry["first_seen"] == {"file": "src/A.java", "line": 15}
 
 
-def test_dump_drops_unencodable_record_with_warning(caplog):
+def test_encodable_only_drops_unencodable_record_with_warning(caplog):
     good = make_record("p", "T", "m", [], "void")
     bad = ApiRecord(
         id="deadbeefdeadbeef", package="p", type_name="T", method="broken",
@@ -95,10 +96,8 @@ def test_dump_drops_unencodable_record_with_warning(caplog):
         snippet="lone surrogate: \udcff", first_seen=SourceLocation("x.java", 1),
     )
     with caplog.at_level("WARNING"):
-        text = SPECS.dump([good, bad])
-    parsed = SPECS.parse(text)
-    assert parsed == [good]
-    assert any("deadbeefdeadbeef" in message for message in caplog.messages)
+        assert encodable_only([good, bad]) == [good]
+    assert caplog.messages == ["dropping record deadbeefdeadbeef: snippet not encodable as UTF-8"]
 
 
 _TEXT = st.text(max_size=20)
