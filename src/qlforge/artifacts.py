@@ -24,12 +24,13 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import threading
 import types
 from contextlib import contextmanager
-from dataclasses import MISSING, fields, is_dataclass
+from dataclasses import MISSING, asdict, fields, is_dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, partial
 from json.encoder import encode_basestring
 from operator import attrgetter
 from pathlib import Path
@@ -40,6 +41,9 @@ from .errors import ArtifactCorrupt, ConfigError, UnwritableOutput
 logger = logging.getLogger(__name__)
 
 T = TypeVar("T")
+
+# The only characters of a str that UTF-8 cannot encode.
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 
 def dump_json(doc) -> str:
@@ -102,6 +106,21 @@ def parse_json_object(text: str, source: str | Path) -> dict:
 
 def read_json(path: str | Path) -> dict:
     return parse_json_object(read_text(path), path)
+
+
+def without_surrogates(value):
+    """``value``, a JSON value, with each lone surrogate in its strings and keys replaced by U+FFFD.
+
+    A ``\\ud800`` escape in outside JSON parses to a str that UTF-8 cannot
+    encode, so no artifact or transcript holding it could be written.
+    """
+    if isinstance(value, str):
+        return _SURROGATE.sub("\ufffd", value)
+    if isinstance(value, list):
+        return [without_surrogates(item) for item in value]
+    if isinstance(value, dict):
+        return {without_surrogates(key): without_surrogates(item) for key, item in value.items()}
+    return value
 
 
 def check_version(doc: dict, source: str | Path, version: int) -> None:
@@ -172,9 +191,9 @@ class JsonDataclass:
     A run writes an instance as ``dataclasses.asdict`` gives it: one key per
     field, in field order (``json`` writes a str-valued ``Enum`` as its value
     and a tuple as a list). ``from_dict`` reverses that: a missing key takes
-    the field's default (a ``KeyError`` if it has none), an unknown key is
-    ignored, and a value of the wrong type is a ``TypeError``, which
-    :func:`shape_checked` reports as :class:`ArtifactCorrupt`.
+    the field's default, an unknown key is ignored, and a missing key with
+    no default or a value of the wrong type is a ``TypeError`` naming the
+    field, which :func:`shape_checked` reports as :class:`ArtifactCorrupt`.
     """
 
     __slots__ = ()
@@ -201,7 +220,7 @@ def _decoder(cls: type) -> Callable[[object], object]:
             if name in data:
                 kwargs[name] = dec(data[name])
             elif required:
-                raise KeyError(name)
+                raise TypeError(f"{name} is missing")
         return cls(**kwargs)
 
     return decode
@@ -232,11 +251,19 @@ def _decode(kind, name: str) -> Callable:
         return lambda value: None if value is None else dec(value)
     if kind is dict:
         return lambda value: dict(typed(value, dict, name))
-    if origin is dict and args == (str, int):
-        return lambda value: {
-            typed(k, str, f"{name} key"): typed(v, int, f"{name} value")
-            for k, v in typed(value, dict, name).items()
-        }
+    if origin is dict and args[0] is str:
+        dec = _decode(args[1], f"{name} value")
+
+        def decode_dict(value) -> dict:
+            decoded = {}
+            for key, item in typed(value, dict, name).items():
+                try:
+                    decoded[typed(key, str, f"{name} key")] = dec(item)
+                except (KeyError, TypeError, ValueError) as exc:
+                    raise TypeError(f"{name}[{key!r}]: {exc}") from None
+            return decoded
+
+        return decode_dict
     raise TypeError(f"no JSON decoder for field {name!r} of type {kind!r}")
 
 
@@ -308,7 +335,9 @@ def _speller(kind, depth: int) -> Callable[[object], str]:
         sep, close = "," + pad, "\n" + "  " * depth + "]"
         return lambda items: "[" + pad + sep.join(map(item, items)) + close if items else "[]"
     indent = "\n" + "  " * depth
-    return lambda value: json.dumps(value, indent=2, ensure_ascii=False).replace("\n", indent)
+    # ``default=asdict`` writes the dataclass values of a ``dict[str, X]`` field.
+    dumps = partial(json.dumps, indent=2, ensure_ascii=False, default=asdict)
+    return lambda value: dumps(value).replace("\n", indent)
 
 
 def _template(cls: type, depth: int, prefix: str, slots: list) -> str:

@@ -5,10 +5,14 @@ order: explicit path, then the QLFORGE_CODEQL environment variable, then
 PATH lookup. A missing binary raises BackendUnavailable (extraction) or
 CompilerUnavailable (compilation and scanning) instead of a raw OSError.
 Extraction and scanning raise the same errors when a ``codeql`` call runs
-past its timeout; compilation reports that as a Timeout result. A
-``database analyze`` that runs and fails, or writes SARIF that cannot be
-read, raises ExecutionFailed instead, so callers can tell a broken
-environment from a broken rule.
+past its timeout; compilation reports that as a failed compile whose one
+diagnostic says the limit was exceeded. A compile returns its diagnostics:
+none when the rule compiled, else those parsed from stderr, or stderr
+itself, or the exit code. A ``database analyze`` that runs and fails, or
+writes SARIF that cannot be read, raises ExecutionFailed instead, so callers
+can tell a broken environment from a broken rule. ``codeql``'s output is
+decoded as UTF-8, an invalid byte becoming U+FFFD, and each lone surrogate
+in its SARIF becomes U+FFFD too.
 
 Scanning runs every compiled rule in one ``codeql database analyze`` call,
 so the CLI starts once per scan rather than once per rule. Each rule is
@@ -31,8 +35,9 @@ import tempfile
 from pathlib import Path
 
 from .errors import BackendUnavailable, CompilerUnavailable, ExecutionFailed
+from .artifacts import without_surrogates
 from .records import ApiRecord, SourceLocation, make_record, snippet_at
-from .rulegen import CompileResult, CompileStatus, Diagnostic
+from .rulegen import Diagnostic
 
 logger = logging.getLogger(__name__)
 
@@ -85,7 +90,8 @@ def _run(cmd: list[str], timeout_s: float | None, unavailable_exc) -> subprocess
         return subprocess.run(
             cmd,
             capture_output=True,
-            text=True,
+            encoding="utf-8",
+            errors="replace",
             timeout=timeout_s if timeout_s is not None else DEFAULT_TIMEOUT_S,
         )
     except FileNotFoundError as exc:
@@ -249,7 +255,7 @@ class CodeQLCompiler:
             paths.append(path)
         return paths
 
-    def compile(self, pair_id: str, rule_text: str) -> CompileResult:
+    def compile(self, pair_id: str, rule_text: str) -> tuple[Diagnostic, ...]:
         binary = _require_binary(self.binary, CompilerUnavailable)
         with tempfile.TemporaryDirectory(prefix="qlforge-compile-") as tmp:
             (rule,) = self._workspace(Path(tmp), {"rule": rule_text})
@@ -260,17 +266,11 @@ class CodeQLCompiler:
                     CompilerUnavailable,
                 )
             except subprocess.TimeoutExpired:
-                return CompileResult(
-                    CompileStatus.TIMEOUT,
-                    (Diagnostic(message=f"codeql query compile exceeded {self.timeout_s}s"),),
-                )
+                return (Diagnostic(message=f"codeql query compile exceeded {self.timeout_s}s"),)
         if proc.returncode == 0:
-            return CompileResult(CompileStatus.OK)
-        diagnostics = parse_compile_diagnostics(proc.stderr)
-        if not diagnostics:
-            message = proc.stderr.strip() or f"codeql exited {proc.returncode}"
-            diagnostics = (Diagnostic(message=message[:2000]),)
-        return CompileResult(CompileStatus.ERROR, diagnostics)
+            return ()
+        message = proc.stderr.strip() or f"codeql exited {proc.returncode}"
+        return parse_compile_diagnostics(proc.stderr) or (Diagnostic(message=message[:2000]),)
 
     def execute(self, rules: dict[str, str], database: str) -> dict[str, list[dict]]:
         """Run every rule (pair id -> rule text) in one ``database analyze``.
@@ -314,7 +314,7 @@ class CodeQLCompiler:
                     f"codeql database analyze failed: {proc.stderr.strip()[:500]}"
                 )
             try:
-                sarif = json.loads(sarif_path.read_text(encoding="utf-8"))
+                sarif = without_surrogates(json.loads(sarif_path.read_text(encoding="utf-8")))
             except (OSError, ValueError, RecursionError) as exc:
                 raise ExecutionFailed(
                     f"codeql database analyze wrote no readable SARIF: {exc}"

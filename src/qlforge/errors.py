@@ -41,10 +41,6 @@ class NothingToPair(QlforgeError):
     """Pairing was requested with zero sources or zero sinks."""
 
 
-class EmptyDraft(QlforgeError):
-    """The writer model returned empty output for a rule draft."""
-
-
 class CompilerUnavailable(QlforgeError):
     """The requested rule compiler cannot run: its binary is missing or hung."""
 

@@ -18,7 +18,6 @@ import http.client
 import json
 import logging
 import os
-import re
 import ssl
 import threading
 import time
@@ -30,7 +29,14 @@ from typing import Callable, Protocol, TypeVar
 from urllib.parse import SplitResult, unquote, urlsplit, urlunsplit
 
 from . import __version__
-from .artifacts import JsonDataclass, config_input, last_transcript_seq, read_text
+from .artifacts import (
+    JsonDataclass,
+    config_input,
+    last_transcript_seq,
+    read_text,
+    typed,
+    without_surrogates,
+)
 from .errors import (
     AuthFailure,
     ConfigError,
@@ -50,8 +56,6 @@ ENV_API_KEY = "QLFORGE_LLM_KEY"
 RETRY_ATTEMPTS = 3
 RETRY_BACKOFF_S = 1.0
 _RETRYABLE_STATUS = frozenset({429, 502, 503, 504})
-# The only characters of a str that UTF-8 cannot encode.
-_SURROGATE = re.compile(r"[\ud800-\udfff]")
 
 T = TypeVar("T")
 
@@ -127,17 +131,16 @@ class _RetryableTransport(Exception):
         self.status = status
 
 
-@dataclass
-class MockEntry:
-    stage: str | None
-    contains: str | None
-    response: str
+@dataclass(frozen=True)
+class MockEntry(JsonDataclass):
+    """One line of a mock script: answer ``response`` to requests it matches."""
+
+    stage: str | None = None
+    contains: str | None = None
+    response: str = ""
     once: bool = False
-    used: bool = False
 
     def matches(self, request: LlmRequest) -> bool:
-        if self.once and self.used:
-            return False
         if self.stage is not None and self.stage != request.stage:
             return False
         if self.contains is not None and self.contains not in request.joined_content():
@@ -145,7 +148,6 @@ class MockEntry:
         return True
 
 
-_MOCK_TEXT_KEYS = ("default", "stage", "contains", "response")
 # Stages whose requests are sent one by one from per-pair threads, not in a
 # reserved batch; None is an entry that matches every stage.
 _PER_PAIR_STAGES = ("write", "repair", None)
@@ -162,14 +164,15 @@ class MockScript:
     def __init__(self, entries: list[MockEntry], default_response: str = ""):
         self.entries = entries
         self.default_response = default_response
+        self.used: set[int] = set()  # indexes of the once entries that have answered
         self._lock = threading.Lock()
 
     def respond(self, request: LlmRequest) -> str:
         with self._lock:
-            for entry in self.entries:
-                if entry.matches(request):
+            for index, entry in enumerate(self.entries):
+                if index not in self.used and entry.matches(request):
                     if entry.once:
-                        entry.used = True
+                        self.used.add(index)
                     return entry.response
             return self.default_response
 
@@ -186,21 +189,12 @@ class MockScript:
                 continue
             try:
                 data = json.loads(line)
-                if not isinstance(data, dict) or not all(
-                    isinstance(data.get(key, ""), str) for key in _MOCK_TEXT_KEYS
-                ):
-                    raise ValueError("not an object of strings")
-            except (ValueError, RecursionError) as exc:
+                if isinstance(data, dict) and "default" in data:
+                    default = typed(data["default"], str, "default")
+                    continue
+                entry = MockEntry.from_dict(data)
+            except (ValueError, TypeError, RecursionError) as exc:
                 raise ConfigError(f"{path}:{lineno}: bad mock script line: {exc}") from None
-            if "default" in data:
-                default = data["default"]
-                continue
-            entry = MockEntry(
-                stage=data.get("stage"),
-                contains=data.get("contains"),
-                response=data.get("response", ""),
-                once=bool(data.get("once", False)),
-            )
             if entry.once and entry.contains is None and entry.stage in _PER_PAIR_STAGES:
                 raise ConfigError(
                     f"{path}:{lineno}: a once entry for {entry.stage or 'any'} stage needs "
@@ -542,21 +536,23 @@ class LlmGateway:
         """Log the call to the transcript; returns the response as logged and its seq.
 
         An answer holding a lone surrogate (say, from a ``\\ud800`` JSON
-        escape), which UTF-8 cannot encode, is logged and returned with each
-        one replaced by U+FFFD, with a warning. A warning also marks a reply
-        that hit ``max_tokens``.
+        escape) in its text, ``finish_reason`` or ``usage``, which UTF-8
+        cannot encode, is logged and returned with each one replaced by
+        U+FFFD, with a warning. A warning also marks a reply that hit
+        ``max_tokens``.
         """
-        text, replaced = _SURROGATE.subn("\ufffd", response.text)
+        answer = [response.text, response.finish_reason, response.usage]
+        clean = without_surrogates(answer)
+        replaced = clean != answer
         if replaced:
-            response = replace(response, text=text)
+            text, finish_reason, usage = clean
+            response = replace(response, text=text, finish_reason=finish_reason, usage=usage)
         seq = self.transcripts.append(request, response)
         if replaced:
             logger.warning(
-                "%s response (transcript seq %d) held %d lone surrogate(s), "
-                "replaced with U+FFFD",
+                "%s response (transcript seq %d) held lone surrogates, replaced with U+FFFD",
                 request.stage,
                 seq,
-                replaced,
             )
         if response.finish_reason == "length":
             logger.warning(

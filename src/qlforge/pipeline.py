@@ -298,12 +298,6 @@ class _Run:
     def path(self, name: str) -> Path:
         return self.config.out_dir / name
 
-    def compiler_once(self):
-        """The compiler, built on first use: only generate and scan need one."""
-        if self.compiler is None:
-            self.compiler = build_compiler(self.config)
-        return self.compiler
-
 
 # The steps below call qlforge's functions through this module's globals at
 # call time, so a wrapper installed on the module (as the benchmark's tracer
@@ -355,7 +349,7 @@ def _load_pair(run: _Run) -> None:
 
 def _run_generate(run: _Run) -> None:
     run.rules = generate_all(
-        run.pairs, record_lookup(run.records), run.gateway, run.compiler_once(),
+        run.pairs, record_lookup(run.records), run.gateway, run.compiler,
         run.path(RULES_DIRNAME), run.config.max_iters,
     )
 
@@ -365,7 +359,7 @@ def _load_generate(run: _Run) -> None:
 
 
 def _run_scan(run: _Run) -> None:
-    run.findings = scan(run.rules, run.config.database, run.compiler_once())
+    run.findings = scan(run.rules, run.config.database, run.compiler)
     FINDINGS.save(run.findings, run.path(FINDINGS_FILENAME))
 
 
@@ -420,6 +414,7 @@ class Stage:
     run: Callable[[_Run], None]
     load: Callable[[_Run], None] | None  # None: a run with this artifact is complete
     uses_model: bool = False
+    uses_compiler: bool = False
 
 
 STAGES = (
@@ -427,9 +422,10 @@ STAGES = (
     Stage("classify", VOTES_FILENAME, _run_classify, _load_classify, uses_model=True),
     Stage("pair", PAIRS_FILENAME, _run_pair, _load_pair, uses_model=True),
     Stage(
-        "generate", f"{RULES_DIRNAME}/index.json", _run_generate, _load_generate, uses_model=True
+        "generate", f"{RULES_DIRNAME}/index.json", _run_generate, _load_generate,
+        uses_model=True, uses_compiler=True,
     ),
-    Stage("scan", FINDINGS_FILENAME, _run_scan, _load_scan),
+    Stage("scan", FINDINGS_FILENAME, _run_scan, _load_scan, uses_compiler=True),
     Stage("report", REPORT_FILENAME, _run_report, None),
 )
 STAGE_ORDER = tuple(stage.name for stage in STAGES)
@@ -470,10 +466,6 @@ def run_pipeline(
     if stop_after is not None and stop_after not in STAGE_ORDER:
         raise ValueError(f"unknown stage: {stop_after!r}")
     out_dir = config.out_dir
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except (FileExistsError, NotADirectoryError):
-        raise ConfigError(f"out_dir is not a directory: {out_dir}") from None
     end = STAGE_ORDER.index(stop_after) + 1 if stop_after else len(STAGES)
     if resume:
         start = _first_missing_stage(out_dir)
@@ -485,14 +477,21 @@ def run_pipeline(
     else:
         first = 0
     # Built before the run directory is cleared or any stage runs, so a bad
-    # mock script is a config error that leaves the previous run in place.
+    # mock or compiler script is a config error that leaves the previous run
+    # in place.
     uses_model = any(stage.uses_model for stage in STAGES[first:end])
     client = build_llm_client(config) if uses_model else None
+    uses_compiler = any(stage.uses_compiler for stage in STAGES[first:end])
+    compiler = build_compiler(config) if uses_compiler else None
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"out_dir is not a directory: {out_dir}") from None
     if not resume:
         _clear_run_dir(out_dir)
     logger.info("starting pipeline at stage %r (out_dir=%s)", STAGE_ORDER[first], out_dir)
 
-    run = _Run(config)
+    run = _Run(config, compiler=compiler)
     if client is not None:
         run.gateway = LlmGateway(
             client,

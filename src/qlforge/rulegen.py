@@ -16,6 +16,9 @@ Each pair's own steps stay strictly in order and each pair keeps its own
 transcript, so a pair's prompts and outcome depend on the answers to its own
 calls, not on how the pairs interleave.
 
+A compile's outcome is its diagnostics: none when the rule compiled, at
+least one when it did not (a timed-out compile says the limit was exceeded).
+
 The compiler behind the loop is pluggable. The mock compiler replays a
 scripted outcome per pair (fail the first k compiles, then succeed, then
 return canned findings on execution), which makes the loop's control flow
@@ -44,10 +47,11 @@ from .artifacts import (
     read_json,
     read_text,
     shape_checked,
+    without_surrogates,
     write_json,
     write_text,
 )
-from .errors import CompilerUnavailable, ConfigError, EmptyDraft, ExecutionFailed
+from .errors import CompilerUnavailable, ExecutionFailed
 from .gateway import LlmGateway, TranscriptStore
 from .pairing import SourceSinkPair
 from .prompts import load_template, render_template
@@ -57,6 +61,7 @@ logger = logging.getLogger(__name__)
 
 DEFAULT_MAX_ITERS = 5
 RULE_INDEX_VERSION = 1
+COMPILER_SCRIPT_VERSION = 1
 
 _MAX_DIAGNOSTIC_LINES = 40
 _MAX_DIAGNOSTIC_CHARS = 8192
@@ -65,12 +70,6 @@ RULE_FILENAME = "rule.ql"
 TRANSCRIPT_FILENAME = "transcript.jsonl"
 STATUS_FILENAME = "status.json"
 INDEX_FILENAME = "index.json"
-
-
-class CompileStatus(str, Enum):
-    OK = "Ok"
-    ERROR = "Error"
-    TIMEOUT = "Timeout"
 
 
 class ArtifactStatus(str, Enum):
@@ -103,12 +102,6 @@ class Diagnostic(JsonDataclass):
 
 
 @dataclass(frozen=True)
-class CompileResult:
-    status: CompileStatus
-    diagnostics: tuple[Diagnostic, ...] = field(default_factory=tuple)
-
-
-@dataclass(frozen=True)
 class Finding(JsonDataclass):
     pair_id: str
     vuln_class: str
@@ -137,10 +130,15 @@ class RuleArtifact(JsonDataclass):
 class RuleCompiler(Protocol):
     """Compiles rule text and executes compiled rules against a database."""
 
-    def compile(self, pair_id: str, rule_text: str) -> CompileResult: ...
+    def compile(self, pair_id: str, rule_text: str) -> tuple[Diagnostic, ...]:
+        """Compile the rule; returns no diagnostics if it compiled, at least one if not."""
+        ...
 
     def execute(self, rules: dict[str, str], database: str) -> dict[str, list[dict]]:
         """Run the rules (pair id -> rule text); return each pair's findings.
+
+        A finding is a row of :class:`Finding`'s ``file``, ``start_line``,
+        ``end_line`` and ``message``, with its types.
 
         Raises :class:`ExecutionFailed` when the run fails and
         :class:`CompilerUnavailable` when the compiler cannot run.
@@ -153,54 +151,64 @@ class RuleCompiler(Protocol):
 # ---------------------------------------------------------------------------
 
 
-def _check_compiler_entry(entry, where: str) -> None:
-    """Raise a ConfigError unless ``entry`` is a well-formed compiler script entry."""
-    if not isinstance(entry, dict):
-        raise ConfigError(f"{where} must be an object")
-    for key, kinds, kind_name in (
-        ("fail_count", int, "an integer"),
-        ("delay_s", (int, float), "a number"),
-    ):
-        value = entry.get(key, 0)
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise ConfigError(f"{where}: {key} must be {kind_name}, got {value!r}")
-    for key, required in (("diagnostics", {"message"}), ("findings", {"file", "start_line"})):
-        items = entry.get(key) or []
-        if not isinstance(items, list) or not all(
-            isinstance(item, dict) and required <= item.keys() for item in items
-        ):
-            raise ConfigError(f"{where}: {key} must be a list of objects with {sorted(required)}")
-    try:
-        for item in entry.get("diagnostics") or []:
-            Diagnostic.from_dict(item)
-    except TypeError as exc:
-        raise ConfigError(f"{where}: diagnostics must be well-typed: {exc}") from None
+@dataclass
+class ScriptedFinding(JsonDataclass):
+    file: str
+    start_line: int
+    end_line: int | None = None  # None: the start line
+    message: str = ""
+
+    def __post_init__(self):
+        if self.end_line is None:
+            self.end_line = self.start_line
+
+
+@dataclass(frozen=True)
+class ScriptedOutcome(JsonDataclass):
+    """What the mock compiler does for one pair."""
+
+    fail_count: int = 0
+    delay_s: float = 0.0
+    diagnostics: tuple[Diagnostic, ...] = ()
+    findings: tuple[ScriptedFinding, ...] = ()
+
+    def __post_init__(self):
+        limit = threading.TIMEOUT_MAX  # about the longest sleep time.sleep accepts
+        if not 0 <= self.delay_s <= limit:
+            raise ValueError(f"delay_s must be from 0 to {limit}, not {self.delay_s}")
+
+
+@dataclass(frozen=True)
+class CompilerScript(JsonDataclass):
+    default: ScriptedOutcome = ScriptedOutcome()
+    pairs: dict[str, ScriptedOutcome] = field(default_factory=dict)
+
+
+_SYNTAX_ERROR = (Diagnostic(message="syntax error in rule", line=1),)
 
 
 class MockCompiler:
     """Scripted compiler: per pair, fail the first ``fail_count`` compiles.
 
-    The script is a JSON document with an optional ``default`` entry and a
-    ``pairs`` map keyed by pair id. Each entry may carry ``fail_count``,
-    ``diagnostics``, ``findings`` and ``delay_s``. A compile takes
-    ``delay_s``; one whose ``delay_s`` is above ``timeout_s`` stops at the
-    limit and times out, whether it would have failed or not, as a real
-    compile would.
+    The script is a JSON document (a :class:`CompilerScript`) with an
+    optional ``default`` outcome and a ``pairs`` map of outcomes keyed by
+    pair id. A script of the wrong shape or type is a ConfigError naming
+    ``source``. A compile takes ``delay_s``; one whose ``delay_s`` is above
+    ``timeout_s`` stops at the limit and times out, whether it would have
+    failed or not, as a real compile would. A failing compile with no
+    scripted diagnostics reports a syntax error.
     """
 
     def __init__(
         self, script: dict, source: str | Path = "compiler script", timeout_s: float | None = None
     ):
-        if script.get("version") != 1:
-            raise ConfigError(
-                f"{source}: unsupported compiler script version: {script.get('version')!r}"
-            )
-        self._default = script.get("default", {})
-        self._pairs = script.get("pairs", {})
-        if not isinstance(self._pairs, dict):
-            raise ConfigError(f"{source}: 'pairs' must be an object keyed by pair id")
-        for name, entry in [("default", self._default), *self._pairs.items()]:
-            _check_compiler_entry(entry, f"{source}: entry {name!r}")
+        clean = without_surrogates(script)
+        if clean != script:
+            logger.warning("%s: lone surrogates in the script replaced with U+FFFD", source)
+        with config_input():
+            check_version(clean, source, COMPILER_SCRIPT_VERSION)
+            with shape_checked(source, "compiler script"):
+                self._script = CompilerScript.from_dict(clean)
         self.timeout_s = timeout_s
         self._calls: dict[str, int] = {}
         self._lock = threading.Lock()
@@ -211,29 +219,24 @@ class MockCompiler:
             script = read_json(path)
         return cls(script, path, timeout_s)
 
-    def _entry(self, pair_id: str) -> dict:
-        return self._pairs.get(pair_id, self._default)
+    def _outcome(self, pair_id: str) -> ScriptedOutcome:
+        return self._script.pairs.get(pair_id, self._script.default)
 
-    def compile(self, pair_id: str, rule_text: str) -> CompileResult:
+    def compile(self, pair_id: str, rule_text: str) -> tuple[Diagnostic, ...]:
         with self._lock:
             call_index = self._calls.get(pair_id, 0)
             self._calls[pair_id] = call_index + 1
-        entry = self._entry(pair_id)
-        delay = float(entry.get("delay_s", 0))
-        if self.timeout_s is not None and delay > self.timeout_s:
+        outcome = self._outcome(pair_id)
+        if self.timeout_s is not None and outcome.delay_s > self.timeout_s:
             time.sleep(self.timeout_s)
-            return CompileResult(
-                CompileStatus.TIMEOUT,
-                (Diagnostic(message=f"compilation exceeded {self.timeout_s}s"),),
-            )
-        time.sleep(delay)
-        if call_index < int(entry.get("fail_count", 0)):
-            raw = entry.get("diagnostics") or [{"message": "syntax error in rule", "line": 1}]
-            return CompileResult(CompileStatus.ERROR, tuple(map(Diagnostic.from_dict, raw)))
-        return CompileResult(CompileStatus.OK)
+            return (Diagnostic(message=f"compilation exceeded {self.timeout_s}s"),)
+        time.sleep(outcome.delay_s)
+        if call_index < outcome.fail_count:
+            return outcome.diagnostics or _SYNTAX_ERROR
+        return ()
 
     def execute(self, rules: dict[str, str], database: str) -> dict[str, list[dict]]:
-        return {pid: list(self._entry(pid).get("findings") or []) for pid in rules}
+        return {pid: [asdict(f) for f in self._outcome(pid).findings] for pid in rules}
 
     def compile_calls(self, pair_id: str) -> int:
         with self._lock:
@@ -272,7 +275,7 @@ def write_rule(
     gateway: LlmGateway,
     revision_context: str = "",
 ) -> str:
-    """Ask the writer role for a complete rule file; raises EmptyDraft if blank."""
+    """Ask the writer role for a complete rule file; returns "" for a blank answer."""
     prompt = render_template(
         load_template("write_prompt.txt"),
         {
@@ -282,9 +285,7 @@ def write_rule(
         },
     )
     text = _strip_fences(gateway.ask("write", prompt))
-    if not text:
-        raise EmptyDraft(f"writer returned empty output for pair {pair.pair_id}")
-    return text + "\n"
+    return text + "\n" if text else ""
 
 
 def format_diagnostics(diagnostics: tuple[Diagnostic, ...]) -> str:
@@ -318,13 +319,15 @@ def repair_advice(
     return advice
 
 
-def _revision_context(attempt: int, rule_text: str, result: CompileResult, advice: str) -> str:
+def _revision_context(
+    attempt: int, rule_text: str, diagnostics: tuple[Diagnostic, ...], advice: str
+) -> str:
     return (
-        f"Attempt {attempt} failed to compile ({result.status.value}).\n"
+        f"Attempt {attempt} failed to compile (Error).\n"
         "--- previous rule ---\n"
         f"{rule_text or '(empty)'}\n"
         "--- diagnostics ---\n"
-        f"{format_diagnostics(result.diagnostics)}\n"
+        f"{format_diagnostics(diagnostics)}\n"
         "--- repair advice ---\n"
         f"{advice}\n"
     )
@@ -346,63 +349,39 @@ def generate_rule(
     compile that is not the last attempt triggers one repair call whose
     advice feeds the next attempt. An empty draft counts as a failed
     attempt but skips the repair call, since there is nothing to diagnose.
+    The loop stops at the first clean compile; the artifact keeps the last
+    attempt's diagnostics and is Aborted exactly when there are any.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     revision = ""
-    rule_text = ""
-    last_result = CompileResult(CompileStatus.ERROR)
     for attempt in range(1, max_iters + 1):
-        try:
-            rule_text = write_rule(pair, records_by_id, gateway, revision)
-        except EmptyDraft:
+        rule_text = write_rule(pair, records_by_id, gateway, revision)
+        if not rule_text:
             logger.warning("pair %s attempt %d: empty draft", pair.pair_id, attempt)
-            rule_text = ""
-            last_result = CompileResult(
-                CompileStatus.ERROR,
-                (Diagnostic(message="writer returned empty output"),),
-            )
-            if attempt < max_iters:
-                revision = _revision_context(attempt, rule_text, last_result, _EMPTY_DRAFT_ADVICE)
-            continue
-        try:
-            result = compiler.compile(pair.pair_id, rule_text)
-        except CompilerUnavailable as exc:
-            logger.error("pair %s: compiler unavailable, aborting: %s", pair.pair_id, exc)
-            return RuleArtifact(
-                pair_id=pair.pair_id,
-                vuln_class=pair.vuln_class,
-                status=ArtifactStatus.ABORTED,
-                attempts=attempt,
-                rule_text=rule_text,
-                diagnostics=(Diagnostic(message=f"compiler unavailable: {exc}"),),
-            )
-        last_result = result
-        if result.status is CompileStatus.OK:
-            return RuleArtifact(
-                pair_id=pair.pair_id,
-                vuln_class=pair.vuln_class,
-                status=ArtifactStatus.COMPILED,
-                attempts=attempt,
-                rule_text=rule_text,
-            )
-        logger.info(
-            "pair %s attempt %d/%d failed: %s",
-            pair.pair_id,
-            attempt,
-            max_iters,
-            result.status.value,
-        )
+            diagnostics = (Diagnostic(message="writer returned empty output"),)
+        else:
+            try:
+                diagnostics = compiler.compile(pair.pair_id, rule_text)
+            except CompilerUnavailable as exc:
+                logger.error("pair %s: compiler unavailable, aborting: %s", pair.pair_id, exc)
+                diagnostics = (Diagnostic(message=f"compiler unavailable: {exc}"),)
+                break
+            if not diagnostics:
+                break
+            logger.info("pair %s attempt %d/%d failed to compile", pair.pair_id, attempt, max_iters)
         if attempt < max_iters:
-            advice = repair_advice(rule_text, result.diagnostics, gateway)
-            revision = _revision_context(attempt, rule_text, result, advice)
+            advice = _EMPTY_DRAFT_ADVICE
+            if rule_text:
+                advice = repair_advice(rule_text, diagnostics, gateway)
+            revision = _revision_context(attempt, rule_text, diagnostics, advice)
     return RuleArtifact(
         pair_id=pair.pair_id,
         vuln_class=pair.vuln_class,
-        status=ArtifactStatus.ABORTED,
-        attempts=max_iters,
+        status=ArtifactStatus.ABORTED if diagnostics else ArtifactStatus.COMPILED,
+        attempts=attempt,
         rule_text=rule_text,
-        diagnostics=last_result.diagnostics,
+        diagnostics=diagnostics,
     )
 
 
@@ -550,15 +529,8 @@ def scan(
     )
     merged: dict[tuple, Finding] = {}
     for pair_id, artifact in compiled.items():
-        for raw in rows_by_pair.get(pair_id, ()):
-            finding = Finding(
-                pair_id=pair_id,
-                vuln_class=artifact.vuln_class,
-                file=raw["file"],
-                start_line=int(raw["start_line"]),
-                end_line=int(raw.get("end_line", raw["start_line"])),
-                message=raw.get("message", ""),
-            )
+        for row in rows_by_pair.get(pair_id, ()):
+            finding = Finding(pair_id, artifact.vuln_class, **row)
             key = (finding.pair_id, finding.file, finding.start_line, finding.end_line)
             merged.setdefault(key, finding)
     return sorted(merged.values(), key=lambda f: (f.file, f.start_line, f.end_line, f.pair_id))

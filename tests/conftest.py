@@ -155,20 +155,7 @@ def scripted_client(entries, default="") -> MockLlmClient:
     """MockLlmClient from inline entry dicts (same shape as the JSONL lines)."""
     from qlforge.gateway import MockEntry
 
-    return MockLlmClient(
-        MockScript(
-            [
-                MockEntry(
-                    stage=e.get("stage"),
-                    contains=e.get("contains"),
-                    response=e.get("response", ""),
-                    once=bool(e.get("once", False)),
-                )
-                for e in entries
-            ],
-            default,
-        )
-    )
+    return MockLlmClient(MockScript([MockEntry.from_dict(e) for e in entries], default))
 
 
 class StaticClient:

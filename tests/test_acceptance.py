@@ -25,7 +25,6 @@ from qlforge.records import SPECS, record_lookup
 from qlforge.report import Metrics, PipelineReport, StageSummary, dump_report
 from qlforge.rulegen import (
     ArtifactStatus,
-    CompileStatus,
     Finding,
     MockCompiler,
     RuleArtifact,
@@ -348,15 +347,10 @@ def test_criterion_8_codeql_adapter_integration():
     compiler = CodeQLCompiler(binary=binary)
     failures = []
     good = compiler.compile("template", load_template("rule_skeleton.ql"))
-    if good.status is not CompileStatus.OK:
-        failures.append(
-            f"template rule did not compile: {good.status.value} "
-            f"{[d.message for d in good.diagnostics][:3]}"
-        )
+    if good:
+        failures.append(f"template rule did not compile: {[d.message for d in good][:3]}")
     broken = compiler.compile("broken", "imprt java\nfrm Nothing select")
-    if broken.status is not CompileStatus.ERROR:
-        failures.append(f"broken rule status {broken.status.value}, expected Error")
-    elif len(broken.diagnostics) < 1:
+    if len(broken) < 1:
         failures.append("broken rule produced no diagnostics")
     _verdict(8, "codeql integration", not failures, "; ".join(failures))
     assert not failures, "; ".join(failures)

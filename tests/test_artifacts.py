@@ -29,7 +29,14 @@ from qlforge.metrics import MANIFEST, ManifestEntry, Metrics, load_manifest
 from qlforge.pairing import PAIRS, SourceSinkPair
 from qlforge.records import SPECS, ApiRecord, make_record
 from qlforge.report import PipelineReport, StageSummary, dump_report, load_report
-from qlforge.rulegen import FINDINGS, ArtifactStatus, Finding, RuleArtifact, load_rule_artifacts
+from qlforge.rulegen import (
+    FINDINGS,
+    ArtifactStatus,
+    Finding,
+    RuleArtifact,
+    ScriptedOutcome,
+    load_rule_artifacts,
+)
 from tests.conftest import FIXTURES, synthetic_records
 
 # Each id names the document's loader as load_<document>.
@@ -387,6 +394,8 @@ def _values(kind, leaves=_LEAVES):
         return st.none() | _values(_none_or(kind), leaves)
     if get_origin(kind) is tuple:
         return st.lists(_values(get_args(kind)[0], leaves), max_size=3).map(tuple)
+    if get_origin(kind) is dict:
+        return st.dictionaries(leaves[str], _values(get_args(kind)[1], leaves), max_size=3)
     if dataclasses.is_dataclass(kind):
         return _instances(kind, leaves)
     if isinstance(kind, type) and issubclass(kind, Enum):
@@ -413,6 +422,7 @@ _RESTRICTED = {
     (LlmRequest, "temperature"): st.floats(min_value=0, max_value=2),
     (FilterConfig, "deny"): st.lists(st.text(max_size=5).map(re.escape), max_size=3).map(tuple),
     (FilterConfig, "allow"): st.lists(st.text(max_size=5).map(re.escape), max_size=3).map(tuple),
+    (ScriptedOutcome, "delay_s"): st.floats(min_value=0, max_value=1e9),
 }
 
 

@@ -398,12 +398,47 @@ def test_run_with_a_malformed_endpoint_exits_before_any_stage(runner, tmp_path, 
 
 
 def test_run_stage_failure_exit_code(runner, tmp_path):
-    bad = tmp_path / "bad_compiler.json"
-    bad.write_text(json.dumps({"version": 41}))
-    config = _write_config(tmp_path, compiler={"kind": "mock", "script": str(bad)})
+    config = _write_config(tmp_path, backend="codeql", codeql={"path": str(tmp_path / "none")})
     result = runner.invoke(main, ["run", "--config", str(config)])
     assert result.exit_code == EXIT_STAGE
     assert "stage failure" in result.output
+
+
+def test_run_with_a_bad_compiler_script_keeps_the_previous_run(runner, tmp_path):
+    config = _write_config(tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == EXIT_OK
+    run_dir = tmp_path / "run"
+    before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+    bad = tmp_path / "bad_compiler.json"
+    bad.write_text(json.dumps({"version": 1, "default": {"fail_count": "x"}}))
+    result = runner.invoke(
+        main, ["run", "--config", str(config), "--set", f"compiler.script={bad}"]
+    )
+    assert result.exit_code == EXIT_CONFIG
+    assert f"{bad}: malformed 'compiler script' entry" in result.output
+    # transcript.jsonl among them: no model call was made.
+    assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ('"start_line": 18', '"start_line": "x"'),
+        ('"file": "src/com/example/web/UserController.java"', '"file": 5'),
+        ('"message": "user-controlled name reaches executeQuery"', '"message": 7'),
+        ('"end_line": 18', '"end_line": 2.5'),
+    ],
+)
+def test_run_with_a_mis_typed_scripted_finding_exits_before_the_run(runner, tmp_path, old, new):
+    text = (FIXTURES / "mock_compiler.json").read_text(encoding="utf-8")
+    assert text.count(old) == 1
+    script = tmp_path / "compiler.json"
+    script.write_text(text.replace(old, new))
+    config = _write_config(tmp_path, compiler={"kind": "mock", "script": str(script)})
+    result = runner.invoke(main, ["run", "--config", str(config)])
+    assert result.exit_code == EXIT_CONFIG
+    assert f"config error: {script}: malformed" in result.output
+    assert not (tmp_path / "run").exists()
 
 
 def test_report_formats(runner, tmp_path):
@@ -458,7 +493,18 @@ def test_report_on_unreadable_report_is_stage_error(runner, tmp_path, corrupt, m
     assert f"{path}: {message}" in result.output
 
 
-@pytest.mark.parametrize("line", ["7", "[1]", '{"response": 5}'])
+@pytest.mark.parametrize(
+    "line",
+    [
+        "7",
+        "[1]",
+        '{"response": 5}',
+        '{"once": "false", "contains": "no such prompt", "response": "x"}',
+        '{"stage": 1}',
+        '{"contains": ["a"]}',
+        '{"default": 3}',
+    ],
+)
 def test_run_with_a_malformed_mock_script_line_is_config_error(runner, tmp_path, line):
     script = tmp_path / "mock.jsonl"
     script.write_text((FIXTURES / "mock_llm.jsonl").read_text(encoding="utf-8") + line + "\n")

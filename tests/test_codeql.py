@@ -22,7 +22,7 @@ from qlforge.codeql import (
 from qlforge.errors import BackendUnavailable, CompilerUnavailable, ExecutionFailed
 from qlforge.prompts import load_template
 from qlforge.records import SourceLocation, clamp_snippet, make_record
-from qlforge.rulegen import CompileStatus
+from qlforge.rulegen import FINDINGS, ArtifactStatus, RuleArtifact, scan
 from tests.conftest import FakeAnalyzeCodeql
 
 
@@ -115,9 +115,7 @@ def test_parse_skips_chatter():
 
 def test_compile_ok(tmp_path):
     binary = _fake_codeql(tmp_path, "exit 0\n")
-    result = CodeQLCompiler(binary=binary).compile("p", "import java\nselect 1")
-    assert result.status is CompileStatus.OK
-    assert result.diagnostics == ()
+    assert CodeQLCompiler(binary=binary).compile("p", "import java\nselect 1") == ()
 
 
 def test_compile_error_with_parsed_diagnostics(tmp_path):
@@ -128,34 +126,43 @@ def test_compile_error_with_parsed_diagnostics(tmp_path):
         exit 2
         """,
     )
-    result = CodeQLCompiler(binary=binary).compile("p", "from Expr e select e")
-    assert result.status is CompileStatus.ERROR
-    assert result.diagnostics[0].line == 3
-    assert "unresolved type Expr" in result.diagnostics[0].message
+    diagnostics = CodeQLCompiler(binary=binary).compile("p", "from Expr e select e")
+    assert diagnostics[0].line == 3
+    assert "unresolved type Expr" in diagnostics[0].message
 
 
 def test_compile_error_without_parseable_stderr(tmp_path):
     binary = _fake_codeql(tmp_path, "echo 'something went sideways' >&2\nexit 1\n")
-    result = CodeQLCompiler(binary=binary).compile("p", "x")
-    assert result.status is CompileStatus.ERROR
-    assert result.diagnostics[0].message == "something went sideways"
+    (diagnostic,) = CodeQLCompiler(binary=binary).compile("p", "x")
+    assert diagnostic.message == "something went sideways"
+
+
+def test_compile_error_with_an_exit_code_only(tmp_path):
+    binary = _fake_codeql(tmp_path, "exit 3\n")
+    (diagnostic,) = CodeQLCompiler(binary=binary).compile("p", "x")
+    assert diagnostic.message == "codeql exited 3"
+
+
+def test_compile_reads_stderr_that_is_not_utf8_with_replacements(tmp_path):
+    binary = _fake_codeql(tmp_path, "printf 'bad \\377 byte' >&2\nexit 1\n")
+    (diagnostic,) = CodeQLCompiler(binary=binary).compile("p", "x")
+    assert diagnostic.message == "bad \ufffd byte"
 
 
 def test_compile_timeout(tmp_path):
     binary = _fake_codeql(tmp_path, "sleep 5\n")
-    result = CodeQLCompiler(binary=binary, timeout_s=0.2).compile("p", "x")
-    assert result.status is CompileStatus.TIMEOUT
-    assert "exceeded" in result.diagnostics[0].message
+    (diagnostic,) = CodeQLCompiler(binary=binary, timeout_s=0.2).compile("p", "x")
+    assert diagnostic.message == "codeql query compile exceeded 0.2s"
 
 
-def test_execute_parses_sarif(tmp_path):
-    sarif = {
+def _sarif_result(message: str) -> dict:
+    return {
         "runs": [
             {
                 "results": [
                     {
                         "ruleId": "qlforge/p",
-                        "message": {"text": "tainted flow"},
+                        "message": {"text": message},
                         "locations": [
                             {
                                 "physicalLocation": {
@@ -169,7 +176,11 @@ def test_execute_parses_sarif(tmp_path):
             }
         ]
     }
-    binary = _fake_codeql(
+
+
+def _analyze_writing(tmp_path, sarif: dict) -> str:
+    """A fake ``codeql`` whose ``database analyze`` writes ``sarif`` (as ASCII JSON)."""
+    return _fake_codeql(
         tmp_path,
         f"""\
         if [ "$1 $2" = "database analyze" ]; then
@@ -181,10 +192,23 @@ def test_execute_parses_sarif(tmp_path):
         exit 1
         """,
     )
+
+
+def test_execute_parses_sarif(tmp_path):
+    binary = _analyze_writing(tmp_path, _sarif_result("tainted flow"))
     findings = CodeQLCompiler(binary=binary).execute({"p": "select 1"}, "somedb")["p"]
     assert findings == [
         {"file": "src/App.java", "start_line": 9, "end_line": 10, "message": "tainted flow"}
     ]
+
+
+def test_a_lone_surrogate_in_sarif_becomes_a_replacement_character(tmp_path):
+    # The SARIF holds a "\\ud800" escape, which UTF-8 could not write to findings.json.
+    binary = _analyze_writing(tmp_path, _sarif_result("tainted \ud800 flow"))
+    rules = [RuleArtifact("p", "xss", ArtifactStatus.COMPILED, 1, "select 1\n")]
+    findings = scan(rules, "somedb", CodeQLCompiler(binary=binary))
+    assert [finding.message for finding in findings] == ["tainted \ufffd flow"]
+    FINDINGS.save(findings, tmp_path / "findings.json")
 
 
 def test_execute_failure_raises(tmp_path):

@@ -130,8 +130,7 @@ def test_mock_once_entries_answer_a_batch_in_request_order(monkeypatch):
     monkeypatch.setattr(client.script, "respond", slow_for_the_first)
     requests = [simple_request("pair", "m", f"p{i}") for i in range(4)]
     for workers in (4, 1):
-        for entry in client.script.entries:
-            entry.used = False
+        client.script.used.clear()
         results = LlmGateway(client, workers=workers).complete_batch(requests)
         assert [response.text for response, _ in results] == ["first", "second", "rest", "rest"]
 
@@ -623,10 +622,30 @@ def test_an_answer_with_a_lone_surrogate_is_logged_with_a_replacement(tmp_path, 
     with caplog.at_level("WARNING"):
         assert gateway.ask("classify", "p") == "a1: Source \ufffd"
     assert caplog.messages == [
-        "classify response (transcript seq 1) held 1 lone surrogate(s), replaced with U+FFFD"
+        "classify response (transcript seq 1) held lone surrogates, replaced with U+FFFD"
     ]
     (line,) = path.read_text(encoding="utf-8").splitlines()
     assert json.loads(line)["response"]["text"] == "a1: Source \ufffd"
+
+
+def test_lone_surrogates_anywhere_in_a_provider_answer_are_logged_replaced(
+    provider, live_client, tmp_path, caplog
+):
+    body = (
+        b'{"choices": [{"message": {"content": "a1: Source"}, "finish_reason": "\\ud800"}],'
+        b' "usage": {"total\\udfff": ["\\ud800"]}}'
+    )
+    provider.replies.append((200, body, {}))
+    path = tmp_path / "t.jsonl"
+    gateway = LlmGateway(live_client, transcripts=TranscriptStore(path))
+    with caplog.at_level("WARNING"):
+        response, seq = gateway.complete(simple_request("classify", "m", "p"))
+    assert (response.finish_reason, response.usage) == ("\ufffd", {"total\ufffd": ["\ufffd"]})
+    assert caplog.messages == [
+        "classify response (transcript seq 1) held lone surrogates, replaced with U+FFFD"
+    ]
+    (line,) = path.read_text(encoding="utf-8").splitlines()
+    assert json.loads(line)["response"]["finish_reason"] == "\ufffd"
 
 
 def test_importing_the_pipeline_leaves_requests_unloaded():

@@ -744,13 +744,11 @@ def test_nothing_to_pair_becomes_nothing_to_do(run_config, corpus_records, tmp_p
 
 
 def test_stage_failure_names_the_stage(run_config, tmp_path):
-    bad_script = tmp_path / "bad_compiler.json"
-    bad_script.write_text(json.dumps({"version": 99}))
-    config = run_config(compiler={"kind": "mock", "script": str(bad_script)})
+    config = run_config(backend="codeql", codeql={"path": str(tmp_path / "no-codeql")})
     with pytest.raises(StageFailure) as err:
         run_pipeline(config)
-    assert err.value.stage == "generate"
-    assert "generate" in str(err.value)
+    assert err.value.stage == "extract"
+    assert "extract" in str(err.value)
 
 
 @pytest.mark.parametrize(
@@ -762,14 +760,27 @@ def test_stage_failure_names_the_stage(run_config, tmp_path):
         pytest.param('{"version": 1, "default": {"fail_count": "x"}}', id="fail-count-text"),
     ],
 )
-def test_unreadable_compiler_script_fails_generate(run_config, tmp_path, text):
+def test_unreadable_compiler_script_is_config_error_before_any_stage(run_config, tmp_path, text):
     bad_script = tmp_path / "bad_compiler.json"
     bad_script.write_text(text)
     config = run_config(compiler={"kind": "mock", "script": str(bad_script)})
-    with pytest.raises(StageFailure, match=f"{bad_script}: ") as err:
+    with pytest.raises(ConfigError, match=f"{bad_script}: "):
         run_pipeline(config)
-    assert err.value.stage == "generate"
-    assert isinstance(err.value.__cause__, ConfigError)
+    assert not (config.out_dir / "specs.json").exists()
+
+
+def test_a_lone_surrogate_in_a_scripted_diagnostic_reaches_the_repair_prompt_replaced(
+    run_config, tmp_path
+):
+    script = json.loads((FIXTURES / "mock_compiler.json").read_text(encoding="utf-8"))
+    failing = "35ae7cb3a1e82ec0__bc5caa3125faa3d4"
+    script["pairs"][failing]["diagnostics"][0]["message"] += "\ud800"
+    path = tmp_path / "compiler.json"
+    path.write_text(json.dumps(script))
+    config = run_config(compiler={"kind": "mock", "script": str(path)})
+    assert run_pipeline(config).counts["rules_compiled"] == EXPECTED_COUNTS["rules_compiled"]
+    transcript = (config.out_dir / "rules" / failing / "transcript.jsonl").read_text("utf-8")
+    assert "unresolved predicate or missing import\ufffd" in transcript
 
 
 @pytest.mark.parametrize(

@@ -9,15 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlforge.codeql import CodeQLCompiler
-from qlforge.errors import CompilerUnavailable, ConfigError, EmptyDraft, ExecutionFailed
+from qlforge.errors import CompilerUnavailable, ConfigError, ExecutionFailed
 from qlforge.gateway import LlmGateway, LlmResponse, _RetryableTransport
 from qlforge.pairing import SourceSinkPair, make_pair_id
 from qlforge.prompts import load_template
 from qlforge.rulegen import (
     _strip_fences,
     ArtifactStatus,
-    CompileResult,
-    CompileStatus,
     Diagnostic,
     MockCompiler,
     RuleArtifact,
@@ -167,10 +165,22 @@ def test_a_failing_compile_slower_than_the_timeout_times_out():
     script = {"version": 1, "default": {"fail_count": 1, "delay_s": 0.3}}
     compiler = MockCompiler(script, timeout_s=0.1)
     began = time.monotonic()
-    result = compiler.compile("p1", RULE_TEXT)
+    diagnostics = compiler.compile("p1", RULE_TEXT)
     assert time.monotonic() - began < 0.3
-    assert result.status is CompileStatus.TIMEOUT
-    assert result.diagnostics[0].message == "compilation exceeded 0.1s"
+    assert diagnostics == (Diagnostic("compilation exceeded 0.1s"),)
+
+
+def test_a_timed_out_attempt_is_revised_as_a_failed_compile():
+    pair, lookup = _pair_and_lookup()
+    script = {"version": 1, "pairs": {pair.pair_id: {"delay_s": 0.05}}}
+    client = RecordingClient(StaticClient(RULE_TEXT))
+    generate_rule(
+        pair, lookup, LlmGateway(client, model="m"), MockCompiler(script, timeout_s=0.01),
+        max_iters=2,
+    )
+    second_write = client.requests[2].joined_content()
+    assert "Attempt 1 failed to compile (Error)." in second_write
+    assert "rule.ql: error: compilation exceeded 0.01s" in second_write
 
 
 def test_missing_compiler_aborts_pair():
@@ -209,10 +219,9 @@ def test_write_rule_strips_code_fences():
     assert text == RULE_TEXT + "\n"
 
 
-def test_write_rule_empty_raises():
+def test_write_rule_returns_empty_for_a_blank_answer():
     pair, lookup = _pair_and_lookup()
-    with pytest.raises(EmptyDraft):
-        write_rule(pair, lookup, LlmGateway(StaticClient(""), model="m"))
+    assert write_rule(pair, lookup, LlmGateway(StaticClient(" \n"), model="m")) == ""
 
 
 def test_format_diagnostics_truncation():
@@ -243,16 +252,20 @@ def test_mock_compiler_script_validation():
 @pytest.mark.parametrize(
     "script, match",
     [
-        ({"version": 1, "pairs": [1]}, "'pairs' must be an object"),
-        ({"version": 1, "pairs": {"p": 1}}, "entry 'p' must be an object"),
-        ({"version": 1, "default": {"fail_count": "x"}}, "fail_count must be an integer"),
-        ({"version": 1, "default": {"delay_s": True}}, "delay_s must be a number"),
-        ({"version": 1, "default": {"diagnostics": [{"line": 1}]}}, "diagnostics must be"),
-        ({"version": 1, "pairs": {"p": {"findings": [{"file": "A.java"}]}}}, "findings must be"),
+        ({"version": 1, "pairs": [1]}, "pairs must be dict, not list"),
+        ({"version": 1, "pairs": {"p": 1}}, r"pairs\['p'\]: ScriptedOutcome must be dict"),
+        ({"version": 1, "default": {"fail_count": "x"}}, "fail_count must be int, not str"),
+        ({"version": 1, "default": {"delay_s": True}}, "delay_s must be float, not bool"),
+        ({"version": 1, "default": {"diagnostics": [{"line": 1}]}}, "message is missing"),
+        (
+            {"version": 1, "pairs": {"p": {"findings": [{"file": "A.java"}]}}},
+            r"pairs\['p'\]: start_line is missing",
+        ),
         (
             {"version": 1, "default": {"diagnostics": [{"message": "m", "line": "1"}]}},
-            "diagnostics must be well-typed",
+            "line must be int, not str",
         ),
+        ({"version": 1, "default": {"delay_s": -1}}, "delay_s must be from 0 to"),
     ],
 )
 def test_mock_compiler_script_shape_is_config_error_naming_the_file(tmp_path, script, match):
@@ -267,9 +280,42 @@ def test_mock_compiler_default_entry():
     compiler = MockCompiler({"version": 1, "default": {"fail_count": 1}})
     first = compiler.compile("anything", "text")
     second = compiler.compile("anything", "text")
-    assert first.status is CompileStatus.ERROR
-    assert first.diagnostics  # synthesized diagnostic when none scripted
-    assert second.status is CompileStatus.OK
+    assert first == (Diagnostic("syntax error in rule", line=1),)  # none scripted
+    assert second == ()
+
+
+@pytest.mark.parametrize(
+    "finding, match",
+    [
+        ({"start_line": "x"}, "start_line must be int, not str"),
+        ({"file": 5}, "file must be str, not int"),
+        ({"message": 7}, "message must be str, not int"),
+        ({"end_line": 2.5}, "end_line must be int, not float"),
+    ],
+)
+def test_a_mis_typed_scripted_finding_is_config_error(tmp_path, finding, match):
+    path = tmp_path / "compiler.json"
+    row = {"file": "A.java", "start_line": 2, **finding}
+    path.write_text(json.dumps({"version": 1, "pairs": {"p": {"findings": [row]}}}))
+    with pytest.raises(ConfigError, match=match) as err:
+        MockCompiler.from_file(path)
+    assert str(err.value).startswith(f"{path}: ")
+
+
+def test_mock_compiler_rows_are_complete_findings():
+    script = {"version": 1, "default": {"findings": [{"file": "A.java", "start_line": 4}]}}
+    rows = MockCompiler(script).execute({"p": "select 1"}, "db")
+    assert rows == {"p": [{"file": "A.java", "start_line": 4, "end_line": 4, "message": ""}]}
+
+
+def test_a_lone_surrogate_in_the_compiler_script_is_replaced_with_a_warning(tmp_path, caplog):
+    path = tmp_path / "compiler.json"
+    diagnostic = {"message": "missing import \ud800"}
+    path.write_text(json.dumps({"version": 1, "default": {"fail_count": 1, "diagnostics": [diagnostic]}}))
+    with caplog.at_level("WARNING"):
+        compiler = MockCompiler.from_file(path)
+    assert caplog.messages == [f"{path}: lone surrogates in the script replaced with U+FFFD"]
+    assert compiler.compile("p", RULE_TEXT) == (Diagnostic("missing import \ufffd"),)
 
 
 def test_artifact_store_round_trip(tmp_path):
@@ -399,7 +445,7 @@ class _OverlapProbe:
     def compile(self, pair_id, rule_text):
         self.compiling.set()
         self.overlapped.append(self.sent_while_compiling.wait(_RENDEZVOUS_S))
-        return CompileResult(CompileStatus.OK)
+        return ()
 
 
 def test_generate_overlaps_compile_with_model_call(tmp_path):
@@ -453,7 +499,7 @@ class _GaugedFakes:
 
     def compile(self, pair_id, rule_text):
         with self.compiles:
-            return CompileResult(CompileStatus.OK)
+            return ()
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])
@@ -605,11 +651,6 @@ def test_scan_output_sorted_by_location():
         ("A.java", 30),
         ("Z.java", 9),
     ]
-
-
-def test_compile_result_defaults():
-    result = CompileResult(CompileStatus.OK)
-    assert result.diagnostics == ()
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
