@@ -35,7 +35,7 @@ import tempfile
 from pathlib import Path
 
 from .errors import BackendUnavailable, CompilerUnavailable, ExecutionFailed
-from .artifacts import without_surrogates
+from .artifacts import typed, without_surrogates
 from .records import ApiRecord, SourceLocation, make_record, snippet_at
 from .rulegen import Diagnostic
 
@@ -361,8 +361,8 @@ def _sarif_results(sarif: dict):
                     continue
                 finding = {
                     "file": physical.get("artifactLocation", {}).get("uri", ""),
-                    "start_line": int(start),
-                    "end_line": int(region.get("endLine", start)),
+                    "start_line": typed(start, int, "startLine"),
+                    "end_line": typed(region.get("endLine", start), int, "endLine"),
                     "message": result.get("message", {}).get("text", ""),
                 }
                 if not isinstance(finding["file"], str) or not isinstance(finding["message"], str):

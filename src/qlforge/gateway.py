@@ -3,8 +3,7 @@
 Every model call goes through an :class:`LlmGateway`. Stages hand it a stage
 name and a prompt; it builds the request from its model and temperature,
 retries transient transport failures and wholly malformed answers, and
-appends each (request, response) pair to an append-only transcript so any
-run can be replayed against the mock.
+appends each (request, response) pair to an append-only transcript.
 
 The live client speaks plain OpenAI-style chat completion over HTTP. The
 credential comes from the ``QLFORGE_LLM_KEY`` environment variable only,
@@ -47,8 +46,6 @@ from .errors import (
 
 logger = logging.getLogger(__name__)
 
-STAGES = ("classify", "pair", "write", "repair")
-
 DEFAULT_TEMPERATURES = {"classify": 0.0, "pair": 0.0, "write": 0.7, "repair": 0.7}
 
 ENV_API_KEY = "QLFORGE_LLM_KEY"
@@ -58,18 +55,6 @@ RETRY_BACKOFF_S = 1.0
 _RETRYABLE_STATUS = frozenset({429, 502, 503, 504})
 
 T = TypeVar("T")
-
-
-def stage_temperature(stage: str, override: float | None = None) -> float:
-    """Sampling temperature for a stage.
-
-    An explicit override applies to every stage; otherwise labeling stages
-    run deterministically at 0 and rule writing and repair at 0.7. Stage
-    validity is LlmRequest's job, so unknown names just get 0.
-    """
-    if override is not None:
-        return override
-    return DEFAULT_TEMPERATURES.get(stage, 0.0)
 
 
 def estimate_tokens(text: str) -> int:
@@ -83,29 +68,14 @@ def estimate_tokens(text: str) -> int:
 
 
 @dataclass(frozen=True)
-class LlmMessage:
-    role: str  # "system" | "user"
-    content: str
-
-
-@dataclass(frozen=True)
 class LlmRequest(JsonDataclass):
+    """One model call: a single user prompt for a stage."""
+
     stage: str
     model: str
-    messages: tuple[LlmMessage, ...]
+    prompt: str
     temperature: float = 0.0
     max_tokens: int = 2048
-
-    def __post_init__(self):
-        if not self.messages:
-            raise ValueError("message list must be non-empty")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
-        if self.stage not in STAGES:
-            raise ValueError(f"unknown stage {self.stage!r}")
-
-    def joined_content(self) -> str:
-        return "\n".join(m.content for m in self.messages)
 
 
 @dataclass
@@ -114,13 +84,6 @@ class LlmResponse(JsonDataclass):
     finish_reason: str = "stop"
     usage: dict | None = None
     latency_s: float = 0.0
-
-
-def simple_request(stage: str, model: str, prompt: str, *,
-                   temperature: float | None = None, max_tokens: int = 2048) -> LlmRequest:
-    return LlmRequest(stage=stage, model=model, messages=(LlmMessage("user", prompt),),
-                      temperature=stage_temperature(stage, temperature),
-                      max_tokens=max_tokens)
 
 
 class _RetryableTransport(Exception):
@@ -143,7 +106,7 @@ class MockEntry(JsonDataclass):
     def matches(self, request: LlmRequest) -> bool:
         if self.stage is not None and self.stage != request.stage:
             return False
-        if self.contains is not None and self.contains not in request.joined_content():
+        if self.contains is not None and self.contains not in request.prompt:
             return False
         return True
 
@@ -153,31 +116,55 @@ class MockEntry(JsonDataclass):
 _PER_PAIR_STAGES = ("write", "repair", None)
 
 
-class MockScript:
-    """Ordered canned responses: first matching entry wins.
+class LlmClient(Protocol):
+    """Single-attempt transport to one provider."""
 
-    Entries match on stage tag and/or a substring of the request content.
-    A consume-once entry answers a single time, then matching falls through
+    def send(self, request: LlmRequest) -> LlmResponse: ...
+
+
+class MockLlmClient:
+    """Answers from ordered canned responses: the first matching entry wins.
+
+    Entries match on stage tag and/or a substring of the prompt. A
+    consume-once entry answers a single time, then matching falls through
     to later entries or the default response.
+
+    :meth:`reserve` answers a batch up front, in request order, so that a
+    consume-once entry goes to the earliest request it matches however the
+    batch's threads are scheduled; the ``send`` of a reserved request then
+    returns its reserved answer.
     """
 
     def __init__(self, entries: list[MockEntry], default_response: str = ""):
         self.entries = entries
         self.default_response = default_response
         self.used: set[int] = set()  # indexes of the once entries that have answered
+        self._reserved: dict[int, str] = {}
         self._lock = threading.Lock()
 
-    def respond(self, request: LlmRequest) -> str:
+    def reserve(self, requests: list[LlmRequest]) -> None:
         with self._lock:
-            for index, entry in enumerate(self.entries):
-                if index not in self.used and entry.matches(request):
-                    if entry.once:
-                        self.used.add(index)
-                    return entry.response
-            return self.default_response
+            for request in requests:
+                self._reserved[id(request)] = self._respond(request)
+
+    def send(self, request: LlmRequest) -> LlmResponse:
+        with self._lock:
+            text = self._reserved.pop(id(request), None)
+            if text is None:
+                text = self._respond(request)
+        return LlmResponse(text=text, latency_s=0.0)
+
+    def _respond(self, request: LlmRequest) -> str:
+        """The answer to ``request``; the caller holds ``_lock``."""
+        for index, entry in enumerate(self.entries):
+            if index not in self.used and entry.matches(request):
+                if entry.once:
+                    self.used.add(index)
+                return entry.response
+        return self.default_response
 
     @classmethod
-    def from_jsonl(cls, path: str | Path) -> "MockScript":
+    def from_jsonl(cls, path: str | Path) -> "MockLlmClient":
         """Load a script; an unreadable file or line is a ConfigError naming it."""
         with config_input():
             text = read_text(path)
@@ -203,40 +190,6 @@ class MockScript:
                 )
             entries.append(entry)
         return cls(entries, default)
-
-
-class LlmClient(Protocol):
-    """Single-attempt transport to one provider."""
-
-    def send(self, request: LlmRequest) -> LlmResponse: ...
-
-
-class MockLlmClient:
-    """Answers from a :class:`MockScript`.
-
-    :meth:`reserve` answers a batch up front, in request order, so that a
-    consume-once entry goes to the earliest request it matches however the
-    batch's threads are scheduled; each ``send`` of a reserved request then
-    returns its reserved answer.
-    """
-
-    def __init__(self, script: MockScript):
-        self.script = script
-        self._reserved: dict[int, list[str]] = {}
-        self._lock = threading.Lock()
-
-    def reserve(self, requests: list[LlmRequest]) -> None:
-        with self._lock:
-            for request in requests:
-                self._reserved.setdefault(id(request), []).append(self.script.respond(request))
-
-    def send(self, request: LlmRequest) -> LlmResponse:
-        with self._lock:
-            queued = self._reserved.pop(id(request), [])
-            if len(queued) > 1:
-                self._reserved[id(request)] = queued[1:]
-        text = queued[0] if queued else self.script.respond(request)
-        return LlmResponse(text=text, latency_s=0.0)
 
 
 # Errors of a pooled connection that the server closed while it sat idle.
@@ -321,7 +274,7 @@ class LiveLlmClient:
     def send(self, request: LlmRequest) -> LlmResponse:
         payload = {
             "model": request.model,
-            "messages": [{"role": m.role, "content": m.content} for m in request.messages],
+            "messages": [{"role": "user", "content": request.prompt}],
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
@@ -448,9 +401,10 @@ class TranscriptStore:
 class LlmGateway:
     """Front door for all model calls, and the one holder of the request policy.
 
-    Every request goes to ``model`` at the stage's temperature (see
-    :func:`stage_temperature`; ``temperature`` overrides it for every stage),
-    and a batch runs at most ``workers`` requests at once.
+    Every request goes to ``model`` at the stage's temperature: 0 for the
+    labeling stages and 0.7 for rule writing and repair, unless
+    ``temperature`` overrides it for every stage. A batch runs at most
+    ``workers`` requests at once.
 
     Transient transport failures (connection errors, HTTP 429/5xx) retry up
     to ``retries`` attempts with exponential backoff starting at
@@ -470,7 +424,8 @@ class LlmGateway:
     workers: int = 4
 
     def _request(self, stage: str, prompt: str) -> LlmRequest:
-        return simple_request(stage, self.model, prompt, temperature=self.temperature)
+        temperature = DEFAULT_TEMPERATURES[stage] if self.temperature is None else self.temperature
+        return LlmRequest(stage, self.model, prompt, temperature)
 
     def ask(self, stage: str, prompt: str) -> str:
         """Send one prompt for ``stage``; returns the answer's text."""

@@ -41,7 +41,6 @@ from .gateway import (
     LiveLlmClient,
     LlmGateway,
     MockLlmClient,
-    MockScript,
     TranscriptStore,
     parse_endpoint,
 )
@@ -254,7 +253,7 @@ def _layout() -> tuple[set[str], dict[str, set[str]]]:
 
 def build_llm_client(config: PipelineConfig):
     if config.llm_mode == "mock":
-        return MockLlmClient(MockScript.from_jsonl(config.mock_script))
+        return MockLlmClient.from_jsonl(config.mock_script)
     return LiveLlmClient(endpoint=config.endpoint)
 
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from qlforge.extract import FixtureBackend, dedupe, extract_apis, filter_risky
-from qlforge.gateway import LlmResponse, MockLlmClient, MockScript
+from qlforge.gateway import LlmResponse, MockLlmClient
 from qlforge.pipeline import PipelineConfig
 from qlforge.records import ApiParam, ApiRecord, SourceLocation, make_record
 
@@ -155,7 +155,7 @@ def scripted_client(entries, default="") -> MockLlmClient:
     """MockLlmClient from inline entry dicts (same shape as the JSONL lines)."""
     from qlforge.gateway import MockEntry
 
-    return MockLlmClient(MockScript([MockEntry.from_dict(e) for e in entries], default))
+    return MockLlmClient([MockEntry.from_dict(e) for e in entries], default)
 
 
 class StaticClient:

@@ -16,7 +16,7 @@ from pathlib import Path
 from qlforge.artifacts import read_json
 from qlforge.errors import QlforgeError
 from qlforge.extract import FixtureBackend, dedupe, extract_apis, filter_risky
-from qlforge.gateway import MockScript
+from qlforge.gateway import MockLlmClient
 
 logger = logging.getLogger(__name__)
 
@@ -99,7 +99,7 @@ def validate_fixture(fixture_dir: str | Path) -> dict:
         )
 
     try:
-        script = MockScript.from_jsonl(fixture_dir / MOCK_LLM_FILENAME)
+        script = MockLlmClient.from_jsonl(fixture_dir / MOCK_LLM_FILENAME)
     except QlforgeError as exc:
         problems.append(f"mock llm script does not parse: {exc}")
         script = None

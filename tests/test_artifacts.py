@@ -17,14 +17,7 @@ from qlforge.artifacts import Document, JsonDataclass, dump_json, read_text, wri
 from qlforge.classify import VOTES, Ballot, TaintLabel, VoteRecord, save_votes
 from qlforge.errors import ArtifactCorrupt, ConfigError, UnwritableOutput
 from qlforge.extract import FilterConfig
-from qlforge.gateway import (
-    STAGES,
-    LlmMessage,
-    LlmRequest,
-    LlmResponse,
-    TranscriptStore,
-    simple_request,
-)
+from qlforge.gateway import LlmRequest, LlmResponse, TranscriptStore
 from qlforge.metrics import MANIFEST, ManifestEntry, Metrics, load_manifest
 from qlforge.pairing import PAIRS, SourceSinkPair
 from qlforge.records import SPECS, ApiRecord, make_record
@@ -321,7 +314,7 @@ def test_artifact_loaders_raise_only_typed_errors_for_any_bytes(tmp_path_factory
 def _transcript_bytes(path) -> bytes:
     store = TranscriptStore(path)
     for stage, text in (("classify", "a1: Sink"), ("pair", "NO_PAIRS — é"), ("pair", "∅")):
-        store.append(simple_request(stage, "m", f"prompt for {stage} ✓"), LlmResponse(text=text))
+        store.append(LlmRequest(stage, "m", f"prompt for {stage} ✓"), LlmResponse(text=text))
     return path.read_bytes()
 
 
@@ -332,7 +325,7 @@ def test_transcript_cut_at_every_offset_continues_numbering(tmp_path):
         path.write_bytes(data[:offset])
         complete = data[:offset].count(b"\n")
         next_seq = TranscriptStore(path).append(
-            simple_request("pair", "m", "again"), LlmResponse(text="NO_PAIRS")
+            LlmRequest("pair", "m", "again"), LlmResponse(text="NO_PAIRS")
         )
         assert next_seq == complete + 1, offset
         lines = path.read_bytes().splitlines()
@@ -360,7 +353,7 @@ def test_transcript_of_any_bytes_continues_numbering_or_is_corrupt(tmp_path_fact
     except ArtifactCorrupt as exc:
         assert str(path) in str(exc)
         return
-    seq = store.append(simple_request("pair", "m", "p"), LlmResponse(text="NO_PAIRS"))
+    seq = store.append(LlmRequest("pair", "m", "p"), LlmResponse(text="NO_PAIRS"))
     assert isinstance(seq, int) and not isinstance(seq, bool) and seq >= 1
 
 
@@ -415,11 +408,6 @@ def _instances(cls, leaves=_LEAVES):
 
 # Fields whose values the class itself checks.
 _RESTRICTED = {
-    (LlmRequest, "stage"): st.sampled_from(STAGES),
-    (LlmRequest, "messages"): st.lists(
-        st.builds(LlmMessage, st.text(max_size=5), st.text(max_size=5)), min_size=1, max_size=2
-    ).map(tuple),
-    (LlmRequest, "temperature"): st.floats(min_value=0, max_value=2),
     (FilterConfig, "deny"): st.lists(st.text(max_size=5).map(re.escape), max_size=3).map(tuple),
     (FilterConfig, "allow"): st.lists(st.text(max_size=5).map(re.escape), max_size=3).map(tuple),
     (ScriptedOutcome, "delay_s"): st.floats(min_value=0, max_value=1e9),

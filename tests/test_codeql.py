@@ -541,6 +541,21 @@ _SARIF = st.fixed_dictionaries({"runs": st.lists(st.fixed_dictionaries({"results
     }), max_size=3)}), max_size=2)})
 
 
+def _sarif_with_region(region):
+    return {"runs": [{"results": [{"ruleId": "qlforge/a", "locations": [
+        {"physicalLocation": {"artifactLocation": {"uri": "A.java"}, "region": region}}
+    ]}]}]}
+
+
+@pytest.mark.parametrize(
+    "region", [{"startLine": 2.5, "endLine": 3}, {"startLine": 2, "endLine": True}]
+)
+def test_split_sarif_refuses_a_line_number_that_is_not_an_integer(region):
+    # int() would truncate 2.5 to 2 and read true as line 1.
+    with pytest.raises(ExecutionFailed, match="no readable SARIF"):
+        _split_sarif(_sarif_with_region(region), {"qlforge/a": "a"})
+
+
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(sarif=_JSON | _SARIF)
 @example(sarif=[])
@@ -550,6 +565,8 @@ _SARIF = st.fixed_dictionaries({"runs": st.lists(st.fixed_dictionaries({"results
 @example(sarif={"runs": [{"results": [{"locations": [
     {"physicalLocation": {"region": {"startLine": "x"}}}
 ]}]}]})
+@example(sarif=_sarif_with_region({"startLine": 2.5, "endLine": 3}))
+@example(sarif=_sarif_with_region({"startLine": 2, "endLine": True}))
 def test_split_sarif_returns_findings_or_raises_execution_failed(sarif):
     try:
         split = _split_sarif(sarif, {"qlforge/a": "a"})

@@ -30,12 +30,9 @@ from qlforge.gateway import (
     LlmRequest,
     LlmResponse,
     MockLlmClient,
-    MockScript,
     TranscriptStore,
     _RetryableTransport,
     estimate_tokens,
-    simple_request,
-    stage_temperature,
 )
 from qlforge.pipeline import run_pipeline
 from tests.conftest import scripted_client
@@ -59,24 +56,17 @@ def test_estimate_tokens_subadditive():
         assert estimate_tokens(a + b) <= estimate_tokens(a) + estimate_tokens(b)
 
 
-def test_request_validation():
-    with pytest.raises(ValueError):
-        LlmRequest(stage="classify", model="m", messages=())
-    with pytest.raises(ValueError):
-        simple_request("classify", "m", "hi", temperature=-0.1)
-    with pytest.raises(ValueError):
-        simple_request("unheard-of", "m", "hi")
-
-
-def test_stage_temperature_defaults_and_override():
-    assert stage_temperature("classify") == 0.0
-    assert stage_temperature("pair") == 0.0
-    assert stage_temperature("write") == 0.7
-    assert stage_temperature("repair") == 0.7
-    assert stage_temperature("write", 0.0) == 0.0
-    assert stage_temperature("classify", 1.5) == 1.5
-    assert simple_request("write", "m", "p").temperature == 0.7
-    assert simple_request("write", "m", "p", temperature=0.2).temperature == 0.2
+def test_gateway_request_temperature_defaults_and_override():
+    gateway = LlmGateway(MockLlmClient([]), model="m")
+    assert gateway._request("classify", "p").temperature == 0.0
+    assert gateway._request("pair", "p").temperature == 0.0
+    assert gateway._request("write", "p").temperature == 0.7
+    assert gateway._request("repair", "p").temperature == 0.7
+    assert gateway._request("write", "p") == LlmRequest("write", "m", "p", 0.7)
+    override = LlmGateway(MockLlmClient([]), model="m", temperature=0.2)
+    assert override._request("write", "p").temperature == 0.2
+    assert override._request("classify", "p").temperature == 0.2
+    assert LlmGateway(MockLlmClient([]), temperature=0.0)._request("write", "p").temperature == 0.0
 
 
 def test_mock_script_first_match_wins():
@@ -87,9 +77,9 @@ def test_mock_script_first_match_wins():
         ],
         default="D",
     )
-    assert client.send(simple_request("classify", "m", "has alpha inside")).text == "A"
-    assert client.send(simple_request("classify", "m", "nothing")).text == "B"
-    assert client.send(simple_request("pair", "m", "other stage")).text == "D"
+    assert client.send(LlmRequest("classify", "m", "has alpha inside")).text == "A"
+    assert client.send(LlmRequest("classify", "m", "nothing")).text == "B"
+    assert client.send(LlmRequest("pair", "m", "other stage")).text == "D"
 
 
 def test_mock_script_consume_once():
@@ -99,7 +89,7 @@ def test_mock_script_consume_once():
             {"stage": "write", "response": "after"},
         ]
     )
-    req = simple_request("write", "m", "go")
+    req = LlmRequest("write", "m", "go")
     assert client.send(req).text == "first"
     assert client.send(req).text == "after"
     assert client.send(req).text == "after"
@@ -116,21 +106,21 @@ def test_mock_once_entries_answer_a_batch_in_request_order(monkeypatch):
         ],
         default="rest",
     )
-    respond = client.script.respond
+    respond = client._respond
     released = threading.Event()
 
     def slow_for_the_first(request):
-        if request.joined_content() == "p0":
+        if request.prompt == "p0":
             released.wait(timeout=0.5)
             return respond(request)
         text = respond(request)
         released.set()
         return text
 
-    monkeypatch.setattr(client.script, "respond", slow_for_the_first)
-    requests = [simple_request("pair", "m", f"p{i}") for i in range(4)]
+    monkeypatch.setattr(client, "_respond", slow_for_the_first)
+    requests = [LlmRequest("pair", "m", f"p{i}") for i in range(4)]
     for workers in (4, 1):
-        client.script.used.clear()
+        client.used.clear()
         results = LlmGateway(client, workers=workers).complete_batch(requests)
         assert [response.text for response, _ in results] == ["first", "second", "rest", "rest"]
 
@@ -142,10 +132,9 @@ def test_mock_script_from_jsonl(tmp_path):
         '{"default": "fallback"}\n',
         encoding="utf-8",
     )
-    script = MockScript.from_jsonl(path)
-    client = MockLlmClient(script)
-    assert client.send(simple_request("pair", "m", "x")).text == "NO_PAIRS"
-    assert client.send(simple_request("classify", "m", "x")).text == "fallback"
+    client = MockLlmClient.from_jsonl(path)
+    assert client.send(LlmRequest("pair", "m", "x")).text == "NO_PAIRS"
+    assert client.send(LlmRequest("classify", "m", "x")).text == "fallback"
 
 
 class FlakyClient:
@@ -168,7 +157,7 @@ def test_gateway_retries_then_succeeds(caplog):
     client = FlakyClient(2)
     gateway = LlmGateway(client, retries=3, backoff_s=1.0, sleep=sleeps.append)
     with caplog.at_level("WARNING", logger="qlforge.gateway"):
-        response, seq = gateway.complete(simple_request("classify", "m", "x"))
+        response, seq = gateway.complete(LlmRequest("classify", "m", "x"))
     assert response.text == "ok"
     assert client.calls == 3
     assert sleeps == [1.0, 2.0]  # exponential: 1, 2
@@ -183,7 +172,7 @@ def test_gateway_exhausted_429_raises_rate_limited():
     client = FlakyClient(99, status=429)
     gateway = LlmGateway(client, retries=3, sleep=lambda s: None)
     with pytest.raises(RateLimited):
-        gateway.complete(simple_request("classify", "m", "x"))
+        gateway.complete(LlmRequest("classify", "m", "x"))
     assert client.calls == 3
 
 
@@ -191,7 +180,7 @@ def test_gateway_exhausted_5xx_raises_provider_error():
     client = FlakyClient(99, status=503)
     gateway = LlmGateway(client, retries=3, sleep=lambda s: None)
     with pytest.raises(ProviderError):
-        gateway.complete(simple_request("classify", "m", "x"))
+        gateway.complete(LlmRequest("classify", "m", "x"))
 
 
 def test_transcript_records_successful_calls_only(tmp_path):
@@ -199,8 +188,8 @@ def test_transcript_records_successful_calls_only(tmp_path):
     store = TranscriptStore(path)
     client = FlakyClient(1)
     gateway = LlmGateway(client, transcripts=store, retries=3, sleep=lambda s: None)
-    gateway.complete(simple_request("classify", "m", "first"))
-    gateway.complete(simple_request("pair", "m", "second"))
+    gateway.complete(LlmRequest("classify", "m", "first"))
+    gateway.complete(LlmRequest("pair", "m", "second"))
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert [e["seq"] for e in lines] == [1, 2]
     assert [e["stage"] for e in lines] == ["classify", "pair"]
@@ -208,14 +197,24 @@ def test_transcript_records_successful_calls_only(tmp_path):
     assert "ts" in lines[0]
 
 
+def test_a_transcript_entry_logs_the_request_as_stage_and_prompt(tmp_path):
+    path = tmp_path / "t.jsonl"
+    gateway = LlmGateway(MockLlmClient([], "ok"), transcripts=TranscriptStore(path), model="m")
+    gateway.ask("pair", "which sources reach which sinks?")
+    (line,) = path.read_text(encoding="utf-8").splitlines()
+    request = json.loads(line)["request"]
+    assert list(request) == ["stage", "model", "prompt", "temperature", "max_tokens"]
+    assert request["prompt"] == "which sources reach which sinks?"
+
+
 def test_transcript_seq_continues_across_instances(tmp_path):
     path = tmp_path / "t.jsonl"
     first = TranscriptStore(path)
-    gw = LlmGateway(MockLlmClient(MockScript([], "hi")), transcripts=first)
-    gw.complete(simple_request("classify", "m", "a"))
+    gw = LlmGateway(MockLlmClient([], "hi"), transcripts=first)
+    gw.complete(LlmRequest("classify", "m", "a"))
     second = TranscriptStore(path)
-    gw2 = LlmGateway(MockLlmClient(MockScript([], "hi")), transcripts=second)
-    gw2.complete(simple_request("classify", "m", "b"))
+    gw2 = LlmGateway(MockLlmClient([], "hi"), transcripts=second)
+    gw2.complete(LlmRequest("classify", "m", "b"))
     seqs = [json.loads(l)["seq"] for l in path.read_text().splitlines()]
     assert seqs == [1, 2]
 
@@ -223,12 +222,12 @@ def test_transcript_seq_continues_across_instances(tmp_path):
 def test_complete_batch_sequences_follow_request_order(tmp_path):
     # Responses arrive from a pool in arbitrary order; sequence ids must not.
     store = TranscriptStore(tmp_path / "t.jsonl")
-    gateway = LlmGateway(MockLlmClient(MockScript([], "r")), transcripts=store, workers=4)
-    requests = [simple_request("classify", "m", f"prompt {i}") for i in range(8)]
+    gateway = LlmGateway(MockLlmClient([], "r"), transcripts=store, workers=4)
+    requests = [LlmRequest("classify", "m", f"prompt {i}") for i in range(8)]
     results = gateway.complete_batch(requests)
     assert [seq for _, seq in results] == list(range(1, 9))
     logged = [json.loads(l) for l in (tmp_path / "t.jsonl").read_text().splitlines()]
-    assert [e["request"]["messages"][-1]["content"] for e in logged] == [
+    assert [e["request"]["prompt"] for e in logged] == [
         f"prompt {i}" for i in range(8)
     ]
 
@@ -251,7 +250,7 @@ def test_ask_all_retries_each_wholly_malformed_answer_once_in_prompt_order():
 
     results = gateway.ask_all("pair", ["p0", "p1", "p2"], parse)
     assert results == [("v0", 4), ("v1", 2), (None, 5)]
-    sent = [(e["seq"], e["request"]["messages"][0]["content"]) for e in gateway.transcripts.entries]
+    sent = [(e["seq"], e["request"]["prompt"]) for e in gateway.transcripts.entries]
     assert sent == [(1, "p0"), (2, "p1"), (3, "p2"), (4, "p0"), (5, "p2")]
 
 
@@ -259,16 +258,16 @@ class TruncatingClient:
     """Reports ``finish_reason="length"`` for prompts that contain "long"."""
 
     def send(self, request):
-        cut = "long" in request.joined_content()
+        cut = "long" in request.prompt
         return LlmResponse(text="PAIR: (a", finish_reason="length" if cut else "stop")
 
 
 def test_gateway_warns_once_per_truncated_response(caplog):
     gateway = LlmGateway(TruncatingClient(), workers=2)
-    requests = [simple_request("pair", "m", p) for p in ("short", "long one", "long two")]
+    requests = [LlmRequest("pair", "m", p) for p in ("short", "long one", "long two")]
     with caplog.at_level("WARNING", logger="qlforge.gateway"):
         results = gateway.complete_batch(requests)
-        gateway.complete(simple_request("write", "m", "long three", max_tokens=64))
+        gateway.complete(LlmRequest("write", "m", "long three", max_tokens=64))
     warnings = [r.getMessage() for r in caplog.records]
     assert warnings == [
         "pair response (transcript seq 2) stopped at max_tokens=2048; its text is cut short",
@@ -406,7 +405,7 @@ def live_client(provider):
 
 def test_live_client_parses_chat_completion(provider, live_client):
     provider.replies.append((200, _completion("hello", usage={"total_tokens": 5}), {}))
-    response = live_client.send(simple_request("classify", "model-x", "prompt"))
+    response = live_client.send(LlmRequest("classify", "model-x", "prompt"))
     assert response.text == "hello"
     assert response.usage == {"total_tokens": 5}
     sent = provider.requests[0]
@@ -416,11 +415,25 @@ def test_live_client_parses_chat_completion(provider, live_client):
     assert sent["json"]["model"] == "model-x"
 
 
+def test_live_client_posts_one_user_message(provider, live_client):
+    prompt = "label these ✓\n{\"id\": \"a1\"}"
+    gateway = LlmGateway(live_client, model="model-x")
+    gateway.ask("write", prompt)
+    body = provider.requests[0]["json"]
+    assert list(body) == ["model", "messages", "temperature", "max_tokens"]
+    assert body == {
+        "model": "model-x",
+        "messages": [{"role": "user", "content": prompt}],
+        "temperature": 0.7,
+        "max_tokens": 2048,
+    }
+
+
 def test_live_client_auth_failure_is_not_retried(provider, live_client):
     provider.replies.append((401, b"denied", {}))
     gateway = LlmGateway(live_client, sleep=lambda s: None)
     with pytest.raises(AuthFailure):
-        gateway.complete(simple_request("classify", "m", "x"))
+        gateway.complete(LlmRequest("classify", "m", "x"))
     assert len(provider.requests) == 1
 
 
@@ -428,7 +441,7 @@ def test_live_client_retryable_status_then_ok(provider, live_client):
     provider.replies.append((503, b"busy", {}))
     provider.replies.append((200, _completion("fine"), {}))
     gateway = LlmGateway(live_client, sleep=lambda s: None)
-    response, _ = gateway.complete(simple_request("classify", "m", "x"))
+    response, _ = gateway.complete(LlmRequest("classify", "m", "x"))
     assert response.text == "fine"
     assert len(provider.requests) == 2
 
@@ -436,18 +449,18 @@ def test_live_client_retryable_status_then_ok(provider, live_client):
 def test_live_client_other_status_is_provider_error(provider, live_client):
     provider.replies.append((400, b"bad request body", {}))
     with pytest.raises(ProviderError, match="HTTP 400: bad request body"):
-        live_client.send(simple_request("classify", "m", "x"))
+        live_client.send(LlmRequest("classify", "m", "x"))
 
 
 def test_live_client_request_that_is_not_json_is_provider_error(provider, live_client):
     with pytest.raises(ProviderError, match="cannot be sent as JSON"):
-        live_client.send(simple_request("classify", "m", "x", temperature=float("nan")))
+        live_client.send(LlmRequest("classify", "m", "x", temperature=float("nan")))
     assert provider.requests == []
 
 
 def test_live_client_reuses_one_connection_for_serial_sends(provider, live_client):
     for i in range(5):
-        assert live_client.send(simple_request("classify", "m", f"p{i}")).text == "hello"
+        assert live_client.send(LlmRequest("classify", "m", f"p{i}")).text == "hello"
     assert len(provider.requests) == 5
     assert provider.connections == 1
 
@@ -456,7 +469,7 @@ def test_live_client_pool_follows_batch_width(provider, live_client):
     provider.delay_s = 0.01
     gateway = LlmGateway(live_client, workers=4)
     for batch in range(2):
-        requests = [simple_request("classify", "m", f"{batch}:{i}") for i in range(12)]
+        requests = [LlmRequest("classify", "m", f"{batch}:{i}") for i in range(12)]
         assert len(gateway.complete_batch(requests)) == 12
     assert len(provider.requests) == 24
     assert 1 <= provider.connections <= 4
@@ -467,7 +480,7 @@ def test_live_client_resends_on_a_connection_the_server_closed(provider, live_cl
     sleeps = []
     gateway = LlmGateway(live_client, sleep=sleeps.append)
     for prompt in ("first", "second"):
-        response, _ = gateway.complete(simple_request("classify", "m", prompt))
+        response, _ = gateway.complete(LlmRequest("classify", "m", prompt))
         assert response.text == "hello"
     assert sleeps == []
     assert provider.connections == 2
@@ -477,7 +490,7 @@ def test_live_client_resends_on_a_connection_the_server_closed(provider, live_cl
 def test_live_client_honours_connection_close(provider, live_client):
     provider.default = (200, _completion("bye"), {"Connection": "close"})
     for i in range(3):
-        assert live_client.send(simple_request("classify", "m", f"p{i}")).text == "bye"
+        assert live_client.send(LlmRequest("classify", "m", f"p{i}")).text == "bye"
         assert live_client._idle == []  # a closed connection is not pooled
     assert provider.connections == 3
 
@@ -490,7 +503,7 @@ def test_live_client_read_timeout_is_provider_error_after_retries(provider):
     sleeps = []
     gateway = LlmGateway(client, retries=3, sleep=sleeps.append)
     with pytest.raises(ProviderError, match="transport failed after 3 attempts"):
-        gateway.complete(simple_request("classify", "m", "x"))
+        gateway.complete(LlmRequest("classify", "m", "x"))
     assert len(provider.requests) == 3
     assert len(sleeps) == 2
     client.close()
@@ -527,7 +540,7 @@ def test_live_client_sends_absolute_uri_to_http_proxy(two_providers, no_proxy_en
     proxy, _ = two_providers
     no_proxy_env.setenv("http_proxy", f"http://{proxy.origin}")
     client = LiveLlmClient("http://qlforge.invalid:8080/v1/chat?x=1", api_key="k")
-    assert client.send(simple_request("classify", "m", "x")).text == "hello"
+    assert client.send(LlmRequest("classify", "m", "x")).text == "hello"
     client.close()
     assert proxy.requests[0]["path"] == "http://qlforge.invalid:8080/v1/chat?x=1"
     assert proxy.requests[0]["headers"]["Host"] == "qlforge.invalid:8080"
@@ -540,7 +553,7 @@ def test_live_client_no_proxy_bypasses_the_proxy(two_providers, no_proxy_env):
     no_proxy_env.setenv("http_proxy", f"http://{proxy.origin}")
     no_proxy_env.setenv("no_proxy", "127.0.0.1")
     client = LiveLlmClient(target.url, api_key="k")
-    assert client.send(simple_request("classify", "m", "x")).text == "hello"
+    assert client.send(LlmRequest("classify", "m", "x")).text == "hello"
     client.close()
     assert proxy.requests == []
     assert target.requests[0]["path"] == "/v1/chat"
@@ -553,7 +566,7 @@ def test_live_client_tunnels_https_through_the_proxy(provider, no_proxy_env):
     client = LiveLlmClient("https://qlforge.invalid/v1/chat", api_key="k")
     gateway = LlmGateway(client, retries=1)
     with pytest.raises(ProviderError, match="Tunnel connection failed: 403"):
-        gateway.complete(simple_request("classify", "m", "x"))
+        gateway.complete(LlmRequest("classify", "m", "x"))
     assert provider.connects[0]["target"] == "qlforge.invalid:443"
     assert provider.connects[0]["headers"]["Proxy-Authorization"] == "Basic dTpw"
     assert provider.requests == []
@@ -575,7 +588,7 @@ def test_live_client_tunnels_https_through_the_proxy(provider, no_proxy_env):
 def test_live_client_malformed_body_is_provider_error(provider, live_client, body):
     provider.replies.append((200, body, {}))
     with pytest.raises(ProviderError, match="malformed provider response"):
-        live_client.send(simple_request("classify", "m", "x"))
+        live_client.send(LlmRequest("classify", "m", "x"))
 
 
 _BODY_VALUE = st.recursive(
@@ -600,7 +613,7 @@ _BODY_VALUE = st.recursive(
 def test_live_client_any_json_body_is_text_or_provider_error(provider, live_client, value):
     provider.replies.append((200, value, {}))
     try:
-        response = live_client.send(simple_request("classify", "m", "x"))
+        response = live_client.send(LlmRequest("classify", "m", "x"))
     except ProviderError:
         return
     assert isinstance(response.text, str)
@@ -608,8 +621,8 @@ def test_live_client_any_json_body_is_text_or_provider_error(provider, live_clie
 
 def test_file_backed_transcript_keeps_no_entries(tmp_path):
     store = TranscriptStore(tmp_path / "t.jsonl")
-    gateway = LlmGateway(MockLlmClient(MockScript([], "hi")), transcripts=store)
-    gateway.complete_batch([simple_request("classify", "m", f"p{i}") for i in range(3)])
+    gateway = LlmGateway(MockLlmClient([], "hi"), transcripts=store)
+    gateway.complete_batch([LlmRequest("classify", "m", f"p{i}") for i in range(3)])
     assert store.entries == []
     assert len((tmp_path / "t.jsonl").read_text().splitlines()) == 3
 
@@ -617,7 +630,7 @@ def test_file_backed_transcript_keeps_no_entries(tmp_path):
 def test_an_answer_with_a_lone_surrogate_is_logged_with_a_replacement(tmp_path, caplog):
     path = tmp_path / "t.jsonl"
     gateway = LlmGateway(
-        MockLlmClient(MockScript([], "a1: Source \ud800")), transcripts=TranscriptStore(path)
+        MockLlmClient([], "a1: Source \ud800"), transcripts=TranscriptStore(path)
     )
     with caplog.at_level("WARNING"):
         assert gateway.ask("classify", "p") == "a1: Source \ufffd"
@@ -639,7 +652,7 @@ def test_lone_surrogates_anywhere_in_a_provider_answer_are_logged_replaced(
     path = tmp_path / "t.jsonl"
     gateway = LlmGateway(live_client, transcripts=TranscriptStore(path))
     with caplog.at_level("WARNING"):
-        response, seq = gateway.complete(simple_request("classify", "m", "p"))
+        response, seq = gateway.complete(LlmRequest("classify", "m", "p"))
     assert (response.finish_reason, response.usage) == ("\ufffd", {"total\ufffd": ["\ufffd"]})
     assert caplog.messages == [
         "classify response (transcript seq 1) held lone surrogates, replaced with U+FFFD"
@@ -679,9 +692,9 @@ def test_mock_script_loads_or_is_config_error_for_any_lines(tmp_path_factory, li
     path = tmp_path_factory.getbasetemp() / "any_script.jsonl"
     path.write_text("\n".join(lines), encoding="utf-8")
     try:
-        script = MockScript.from_jsonl(path)
+        client = MockLlmClient.from_jsonl(path)
     except ConfigError as exc:
         assert str(exc).startswith(f"{path}")
         return
     for stage in ("classify", "write"):
-        assert isinstance(script.respond(simple_request(stage, "m", "prompt")), str)
+        assert isinstance(client.send(LlmRequest(stage, "m", "prompt")).text, str)

@@ -229,7 +229,7 @@ class _PromptLog:
         self.prompts = []
 
     def send(self, request):
-        prompt = request.joined_content()
+        prompt = request.prompt
         self.prompts.append(prompt)
         return LlmResponse(text=self.replies.get(prompt, "NO_PAIRS"))
 
@@ -413,7 +413,7 @@ def test_pair_all_tiles_and_merges_sorted():
     }
     gateway = LlmGateway(_PromptLog(replies), model="m")
     pairs = pair_all(votes, records, gateway, budget=budget)
-    sent = [entry["request"]["messages"][0]["content"] for entry in gateway.transcripts.entries]
+    sent = [entry["request"]["prompt"] for entry in gateway.transcripts.entries]
     assert sent == list(replies)
     expected = {(tile_sources[0], tile_sinks[0]) for tile_sources, tile_sinks in tiles}
     expected |= {(srcs[0], last_sink) for srcs, snks in tiles if last_sink in snks}

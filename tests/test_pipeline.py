@@ -336,9 +336,7 @@ def test_full_run_model_calls_and_prompt_tokens(run_config, monkeypatch):
         for line in transcript.read_text(encoding="utf-8").splitlines():
             entry = json.loads(line)
             calls[entry["stage"]] += 1
-            tokens[entry["stage"]] += sum(
-                estimate_tokens(m["content"]) for m in entry["request"]["messages"]
-            )
+            tokens[entry["stage"]] += estimate_tokens(entry["request"]["prompt"])
     assert calls == EXPECTED_CALLS
     assert tokens == EXPECTED_PROMPT_TOKENS
 
@@ -353,7 +351,7 @@ def test_label_prompts_name_records_by_handle_and_write_prompts_by_pair_id(run_c
     ]
     assert {entry["stage"] for entry in entries} == {"classify", "pair"}
     for entry in entries:
-        prompt = "".join(m["content"] for m in entry["request"]["messages"])
+        prompt = entry["request"]["prompt"]
         assert '"id": "' in prompt
         assert not [rid for rid in ids if rid in prompt], entry["seq"]
     rule_dirs = sorted(p for p in (config.out_dir / "rules").iterdir() if p.is_dir())
@@ -362,7 +360,7 @@ def test_label_prompts_name_records_by_handle_and_write_prompts_by_pair_id(run_c
         for line in (rule_dir / "transcript.jsonl").read_text().splitlines():
             entry = json.loads(line)
             if entry["stage"] == "write":
-                assert rule_dir.name in "".join(m["content"] for m in entry["request"]["messages"])
+                assert rule_dir.name in entry["request"]["prompt"]
 
 
 def test_pairing_budget_tiles_the_prompts_without_changing_the_pairs(run_config):
@@ -371,7 +369,7 @@ def test_pairing_budget_tiles_the_prompts_without_changing_the_pairs(run_config)
     tiled = run_config("tiled", pairing={"budget": 1400, "drop_sanitized": True})
     run_pipeline(tiled)
     prompts = [
-        estimate_tokens(entry["request"]["messages"][0]["content"])
+        estimate_tokens(entry["request"]["prompt"])
         for entry in map(json.loads, (tiled.out_dir / "transcript.jsonl").read_text().splitlines())
         if entry["stage"] == "pair"
     ]
@@ -631,7 +629,7 @@ def test_round_three_goes_to_split_and_malformed_records_only(run_config, corpus
     # over the undecided records alone, then pairing.
     transcript = (config.out_dir / "transcript.jsonl").read_text()
     entries = [json.loads(line) for line in transcript.splitlines()]
-    prompts = [e["request"]["messages"][0]["content"] for e in entries if e["stage"] == "classify"]
+    prompts = [e["request"]["prompt"] for e in entries if e["stage"] == "classify"]
     last = plan_groups([lookup[rid] for rid in undecided], config.budget, config.seed, (2,), first)
     assert prompts == [
         *(build_classification_prompt(g, lookup) for g in first),

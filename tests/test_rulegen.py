@@ -110,14 +110,14 @@ def test_repair_advice_flows_into_next_write_prompt():
     artifact = generate_rule(pair, lookup, LlmGateway(client, model="m"), compiler)
     assert artifact.status is ArtifactStatus.COMPILED
     assert [r.stage for r in client.requests] == ["write", "repair", "write"]
-    repair_prompt = client.requests[1].joined_content()
+    repair_prompt = client.requests[1].prompt
     assert RULE_TEXT in repair_prompt
     assert "rule.ql:3:9: error: missing semicolon" in repair_prompt
-    second_write = client.requests[2].joined_content()
+    second_write = client.requests[2].prompt
     assert "ADVICE-MARKER: add the semicolon" in second_write
     assert "--- previous rule ---" in second_write
     assert "missing semicolon" in second_write
-    first_write = client.requests[0].joined_content()
+    first_write = client.requests[0].prompt
     assert "(first attempt)" in first_write
     assert "ADVICE-MARKER" not in first_write
 
@@ -135,7 +135,7 @@ def test_empty_draft_consumes_attempt_without_repair_call():
     assert artifact.attempts == 2
     assert [r.stage for r in client.requests] == ["write", "write"]
     assert compiler.compile_calls(pair.pair_id) == 1
-    assert "produced no output" in client.requests[1].joined_content()
+    assert "produced no output" in client.requests[1].prompt
 
 
 def test_all_empty_drafts_are_invalid():
@@ -178,7 +178,7 @@ def test_a_timed_out_attempt_is_revised_as_a_failed_compile():
         pair, lookup, LlmGateway(client, model="m"), MockCompiler(script, timeout_s=0.01),
         max_iters=2,
     )
-    second_write = client.requests[2].joined_content()
+    second_write = client.requests[2].prompt
     assert "Attempt 1 failed to compile (Error)." in second_write
     assert "rule.ql: error: compilation exceeded 0.01s" in second_write
 
@@ -629,7 +629,7 @@ def test_scan_isolates_a_rule_whose_sarif_is_mis_shaped(tmp_path, caplog):
     assert len(calls) == 4
     assert [f.pair_id for f in findings] == ["a__x", "c__z"]
     assert "pair b__y: execution failed" in caplog.text
-    assert "no readable SARIF: ValueError" in caplog.text
+    assert "no readable SARIF: TypeError: startLine must be int, not str" in caplog.text
 
 
 def test_scan_output_sorted_by_location():
