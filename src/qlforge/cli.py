@@ -143,9 +143,9 @@ def report(run_dir: Path, fmt: str, out: Path | None) -> None:
     if not report_path.is_file():
         raise NothingToDo(f"no report in {run_dir}; run the pipeline first")
     findings_path = run_dir / FINDINGS_FILENAME
-    findings = FINDINGS.load(findings_path) if findings_path.is_file() else []
+    findings = FINDINGS.load(findings_path) if fmt == "sarif" and findings_path.is_file() else []
     timings_path = run_dir / TIMINGS_FILENAME
-    seconds = load_stage_seconds(timings_path) if timings_path.is_file() else None
+    seconds = load_stage_seconds(timings_path) if fmt == "text" and timings_path.is_file() else None
     text = emit_report(load_report(report_path), fmt, findings, seconds)
     if out is None:
         click.echo(text, nl=False)

@@ -403,8 +403,9 @@ class LlmGateway:
 
     Every request goes to ``model`` at the stage's temperature: 0 for the
     labeling stages and 0.7 for rule writing and repair, unless
-    ``temperature`` overrides it for every stage. A batch runs at most
-    ``workers`` requests at once.
+    ``temperature`` overrides it for every stage. At most ``workers`` sends
+    are in flight through the gateway and the copies ``dataclasses.replace``
+    makes of it, which share its ``slots``.
 
     Transient transport failures (connection errors, HTTP 429/5xx) retry up
     to ``retries`` attempts with exponential backoff starting at
@@ -422,6 +423,11 @@ class LlmGateway:
     model: str = "default"
     temperature: float | None = None
     workers: int = 4
+    slots: threading.BoundedSemaphore | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.slots is None:
+            self.slots = threading.BoundedSemaphore(max(1, self.workers))
 
     def _request(self, stage: str, prompt: str) -> LlmRequest:
         temperature = DEFAULT_TEMPERATURES[stage] if self.temperature is None else self.temperature
@@ -522,7 +528,8 @@ class LlmGateway:
         last: _RetryableTransport | None = None
         for attempt in range(self.retries):
             try:
-                return self.client.send(request)
+                with self.slots:
+                    return self.client.send(request)
             except _RetryableTransport as exc:
                 last = exc
                 if attempt + 1 < self.retries:

@@ -234,6 +234,8 @@ class PipelineConfig:
             raise ConfigError("mock llm mode requires mock_script")
         if config.compiler_kind == "mock" and config.compiler_script is None:
             raise ConfigError("mock compiler requires compiler.script")
+        if config.compiler_kind == "codeql" and not config.database:
+            raise ConfigError("codeql compiler requires scan.database")
         return config
 
 

@@ -8,9 +8,9 @@ with its last diagnostics, never silently dropped, and stays in the
 denominator of the correctness rate. A missing compiler aborts the pair the
 same way.
 
-Pairs run side by side, and model calls and compiles are bounded as two
-separate lanes, each ``workers`` wide: at most ``workers`` model requests in
-flight and at most ``workers`` compiles running at once. While one pair
+Pairs run side by side under two separate bounds, each ``workers`` wide:
+the gateway lets at most ``workers`` model requests be in flight, and
+generate lets at most ``workers`` compiles run at once. While one pair
 compiles, another can be writing, so neither resource waits on the other.
 Each pair's own steps stay strictly in order and each pair keeps its own
 transcript, so a pair's prompts and outcome depend on the answers to its own
@@ -27,6 +27,7 @@ testable without any external toolchain.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import threading
@@ -51,7 +52,7 @@ from .artifacts import (
     write_json,
     write_text,
 )
-from .errors import CompilerUnavailable, ExecutionFailed
+from .errors import ArtifactCorrupt, CompilerUnavailable, ExecutionFailed
 from .gateway import LlmGateway, TranscriptStore
 from .pairing import SourceSinkPair
 from .prompts import load_template, render_template
@@ -342,6 +343,7 @@ def generate_rule(
     gateway: LlmGateway,
     compiler: RuleCompiler,
     max_iters: int = DEFAULT_MAX_ITERS,
+    compile_slot: contextlib.AbstractContextManager = contextlib.nullcontext(),
 ) -> RuleArtifact:
     """Run the bounded generation loop for one pair.
 
@@ -350,7 +352,8 @@ def generate_rule(
     advice feeds the next attempt. An empty draft counts as a failed
     attempt but skips the repair call, since there is nothing to diagnose.
     The loop stops at the first clean compile; the artifact keeps the last
-    attempt's diagnostics and is Aborted exactly when there are any.
+    attempt's diagnostics and is Aborted exactly when there are any. Each
+    compile runs inside ``compile_slot``.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -362,7 +365,8 @@ def generate_rule(
             diagnostics = (Diagnostic(message="writer returned empty output"),)
         else:
             try:
-                diagnostics = compiler.compile(pair.pair_id, rule_text)
+                with compile_slot:
+                    diagnostics = compiler.compile(pair.pair_id, rule_text)
             except CompilerUnavailable as exc:
                 logger.error("pair %s: compiler unavailable, aborting: %s", pair.pair_id, exc)
                 diagnostics = (Diagnostic(message=f"compiler unavailable: {exc}"),)
@@ -390,8 +394,16 @@ def generate_rule(
 # ---------------------------------------------------------------------------
 
 
+def pair_dir_of(rules_dir: str | Path, pair_id: object) -> Path:
+    """The pair's directory under ``rules_dir``. An id that is no plain directory name
+    (not a string, empty, ``.`` or ``..``, or with ``/``, ``\\`` or NUL) is ArtifactCorrupt."""
+    if not isinstance(pair_id, str) or pair_id in ("", ".", "..") or set(pair_id) & set("/\\\0"):
+        raise ArtifactCorrupt(f"pair id {pair_id!r} is not a plain directory name")
+    return Path(rules_dir) / pair_id
+
+
 def save_rule_artifact(artifact: RuleArtifact, rules_dir: str | Path) -> Path:
-    pair_dir = Path(rules_dir) / artifact.pair_id
+    pair_dir = pair_dir_of(rules_dir, artifact.pair_id)
     pair_dir.mkdir(parents=True, exist_ok=True)
     write_text(pair_dir / RULE_FILENAME, artifact.rule_text)
     status = asdict(artifact)
@@ -421,39 +433,19 @@ def load_rule_artifacts(rules_dir: str | Path) -> list[RuleArtifact]:
     doc = read_json(index_path)
     check_version(doc, index_path, RULE_INDEX_VERSION)
     with shape_checked(index_path, "rules"):
-        pair_dirs = [rules_dir / entry["pair_id"] for entry in doc["rules"]]
+        pair_ids = [entry["pair_id"] for entry in doc["rules"]]
     artifacts = []
-    for pair_dir in pair_dirs:
+    for pair_id in pair_ids:
+        pair_dir = pair_dir_of(rules_dir, pair_id)
         status_path = pair_dir / STATUS_FILENAME
         status = read_json(status_path)
         rule_text = read_text(pair_dir / RULE_FILENAME)
         with shape_checked(status_path, "status"):
-            artifacts.append(RuleArtifact.from_dict({**status, "rule_text": rule_text}))
+            artifact = RuleArtifact.from_dict({**status, "rule_text": rule_text})
+        if artifact.pair_id != pair_id:
+            raise ArtifactCorrupt(f"{status_path}: pair_id {artifact.pair_id!r} is not {pair_id!r}")
+        artifacts.append(artifact)
     return sorted(artifacts, key=lambda a: a.pair_id)
-
-
-class _Lane:
-    """Proxy for ``target`` that lets at most ``width`` calls of one method run at once.
-
-    Every other attribute passes straight through. The slot is taken around
-    the call, so time spent queueing for it is not part of the call itself.
-    """
-
-    def __init__(self, target, method: str, width: int):
-        self._target = target
-        self._method = method
-        self._slots = threading.BoundedSemaphore(width)
-
-    def __getattr__(self, name: str):
-        attr = getattr(self._target, name)
-        if name != self._method:
-            return attr
-
-        def bounded(*args, **kwargs):
-            with self._slots:
-                return attr(*args, **kwargs)
-
-        return bounded
 
 
 def generate_all(
@@ -466,32 +458,27 @@ def generate_all(
 ) -> list[RuleArtifact]:
     """Generate one rule per pair, each with its own transcript, and index them.
 
-    Each pair gets a gateway of its own, derived from ``gateway``. The
-    gateway's ``workers`` is the width of two lanes: at most ``workers``
-    model requests are in flight (the client's ``send``, so a retry's
-    backoff holds no slot) and at most ``workers`` compiles run at once. The
-    pair loops run on twice as many threads, enough to keep both lanes full.
+    Every pair id is checked to be a plain directory name before any pair
+    runs. Each pair gets a copy of ``gateway`` with its own transcript; the
+    copies share the gateway's bound of ``workers`` model requests in
+    flight. At most ``workers`` compiles run at once too. The pair loops run
+    on twice as many threads, enough to keep both bounds full.
     """
-    rules_dir = Path(rules_dir)
-    rules_dir.mkdir(parents=True, exist_ok=True)
     ordered = sorted(pairs, key=lambda p: p.pair_id)
+    pair_dirs = [pair_dir_of(rules_dir, pair.pair_id) for pair in ordered]
     width = max(1, gateway.workers)
-    client = _Lane(gateway.client, "send", width)
-    compiler = _Lane(compiler, "compile", width)
+    compiles = threading.BoundedSemaphore(width)
 
-    def run_pair(pair: SourceSinkPair) -> RuleArtifact:
-        pair_dir = rules_dir / pair.pair_id
+    def run_pair(pair: SourceSinkPair, pair_dir: Path) -> RuleArtifact:
         pair_dir.mkdir(parents=True, exist_ok=True)
         transcript = TranscriptStore(pair_dir / TRANSCRIPT_FILENAME)
-        pair_gateway = replace(
-            gateway, client=client, transcripts=transcript, pair_id=pair.pair_id
-        )
-        artifact = generate_rule(pair, records_by_id, pair_gateway, compiler, max_iters)
+        pair_gateway = replace(gateway, transcripts=transcript, pair_id=pair.pair_id)
+        artifact = generate_rule(pair, records_by_id, pair_gateway, compiler, max_iters, compiles)
         save_rule_artifact(artifact, rules_dir)
         return artifact
 
     with ThreadPoolExecutor(max_workers=2 * width) as pool:
-        artifacts = list(pool.map(run_pair, ordered))
+        artifacts = list(pool.map(run_pair, ordered, pair_dirs))
     write_rule_index(artifacts, rules_dir)
     return artifacts
 

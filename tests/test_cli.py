@@ -303,6 +303,19 @@ def test_run_resume_on_a_mis_typed_pairs_field_is_stage_error(runner, tmp_path):
     assert f"{path}: malformed 'pairs' entry" in result.output
 
 
+def test_run_resume_on_a_pair_id_outside_the_run_dir_is_stage_error(runner, tmp_path):
+    path, result = _resume_after_setting(
+        runner, tmp_path, "pair", "pairs.json", "pairs", ("pair_id",), "../../escape_pair"
+    )
+    assert result.exit_code == EXIT_STAGE
+    assert (
+        "stage 'generate' failed: pair id '../../escape_pair' is not a plain directory name"
+        in result.output
+    )
+    assert not (tmp_path / "escape_pair").exists()
+    assert not (tmp_path / "run" / "rules").exists()
+
+
 def _cut_transcript(run_dir, keep_lines):
     # Keep ``keep_lines`` whole lines and half of the next one, as a run
     # killed during an append leaves the file.
@@ -491,6 +504,34 @@ def test_report_on_unreadable_report_is_stage_error(runner, tmp_path, corrupt, m
     result = runner.invoke(main, ["report", "--run", str(tmp_path / "run")])
     assert result.exit_code == EXIT_STAGE
     assert f"{path}: {message}" in result.output
+
+
+_MIS_TYPED_SIDECARS = {
+    "timings.json": '{"stage_seconds": {"extract": "slow"}}',
+    "findings.json": '{"version": 1, "findings": [{"pair_id": 5}]}',
+}
+
+
+@pytest.mark.parametrize(
+    "fmt, sidecar, code",
+    [
+        ("json", "timings.json", EXIT_OK),
+        ("sarif", "timings.json", EXIT_OK),
+        ("text", "timings.json", EXIT_STAGE),
+        ("text", "findings.json", EXIT_OK),
+        ("json", "findings.json", EXIT_OK),
+        ("sarif", "findings.json", EXIT_STAGE),
+    ],
+)
+def test_report_reads_only_the_sidecar_its_format_shows(runner, tmp_path, fmt, sidecar, code):
+    config = _write_config(tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == EXIT_OK
+    path = tmp_path / "run" / sidecar
+    path.write_text(_MIS_TYPED_SIDECARS[sidecar], encoding="utf-8")
+    result = runner.invoke(main, ["report", "--run", str(tmp_path / "run"), "--format", fmt])
+    assert result.exit_code == code, result.output
+    if code == EXIT_STAGE:
+        assert str(path) in result.output
 
 
 @pytest.mark.parametrize(

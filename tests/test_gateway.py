@@ -7,7 +7,9 @@ import string
 import subprocess
 import sys
 import threading
+import time
 import warnings
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
@@ -230,6 +232,49 @@ def test_complete_batch_sequences_follow_request_order(tmp_path):
     assert [e["request"]["prompt"] for e in logged] == [
         f"prompt {i}" for i in range(8)
     ]
+
+
+class _GaugedClient:
+    """Counts sends in flight and keeps the peak. Each send waits until
+    ``width`` are in flight or a few seconds pass, then lingers long enough
+    for a send past the width, if one is let through, to be seen."""
+
+    def __init__(self, width):
+        self.width = width
+        self.now = self.peak = 0
+        self.full = threading.Event()
+        self._lock = threading.Lock()
+
+    def send(self, request):
+        with self._lock:
+            self.now += 1
+            self.peak = max(self.peak, self.now)
+            if self.now >= self.width:
+                self.full.set()
+        self.full.wait(5.0)
+        time.sleep(0.1)
+        with self._lock:
+            self.now -= 1
+        return LlmResponse(text="ok")
+
+
+def test_gateway_copies_share_its_bound_on_sends_in_flight():
+    client = _GaugedClient(2)
+    gateway = LlmGateway(client, workers=2)
+    copies = [replace(gateway, pair_id=f"p{i}") for i in range(6)]
+    threads = [threading.Thread(target=copy.ask, args=("write", "prompt")) for copy in copies]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert client.peak == 2
+    assert len(gateway.transcripts.entries) == 6
 
 
 def test_ask_all_retries_each_wholly_malformed_answer_once_in_prompt_order():

@@ -169,6 +169,11 @@ def test_config_rejects_unknown_keys(tmp_path):
         ),
         ({"llm": {"mode": "live", "endpoint": "http://[::1/v1"}}, "Invalid IPv6 URL"),
         ({"filters": {"deny": ["a{4294967296}"]}}, "filters.deny: bad pattern"),
+        ({"compiler": {"kind": "codeql"}, "scan": {}}, "codeql compiler requires scan.database"),
+        (
+            {"compiler": {"kind": "codeql"}, "scan": {"database": ""}},
+            "codeql compiler requires scan.database",
+        ),
     ],
 )
 def test_config_validation_failures(tmp_path, mutation, match):

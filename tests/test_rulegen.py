@@ -3,13 +3,14 @@ import random
 import sys
 import threading
 import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlforge.codeql import CodeQLCompiler
-from qlforge.errors import CompilerUnavailable, ConfigError, ExecutionFailed
+from qlforge.errors import ArtifactCorrupt, CompilerUnavailable, ConfigError, ExecutionFailed
 from qlforge.gateway import LlmGateway, LlmResponse, _RetryableTransport
 from qlforge.pairing import SourceSinkPair, make_pair_id
 from qlforge.prompts import load_template
@@ -23,6 +24,7 @@ from qlforge.rulegen import (
     generate_all,
     generate_rule,
     load_rule_artifacts,
+    pair_dir_of,
     save_rule_artifact,
     scan,
     write_rule,
@@ -345,6 +347,41 @@ def test_load_rule_artifacts_requires_index(tmp_path):
     (tmp_path / "index.json").write_text(json.dumps({"version": 9, "rules": []}))
     with pytest.raises(ValueError):
         load_rule_artifacts(tmp_path)
+
+
+def test_load_rule_artifacts_refuses_an_index_row_outside_the_rules_dir(tmp_path):
+    rules_dir = tmp_path / "rules"
+    outside = RuleArtifact("x", "xss", ArtifactStatus.COMPILED, 1, "select 1\n")
+    save_rule_artifact(outside, tmp_path)  # next to the rules directory
+    write_rule_index([replace(outside, pair_id="../x")], rules_dir)
+    with pytest.raises(ArtifactCorrupt, match="pair id '../x' is not a plain directory name"):
+        load_rule_artifacts(rules_dir)
+
+
+def test_load_rule_artifacts_refuses_a_status_of_another_pair(tmp_path):
+    artifact = RuleArtifact("a__x", "xss", ArtifactStatus.COMPILED, 1, "select 1\n")
+    status_path = save_rule_artifact(artifact, tmp_path) / "status.json"
+    status_path.write_text(json.dumps({**json.loads(status_path.read_text()), "pair_id": "b__y"}))
+    write_rule_index([artifact], tmp_path)
+    with pytest.raises(ArtifactCorrupt, match="pair_id 'b__y' is not 'a__x'"):
+        load_rule_artifacts(tmp_path)
+
+
+@pytest.mark.parametrize("pair_id", ["", ".", "..", "../x", "a/b", "a\\b", "a\0b", 5, None])
+def test_a_pair_id_that_is_no_plain_directory_name_is_refused(tmp_path, pair_id):
+    with pytest.raises(ArtifactCorrupt, match="is not a plain directory name"):
+        pair_dir_of(tmp_path, pair_id)
+
+
+def test_generate_all_checks_every_pair_id_before_any_pair_runs(tmp_path):
+    pairs, lookup = _pairs(3)
+    pairs.append(replace(pairs[0], pair_id="../escape"))
+    client = StaticClient(RULE_TEXT)
+    rules_dir = tmp_path / "rules"
+    with pytest.raises(ArtifactCorrupt, match="pair id '../escape'"):
+        generate_all(pairs, lookup, LlmGateway(client), MockCompiler({"version": 1}), rules_dir)
+    assert client.calls == 0
+    assert not rules_dir.exists() and not (tmp_path / "escape").exists()
 
 
 def test_generate_all_layout_and_transcripts(tmp_path):
