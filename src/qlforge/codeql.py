@@ -77,25 +77,23 @@ def resolve_binary(explicit: str | None = None) -> str | None:
     return shutil.which("codeql")
 
 
-def _require_binary(binary: str | None, unavailable_exc) -> str:
-    """``binary``, or raise ``unavailable_exc`` when no codeql binary was found."""
+def _run(
+    binary: str | None, args: list[str], timeout_s: float | None, unavailable_exc
+) -> subprocess.CompletedProcess:
+    """Run codeql ``binary`` with ``args``; a missing binary is ``unavailable_exc``."""
     if not binary:
         raise unavailable_exc(f"codeql binary not found; set {ENV_CODEQL} or codeql.path")
-    return binary
-
-
-def _run(cmd: list[str], timeout_s: float | None, unavailable_exc) -> subprocess.CompletedProcess:
-    logger.debug("running: %s", " ".join(cmd))
+    logger.debug("running: %s %s", binary, " ".join(args))
     try:
         return subprocess.run(
-            cmd,
+            [binary, *args],
             capture_output=True,
             encoding="utf-8",
             errors="replace",
             timeout=timeout_s if timeout_s is not None else DEFAULT_TIMEOUT_S,
         )
     except FileNotFoundError as exc:
-        raise unavailable_exc(f"codeql binary not found: {cmd[0]}") from exc
+        raise unavailable_exc(f"codeql binary not found: {binary}") from exc
 
 
 def stamp_rule_id(rule_text: str, rule_id: str) -> str:
@@ -147,9 +145,8 @@ class CodeQLBackend:
     def _codeql(self, *args: str) -> subprocess.CompletedProcess:
         """Run one codeql subcommand; a failure or a timeout is BackendUnavailable."""
         command = " ".join(args[:2])
-        binary = _require_binary(self.binary, BackendUnavailable)
         try:
-            proc = _run([binary, *args], self.timeout_s, BackendUnavailable)
+            proc = _run(self.binary, list(args), self.timeout_s, BackendUnavailable)
         except subprocess.TimeoutExpired as exc:
             raise BackendUnavailable(f"codeql {command} exceeded {exc.timeout}s") from exc
         if proc.returncode != 0:
@@ -256,12 +253,12 @@ class CodeQLCompiler:
         return paths
 
     def compile(self, pair_id: str, rule_text: str) -> tuple[Diagnostic, ...]:
-        binary = _require_binary(self.binary, CompilerUnavailable)
         with tempfile.TemporaryDirectory(prefix="qlforge-compile-") as tmp:
             (rule,) = self._workspace(Path(tmp), {"rule": rule_text})
             try:
                 proc = _run(
-                    [binary, "query", "compile", str(rule)],
+                    self.binary,
+                    ["query", "compile", str(rule)],
                     self.timeout_s,
                     CompilerUnavailable,
                 )
@@ -280,7 +277,6 @@ class CodeQLCompiler:
         """
         if not rules:
             return {}
-        binary = _require_binary(self.binary, CompilerUnavailable)
         per_rule_s = self.timeout_s if self.timeout_s is not None else DEFAULT_TIMEOUT_S
         timeout_s = per_rule_s * len(rules)
         with tempfile.TemporaryDirectory(prefix="qlforge-scan-") as tmp:
@@ -292,8 +288,8 @@ class CodeQLCompiler:
             sarif_path = tmp_path / "out.sarif"
             try:
                 proc = _run(
+                    self.binary,
                     [
-                        binary,
                         "database",
                         "analyze",
                         database,

@@ -38,6 +38,7 @@ from operator import attrgetter
 from typing import Collection
 
 from .artifacts import Document, JsonDataclass
+from .classify import TaintLabel
 from .errors import NothingToPair, RecordTooLarge, WhollyMalformed
 from .gateway import LlmGateway, estimate_tokens
 from .prompts import handle_names, handles, load_template, pack_greedy, render_template, with_handle
@@ -291,8 +292,6 @@ def pair_all(
     are removed from the result instead. A tile whose answer is still wholly
     malformed after the gateway's retry contributes nothing.
     """
-    from .classify import TaintLabel  # local import to avoid a cycle
-
     sources = sorted(v.api_id for v in votes if v.resolved is TaintLabel.SOURCE)
     sinks = sorted(v.api_id for v in votes if v.resolved is TaintLabel.SINK)
     sanitizers = sorted(v.api_id for v in votes if v.resolved is TaintLabel.SANITIZER)

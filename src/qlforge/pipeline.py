@@ -48,7 +48,15 @@ from .metrics import compute_metrics, load_manifest
 from .pairing import DEFAULT_BUDGET as DEFAULT_PAIRING_BUDGET, PAIRS, pair_all
 from .records import SPECS, encodable_only, record_lookup, save_spec_document
 from .report import PipelineReport, StageSummary, dump_report
-from .rulegen import FINDINGS, MockCompiler, generate_all, load_rule_artifacts, scan
+from .rulegen import (
+    FINDINGS,
+    INDEX_FILENAME,
+    TRANSCRIPT_FILENAME,
+    MockCompiler,
+    generate_all,
+    load_rule_artifacts,
+    scan,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -60,7 +68,6 @@ RULES_DIRNAME = "rules"
 FINDINGS_FILENAME = "findings.json"
 REPORT_FILENAME = "report.json"
 TIMINGS_FILENAME = "timings.json"
-TRANSCRIPT_FILENAME = "transcript.jsonl"
 
 # A check takes a key, its value and the config file's directory, and returns
 # the value to store or raises a ConfigError naming the key.
@@ -423,7 +430,7 @@ STAGES = (
     Stage("classify", VOTES_FILENAME, _run_classify, _load_classify, uses_model=True),
     Stage("pair", PAIRS_FILENAME, _run_pair, _load_pair, uses_model=True),
     Stage(
-        "generate", f"{RULES_DIRNAME}/index.json", _run_generate, _load_generate,
+        "generate", f"{RULES_DIRNAME}/{INDEX_FILENAME}", _run_generate, _load_generate,
         uses_model=True, uses_compiler=True,
     ),
     Stage("scan", FINDINGS_FILENAME, _run_scan, _load_scan, uses_compiler=True),

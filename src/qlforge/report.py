@@ -22,8 +22,6 @@ REPORT_VERSION = 1
 SARIF_VERSION = "2.1.0"
 SARIF_SCHEMA = "https://json.schemastore.org/sarif-2.1.0.json"
 
-REPORT_FORMATS = ("json", "text", "sarif")
-
 
 @dataclass(frozen=True)
 class StageSummary(JsonDataclass):
@@ -111,7 +109,7 @@ def render_text(report: PipelineReport, stage_seconds: dict[str, float] | None =
     return "\n".join(lines) + "\n"
 
 
-def render_sarif(report: PipelineReport, findings: list[Finding]) -> str:
+def render_sarif(findings: list[Finding]) -> str:
     ordered = sorted(findings, key=lambda f: (f.file, f.start_line, f.end_line, f.pair_id))
     rule_ids = sorted({f.pair_id for f in ordered})
     classes = {f.pair_id: f.vuln_class for f in ordered}
@@ -156,23 +154,3 @@ def render_sarif(report: PipelineReport, findings: list[Finding]) -> str:
         ],
     }
     return dump_json(doc)
-
-
-def emit_report(
-    report: PipelineReport,
-    fmt: str,
-    findings: list[Finding] | None = None,
-    stage_seconds: dict[str, float] | None = None,
-) -> str:
-    """Render the report in one of the supported formats.
-
-    SARIF output needs the findings list and text output shows the stage
-    times; each format ignores what it does not show.
-    """
-    if fmt == "json":
-        return dump_report(report)
-    if fmt == "text":
-        return render_text(report, stage_seconds)
-    if fmt == "sarif":
-        return render_sarif(report, findings or [])
-    raise ValueError(f"unknown report format: {fmt!r}")

@@ -32,6 +32,7 @@ import json
 import logging
 import threading
 import time
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
@@ -71,6 +72,8 @@ RULE_FILENAME = "rule.ql"
 TRANSCRIPT_FILENAME = "transcript.jsonl"
 STATUS_FILENAME = "status.json"
 INDEX_FILENAME = "index.json"
+# A file name's usual limit, less the ".ql" scan appends to a pair id.
+MAX_PAIR_ID_BYTES = 255 - len(".ql")
 
 
 class ArtifactStatus(str, Enum):
@@ -396,10 +399,22 @@ def generate_rule(
 
 def pair_dir_of(rules_dir: str | Path, pair_id: object) -> Path:
     """The pair's directory under ``rules_dir``. An id that is no plain directory name
-    (not a string, empty, ``.`` or ``..``, or with ``/``, ``\\`` or NUL) is ArtifactCorrupt."""
+    (not a string, empty, ``.`` or ``..``, with ``/``, ``\\`` or NUL, or too long to
+    name the ``<pair_id>.ql`` file scan writes) is ArtifactCorrupt."""
     if not isinstance(pair_id, str) or pair_id in ("", ".", "..") or set(pair_id) & set("/\\\0"):
         raise ArtifactCorrupt(f"pair id {pair_id!r} is not a plain directory name")
+    if len(pair_id.encode("utf-8", "surrogatepass")) > MAX_PAIR_ID_BYTES:
+        raise ArtifactCorrupt(f"pair id {pair_id!r} is longer than {MAX_PAIR_ID_BYTES} bytes")
     return Path(rules_dir) / pair_id
+
+
+def pair_dirs_of(rules_dir: str | Path, pair_ids: list) -> list[Path]:
+    """Each pair's directory (see ``pair_dir_of``); an id listed twice is ArtifactCorrupt."""
+    pair_dirs = [pair_dir_of(rules_dir, pair_id) for pair_id in pair_ids]
+    for pair_id, count in Counter(pair_ids).items():
+        if count > 1:
+            raise ArtifactCorrupt(f"pair id {pair_id!r} is listed {count} times")
+    return pair_dirs
 
 
 def save_rule_artifact(artifact: RuleArtifact, rules_dir: str | Path) -> Path:
@@ -435,8 +450,7 @@ def load_rule_artifacts(rules_dir: str | Path) -> list[RuleArtifact]:
     with shape_checked(index_path, "rules"):
         pair_ids = [entry["pair_id"] for entry in doc["rules"]]
     artifacts = []
-    for pair_id in pair_ids:
-        pair_dir = pair_dir_of(rules_dir, pair_id)
+    for pair_id, pair_dir in zip(pair_ids, pair_dirs_of(rules_dir, pair_ids)):
         status_path = pair_dir / STATUS_FILENAME
         status = read_json(status_path)
         rule_text = read_text(pair_dir / RULE_FILENAME)
@@ -458,14 +472,14 @@ def generate_all(
 ) -> list[RuleArtifact]:
     """Generate one rule per pair, each with its own transcript, and index them.
 
-    Every pair id is checked to be a plain directory name before any pair
-    runs. Each pair gets a copy of ``gateway`` with its own transcript; the
-    copies share the gateway's bound of ``workers`` model requests in
-    flight. At most ``workers`` compiles run at once too. The pair loops run
-    on twice as many threads, enough to keep both bounds full.
+    Every pair id is checked to be a plain directory name, and listed once,
+    before any pair runs. Each pair gets a copy of ``gateway`` with its own
+    transcript; the copies share the gateway's bound of ``workers`` model
+    requests in flight. At most ``workers`` compiles run at once too. The
+    pair loops run on twice as many threads, enough to keep both bounds full.
     """
     ordered = sorted(pairs, key=lambda p: p.pair_id)
-    pair_dirs = [pair_dir_of(rules_dir, pair.pair_id) for pair in ordered]
+    pair_dirs = pair_dirs_of(rules_dir, [pair.pair_id for pair in ordered])
     width = max(1, gateway.workers)
     compiles = threading.BoundedSemaphore(width)
 

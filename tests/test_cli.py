@@ -316,6 +316,32 @@ def test_run_resume_on_a_pair_id_outside_the_run_dir_is_stage_error(runner, tmp_
     assert not (tmp_path / "run" / "rules").exists()
 
 
+def test_run_resume_on_a_pair_id_too_long_for_a_file_name_is_stage_error(runner, tmp_path):
+    long_id = "p" * 300
+    path, result = _resume_after_setting(
+        runner, tmp_path, "pair", "pairs.json", "pairs", ("pair_id",), long_id
+    )
+    assert result.exit_code == EXIT_STAGE, result.output
+    assert f"stage 'generate' failed: pair id '{long_id}' is longer than 252 bytes" in result.output
+    assert not (tmp_path / "run" / "rules").exists()
+
+
+def test_run_resume_on_a_repeated_pair_id_is_stage_error(runner, tmp_path):
+    config = _write_config(tmp_path)
+    result = runner.invoke(main, ["run", "--config", str(config), "--until", "pair"])
+    assert result.exit_code == EXIT_OK
+    path = tmp_path / "run" / "pairs.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    first = doc["pairs"][0]
+    other_sink = next(p["sink_id"] for p in doc["pairs"] if p["sink_id"] != first["sink_id"])
+    doc["pairs"].append({**first, "sink_id": other_sink})
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    result = runner.invoke(main, ["run", "--config", str(config), "--resume"])
+    assert result.exit_code == EXIT_STAGE, result.output
+    assert f"stage 'generate' failed: pair id '{first['pair_id']}' is listed 2 times" in result.output
+    assert not (tmp_path / "run" / "rules").exists()
+
+
 def _cut_transcript(run_dir, keep_lines):
     # Keep ``keep_lines`` whole lines and half of the next one, as a run
     # killed during an append leaves the file.
@@ -473,6 +499,7 @@ def test_report_formats(runner, tmp_path):
 
     as_json = runner.invoke(main, ["report", "--run", run_dir, "--format", "json"])
     assert as_json.exit_code == EXIT_OK
+    assert as_json.output == (tmp_path / "run" / "report.json").read_text(encoding="utf-8")
     assert json.loads(as_json.output)["counts"]["findings"] == 3
 
     out_path = tmp_path / "report.sarif"
@@ -482,6 +509,10 @@ def test_report_formats(runner, tmp_path):
     assert sarif.exit_code == EXIT_OK
     doc = json.loads(out_path.read_text())
     assert len(doc["runs"][0]["results"]) == 3
+
+    unknown = runner.invoke(main, ["report", "--run", run_dir, "--format", "yaml"])
+    assert unknown.exit_code == EXIT_CONFIG
+    assert "Invalid value for '--format'" in unknown.output
 
 
 @pytest.mark.parametrize(

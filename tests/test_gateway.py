@@ -617,6 +617,19 @@ def test_live_client_tunnels_https_through_the_proxy(provider, no_proxy_env):
     assert provider.requests == []
 
 
+def test_live_client_refuses_an_https_proxy(no_proxy_env):
+    from qlforge.gateway import LiveLlmClient
+
+    no_proxy_env.setenv("https_proxy", "https://proxy.invalid:3128")
+    with pytest.raises(ConfigError, match="only http:// proxies are supported"):
+        LiveLlmClient("https://qlforge.invalid/v1/chat", api_key="k")
+
+
+def test_live_client_reads_null_content_as_empty_text(provider, live_client):
+    provider.replies.append((200, _completion(None), {}))
+    assert live_client.send(LlmRequest("classify", "m", "x")).text == ""
+
+
 @pytest.mark.parametrize(
     "body",
     [

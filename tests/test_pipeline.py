@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qlforge import pipeline
 from qlforge.classify import build_classification_prompt, plan_groups
+from qlforge.codeql import CodeQLCompiler
 from qlforge.errors import ConfigError, NothingToDo, StageFailure
 from qlforge.extract import FixtureBackend, dedupe, extract_apis, filter_risky
 from qlforge.gateway import estimate_tokens
@@ -818,3 +819,12 @@ def test_build_compiler_mock(run_config):
     config = run_config()
     compiler = build_compiler(config)
     assert isinstance(compiler, MockCompiler)
+
+
+def test_build_compiler_codeql_carries_the_binary_and_timeout(run_config):
+    config = run_config(
+        compiler={"kind": "codeql"}, codeql={"path": "/opt/codeql"}, rulegen={"timeout_s": 7}
+    )
+    compiler = build_compiler(config)
+    assert isinstance(compiler, CodeQLCompiler)
+    assert (compiler.binary, compiler.timeout_s) == ("/opt/codeql", 7)

@@ -9,7 +9,6 @@ from qlforge.report import (
     PipelineReport,
     StageSummary,
     dump_report,
-    emit_report,
     load_report,
     load_stage_seconds,
     render_sarif,
@@ -123,7 +122,7 @@ def test_text_rendering_without_metrics_or_warnings():
 
 
 def test_sarif_structure():
-    doc = json.loads(render_sarif(_report(), _findings()))
+    doc = json.loads(render_sarif(_findings()))
     assert doc["version"] == "2.1.0"
     assert doc["$schema"].endswith("sarif-2.1.0.json")
     run = doc["runs"][0]
@@ -144,18 +143,7 @@ def test_sarif_structure():
 
 
 def test_sarif_with_no_findings():
-    doc = json.loads(render_sarif(_report(), []))
+    doc = json.loads(render_sarif([]))
     assert doc["runs"][0]["results"] == []
     assert doc["runs"][0]["tool"]["driver"]["rules"] == []
 
-
-def test_emit_report_dispatch():
-    report = _report()
-    assert emit_report(report, "json") == dump_report(report)
-    assert emit_report(report, "text") == render_text(report)
-    assert emit_report(report, "text", stage_seconds={"extract": 2.0}) == render_text(
-        report, {"extract": 2.0}
-    )
-    assert json.loads(emit_report(report, "sarif", _findings()))["runs"]
-    with pytest.raises(ValueError):
-        emit_report(report, "yaml")

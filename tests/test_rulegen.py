@@ -25,6 +25,7 @@ from qlforge.rulegen import (
     generate_rule,
     load_rule_artifacts,
     pair_dir_of,
+    repair_advice,
     save_rule_artifact,
     scan,
     write_rule,
@@ -122,6 +123,13 @@ def test_repair_advice_flows_into_next_write_prompt():
     first_write = client.requests[0].prompt
     assert "(first attempt)" in first_write
     assert "ADVICE-MARKER" not in first_write
+
+
+def test_blank_repair_advice_falls_back_to_the_first_diagnostic():
+    diagnostics = (Diagnostic(message="missing semicolon", file="rule.ql", line=3, column=9),)
+    gateway = LlmGateway(StaticClient(" \n"), model="m")
+    advice = repair_advice(RULE_TEXT, diagnostics, gateway)
+    assert advice == "Address the first diagnostic: rule.ql:3:9: error: missing semicolon"
 
 
 def test_empty_draft_consumes_attempt_without_repair_call():
@@ -382,6 +390,33 @@ def test_generate_all_checks_every_pair_id_before_any_pair_runs(tmp_path):
         generate_all(pairs, lookup, LlmGateway(client), MockCompiler({"version": 1}), rules_dir)
     assert client.calls == 0
     assert not rules_dir.exists() and not (tmp_path / "escape").exists()
+
+
+@pytest.mark.parametrize("pair_id", ["a" * 253, "\u00e9" * 127], ids=["ascii", "two-byte"])
+def test_a_pair_id_too_long_to_name_its_rule_file_is_refused(tmp_path, pair_id):
+    # 252 bytes of UTF-8 plus scan's ".ql" fill a 255-byte file name.
+    assert pair_dir_of(tmp_path, "a" * 252) == tmp_path / ("a" * 252)
+    with pytest.raises(ArtifactCorrupt, match="is longer than 252 bytes"):
+        pair_dir_of(tmp_path, pair_id)
+
+
+def test_generate_all_refuses_a_repeated_pair_id_before_any_pair_runs(tmp_path):
+    pairs, lookup = _pairs(3)
+    pairs.append(replace(pairs[0], sink_id=pairs[1].sink_id))
+    client = StaticClient(RULE_TEXT)
+    rules_dir = tmp_path / "rules"
+    with pytest.raises(ArtifactCorrupt, match=f"pair id '{pairs[0].pair_id}' is listed 2 times"):
+        generate_all(pairs, lookup, LlmGateway(client), MockCompiler({"version": 1}), rules_dir)
+    assert client.calls == 0
+    assert not rules_dir.exists()
+
+
+def test_load_rule_artifacts_refuses_an_index_listing_a_pair_twice(tmp_path):
+    artifact = RuleArtifact("a__x", "xss", ArtifactStatus.COMPILED, 1, "select 1\n")
+    save_rule_artifact(artifact, tmp_path)
+    write_rule_index([artifact, artifact], tmp_path)
+    with pytest.raises(ArtifactCorrupt, match="pair id 'a__x' is listed 2 times"):
+        load_rule_artifacts(tmp_path)
 
 
 def test_generate_all_layout_and_transcripts(tmp_path):
