@@ -1,10 +1,10 @@
 """Pairing of classified sources with sinks into candidate exploit chains.
 
 Sources and sinks are split into groups and the model sees one prompt per
-(source group × sink group) tile, each carrying every sanitizer. The tile
-plan depends only on (sources, sinks, sanitizers, budget): every
-combination lands in exactly one tile, and every tile's prompt estimate
-stays within the token budget.
+(source group × sink group) tile, each listing every sanitizer as one
+signature line. The tile plan depends only on (sources, sinks, sanitizers,
+budget): every combination lands in exactly one tile, and every tile's
+prompt estimate stays within the token budget.
 
 With ``frame`` the estimate of a prompt with no candidates and
 ``room = budget − frame``, a plan of S source groups and K sink groups
@@ -35,7 +35,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Collection
+from typing import Callable, Collection
 
 from .artifacts import Document, JsonDataclass
 from .classify import TaintLabel
@@ -95,11 +95,20 @@ If no pairing is plausible print exactly:
 NO_PAIRS"""
 
 
-def _candidate_block(ids: list[str], prefix: str, records_by_id: dict[str, ApiRecord]) -> str:
+def _signature_line(record: ApiRecord, handle: str) -> str:
+    return f"{handle} {record.signature}"
+
+
+def _candidate_block(
+    ids: list[str],
+    prefix: str,
+    records_by_id: dict[str, ApiRecord],
+    line: Callable[[ApiRecord, str], str] = with_handle,
+) -> str:
     if not ids:
         return "(none)\n"
     members = records_for(ids, records_by_id, "pairing")
-    return "\n".join(map(with_handle, members, handles(prefix, len(ids)))) + "\n"
+    return "\n".join(map(line, members, handles(prefix, len(ids)))) + "\n"
 
 
 def build_pairing_prompt(
@@ -111,7 +120,10 @@ def build_pairing_prompt(
     """Render the pairing prompt of one tile.
 
     Each list is sorted, and its records appear under handles numbered in
-    that order (see :data:`_HANDLE_PREFIXES`) in place of their ids.
+    that order (see :data:`_HANDLE_PREFIXES`) in place of their ids. A
+    source or sink is its record's prompt line; a sanitizer is one line of
+    its handle and :attr:`ApiRecord.signature`, since the model needs it
+    only to name it in SANITIZED_BY.
     """
     src, snk, san = _HANDLE_PREFIXES
     return render_template(
@@ -119,7 +131,9 @@ def build_pairing_prompt(
         {
             "SOURCE_CANDIDATES": _candidate_block(sorted(source_ids), src, records_by_id),
             "SINK_CANDIDATES": _candidate_block(sorted(sink_ids), snk, records_by_id),
-            "SANITIZER_CANDIDATES": _candidate_block(sorted(sanitizer_ids), san, records_by_id),
+            "SANITIZER_CANDIDATES": _candidate_block(
+                sorted(sanitizer_ids), san, records_by_id, _signature_line
+            ),
             "OUTPUT_SCHEMA": _PAIR_SCHEMA,
         },
     )

@@ -91,6 +91,16 @@ class ApiRecord(JsonDataclass):
         line["snippet"] = self.snippet
         return json.dumps(line, ensure_ascii=False)
 
+    @property
+    def signature(self) -> str:
+        """The qualified signature, ``<package>.<type>.<method>(<param types>) -> <return type>``.
+
+        An empty package or type is left out with its dot. Parameter names,
+        annotations, snippet and location are not part of it.
+        """
+        qualified = ".".join(part for part in (self.package, self.type_name, self.method) if part)
+        return f"{qualified}({', '.join(p.type for p in self.params)}) -> {self.return_type}"
+
 
 def signature_hash(
     package: str,

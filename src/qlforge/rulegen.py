@@ -30,6 +30,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import re
 import threading
 import time
 from collections import Counter
@@ -74,6 +75,8 @@ STATUS_FILENAME = "status.json"
 INDEX_FILENAME = "index.json"
 # A file name's usual limit, less the ".ql" scan appends to a pair id.
 MAX_PAIR_ID_BYTES = 255 - len(".ql")
+# A separator, NUL, or a lone surrogate, which UTF-8 cannot encode: no file name holds one.
+_NOT_IN_A_NAME = re.compile(r"[/\\\x00\ud800-\udfff]")
 
 
 class ArtifactStatus(str, Enum):
@@ -399,11 +402,11 @@ def generate_rule(
 
 def pair_dir_of(rules_dir: str | Path, pair_id: object) -> Path:
     """The pair's directory under ``rules_dir``. An id that is no plain directory name
-    (not a string, empty, ``.`` or ``..``, with ``/``, ``\\`` or NUL, or too long to
-    name the ``<pair_id>.ql`` file scan writes) is ArtifactCorrupt."""
-    if not isinstance(pair_id, str) or pair_id in ("", ".", "..") or set(pair_id) & set("/\\\0"):
+    (not a string, empty, ``.`` or ``..``, with ``/``, ``\\``, NUL or a lone surrogate,
+    or too long to name the ``<pair_id>.ql`` file scan writes) is ArtifactCorrupt."""
+    if not isinstance(pair_id, str) or pair_id in ("", ".", "..") or _NOT_IN_A_NAME.search(pair_id):
         raise ArtifactCorrupt(f"pair id {pair_id!r} is not a plain directory name")
-    if len(pair_id.encode("utf-8", "surrogatepass")) > MAX_PAIR_ID_BYTES:
+    if len(pair_id.encode("utf-8")) > MAX_PAIR_ID_BYTES:
         raise ArtifactCorrupt(f"pair id {pair_id!r} is longer than {MAX_PAIR_ID_BYTES} bytes")
     return Path(rules_dir) / pair_id
 

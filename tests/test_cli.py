@@ -326,6 +326,15 @@ def test_run_resume_on_a_pair_id_too_long_for_a_file_name_is_stage_error(runner,
     assert not (tmp_path / "run" / "rules").exists()
 
 
+def test_run_resume_on_a_pair_id_holding_a_lone_surrogate_is_stage_error(runner, tmp_path):
+    path, result = _resume_after_setting(
+        runner, tmp_path, "pair", "pairs.json", "pairs", ("pair_id",), "p\ud800"
+    )
+    assert result.exit_code == EXIT_STAGE, result.output
+    assert "stage 'generate' failed: pair id 'p\\ud800' is not a plain directory name" in result.output
+    assert not (tmp_path / "run" / "rules").exists()
+
+
 def test_run_resume_on_a_repeated_pair_id_is_stage_error(runner, tmp_path):
     config = _write_config(tmp_path)
     result = runner.invoke(main, ["run", "--config", str(config), "--until", "pair"])

@@ -11,6 +11,7 @@ from qlforge.classify import Ballot, TaintLabel, VoteRecord
 from qlforge.errors import NothingToPair, RecordTooLarge, UnknownApiId, WhollyMalformed
 from qlforge.gateway import LlmGateway, LlmResponse, estimate_tokens
 from qlforge.pairing import (
+    DEFAULT_BUDGET,
     PAIRS,
     build_pairing_prompt,
     make_pair_id,
@@ -19,7 +20,7 @@ from qlforge.pairing import (
     plan_tiles,
 )
 from qlforge.prompts import pack_greedy
-from qlforge.records import make_record, record_lookup
+from qlforge.records import SourceLocation, make_record, record_lookup
 from tests.conftest import (
     CountingClient,
     StaticClient,
@@ -351,11 +352,25 @@ def _votes(sources=(), sinks=(), sanitizers=(), nones=()):
     return votes
 
 
+def _escaper(number: int, snippet_chars: int = 40):
+    return make_record(
+        package="com.acme",
+        type_name=f"Esc{number}",
+        method="html",
+        params=[("s", "java.lang.String")],
+        return_type="java.lang.String",
+        snippet="x" * snippet_chars,
+        first_seen=SourceLocation(f"src/com/acme/Esc{number}.java", 12),
+    )
+
+
 def test_prompt_contains_all_three_candidate_lists():
     records = synthetic_records(4, random.Random(31))
-    lookup = record_lookup(records)
+    sanitizers = [_escaper(2), _escaper(1)]
+    lookup = record_lookup(records + sanitizers)
     ids = [r.id for r in records]
-    text = build_pairing_prompt([ids[0]], [ids[2], ids[1]], [ids[3]], lookup)
+    sanitizer_ids = [r.id for r in sanitizers]
+    text = build_pairing_prompt([ids[0]], [ids[2], ids[1]], sanitizer_ids, lookup)
     # Each list names its records by handle, in sorted-id order, and no
     # record id is left in the prompt.
     sections = {
@@ -365,14 +380,35 @@ def test_prompt_contains_all_three_candidate_lists():
     expected = {
         "SOURCE": [("s1", ids[0])],
         "SINK": list(zip(("k1", "k2"), sorted(ids[1:3]))),
-        "SANITIZER": [("z1", ids[3])],
     }
     for name, members in expected.items():
         assert [record_from_prompt_line(line) for line in sections[name]] == [
             replace(lookup[rid], id=handle) for handle, rid in members
         ]
-    assert not any(rid in text for rid in ids)
+    # A sanitizer is its handle and signature alone: no snippet, location or JSON.
+    by_id = sorted(sanitizers, key=lambda r: r.id)
+    assert sections["SANITIZER"] == [
+        f"z{n} com.acme.{r.type_name}.html(java.lang.String) -> java.lang.String"
+        for n, r in enumerate(by_id, 1)
+    ]
+    assert "xxxx" not in text and "src/com/acme" not in text
+    assert not any(rid in text for rid in ids + sanitizer_ids)
     assert text.index("NO_PAIRS") > text.index('"id": "s1"')
+
+
+def test_many_sanitizers_plan_within_the_default_budget():
+    # 4 × 4 with 500 sanitizers of about 104 tokens as full records, 16 as
+    # signature lines. Listed whole, more than 153 left no room for a source
+    # and a sink; 1,000 lines alone would fill the budget.
+    records = synthetic_records(8, random.Random(32))
+    sources, sinks = sorted(r.id for r in records[:4]), sorted(r.id for r in records[4:])
+    sanitizers = [_escaper(n, snippet_chars=220) for n in range(500)]
+    assert all(100 <= estimate_tokens(r.prompt_text) <= 110 for r in sanitizers)
+    lookup = record_lookup(records + sanitizers)
+    sanitizer_ids = [r.id for r in sanitizers]
+    tiles = plan_tiles(sources, sinks, sanitizer_ids, lookup)
+    assert tiles == [(sources, sinks)]
+    assert estimate_tokens(build_pairing_prompt(sources, sinks, sanitizer_ids, lookup)) <= DEFAULT_BUDGET
 
 
 def test_prompt_unknown_candidate():
@@ -424,14 +460,16 @@ def test_pair_all_drop_sanitized_toggle():
     records = synthetic_records(3, random.Random(50))
     ids = sorted(r.id for r in records)
     votes = _votes(sources=[ids[0]], sinks=[ids[1]], sanitizers=[ids[2]])
-    line = f"PAIR: ({ids[0]}, {ids[1]}) | CLASS: xss | RATIONALE: r | CONFIDENCE: low | SANITIZED_BY: {ids[2]}"
-    kept = pair_all(votes, records, LlmGateway(StaticClient(line), model="m"))
-    assert len(kept) == 1
-    assert kept[0].sanitizers == (ids[2],)
-    dropped = pair_all(
-        votes, records, LlmGateway(StaticClient(line), model="m"), drop_sanitized=True
-    )
-    assert dropped == []
+    # The answer names the candidates by full id, then by the prompt's handles.
+    for names in (ids, ("s1", "k1", "z1")):
+        line = f"PAIR: ({names[0]}, {names[1]}) | CLASS: xss | RATIONALE: r | CONFIDENCE: low | SANITIZED_BY: {names[2]}"
+        kept = pair_all(votes, records, LlmGateway(StaticClient(line), model="m"))
+        assert len(kept) == 1
+        assert kept[0].sanitizers == (ids[2],)
+        dropped = pair_all(
+            votes, records, LlmGateway(StaticClient(line), model="m"), drop_sanitized=True
+        )
+        assert dropped == []
 
 
 def test_pair_all_no_pairs_response():

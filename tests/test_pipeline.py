@@ -322,7 +322,7 @@ def test_a_record_the_spec_document_cannot_hold_leaves_the_run(run_config, monke
 # Classify sends 3 groups in each of rounds 1 and 2, which agree on every
 # record, so no round 3. A change that adds calls or prompt text fails here.
 EXPECTED_CALLS = {"classify": 6, "pair": 1, "write": 4, "repair": 1}
-EXPECTED_PROMPT_TOKENS = {"classify": 10022, "pair": 1898, "write": 3439, "repair": 362}
+EXPECTED_PROMPT_TOKENS = {"classify": 10022, "pair": 1733, "write": 3439, "repair": 362}
 
 
 def test_full_run_model_calls_and_prompt_tokens(run_config, monkeypatch):
@@ -372,7 +372,7 @@ def test_label_prompts_name_records_by_handle_and_write_prompts_by_pair_id(run_c
 def test_pairing_budget_tiles_the_prompts_without_changing_the_pairs(run_config):
     whole = run_config("whole")
     run_pipeline(whole)
-    tiled = run_config("tiled", pairing={"budget": 1400, "drop_sanitized": True})
+    tiled = run_config("tiled", pairing={"budget": 1235, "drop_sanitized": True})
     run_pipeline(tiled)
     prompts = [
         estimate_tokens(entry["request"]["prompt"])
@@ -381,7 +381,7 @@ def test_pairing_budget_tiles_the_prompts_without_changing_the_pairs(run_config)
     ]
     # 4 sources and 3 sinks fall into 4 tiles, every one within the budget.
     assert len(prompts) == 4
-    assert max(prompts) <= 1400
+    assert max(prompts) <= 1235
     pairs = (tiled.out_dir / "pairs.json").read_bytes()
     assert pairs == (whole.out_dir / "pairs.json").read_bytes()
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
@@ -140,6 +141,21 @@ def test_prompt_text_reads_back_every_field(record):
     assert "\n" not in line
     assert record_from_prompt_line(line) == record
     assert record.prompt_text is line  # built once, then cached
+
+
+@pytest.mark.parametrize(
+    "record, signature",
+    [
+        (make_record("com.acme", "Esc", "html", [("s", "String")], "String"), "com.acme.Esc.html(String) -> String"),
+        (
+            make_record("java.util", "Map.Entry", "put", [("k", "Map<String, Integer>"), ("v", "int")], "V"),
+            "java.util.Map.Entry.put(Map<String, Integer>, int) -> V",
+        ),
+        (make_record("", "Esc", "html", [], "void"), "Esc.html() -> void"),
+    ],
+)
+def test_signature_is_the_qualified_callee_without_names_or_context(record, signature):
+    assert replace(record, snippet="return s;", annotations=("Audited",)).signature == signature
 
 
 def test_parse_rejects_unknown_version():

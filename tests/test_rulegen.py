@@ -1,5 +1,6 @@
 import json
 import random
+import re
 import sys
 import threading
 import time
@@ -375,21 +376,25 @@ def test_load_rule_artifacts_refuses_a_status_of_another_pair(tmp_path):
         load_rule_artifacts(tmp_path)
 
 
-@pytest.mark.parametrize("pair_id", ["", ".", "..", "../x", "a/b", "a\\b", "a\0b", 5, None])
+@pytest.mark.parametrize(
+    "pair_id", ["", ".", "..", "../x", "a/b", "a\\b", "a\0b", "a\ud800b", "\udfff", 5, None]
+)
 def test_a_pair_id_that_is_no_plain_directory_name_is_refused(tmp_path, pair_id):
     with pytest.raises(ArtifactCorrupt, match="is not a plain directory name"):
         pair_dir_of(tmp_path, pair_id)
 
 
 def test_generate_all_checks_every_pair_id_before_any_pair_runs(tmp_path):
-    pairs, lookup = _pairs(3)
-    pairs.append(replace(pairs[0], pair_id="../escape"))
-    client = StaticClient(RULE_TEXT)
-    rules_dir = tmp_path / "rules"
-    with pytest.raises(ArtifactCorrupt, match="pair id '../escape'"):
-        generate_all(pairs, lookup, LlmGateway(client), MockCompiler({"version": 1}), rules_dir)
-    assert client.calls == 0
-    assert not rules_dir.exists() and not (tmp_path / "escape").exists()
+    # A lone surrogate names no file: mkdir would fail after the other pairs ran.
+    for bad_id in ("../escape", "escape\ud800"):
+        pairs, lookup = _pairs(3)
+        pairs.append(replace(pairs[0], pair_id=bad_id))
+        client = StaticClient(RULE_TEXT)
+        rules_dir = tmp_path / "rules"
+        with pytest.raises(ArtifactCorrupt, match=re.escape(f"pair id {bad_id!r} is not a plain")):
+            generate_all(pairs, lookup, LlmGateway(client), MockCompiler({"version": 1}), rules_dir)
+        assert client.calls == 0
+        assert not rules_dir.exists() and not (tmp_path / "escape").exists()
 
 
 @pytest.mark.parametrize("pair_id", ["a" * 253, "\u00e9" * 127], ids=["ascii", "two-byte"])
@@ -409,6 +414,16 @@ def test_generate_all_refuses_a_repeated_pair_id_before_any_pair_runs(tmp_path):
         generate_all(pairs, lookup, LlmGateway(client), MockCompiler({"version": 1}), rules_dir)
     assert client.calls == 0
     assert not rules_dir.exists()
+
+
+def test_load_rule_artifacts_refuses_an_index_naming_a_lone_surrogate(tmp_path):
+    artifact = RuleArtifact("a__x", "xss", ArtifactStatus.COMPILED, 1, "select 1\n")
+    save_rule_artifact(artifact, tmp_path)
+    write_rule_index([artifact], tmp_path)
+    index = tmp_path / "index.json"
+    index.write_text(index.read_text().replace('"a__x"', '"a__x\\ud800"'))
+    with pytest.raises(ArtifactCorrupt, match=r"pair id 'a__x\\ud800' is not a plain directory name"):
+        load_rule_artifacts(tmp_path)
 
 
 def test_load_rule_artifacts_refuses_an_index_listing_a_pair_twice(tmp_path):
