@@ -1,10 +1,13 @@
 """Pairing of classified sources with sinks into candidate exploit chains.
 
 Sources and sinks are split into groups and the model sees one prompt per
-(source group × sink group) tile, each listing every sanitizer as one
-signature line. The tile plan depends only on (sources, sinks, sanitizers,
-budget): every combination lands in exactly one tile, and every tile's
-prompt estimate stays within the token budget.
+(source group × sink group) tile. Classification has already judged each
+record's snippet, so a prompt lists a source or sink by its record's
+:attr:`~qlforge.records.ApiRecord.pairing_text`, the prompt line without
+the snippet, and every sanitizer as one signature line. The tile plan
+depends only on (sources, sinks, sanitizers, budget): every combination
+lands in exactly one tile, and every tile's prompt estimate stays within
+the token budget.
 
 With ``frame`` the estimate of a prompt with no candidates and
 ``room = budget − frame``, a plan of S source groups and K sink groups
@@ -95,6 +98,10 @@ If no pairing is plausible print exactly:
 NO_PAIRS"""
 
 
+def _pairing_line(record: ApiRecord, handle: str) -> str:
+    return with_handle(record, handle, record.pairing_text)
+
+
 def _signature_line(record: ApiRecord, handle: str) -> str:
     return f"{handle} {record.signature}"
 
@@ -103,7 +110,7 @@ def _candidate_block(
     ids: list[str],
     prefix: str,
     records_by_id: dict[str, ApiRecord],
-    line: Callable[[ApiRecord, str], str] = with_handle,
+    line: Callable[[ApiRecord, str], str] = _pairing_line,
 ) -> str:
     if not ids:
         return "(none)\n"
@@ -121,9 +128,10 @@ def build_pairing_prompt(
 
     Each list is sorted, and its records appear under handles numbered in
     that order (see :data:`_HANDLE_PREFIXES`) in place of their ids. A
-    source or sink is its record's prompt line; a sanitizer is one line of
-    its handle and :attr:`ApiRecord.signature`, since the model needs it
-    only to name it in SANITIZED_BY.
+    source or sink is its record's :attr:`ApiRecord.pairing_text`, the
+    prompt line without the snippet classification already judged; a
+    sanitizer is one line of its handle and :attr:`ApiRecord.signature`,
+    since the model needs it only to name it in SANITIZED_BY.
     """
     src, snk, san = _HANDLE_PREFIXES
     return render_template(
@@ -180,7 +188,7 @@ def plan_tiles(
     frame = estimate_tokens(build_pairing_prompt([], [], sanitizer_ids, records_by_id))
     ids = sources + sinks
     costs = {
-        rid: estimate_tokens(record.prompt_text + "\n")
+        rid: estimate_tokens(record.pairing_text + "\n")
         for rid, record in zip(ids, records_for(ids, records_by_id, "pairing"))
     }
     room = budget - frame

@@ -36,7 +36,8 @@ def render_template(template: str, values: dict[str, str]) -> str:
     return _PLACEHOLDER_RE.sub(_sub, template)
 
 
-# Every ``ApiRecord.prompt_text`` begins with this, then the id as JSON.
+# Every line of an ApiRecord (``prompt_text``, ``pairing_text``) begins with
+# this, then the id as JSON.
 _ID_KEY = '{"id": '
 
 
@@ -50,17 +51,20 @@ def handles(prefix: str, count: int) -> list[str]:
     return [f"{prefix}{number}" for number in range(1, count + 1)]
 
 
-def with_handle(record: ApiRecord, handle: str) -> str:
-    """``record.prompt_text`` with its ``"id"`` value replaced by ``handle``.
+def with_handle(record: ApiRecord, handle: str, line: str | None = None) -> str:
+    """``line`` with its ``"id"`` value replaced by ``handle``.
 
-    The line is spliced from the cached text rather than serialized again;
-    the id is skipped by its JSON-encoded length, so an id that needs
-    escaping splices correctly too.
+    ``line`` is one of ``record``'s JSON lines, by default
+    ``record.prompt_text``. The result is spliced from the cached text
+    rather than serialized again; the id is skipped by its JSON-encoded
+    length, so an id that needs escaping splices correctly too.
     """
+    if line is None:
+        line = record.prompt_text
     # encode_basestring is the string encoder of json.dumps(ensure_ascii=False),
-    # which wrote prompt_text, without the cost of building an encoder per call.
+    # which wrote the line, without the cost of building an encoder per call.
     skip = len(_ID_KEY) + len(encode_basestring(record.id))
-    return f"{_ID_KEY}{encode_basestring(handle)}{record.prompt_text[skip:]}"
+    return f"{_ID_KEY}{encode_basestring(handle)}{line[skip:]}"
 
 
 def handle_names(ids: Sequence[str], prefix: str) -> dict[str, str]:

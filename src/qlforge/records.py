@@ -15,6 +15,7 @@ import json
 import logging
 from dataclasses import dataclass
 from functools import cached_property
+from json.encoder import encode_basestring
 from typing import Iterable
 
 from .artifacts import Document, JsonDataclass
@@ -61,22 +62,39 @@ class ApiRecord(JsonDataclass):
     first_seen: SourceLocation
 
     @cached_property
-    def prompt_text(self) -> str:
-        """The record as one line of JSON, the form every prompt embeds.
+    def pairing_text(self) -> str:
+        """The record as one line of JSON without its snippet, the form pairing lists.
 
         Keys, in order: ``id`` (first, so a prompt can splice in a handle),
         ``package``, ``type``, ``method``, ``params`` (each ``"<type> <name>"``),
-        ``returns``, ``annotations`` (only when there are any), ``at``
-        (``"<file>:<line>"``) and ``snippet``. Every field can be read back:
-        a parameter splits on its last space (a name is a Java identifier, so
-        it holds none), ``at`` on its last colon, and ``package`` and ``type``
-        stay apart because a nested type name holds dots.
+        ``returns``, ``annotations`` (only when there are any) and ``at``
+        (``"<file>:<line>"``). Every field can be read back: a parameter
+        splits on its last space (a name is a Java identifier, so it holds
+        none), ``at`` on its last colon, and ``package`` and ``type`` stay
+        apart because a nested type name holds dots.
 
-        Built on first use and kept on the instance, so classification (cost
-        estimate and rendered prompt), pairing and rule writing all reuse one
-        string. The text is not ASCII-escaped; a record holding a lone
-        surrogate yields a string that cannot be encoded as UTF-8.
+        Classification has judged the snippet by the time pairing runs, so
+        a pairing prompt lists sources and sinks by this line. The text is
+        not ASCII-escaped; a record holding a lone surrogate yields a string
+        that cannot be encoded as UTF-8.
         """
+        return self._line_without_snippet()
+
+    @cached_property
+    def prompt_text(self) -> str:
+        """The record as one line of JSON, the form classification and rule writing embed.
+
+        :attr:`pairing_text` with a last key, ``snippet``, spliced in before
+        its closing brace: the same bytes ``json.dumps`` gives the whole
+        mapping. Built on first use and kept on the instance, so
+        classification (cost estimate and rendered prompt) and rule writing
+        reuse one string.
+        """
+        # Built afresh rather than from pairing_text, so the thousands of
+        # records that are never paired do not keep a second line.
+        return f'{self._line_without_snippet()[:-1]}, "snippet": {encode_basestring(self.snippet)}}}'
+
+    def _line_without_snippet(self) -> str:
         line = {
             "id": self.id,
             "package": self.package,
@@ -88,7 +106,6 @@ class ApiRecord(JsonDataclass):
         if self.annotations:
             line["annotations"] = self.annotations
         line["at"] = f"{self.first_seen.file}:{self.first_seen.line}"
-        line["snippet"] = self.snippet
         return json.dumps(line, ensure_ascii=False)
 
     @property

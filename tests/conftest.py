@@ -108,17 +108,12 @@ def synthetic_records(count: int, rng: random.Random):
     return records
 
 
-_PROMPT_KEYS = ["id", "package", "type", "method", "params", "returns", "annotations", "at", "snippet"]
+_PAIRING_KEYS = ["id", "package", "type", "method", "params", "returns", "annotations", "at"]
 
 
-def record_from_prompt_line(line: str) -> ApiRecord:
-    """Read a record back from its prompt line (``ApiRecord.prompt_text``).
-
-    Checks the key order too: ``id`` first, ``annotations`` only when there
-    are any.
-    """
-    data = json.loads(line)
-    assert list(data) == [k for k in _PROMPT_KEYS if k != "annotations" or k in data]
+def _record_from_fields(data: dict, snippet: str) -> ApiRecord:
+    """The record of a line's fields less the snippet, after checking their order."""
+    assert list(data) == [k for k in _PAIRING_KEYS if k != "annotations" or k in data]
     assert "annotations" not in data or data["annotations"]
     file, _, lineno = data["at"].rpartition(":")
     return ApiRecord(
@@ -131,9 +126,29 @@ def record_from_prompt_line(line: str) -> ApiRecord:
         ),
         return_type=data["returns"],
         annotations=tuple(data.get("annotations", ())),
-        snippet=data["snippet"],
+        snippet=snippet,
         first_seen=SourceLocation(file, int(lineno)),
     )
+
+
+def record_from_prompt_line(line: str) -> ApiRecord:
+    """Read a record back from its prompt line (``ApiRecord.prompt_text``).
+
+    Checks the key order too: ``snippet`` last, after the keys of
+    :func:`record_from_pairing_line`.
+    """
+    data = json.loads(line)
+    assert list(data)[-1:] == ["snippet"]
+    return _record_from_fields(data, data.pop("snippet"))
+
+
+def record_from_pairing_line(line: str) -> ApiRecord:
+    """Read a record back from its pairing line (``ApiRecord.pairing_text``).
+
+    The line has no snippet, so the record's is empty. Checks the key order
+    too: ``id`` first, ``annotations`` only when there are any, ``at`` last.
+    """
+    return _record_from_fields(json.loads(line), "")
 
 
 class CountingClient:

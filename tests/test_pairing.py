@@ -24,7 +24,7 @@ from qlforge.records import SourceLocation, make_record, record_lookup
 from tests.conftest import (
     CountingClient,
     StaticClient,
-    record_from_prompt_line,
+    record_from_pairing_line,
     scripted_client,
     synthetic_records,
 )
@@ -34,8 +34,11 @@ SNK = {"snk1", "snk2"}
 SAN = {"san1"}
 
 
-def _sized_records(kind: str, snippet_chars: list[int]):
-    """One record per entry, its snippet that many characters long, so costs vary."""
+def _sized_records(kind: str, path_chars: list[int]):
+    """One record per entry, its file path that many characters long, so costs vary.
+
+    The path is part of the pairing line; the snippet is not.
+    """
     return [
         make_record(
             package="com.tiles",
@@ -43,17 +46,17 @@ def _sized_records(kind: str, snippet_chars: list[int]):
             method=f"{kind}{i:03d}",
             params=[],
             return_type="void",
-            snippet="x" * chars,
+            first_seen=SourceLocation("x" * chars, 1),
         )
-        for i, chars in enumerate(snippet_chars)
+        for i, chars in enumerate(path_chars)
     ]
 
 
-_SNIPPET_CHARS = st.lists(st.integers(0, 1200), min_size=1, max_size=12)
+_PATH_CHARS = st.lists(st.integers(0, 1200), min_size=1, max_size=12)
 
 
 def _cost(lookup, rid):
-    return estimate_tokens(lookup[rid].prompt_text + "\n")
+    return estimate_tokens(lookup[rid].pairing_text + "\n")
 
 
 def _score(tiles, lookup, frame):
@@ -104,8 +107,8 @@ def _planned(source_chars, sink_chars, sanitizer_chars):
 
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(
-    source_chars=_SNIPPET_CHARS,
-    sink_chars=_SNIPPET_CHARS,
+    source_chars=_PATH_CHARS,
+    sink_chars=_PATH_CHARS,
     sanitizer_chars=st.lists(st.integers(0, 1200), max_size=3),
     room=st.integers(0, 2500),
 )
@@ -140,11 +143,11 @@ def test_tile_plan_covers_each_combination_once_within_budget(
     assert _score(tiles, lookup, frame) <= _score(even_split, lookup, frame)
 
 
-_FEW_SNIPPET_CHARS = st.lists(st.integers(0, 1200), min_size=1, max_size=6)
+_FEW_PATH_CHARS = st.lists(st.integers(0, 1200), min_size=1, max_size=6)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True)
-@given(source_chars=_FEW_SNIPPET_CHARS, sink_chars=_FEW_SNIPPET_CHARS, room=st.integers(200, 1500))
+@given(source_chars=_FEW_PATH_CHARS, sink_chars=_FEW_PATH_CHARS, room=st.integers(200, 1500))
 def test_tile_plan_score_is_the_least_of_all_contiguous_plans(source_chars, sink_chars, room):
     (source_ids, sink_ids, _), lookup, frame = _planned(source_chars, sink_chars, [])
     sources, sinks = sorted(source_ids), sorted(sink_ids)
@@ -171,7 +174,7 @@ def test_tile_plan_rejects_a_budget_too_small_for_one_source_and_one_sink():
     lookup = record_lookup(records)
     ids = sorted(r.id for r in records)
     frame = estimate_tokens(build_pairing_prompt([], [], [ids[2]], lookup))
-    need = frame + sum(estimate_tokens(lookup[rid].prompt_text + "\n") for rid in ids[:2])
+    need = frame + sum(_cost(lookup, rid) for rid in ids[:2])
     assert plan_tiles([ids[0]], [ids[1]], [ids[2]], lookup, need) == [([ids[0]], [ids[1]])]
     with pytest.raises(RecordTooLarge, match=f"source {ids[0]} with sink {ids[1]}") as err:
         plan_tiles([ids[0]], [ids[1]], [ids[2]], lookup, need - 1)
@@ -381,10 +384,12 @@ def test_prompt_contains_all_three_candidate_lists():
         "SOURCE": [("s1", ids[0])],
         "SINK": list(zip(("k1", "k2"), sorted(ids[1:3]))),
     }
+    # A source or sink is its pairing line: every field but the snippet.
     for name, members in expected.items():
-        assert [record_from_prompt_line(line) for line in sections[name]] == [
-            replace(lookup[rid], id=handle) for handle, rid in members
+        assert [record_from_pairing_line(line) for line in sections[name]] == [
+            replace(lookup[rid], id=handle, snippet="") for handle, rid in members
         ]
+    assert "x = y.z(" not in text
     # A sanitizer is its handle and signature alone: no snippet, location or JSON.
     by_id = sorted(sanitizers, key=lambda r: r.id)
     assert sections["SANITIZER"] == [
@@ -394,6 +399,29 @@ def test_prompt_contains_all_three_candidate_lists():
     assert "xxxx" not in text and "src/com/acme" not in text
     assert not any(rid in text for rid in ids + sanitizer_ids)
     assert text.index("NO_PAIRS") > text.index('"id": "s1"')
+
+
+def test_prompt_lists_a_source_and_a_sink_by_their_pairing_lines():
+    source = make_record(
+        "javax.servlet.http", "HttpServletRequest", "getParameter", [("name", "String")], "String",
+        annotations=["Nullable"], snippet='String q = req.getParameter("q");',
+        first_seen=SourceLocation("src/web/Search.java", 14),
+    )
+    sink = make_record(
+        "java.sql", "Statement", "executeQuery", [("sql", "String")], "ResultSet",
+        snippet="return stmt.executeQuery(q);", first_seen=SourceLocation("src/web/Search.java", 15),
+    )
+    text = build_pairing_prompt([source.id], [sink.id], [], record_lookup([source, sink]))
+    assert (
+        '\n{"id": "s1", "package": "javax.servlet.http", "type": "HttpServletRequest", '
+        '"method": "getParameter", "params": ["String name"], "returns": "String", '
+        '"annotations": ["Nullable"], "at": "src/web/Search.java:14"}\n'
+    ) in text
+    assert (
+        '\n{"id": "k1", "package": "java.sql", "type": "Statement", "method": "executeQuery", '
+        '"params": ["String sql"], "returns": "ResultSet", "at": "src/web/Search.java:15"}\n'
+    ) in text
+    assert "snippet" not in text and "stmt" not in text and "req." not in text
 
 
 def test_many_sanitizers_plan_within_the_default_budget():

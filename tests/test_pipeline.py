@@ -23,7 +23,8 @@ from qlforge.pipeline import (
     build_llm_client,
     run_pipeline,
 )
-from qlforge.records import SourceLocation, make_record, record_lookup
+from qlforge.pairing import PAIRS
+from qlforge.records import SPECS, SourceLocation, make_record, record_lookup
 from qlforge.report import load_report
 from qlforge.rulegen import MockCompiler
 from tests.conftest import FIXTURES, assert_same_run
@@ -322,7 +323,7 @@ def test_a_record_the_spec_document_cannot_hold_leaves_the_run(run_config, monke
 # Classify sends 3 groups in each of rounds 1 and 2, which agree on every
 # record, so no round 3. A change that adds calls or prompt text fails here.
 EXPECTED_CALLS = {"classify": 6, "pair": 1, "write": 4, "repair": 1}
-EXPECTED_PROMPT_TOKENS = {"classify": 10022, "pair": 1733, "write": 3439, "repair": 362}
+EXPECTED_PROMPT_TOKENS = {"classify": 10022, "pair": 669, "write": 3439, "repair": 362}
 
 
 def test_full_run_model_calls_and_prompt_tokens(run_config, monkeypatch):
@@ -369,10 +370,34 @@ def test_label_prompts_name_records_by_handle_and_write_prompts_by_pair_id(run_c
                 assert rule_dir.name in entry["request"]["prompt"]
 
 
+def test_pair_prompts_leave_out_the_snippets_that_write_prompts_carry(run_config):
+    config = run_config()
+    run_pipeline(config)
+    lookup = record_lookup(SPECS.load(config.out_dir / "specs.json"))
+    # A snippet as a prompt line would hold it: JSON-escaped, without quotes.
+    snippets = [json.dumps(r.snippet, ensure_ascii=False)[1:-1] for r in lookup.values()]
+    assert all(snippets)
+    entries = [
+        (transcript.parent, json.loads(line))
+        for transcript in sorted(config.out_dir.rglob("transcript.jsonl"))
+        for line in transcript.read_text(encoding="utf-8").splitlines()
+    ]
+    pair_prompts = [entry["request"]["prompt"] for _, entry in entries if entry["stage"] == "pair"]
+    assert len(pair_prompts) == EXPECTED_CALLS["pair"]
+    for prompt in pair_prompts:
+        assert not [snippet for snippet in snippets if snippet in prompt]
+    pairs = {p.pair_id: p for p in PAIRS.load(config.out_dir / "pairs.json")}
+    writes = [(d.name, entry) for d, entry in entries if entry["stage"] == "write"]
+    assert len(writes) == EXPECTED_CALLS["write"]
+    for pair_id, entry in writes:
+        for rid in (pairs[pair_id].source_id, pairs[pair_id].sink_id):
+            assert lookup[rid].prompt_text in entry["request"]["prompt"]
+
+
 def test_pairing_budget_tiles_the_prompts_without_changing_the_pairs(run_config):
     whole = run_config("whole")
     run_pipeline(whole)
-    tiled = run_config("tiled", pairing={"budget": 1235, "drop_sanitized": True})
+    tiled = run_config("tiled", pairing={"budget": 565, "drop_sanitized": True})
     run_pipeline(tiled)
     prompts = [
         estimate_tokens(entry["request"]["prompt"])
@@ -381,7 +406,7 @@ def test_pairing_budget_tiles_the_prompts_without_changing_the_pairs(run_config)
     ]
     # 4 sources and 3 sinks fall into 4 tiles, every one within the budget.
     assert len(prompts) == 4
-    assert max(prompts) <= 1235
+    assert max(prompts) <= 565
     pairs = (tiled.out_dir / "pairs.json").read_bytes()
     assert pairs == (whole.out_dir / "pairs.json").read_bytes()
 
@@ -572,7 +597,7 @@ def test_results_do_not_depend_on_workers(run_config, tmp_path):
             f"synth{workers}",
             project=str(project),
             mock_script=str(script),
-            pairing={"budget": 1500, "drop_sanitized": True},
+            pairing={"budget": 850, "drop_sanitized": True},
             workers=workers,
         )
         for workers in (1, 4)

@@ -18,7 +18,7 @@ from qlforge.records import (
     record_lookup,
     signature_hash,
 )
-from tests.conftest import record_from_prompt_line, synthetic_records
+from tests.conftest import record_from_pairing_line, record_from_prompt_line, synthetic_records
 
 
 def test_signature_hash_matches_reference_construction():
@@ -141,6 +141,23 @@ def test_prompt_text_reads_back_every_field(record):
     assert "\n" not in line
     assert record_from_prompt_line(line) == record
     assert record.prompt_text is line  # built once, then cached
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(record=_RECORD)
+@example(
+    record=make_record(
+        "java.util", "Map.Entry", "put", [("arg0", "Map<String, Integer>")], "V",
+        annotations=["Audited"], snippet='"quoted" }', first_seen=SourceLocation("a:1:b.java", 7),
+    )
+)
+def test_pairing_text_reads_back_every_field_but_the_snippet(record):
+    line = record.pairing_text
+    assert "\n" not in line
+    assert record_from_pairing_line(line) == replace(record, snippet="")
+    assert record.pairing_text is line  # built once, then cached
+    # The prompt line is the same JSON with the snippet as its last key.
+    assert record.prompt_text.startswith(line[:-1] + ', "snippet": ')
 
 
 @pytest.mark.parametrize(
