@@ -109,7 +109,22 @@ REPAIR_ADVICE = (
 )
 
 
-def rule_text(pair_id: str, source, sink, vuln_class: str) -> str:
+def barrier_text(sanitizer) -> str:
+    """An isBarrier predicate stopping the flow at calls to ``sanitizer``, or "" for None."""
+    if sanitizer is None:
+        return ""
+    return f"""
+  predicate isBarrier(DataFlow::Node node) {{
+    exists(MethodAccess ma |
+      ma.getMethod().hasName("{sanitizer.method}") and
+      ma.getMethod().getDeclaringType().hasQualifiedName("{sanitizer.package}", "{sanitizer.type_name}") and
+      node.asExpr() = ma
+    )
+  }}
+"""
+
+
+def rule_text(pair_id: str, source, sink, vuln_class: str, sanitizer=None) -> str:
     return f"""/**
  * Flow from {source.type_name}.{source.method} to {sink.type_name}.{sink.method}.
  * @kind path-problem
@@ -137,7 +152,7 @@ module RuleConfig implements DataFlow::ConfigSig {{
       sink.asExpr() = ma.getAnArgument()
     )
   }}
-}}
+{barrier_text(sanitizer)}}}
 
 module RuleFlow = TaintTracking::Global<RuleConfig>;
 
@@ -173,29 +188,30 @@ def main() -> None:
             f"PAIR: ({src.id}, {snk.id}) | CLASS: {vuln_class} "
             f"| RATIONALE: {rationale} | CONFIDENCE: {confidence}"
         )
-        if san_key is not None:
-            line += f" | SANITIZED_BY: {by_key[san_key].id}"
+        san = by_key[san_key] if san_key is not None else None
+        if san is not None:
+            line += f" | SANITIZED_BY: {san.id}"
         pair_lines.append(line)
-        if san_key is None:
-            llm_entries.append(
+        llm_entries.append(
+            {
+                "stage": "write",
+                "contains": pair_id,
+                "response": rule_text(pair_id, src, snk, vuln_class, san),
+            }
+        )
+        entry: dict = {"fail_count": fail_count}
+        if fail_count:
+            entry["diagnostics"] = [
                 {
-                    "stage": "write",
-                    "contains": pair_id,
-                    "response": rule_text(pair_id, src, snk, vuln_class),
+                    "file": "rule.ql",
+                    "line": 14,
+                    "column": 5,
+                    "message": "unresolved predicate or missing import",
                 }
-            )
-            entry: dict = {"fail_count": fail_count}
-            if fail_count:
-                entry["diagnostics"] = [
-                    {
-                        "file": "rule.ql",
-                        "line": 14,
-                        "column": 5,
-                        "message": "unresolved predicate or missing import",
-                    }
-                ]
-            entry["findings"] = [finding] if finding else []
-            compiler_pairs[pair_id] = entry
+            ]
+        # A sanitized pair's rule names its barrier, so the scan finds nothing.
+        entry["findings"] = [finding] if finding else []
+        compiler_pairs[pair_id] = entry
 
     mock_llm = [
         {"stage": "classify", "response": classify_lines},

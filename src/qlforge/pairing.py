@@ -304,15 +304,13 @@ def pair_all(
     records: list[ApiRecord],
     gateway: LlmGateway,
     budget: int = DEFAULT_BUDGET,
-    drop_sanitized: bool = False,
 ) -> list[SourceSinkPair]:
     """Pair every classified source against every classified sink.
 
-    Raises :class:`NothingToPair` when either side is empty. By default the
-    sanitizer ids the model reported are kept on the pair record; with
-    ``drop_sanitized`` set, pairs the model marked as broken by a sanitizer
-    are removed from the result instead. A tile whose answer is still wholly
-    malformed after the gateway's retry contributes nothing.
+    Raises :class:`NothingToPair` when either side is empty. The sanitizer
+    ids the model reported stay on the pair, and the rule writer turns them
+    into barriers. A tile whose answer is still wholly malformed after the
+    gateway's retry contributes nothing.
     """
     sources = sorted(v.api_id for v in votes if v.resolved is TaintLabel.SOURCE)
     sinks = sorted(v.api_id for v in votes if v.resolved is TaintLabel.SINK)
@@ -339,11 +337,4 @@ def pair_all(
             continue
         for pair in tile_pairs:
             merged.setdefault((pair.source_id, pair.sink_id), pair)
-    result = [merged[key] for key in sorted(merged)]
-    if drop_sanitized:
-        kept = [p for p in result if not p.sanitizers]
-        dropped = len(result) - len(kept)
-        if dropped:
-            logger.info("dropped %d sanitized pair(s)", dropped)
-        result = kept
-    return result
+    return [merged[key] for key in sorted(merged)]

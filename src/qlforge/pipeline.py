@@ -113,7 +113,6 @@ def _filters(key: str, value, base: Path) -> FilterConfig:
 # Exact types: a boolean is no integer and no number, though bool subclasses int.
 STRING = _kind("a string", lambda value: isinstance(value, str))
 INTEGER = _kind("an integer", lambda value: type(value) is int)
-BOOLEAN = _kind("a boolean", lambda value: type(value) is bool)
 POSITIVE_INT = _kind("a positive integer", lambda value: type(value) is int and value >= 1)
 NON_NEGATIVE = _kind(
     "a non-negative number", lambda v: type(v) in (int, float) and 0 <= v <= _FLOAT_MAX, float
@@ -139,8 +138,8 @@ def apply_overrides(data: dict, assignments: tuple[str, ...]) -> dict:
 
     Keys are dotted paths into the config document; missing intermediate
     tables are created. Values parse as JSON where possible, so
-    ``classify.seed=9`` yields an integer and ``pairing.drop_sanitized=true``
-    a boolean, while anything unparseable stays a plain string.
+    ``classify.seed=9`` yields an integer and ``llm.temperature=0.5`` a
+    float, while anything unparseable stays a plain string.
     """
     for assignment in assignments:
         key, sep, raw = assignment.partition("=")
@@ -186,7 +185,6 @@ class PipelineConfig:
     budget: int = _key("classify.budget", POSITIVE_INT, 4000)
     seed: int = _key("classify.seed", INTEGER, 0)
     pairing_budget: int = _key("pairing.budget", POSITIVE_INT, DEFAULT_PAIRING_BUDGET)
-    drop_sanitized: bool = _key("pairing.drop_sanitized", BOOLEAN, False)
     max_iters: int = _key("rulegen.max_iters", POSITIVE_INT, 5)
     timeout_s: float | None = _key("rulegen.timeout_s", POSITIVE, None)
     database: str = _key("scan.database", STRING, "")
@@ -347,7 +345,7 @@ def _load_classify(run: _Run) -> None:
 
 def _run_pair(run: _Run) -> None:
     c = run.config
-    run.pairs = pair_all(run.votes, run.records, run.gateway, c.pairing_budget, c.drop_sanitized)
+    run.pairs = pair_all(run.votes, run.records, run.gateway, c.pairing_budget)
     PAIRS.save(run.pairs, run.path(PAIRS_FILENAME))
 
 

@@ -267,13 +267,19 @@ def _strip_fences(text: str) -> str:
 
 
 def _pair_info(pair: SourceSinkPair, records_by_id: dict[str, ApiRecord]) -> str:
-    ids = (pair.source_id, pair.sink_id)
-    source, sink = records_for(ids, records_by_id, f"pair {pair.pair_id}")
-    return (
+    """The pair and its source and sink records, then its sanitizers, if any, for an
+    ``isBarrier`` the skeleton leaves out (``DataFlow::ConfigSig`` defaults it to ``none()``)."""
+    ids = (pair.source_id, pair.sink_id, *pair.sanitizers)
+    source, sink, *sanitizers = records_for(ids, records_by_id, f"pair {pair.pair_id}")
+    info = (
         f"pair: {json.dumps(asdict(pair), ensure_ascii=False)}\n"
         f"source record: {source.prompt_text}\n"
         f"sink record: {sink.prompt_text}\n"
     )
+    if sanitizers:
+        info += "sanitizers: add predicate isBarrier(DataFlow::Node node) matching calls to these\n"
+        info += "".join(f"{r.id} {r.signature}\n" for r in sanitizers)
+    return info
 
 
 def write_rule(
@@ -475,14 +481,17 @@ def generate_all(
 ) -> list[RuleArtifact]:
     """Generate one rule per pair, each with its own transcript, and index them.
 
-    Every pair id is checked to be a plain directory name, and listed once,
-    before any pair runs. Each pair gets a copy of ``gateway`` with its own
-    transcript; the copies share the gateway's bound of ``workers`` model
-    requests in flight. At most ``workers`` compiles run at once too. The
-    pair loops run on twice as many threads, enough to keep both bounds full.
+    Before any pair runs, every pair id is checked to be a plain directory
+    name listed once, and every record id a pair names to be known. Each
+    pair gets a copy of ``gateway`` with its own transcript; the copies
+    share the gateway's bound of ``workers`` model requests in flight. At
+    most ``workers`` compiles run at once too. The pair loops run on twice
+    as many threads, enough to keep both bounds full.
     """
     ordered = sorted(pairs, key=lambda p: p.pair_id)
     pair_dirs = pair_dirs_of(rules_dir, [pair.pair_id for pair in ordered])
+    ids = (rid for p in ordered for rid in (p.source_id, p.sink_id, *p.sanitizers))
+    records_for(ids, records_by_id, "a pair")
     width = max(1, gateway.workers)
     compiles = threading.BoundedSemaphore(width)
 

@@ -224,7 +224,7 @@ def test_criterion_5_end_to_end_mock_run(tmp_path):
             )
         report = json.loads((tmp_path / "first" / "report.json").read_text())
         metrics = report["metrics"]
-        if metrics["total_pairs"] != 3 or metrics["correctness_rate"] != 100.0:
+        if metrics["total_pairs"] != 4 or metrics["correctness_rate"] != 100.0:
             failures.append(
                 f"correctness {metrics['correctness_rate']} over {metrics['total_pairs']} pairs"
             )

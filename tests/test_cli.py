@@ -5,9 +5,11 @@ import shutil
 import pytest
 from click.testing import CliRunner
 
+from qlforge import pipeline
 from qlforge.cli import EXIT_CONFIG, EXIT_NOTHING, EXIT_OK, EXIT_STAGE, main
+from qlforge.gateway import MockLlmClient
 from qlforge.pipeline import STAGE_ORDER
-from tests.conftest import FIXTURES, assert_same_run
+from tests.conftest import FIXTURES, CountingClient, assert_same_run
 from tests.test_pipeline import GOLDEN_DIGESTS
 
 
@@ -348,6 +350,29 @@ def test_run_resume_on_a_repeated_pair_id_is_stage_error(runner, tmp_path):
     result = runner.invoke(main, ["run", "--config", str(config), "--resume"])
     assert result.exit_code == EXIT_STAGE, result.output
     assert f"stage 'generate' failed: pair id '{first['pair_id']}' is listed 2 times" in result.output
+    assert not (tmp_path / "run" / "rules").exists()
+
+
+@pytest.mark.parametrize(
+    "entry_field, value",
+    [("source_id", "0" * 16), ("sink_id", "0" * 16), ("sanitizers", ["0" * 16])],
+)
+def test_run_resume_on_a_pair_naming_an_unknown_record_makes_no_model_call(
+    runner, tmp_path, monkeypatch, entry_field, value
+):
+    config = _write_config(tmp_path)
+    result = runner.invoke(main, ["run", "--config", str(config), "--until", "pair"])
+    assert result.exit_code == EXIT_OK
+    path = tmp_path / "run" / "pairs.json"
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["pairs"][-1][entry_field] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    client = CountingClient(MockLlmClient.from_jsonl(FIXTURES / "mock_llm.jsonl"))
+    monkeypatch.setattr(pipeline, "build_llm_client", lambda config: client)
+    result = runner.invoke(main, ["run", "--config", str(config), "--resume"])
+    assert result.exit_code == EXIT_STAGE, result.output
+    assert f"stage 'generate' failed: a pair references unknown api id {'0' * 16}" in result.output
+    assert client.calls == []
     assert not (tmp_path / "run" / "rules").exists()
 
 

@@ -484,20 +484,18 @@ def test_pair_all_tiles_and_merges_sorted():
     assert [(p.source_id, p.sink_id) for p in pairs] == sorted(expected)
 
 
-def test_pair_all_drop_sanitized_toggle():
+def test_pair_all_keeps_a_sanitized_pair_with_its_sanitizer():
     records = synthetic_records(3, random.Random(50))
     ids = sorted(r.id for r in records)
     votes = _votes(sources=[ids[0]], sinks=[ids[1]], sanitizers=[ids[2]])
     # The answer names the candidates by full id, then by the prompt's handles.
+    # The pair stays, and the rule writer makes its sanitizer a barrier.
     for names in (ids, ("s1", "k1", "z1")):
         line = f"PAIR: ({names[0]}, {names[1]}) | CLASS: xss | RATIONALE: r | CONFIDENCE: low | SANITIZED_BY: {names[2]}"
         kept = pair_all(votes, records, LlmGateway(StaticClient(line), model="m"))
-        assert len(kept) == 1
-        assert kept[0].sanitizers == (ids[2],)
-        dropped = pair_all(
-            votes, records, LlmGateway(StaticClient(line), model="m"), drop_sanitized=True
-        )
-        assert dropped == []
+        assert [(p.source_id, p.sink_id, p.sanitizers) for p in kept] == [
+            (ids[0], ids[1], (ids[2],))
+        ]
 
 
 def test_pair_all_no_pairs_response():

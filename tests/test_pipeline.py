@@ -70,17 +70,18 @@ def test_config_from_file_round(tmp_path):
 
 def test_apply_overrides_sets_nested_and_parses_json():
     data = {"classify": {"budget": 2000, "seed": 7}}
+    # Any dotted key goes in: PipelineConfig.from_dict, not apply_overrides, checks the keys.
     apply_overrides(
         data,
         (
             "classify.seed=9",
-            "pairing.drop_sanitized=true",
+            "extra.flag=true",
             "llm.model=gpt-x",
             "workers=2",
         ),
     )
     assert data["classify"] == {"budget": 2000, "seed": 9}
-    assert data["pairing"] == {"drop_sanitized": True}
+    assert data["extra"] == {"flag": True}
     assert data["llm"] == {"model": "gpt-x"}
     assert data["workers"] == 2
 
@@ -138,7 +139,7 @@ def test_config_rejects_unknown_keys(tmp_path):
         ({"classify": {"budget": 0}}, "budget"),
         ({"classify": {"budget": 100, "seed": "x"}}, "seed"),
         ({"pairing": {"chunk_size": 0}}, "chunk_size"),
-        ({"pairing": {"drop_sanitized": "yes"}}, "drop_sanitized"),
+        ({"pairing": {"drop_sanitized": True}}, "unknown config key\\(s\\): pairing.drop_sanitized"),
         ({"rulegen": {"max_iters": 0}}, "max_iters"),
         ({"rulegen": {"timeout_s": -3}}, "timeout_s"),
         ({"scan": {"manifest": "gone.json"}}, "manifest does not exist"),
@@ -201,7 +202,7 @@ _DECLARED_KEYS = (
     "llm", "llm.mode", "llm.model", "llm.endpoint", "llm.temperature",
     "compiler", "compiler.kind", "compiler.script", "codeql", "codeql.path",
     "classify", "classify.budget", "classify.seed",
-    "pairing", "pairing.budget", "pairing.drop_sanitized",
+    "pairing", "pairing.budget",
     "rulegen", "rulegen.max_iters", "rulegen.timeout_s",
     "scan", "scan.database", "scan.manifest", "filters", "filters.deny", "filters.allow",
 )
@@ -272,8 +273,8 @@ EXPECTED_COUNTS = {
     "sources": 4,
     "sinks": 3,
     "sanitizers": 1,
-    "pairs": 3,
-    "rules_compiled": 3,
+    "pairs": 4,
+    "rules_compiled": 4,
     "rules_aborted": 0,
     "findings": 3,
 }
@@ -319,11 +320,11 @@ def test_a_record_the_spec_document_cannot_hold_leaves_the_run(run_config, monke
 
 # Model calls and estimated prompt tokens per stage on the fixture, summed over
 # every transcript, and compile calls per pair. The mock compiler fails one
-# pair once, hence 4 writes, 1 repair and 1 + 1 + 2 compiles for 3 pairs.
+# pair once, hence 5 writes, 1 repair and 1 + 1 + 1 + 2 compiles for 4 pairs.
 # Classify sends 3 groups in each of rounds 1 and 2, which agree on every
 # record, so no round 3. A change that adds calls or prompt text fails here.
-EXPECTED_CALLS = {"classify": 6, "pair": 1, "write": 4, "repair": 1}
-EXPECTED_PROMPT_TOKENS = {"classify": 10022, "pair": 669, "write": 3439, "repair": 362}
+EXPECTED_CALLS = {"classify": 6, "pair": 1, "write": 5, "repair": 1}
+EXPECTED_PROMPT_TOKENS = {"classify": 10022, "pair": 669, "write": 4239, "repair": 362}
 
 
 def test_full_run_model_calls_and_prompt_tokens(run_config, monkeypatch):
@@ -337,7 +338,7 @@ def test_full_run_model_calls_and_prompt_tokens(run_config, monkeypatch):
     monkeypatch.setattr(MockCompiler, "compile", counting_compile)
     config = run_config()
     run_pipeline(config)
-    assert sorted(compiles.values()) == [1, 1, 2]  # 4 compiles in total
+    assert sorted(compiles.values()) == [1, 1, 1, 2]  # 5 compiles in total
     calls, tokens = Counter(), Counter()
     for transcript in config.out_dir.rglob("transcript.jsonl"):
         for line in transcript.read_text(encoding="utf-8").splitlines():
@@ -362,7 +363,7 @@ def test_label_prompts_name_records_by_handle_and_write_prompts_by_pair_id(run_c
         assert '"id": "' in prompt
         assert not [rid for rid in ids if rid in prompt], entry["seq"]
     rule_dirs = sorted(p for p in (config.out_dir / "rules").iterdir() if p.is_dir())
-    assert len(rule_dirs) == 3
+    assert len(rule_dirs) == 4
     for rule_dir in rule_dirs:
         for line in (rule_dir / "transcript.jsonl").read_text().splitlines():
             entry = json.loads(line)
@@ -394,10 +395,29 @@ def test_pair_prompts_leave_out_the_snippets_that_write_prompts_carry(run_config
             assert lookup[rid].prompt_text in entry["request"]["prompt"]
 
 
+def test_a_sanitized_pair_gets_a_rule_whose_barrier_names_its_sanitizer(run_config):
+    config = run_config()
+    run_pipeline(config)
+    lookup = record_lookup(SPECS.load(config.out_dir / "specs.json"))
+    pairs = PAIRS.load(config.out_dir / "pairs.json")
+    assert [len(p.sanitizers) for p in pairs].count(1) == 1 and len(pairs) == 4
+    for pair in pairs:
+        rule_dir = config.out_dir / "rules" / pair.pair_id
+        # The first write prompt; a repaired pair's next one repeats its pair info.
+        write = json.loads((rule_dir / "transcript.jsonl").read_text().splitlines()[0])
+        prompt = write["request"]["prompt"]
+        rule = (rule_dir / "rule.ql").read_text(encoding="utf-8")
+        assert ("isBarrier" in prompt) == ("isBarrier" in rule) == bool(pair.sanitizers)
+        for rid in pair.sanitizers:
+            assert f"{rid} {lookup[rid].signature}\n" in prompt
+            assert f'hasName("{lookup[rid].method}")' in rule.partition("isBarrier")[2]
+    assert json.loads((config.out_dir / "rules/index.json").read_text())["compiled"] == 4
+
+
 def test_pairing_budget_tiles_the_prompts_without_changing_the_pairs(run_config):
     whole = run_config("whole")
     run_pipeline(whole)
-    tiled = run_config("tiled", pairing={"budget": 565, "drop_sanitized": True})
+    tiled = run_config("tiled", pairing={"budget": 565})
     run_pipeline(tiled)
     prompts = [
         estimate_tokens(entry["request"]["prompt"])
@@ -433,8 +453,8 @@ GOLDEN_DIGESTS = {
     "specs.json": "07d3371b4a78f85ed5766a150d64051713894dc66d9757557c474bbe4f8a8aaa",
     "extract_stats.json": "7432343b5f2d89fb463b333dfdd155daea5d1aed6a673c25b691a0e66ee091ff",
     "votes.json": "a84e799e30b5126cf6aed2be1d6c273b4d958c2bb5dc42222378fc68e00f8107",
-    "pairs.json": "7329a184faf6450a9269f446ce13a70c890e7c685f58199b8de48058ba1dfe7f",
-    "rules/index.json": "655a3af6de922d7c7fe3502753a5c55236dd69ddd7431810a3bc9c7d0fc91c34",
+    "pairs.json": "0896e59337171e57276e66f50322400ee7f488315345a2fe3d174171b40c3948",
+    "rules/index.json": "f7f57da807f41ae29e1f05c6d60bc5bf8fc905cfb57be4d97bd46a2262f4b06a",
     "rules/35ae7cb3a1e82ec0__bc5caa3125faa3d4/rule.ql":
         "593607556ffaa97eb44e5afca3e2800b40add68e84f294ccde4356b3e901d765",
     "rules/35ae7cb3a1e82ec0__bc5caa3125faa3d4/status.json":
@@ -447,8 +467,12 @@ GOLDEN_DIGESTS = {
         "eaf74369e1453412c09e7891fe80f508d1aadc84441457cda460927621acceaf",
     "rules/36fdcc4350f3c45c__10fc72d39a64e0f0/status.json":
         "0501686a5818b23381895493cbe3aee710883cd20212db6a919df50d7bdf715a",
+    "rules/36fdcc4350f3c45c__bc5caa3125faa3d4/rule.ql":
+        "2dd42300e2e883687d9182ba2bf6fc6c99717a332c81807118bb39ba482a4bbf",
+    "rules/36fdcc4350f3c45c__bc5caa3125faa3d4/status.json":
+        "700ee2a085e3daa28be3fa8f63a6c96d55aa6603c70de820ce026e8190c0c88c",
     "findings.json": "c1a79c59f0bb81a96790ded5b7b127ac5bd5cd09689abbdfa609033e420f77ee",
-    "report.json": "5465a0cd565dfca24ed14426997e87088ddbbb268635e0d01d64d41e02f39964",
+    "report.json": "71542b191936d90bb969748b73b8841468ae96bd609d8dfcac2ed201361d9c8b",
 }
 
 
@@ -564,7 +588,7 @@ def test_results_do_not_depend_on_workers(run_config, tmp_path):
     assert {"specs.json", "votes.json", "pairs.json", "rules/index.json"} <= set(names)
     assert {"findings.json", "report.json", "timings.json"} <= set(names)
     # The shared transcript and one per pair.
-    assert sum(1 for name in names if name.endswith("transcript.jsonl")) == 4
+    assert sum(1 for name in names if name.endswith("transcript.jsonl")) == 5
 
     # A synthetic corpus whose script has consume-once entries for classify
     # and pair, each of which a whole batch of requests matches: the first
@@ -597,7 +621,7 @@ def test_results_do_not_depend_on_workers(run_config, tmp_path):
             f"synth{workers}",
             project=str(project),
             mock_script=str(script),
-            pairing={"budget": 850, "drop_sanitized": True},
+            pairing={"budget": 850},
             workers=workers,
         )
         for workers in (1, 4)

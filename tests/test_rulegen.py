@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qlforge.codeql import CodeQLCompiler
-from qlforge.errors import ArtifactCorrupt, CompilerUnavailable, ConfigError, ExecutionFailed
+from qlforge.errors import (
+    ArtifactCorrupt,
+    CompilerUnavailable,
+    ConfigError,
+    ExecutionFailed,
+    UnknownApiId,
+)
 from qlforge.gateway import LlmGateway, LlmResponse, _RetryableTransport
 from qlforge.pairing import SourceSinkPair, make_pair_id
 from qlforge.prompts import load_template
@@ -233,6 +239,30 @@ def test_write_rule_strips_code_fences():
 def test_write_rule_returns_empty_for_a_blank_answer():
     pair, lookup = _pair_and_lookup()
     assert write_rule(pair, lookup, LlmGateway(StaticClient(" \n"), model="m")) == ""
+
+
+def test_write_prompt_lists_a_pair_s_sanitizers_for_its_barrier():
+    records = synthetic_records(4, random.Random(71))
+    src, snk, *sanitizer_ids = sorted(r.id for r in records)
+    lookup = record_lookup(records)
+    plain = SourceSinkPair(make_pair_id(src, snk), src, snk, "xss")
+
+    def write_prompt(pair):
+        client = RecordingClient(StaticClient(RULE_TEXT))
+        write_rule(pair, lookup, LlmGateway(client, model="m"))
+        return client.requests[0].prompt
+
+    unsanitized = write_prompt(plain)
+    assert "sanitizers:" not in unsanitized and "isBarrier" not in unsanitized
+    # Listed in the pair's order, after the sink record, as id and signature.
+    order = sanitizer_ids[::-1]
+    sanitized = write_prompt(replace(plain, sanitizers=tuple(order)))
+    header = "sanitizers: add predicate isBarrier(DataFlow::Node node) matching calls to these\n"
+    lines = "".join(f"{rid} {lookup[rid].signature}\n" for rid in order)
+    assert f"sink record: {lookup[snk].prompt_text}\n{header}{lines}\n" in sanitized
+    unknown = replace(plain, sanitizers=(sanitizer_ids[0], "feedfacefeedface"))
+    with pytest.raises(UnknownApiId, match=f"pair {plain.pair_id} references unknown api id feedface"):
+        write_prompt(unknown)
 
 
 def test_format_diagnostics_truncation():
