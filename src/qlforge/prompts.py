@@ -38,7 +38,7 @@ def render_template(template: str, values: dict[str, str]) -> str:
 
 # Every line of an ApiRecord (``prompt_text``, ``pairing_text``) begins with
 # this, then the id as JSON.
-_ID_KEY = '{"id": '
+_ID_KEY = '{"id":'
 
 
 def handles(prefix: str, count: int) -> list[str]:

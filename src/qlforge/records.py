@@ -63,15 +63,16 @@ class ApiRecord(JsonDataclass):
 
     @cached_property
     def pairing_text(self) -> str:
-        """The record as one line of JSON without its snippet, the form pairing lists.
+        """The record as one line of compact JSON without its snippet, the form pairing lists.
 
         Keys, in order: ``id`` (first, so a prompt can splice in a handle),
         ``package``, ``type``, ``method``, ``params`` (each ``"<type> <name>"``),
         ``returns``, ``annotations`` (only when there are any) and ``at``
-        (``"<file>:<line>"``). Every field can be read back: a parameter
-        splits on its last space (a name is a Java identifier, so it holds
-        none), ``at`` on its last colon, and ``package`` and ``type`` stay
-        apart because a nested type name holds dots.
+        (``"<file>:<line>"``), with no space after a ``:`` or ``,``. Every
+        field can be read back: a parameter splits on its last space (a name
+        is a Java identifier, so it holds none), ``at`` on its last colon,
+        and ``package`` and ``type`` stay apart because a nested type name
+        holds dots.
 
         Classification has judged the snippet by the time pairing runs, so
         a pairing prompt lists sources and sinks by this line. The text is
@@ -82,17 +83,17 @@ class ApiRecord(JsonDataclass):
 
     @cached_property
     def prompt_text(self) -> str:
-        """The record as one line of JSON, the form classification and rule writing embed.
+        """The record as one line of compact JSON, the form classification and rule writing embed.
 
         :attr:`pairing_text` with a last key, ``snippet``, spliced in before
         its closing brace: the same bytes ``json.dumps`` gives the whole
-        mapping. Built on first use and kept on the instance, so
-        classification (cost estimate and rendered prompt) and rule writing
-        reuse one string.
+        mapping with ``separators=(",", ":")``. Built on first use and kept
+        on the instance, so classification (cost estimate and rendered
+        prompt) and rule writing reuse one string.
         """
         # Built afresh rather than from pairing_text, so the thousands of
         # records that are never paired do not keep a second line.
-        return f'{self._line_without_snippet()[:-1]}, "snippet": {encode_basestring(self.snippet)}}}'
+        return f'{self._line_without_snippet()[:-1]},"snippet":{encode_basestring(self.snippet)}}}'
 
     def _line_without_snippet(self) -> str:
         line = {
@@ -106,7 +107,7 @@ class ApiRecord(JsonDataclass):
         if self.annotations:
             line["annotations"] = self.annotations
         line["at"] = f"{self.first_seen.file}:{self.first_seen.line}"
-        return json.dumps(line, ensure_ascii=False)
+        return json.dumps(line, ensure_ascii=False, separators=(",", ":"))
 
     @property
     def signature(self) -> str:

@@ -255,24 +255,31 @@ class MockCompiler:
 # ---------------------------------------------------------------------------
 
 
+# An opening fence starts a line and may name a language; its block ends at the
+# next fence or, in a truncated answer, at the end of the text.
+_FENCED_BLOCK_RE = re.compile(r"^[ \t]*```[^\n]*(?:\n|\Z)(.*?)(?:```|\Z)", re.DOTALL | re.MULTILINE)
+
+
 def _strip_fences(text: str) -> str:
-    stripped = text.strip()
-    if stripped.startswith("```"):
-        lines = stripped.splitlines()
-        lines = lines[1:]
-        if lines and lines[-1].strip() == "```":
-            lines = lines[:-1]
-        stripped = "\n".join(lines).strip()
-    return stripped
+    """The body of the first fenced block in ``text``, wherever it sits, or the
+    whole text when it has none; stripped either way."""
+    block = _FENCED_BLOCK_RE.search(text)
+    return (block.group(1) if block else text).strip()
 
 
 def _pair_info(pair: SourceSinkPair, records_by_id: dict[str, ApiRecord]) -> str:
     """The pair and its source and sink records, then its sanitizers, if any, for an
-    ``isBarrier`` the skeleton leaves out (``DataFlow::ConfigSig`` defaults it to ``none()``)."""
+    ``isBarrier`` the skeleton leaves out (``DataFlow::ConfigSig`` defaults it to ``none()``).
+
+    The ``pair:`` line keeps only what the lines under it do not say: the
+    records carry the source and sink ids, the sanitizer lines the
+    sanitizers, and the writer has no use for the pairing confidence.
+    """
     ids = (pair.source_id, pair.sink_id, *pair.sanitizers)
     source, sink, *sanitizers = records_for(ids, records_by_id, f"pair {pair.pair_id}")
+    line = {"pair_id": pair.pair_id, "vuln_class": pair.vuln_class, "rationale": pair.rationale}
     info = (
-        f"pair: {json.dumps(asdict(pair), ensure_ascii=False)}\n"
+        f"pair: {json.dumps(line, ensure_ascii=False, separators=(',', ':'))}\n"
         f"source record: {source.prompt_text}\n"
         f"sink record: {sink.prompt_text}\n"
     )
@@ -282,18 +289,31 @@ def _pair_info(pair: SourceSinkPair, records_by_id: dict[str, ApiRecord]) -> str
     return info
 
 
+# Stands in for the skeleton once a draft exists: the revision context shows
+# that draft, which already fills the skeleton.
+_DRAFT_FILLS_SKELETON = (
+    "(the previous rule below fills the skeleton; keep its imports and select clause)\n"
+)
+
+
 def write_rule(
     pair: SourceSinkPair,
     records_by_id: dict[str, ApiRecord],
     gateway: LlmGateway,
     revision_context: str = "",
+    revises_draft: bool = False,
 ) -> str:
-    """Ask the writer role for a complete rule file; returns "" for a blank answer."""
+    """Ask the writer role for a complete rule file; returns "" for a blank answer.
+
+    The prompt carries the rule skeleton unless ``revises_draft`` says that
+    ``revision_context`` shows a previous, non-empty rule to revise.
+    """
+    skeleton = _DRAFT_FILLS_SKELETON if revises_draft else load_template("rule_skeleton.ql")
     prompt = render_template(
         load_template("write_prompt.txt"),
         {
             "PAIR_INFO": _pair_info(pair, records_by_id),
-            "RULE_SKELETON": load_template("rule_skeleton.ql"),
+            "RULE_SKELETON": skeleton,
             "REVISION_CONTEXT": revision_context or "(first attempt)",
         },
     )
@@ -370,8 +390,9 @@ def generate_rule(
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
     revision = ""
+    rule_text = ""
     for attempt in range(1, max_iters + 1):
-        rule_text = write_rule(pair, records_by_id, gateway, revision)
+        rule_text = write_rule(pair, records_by_id, gateway, revision, revises_draft=bool(rule_text))
         if not rule_text:
             logger.warning("pair %s attempt %d: empty draft", pair.pair_id, attempt)
             diagnostics = (Diagnostic(message="writer returned empty output"),)

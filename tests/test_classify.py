@@ -207,9 +207,9 @@ def _plan_digest(plan):
 @pytest.mark.parametrize(
     "count, budget, seed, digest",
     [
-        (50, 2500, 7, "531201414943b1f8e71301818f21190bdde968471ad179b6d4b93c8d408551de"),
-        (300, 6000, 7, "76c2a3fa43757092203ffdba90c67e56bca5b591c53227501bbfbe64485c0993"),
-        (120, 4000, 3, "952e37f63a0354c64caa5690c788529c3c5e9b03bc4fc64f194b7a9adae5ef39"),
+        (50, 2500, 7, "ac674b6132aee6104cd285e4db80a33e0eacd002a16a181a789d84a3f3f48f2a"),
+        (300, 6000, 7, "5625c4b9e7c97dabc6feef1432f4f50a9bf667361b5a3d3125c4c697246ea652"),
+        (120, 4000, 3, "67594e29ca33a327dd4b2bdbcfe68906e0a78cec38e52a5b4df88471e40aa6fb"),
     ],
     ids=["50-2500", "300-6000", "120-4000"],
 )
@@ -299,7 +299,7 @@ def test_prompt_section_order():
     lines = text.split("API_INFORMATION:\n", 1)[1].splitlines()[: len(members)]
     for number, (line, rid) in enumerate(zip(lines, members), 1):
         assert record_from_prompt_line(line) == replace(lookup[rid], id=f"a{number}")
-        assert line.split(", ", 1)[1] == lookup[rid].prompt_text.split(", ", 1)[1]
+        assert line.split(",", 1)[1] == lookup[rid].prompt_text.split(",", 1)[1]
         assert rid not in text
 
 

@@ -398,7 +398,7 @@ def test_prompt_contains_all_three_candidate_lists():
     ]
     assert "xxxx" not in text and "src/com/acme" not in text
     assert not any(rid in text for rid in ids + sanitizer_ids)
-    assert text.index("NO_PAIRS") > text.index('"id": "s1"')
+    assert text.index("NO_PAIRS") > text.index('"id":"s1"')
 
 
 def test_prompt_lists_a_source_and_a_sink_by_their_pairing_lines():
@@ -413,13 +413,13 @@ def test_prompt_lists_a_source_and_a_sink_by_their_pairing_lines():
     )
     text = build_pairing_prompt([source.id], [sink.id], [], record_lookup([source, sink]))
     assert (
-        '\n{"id": "s1", "package": "javax.servlet.http", "type": "HttpServletRequest", '
-        '"method": "getParameter", "params": ["String name"], "returns": "String", '
-        '"annotations": ["Nullable"], "at": "src/web/Search.java:14"}\n'
+        '\n{"id":"s1","package":"javax.servlet.http","type":"HttpServletRequest",'
+        '"method":"getParameter","params":["String name"],"returns":"String",'
+        '"annotations":["Nullable"],"at":"src/web/Search.java:14"}\n'
     ) in text
     assert (
-        '\n{"id": "k1", "package": "java.sql", "type": "Statement", "method": "executeQuery", '
-        '"params": ["String sql"], "returns": "ResultSet", "at": "src/web/Search.java:15"}\n'
+        '\n{"id":"k1","package":"java.sql","type":"Statement","method":"executeQuery",'
+        '"params":["String sql"],"returns":"ResultSet","at":"src/web/Search.java:15"}\n'
     ) in text
     assert "snippet" not in text and "stmt" not in text and "req." not in text
 

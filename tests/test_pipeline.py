@@ -324,7 +324,7 @@ def test_a_record_the_spec_document_cannot_hold_leaves_the_run(run_config, monke
 # Classify sends 3 groups in each of rounds 1 and 2, which agree on every
 # record, so no round 3. A change that adds calls or prompt text fails here.
 EXPECTED_CALLS = {"classify": 6, "pair": 1, "write": 5, "repair": 1}
-EXPECTED_PROMPT_TOKENS = {"classify": 10022, "pair": 669, "write": 4239, "repair": 362}
+EXPECTED_PROMPT_TOKENS = {"classify": 9897, "pair": 646, "write": 3877, "repair": 362}
 
 
 def test_full_run_model_calls_and_prompt_tokens(run_config, monkeypatch):
@@ -360,7 +360,7 @@ def test_label_prompts_name_records_by_handle_and_write_prompts_by_pair_id(run_c
     assert {entry["stage"] for entry in entries} == {"classify", "pair"}
     for entry in entries:
         prompt = entry["request"]["prompt"]
-        assert '"id": "' in prompt
+        assert '"id":"' in prompt
         assert not [rid for rid in ids if rid in prompt], entry["seq"]
     rule_dirs = sorted(p for p in (config.out_dir / "rules").iterdir() if p.is_dir())
     assert len(rule_dirs) == 4
@@ -452,7 +452,7 @@ def test_full_run_writes_every_artifact(run_config):
 GOLDEN_DIGESTS = {
     "specs.json": "07d3371b4a78f85ed5766a150d64051713894dc66d9757557c474bbe4f8a8aaa",
     "extract_stats.json": "7432343b5f2d89fb463b333dfdd155daea5d1aed6a673c25b691a0e66ee091ff",
-    "votes.json": "a84e799e30b5126cf6aed2be1d6c273b4d958c2bb5dc42222378fc68e00f8107",
+    "votes.json": "97b879778717258b47bd463eab0470a97c3461622d307ed609c5d5571db39bbc",
     "pairs.json": "0896e59337171e57276e66f50322400ee7f488315345a2fe3d174171b40c3948",
     "rules/index.json": "f7f57da807f41ae29e1f05c6d60bc5bf8fc905cfb57be4d97bd46a2262f4b06a",
     "rules/35ae7cb3a1e82ec0__bc5caa3125faa3d4/rule.ql":

@@ -81,4 +81,4 @@ def test_with_handle_replaces_only_the_id_for_any_id(rid, handle):
     record = replace(_RECORD, id=rid)
     line = with_handle(record, handle)
     assert record_from_prompt_line(line) == replace(record, id=handle)
-    assert line.endswith(record.prompt_text[record.prompt_text.index(', "package"'):])
+    assert line.endswith(record.prompt_text[record.prompt_text.index(',"package"'):])

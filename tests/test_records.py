@@ -157,7 +157,25 @@ def test_pairing_text_reads_back_every_field_but_the_snippet(record):
     assert record_from_pairing_line(line) == replace(record, snippet="")
     assert record.pairing_text is line  # built once, then cached
     # The prompt line is the same JSON with the snippet as its last key.
-    assert record.prompt_text.startswith(line[:-1] + ', "snippet": ')
+    assert record.prompt_text.startswith(line[:-1] + ',"snippet":')
+
+
+def _compact(mapping):
+    return json.dumps(mapping, ensure_ascii=False, separators=(",", ":"))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(record=_RECORD)
+@example(record=make_record("p", "T", "m", [("a", "Map<String, Integer>")], "V", ["A"], 'x": "y", }'))
+def test_record_lines_are_compact_json_of_their_mapping(record):
+    # Both lines are json.dumps of the mapping with no space after ":" or ",",
+    # however the field values read, and still read back every field.
+    mapping = json.loads(record.prompt_text)
+    assert record.prompt_text == _compact(mapping)
+    del mapping["snippet"]
+    assert record.pairing_text == _compact(mapping)
+    assert record_from_prompt_line(record.prompt_text) == record
+    assert record_from_pairing_line(record.pairing_text) == replace(record, snippet="")
 
 
 @pytest.mark.parametrize(

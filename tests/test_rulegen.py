@@ -241,6 +241,52 @@ def test_write_rule_returns_empty_for_a_blank_answer():
     assert write_rule(pair, lookup, LlmGateway(StaticClient(" \n"), model="m")) == ""
 
 
+def test_write_prompt_carries_the_skeleton_only_while_no_draft_exists():
+    pair, lookup = _pair_and_lookup()
+    draft = "import java\n\nfrom Expr draft\nselect draft"
+    client = RecordingClient(
+        scripted_client(
+            [
+                {"stage": "write", "response": draft, "once": True},
+                {"stage": "write", "response": " \n", "once": True},
+                {"stage": "repair", "response": "advice"},
+            ],
+            default=RULE_TEXT,
+        )
+    )
+    # The first compile fails; the second draft is empty; the third compiles.
+    artifact = generate_rule(pair, lookup, LlmGateway(client, model="m"), _compiler(pair.pair_id, 1))
+    assert artifact.status is ArtifactStatus.COMPILED and artifact.attempts == 3
+    first, revision, after_empty = (r.prompt for r in client.requests if r.stage == "write")
+    skeleton = load_template("rule_skeleton.ql")
+    assert first.count(skeleton) == 1
+    # A revision shows the previous rule once, in its revision context, and
+    # points at it in the skeleton's place.
+    assert skeleton not in revision and "HOLE" not in revision
+    assert revision.count(draft) == 1
+    assert revision.index("fills the skeleton") < revision.index("--- previous rule ---")
+    assert "keep its imports and select clause" in revision
+    # After an empty draft there is no rule to revise, so the skeleton is back.
+    assert after_empty.count(skeleton) == 1
+    assert "fills the skeleton" not in first + after_empty
+    assert "--- previous rule ---\n(empty)\n" in after_empty
+
+
+def test_write_prompt_pair_line_keeps_only_what_its_records_do_not_say():
+    pair, lookup = _pair_and_lookup()
+    pair = replace(pair, rationale="tainted — «quoted»", confidence="high")
+    client = RecordingClient(StaticClient(RULE_TEXT))
+    write_rule(pair, lookup, LlmGateway(client, model="m"))
+    prompt = client.requests[0].prompt
+    (line,) = [line for line in prompt.splitlines() if line.startswith("pair: ")]
+    body = line.removeprefix("pair: ")
+    assert list(json.loads(body)) == ["pair_id", "vuln_class", "rationale"]
+    fields = {"pair_id": pair.pair_id, "vuln_class": "sql-injection", "rationale": pair.rationale}
+    assert body == json.dumps(fields, ensure_ascii=False, separators=(",", ":"))
+    assert f"source record: {lookup[pair.source_id].prompt_text}\n" in prompt
+    assert f"sink record: {lookup[pair.sink_id].prompt_text}\n" in prompt
+
+
 def test_write_prompt_lists_a_pair_s_sanitizers_for_its_barrier():
     records = synthetic_records(4, random.Random(71))
     src, snk, *sanitizer_ids = sorted(r.id for r in records)
@@ -768,6 +814,24 @@ def test_scan_output_sorted_by_location():
         ("A.java", 30),
         ("Z.java", 9),
     ]
+
+
+@pytest.mark.parametrize(
+    "answer, rule",
+    [
+        ("```ql\nimport java\n```", "import java"),
+        ("Here is the rule:\n```ql\nimport java\n```", "import java"),
+        ("```ql\nimport java\n```\nThis rule matches the sink.", "import java"),
+        ("Sure.\n\n```\nimport java\nselect 1\n```\nNotes:\n```\nother\n```", "import java\nselect 1"),
+        ("  ```ql\n  import java\n  ```  ", "import java"),
+        ("```ql\nimport java", "import java"),  # a truncated answer: no closing fence
+        ("```", ""),
+        ("import java\nselect 1\n", "import java\nselect 1"),  # no fence: kept
+        ("  from Expr e\nselect e, \"a ``` b\"  ", "from Expr e\nselect e, \"a ``` b\""),
+    ],
+)
+def test_strip_fences_returns_the_first_fenced_block(answer, rule):
+    assert _strip_fences(answer) == rule
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
