@@ -41,6 +41,7 @@ from .artifacts import Document, JsonDataclass
 from .errors import BallotCountMismatch, RecordTooLarge, WhollyMalformed
 from .gateway import LlmGateway, estimate_tokens
 from .prompts import (
+    LIST_ITEM,
     handle_names,
     handles,
     load_catalog,
@@ -48,6 +49,7 @@ from .prompts import (
     pack_greedy,
     render_template,
     with_handle,
+    without_emphasis,
 )
 from .records import ApiRecord, record_lookup, records_for
 
@@ -55,7 +57,7 @@ logger = logging.getLogger(__name__)
 
 ROUNDS = 3  # triple voting: fixed, not configurable
 _RESHUFFLE_CANDIDATES = 8
-_HANDLE_PREFIX = "a"  # a prompt names its members a1..aN
+_HANDLE_PREFIX = ""  # a prompt names its members 1..N
 _IDENTICAL_CONTEXT_PENALTY = 1000
 
 
@@ -105,10 +107,10 @@ _DEFINITIONS = """\
 - Sanitizer: an operation that interrupts taint propagation by validating, escaping, or canonicalizing a value.
 - Taint tracking chain: the path data takes from a source to a sink; a chain is dangerous when no sanitizer breaks it."""
 
-_SCHEMA_HEADER = """\
+_OUTPUT_SCHEMA = """\
 Print exactly one line per API id, in this exact format and nothing else:
 <api_id>: <Source|Sink|Sanitizer|None>
-Label every one of these ids: """
+Label every id from 1 to {count}."""
 
 
 @lru_cache(maxsize=None)
@@ -141,7 +143,7 @@ def _render_prompt(members: list[ApiRecord]) -> str:
             "DEFINITIONS": _DEFINITIONS,
             "API_INFORMATION": api_info,
             "STEPS": _steps_text(),
-            "OUTPUT_SCHEMA": _SCHEMA_HEADER + ", ".join(names),
+            "OUTPUT_SCHEMA": _OUTPUT_SCHEMA.format(count=len(members)),
         },
     )
 
@@ -151,11 +153,13 @@ def _frame_cost() -> int:
 
 
 def _member_cost(record: ApiRecord) -> int:
-    # Covers the record's data block plus its entry in the id list
-    # (id + ", " separator), so summed member costs plus the frame cost
-    # upper-bound the rendered prompt estimate. The prompt names the record
-    # by a handle, which is shorter than a 16-hex id, so costing the full id
-    # keeps the bound and leaves plans independent of handle numbering.
+    # Covers the record's data block under its full id plus an entry in an
+    # id list (id + ", " separator), so summed member costs plus the frame
+    # cost upper-bound the rendered prompt estimate. The prompt names the
+    # record by its line number instead and lists no ids, so the bound has
+    # room to spare and plans do not depend on handle numbering. The list
+    # term stays although no list is rendered: a cost without it packs
+    # fuller groups, and the largest prompt grows.
     return estimate_tokens(record.prompt_text + "\n") + estimate_tokens(record.id + ", ")
 
 
@@ -266,8 +270,9 @@ def build_classification_prompt(group: ContextGroup, records_by_id: dict[str, Ap
 
     The rendered text carries, in order: the objective, the concept
     definitions, the serialized member records, the six-step analysis
-    framework, and the strict output schema naming every member. Members
-    appear under their handles a1..aN, in group order, in place of their ids.
+    framework, and the strict output schema with the range of handles to
+    label. Members appear under their handles 1..N, in group order, in place
+    of their ids.
     """
     return _render_prompt(records_for(group.member_ids, records_by_id, f"group {group.group_id}"))
 
@@ -277,7 +282,7 @@ def build_classification_prompt(group: ContextGroup, records_by_id: dict[str, Ap
 # ---------------------------------------------------------------------------
 
 _LABEL_LINE_RE = re.compile(
-    r"""^\s*[-*]*\s*["'`]?([\w.\-]+)["'`]?\s*[:=]\s*["'`]?(source|sink|sanitizer|none)\b""",
+    rf"""^\s*{LIST_ITEM}["'*]?([\w.\-]+)["'*]?\s*[:=]\s*["'*]?(source|sink|sanitizer|none)\b""",
     re.IGNORECASE,
 )
 
@@ -293,16 +298,18 @@ def parse_classification_response(text: str, group: ContextGroup) -> list[Ballot
     """Turn a model response into one ballot per group member.
 
     A member is named by its prompt handle or by its full id; a handle wins
-    where the two collide. A member missing from the response, or labeled
-    with something unrecognized, ballots ``None`` with a parse warning;
-    names outside the group are ignored. A response with no labeled line at
-    all is :class:`WhollyMalformed` (the gateway retries once).
+    where the two collide. A label line may be a Markdown list item with
+    emphasis (see :func:`prompts.without_emphasis`). A member missing
+    from the response, or labeled with something unrecognized, ballots
+    ``None`` with a parse warning; names outside the group are ignored. A
+    response with no labeled line at all is :class:`WhollyMalformed` (the
+    gateway retries once).
     """
     names = handle_names(group.member_ids, _HANDLE_PREFIX)
     found: dict[str, TaintLabel] = {}
     any_labeled_line = False
     for line in text.splitlines():
-        m = _LABEL_LINE_RE.match(line)
+        m = _LABEL_LINE_RE.match(without_emphasis(line))
         if not m:
             continue
         any_labeled_line = True

@@ -25,11 +25,12 @@ against all sinks. Tiles run sink-group-major.
 
 A prompt lists each candidate under a short handle in place of its id:
 sources s1.., sinks k1.. and sanitizers z1.., numbered in sorted-id order.
-Responses are line-oriented; chatter around recognizable pair lines is
-ignored, a candidate may be named by its handle or its full id, and pairs
-naming anything outside the tile's candidate lists are dropped with a
-warning. A response with no recognizable structure at all is retried
-once, after which that tile contributes nothing.
+Responses are line-oriented. A pair line may be a Markdown list item with
+emphasis; chatter around recognizable pair lines is ignored; a candidate
+may be named by its handle or its full id; and pairs naming anything
+outside the tile's candidate lists are dropped with a warning. A response
+with no recognizable structure at all is retried once, after which that
+tile contributes nothing.
 """
 
 from __future__ import annotations
@@ -44,7 +45,16 @@ from .artifacts import Document, JsonDataclass
 from .classify import TaintLabel
 from .errors import NothingToPair, RecordTooLarge, WhollyMalformed
 from .gateway import LlmGateway, estimate_tokens
-from .prompts import handle_names, handles, load_template, pack_greedy, render_template, with_handle
+from .prompts import (
+    LIST_ITEM,
+    handle_names,
+    handles,
+    load_template,
+    pack_greedy,
+    render_template,
+    with_handle,
+    without_emphasis,
+)
 from .records import ApiRecord, record_lookup, records_for
 
 logger = logging.getLogger(__name__)
@@ -56,7 +66,7 @@ _NO_PAIRS_SENTINEL = "NO_PAIRS"
 _HANDLE_PREFIXES = ("s", "k", "z")
 
 _PAIR_LINE_RE = re.compile(
-    r"""^\s*PAIR:\s*\(\s*([\w.\-]+)\s*,\s*([\w.\-]+)\s*\)
+    rf"""^\s*{LIST_ITEM}PAIR:\s*\(\s*([\w.\-]+)\s*,\s*([\w.\-]+)\s*\)
         \s*\|\s*CLASS:\s*([^|]+?)
         (?:\s*\|\s*RATIONALE:\s*([^|]*?))?
         (?:\s*\|\s*CONFIDENCE:\s*([^|]*?))?
@@ -257,7 +267,7 @@ def parse_pair_lines(
     pairs: list[SourceSinkPair] = []
     seen: set[tuple[str, str]] = set()
     recognized = False
-    for line in text.splitlines():
+    for line in map(without_emphasis, text.splitlines()):
         if line.strip() == _NO_PAIRS_SENTINEL:
             recognized = True
             continue

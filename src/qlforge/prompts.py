@@ -36,6 +36,20 @@ def render_template(template: str, values: dict[str, str]) -> str:
     return _PLACEHOLDER_RE.sub(_sub, template)
 
 
+# A model may format an answer line as Markdown: a list item, begun by a
+# bullet or an ordered-list marker ("1." or "1)"), with bold, underline or
+# code marks anywhere in it. The response parsers drop the marks (see
+# without_emphasis) and skip the marker with this pattern, so
+# "1. **3**: `Sink`" reads as "3: Sink".
+LIST_ITEM = r"(?:[-*+]\s*|\d+[.)]\s+)?"
+_EMPHASIS_RE = re.compile(r"\*\*|__|`")
+
+
+def without_emphasis(line: str) -> str:
+    """``line`` without its Markdown bold, underline and code marks."""
+    return _EMPHASIS_RE.sub("", line)
+
+
 # Every line of an ApiRecord (``prompt_text``, ``pairing_text``) begins with
 # this, then the id as JSON.
 _ID_KEY = '{"id":'
@@ -47,6 +61,8 @@ def handles(prefix: str, count: int) -> list[str]:
     Prompts that list records for the model to name back (classify and
     pairing) show each record under its handle instead of its 16-hex id, so
     every answer line costs a few completion tokens instead of about a dozen.
+    Classify's prefix is empty, so a member's handle is its line number;
+    pairing's tell its sources, sinks and sanitizers apart.
     """
     return [f"{prefix}{number}" for number in range(1, count + 1)]
 

@@ -273,7 +273,9 @@ def _pair_info(pair: SourceSinkPair, records_by_id: dict[str, ApiRecord]) -> str
 
     The ``pair:`` line keeps only what the lines under it do not say: the
     records carry the source and sink ids, the sanitizer lines the
-    sanitizers, and the writer has no use for the pairing confidence.
+    sanitizers, and the writer has no use for the pairing confidence. A
+    sanitizer line is its signature alone, since ``isBarrier`` matches calls
+    by name and nothing reads a sanitizer id back.
     """
     ids = (pair.source_id, pair.sink_id, *pair.sanitizers)
     source, sink, *sanitizers = records_for(ids, records_by_id, f"pair {pair.pair_id}")
@@ -285,7 +287,7 @@ def _pair_info(pair: SourceSinkPair, records_by_id: dict[str, ApiRecord]) -> str
     )
     if sanitizers:
         info += "sanitizers: add predicate isBarrier(DataFlow::Node node) matching calls to these\n"
-        info += "".join(f"{r.id} {r.signature}\n" for r in sanitizers)
+        info += "".join(f"{r.signature}\n" for r in sanitizers)
     return info
 
 

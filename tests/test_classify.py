@@ -207,9 +207,9 @@ def _plan_digest(plan):
 @pytest.mark.parametrize(
     "count, budget, seed, digest",
     [
-        (50, 2500, 7, "ac674b6132aee6104cd285e4db80a33e0eacd002a16a181a789d84a3f3f48f2a"),
-        (300, 6000, 7, "5625c4b9e7c97dabc6feef1432f4f50a9bf667361b5a3d3125c4c697246ea652"),
-        (120, 4000, 3, "67594e29ca33a327dd4b2bdbcfe68906e0a78cec38e52a5b4df88471e40aa6fb"),
+        (50, 2500, 7, "736002ad1d57630bed1d0b6afca38f34dda5088d5995ed3c6e48cfd14703106a"),
+        (300, 6000, 7, "74fc8f20f269e3170280eaa034d48317b110dc5617e140153102c0b2f033054a"),
+        (120, 4000, 3, "168b3e83696f82c74b1a90f4b0aca31bd065e49d9e903660b20a7215b1cde6be"),
     ],
     ids=["50-2500", "300-6000", "120-4000"],
 )
@@ -286,19 +286,21 @@ def test_prompt_section_order():
         "API_INFORMATION:",
         "Follow these six steps",
         "Output requirements:",
-        "Label every one of these ids:",
+        "Label every id from 1 to 2.",
     ]
     positions = [text.index(m) for m in markers]
     assert positions == sorted(positions)
     members = plan[0].member_ids
     assert len(members) == 2
-    assert text.endswith("Label every one of these ids: a1, a2\n")
-    # Each member's prompt line appears whole, in group order, with only its
-    # "id" value replaced by its handle; no record id is left in the prompt.
+    # The output requirement states the range of handles instead of listing
+    # them; each member's prompt line appears whole, in group order, with only
+    # its "id" value replaced by its line number; no record id is left.
+    assert text.endswith("Label every id from 1 to 2.\n")
+    assert "1, 2" not in text
     lookup = record_lookup(records)
     lines = text.split("API_INFORMATION:\n", 1)[1].splitlines()[: len(members)]
     for number, (line, rid) in enumerate(zip(lines, members), 1):
-        assert record_from_prompt_line(line) == replace(lookup[rid], id=f"a{number}")
+        assert record_from_prompt_line(line) == replace(lookup[rid], id=str(number))
         assert line.split(",", 1)[1] == lookup[rid].prompt_text.split(",", 1)[1]
         assert rid not in text
 
@@ -331,6 +333,50 @@ def test_parse_tolerates_decoration_and_case():
     assert [b.label for b in ballots] == [TaintLabel.SOURCE, TaintLabel.NONE]
 
 
+@pytest.mark.parametrize(
+    "template",
+    [
+        "**{}**: Source",
+        "- **{}**: Source",
+        "{}: **Source**",
+        "1. {}: Source",
+        "2) `{}`: __Source__",
+        "* __{}__: `Source`",
+    ],
+)
+@pytest.mark.parametrize("name", ["1", "aaaa000011112222"])
+def test_parse_reads_list_items_and_emphasis(template, name):
+    # "1. 1: Source" is a likely answer to a prompt that numbers its members.
+    ballots = parse_classification_response(template.format(name), GROUP)
+    assert [(b.label, b.parse_warning) for b in ballots] == [
+        (TaintLabel.SOURCE, False),
+        (TaintLabel.NONE, True),
+    ]
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1. 1: maybe-a-source",
+        "**1**: Sources",
+        "1. Source",
+        "2. Identify potential sink points using these 9 characteristics:",
+        "- Source: an entry point where attacker-controllable data enters the program",
+    ],
+)
+def test_parse_decorated_chatter_labels_nobody(text):
+    with pytest.raises(WhollyMalformed):
+        parse_classification_response(text, GROUP)
+
+
+def test_parse_an_echo_of_the_prompt_labels_nobody():
+    records = synthetic_records(3, random.Random(4))
+    group = ContextGroup(0, "r0g0", tuple(r.id for r in records), 0)
+    prompt = build_classification_prompt(group, record_lookup(records))
+    with pytest.raises(WhollyMalformed):
+        parse_classification_response(prompt, group)
+
+
 def test_parse_first_occurrence_wins():
     text = "aaaa000011112222: Sink\naaaa000011112222: Source\nbbbb000011112222: None\n"
     ballots = parse_classification_response(text, GROUP)
@@ -355,20 +401,20 @@ def test_parse_nonmember_line_is_ignored_but_counts_as_labeled():
 
 
 def test_parse_names_members_by_handle_or_full_id():
-    text = "a2: Sink\naaaa000011112222: Source\n"
+    text = "2: Sink\naaaa000011112222: Source\n"
     ballots = parse_classification_response(text, GROUP)
     assert [b.label for b in ballots] == [TaintLabel.SOURCE, TaintLabel.SINK]
     assert not any(b.parse_warning for b in ballots)
 
 
 def test_parse_handle_wins_over_an_equal_full_id():
-    # The first member's id is the second member's handle: "a2" names the
+    # The first member's id is the second member's handle: "2" names the
     # second member, and the first is still reachable by its own handle.
-    group = ContextGroup(0, "r0g0", ("a2", "zz"), 0)
-    ballots = parse_classification_response("a1: Sink\na2: Source\n", group)
+    group = ContextGroup(0, "r0g0", ("2", "zz"), 0)
+    ballots = parse_classification_response("1: Sink\n2: Source\n", group)
     assert [b.label for b in ballots] == [TaintLabel.SINK, TaintLabel.SOURCE]
     assert not any(b.parse_warning for b in ballots)
-    ballots = parse_classification_response("a2: Source\n", group)
+    ballots = parse_classification_response("2: Source\n", group)
     assert [(b.label, b.parse_warning) for b in ballots] == [
         (TaintLabel.NONE, True),
         (TaintLabel.SOURCE, False),
@@ -518,15 +564,17 @@ def test_vote_record_dict_shape():
     assert VoteRecord.from_dict(data) == vote
 
 
+# How a label line may begin: a list marker, emphasis, a code span.
+_LINE_START = st.sampled_from(["", "- ", "* `", "1. ", "2) ", "**", "- __"])
 _LABEL_RESPONSE = st.one_of(
     st.text(),
     st.lists(
         st.one_of(
             st.builds(
                 "{}{}: {}".format,
-                st.sampled_from(["", "- ", "* `"]),
-                st.sampled_from([*GROUP.member_ids, "a1", "a2", "a3", "cccc000011112222", ""]),
-                st.sampled_from(["Source", "sink", "SANITIZER", "None", "maybe", ""]),
+                _LINE_START,
+                st.sampled_from([*GROUP.member_ids, "1", "2", "3", "cccc000011112222", ""]),
+                st.sampled_from(["Source", "sink", "**SANITIZER**", "`None`", "maybe", ""]),
             ),
             st.text(max_size=20),
         ),
@@ -551,9 +599,9 @@ def test_parse_gives_one_ballot_per_member_for_any_text(text):
 # group) and a label word, or free text.
 _NAMED_LINE = st.one_of(
     st.tuples(
-        st.sampled_from(["", "- ", "* `"]),
+        _LINE_START,
         st.sampled_from([0, 1, None]),
-        st.sampled_from(["Source", "sink", "SANITIZER", "None", "maybe"]),
+        st.sampled_from(["Source", "sink", "SANITIZER", "**None**", "maybe"]),
     ),
     st.text(max_size=20),
 )
@@ -572,10 +620,10 @@ def test_parse_by_handle_equals_parse_by_full_id(lines):
     def render(name_of):
         return "\n".join(
             line if isinstance(line, str)
-            else f"{line[0]}{'a9' if line[1] is None else name_of(line[1])}: {line[2]}"
+            else f"{line[0]}{'9' if line[1] is None else name_of(line[1])}: {line[2]}"
             for line in lines
         )
 
-    by_handle = render(lambda index: f"a{index + 1}")
+    by_handle = render(lambda index: str(index + 1))
     by_id = render(lambda index: GROUP.member_ids[index])
     assert _ballots_or_malformed(by_handle) == _ballots_or_malformed(by_id)

@@ -294,6 +294,31 @@ def test_pair_line_names_candidates_by_handle():
     assert parse_pair_lines("PAIR: (k1, s1) | CLASS: xss", SRC, SNK, SAN) == []
 
 
+@pytest.mark.parametrize(
+    "line",
+    [
+        "- PAIR: (s1, k1) | CLASS: xss | RATIONALE: r | CONFIDENCE: high",
+        "1. PAIR: (s1, k1) | CLASS: xss",
+        "`PAIR: (s1, k1) | CLASS: xss | RATIONALE: r | CONFIDENCE: high`",
+        "**PAIR:** (**s1**, `k1`) | **CLASS:** `xss`",
+        "2) __PAIR__: (src1, snk1) | CLASS: xss",
+    ],
+)
+def test_pair_line_in_a_list_or_emphasis(line):
+    pairs = parse_pair_lines(line, SRC, SNK, SAN)
+    assert [(p.source_id, p.sink_id, p.vuln_class) for p in pairs] == [("src1", "snk1", "xss")]
+
+
+def test_pair_decorated_sentinel_and_fields():
+    assert parse_pair_lines("`NO_PAIRS`", SRC, SNK, SAN) == []
+    line = "- PAIR: (s1, k1) | CLASS: xss | CONFIDENCE: **high** | SANITIZED_BY: `z1`"
+    (pair,) = parse_pair_lines(line, SRC, SNK, SAN)
+    assert (pair.confidence, pair.sanitizers) == ("high", ("san1",))
+    for chatter in ("1. Consider every source first.", "- PAIR of candidates: none", "**Pairs:**"):
+        with pytest.raises(WhollyMalformed):
+            parse_pair_lines(chatter, SRC, SNK, SAN)
+
+
 def test_pair_handle_wins_over_an_equal_full_id():
     # The first source's id is the second source's handle.
     sources = {"s2", "x"}
@@ -542,14 +567,18 @@ def test_pairs_version_guard():
 _ANY_ID = st.sampled_from(
     ["src1", "src2", "snk1", "snk2", "san1", "s1", "s2", "k2", "z1", "s3", "ghost", ""]
 )
+# A pair line may be a list item and may be wrapped in a code span or emphasis.
+_LINE_START = st.sampled_from(["", "- ", "* ", "1. ", "2) ", "`", "**"])
 _PAIR_LINE = st.builds(
-    "PAIR: ({}, {}) | CLASS: {} | RATIONALE: {} | CONFIDENCE: {} | SANITIZED_BY: {}".format,
+    "{}PAIR: ({}, {}) | CLASS: {} | RATIONALE: {} | CONFIDENCE: {} | SANITIZED_BY: {}{}".format,
+    _LINE_START,
     _ANY_ID,
     _ANY_ID,
     st.one_of(st.sampled_from(["xss", "Path Traversal"]), st.text(max_size=8)),
     st.text(max_size=8),
     st.text(max_size=5),
     st.lists(_ANY_ID, max_size=3).map(", ".join),
+    st.sampled_from(["", "`", "**"]),
 )
 _RESPONSE = st.one_of(
     st.text(),
@@ -578,7 +607,8 @@ def test_parse_pair_lines_keeps_only_known_ids_for_any_text(text):
 _NAMES = {"s1": "src1", "s2": "src2", "k1": "snk1", "k2": "snk2", "z1": "san1", "s3": "s3"}
 _HANDLE = st.sampled_from(sorted(_NAMES))
 _HANDLE_LINE = st.builds(
-    "PAIR: ({}, {}) | CLASS: {} | RATIONALE: r | CONFIDENCE: high | SANITIZED_BY: {}".format,
+    "{}PAIR: ({}, {}) | CLASS: {} | RATIONALE: r | CONFIDENCE: high | SANITIZED_BY: {}".format,
+    _LINE_START,
     _HANDLE,
     _HANDLE,
     st.sampled_from(["xss", "Path Traversal"]),
@@ -601,7 +631,7 @@ def test_parse_pair_lines_by_handle_equals_by_full_id(lines):
     by_handle = "\n".join(lines)
     by_id = "\n".join(
         re.sub(r"\b[skz]\d\b", lambda m: _NAMES.get(m.group(), m.group()), line)
-        if line.startswith("PAIR:") else line
+        if "PAIR:" in line else line
         for line in lines
     )
     assert _pairs_or_malformed(by_handle) == _pairs_or_malformed(by_id)

@@ -64,6 +64,9 @@ def test_repair_template_is_advice_only():
 def test_handles_number_from_one():
     assert handles("a", 3) == ["a1", "a2", "a3"]
     assert handles("s", 0) == []
+    # Classify names its members by line number alone.
+    assert handles("", 3) == ["1", "2", "3"]
+    assert handle_names(["x", "y"], "") == {"x": "x", "y": "y", "1": "x", "2": "y"}
 
 
 def test_handle_names_map_handles_and_full_ids_and_handles_win():

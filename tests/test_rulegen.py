@@ -300,12 +300,14 @@ def test_write_prompt_lists_a_pair_s_sanitizers_for_its_barrier():
 
     unsanitized = write_prompt(plain)
     assert "sanitizers:" not in unsanitized and "isBarrier" not in unsanitized
-    # Listed in the pair's order, after the sink record, as id and signature.
+    # Listed in the pair's order, after the sink record, by signature alone:
+    # the barrier matches calls by name, and no parser reads an id back.
     order = sanitizer_ids[::-1]
     sanitized = write_prompt(replace(plain, sanitizers=tuple(order)))
     header = "sanitizers: add predicate isBarrier(DataFlow::Node node) matching calls to these\n"
-    lines = "".join(f"{rid} {lookup[rid].signature}\n" for rid in order)
+    lines = "".join(f"{lookup[rid].signature}\n" for rid in order)
     assert f"sink record: {lookup[snk].prompt_text}\n{header}{lines}\n" in sanitized
+    assert not any(rid in sanitized for rid in order)
     unknown = replace(plain, sanitizers=(sanitizer_ids[0], "feedfacefeedface"))
     with pytest.raises(UnknownApiId, match=f"pair {plain.pair_id} references unknown api id feedface"):
         write_prompt(unknown)
