@@ -253,6 +253,12 @@ class CodeQLCompiler:
         return paths
 
     def compile(self, pair_id: str, rule_text: str) -> tuple[Diagnostic, ...]:
+        """Compile the rule as ``rule.ql`` in a fresh workspace.
+
+        A path into the workspace in codeql's output is cut to the file's
+        name, so diagnostics say ``rule.ql`` and not a temporary directory
+        that differs from run to run.
+        """
         with tempfile.TemporaryDirectory(prefix="qlforge-compile-") as tmp:
             (rule,) = self._workspace(Path(tmp), {"rule": rule_text})
             try:
@@ -264,10 +270,14 @@ class CodeQLCompiler:
                 )
             except subprocess.TimeoutExpired:
                 return (Diagnostic(message=f"codeql query compile exceeded {self.timeout_s}s"),)
+            stderr = proc.stderr
+            # The longer first, in case the resolved path ends with the other.
+            for workspace in sorted({tmp, os.path.realpath(tmp)}, key=len, reverse=True):
+                stderr = stderr.replace(workspace + os.sep, "")
         if proc.returncode == 0:
             return ()
-        message = proc.stderr.strip() or f"codeql exited {proc.returncode}"
-        return parse_compile_diagnostics(proc.stderr) or (Diagnostic(message=message[:2000]),)
+        message = stderr.strip() or f"codeql exited {proc.returncode}"
+        return parse_compile_diagnostics(stderr) or (Diagnostic(message=message[:2000]),)
 
     def execute(self, rules: dict[str, str], database: str) -> dict[str, list[dict]]:
         """Run every rule (pair id -> rule text) in one ``database analyze``.

@@ -1,12 +1,16 @@
 """Rule generation with a bounded write / compile / repair loop, plus scanning.
 
-Three roles cooperate per pair: a writer drafts the rule file, a compiler
-checks it, and on failure a repairer turns the diagnostics into advice that
-is folded into the next writer prompt. The loop is bounded by ``max_iters``
-attempts; a pair whose final attempt still fails is recorded as Aborted
-with its last diagnostics, never silently dropped, and stays in the
-denominator of the correctness rate. A missing compiler aborts the pair the
-same way.
+Three roles cooperate per pair: a writer fills the ``RuleConfig`` module of
+``rule_skeleton.ql``, a compiler checks the rule file, and on failure a
+repairer turns the diagnostics into advice that is folded into the next
+writer prompt. The skeleton's QLDoc header, imports and path query never
+change, so qlforge keeps them and the writer is neither shown nor asked for
+them. An answer with a top-level ``import`` line is a whole rule file and is
+kept as written; any other answer takes the place of the skeleton's module.
+The loop is bounded by ``max_iters`` attempts; a pair whose final attempt
+still fails is recorded as Aborted with its last diagnostics, never silently
+dropped, and stays in the denominator of the correctness rate. A missing
+compiler aborts the pair the same way.
 
 Pairs run side by side under two separate bounds, each ``workers`` wide:
 the gateway lets at most ``workers`` model requests be in flight, and
@@ -267,6 +271,10 @@ def _strip_fences(text: str) -> str:
     return (block.group(1) if block else text).strip()
 
 
+# A sink record's snippet when it is the source record's.
+_SAME_SNIPPET = "(same as the source record)"
+
+
 def _pair_info(pair: SourceSinkPair, records_by_id: dict[str, ApiRecord]) -> str:
     """The pair and its source and sink records, then its sanitizers, if any, for an
     ``isBarrier`` the skeleton leaves out (``DataFlow::ConfigSig`` defaults it to ``none()``).
@@ -275,10 +283,13 @@ def _pair_info(pair: SourceSinkPair, records_by_id: dict[str, ApiRecord]) -> str
     records carry the source and sink ids, the sanitizer lines the
     sanitizers, and the writer has no use for the pairing confidence. A
     sanitizer line is its signature alone, since ``isBarrier`` matches calls
-    by name and nothing reads a sanitizer id back.
+    by name and nothing reads a sanitizer id back. A sink whose snippet is
+    the source's says so in place of repeating it.
     """
     ids = (pair.source_id, pair.sink_id, *pair.sanitizers)
     source, sink, *sanitizers = records_for(ids, records_by_id, f"pair {pair.pair_id}")
+    if sink.snippet and sink.snippet == source.snippet:
+        sink = replace(sink, snippet=_SAME_SNIPPET)
     line = {"pair_id": pair.pair_id, "vuln_class": pair.vuln_class, "rationale": pair.rationale}
     info = (
         f"pair: {json.dumps(line, ensure_ascii=False, separators=(',', ':'))}\n"
@@ -291,11 +302,38 @@ def _pair_info(pair: SourceSinkPair, records_by_id: dict[str, ApiRecord]) -> str
     return info
 
 
-# Stands in for the skeleton once a draft exists: the revision context shows
-# that draft, which already fills the skeleton.
-_DRAFT_FILLS_SKELETON = (
-    "(the previous rule below fills the skeleton; keep its imports and select clause)\n"
+# Stands for the part of the skeleton a first-write prompt leaves out.
+_MODULE_WRAPPER = (
+    "(qlforge wraps it in imports of java, FlowSources and TaintTracking and a path query)\n"
 )
+# Stands in for the module once a draft exists: the revision context shows
+# that draft whole, as compiled, so the diagnostics' line numbers hold.
+_DRAFT_FILLS_SKELETON = "(output the corrected RuleConfig module of the previous rule below)\n"
+# A line that starts with an import opens a whole rule file, not a module.
+_TOP_LEVEL_IMPORT_RE = re.compile(r"^import\s", re.MULTILINE)
+
+
+def _skeleton_parts() -> tuple[str, str, str]:
+    """``rule_skeleton.ql`` split around its ``RuleConfig`` module: (head, module, tail)."""
+    skeleton = load_template("rule_skeleton.ql")
+    start = skeleton.index("module RuleConfig ")
+    end = skeleton.index("\n}\n", start) + len("\n}\n")
+    return skeleton[:start], skeleton[start:end], skeleton[end:]
+
+
+def _rule_file(answer: str) -> str:
+    """The rule file a writer's answer stands for; "" for a blank answer.
+
+    An answer with a top-level ``import`` line is a whole file and is kept
+    as written; any other answer is a module and replaces the skeleton's.
+    """
+    text = _strip_fences(answer)
+    if not text:
+        return ""
+    if _TOP_LEVEL_IMPORT_RE.search(text):
+        return text + "\n"
+    head, _, tail = _skeleton_parts()
+    return f"{head}{text}\n{tail}"
 
 
 def write_rule(
@@ -305,22 +343,26 @@ def write_rule(
     revision_context: str = "",
     revises_draft: bool = False,
 ) -> str:
-    """Ask the writer role for a complete rule file; returns "" for a blank answer.
+    """Ask the writer role for the rule's ``RuleConfig`` module; returns the rule
+    file it stands for (see ``_rule_file``), or "" for a blank answer.
 
-    The prompt carries the rule skeleton unless ``revises_draft`` says that
-    ``revision_context`` shows a previous, non-empty rule to revise.
+    A first write is shown the skeleton's module with its holes and one line
+    naming what surrounds it. When ``revises_draft`` says that
+    ``revision_context`` shows a previous, non-empty rule, the prompt asks
+    for that rule's corrected module instead.
     """
-    skeleton = _DRAFT_FILLS_SKELETON if revises_draft else load_template("rule_skeleton.ql")
+    module = _DRAFT_FILLS_SKELETON
+    if not revises_draft:
+        module = _skeleton_parts()[1] + _MODULE_WRAPPER
     prompt = render_template(
         load_template("write_prompt.txt"),
         {
             "PAIR_INFO": _pair_info(pair, records_by_id),
-            "RULE_SKELETON": skeleton,
+            "RULE_MODULE": module,
             "REVISION_CONTEXT": revision_context or "(first attempt)",
         },
     )
-    text = _strip_fences(gateway.ask("write", prompt))
-    return text + "\n" if text else ""
+    return _rule_file(gateway.ask("write", prompt))
 
 
 def format_diagnostics(diagnostics: tuple[Diagnostic, ...]) -> str:
@@ -368,7 +410,9 @@ def _revision_context(
     )
 
 
-_EMPTY_DRAFT_ADVICE = "The previous attempt produced no output; emit the complete rule file."
+_EMPTY_DRAFT_ADVICE = (
+    "The previous attempt produced no output; emit the complete RuleConfig module."
+)
 
 
 def generate_rule(

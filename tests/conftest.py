@@ -9,6 +9,7 @@ import pytest
 from qlforge.extract import FixtureBackend, dedupe, extract_apis, filter_risky
 from qlforge.gateway import LlmResponse, MockLlmClient
 from qlforge.pipeline import PipelineConfig
+from qlforge.prompts import load_template
 from qlforge.records import ApiParam, ApiRecord, SourceLocation, make_record
 
 FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
@@ -164,6 +165,14 @@ class CountingClient:
 
     def count(self, stage: str) -> int:
         return sum(1 for s in self.calls if s == stage)
+
+
+def skeleton_around_module() -> tuple[str, str, str]:
+    """rule_skeleton.ql split around its RuleConfig module: (head, module, tail)."""
+    skeleton = load_template("rule_skeleton.ql")
+    start = skeleton.index("module RuleConfig")
+    end = skeleton.index("\n}\n", start) + len("\n}\n")
+    return skeleton[:start], skeleton[start:end], skeleton[end:]
 
 
 def scripted_client(entries, default="") -> MockLlmClient:

@@ -2,6 +2,7 @@ import json
 import os
 import re
 import stat
+import tempfile
 import textwrap
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from qlforge.codeql import (
 from qlforge.errors import BackendUnavailable, CompilerUnavailable, ExecutionFailed
 from qlforge.prompts import load_template
 from qlforge.records import SourceLocation, clamp_snippet, make_record
-from qlforge.rulegen import FINDINGS, ArtifactStatus, RuleArtifact, scan
+from qlforge.rulegen import FINDINGS, ArtifactStatus, Diagnostic, RuleArtifact, scan
 from tests.conftest import FakeAnalyzeCodeql
 
 
@@ -129,6 +130,27 @@ def test_compile_error_with_parsed_diagnostics(tmp_path):
     diagnostics = CodeQLCompiler(binary=binary).compile("p", "from Expr e select e")
     assert diagnostics[0].line == 3
     assert "unresolved type Expr" in diagnostics[0].message
+
+
+@pytest.mark.parametrize(
+    "echo, expected",
+    [
+        ('"$3:13:3: error: unresolved type Expr"', Diagnostic("unresolved type Expr", "rule.ql", 13, 3)),
+        ('"$(realpath "$3"):2:1: error: expected select"', Diagnostic("expected select", "rule.ql", 2, 1)),
+        ('"cannot read $3"', Diagnostic("cannot read rule.ql")),
+        ('"$(dirname "$3")/qlpack.yml: bad pack"', Diagnostic("qlpack.yml: bad pack")),
+    ],
+)
+def test_compile_diagnostics_name_the_rule_file_not_its_temporary_directory(
+    tmp_path, monkeypatch, echo, expected
+):
+    # codeql gets the rule's absolute path ($3) and may echo it, or its resolved
+    # form: the temporary directory here is reached through a symbolic link.
+    (tmp_path / "real").mkdir()
+    (tmp_path / "link").symlink_to(tmp_path / "real")
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "link"))
+    binary = _fake_codeql(tmp_path, f"echo {echo} >&2\nexit 2\n")
+    assert CodeQLCompiler(binary=binary).compile("p", "from Expr e select e") == (expected,)
 
 
 def test_compile_error_without_parseable_stderr(tmp_path):

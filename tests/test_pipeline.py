@@ -3,6 +3,7 @@ import json
 import re
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -27,7 +28,7 @@ from qlforge.pairing import PAIRS
 from qlforge.records import SPECS, SourceLocation, make_record, record_lookup
 from qlforge.report import load_report
 from qlforge.rulegen import MockCompiler
-from tests.conftest import FIXTURES, assert_same_run
+from tests.conftest import FIXTURES, assert_same_run, skeleton_around_module
 
 ARTIFACTS = (
     "specs.json",
@@ -324,7 +325,7 @@ def test_a_record_the_spec_document_cannot_hold_leaves_the_run(run_config, monke
 # Classify sends 3 groups in each of rounds 1 and 2, which agree on every
 # record, so no round 3. A change that adds calls or prompt text fails here.
 EXPECTED_CALLS = {"classify": 6, "pair": 1, "write": 5, "repair": 1}
-EXPECTED_PROMPT_TOKENS = {"classify": 9855, "pair": 646, "write": 3873, "repair": 362}
+EXPECTED_PROMPT_TOKENS = {"classify": 9855, "pair": 646, "write": 3224, "repair": 362}
 
 
 def test_full_run_model_calls_and_prompt_tokens(run_config, monkeypatch):
@@ -390,9 +391,20 @@ def test_pair_prompts_leave_out_the_snippets_that_write_prompts_carry(run_config
     pairs = {p.pair_id: p for p in PAIRS.load(config.out_dir / "pairs.json")}
     writes = [(d.name, entry) for d, entry in entries if entry["stage"] == "write"]
     assert len(writes) == EXPECTED_CALLS["write"]
+    shared = 0
     for pair_id, entry in writes:
-        for rid in (pairs[pair_id].source_id, pairs[pair_id].sink_id):
-            assert lookup[rid].prompt_text in entry["request"]["prompt"]
+        prompt = entry["request"]["prompt"]
+        source, sink = lookup[pairs[pair_id].source_id], lookup[pairs[pair_id].sink_id]
+        assert f"source record: {source.prompt_text}\n" in prompt
+        # A snippet the sink shares with the source is written once.
+        if sink.snippet == source.snippet:
+            shared += 1
+            same = replace(sink, snippet="(same as the source record)").prompt_text
+            assert f"sink record: {same}\n" in prompt
+            assert prompt.count(json.dumps(sink.snippet, ensure_ascii=False)[1:-1]) == 1
+        else:
+            assert f"sink record: {sink.prompt_text}\n" in prompt
+    assert shared == 1
 
 
 def test_a_sanitized_pair_gets_a_rule_whose_barrier_names_its_sanitizer(run_config):
@@ -736,6 +748,30 @@ def test_a_once_entry_naming_a_pair_gives_the_same_rules_at_any_timing(run_confi
         ))
     [only] = rules
     assert dict(only)[f"{pair_id}/rule.ql"] == b"import java\nselect 2\n"
+
+
+def test_a_pair_answered_with_a_module_gets_the_skeleton_around_it(run_config, tmp_path):
+    pair_id = "36fdcc4350f3c45c__0465103141b4b803"
+    module = (
+        "module RuleConfig implements DataFlow::ConfigSig {\n"
+        "  predicate isSource(DataFlow::Node source) {\n"
+        '    exists(MethodCall call | call.getMethod().hasName("getParameter") and source.asExpr() = call)\n'
+        "  }\n\n"
+        "  predicate isSink(DataFlow::Node sink) {\n"
+        '    exists(MethodCall call | call.getMethod().hasName("executeQuery") and sink.asExpr() = call.getAnArgument())\n'
+        "  }\n"
+        "}"
+    )
+    entry = {"stage": "write", "contains": pair_id, "response": f"```ql\n{module}\n```"}
+    config = run_config(mock_script=str(_fixture_script_after(tmp_path / "module.jsonl", entry)))
+    report = run_pipeline(config)
+    head, _, tail = skeleton_around_module()
+    rule = (config.out_dir / "rules" / pair_id / "rule.ql").read_text(encoding="utf-8")
+    assert rule == f"{head}{module}\n{tail}"
+    assert report.counts == EXPECTED_COUNTS and report.metrics.correctness_rate == 100.0
+    for name in ("findings.json", "report.json", "rules/index.json"):
+        digest = hashlib.sha256((config.out_dir / name).read_bytes()).hexdigest()
+        assert digest == GOLDEN_DIGESTS[name], name
 
 
 def test_fresh_run_clears_stale_artifacts(run_config):

@@ -44,6 +44,7 @@ from tests.conftest import (
     FakeAnalyzeCodeql,
     StaticClient,
     scripted_client,
+    skeleton_around_module,
     synthetic_records,
 )
 
@@ -258,18 +259,94 @@ def test_write_prompt_carries_the_skeleton_only_while_no_draft_exists():
     artifact = generate_rule(pair, lookup, LlmGateway(client, model="m"), _compiler(pair.pair_id, 1))
     assert artifact.status is ArtifactStatus.COMPILED and artifact.attempts == 3
     first, revision, after_empty = (r.prompt for r in client.requests if r.stage == "write")
-    skeleton = load_template("rule_skeleton.ql")
-    assert first.count(skeleton) == 1
-    # A revision shows the previous rule once, in its revision context, and
-    # points at it in the skeleton's place.
-    assert skeleton not in revision and "HOLE" not in revision
+    _, module, _ = skeleton_around_module()
+    assert first.count(module) == 1
+    # A revision shows the previous rule once, as compiled, in its revision
+    # context, and asks for its corrected module in the skeleton's place.
+    assert module not in revision and "HOLE" not in revision
     assert revision.count(draft) == 1
-    assert revision.index("fills the skeleton") < revision.index("--- previous rule ---")
-    assert "keep its imports and select clause" in revision
-    # After an empty draft there is no rule to revise, so the skeleton is back.
-    assert after_empty.count(skeleton) == 1
-    assert "fills the skeleton" not in first + after_empty
+    assert revision.index("corrected RuleConfig module") < revision.index("--- previous rule ---")
+    # After an empty draft there is no rule to revise, so the module is back.
+    assert after_empty.count(module) == 1
+    assert "corrected RuleConfig module" not in first + after_empty
     assert "--- previous rule ---\n(empty)\n" in after_empty
+    assert "produced no output; emit the complete RuleConfig module." in after_empty
+
+
+def test_a_first_write_prompt_shows_the_module_s_holes_and_no_import_or_select_line():
+    pair, lookup = _pair_and_lookup()
+    client = RecordingClient(StaticClient(RULE_TEXT))
+    write_rule(pair, lookup, LlmGateway(client, model="m"))
+    prompt = client.requests[0].prompt
+    head, module, tail = skeleton_around_module()
+    assert prompt.count(module) == 1 and prompt.count("// HOLE:") == 2
+    assert not [line for line in prompt.splitlines() if line.startswith(("import", "select"))]
+    assert head not in prompt and tail.strip() not in prompt
+
+
+def test_a_revision_prompt_shows_the_previous_rule_as_compiled():
+    pair, lookup = _pair_and_lookup()
+    module = "module RuleConfig implements DataFlow::ConfigSig {\n  broken\n}"
+    client = RecordingClient(
+        scripted_client(
+            [
+                {"stage": "write", "response": module, "once": True},
+                {"stage": "repair", "response": "advice"},
+            ],
+            default=RULE_TEXT,
+        )
+    )
+    compiler = _compiler(pair.pair_id, 1, diagnostics=[{"message": "bad", "line": 13}])
+    artifact = generate_rule(pair, lookup, LlmGateway(client, model="m"), compiler)
+    assert artifact.status is ArtifactStatus.COMPILED and artifact.attempts == 2
+    head, _, tail = skeleton_around_module()
+    compiled = f"{head}{module}\n{tail}"
+    repair, revision = (r.prompt for r in client.requests[1:])
+    assert compiled in repair
+    # The diagnostic's line 13 is the module's second line in the rule shown.
+    assert f"--- previous rule ---\n{compiled}\n--- diagnostics ---\nrule.ql:13: error: bad\n" in revision
+    assert compiled.splitlines()[12] == "  broken"
+
+
+def test_a_module_answer_becomes_the_skeleton_with_that_module_in_place():
+    pair, lookup = _pair_and_lookup()
+    module = (
+        "module RuleConfig implements DataFlow::ConfigSig {\n"
+        '  predicate isSource(DataFlow::Node source) { source.asExpr().(MethodCall).getMethod().hasName("a") }\n'
+        '  predicate isSink(DataFlow::Node sink) { sink.asExpr().(MethodCall).getMethod().hasName("b") }\n'
+        "}"
+    )
+    head, skeleton_module, tail = skeleton_around_module()
+    for answer in (module, f"```ql\n{module}\n```", f"Here it is:\n```\n{module}\n```\nDone."):
+        text = write_rule(pair, lookup, LlmGateway(StaticClient(answer), model="m"))
+        assert text == f"{head}{module}\n{tail}"
+    # The skeleton's own module gives back the skeleton, byte for byte.
+    text = write_rule(pair, lookup, LlmGateway(StaticClient(skeleton_module), model="m"))
+    assert text == load_template("rule_skeleton.ql")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    answer=st.one_of(
+        st.text(),
+        st.lists(
+            st.sampled_from(["```", "```ql", "\n", " ", "\t", "import java", "import", "x", "}", "select 1"]),
+            max_size=12,
+        ).map("".join),
+    )
+)
+def test_write_rule_reads_any_answer_as_a_whole_file_or_a_module(answer):
+    pair, lookup = _pair_and_lookup()
+    text = write_rule(pair, lookup, LlmGateway(StaticClient(answer), model="m"))
+    stripped = _strip_fences(answer)
+    if not stripped:
+        assert text == ""
+    elif re.search(r"^import\s", stripped, re.MULTILINE):
+        assert text == stripped + "\n"
+    else:
+        head, _, tail = skeleton_around_module()
+        assert text.startswith(head) and text.endswith(tail)
+        assert stripped in text
 
 
 def test_write_prompt_pair_line_keeps_only_what_its_records_do_not_say():
