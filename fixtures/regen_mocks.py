@@ -201,14 +201,7 @@ def main() -> None:
         )
         entry: dict = {"fail_count": fail_count}
         if fail_count:
-            entry["diagnostics"] = [
-                {
-                    "file": "rule.ql",
-                    "line": 14,
-                    "column": 5,
-                    "message": "unresolved predicate or missing import",
-                }
-            ]
+            entry["diagnostics"] = ["rule.ql:14:5: error: unresolved predicate or missing import"]
         # A sanitized pair's rule names its barrier, so the scan finds nothing.
         entry["findings"] = [finding] if finding else []
         compiler_pairs[pair_id] = entry

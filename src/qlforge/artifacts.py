@@ -185,6 +185,13 @@ def config_input() -> Iterator[None]:
         raise ConfigError(str(exc)) from None
 
 
+def known_keys_only(data: dict, known) -> None:
+    """A ``TypeError`` naming every key of ``data`` that is not in ``known``."""
+    unknown = sorted(map(str, data.keys() - known))
+    if unknown:
+        raise TypeError(f"unknown key(s): {', '.join(unknown)}")
+
+
 class JsonDataclass:
     """Base of the dataclasses a run reads back from JSON.
 
@@ -194,9 +201,15 @@ class JsonDataclass:
     the field's default, an unknown key is ignored, and a missing key with
     no default or a value of the wrong type is a ``TypeError`` naming the
     field, which :func:`shape_checked` reports as :class:`ArtifactCorrupt`.
+    A class declared with ``rejects_unknown_keys=True`` (a hand-written
+    input, where an unknown key is a typo) also raises one naming that key.
     """
 
     __slots__ = ()
+
+    def __init_subclass__(cls, rejects_unknown_keys: bool = False, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.rejects_unknown_keys = rejects_unknown_keys
 
     @classmethod
     def from_dict(cls: type[T], data: dict) -> T:
@@ -212,9 +225,12 @@ def _decoder(cls: type) -> Callable[[object], object]:
          f.default is MISSING and f.default_factory is MISSING)
         for f in fields(cls)
     ]
+    known = {name for name, _, _ in plan} if getattr(cls, "rejects_unknown_keys", False) else None
 
     def decode(data):
         typed(data, dict, cls.__name__)
+        if known is not None:
+            known_keys_only(data, known)
         kwargs = {}
         for name, dec, required in plan:
             if name in data:

@@ -7,10 +7,10 @@ CompilerUnavailable (compilation and scanning) instead of a raw OSError.
 Extraction and scanning raise the same errors when a ``codeql`` call runs
 past its timeout; compilation reports that as a failed compile whose one
 diagnostic says the limit was exceeded. A compile returns its diagnostics:
-none when the rule compiled, else those parsed from stderr, or stderr
-itself, or the exit code. A ``database analyze`` that runs and fails, or
-writes SARIF that cannot be read, raises ExecutionFailed instead, so callers
-can tell a broken environment from a broken rule. ``codeql``'s output is
+none when the rule compiled, else stderr's lines as codeql printed them,
+whatever their form, and nothing parses them. A ``database analyze`` that
+runs and fails, or writes SARIF that cannot be read, raises ExecutionFailed
+instead, so callers can tell a broken environment from a broken rule. ``codeql``'s output is
 decoded as UTF-8, an invalid byte becoming U+FFFD, and each lone surrogate
 in its SARIF becomes U+FFFD too.
 
@@ -37,7 +37,6 @@ from pathlib import Path
 from .errors import BackendUnavailable, CompilerUnavailable, ExecutionFailed
 from .artifacts import typed, without_surrogates
 from .records import ApiRecord, SourceLocation, make_record, snippet_at
-from .rulegen import Diagnostic
 
 logger = logging.getLogger(__name__)
 
@@ -51,13 +50,6 @@ version: 0.0.0
 dependencies:
   codeql/java-all: "*"
 """
-
-# Matches both "file:12:3: error: msg" and span form "file:12:3:14:9: error: msg".
-_DIAG_RE = re.compile(
-    r"^(?P<file>[^:\s][^:]*):(?P<line>\d+):(?P<col>\d+)(?::\d+:\d+)?:?\s*"
-    r"(?:(?P<sev>error|warning)[: ]\s*)?(?P<msg>.+)$",
-    re.IGNORECASE,
-)
 
 # The leading QLDoc block; blank lines and plain comments may precede it.
 # Each comment form matches in one way only, so a failed match cannot
@@ -115,24 +107,6 @@ def stamp_rule_id(rule_text: str, rule_id: str) -> str:
         block = block[: first.start()] + tag + _ID_TAG_RE.sub("", block[first.end() :])
     start, end = match.span(1)
     return rule_text[:start] + block + rule_text[end:]
-
-
-def parse_compile_diagnostics(stderr: str) -> tuple[Diagnostic, ...]:
-    diagnostics = []
-    for line in stderr.splitlines():
-        m = _DIAG_RE.match(line.strip())
-        if not m:
-            continue
-        diagnostics.append(
-            Diagnostic(
-                message=m.group("msg").strip(),
-                file=m.group("file"),
-                line=int(m.group("line")),
-                column=int(m.group("col")),
-                severity=(m.group("sev") or "error").lower(),
-            )
-        )
-    return tuple(diagnostics)
 
 
 class CodeQLBackend:
@@ -252,12 +226,13 @@ class CodeQLCompiler:
             paths.append(path)
         return paths
 
-    def compile(self, pair_id: str, rule_text: str) -> tuple[Diagnostic, ...]:
+    def compile(self, pair_id: str, rule_text: str) -> tuple[str, ...]:
         """Compile the rule as ``rule.ql`` in a fresh workspace.
 
-        A path into the workspace in codeql's output is cut to the file's
-        name, so diagnostics say ``rule.ql`` and not a temporary directory
-        that differs from run to run.
+        Returns nothing when it compiled, else stderr's non-blank lines, or
+        a line giving the exit code. A path into the workspace in codeql's
+        output is cut to the file's name, so diagnostics say ``rule.ql`` and
+        not a temporary directory that differs from run to run.
         """
         with tempfile.TemporaryDirectory(prefix="qlforge-compile-") as tmp:
             (rule,) = self._workspace(Path(tmp), {"rule": rule_text})
@@ -269,15 +244,15 @@ class CodeQLCompiler:
                     CompilerUnavailable,
                 )
             except subprocess.TimeoutExpired:
-                return (Diagnostic(message=f"codeql query compile exceeded {self.timeout_s}s"),)
+                return (f"rule.ql: error: codeql query compile exceeded {self.timeout_s}s",)
             stderr = proc.stderr
             # The longer first, in case the resolved path ends with the other.
             for workspace in sorted({tmp, os.path.realpath(tmp)}, key=len, reverse=True):
                 stderr = stderr.replace(workspace + os.sep, "")
         if proc.returncode == 0:
             return ()
-        message = stderr.strip() or f"codeql exited {proc.returncode}"
-        return parse_compile_diagnostics(stderr) or (Diagnostic(message=message[:2000]),)
+        lines = tuple(line for line in stderr.splitlines() if line.strip())
+        return lines or (f"rule.ql: error: codeql exited {proc.returncode}",)
 
     def execute(self, rules: dict[str, str], database: str) -> dict[str, list[dict]]:
         """Run every rule (pair id -> rule text) in one ``database analyze``.

@@ -31,6 +31,7 @@ from . import __version__
 from .artifacts import (
     JsonDataclass,
     config_input,
+    known_keys_only,
     last_transcript_seq,
     read_text,
     typed,
@@ -95,7 +96,7 @@ class _RetryableTransport(Exception):
 
 
 @dataclass(frozen=True)
-class MockEntry(JsonDataclass):
+class MockEntry(JsonDataclass, rejects_unknown_keys=True):
     """One line of a mock script: answer ``response`` to requests it matches."""
 
     stage: str | None = None
@@ -165,7 +166,8 @@ class MockLlmClient:
 
     @classmethod
     def from_jsonl(cls, path: str | Path) -> "MockLlmClient":
-        """Load a script; an unreadable file or line is a ConfigError naming it."""
+        """Load a script; an unreadable file, or a line that is unreadable or
+        has an unknown key, is a ConfigError naming it."""
         with config_input():
             text = read_text(path)
         entries: list[MockEntry] = []
@@ -177,6 +179,7 @@ class MockLlmClient:
             try:
                 data = json.loads(line)
                 if isinstance(data, dict) and "default" in data:
+                    known_keys_only(data, {"default"})
                     default = typed(data["default"], str, "default")
                     continue
                 entry = MockEntry.from_dict(data)

@@ -49,6 +49,7 @@ from .pairing import DEFAULT_BUDGET as DEFAULT_PAIRING_BUDGET, PAIRS, pair_all
 from .records import SPECS, encodable_only, record_lookup, save_spec_document
 from .report import PipelineReport, StageSummary, dump_report
 from .rulegen import (
+    DEFAULT_MAX_ITERS,
     FINDINGS,
     INDEX_FILENAME,
     TRANSCRIPT_FILENAME,
@@ -185,7 +186,7 @@ class PipelineConfig:
     budget: int = _key("classify.budget", POSITIVE_INT, 4000)
     seed: int = _key("classify.seed", INTEGER, 0)
     pairing_budget: int = _key("pairing.budget", POSITIVE_INT, DEFAULT_PAIRING_BUDGET)
-    max_iters: int = _key("rulegen.max_iters", POSITIVE_INT, 5)
+    max_iters: int = _key("rulegen.max_iters", POSITIVE_INT, DEFAULT_MAX_ITERS)
     timeout_s: float | None = _key("rulegen.timeout_s", POSITIVE, None)
     database: str = _key("scan.database", STRING, "")
     manifest_path: Path | None = _key("scan.manifest", INPUT_FILE, None)

@@ -20,8 +20,9 @@ Each pair's own steps stay strictly in order and each pair keeps its own
 transcript, so a pair's prompts and outcome depend on the answers to its own
 calls, not on how the pairs interleave.
 
-A compile's outcome is its diagnostics: none when the rule compiled, at
-least one when it did not (a timed-out compile says the limit was exceeded).
+A compile's outcome is its diagnostics: none when the rule compiled, else
+the compiler's lines as printed. qlforge's own notes (an empty draft, a hole
+left unfilled, a missing compiler, a timeout) are such lines too.
 
 The compiler behind the loop is pluggable. The mock compiler replays a
 scripted outcome per pair (fail the first k compiles, then succeed, then
@@ -96,23 +97,6 @@ class ArtifactStatus(str, Enum):
 
 
 @dataclass(frozen=True)
-class Diagnostic(JsonDataclass):
-    message: str
-    file: str = RULE_FILENAME
-    line: int | None = None
-    column: int | None = None
-    severity: str = "error"
-
-    def format(self) -> str:
-        loc = self.file
-        if self.line is not None:
-            loc += f":{self.line}"
-            if self.column is not None:
-                loc += f":{self.column}"
-        return f"{loc}: {self.severity}: {self.message}"
-
-
-@dataclass(frozen=True)
 class Finding(JsonDataclass):
     pair_id: str
     vuln_class: str
@@ -135,14 +119,14 @@ class RuleArtifact(JsonDataclass):
     status: ArtifactStatus
     attempts: int
     rule_text: str
-    diagnostics: tuple[Diagnostic, ...] = field(default_factory=tuple)
+    diagnostics: tuple[str, ...] = ()
 
 
 class RuleCompiler(Protocol):
     """Compiles rule text and executes compiled rules against a database."""
 
-    def compile(self, pair_id: str, rule_text: str) -> tuple[Diagnostic, ...]:
-        """Compile the rule; returns no diagnostics if it compiled, at least one if not."""
+    def compile(self, pair_id: str, rule_text: str) -> tuple[str, ...]:
+        """Compile the rule: no diagnostics if it compiled, else the compiler's lines as printed."""
         ...
 
     def execute(self, rules: dict[str, str], database: str) -> dict[str, list[dict]]:
@@ -163,7 +147,7 @@ class RuleCompiler(Protocol):
 
 
 @dataclass
-class ScriptedFinding(JsonDataclass):
+class ScriptedFinding(JsonDataclass, rejects_unknown_keys=True):
     file: str
     start_line: int
     end_line: int | None = None  # None: the start line
@@ -175,12 +159,12 @@ class ScriptedFinding(JsonDataclass):
 
 
 @dataclass(frozen=True)
-class ScriptedOutcome(JsonDataclass):
+class ScriptedOutcome(JsonDataclass, rejects_unknown_keys=True):
     """What the mock compiler does for one pair."""
 
     fail_count: int = 0
     delay_s: float = 0.0
-    diagnostics: tuple[Diagnostic, ...] = ()
+    diagnostics: tuple[str, ...] = ()
     findings: tuple[ScriptedFinding, ...] = ()
 
     def __post_init__(self):
@@ -190,12 +174,13 @@ class ScriptedOutcome(JsonDataclass):
 
 
 @dataclass(frozen=True)
-class CompilerScript(JsonDataclass):
+class CompilerScript(JsonDataclass, rejects_unknown_keys=True):
+    version: int = COMPILER_SCRIPT_VERSION
     default: ScriptedOutcome = ScriptedOutcome()
     pairs: dict[str, ScriptedOutcome] = field(default_factory=dict)
 
 
-_SYNTAX_ERROR = (Diagnostic(message="syntax error in rule", line=1),)
+_SYNTAX_ERROR = ("rule.ql:1: error: syntax error in rule",)
 
 
 class MockCompiler:
@@ -203,11 +188,11 @@ class MockCompiler:
 
     The script is a JSON document (a :class:`CompilerScript`) with an
     optional ``default`` outcome and a ``pairs`` map of outcomes keyed by
-    pair id. A script of the wrong shape or type is a ConfigError naming
-    ``source``. A compile takes ``delay_s``; one whose ``delay_s`` is above
-    ``timeout_s`` stops at the limit and times out, whether it would have
-    failed or not, as a real compile would. A failing compile with no
-    scripted diagnostics reports a syntax error.
+    pair id. A script of the wrong shape or type, or with an unknown key, is
+    a ConfigError naming ``source``. A compile takes ``delay_s``; one whose
+    ``delay_s`` is above ``timeout_s`` stops at the limit and times out,
+    whether it would have failed or not, as a real compile would. A failing
+    compile with no scripted diagnostics reports a syntax error.
     """
 
     def __init__(
@@ -233,14 +218,14 @@ class MockCompiler:
     def _outcome(self, pair_id: str) -> ScriptedOutcome:
         return self._script.pairs.get(pair_id, self._script.default)
 
-    def compile(self, pair_id: str, rule_text: str) -> tuple[Diagnostic, ...]:
+    def compile(self, pair_id: str, rule_text: str) -> tuple[str, ...]:
         with self._lock:
             call_index = self._calls.get(pair_id, 0)
             self._calls[pair_id] = call_index + 1
         outcome = self._outcome(pair_id)
         if self.timeout_s is not None and outcome.delay_s > self.timeout_s:
             time.sleep(self.timeout_s)
-            return (Diagnostic(message=f"compilation exceeded {self.timeout_s}s"),)
+            return (f"rule.ql: error: compilation exceeded {self.timeout_s}s",)
         time.sleep(outcome.delay_s)
         if call_index < outcome.fail_count:
             return outcome.diagnostics or _SYNTAX_ERROR
@@ -365,9 +350,9 @@ def write_rule(
     return _rule_file(gateway.ask("write", prompt))
 
 
-def format_diagnostics(diagnostics: tuple[Diagnostic, ...]) -> str:
-    lines = [d.format() for d in diagnostics[:_MAX_DIAGNOSTIC_LINES]]
-    text = "\n".join(lines)
+def format_diagnostics(diagnostics: tuple[str, ...]) -> str:
+    """The diagnostics for a prompt, one a line: the first 40, cut at 8,192 characters."""
+    text = "\n".join(diagnostics[:_MAX_DIAGNOSTIC_LINES])
     if len(diagnostics) > _MAX_DIAGNOSTIC_LINES or len(text) > _MAX_DIAGNOSTIC_CHARS:
         text = text[:_MAX_DIAGNOSTIC_CHARS] + "\n(truncated)"
     return text or "(no diagnostics)"
@@ -375,7 +360,7 @@ def format_diagnostics(diagnostics: tuple[Diagnostic, ...]) -> str:
 
 def repair_advice(
     rule_text: str,
-    diagnostics: tuple[Diagnostic, ...],
+    diagnostics: tuple[str, ...],
     gateway: LlmGateway,
 ) -> str:
     """Ask the repairer role for advice on a failed compile. Advice only:
@@ -391,13 +376,13 @@ def repair_advice(
     if not advice:
         # The loop must always make progress, so an empty repairer answer
         # falls back to pointing the writer at the first diagnostic.
-        first = diagnostics[0].format() if diagnostics else "the reported compile failure"
+        first = diagnostics[0] if diagnostics else "the reported compile failure"
         advice = f"Address the first diagnostic: {first}"
     return advice
 
 
 def _revision_context(
-    attempt: int, rule_text: str, diagnostics: tuple[Diagnostic, ...], advice: str
+    attempt: int, rule_text: str, diagnostics: tuple[str, ...], advice: str
 ) -> str:
     return (
         f"Attempt {attempt} failed to compile (Error).\n"
@@ -413,6 +398,15 @@ def _revision_context(
 _EMPTY_DRAFT_ADVICE = (
     "The previous attempt produced no output; emit the complete RuleConfig module."
 )
+_UNFILLED_HOLE_ADVICE = (
+    "Replace none() in {} with a match for the pair's API; emit the complete RuleConfig module."
+)
+# An isSource or isSink predicate whose body is still the skeleton's hole:
+# none(), with nothing else but blanks and // comments.
+_BLANKS = r"(?:\s|//[^\n]*(?=\n|\Z))*"
+_UNFILLED_HOLE_RE = re.compile(
+    rf"\bpredicate\s+(isSource|isSink)\s*\([^)]*\)\s*\{{{_BLANKS}none\(\){_BLANKS}\}}"
+)
 
 
 def generate_rule(
@@ -427,8 +421,9 @@ def generate_rule(
 
     Each iteration is one writer attempt followed by one compile. A failed
     compile that is not the last attempt triggers one repair call whose
-    advice feeds the next attempt. An empty draft counts as a failed
-    attempt but skips the repair call, since there is nothing to diagnose.
+    advice feeds the next attempt. An empty draft, or one whose ``isSource``
+    or ``isSink`` is still the skeleton's ``none()``, is a failed attempt
+    with no compile or repair call; the next prompt's advice names the fault.
     The loop stops at the first clean compile; the artifact keeps the last
     attempt's diagnostics and is Aborted exactly when there are any. Each
     compile runs inside ``compile_slot``.
@@ -439,24 +434,29 @@ def generate_rule(
     rule_text = ""
     for attempt in range(1, max_iters + 1):
         rule_text = write_rule(pair, records_by_id, gateway, revision, revises_draft=bool(rule_text))
+        advice = ""
         if not rule_text:
             logger.warning("pair %s attempt %d: empty draft", pair.pair_id, attempt)
-            diagnostics = (Diagnostic(message="writer returned empty output"),)
+            diagnostics = ("rule.ql: error: writer returned empty output",)
+            advice = _EMPTY_DRAFT_ADVICE
+        elif holes := _UNFILLED_HOLE_RE.findall(rule_text):
+            names = " and ".join(holes)
+            logger.warning("pair %s attempt %d: %s left as none()", pair.pair_id, attempt, names)
+            diagnostics = tuple(f"{hole} still matches nothing: none()" for hole in holes)
+            advice = _UNFILLED_HOLE_ADVICE.format(names)
         else:
             try:
                 with compile_slot:
                     diagnostics = compiler.compile(pair.pair_id, rule_text)
             except CompilerUnavailable as exc:
                 logger.error("pair %s: compiler unavailable, aborting: %s", pair.pair_id, exc)
-                diagnostics = (Diagnostic(message=f"compiler unavailable: {exc}"),)
+                diagnostics = (f"rule.ql: error: compiler unavailable: {exc}",)
                 break
             if not diagnostics:
                 break
             logger.info("pair %s attempt %d/%d failed to compile", pair.pair_id, attempt, max_iters)
         if attempt < max_iters:
-            advice = _EMPTY_DRAFT_ADVICE
-            if rule_text:
-                advice = repair_advice(rule_text, diagnostics, gateway)
+            advice = advice or repair_advice(rule_text, diagnostics, gateway)
             revision = _revision_context(attempt, rule_text, diagnostics, advice)
     return RuleArtifact(
         pair_id=pair.pair_id,

@@ -348,7 +348,7 @@ def test_criterion_8_codeql_adapter_integration():
     failures = []
     good = compiler.compile("template", load_template("rule_skeleton.ql"))
     if good:
-        failures.append(f"template rule did not compile: {[d.message for d in good][:3]}")
+        failures.append(f"template rule did not compile: {list(good[:3])}")
     broken = compiler.compile("broken", "imprt java\nfrm Nothing select")
     if len(broken) < 1:
         failures.append("broken rule produced no diagnostics")

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import re
 import stat
 import tempfile
@@ -16,15 +17,16 @@ from qlforge.codeql import (
     CodeQLCompiler,
     _sarif_results,
     _split_sarif,
-    parse_compile_diagnostics,
     resolve_binary,
     stamp_rule_id,
 )
 from qlforge.errors import BackendUnavailable, CompilerUnavailable, ExecutionFailed
+from qlforge.gateway import LlmGateway
+from qlforge.pairing import SourceSinkPair, make_pair_id
 from qlforge.prompts import load_template
-from qlforge.records import SourceLocation, clamp_snippet, make_record
-from qlforge.rulegen import FINDINGS, ArtifactStatus, Diagnostic, RuleArtifact, scan
-from tests.conftest import FakeAnalyzeCodeql
+from qlforge.records import SourceLocation, clamp_snippet, make_record, record_lookup
+from qlforge.rulegen import FINDINGS, ArtifactStatus, RuleArtifact, generate_all, scan
+from tests.conftest import FakeAnalyzeCodeql, scripted_client, synthetic_records
 
 
 def _fake_codeql(tmp_path, body):
@@ -77,39 +79,6 @@ def test_nonexistent_binary_path_raises_unavailable(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Diagnostics parsing
-# ---------------------------------------------------------------------------
-
-
-def test_parse_plain_diagnostic():
-    diags = parse_compile_diagnostics("rule.ql:12:3: error: unresolved predicate foo\n")
-    assert len(diags) == 1
-    assert diags[0].file == "rule.ql"
-    assert diags[0].line == 12
-    assert diags[0].column == 3
-    assert diags[0].severity == "error"
-    assert diags[0].message == "unresolved predicate foo"
-
-
-def test_parse_span_diagnostic():
-    diags = parse_compile_diagnostics("rule.ql:4:1:6:20: warning: deprecated predicate\n")
-    assert diags[0].line == 4
-    assert diags[0].column == 1
-    assert diags[0].severity == "warning"
-    assert diags[0].message == "deprecated predicate"
-
-
-def test_parse_skips_chatter():
-    stderr = (
-        "Compiling query.\n"
-        "rule.ql:1:1: error: expected select\n"
-        "1 query compiled with errors\n"
-    )
-    diags = parse_compile_diagnostics(stderr)
-    assert [d.line for d in diags] == [1]
-
-
-# ---------------------------------------------------------------------------
 # Compiler via stub binaries
 # ---------------------------------------------------------------------------
 
@@ -119,26 +88,13 @@ def test_compile_ok(tmp_path):
     assert CodeQLCompiler(binary=binary).compile("p", "import java\nselect 1") == ()
 
 
-def test_compile_error_with_parsed_diagnostics(tmp_path):
-    binary = _fake_codeql(
-        tmp_path,
-        """\
-        echo "rule.ql:3:5: error: unresolved type Expr" >&2
-        exit 2
-        """,
-    )
-    diagnostics = CodeQLCompiler(binary=binary).compile("p", "from Expr e select e")
-    assert diagnostics[0].line == 3
-    assert "unresolved type Expr" in diagnostics[0].message
-
-
 @pytest.mark.parametrize(
     "echo, expected",
     [
-        ('"$3:13:3: error: unresolved type Expr"', Diagnostic("unresolved type Expr", "rule.ql", 13, 3)),
-        ('"$(realpath "$3"):2:1: error: expected select"', Diagnostic("expected select", "rule.ql", 2, 1)),
-        ('"cannot read $3"', Diagnostic("cannot read rule.ql")),
-        ('"$(dirname "$3")/qlpack.yml: bad pack"', Diagnostic("qlpack.yml: bad pack")),
+        ('"$3:13:3: error: unresolved type Expr"', ("rule.ql:13:3: error: unresolved type Expr",)),
+        ('"$(realpath "$3"):2:1: error: expected select"', ("rule.ql:2:1: error: expected select",)),
+        ('"cannot read $3"', ("cannot read rule.ql",)),
+        ('"$(dirname "$3")/qlpack.yml: bad pack"', ("qlpack.yml: bad pack",)),
     ],
 )
 def test_compile_diagnostics_name_the_rule_file_not_its_temporary_directory(
@@ -150,31 +106,75 @@ def test_compile_diagnostics_name_the_rule_file_not_its_temporary_directory(
     (tmp_path / "link").symlink_to(tmp_path / "real")
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "link"))
     binary = _fake_codeql(tmp_path, f"echo {echo} >&2\nexit 2\n")
-    assert CodeQLCompiler(binary=binary).compile("p", "from Expr e select e") == (expected,)
+    assert CodeQLCompiler(binary=binary).compile("p", "from Expr e select e") == expected
 
 
 def test_compile_error_without_parseable_stderr(tmp_path):
-    binary = _fake_codeql(tmp_path, "echo 'something went sideways' >&2\nexit 1\n")
-    (diagnostic,) = CodeQLCompiler(binary=binary).compile("p", "x")
-    assert diagnostic.message == "something went sideways"
+    # Each non-blank line comes back as printed, whatever its form.
+    binary = _fake_codeql(
+        tmp_path,
+        "printf 'Compiling query.\\n\\n  something went sideways  \\n' >&2\n"
+        "echo 'ERROR: could not resolve type Foo (rule.ql:5,3-6)' >&2\nexit 1\n",
+    )
+    assert CodeQLCompiler(binary=binary).compile("p", "x") == (
+        "Compiling query.",
+        "  something went sideways  ",
+        "ERROR: could not resolve type Foo (rule.ql:5,3-6)",
+    )
 
 
 def test_compile_error_with_an_exit_code_only(tmp_path):
-    binary = _fake_codeql(tmp_path, "exit 3\n")
-    (diagnostic,) = CodeQLCompiler(binary=binary).compile("p", "x")
-    assert diagnostic.message == "codeql exited 3"
+    binary = _fake_codeql(tmp_path, "echo ' ' >&2\nexit 3\n")
+    assert CodeQLCompiler(binary=binary).compile("p", "x") == ("rule.ql: error: codeql exited 3",)
 
 
 def test_compile_reads_stderr_that_is_not_utf8_with_replacements(tmp_path):
     binary = _fake_codeql(tmp_path, "printf 'bad \\377 byte' >&2\nexit 1\n")
-    (diagnostic,) = CodeQLCompiler(binary=binary).compile("p", "x")
-    assert diagnostic.message == "bad \ufffd byte"
+    assert CodeQLCompiler(binary=binary).compile("p", "x") == ("bad \ufffd byte",)
 
 
 def test_compile_timeout(tmp_path):
     binary = _fake_codeql(tmp_path, "sleep 5\n")
-    (diagnostic,) = CodeQLCompiler(binary=binary, timeout_s=0.2).compile("p", "x")
-    assert diagnostic.message == "codeql query compile exceeded 0.2s"
+    assert CodeQLCompiler(binary=binary, timeout_s=0.2).compile("p", "x") == (
+        "rule.ql: error: codeql query compile exceeded 0.2s",
+    )
+
+
+def test_generate_carries_each_codeql_line_as_printed_to_repair_revision_and_status(tmp_path):
+    printed = (
+        "rule.ql:14:5: error: unresolved predicate or missing import",
+        "ERROR: could not resolve type Foo (rule.ql:5,3-6)",
+    )
+    # The first line names the rule by the absolute path codeql was given.
+    binary = _fake_codeql(
+        tmp_path,
+        'echo "$3:14:5: error: unresolved predicate or missing import" >&2\n'
+        f"echo '{printed[1]}' >&2\nexit 1\n",
+    )
+    records = synthetic_records(2, random.Random(70))
+    source, sink = sorted(r.id for r in records)
+    pair = SourceSinkPair(make_pair_id(source, sink), source, sink, "sql-injection")
+    client = scripted_client(
+        [
+            {"stage": "write", "response": "import java\n\nfrom Expr e\nselect e"},
+            {"stage": "repair", "response": "advice"},
+        ]
+    )
+    rules = tmp_path / "rules"
+    (artifact,) = generate_all(
+        [pair], record_lookup(records), LlmGateway(client, model="m"),
+        CodeQLCompiler(binary=binary), rules, max_iters=2,
+    )
+    assert artifact.status is ArtifactStatus.ABORTED and artifact.diagnostics == printed
+    transcript = (rules / pair.pair_id / "transcript.jsonl").read_text(encoding="utf-8")
+    entries = [json.loads(line) for line in transcript.splitlines()]
+    assert [entry["stage"] for entry in entries] == ["write", "repair", "write"]
+    repair, revision = (entry["request"]["prompt"] for entry in entries[1:])
+    shown = "\n".join(printed)
+    assert f"COMPILER DIAGNOSTICS:\n{shown}" in repair
+    assert f"--- diagnostics ---\n{shown}\n--- repair advice ---\nadvice\n" in revision
+    status = json.loads((rules / pair.pair_id / "status.json").read_text(encoding="utf-8"))
+    assert status["status"] == "Aborted" and status["diagnostics"] == list(printed)
 
 
 def _sarif_result(message: str) -> dict:
@@ -614,12 +614,3 @@ def test_stamp_rule_id_leaves_exactly_one_id_for_any_text(rule):
     stamped = stamp_rule_id(rule, "qlforge/p__q")
     block = codeql._LEADING_QLDOC_RE.match(stamped).group(1)
     assert re.findall(r"@id(?![\w-])[ \t]*(\S*?)(?=\*/|\s|$)", block) == ["qlforge/p__q"]
-
-
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(stderr=st.one_of(st.text(), st.lists(st.sampled_from(
-    ["rule.ql", ":", "12", "3", " error", " warning", " msg", "\n", "x:1:2:3:4:"]
-), max_size=12).map("".join)))
-def test_parse_compile_diagnostics_never_raises(stderr):
-    for diagnostic in parse_compile_diagnostics(stderr):
-        assert diagnostic.line >= 0 and diagnostic.column >= 0

@@ -2,6 +2,7 @@ import gc
 import json
 import os
 import random
+import re
 import socket
 import string
 import subprocess
@@ -137,6 +138,22 @@ def test_mock_script_from_jsonl(tmp_path):
     client = MockLlmClient.from_jsonl(path)
     assert client.send(LlmRequest("pair", "m", "x")).text == "NO_PAIRS"
     assert client.send(LlmRequest("classify", "m", "x")).text == "fallback"
+
+
+@pytest.mark.parametrize(
+    "line, key",
+    [
+        # A misspelt "contains" would answer every pair's write request.
+        ('{"stage": "write", "contians": "pairX", "response": "R1"}', "contians"),
+        ('{"default": "fallback", "stage": "write"}', "stage"),
+    ],
+)
+def test_a_mock_script_line_with_an_unknown_key_is_config_error_naming_it(tmp_path, line, key):
+    path = tmp_path / "script.jsonl"
+    path.write_text('{"stage": "pair", "response": "NO_PAIRS"}\n' + line + "\n", encoding="utf-8")
+    message = f"{path}:2: bad mock script line: unknown key(s): {key}"
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        MockLlmClient.from_jsonl(path)
 
 
 class FlakyClient:

@@ -847,6 +847,7 @@ def test_stage_failure_names_the_stage(run_config, tmp_path):
         pytest.param("[1]", id="array"),
         pytest.param('{"version": 1, "pairs": [1]}', id="pairs-list"),
         pytest.param('{"version": 1, "default": {"fail_count": "x"}}', id="fail-count-text"),
+        pytest.param('{"version": 1, "default": {"fail_cont": 1}}', id="misspelt-key"),
     ],
 )
 def test_unreadable_compiler_script_is_config_error_before_any_stage(run_config, tmp_path, text):
@@ -863,7 +864,7 @@ def test_a_lone_surrogate_in_a_scripted_diagnostic_reaches_the_repair_prompt_rep
 ):
     script = json.loads((FIXTURES / "mock_compiler.json").read_text(encoding="utf-8"))
     failing = "35ae7cb3a1e82ec0__bc5caa3125faa3d4"
-    script["pairs"][failing]["diagnostics"][0]["message"] += "\ud800"
+    script["pairs"][failing]["diagnostics"][0] += "\ud800"
     path = tmp_path / "compiler.json"
     path.write_text(json.dumps(script))
     config = run_config(compiler={"kind": "mock", "script": str(path)})

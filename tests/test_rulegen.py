@@ -24,7 +24,6 @@ from qlforge.prompts import load_template
 from qlforge.rulegen import (
     _strip_fences,
     ArtifactStatus,
-    Diagnostic,
     MockCompiler,
     RuleArtifact,
     format_diagnostics,
@@ -107,9 +106,7 @@ def test_no_calls_after_success():
 
 def test_repair_advice_flows_into_next_write_prompt():
     pair, lookup = _pair_and_lookup()
-    compiler = _compiler(
-        pair.pair_id, 1, diagnostics=[{"message": "missing semicolon", "line": 3, "column": 9}]
-    )
+    compiler = _compiler(pair.pair_id, 1, diagnostics=["rule.ql:3:9: error: missing semicolon"])
     client = RecordingClient(
         scripted_client(
             [
@@ -134,7 +131,7 @@ def test_repair_advice_flows_into_next_write_prompt():
 
 
 def test_blank_repair_advice_falls_back_to_the_first_diagnostic():
-    diagnostics = (Diagnostic(message="missing semicolon", file="rule.ql", line=3, column=9),)
+    diagnostics = ("rule.ql:3:9: error: missing semicolon",)
     gateway = LlmGateway(StaticClient(" \n"), model="m")
     advice = repair_advice(RULE_TEXT, diagnostics, gateway)
     assert advice == "Address the first diagnostic: rule.ql:3:9: error: missing semicolon"
@@ -166,7 +163,7 @@ def test_all_empty_drafts_are_invalid():
     assert client.count("write") == 3
     assert client.count("repair") == 0
     assert compiler.compile_calls(pair.pair_id) == 0
-    assert artifact.diagnostics[0].message == "writer returned empty output"
+    assert artifact.diagnostics == ("rule.ql: error: writer returned empty output",)
 
 
 def test_timeout_counts_as_failure():
@@ -176,7 +173,7 @@ def test_timeout_counts_as_failure():
     client = CountingClient(StaticClient(RULE_TEXT))
     artifact = generate_rule(pair, lookup, LlmGateway(client, model="m"), compiler, max_iters=1)
     assert artifact.status is ArtifactStatus.ABORTED
-    assert "exceeded" in artifact.diagnostics[0].message
+    assert artifact.diagnostics == ("rule.ql: error: compilation exceeded 0.01s",)
 
 
 def test_a_failing_compile_slower_than_the_timeout_times_out():
@@ -185,7 +182,7 @@ def test_a_failing_compile_slower_than_the_timeout_times_out():
     began = time.monotonic()
     diagnostics = compiler.compile("p1", RULE_TEXT)
     assert time.monotonic() - began < 0.3
-    assert diagnostics == (Diagnostic("compilation exceeded 0.1s"),)
+    assert diagnostics == ("rule.ql: error: compilation exceeded 0.1s",)
 
 
 def test_a_timed_out_attempt_is_revised_as_a_failed_compile():
@@ -219,7 +216,7 @@ def test_missing_compiler_aborts_pair():
     assert client.count("write") == 1
     assert client.count("repair") == 0
     assert artifact.rule_text == RULE_TEXT + "\n"
-    assert "compiler unavailable" in artifact.diagnostics[0].message
+    assert artifact.diagnostics == ("rule.ql: error: compiler unavailable: no compiler on PATH",)
 
 
 def test_max_iters_must_be_positive():
@@ -296,7 +293,7 @@ def test_a_revision_prompt_shows_the_previous_rule_as_compiled():
             default=RULE_TEXT,
         )
     )
-    compiler = _compiler(pair.pair_id, 1, diagnostics=[{"message": "bad", "line": 13}])
+    compiler = _compiler(pair.pair_id, 1, diagnostics=["rule.ql:13: error: bad"])
     artifact = generate_rule(pair, lookup, LlmGateway(client, model="m"), compiler)
     assert artifact.status is ArtifactStatus.COMPILED and artifact.attempts == 2
     head, _, tail = skeleton_around_module()
@@ -323,6 +320,89 @@ def test_a_module_answer_becomes_the_skeleton_with_that_module_in_place():
     # The skeleton's own module gives back the skeleton, byte for byte.
     text = write_rule(pair, lookup, LlmGateway(StaticClient(skeleton_module), model="m"))
     assert text == load_template("rule_skeleton.ql")
+
+
+def _module(source_body: str, sink_body: str) -> str:
+    return (
+        "module RuleConfig implements DataFlow::ConfigSig {\n"
+        f"  predicate isSource(DataFlow::Node source) {{\n    {source_body}\n  }}\n\n"
+        f"  predicate isSink(DataFlow::Node sink) {{\n    {sink_body}\n  }}\n"
+        "}"
+    )
+
+
+class RecordingCompiler:
+    """Compiles every rule cleanly and keeps each rule text it was given."""
+
+    def __init__(self):
+        self.rules = []
+
+    def compile(self, pair_id, rule_text):
+        self.rules.append(rule_text)
+        return ()
+
+
+def test_an_echoed_skeleton_module_is_a_failed_attempt_without_compile_or_repair():
+    pair, lookup = _pair_and_lookup()
+    _, skeleton_module, _ = skeleton_around_module()
+    compiler = _compiler(pair.pair_id, 0)
+    client = RecordingClient(StaticClient(skeleton_module))
+    artifact = generate_rule(pair, lookup, LlmGateway(client, model="m"), compiler, max_iters=3)
+    assert artifact.status is ArtifactStatus.ABORTED and artifact.attempts == 3
+    assert artifact.rule_text == load_template("rule_skeleton.ql")
+    assert artifact.diagnostics == (
+        "isSource still matches nothing: none()",
+        "isSink still matches nothing: none()",
+    )
+    assert compiler.compile_calls(pair.pair_id) == 0
+    assert [r.stage for r in client.requests] == ["write"] * 3
+    advice = "--- repair advice ---\nReplace none() in isSource and isSink with a match"
+    assert advice in client.requests[1].prompt
+
+
+def test_a_module_with_one_hole_filled_fails_naming_the_other():
+    pair, lookup = _pair_and_lookup()
+    filled = _module('source.asExpr().(MethodCall).getMethod().hasName("a")', "none()")
+    compiler = _compiler(pair.pair_id, 0)
+    client = RecordingClient(
+        scripted_client([{"stage": "write", "response": filled, "once": True}], default=RULE_TEXT)
+    )
+    artifact = generate_rule(pair, lookup, LlmGateway(client, model="m"), compiler)
+    assert artifact.status is ArtifactStatus.COMPILED and artifact.attempts == 2
+    assert compiler.compile_calls(pair.pair_id) == 1
+    assert [r.stage for r in client.requests] == ["write", "write"]
+    revision = client.requests[1].prompt
+    assert "--- diagnostics ---\nisSink still matches nothing: none()\n" in revision
+    assert "Replace none() in isSink with a match" in revision
+    assert "isSource still matches nothing" not in revision
+
+
+_BODY_PIECES = st.lists(
+    st.sampled_from(["none()", "any()", "// HOLE: x", "\n", " ", "source.asExpr() = e", " or "]),
+    max_size=6,
+).map("".join)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(source_body=_BODY_PIECES, sink_body=_BODY_PIECES)
+def test_a_draft_reaches_the_compiler_unchanged_unless_a_body_is_still_none(source_body, sink_body):
+    pair, lookup = _pair_and_lookup()
+    module = _module(source_body, sink_body)
+    compiler = RecordingCompiler()
+    artifact = generate_rule(
+        pair, lookup, LlmGateway(StaticClient(module), model="m"), compiler, max_iters=1
+    )
+    holes = [
+        name for name, body in (("isSource", source_body), ("isSink", sink_body))
+        if "".join(re.sub(r"//[^\n]*", "", body).split()) == "none()"
+    ]
+    if holes:
+        assert compiler.rules == [] and artifact.status is ArtifactStatus.ABORTED
+        assert artifact.diagnostics == tuple(f"{h} still matches nothing: none()" for h in holes)
+    else:
+        head, _, tail = skeleton_around_module()
+        assert compiler.rules == [f"{head}{module}\n{tail}"]
+        assert artifact.status is ArtifactStatus.COMPILED
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -391,21 +471,11 @@ def test_write_prompt_lists_a_pair_s_sanitizers_for_its_barrier():
 
 
 def test_format_diagnostics_truncation():
-    many = tuple(Diagnostic(message=f"issue {i}", line=i) for i in range(60))
+    many = tuple(f"rule.ql:{i}: error: issue {i}" for i in range(60))
     text = format_diagnostics(many)
-    assert text.endswith("(truncated)")
-    assert "issue 39" in text
-    assert "issue 40" not in text
+    assert text == "\n".join(many[:40]) + "\n(truncated)"
+    assert format_diagnostics(("x" * 9000,)) == "x" * 8192 + "\n(truncated)"
     assert format_diagnostics(()) == "(no diagnostics)"
-
-
-def test_diagnostic_format_variants():
-    assert Diagnostic("boom").format() == "rule.ql: error: boom"
-    assert Diagnostic("boom", line=4).format() == "rule.ql:4: error: boom"
-    assert (
-        Diagnostic("careful", file="x.ql", line=4, column=2, severity="warning").format()
-        == "x.ql:4:2: warning: careful"
-    )
 
 
 def test_mock_compiler_script_validation():
@@ -422,15 +492,15 @@ def test_mock_compiler_script_validation():
         ({"version": 1, "pairs": {"p": 1}}, r"pairs\['p'\]: ScriptedOutcome must be dict"),
         ({"version": 1, "default": {"fail_count": "x"}}, "fail_count must be int, not str"),
         ({"version": 1, "default": {"delay_s": True}}, "delay_s must be float, not bool"),
-        ({"version": 1, "default": {"diagnostics": [{"line": 1}]}}, "message is missing"),
+        (
+            {"version": 1, "default": {"diagnostics": [{"message": "m"}]}},
+            "diagnostics item must be str, not dict",
+        ),
         (
             {"version": 1, "pairs": {"p": {"findings": [{"file": "A.java"}]}}},
             r"pairs\['p'\]: start_line is missing",
         ),
-        (
-            {"version": 1, "default": {"diagnostics": [{"message": "m", "line": "1"}]}},
-            "line must be int, not str",
-        ),
+        ({"version": 1, "default": {"fail_cont": 1}}, r"unknown key\(s\): fail_cont"),
         ({"version": 1, "default": {"delay_s": -1}}, "delay_s must be from 0 to"),
     ],
 )
@@ -446,7 +516,7 @@ def test_mock_compiler_default_entry():
     compiler = MockCompiler({"version": 1, "default": {"fail_count": 1}})
     first = compiler.compile("anything", "text")
     second = compiler.compile("anything", "text")
-    assert first == (Diagnostic("syntax error in rule", line=1),)  # none scripted
+    assert first == ("rule.ql:1: error: syntax error in rule",)  # none scripted
     assert second == ()
 
 
@@ -476,12 +546,12 @@ def test_mock_compiler_rows_are_complete_findings():
 
 def test_a_lone_surrogate_in_the_compiler_script_is_replaced_with_a_warning(tmp_path, caplog):
     path = tmp_path / "compiler.json"
-    diagnostic = {"message": "missing import \ud800"}
+    diagnostic = "rule.ql: error: missing import \ud800"
     path.write_text(json.dumps({"version": 1, "default": {"fail_count": 1, "diagnostics": [diagnostic]}}))
     with caplog.at_level("WARNING"):
         compiler = MockCompiler.from_file(path)
     assert caplog.messages == [f"{path}: lone surrogates in the script replaced with U+FFFD"]
-    assert compiler.compile("p", RULE_TEXT) == (Diagnostic("missing import \ufffd"),)
+    assert compiler.compile("p", RULE_TEXT) == ("rule.ql: error: missing import \ufffd",)
 
 
 def test_artifact_store_round_trip(tmp_path):
@@ -492,7 +562,7 @@ def test_artifact_store_round_trip(tmp_path):
         ArtifactStatus.ABORTED,
         5,
         "broken\n",
-        (Diagnostic("no such predicate", line=7),),
+        ("rule.ql:7: error: no such predicate", "ERROR: could not resolve type Foo (rule.ql:5,3-6)"),
     )
     for artifact in (aborted, compiled):
         save_rule_artifact(artifact, tmp_path)
@@ -503,6 +573,19 @@ def test_artifact_store_round_trip(tmp_path):
     assert index["compiled"] == 1
     assert index["aborted"] == 1
     assert [r["pair_id"] for r in index["rules"]] == ["a__x", "b__y"]
+
+
+def test_a_status_with_object_diagnostics_is_artifact_corrupt_naming_it(tmp_path):
+    # status.json as runs wrote it while a diagnostic was an object.
+    aborted = RuleArtifact("b__y", "sqli", ArtifactStatus.ABORTED, 5, "broken\n", ("x",))
+    status_path = save_rule_artifact(aborted, tmp_path) / "status.json"
+    write_rule_index([aborted], tmp_path)
+    status = json.loads(status_path.read_text())
+    status["diagnostics"] = [{"message": "no such predicate", "file": "rule.ql", "line": 7}]
+    status_path.write_text(json.dumps(status))
+    match = f"^{re.escape(str(status_path))}: .*diagnostics item must be str"
+    with pytest.raises(ArtifactCorrupt, match=match):
+        load_rule_artifacts(tmp_path)
 
 
 def test_load_rule_artifacts_requires_index(tmp_path):

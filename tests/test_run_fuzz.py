@@ -57,10 +57,7 @@ def _scripts(draw):
     compiler = copy.deepcopy(_COMPILER_SCRIPT)
     for outcome in [compiler["default"], *compiler["pairs"].values()]:
         outcome["fail_count"] = draw(st.integers(0, 6))
-        outcome["diagnostics"] = [
-            {"file": "rule.ql", "line": 1, "message": message}
-            for message in draw(st.lists(_TEXT, max_size=2))
-        ]
+        outcome["diagnostics"] = draw(st.lists(_TEXT, max_size=2))
         for finding in outcome["findings"]:
             finding["message"] = draw(_TEXT)
     return mock, compiler
