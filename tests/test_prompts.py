@@ -1,10 +1,13 @@
+import hashlib
 from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qlforge.classify import ContextGroup, build_classification_prompt
 from qlforge.errors import TemplateError
+from qlforge.pairing import build_pairing_prompt
 from qlforge.prompts import (
     handle_names,
     handles,
@@ -13,7 +16,7 @@ from qlforge.prompts import (
     render_template,
     with_handle,
 )
-from qlforge.records import make_record
+from qlforge.records import SourceLocation, make_record, record_lookup
 from tests.conftest import record_from_prompt_line
 
 
@@ -85,3 +88,31 @@ def test_with_handle_replaces_only_the_id_for_any_id(rid, handle):
     line = with_handle(record, handle)
     assert record_from_prompt_line(line) == replace(record, id=handle)
     assert line.endswith(record.prompt_text[record.prompt_text.index(',"package"'):])
+
+
+_PINNED_PAIR = [
+    make_record("com.x", "Req", "param", [("name", "String")], "String", ["Api"], "return q.get(name);"),
+    make_record(
+        "com.y", "Db", "exec", [("sql", "String"), ("n", "int")], "void",
+        snippet="s.run(sql);\n", first_seen=SourceLocation("src/Db.java", 12),
+    ),
+]
+
+# sha256 of the prompts whose fixed text comes from a template: a change to any
+# byte of that text, or to how the varying parts are filled in, moves a digest.
+PROMPT_DIGESTS = {
+    "classify, no members": "1b7dcd59a58a8a8e787473e24918b506fc09782b90cccc99539168fc1bcf656a",
+    "classify, two members": "99ce9a8cc626e6f0031c2c97bef22befa7d09296785b8cf13d52bccf2bbfbcfa",
+    "pairing, no candidates": "d6553f362c550fd67cc123ff1b27a1fd3e7abdcec391f7adc0cd711bfdd7ebca",
+}
+
+
+def test_prompt_bytes_are_pinned():
+    group = ContextGroup(0, "r0g0", tuple(r.id for r in _PINNED_PAIR), 0)
+    texts = {
+        "classify, no members": build_classification_prompt(ContextGroup(0, "r0g0", (), 0), {}),
+        "classify, two members": build_classification_prompt(group, record_lookup(_PINNED_PAIR)),
+        "pairing, no candidates": build_pairing_prompt([], [], [], {}),
+    }
+    digests = {name: hashlib.sha256(text.encode("utf-8")).hexdigest() for name, text in texts.items()}
+    assert digests == PROMPT_DIGESTS
