@@ -33,7 +33,6 @@ import re
 from collections import Counter, defaultdict
 from dataclasses import dataclass, replace
 from enum import Enum
-from functools import lru_cache
 from operator import attrgetter
 from typing import Iterable
 
@@ -44,7 +43,6 @@ from .prompts import (
     LIST_ITEM,
     handle_names,
     handles,
-    load_catalog,
     load_template,
     pack_greedy,
     render_template,
@@ -101,50 +99,13 @@ save_votes = VOTES.save  # the name the pipeline calls, so a traced run times it
 # Prompt assembly
 # ---------------------------------------------------------------------------
 
-_DEFINITIONS = """\
-- Source: an entry point where attacker-controllable data enters the program; the starting point of data-flow analysis.
-- Sink: an operation where attacker-influenced data can trigger a vulnerability; the endpoint of data-flow analysis.
-- Sanitizer: an operation that interrupts taint propagation by validating, escaping, or canonicalizing a value.
-- Taint tracking chain: the path data takes from a source to a sink; a chain is dangerous when no sanitizer breaks it."""
-
-_OUTPUT_SCHEMA = """\
-Print exactly one line per API id, in this exact format and nothing else:
-<api_id>: <Source|Sink|Sanitizer|None>
-Label every id from 1 to {count}."""
-
-
-@lru_cache(maxsize=None)
-def _steps_text() -> str:
-    catalog = load_catalog()
-
-    def numbered(items):
-        return "\n".join(f"   {i}. {item}" for i, item in enumerate(items, 1))
-
-    return (
-        "1. Parse the API data block and examine each method in turn.\n"
-        "2. Identify potential sink points using these 9 characteristics:\n"
-        f"{numbered(catalog['sink_characteristics'])}\n"
-        "3. Identify potential source points using these 8 heuristics:\n"
-        f"{numbered(catalog['source_heuristics'])}\n"
-        "4. Identify sanitizer points using these 3 criteria:\n"
-        f"{numbered(catalog['sanitizer_criteria'])}\n"
-        "5. Trace plausible taint chains between the sources and sinks you found "
-        "and revisit any label that no chain supports.\n"
-        "6. Emit one label per API id in the exact output format below."
-    )
-
 
 def _render_prompt(members: list[ApiRecord]) -> str:
     names = handles(_HANDLE_PREFIX, len(members))
     api_info = "".join(with_handle(r, name) + "\n" for r, name in zip(members, names))
     return render_template(
         load_template("classify_prompt.txt"),
-        {
-            "DEFINITIONS": _DEFINITIONS,
-            "API_INFORMATION": api_info,
-            "STEPS": _steps_text(),
-            "OUTPUT_SCHEMA": _OUTPUT_SCHEMA.format(count=len(members)),
-        },
+        {"API_INFORMATION": api_info, "MEMBER_COUNT": str(len(members))},
     )
 
 
@@ -268,11 +229,11 @@ def plan_groups(
 def build_classification_prompt(group: ContextGroup, records_by_id: dict[str, ApiRecord]) -> str:
     """Render the classification prompt for one group.
 
-    The rendered text carries, in order: the objective, the concept
+    ``classify_prompt.txt`` holds, in order: the objective, the concept
     definitions, the serialized member records, the six-step analysis
     framework, and the strict output schema with the range of handles to
-    label. Members appear under their handles 1..N, in group order, in place
-    of their ids.
+    label. Only the records and their count are filled in. Members appear
+    under their handles 1..N, in group order, in place of their ids.
     """
     return _render_prompt(records_for(group.member_ids, records_by_id, f"group {group.group_id}"))
 

@@ -243,8 +243,8 @@ class CodeQLCompiler:
                     self.timeout_s,
                     CompilerUnavailable,
                 )
-            except subprocess.TimeoutExpired:
-                return (f"rule.ql: error: codeql query compile exceeded {self.timeout_s}s",)
+            except subprocess.TimeoutExpired as exc:
+                return (f"rule.ql: error: codeql query compile exceeded {exc.timeout}s",)
             stderr = proc.stderr
             # The longer first, in case the resolved path ends with the other.
             for workspace in sorted({tmp, os.path.realpath(tmp)}, key=len, reverse=True):

@@ -100,13 +100,6 @@ def make_pair_id(source_id: str, sink_id: str) -> str:
 # Prompt assembly
 # ---------------------------------------------------------------------------
 
-_PAIR_SCHEMA = """\
-For every plausible chain print exactly one line in this format:
-PAIR: (<source_id>, <sink_id>) | CLASS: <vuln-class-tag> | RATIONALE: <one sentence> | CONFIDENCE: <low|medium|high>
-Append " | SANITIZED_BY: <sanitizer_id>" when one of the listed sanitizers would break the chain.
-If no pairing is plausible print exactly:
-NO_PAIRS"""
-
 
 def _pairing_line(record: ApiRecord, handle: str) -> str:
     return with_handle(record, handle, record.pairing_text)
@@ -134,7 +127,7 @@ def build_pairing_prompt(
     sanitizer_ids: list[str],
     records_by_id: dict[str, ApiRecord],
 ) -> str:
-    """Render the pairing prompt of one tile.
+    """Render ``pair_prompt.txt`` for one tile, filling in its three candidate blocks.
 
     Each list is sorted, and its records appear under handles numbered in
     that order (see :data:`_HANDLE_PREFIXES`) in place of their ids. A
@@ -152,7 +145,6 @@ def build_pairing_prompt(
             "SANITIZER_CANDIDATES": _candidate_block(
                 sorted(sanitizer_ids), san, records_by_id, _signature_line
             ),
-            "OUTPUT_SCHEMA": _PAIR_SCHEMA,
         },
     )
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import re
 from functools import lru_cache
 from importlib import resources
@@ -115,19 +114,3 @@ def pack_greedy(order: Iterable[str], costs: dict[str, int], room: int) -> list[
     if current:
         groups.append(current)
     return groups
-
-
-def load_catalog() -> dict:
-    """Load the classification criteria catalog, checking its shape.
-
-    The catalog is an editable asset; the counts (9 sink characteristics,
-    8 source heuristics, 3 sanitizer criteria) are part of the prompt
-    contract, so drift fails loudly here.
-    """
-    catalog = json.loads(load_template("classify_catalog.json"))
-    expected = {"sink_characteristics": 9, "source_heuristics": 8, "sanitizer_criteria": 3}
-    for key, count in expected.items():
-        got = len(catalog.get(key, ()))
-        if got != count:
-            raise TemplateError(f"catalog {key}: expected {count} entries, found {got}")
-    return catalog

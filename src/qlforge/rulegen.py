@@ -382,10 +382,11 @@ def repair_advice(
 
 
 def _revision_context(
-    attempt: int, rule_text: str, diagnostics: tuple[str, ...], advice: str
+    attempt: int, compiled: bool, rule_text: str, diagnostics: tuple[str, ...], advice: str
 ) -> str:
+    outcome = "failed to compile (Error)" if compiled else "was not compiled"
     return (
-        f"Attempt {attempt} failed to compile (Error).\n"
+        f"Attempt {attempt} {outcome}.\n"
         "--- previous rule ---\n"
         f"{rule_text or '(empty)'}\n"
         "--- diagnostics ---\n"
@@ -423,7 +424,8 @@ def generate_rule(
     compile that is not the last attempt triggers one repair call whose
     advice feeds the next attempt. An empty draft, or one whose ``isSource``
     or ``isSink`` is still the skeleton's ``none()``, is a failed attempt
-    with no compile or repair call; the next prompt's advice names the fault.
+    with no compile or repair call; the next prompt says it was not compiled
+    and its advice names the fault.
     The loop stops at the first clean compile; the artifact keeps the last
     attempt's diagnostics and is Aborted exactly when there are any. Each
     compile runs inside ``compile_slot``.
@@ -435,6 +437,7 @@ def generate_rule(
     for attempt in range(1, max_iters + 1):
         rule_text = write_rule(pair, records_by_id, gateway, revision, revises_draft=bool(rule_text))
         advice = ""
+        compiled = False
         if not rule_text:
             logger.warning("pair %s attempt %d: empty draft", pair.pair_id, attempt)
             diagnostics = ("rule.ql: error: writer returned empty output",)
@@ -445,6 +448,7 @@ def generate_rule(
             diagnostics = tuple(f"{hole} still matches nothing: none()" for hole in holes)
             advice = _UNFILLED_HOLE_ADVICE.format(names)
         else:
+            compiled = True
             try:
                 with compile_slot:
                     diagnostics = compiler.compile(pair.pair_id, rule_text)
@@ -457,7 +461,7 @@ def generate_rule(
             logger.info("pair %s attempt %d/%d failed to compile", pair.pair_id, attempt, max_iters)
         if attempt < max_iters:
             advice = advice or repair_advice(rule_text, diagnostics, gateway)
-            revision = _revision_context(attempt, rule_text, diagnostics, advice)
+            revision = _revision_context(attempt, compiled, rule_text, diagnostics, advice)
     return RuleArtifact(
         pair_id=pair.pair_id,
         vuln_class=pair.vuln_class,

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qlforge import classify, prompts
+from qlforge import classify
 from qlforge.classify import (
     Ballot,
     ContextGroup,
@@ -27,7 +27,6 @@ from qlforge.classify import (
 from qlforge.errors import (
     BallotCountMismatch,
     RecordTooLarge,
-    TemplateError,
     UnknownApiId,
     WhollyMalformed,
 )
@@ -241,39 +240,6 @@ def test_round_three_plans_the_undecided_records_alone(count, budget, seed, unde
     assert sorted(rid for g in last for rid in g.member_ids) == sorted(r.id for r in subset)
     assert [g.group_id for g in last] == [f"r2g{i}" for i in range(len(last))]
     assert all(g.round_index == 2 and g.token_estimate <= budget for g in last)
-
-
-def test_steps_text_reads_catalog_once(monkeypatch):
-    loads = []
-    real = classify.load_catalog
-    monkeypatch.setattr(classify, "load_catalog", lambda: loads.append(1) or real())
-    classify._steps_text.cache_clear()
-    records = synthetic_records(4, random.Random(4))
-    lookup = record_lookup(records)
-    try:
-        for group in plan_groups(records, BUDGET, seed=0):
-            build_classification_prompt(group, lookup)
-    finally:
-        classify._steps_text.cache_clear()
-    assert len(loads) == 1
-
-
-def test_malformed_catalog_fails_every_render(monkeypatch):
-    real = prompts.load_template
-
-    def template(name):
-        return '{"sink_characteristics": []}' if name == "classify_catalog.json" else real(name)
-
-    records = synthetic_records(2, random.Random(4))
-    group = ContextGroup(0, "r0g0", tuple(r.id for r in records), 0)
-    monkeypatch.setattr(prompts, "load_template", template)
-    classify._steps_text.cache_clear()
-    try:
-        for _ in range(2):
-            with pytest.raises(TemplateError, match="sink_characteristics"):
-                build_classification_prompt(group, record_lookup(records))
-    finally:
-        classify._steps_text.cache_clear()
 
 
 def test_prompt_section_order():

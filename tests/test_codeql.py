@@ -140,6 +140,14 @@ def test_compile_timeout(tmp_path):
     )
 
 
+def test_compile_timeout_names_the_default_limit_when_none_is_set(tmp_path, monkeypatch):
+    monkeypatch.setattr(codeql, "DEFAULT_TIMEOUT_S", 0.3)
+    binary = _fake_codeql(tmp_path, "exec sleep 5\n")
+    assert CodeQLCompiler(binary=binary).compile("p", "x") == (
+        "rule.ql: error: codeql query compile exceeded 0.3s",
+    )
+
+
 def test_generate_carries_each_codeql_line_as_printed_to_repair_revision_and_status(tmp_path):
     printed = (
         "rule.ql:14:5: error: unresolved predicate or missing import",

@@ -11,7 +11,6 @@ from qlforge.pairing import build_pairing_prompt
 from qlforge.prompts import (
     handle_names,
     handles,
-    load_catalog,
     load_template,
     render_template,
     with_handle,
@@ -38,13 +37,6 @@ def test_render_single_pass_never_rescans_values():
 
 def test_lowercase_braces_are_not_placeholders():
     assert render_template("json {like} this", {}) == "json {like} this"
-
-
-def test_catalog_counts():
-    catalog = load_catalog()
-    assert len(catalog["sink_characteristics"]) == 9
-    assert len(catalog["source_heuristics"]) == 8
-    assert len(catalog["sanitizer_criteria"]) == 3
 
 
 def test_templates_ship_with_package():

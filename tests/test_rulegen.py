@@ -377,6 +377,21 @@ def test_a_module_with_one_hole_filled_fails_naming_the_other():
     assert "isSource still matches nothing" not in revision
 
 
+@pytest.mark.parametrize("draft", ["empty", "unfilled-hole"])
+def test_a_draft_that_never_reached_the_compiler_is_revised_as_not_compiled(draft):
+    pair, lookup = _pair_and_lookup()
+    answer = "" if draft == "empty" else skeleton_around_module()[1]
+    client = RecordingClient(
+        scripted_client([{"stage": "write", "response": answer, "once": True}], default=RULE_TEXT)
+    )
+    compiler = _compiler(pair.pair_id, 0)
+    generate_rule(pair, lookup, LlmGateway(client, model="m"), compiler)
+    assert compiler.compile_calls(pair.pair_id) == 1
+    second_write = client.requests[1].prompt
+    assert "Attempt 1 was not compiled.\n--- previous rule ---\n" in second_write
+    assert "failed to compile" not in second_write
+
+
 _BODY_PIECES = st.lists(
     st.sampled_from(["none()", "any()", "// HOLE: x", "\n", " ", "source.asExpr() = e", " or "]),
     max_size=6,
