@@ -1,12 +1,12 @@
 """CodeQL-backed extraction backend and rule compiler.
 
-Everything here shells out to the ``codeql`` binary, resolved in a fixed
-order: explicit path, then the QLFORGE_CODEQL environment variable, then
-PATH lookup. A missing binary raises BackendUnavailable (extraction) or
-CompilerUnavailable (compilation and scanning) instead of a raw OSError.
-Extraction and scanning raise the same errors when a ``codeql`` call runs
-past its timeout; compilation reports that as a failed compile whose one
-diagnostic says the limit was exceeded. A compile returns its diagnostics:
+Everything here shells out to the ``codeql`` binary, found once, when the
+backend or compiler is built (see ``resolve_binary``). No executable file
+there raises BackendUnavailable (extraction) or CompilerUnavailable
+(compilation and scanning), and so does a ``codeql`` that cannot start, or
+that runs past its timeout while extracting or scanning; a timed-out compile
+fails with one diagnostic saying the limit was exceeded. A timeout kills the
+whole process group of the ``codeql`` call. A compile returns its diagnostics:
 none when the rule compiled, else stderr's lines as codeql printed them,
 whatever their form, and nothing parses them. A ``database analyze`` that
 runs and fails, or writes SARIF that cannot be read, raises ExecutionFailed
@@ -30,6 +30,7 @@ import logging
 import os
 import re
 import shutil
+import signal
 import subprocess
 import tempfile
 from pathlib import Path
@@ -62,30 +63,53 @@ _ID_TAG_RE = re.compile(r"@id(?![\w-])[ \t]*\S*?(?=\*/|\s|$)")
 
 
 def resolve_binary(explicit: str | None = None) -> str | None:
-    """Locate the codeql binary: explicit path, then env, then PATH."""
-    for candidate in (explicit, os.environ.get(ENV_CODEQL)):
-        if candidate:
-            return candidate
-    return shutil.which("codeql")
+    """The codeql binary: the first of ``explicit``, $QLFORGE_CODEQL and ``codeql``
+    that is set, as ``shutil.which`` finds it; None when that is no executable file."""
+    return shutil.which(explicit or os.environ.get(ENV_CODEQL) or "codeql")
 
 
-def _run(
-    binary: str | None, args: list[str], timeout_s: float | None, unavailable_exc
-) -> subprocess.CompletedProcess:
-    """Run codeql ``binary`` with ``args``; a missing binary is ``unavailable_exc``."""
-    if not binary:
-        raise unavailable_exc(f"codeql binary not found; set {ENV_CODEQL} or codeql.path")
-    logger.debug("running: %s %s", binary, " ".join(args))
-    try:
-        return subprocess.run(
-            [binary, *args],
-            capture_output=True,
-            encoding="utf-8",
-            errors="replace",
-            timeout=timeout_s if timeout_s is not None else DEFAULT_TIMEOUT_S,
-        )
-    except FileNotFoundError as exc:
-        raise unavailable_exc(f"codeql binary not found: {binary}") from exc
+class _CodeQLTool:
+    """Runs the codeql binary it finds when built; no executable file there is ``unavailable``.
+
+    ``timeout_s`` bounds each ``codeql`` call, ``DEFAULT_TIMEOUT_S`` when unset.
+    """
+
+    unavailable: type[Exception]
+
+    def __init__(self, binary: str | None = None, timeout_s: float | None = None):
+        self.binary = resolve_binary(binary)
+        if self.binary is None:
+            wanted = binary or os.environ.get(ENV_CODEQL) or "codeql"
+            raise self.unavailable(
+                f"codeql binary not found: no executable file {wanted!r};"
+                f" set codeql.path or {ENV_CODEQL}"
+            )
+        self.timeout_s = DEFAULT_TIMEOUT_S if timeout_s is None else timeout_s
+
+    def _run(self, args: list[str], timeout_s: float | None = None) -> subprocess.CompletedProcess:
+        """Run codeql with ``args`` in a session of its own, for at most ``timeout_s``
+        (``self.timeout_s`` when unset).
+
+        A binary that cannot be started is ``unavailable``. On a timeout, or
+        any other exception while waiting, the whole process group is killed
+        before the error propagates, so no process codeql started outlives it.
+        """
+        logger.debug("running: %s %s", self.binary, " ".join(args))
+        try:
+            proc = subprocess.Popen(
+                [self.binary, *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                encoding="utf-8", errors="replace", start_new_session=True,
+            )
+        except OSError as exc:
+            raise self.unavailable(f"codeql binary {self.binary} cannot run: {exc}") from exc
+        with proc:
+            try:
+                stdout, stderr = proc.communicate(timeout=timeout_s or self.timeout_s)
+            except BaseException:
+                if proc.returncode is None:  # not reaped, so its pid still names the group
+                    os.killpg(proc.pid, signal.SIGKILL)
+                raise
+        return subprocess.CompletedProcess(proc.args, proc.returncode, stdout, stderr)
 
 
 def stamp_rule_id(rule_text: str, rule_id: str) -> str:
@@ -109,18 +133,16 @@ def stamp_rule_id(rule_text: str, rule_id: str) -> str:
     return rule_text[:start] + block + rule_text[end:]
 
 
-class CodeQLBackend:
+class CodeQLBackend(_CodeQLTool):
     """Extraction backend that builds a database and runs the bundled query."""
 
-    def __init__(self, binary: str | None = None, timeout_s: float | None = None):
-        self.binary = resolve_binary(binary)
-        self.timeout_s = timeout_s
+    unavailable = BackendUnavailable
 
     def _codeql(self, *args: str) -> subprocess.CompletedProcess:
         """Run one codeql subcommand; a failure or a timeout is BackendUnavailable."""
         command = " ".join(args[:2])
         try:
-            proc = _run(self.binary, list(args), self.timeout_s, BackendUnavailable)
+            proc = self._run(list(args))
         except subprocess.TimeoutExpired as exc:
             raise BackendUnavailable(f"codeql {command} exceeded {exc.timeout}s") from exc
         if proc.returncode != 0:
@@ -145,31 +167,32 @@ class CodeQLBackend:
             )
             self._codeql("query", "run", str(query), f"--database={db_dir}", f"--output={bqrs}")
             decode = self._codeql("bqrs", "decode", "--format=json", str(bqrs))
-            return self._rows_to_records(decode.stdout, project_root)
+            return _rows_to_records(decode.stdout, project_root)
 
-    def _rows_to_records(self, decoded: str, project_root: Path) -> list[ApiRecord]:
-        records = []
-        lines_by_file: dict[str, list[str]] = {}
-        for row in _call_rows(decoded):
-            package, type_name, method, params_string, return_type, rel_file, line = row
-            if rel_file not in lines_by_file:
-                lines_by_file[rel_file] = _source_lines(project_root / rel_file)
-            param_types = [
-                t.strip() for t in params_string.strip("()").split(",") if t.strip()
-            ]
-            records.append(
-                make_record(
-                    package=package,
-                    type_name=type_name,
-                    method=method,
-                    params=[(f"arg{i}", t) for i, t in enumerate(param_types)],
-                    return_type=return_type,
-                    annotations=[],
-                    snippet=snippet_at(lines_by_file[rel_file], line),
-                    first_seen=SourceLocation(file=rel_file, line=line),
-                )
+
+def _rows_to_records(decoded: str, project_root: Path) -> list[ApiRecord]:
+    records = []
+    lines_by_file: dict[str, list[str]] = {}
+    for row in _call_rows(decoded):
+        package, type_name, method, params_string, return_type, rel_file, line = row
+        if rel_file not in lines_by_file:
+            lines_by_file[rel_file] = _source_lines(project_root / rel_file)
+        param_types = [
+            t.strip() for t in params_string.strip("()").split(",") if t.strip()
+        ]
+        records.append(
+            make_record(
+                package=package,
+                type_name=type_name,
+                method=method,
+                params=[(f"arg{i}", t) for i, t in enumerate(param_types)],
+                return_type=return_type,
+                annotations=[],
+                snippet=snippet_at(lines_by_file[rel_file], line),
+                first_seen=SourceLocation(file=rel_file, line=line),
             )
-        return sorted(records, key=lambda r: (r.id, r.first_seen.file, r.first_seen.line))
+        )
+    return sorted(records, key=lambda r: (r.id, r.first_seen.file, r.first_seen.line))
 
 
 def _call_rows(decoded: str) -> list[list]:
@@ -208,12 +231,10 @@ def _source_lines(path: Path) -> list[str]:
         return []
 
 
-class CodeQLCompiler:
+class CodeQLCompiler(_CodeQLTool):
     """Compiles and executes generated rules through the codeql CLI."""
 
-    def __init__(self, binary: str | None = None, timeout_s: float | None = None):
-        self.binary = resolve_binary(binary)
-        self.timeout_s = timeout_s
+    unavailable = CompilerUnavailable
 
     @staticmethod
     def _workspace(tmp: Path, rules: dict[str, str]) -> list[Path]:
@@ -237,12 +258,7 @@ class CodeQLCompiler:
         with tempfile.TemporaryDirectory(prefix="qlforge-compile-") as tmp:
             (rule,) = self._workspace(Path(tmp), {"rule": rule_text})
             try:
-                proc = _run(
-                    self.binary,
-                    ["query", "compile", str(rule)],
-                    self.timeout_s,
-                    CompilerUnavailable,
-                )
+                proc = self._run(["query", "compile", str(rule)])
             except subprocess.TimeoutExpired as exc:
                 return (f"rule.ql: error: codeql query compile exceeded {exc.timeout}s",)
             stderr = proc.stderr
@@ -262,8 +278,7 @@ class CodeQLCompiler:
         """
         if not rules:
             return {}
-        per_rule_s = self.timeout_s if self.timeout_s is not None else DEFAULT_TIMEOUT_S
-        timeout_s = per_rule_s * len(rules)
+        timeout_s = self.timeout_s * len(rules)
         with tempfile.TemporaryDirectory(prefix="qlforge-scan-") as tmp:
             tmp_path = Path(tmp)
             queries = self._workspace(
@@ -272,19 +287,10 @@ class CodeQLCompiler:
             )
             sarif_path = tmp_path / "out.sarif"
             try:
-                proc = _run(
-                    self.binary,
-                    [
-                        "database",
-                        "analyze",
-                        database,
-                        *map(str, queries),
-                        "--format=sarif-latest",
-                        f"--output={sarif_path}",
-                        "--rerun",
-                    ],
+                proc = self._run(
+                    ["database", "analyze", database, *map(str, queries),
+                     "--format=sarif-latest", f"--output={sarif_path}", "--rerun"],
                     timeout_s,
-                    CompilerUnavailable,
                 )
             except subprocess.TimeoutExpired as exc:
                 raise CompilerUnavailable(

@@ -275,7 +275,7 @@ def build_backend(config: PipelineConfig):
 
 def build_compiler(config: PipelineConfig):
     if config.compiler_kind == "mock":
-        return MockCompiler.from_file(config.compiler_script, config.timeout_s)
+        return MockCompiler.from_file(config.compiler_script)
     from .codeql import CodeQLCompiler
 
     return CodeQLCompiler(binary=config.codeql_path, timeout_s=config.timeout_s)
@@ -484,8 +484,8 @@ def run_pipeline(
     else:
         first = 0
     # Built before the run directory is cleared or any stage runs, so a bad
-    # mock or compiler script is a config error that leaves the previous run
-    # in place.
+    # mock or compiler script (a config error) or a codeql binary that is
+    # not there (CompilerUnavailable) leaves the previous run in place.
     uses_model = any(stage.uses_model for stage in STAGES[first:end])
     client = build_llm_client(config) if uses_model else None
     uses_compiler = any(stage.uses_compiler for stage in STAGES[first:end])

@@ -9,8 +9,9 @@ them. An answer with a top-level ``import`` line is a whole rule file and is
 kept as written; any other answer takes the place of the skeleton's module.
 The loop is bounded by ``max_iters`` attempts; a pair whose final attempt
 still fails is recorded as Aborted with its last diagnostics, never silently
-dropped, and stays in the denominator of the correctness rate. A missing
-compiler aborts the pair the same way.
+dropped, and stays in the denominator of the correctness rate. A compiler
+that cannot run is no outcome of a pair: its CompilerUnavailable fails
+generation, as it fails scanning.
 
 Pairs run side by side under two separate bounds, each ``workers`` wide:
 the gateway lets at most ``workers`` model requests be in flight, and
@@ -21,13 +22,15 @@ transcript, so a pair's prompts and outcome depend on the answers to its own
 calls, not on how the pairs interleave.
 
 A compile's outcome is its diagnostics: none when the rule compiled, else
-the compiler's lines as printed. qlforge's own notes (an empty draft, a hole
-left unfilled, a missing compiler, a timeout) are such lines too.
+the compiler's lines as printed. qlforge's notes on a draft that never
+reached the compiler (an empty draft, a hole left unfilled) are such lines
+too, and so is the codeql compiler's note on a compile that timed out.
 
 The compiler behind the loop is pluggable. The mock compiler replays a
 scripted outcome per pair (fail the first k compiles, then succeed, then
 return canned findings on execution), which makes the loop's control flow
-testable without any external toolchain.
+testable without any external toolchain. It returns at once: only the codeql
+compiler has a timeout.
 """
 
 from __future__ import annotations
@@ -37,7 +40,6 @@ import json
 import logging
 import re
 import threading
-import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, replace
@@ -59,7 +61,7 @@ from .artifacts import (
     write_json,
     write_text,
 )
-from .errors import ArtifactCorrupt, CompilerUnavailable, ExecutionFailed
+from .errors import ArtifactCorrupt, ExecutionFailed
 from .gateway import LlmGateway, TranscriptStore
 from .pairing import SourceSinkPair
 from .prompts import load_template, render_template
@@ -88,8 +90,8 @@ class ArtifactStatus(str, Enum):
     """Terminal state of one pair's generation loop.
 
     Compiled means an attempt within the cap compiled. Aborted means none
-    did: every attempt failed, or the compiler was unavailable. Both count
-    toward the correctness rate, whose denominator is all pairs.
+    did. Both count toward the correctness rate, whose denominator is all
+    pairs.
     """
 
     COMPILED = "Compiled"
@@ -163,14 +165,8 @@ class ScriptedOutcome(JsonDataclass, rejects_unknown_keys=True):
     """What the mock compiler does for one pair."""
 
     fail_count: int = 0
-    delay_s: float = 0.0
     diagnostics: tuple[str, ...] = ()
     findings: tuple[ScriptedFinding, ...] = ()
-
-    def __post_init__(self):
-        limit = threading.TIMEOUT_MAX  # about the longest sleep time.sleep accepts
-        if not 0 <= self.delay_s <= limit:
-            raise ValueError(f"delay_s must be from 0 to {limit}, not {self.delay_s}")
 
 
 @dataclass(frozen=True)
@@ -189,15 +185,11 @@ class MockCompiler:
     The script is a JSON document (a :class:`CompilerScript`) with an
     optional ``default`` outcome and a ``pairs`` map of outcomes keyed by
     pair id. A script of the wrong shape or type, or with an unknown key, is
-    a ConfigError naming ``source``. A compile takes ``delay_s``; one whose
-    ``delay_s`` is above ``timeout_s`` stops at the limit and times out,
-    whether it would have failed or not, as a real compile would. A failing
-    compile with no scripted diagnostics reports a syntax error.
+    a ConfigError naming ``source``. A compile returns at once; one that
+    fails with no scripted diagnostics reports a syntax error.
     """
 
-    def __init__(
-        self, script: dict, source: str | Path = "compiler script", timeout_s: float | None = None
-    ):
+    def __init__(self, script: dict, source: str | Path = "compiler script"):
         clean = without_surrogates(script)
         if clean != script:
             logger.warning("%s: lone surrogates in the script replaced with U+FFFD", source)
@@ -205,15 +197,14 @@ class MockCompiler:
             check_version(clean, source, COMPILER_SCRIPT_VERSION)
             with shape_checked(source, "compiler script"):
                 self._script = CompilerScript.from_dict(clean)
-        self.timeout_s = timeout_s
         self._calls: dict[str, int] = {}
         self._lock = threading.Lock()
 
     @classmethod
-    def from_file(cls, path: str | Path, timeout_s: float | None = None) -> "MockCompiler":
+    def from_file(cls, path: str | Path) -> "MockCompiler":
         with config_input():
             script = read_json(path)
-        return cls(script, path, timeout_s)
+        return cls(script, path)
 
     def _outcome(self, pair_id: str) -> ScriptedOutcome:
         return self._script.pairs.get(pair_id, self._script.default)
@@ -223,10 +214,6 @@ class MockCompiler:
             call_index = self._calls.get(pair_id, 0)
             self._calls[pair_id] = call_index + 1
         outcome = self._outcome(pair_id)
-        if self.timeout_s is not None and outcome.delay_s > self.timeout_s:
-            time.sleep(self.timeout_s)
-            return (f"rule.ql: error: compilation exceeded {self.timeout_s}s",)
-        time.sleep(outcome.delay_s)
         if call_index < outcome.fail_count:
             return outcome.diagnostics or _SYNTAX_ERROR
         return ()
@@ -428,7 +415,8 @@ def generate_rule(
     and its advice names the fault.
     The loop stops at the first clean compile; the artifact keeps the last
     attempt's diagnostics and is Aborted exactly when there are any. Each
-    compile runs inside ``compile_slot``.
+    compile runs inside ``compile_slot``. A compiler that cannot run raises
+    :class:`CompilerUnavailable` out of the loop: no pair outcome records it.
     """
     if max_iters < 1:
         raise ValueError("max_iters must be at least 1")
@@ -449,13 +437,8 @@ def generate_rule(
             advice = _UNFILLED_HOLE_ADVICE.format(names)
         else:
             compiled = True
-            try:
-                with compile_slot:
-                    diagnostics = compiler.compile(pair.pair_id, rule_text)
-            except CompilerUnavailable as exc:
-                logger.error("pair %s: compiler unavailable, aborting: %s", pair.pair_id, exc)
-                diagnostics = (f"rule.ql: error: compiler unavailable: {exc}",)
-                break
+            with compile_slot:
+                diagnostics = compiler.compile(pair.pair_id, rule_text)
             if not diagnostics:
                 break
             logger.info("pair %s attempt %d/%d failed to compile", pair.pair_id, attempt, max_iters)

@@ -2,6 +2,7 @@ import json
 import random
 import string
 import sys
+import textwrap
 from pathlib import Path
 
 import pytest
@@ -228,6 +229,14 @@ results = [
 output = next(a.split("=", 1)[1] for a in sys.argv if a.startswith("--output="))
 Path(output).write_text(json.dumps({"version": "2.1.0", "runs": [{"results": results}]}))
 """
+
+
+def fake_codeql(directory: Path, body: str) -> str:
+    """Write an executable ``codeql`` shell script running ``body`` into ``directory``."""
+    script = directory / "codeql"
+    script.write_text("#!/bin/sh\n" + textwrap.dedent(body))
+    script.chmod(0o755)
+    return str(script)
 
 
 class FakeAnalyzeCodeql:

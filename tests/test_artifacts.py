@@ -27,7 +27,6 @@ from qlforge.rulegen import (
     ArtifactStatus,
     Finding,
     RuleArtifact,
-    ScriptedOutcome,
     load_rule_artifacts,
 )
 from tests.conftest import FIXTURES, synthetic_records
@@ -410,7 +409,6 @@ def _instances(cls, leaves=_LEAVES):
 _RESTRICTED = {
     (FilterConfig, "deny"): st.lists(st.text(max_size=5).map(re.escape), max_size=3).map(tuple),
     (FilterConfig, "allow"): st.lists(st.text(max_size=5).map(re.escape), max_size=3).map(tuple),
-    (ScriptedOutcome, "delay_s"): st.floats(min_value=0, max_value=1e9),
 }
 
 

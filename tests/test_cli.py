@@ -477,6 +477,40 @@ def test_run_stage_failure_exit_code(runner, tmp_path):
     assert "stage failure" in result.output
 
 
+def test_run_without_a_codeql_binary_fails_before_any_model_call(runner, tmp_path, monkeypatch):
+    config = _write_config(tmp_path)
+    assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == EXIT_OK
+    report = (tmp_path / "run" / "report.json").read_bytes()
+    client = CountingClient(MockLlmClient.from_jsonl(FIXTURES / "mock_llm.jsonl"))
+    monkeypatch.setattr(pipeline, "build_llm_client", lambda config: client)
+    run = ["run", "--config", str(config), "--set", "compiler.kind=codeql"]
+    run += ["--set", f"codeql.path={tmp_path / 'no-codeql'}"]
+    for out_dir in ("run", "fresh"):
+        result = runner.invoke(main, [*run, "--set", f"out_dir={tmp_path / out_dir}"])
+        assert result.exit_code == EXIT_STAGE, result.output
+        assert "codeql.path or QLFORGE_CODEQL" in result.stderr
+    assert client.calls == []
+    assert not (tmp_path / "fresh" / "transcript.jsonl").exists()
+    assert (tmp_path / "run" / "report.json").read_bytes() == report
+    # The stages before generate do not build the compiler.
+    result = runner.invoke(main, [*run, "--set", f"out_dir={tmp_path / 'fresh'}", "--until", "pair"])
+    assert result.exit_code == EXIT_OK, result.output
+    assert (tmp_path / "fresh" / "pairs.json").is_file()
+
+
+def test_run_with_a_codeql_that_cannot_start_is_stage_failure(runner, tmp_path):
+    binary = tmp_path / "codeql"
+    binary.write_bytes(b"not a program\n")
+    binary.chmod(0o755)
+    config = _write_config(tmp_path)
+    run = ["run", "--config", str(config), "--set", "compiler.kind=codeql"]
+    result = runner.invoke(main, [*run, "--set", f"codeql.path={binary}"])
+    assert result.exit_code == EXIT_STAGE, result.output
+    assert "stage 'generate' failed: codeql binary" in result.stderr
+    assert "Exec format error" in result.stderr
+    assert "Traceback" not in result.output
+
+
 def test_run_with_a_bad_compiler_script_keeps_the_previous_run(runner, tmp_path):
     config = _write_config(tmp_path)
     assert runner.invoke(main, ["run", "--config", str(config)]).exit_code == EXIT_OK

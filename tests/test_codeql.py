@@ -2,9 +2,8 @@ import json
 import os
 import random
 import re
-import stat
 import tempfile
-import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -26,14 +25,7 @@ from qlforge.pairing import SourceSinkPair, make_pair_id
 from qlforge.prompts import load_template
 from qlforge.records import SourceLocation, clamp_snippet, make_record, record_lookup
 from qlforge.rulegen import FINDINGS, ArtifactStatus, RuleArtifact, generate_all, scan
-from tests.conftest import FakeAnalyzeCodeql, scripted_client, synthetic_records
-
-
-def _fake_codeql(tmp_path, body):
-    script = tmp_path / "codeql"
-    script.write_text("#!/bin/sh\n" + textwrap.dedent(body))
-    script.chmod(script.stat().st_mode | stat.S_IEXEC)
-    return str(script)
+from tests.conftest import FakeAnalyzeCodeql, fake_codeql, scripted_client, synthetic_records
 
 
 # ---------------------------------------------------------------------------
@@ -41,14 +33,25 @@ def _fake_codeql(tmp_path, body):
 # ---------------------------------------------------------------------------
 
 
-def test_resolve_prefers_explicit_path(monkeypatch):
-    monkeypatch.setenv("QLFORGE_CODEQL", "/env/codeql")
-    assert resolve_binary("/explicit/codeql") == "/explicit/codeql"
+def _fake_codeqls(tmp_path, *names):
+    """One executable fake ``codeql`` in each named directory under ``tmp_path``."""
+    fakes = []
+    for name in names:
+        (tmp_path / name).mkdir()
+        fakes.append(fake_codeql(tmp_path / name, "exit 0\n"))
+    return fakes
 
 
-def test_resolve_falls_back_to_env(monkeypatch):
-    monkeypatch.setenv("QLFORGE_CODEQL", "/env/codeql")
-    assert resolve_binary(None) == "/env/codeql"
+def test_resolve_prefers_explicit_path(tmp_path, monkeypatch):
+    explicit, env = _fake_codeqls(tmp_path, "explicit", "env")
+    monkeypatch.setenv("QLFORGE_CODEQL", env)
+    assert resolve_binary(explicit) == explicit
+
+
+def test_resolve_falls_back_to_env(tmp_path, monkeypatch):
+    (env,) = _fake_codeqls(tmp_path, "env")
+    monkeypatch.setenv("QLFORGE_CODEQL", env)
+    assert resolve_binary(None) == env
 
 
 def test_resolve_falls_back_to_path_lookup(monkeypatch):
@@ -63,6 +66,15 @@ def test_resolve_returns_none_when_absent(monkeypatch):
     assert resolve_binary(None) is None
 
 
+def test_resolve_does_not_fall_back_past_a_path_that_cannot_run(tmp_path, monkeypatch):
+    # The first path that is set decides, even when it names no executable file.
+    (env,) = _fake_codeqls(tmp_path, "env")
+    monkeypatch.setenv("QLFORGE_CODEQL", env)
+    (tmp_path / "plain").write_text("#!/bin/sh\nexit 0\n")
+    for path in (tmp_path / "missing", tmp_path / "plain", tmp_path / "env"):
+        assert resolve_binary(str(path)) is None, path
+
+
 def test_missing_binary_raises_unavailable(monkeypatch):
     monkeypatch.delenv("QLFORGE_CODEQL", raising=False)
     monkeypatch.setattr("qlforge.codeql.shutil.which", lambda name: None)
@@ -73,9 +85,38 @@ def test_missing_binary_raises_unavailable(monkeypatch):
 
 
 def test_nonexistent_binary_path_raises_unavailable(tmp_path):
-    compiler = CodeQLCompiler(binary=str(tmp_path / "no-such-codeql"))
-    with pytest.raises(CompilerUnavailable):
+    # Caught when the compiler is built, before anything could call it.
+    missing = str(tmp_path / "no-such-codeql")
+    with pytest.raises(CompilerUnavailable, match="codeql.path or QLFORGE_CODEQL") as err:
+        CodeQLCompiler(binary=missing)
+    assert repr(missing) in str(err.value)
+    with pytest.raises(BackendUnavailable, match="codeql.path or QLFORGE_CODEQL"):
+        CodeQLBackend(binary=missing)
+
+
+def test_the_timeout_defaults_when_the_compiler_is_built(tmp_path):
+    binary = fake_codeql(tmp_path, "exit 0\n")
+    assert CodeQLCompiler(binary=binary).timeout_s == codeql.DEFAULT_TIMEOUT_S
+    assert CodeQLCompiler(binary=binary, timeout_s=7).timeout_s == 7
+
+
+def _not_a_program(tmp_path):
+    """An executable file the kernel cannot run: exec fails with ENOEXEC."""
+    path = tmp_path / "codeql"
+    path.write_bytes(b"not a program\n")
+    path.chmod(0o755)
+    return str(path)
+
+
+def test_a_binary_that_cannot_start_is_unavailable_to_every_caller(tmp_path):
+    binary = _not_a_program(tmp_path)
+    with pytest.raises(BackendUnavailable, match="cannot run: .*Exec format error"):
+        CodeQLBackend(binary=binary).enumerate_calls(tmp_path)
+    compiler = CodeQLCompiler(binary=binary)
+    with pytest.raises(CompilerUnavailable, match="cannot run: .*Exec format error"):
         compiler.compile("p", "select 1")
+    with pytest.raises(CompilerUnavailable, match="cannot run: .*Exec format error"):
+        compiler.execute({"p": "select 1"}, "db")
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +125,7 @@ def test_nonexistent_binary_path_raises_unavailable(tmp_path):
 
 
 def test_compile_ok(tmp_path):
-    binary = _fake_codeql(tmp_path, "exit 0\n")
+    binary = fake_codeql(tmp_path, "exit 0\n")
     assert CodeQLCompiler(binary=binary).compile("p", "import java\nselect 1") == ()
 
 
@@ -105,13 +146,13 @@ def test_compile_diagnostics_name_the_rule_file_not_its_temporary_directory(
     (tmp_path / "real").mkdir()
     (tmp_path / "link").symlink_to(tmp_path / "real")
     monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "link"))
-    binary = _fake_codeql(tmp_path, f"echo {echo} >&2\nexit 2\n")
+    binary = fake_codeql(tmp_path, f"echo {echo} >&2\nexit 2\n")
     assert CodeQLCompiler(binary=binary).compile("p", "from Expr e select e") == expected
 
 
 def test_compile_error_without_parseable_stderr(tmp_path):
     # Each non-blank line comes back as printed, whatever its form.
-    binary = _fake_codeql(
+    binary = fake_codeql(
         tmp_path,
         "printf 'Compiling query.\\n\\n  something went sideways  \\n' >&2\n"
         "echo 'ERROR: could not resolve type Foo (rule.ql:5,3-6)' >&2\nexit 1\n",
@@ -124,25 +165,37 @@ def test_compile_error_without_parseable_stderr(tmp_path):
 
 
 def test_compile_error_with_an_exit_code_only(tmp_path):
-    binary = _fake_codeql(tmp_path, "echo ' ' >&2\nexit 3\n")
+    binary = fake_codeql(tmp_path, "echo ' ' >&2\nexit 3\n")
     assert CodeQLCompiler(binary=binary).compile("p", "x") == ("rule.ql: error: codeql exited 3",)
 
 
 def test_compile_reads_stderr_that_is_not_utf8_with_replacements(tmp_path):
-    binary = _fake_codeql(tmp_path, "printf 'bad \\377 byte' >&2\nexit 1\n")
+    binary = fake_codeql(tmp_path, "printf 'bad \\377 byte' >&2\nexit 1\n")
     assert CodeQLCompiler(binary=binary).compile("p", "x") == ("bad \ufffd byte",)
 
 
 def test_compile_timeout(tmp_path):
-    binary = _fake_codeql(tmp_path, "sleep 5\n")
+    binary = fake_codeql(tmp_path, "sleep 5\n")
     assert CodeQLCompiler(binary=binary, timeout_s=0.2).compile("p", "x") == (
         "rule.ql: error: codeql query compile exceeded 0.2s",
     )
 
 
+def test_a_timeout_kills_what_codeql_started(tmp_path):
+    # The child shell and its sleep are in codeql's process group; killing
+    # codeql alone would leave them to touch the marker.
+    marker = tmp_path / "marker"
+    binary = fake_codeql(tmp_path, f"(sleep 0.5; touch '{marker}') &\nwait\n")
+    assert CodeQLCompiler(binary=binary, timeout_s=0.2).compile("p", "x") == (
+        "rule.ql: error: codeql query compile exceeded 0.2s",
+    )
+    time.sleep(1)
+    assert not marker.exists()
+
+
 def test_compile_timeout_names_the_default_limit_when_none_is_set(tmp_path, monkeypatch):
     monkeypatch.setattr(codeql, "DEFAULT_TIMEOUT_S", 0.3)
-    binary = _fake_codeql(tmp_path, "exec sleep 5\n")
+    binary = fake_codeql(tmp_path, "exec sleep 5\n")
     assert CodeQLCompiler(binary=binary).compile("p", "x") == (
         "rule.ql: error: codeql query compile exceeded 0.3s",
     )
@@ -154,7 +207,7 @@ def test_generate_carries_each_codeql_line_as_printed_to_repair_revision_and_sta
         "ERROR: could not resolve type Foo (rule.ql:5,3-6)",
     )
     # The first line names the rule by the absolute path codeql was given.
-    binary = _fake_codeql(
+    binary = fake_codeql(
         tmp_path,
         'echo "$3:14:5: error: unresolved predicate or missing import" >&2\n'
         f"echo '{printed[1]}' >&2\nexit 1\n",
@@ -210,7 +263,7 @@ def _sarif_result(message: str) -> dict:
 
 def _analyze_writing(tmp_path, sarif: dict) -> str:
     """A fake ``codeql`` whose ``database analyze`` writes ``sarif`` (as ASCII JSON)."""
-    return _fake_codeql(
+    return fake_codeql(
         tmp_path,
         f"""\
         if [ "$1 $2" = "database analyze" ]; then
@@ -242,7 +295,7 @@ def test_a_lone_surrogate_in_sarif_becomes_a_replacement_character(tmp_path):
 
 
 def test_execute_failure_raises(tmp_path):
-    binary = _fake_codeql(tmp_path, "echo 'no such database' >&2\nexit 1\n")
+    binary = fake_codeql(tmp_path, "echo 'no such database' >&2\nexit 1\n")
     with pytest.raises(ExecutionFailed, match="no such database"):
         CodeQLCompiler(binary=binary).execute({"p": "select 1"}, "missing-db")
 
@@ -256,14 +309,16 @@ def test_execute_of_a_crashing_rule_is_execution_failed(tmp_path):
 
 
 def test_execute_without_a_binary_is_unavailable_not_a_failed_execution(tmp_path):
-    compiler = CodeQLCompiler(binary=str(tmp_path / "no-codeql"))
-    with pytest.raises(CompilerUnavailable, match="not found") as err:
+    # The binary is there when the compiler is built and gone when it runs.
+    compiler = CodeQLCompiler(binary=fake_codeql(tmp_path, "exit 0\n"))
+    Path(compiler.binary).unlink()
+    with pytest.raises(CompilerUnavailable, match="cannot run: .*No such file") as err:
         compiler.execute({"a__x": "select 1"}, "db")
     assert not isinstance(err.value, ExecutionFailed)
 
 
 def test_execute_timeout_raises_unavailable(tmp_path):
-    binary = _fake_codeql(tmp_path, "exec sleep 5\n")
+    binary = fake_codeql(tmp_path, "exec sleep 5\n")
     with pytest.raises(CompilerUnavailable, match="exceeded"):
         CodeQLCompiler(binary=binary, timeout_s=0.2).execute({"p": "select 1"}, "db")
 
@@ -410,7 +465,7 @@ def test_enumerate_calls_via_stub(tmp_path):
             ]
         }
     }
-    binary = _fake_codeql(
+    binary = fake_codeql(
         tmp_path,
         f"""\
         cmd="$1 $2"
@@ -450,7 +505,7 @@ def test_rows_to_records_reads_each_source_file_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(Path, "read_text", counting_read_text)
     decoded = json.dumps({"#select": {"tuples": rows}})
-    records = CodeQLBackend(binary=None)._rows_to_records(decoded, tmp_path)
+    records = codeql._rows_to_records(decoded, tmp_path)
     assert sorted(reads) == ["App.java", "Gone.java"]
     # Reference: each snippet is the ten lines before its call site, the
     # call's line and the nine after it.
@@ -476,7 +531,7 @@ def test_rows_to_records_windows_snippets_as_the_fixture_backend_does(tmp_path):
     source = [f"line {n}" for n in range(1, 41)]
     (tmp_path / "App.java").write_text("\n".join(source) + "\n")
     rows = [["p", "T", f"m{n}", "()", "void", "App.java", n] for n in (3, 15)]
-    records = CodeQLBackend(binary=None)._rows_to_records(
+    records = codeql._rows_to_records(
         json.dumps({"#select": {"tuples": rows}}), tmp_path
     )
     windows = {r.first_seen.line: r.snippet.splitlines() for r in records}
@@ -498,17 +553,17 @@ _ROW = ["p", "T", "m", "(String)", "void", "App.java", 3]
 )
 def test_rows_to_records_of_mis_shaped_output_is_unavailable(tmp_path, decoded, message):
     with pytest.raises(BackendUnavailable, match=message):
-        CodeQLBackend(binary=None)._rows_to_records(decoded, tmp_path)
+        codeql._rows_to_records(decoded, tmp_path)
 
 
 def test_enumerate_calls_timeout_raises_unavailable(tmp_path):
-    binary = _fake_codeql(tmp_path, "exec sleep 5\n")
+    binary = fake_codeql(tmp_path, "exec sleep 5\n")
     with pytest.raises(BackendUnavailable, match="database create exceeded"):
         CodeQLBackend(binary=binary, timeout_s=0.2).enumerate_calls(tmp_path)
 
 
 def test_enumerate_calls_database_failure(tmp_path):
-    binary = _fake_codeql(tmp_path, "echo 'extractor crashed' >&2\nexit 1\n")
+    binary = fake_codeql(tmp_path, "echo 'extractor crashed' >&2\nexit 1\n")
     with pytest.raises(BackendUnavailable, match="database create failed"):
         CodeQLBackend(binary=binary).enumerate_calls(tmp_path)
 

@@ -4,6 +4,7 @@ import re
 import time
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from qlforge import pipeline
 from qlforge.classify import build_classification_prompt, plan_groups
 from qlforge.codeql import CodeQLCompiler
-from qlforge.errors import ConfigError, NothingToDo, StageFailure
+from qlforge.errors import CompilerUnavailable, ConfigError, NothingToDo, StageFailure
 from qlforge.extract import FixtureBackend, dedupe, extract_apis, filter_risky
 from qlforge.gateway import estimate_tokens
 from qlforge.pipeline import (
@@ -28,7 +29,7 @@ from qlforge.pairing import PAIRS
 from qlforge.records import SPECS, SourceLocation, make_record, record_lookup
 from qlforge.report import load_report
 from qlforge.rulegen import MockCompiler
-from tests.conftest import FIXTURES, assert_same_run, skeleton_around_module
+from tests.conftest import FIXTURES, assert_same_run, fake_codeql, skeleton_around_module
 
 ARTIFACTS = (
     "specs.json",
@@ -907,10 +908,14 @@ def test_build_compiler_mock(run_config):
     assert isinstance(compiler, MockCompiler)
 
 
-def test_build_compiler_codeql_carries_the_binary_and_timeout(run_config):
+def test_build_compiler_codeql_carries_the_binary_and_timeout(run_config, tmp_path):
+    binary = fake_codeql(tmp_path, "exit 0\n")
     config = run_config(
-        compiler={"kind": "codeql"}, codeql={"path": "/opt/codeql"}, rulegen={"timeout_s": 7}
+        compiler={"kind": "codeql"}, codeql={"path": binary}, rulegen={"timeout_s": 7}
     )
     compiler = build_compiler(config)
     assert isinstance(compiler, CodeQLCompiler)
-    assert (compiler.binary, compiler.timeout_s) == ("/opt/codeql", 7)
+    assert (compiler.binary, compiler.timeout_s) == (binary, 7)
+    Path(binary).unlink()
+    with pytest.raises(CompilerUnavailable, match="codeql.path or QLFORGE_CODEQL"):
+        build_compiler(config)

@@ -3,19 +3,21 @@ import random
 import re
 import sys
 import threading
-import time
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qlforge import pipeline
 from qlforge.codeql import CodeQLCompiler
 from qlforge.errors import (
     ArtifactCorrupt,
     CompilerUnavailable,
     ConfigError,
     ExecutionFailed,
+    StageFailure,
     UnknownApiId,
 )
 from qlforge.gateway import LlmGateway, LlmResponse, _RetryableTransport
@@ -37,11 +39,13 @@ from qlforge.rulegen import (
     write_rule,
     write_rule_index,
 )
+from qlforge.pipeline import run_pipeline
 from qlforge.records import record_lookup
 from tests.conftest import (
     CountingClient,
     FakeAnalyzeCodeql,
     StaticClient,
+    fake_codeql,
     scripted_client,
     skeleton_around_module,
     synthetic_records,
@@ -166,57 +170,49 @@ def test_all_empty_drafts_are_invalid():
     assert artifact.diagnostics == ("rule.ql: error: writer returned empty output",)
 
 
-def test_timeout_counts_as_failure():
+def test_timeout_counts_as_failure(tmp_path):
     pair, lookup = _pair_and_lookup()
-    script = {"version": 1, "pairs": {pair.pair_id: {"delay_s": 0.05}}}
-    compiler = MockCompiler(script, timeout_s=0.01)
+    compiler = CodeQLCompiler(binary=fake_codeql(tmp_path, "exec sleep 5\n"), timeout_s=0.2)
     client = CountingClient(StaticClient(RULE_TEXT))
     artifact = generate_rule(pair, lookup, LlmGateway(client, model="m"), compiler, max_iters=1)
     assert artifact.status is ArtifactStatus.ABORTED
-    assert artifact.diagnostics == ("rule.ql: error: compilation exceeded 0.01s",)
+    assert artifact.diagnostics == ("rule.ql: error: codeql query compile exceeded 0.2s",)
 
 
-def test_a_failing_compile_slower_than_the_timeout_times_out():
-    script = {"version": 1, "default": {"fail_count": 1, "delay_s": 0.3}}
-    compiler = MockCompiler(script, timeout_s=0.1)
-    began = time.monotonic()
-    diagnostics = compiler.compile("p1", RULE_TEXT)
-    assert time.monotonic() - began < 0.3
-    assert diagnostics == ("rule.ql: error: compilation exceeded 0.1s",)
-
-
-def test_a_timed_out_attempt_is_revised_as_a_failed_compile():
+def test_a_timed_out_attempt_is_revised_as_a_failed_compile(tmp_path):
     pair, lookup = _pair_and_lookup()
-    script = {"version": 1, "pairs": {pair.pair_id: {"delay_s": 0.05}}}
+    compiler = CodeQLCompiler(binary=fake_codeql(tmp_path, "exec sleep 5\n"), timeout_s=0.2)
     client = RecordingClient(StaticClient(RULE_TEXT))
-    generate_rule(
-        pair, lookup, LlmGateway(client, model="m"), MockCompiler(script, timeout_s=0.01),
-        max_iters=2,
-    )
+    generate_rule(pair, lookup, LlmGateway(client, model="m"), compiler, max_iters=2)
     second_write = client.requests[2].prompt
     assert "Attempt 1 failed to compile (Error)." in second_write
-    assert "rule.ql: error: compilation exceeded 0.01s" in second_write
+    assert "rule.ql: error: codeql query compile exceeded 0.2s" in second_write
 
 
-def test_missing_compiler_aborts_pair():
-    class UnavailableCompiler:
-        name = "broken"
+class UnavailableCompiler:
+    """A compiler that was there when built and cannot run when called."""
 
-        def compile(self, pair_id, rule_text):
-            raise CompilerUnavailable("no compiler on PATH")
+    def compile(self, pair_id, rule_text):
+        raise CompilerUnavailable("codeql binary cannot run")
 
-        def execute(self, rules, database):
-            raise CompilerUnavailable("no compiler on PATH")
+    def execute(self, rules, database):
+        raise CompilerUnavailable("codeql binary cannot run")
 
+
+def test_a_compiler_that_cannot_run_fails_generate_not_the_pair(tmp_path, run_config, monkeypatch):
+    # A broken toolchain is no outcome of a pair: no Aborted artifact, no repair call.
     pair, lookup = _pair_and_lookup()
     client = CountingClient(StaticClient(RULE_TEXT))
-    artifact = generate_rule(pair, lookup, LlmGateway(client, model="m"), UnavailableCompiler())
-    assert artifact.status is ArtifactStatus.ABORTED
-    assert artifact.attempts == 1
-    assert client.count("write") == 1
-    assert client.count("repair") == 0
-    assert artifact.rule_text == RULE_TEXT + "\n"
-    assert artifact.diagnostics == ("rule.ql: error: compiler unavailable: no compiler on PATH",)
+    with pytest.raises(CompilerUnavailable, match="cannot run"):
+        generate_rule(pair, lookup, LlmGateway(client, model="m"), UnavailableCompiler())
+    assert (client.count("write"), client.count("repair")) == (1, 0)
+    rules_dir = tmp_path / "rules"
+    with pytest.raises(CompilerUnavailable, match="cannot run"):
+        generate_all([pair], lookup, LlmGateway(client), UnavailableCompiler(), rules_dir)
+    assert not (rules_dir / "index.json").exists()
+    monkeypatch.setattr(pipeline, "build_compiler", lambda config: UnavailableCompiler())
+    with pytest.raises(StageFailure, match="stage 'generate' failed: codeql binary cannot run"):
+        run_pipeline(run_config())
 
 
 def test_max_iters_must_be_positive():
@@ -506,7 +502,7 @@ def test_mock_compiler_script_validation():
         ({"version": 1, "pairs": [1]}, "pairs must be dict, not list"),
         ({"version": 1, "pairs": {"p": 1}}, r"pairs\['p'\]: ScriptedOutcome must be dict"),
         ({"version": 1, "default": {"fail_count": "x"}}, "fail_count must be int, not str"),
-        ({"version": 1, "default": {"delay_s": True}}, "delay_s must be float, not bool"),
+        ({"version": 1, "default": {"delay_s": 0.5}}, r"unknown key\(s\): delay_s"),
         (
             {"version": 1, "default": {"diagnostics": [{"message": "m"}]}},
             "diagnostics item must be str, not dict",
@@ -516,7 +512,6 @@ def test_mock_compiler_script_validation():
             r"pairs\['p'\]: start_line is missing",
         ),
         ({"version": 1, "default": {"fail_cont": 1}}, r"unknown key\(s\): fail_cont"),
-        ({"version": 1, "default": {"delay_s": -1}}, "delay_s must be from 0 to"),
     ],
 )
 def test_mock_compiler_script_shape_is_config_error_naming_the_file(tmp_path, script, match):
@@ -914,8 +909,9 @@ def test_scan_continues_past_failing_rule(caplog):
 def test_scan_fails_when_the_compiler_cannot_run(tmp_path):
     # A missing toolchain is not a broken rule: no per-rule fallback, and
     # the error reaches the caller instead of an empty list of findings.
-    compiler = CodeQLCompiler(binary=str(tmp_path / "no-codeql"))
-    with pytest.raises(CompilerUnavailable, match="not found"):
+    compiler = CodeQLCompiler(binary=fake_codeql(tmp_path, "exit 0\n"))
+    Path(compiler.binary).unlink()
+    with pytest.raises(CompilerUnavailable, match="cannot run"):
         scan([_artifact("a__x"), _artifact("b__y")], "db", compiler)
 
 
